@@ -15,12 +15,12 @@
 //! (all integers little-endian):
 //!
 //! ```text
-//! magic "VFR1" (4) | len (u32) | to (u32) | from (u32) | tag (u32) | crc (u32) | payload (len)
+//! magic "VFR2" (4) | len (u32) | to (u32) | from (u32) | tag (u32) | digest (u64) | payload (len)
 //! ```
 //!
-//! `crc` is FNV-1a over the `to | from | tag` words followed by the
-//! payload (0 is reserved, a real 0 is nudged to 1 — same convention as
-//! the layer-2 wire headers). A frame whose checksum fails is dropped
+//! `digest` is [`frame_crc`] over the `to | from | tag | len` words and
+//! the payload (0 is reserved, a real 0 is nudged to 1 — same convention
+//! as the layer-2 wire headers). A frame whose digest fails is dropped
 //! where it lands; the stream stays synchronized because the frame's
 //! extent was known. A corrupted *length* desynchronizes the stream:
 //! the decoder scans forward to the next magic and reports how many
@@ -50,7 +50,7 @@ use crate::fault::{apply_payload_faults, record_fault, FaultKind, FaultPlan, Fau
 use crate::transport::{tags, CommError, Message, Rank, Tag, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -63,18 +63,28 @@ use vira_obs as obs;
 
 /// Wire protocol version carried in the `HELLO` frame. Bumped on any
 /// incompatible frame-format change; the hub rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Frame preamble. A fixed magic keeps the decoder re-synchronizable:
-/// after losing framing it scans for the next occurrence.
-pub const FRAME_MAGIC: [u8; 4] = *b"VFR1";
+/// after losing framing it scans for the next occurrence. Bumped with
+/// the frame format: a peer of another format never finds a frame here.
+pub const FRAME_MAGIC: [u8; 4] = *b"VFR2";
 
-/// Fixed bytes before the payload: magic + len + to + from + tag + crc.
-pub const FRAME_HEADER_LEN: usize = 24;
+/// Fixed bytes before the payload: magic, len, to, from, tag (4 each), digest (8).
+pub const FRAME_HEADER_LEN: usize = 28;
 
 /// Upper bound on a frame payload. Anything larger is treated as a
-/// corrupted length (false magic) rather than an allocation request.
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
+/// corrupted length (false magic) rather than an allocation request,
+/// and refused by the sender (the largest frame sent today is ~17 MB).
+pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
+
+/// The most a decoder reserves beyond the bytes it already holds: a
+/// header alone cannot claim [`MAX_FRAME_PAYLOAD`] of memory.
+pub const READ_STEP: usize = 8 << 20;
+
+/// Read size while no large frame is pending; frames at least this big
+/// are read to their exact end and handed out as the buffer itself.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Handshake tags live at the top of the tag space, far above
 /// [`crate::transport::tags::USER_BASE`], and never reach layer 2.
@@ -100,28 +110,55 @@ fn count_sent(frame_len: usize) {
     obs::counter_cached(&BYTES_SENT, "socket_bytes_sent_total").add(frame_len as u64);
 }
 
-/// FNV-1a (32-bit) over an iterator of byte slices.
-fn fnv1a_multi<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for part in parts {
-        for &b in part {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
+fn count_resync(skipped: usize) {
+    obs::counter_cached(&RESYNC_BYTES, "socket_resync_bytes_total").add(skipped as u64);
 }
 
-/// Checksum of one frame: FNV-1a over the addressing words and the
-/// payload. `0` means "unchecked" in layer-2 headers, so a real zero
-/// digest is nudged to 1 here too — one convention across the stack.
-pub fn frame_crc(to: u32, from: u32, tag: u32, payload: &[u8]) -> u32 {
-    let h = fnv1a_multi([
-        &to.to_le_bytes()[..],
-        &from.to_le_bytes()[..],
-        &tag.to_le_bytes()[..],
-        payload,
-    ]);
+/// One 32-byte stride: word `i` goes into lane `i`, four independent
+/// chains the CPU runs in parallel. The multiplier is odd, so a step is
+/// a bijection of the lane and injective in the word.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], stride: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        *lane = (*lane ^ w)
+            .wrapping_mul(0xff51_afd7_ed55_8ccd)
+            .rotate_left(29);
+    }
+}
+
+/// Checksum of one frame over the addressing words, the length and the
+/// payload. Lane steps and the fold are bijections of each lane, so
+/// damage confined to one 8-byte word always changes the digest — but
+/// for the one pair of values the nudge merges: `0` means "unchecked"
+/// in layer-2 headers, so a real zero digest becomes 1 here too.
+pub fn frame_crc(to: u32, from: u32, tag: u32, payload: &[u8]) -> u64 {
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut lanes = [
+        SEED ^ (u64::from(to) | u64::from(from) << 32),
+        SEED.rotate_left(16) ^ u64::from(tag),
+        SEED.rotate_left(32) ^ payload.len() as u64,
+        SEED.rotate_left(48),
+    ];
+    let mut strides = payload.chunks_exact(32);
+    for stride in &mut strides {
+        absorb(&mut lanes, stride);
+    }
+    let rest = strides.remainder();
+    if !rest.is_empty() {
+        // Zero padding is unambiguous: the length is in lane 2.
+        let mut last = [0u8; 32];
+        last[..rest.len()].copy_from_slice(rest);
+        absorb(&mut lanes, &last);
+    }
+    // Rotate-add, then splitmix64's (invertible) finalizer.
+    let mut h = lanes[0]
+        .wrapping_add(lanes[1].rotate_left(17))
+        .wrapping_add(lanes[2].rotate_left(31))
+        .wrapping_add(lanes[3].rotate_left(47));
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^= h >> 31;
     if h == 0 {
         1
     } else {
@@ -135,19 +172,45 @@ pub struct Frame {
     pub to: u32,
     pub from: u32,
     pub tag: Tag,
+    /// A view into `wire`, not a copy.
     pub payload: Bytes,
+    /// The frame as received, header included: what the hub forwards.
+    wire: Bytes,
 }
 
-/// Encodes one frame, header and payload, into a single buffer (one
-/// `write_all` per send keeps frames atomic without a writer thread).
+/// The header of one frame, or `None` (and an error event) for a
+/// payload the receiver would take for a corrupted length.
+fn frame_header(to: u32, from: u32, tag: Tag, payload: &[u8]) -> Option<[u8; FRAME_HEADER_LEN]> {
+    if payload.len() > MAX_FRAME_PAYLOAD {
+        let fields = [
+            ("to", to.into()),
+            ("tag", tag.into()),
+            ("bytes", payload.len().into()),
+        ];
+        obs::error(
+            "comm",
+            "frame payload exceeds MAX_FRAME_PAYLOAD, not sent",
+            &fields,
+        );
+        return None;
+    }
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[..4].copy_from_slice(&FRAME_MAGIC);
+    h[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    h[8..12].copy_from_slice(&to.to_le_bytes());
+    h[12..16].copy_from_slice(&from.to_le_bytes());
+    h[16..20].copy_from_slice(&tag.to_le_bytes());
+    h[20..].copy_from_slice(&frame_crc(to, from, tag, payload).to_le_bytes());
+    Some(h)
+}
+
+/// Encodes one frame, header and payload, into a single buffer (the
+/// send path writes the two parts where they lie instead). Panics when
+/// `payload` exceeds [`MAX_FRAME_PAYLOAD`].
 pub fn encode_frame(to: u32, from: u32, tag: Tag, payload: &[u8]) -> Vec<u8> {
+    let header = frame_header(to, from, tag, payload).expect("payload within MAX_FRAME_PAYLOAD");
     let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    buf.extend_from_slice(&FRAME_MAGIC);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&to.to_le_bytes());
-    buf.extend_from_slice(&from.to_le_bytes());
-    buf.extend_from_slice(&tag.to_le_bytes());
-    buf.extend_from_slice(&frame_crc(to, from, tag, payload).to_le_bytes());
+    buf.extend_from_slice(&header);
     buf.extend_from_slice(payload);
     buf
 }
@@ -166,12 +229,15 @@ pub enum DecodeStep {
 }
 
 /// Incremental frame decoder over an arbitrary chunking of the byte
-/// stream. Pure — no sockets — so it is unit- and property-testable,
-/// and the reader threads just feed it whatever `read` returned.
+/// stream. Pure — no sockets — so it is unit- and property-testable;
+/// the reader threads let it `read_from` their socket, tests `feed` it.
 #[derive(Default)]
 pub struct FrameDecoder {
+    /// `buf[pos..end]` are stream bytes not yet consumed; `buf[end..]`
+    /// is initialised room for the next read.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
 }
 
 impl FrameDecoder {
@@ -180,18 +246,66 @@ impl FrameDecoder {
     }
 
     /// Appends raw stream bytes.
-    pub fn feed(&mut self, data: &[u8]) {
-        // Compact before growing: the consumed prefix is dead weight.
-        if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 64 * 1024) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    pub fn feed(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            self.read_from(&mut data)
+                .expect("reading a slice cannot fail");
         }
-        self.buf.extend_from_slice(data);
+    }
+
+    /// Reads once from `r` straight into the decode buffer and returns
+    /// what `read` returned (0 is end of stream).
+    pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        let want = self.read_window();
+        self.make_room(want);
+        let n = r.read(&mut self.buf[self.end..self.end + want])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
+    }
+
+    /// Payload length of the frame at the front of the buffer, given a
+    /// whole header with a plausible length.
+    fn front_len(&self) -> Option<usize> {
+        let b = &self.buf[self.pos..self.end];
+        if b.len() < FRAME_HEADER_LEN || b[..4] != FRAME_MAGIC {
+            return None;
+        }
+        let len = u32::from_le_bytes(b[4..8].try_into().expect("4 bytes")) as usize;
+        (len <= MAX_FRAME_PAYLOAD).then_some(len)
+    }
+
+    /// How much to ask the stream for next: inside a large frame the
+    /// rest of it and not a byte more (it ends up alone in the buffer
+    /// and leaves without a copy), [`READ_STEP`] at most; otherwise one
+    /// chunk, which may bring in many small frames at once.
+    fn read_window(&self) -> usize {
+        let total = self.front_len().map_or(0, |len| FRAME_HEADER_LEN + len);
+        match total.saturating_sub(self.pending()) {
+            missing if missing > 0 && total >= READ_CHUNK => missing.min(READ_STEP),
+            _ => READ_CHUNK,
+        }
+    }
+
+    /// Makes `buf[end..end + want]` exist: reuses the room left from
+    /// earlier reads, else moves the unconsumed bytes to the front and
+    /// grows by exactly what is missing (zeroed once, reused after).
+    fn make_room(&mut self, want: usize) {
+        if self.buf.len() - self.end >= want {
+            return;
+        }
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        let need = self.end + want;
+        if self.buf.len() < need {
+            self.buf.reserve_exact(need - self.buf.len());
+            self.buf.resize(need, 0);
+        }
     }
 
     /// Pulls the next decode step, or `None` when more bytes are
@@ -199,57 +313,66 @@ impl FrameDecoder {
     /// means "feed me", not "exhausted".
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<DecodeStep> {
-        let b = &self.buf[self.pos..];
+        let b = &self.buf[self.pos..self.end];
         // Locate the next magic; discard anything in front of it, but
         // keep a possible magic prefix at the very end of the buffer.
         let at = b
             .windows(FRAME_MAGIC.len())
             .position(|w| w == FRAME_MAGIC);
         let Some(at) = at else {
-            let keep = longest_magic_suffix(b);
-            let skip = b.len() - keep;
+            let skip = b.len() - longest_magic_suffix(b);
             if skip > 0 {
                 self.pos += skip;
-                obs::counter_cached(&RESYNC_BYTES, "socket_resync_bytes_total").add(skip as u64);
+                count_resync(skip);
                 return Some(DecodeStep::Resync(skip));
             }
             return None;
         };
         if at > 0 {
             self.pos += at;
-            obs::counter_cached(&RESYNC_BYTES, "socket_resync_bytes_total").add(at as u64);
+            count_resync(at);
             return Some(DecodeStep::Resync(at));
         }
         if b.len() < FRAME_HEADER_LEN {
             return None;
         }
-        let word = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes"));
-        let len = word(4) as usize;
-        if len > MAX_FRAME_PAYLOAD {
+        let Some(len) = self.front_len() else {
             // A magic that fronts an absurd length is a false positive
             // (or a corrupted length): step past one byte and rescan.
             self.pos += 1;
-            obs::counter_cached(&RESYNC_BYTES, "socket_resync_bytes_total").inc();
+            count_resync(1);
             return Some(DecodeStep::Resync(1));
-        }
-        if b.len() < FRAME_HEADER_LEN + len {
+        };
+        let total = FRAME_HEADER_LEN + len;
+        if b.len() < total {
             return None;
         }
-        let (to, from, tag, crc) = (word(8), word(12), word(16), word(20));
-        let payload = &b[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-        let ok = frame_crc(to, from, tag, payload) == crc;
-        let payload = Bytes::copy_from_slice(payload);
-        self.pos += FRAME_HEADER_LEN + len;
-        if !ok {
+        let word = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().expect("4 bytes"));
+        let (to, from, tag) = (word(8), word(12), word(16));
+        let digest = u64::from_le_bytes(b[20..FRAME_HEADER_LEN].try_into().expect("8 bytes"));
+        if frame_crc(to, from, tag, &b[FRAME_HEADER_LEN..total]) != digest {
+            self.pos += total;
             obs::counter_cached(&FRAMES_CORRUPT, "socket_frames_corrupt_total").inc();
             return Some(DecodeStep::Corrupt);
         }
+        let wire = if self.pos == 0 && self.end == total && total >= READ_CHUNK {
+            // The frame is all the buffer holds: hand the buffer out.
+            self.end = 0;
+            let mut whole = std::mem::take(&mut self.buf);
+            whole.truncate(total);
+            Bytes::from(whole)
+        } else {
+            let copy = Bytes::copy_from_slice(&b[..total]);
+            self.pos += total;
+            copy
+        };
         obs::counter_cached(&FRAMES_RECV, "socket_frames_recv_total").inc();
         Some(DecodeStep::Frame(Frame {
             to,
             from,
             tag,
-            payload,
+            payload: wire.slice(FRAME_HEADER_LEN..total),
+            wire,
         }))
     }
 }
@@ -316,6 +439,13 @@ enum Stream {
 }
 
 impl Stream {
+    /// No Nagle on any TCP stream: a tail segment held back for an
+    /// ACK would sit on the time-to-first-geometry path.
+    fn tcp(s: TcpStream) -> std::io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
+    }
+
     fn try_clone(&self) -> std::io::Result<Stream> {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
@@ -364,6 +494,14 @@ impl Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -373,28 +511,52 @@ impl Write for Stream {
     }
 }
 
-/// Writes one frame under the peer's writer lock. Frames are single
-/// buffers, so concurrent senders interleave at frame granularity.
-fn write_frame(writer: &Mutex<Stream>, to: u32, from: u32, tag: Tag, payload: &[u8]) -> bool {
-    let buf = encode_frame(to, from, tag, payload);
+/// `write_all` for a header and a payload that lie apart: vectored
+/// while the header is not out yet (a small frame still leaves in one
+/// segment), plain writes for what is left of the payload.
+fn write_parts(w: &mut impl Write, header: &[u8], payload: &[u8]) -> std::io::Result<()> {
+    let mut done = 0;
+    while done < header.len() + payload.len() {
+        let wrote = if done < header.len() {
+            w.write_vectored(&[IoSlice::new(&header[done..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[done - header.len()..])
+        };
+        match wrote {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Writes `header` then `payload` under the peer's writer lock, so
+/// concurrent senders interleave at frame granularity.
+fn write_locked(writer: &Mutex<Stream>, header: &[u8], payload: &[u8]) -> bool {
     let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    let ok = w.write_all(&buf).is_ok();
+    let ok = write_parts(&mut *w, header, payload).is_ok();
     if ok {
-        count_sent(buf.len());
+        count_sent(header.len() + payload.len());
     }
     ok
 }
 
-/// Reads frames until `stop` says otherwise, feeding the decoder with
-/// whatever sized chunks the socket produces. Returns when the stream
-/// ends, errors, or desynchronizes beyond repair.
+/// Encodes and writes one frame; the checksum runs outside the lock.
+fn write_frame(writer: &Mutex<Stream>, to: u32, from: u32, tag: Tag, payload: &[u8]) -> bool {
+    frame_header(to, from, tag, payload).is_some_and(|h| write_locked(writer, &h, payload))
+}
+
+/// Reads frames until `on_frame` says otherwise, letting the decoder
+/// read the socket into its own buffer. Returns when the stream ends,
+/// errors, or desynchronizes beyond repair.
 ///
 /// `dec` is the handshake's decoder, carried over so bytes that
 /// arrived in the same read as the HELLO/WELCOME (frames sent the
 /// instant the handshake completed) are decoded, not dropped — it is
 /// drained before the first read.
 fn reader_loop(mut stream: Stream, mut dec: FrameDecoder, mut on_frame: impl FnMut(Frame) -> bool) {
-    let mut chunk = vec![0u8; 64 * 1024];
     loop {
         while let Some(step) = dec.next() {
             match step {
@@ -411,13 +573,12 @@ fn reader_loop(mut stream: Stream, mut dec: FrameDecoder, mut on_frame: impl FnM
                 DecodeStep::Corrupt | DecodeStep::Resync(_) => {}
             }
         }
-        let n = match stream.read(&mut chunk) {
+        match dec.read_from(&mut stream) {
             Ok(0) => return, // EOF: peer closed
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
-        };
-        dec.feed(&chunk[..n]);
+        }
     }
 }
 
@@ -464,33 +625,39 @@ struct HubShared {
 }
 
 impl HubShared {
-    /// Forwards an encoded frame to `to` (1-based), dropping it when
-    /// the peer is gone — dead peers are silence, never errors.
-    fn route(&self, frame: &Frame) {
-        let Some(peer) = self.peers.get(frame.to as usize - 1) else {
-            return;
-        };
-        if !peer.alive.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(rf) = self.route_faults.get() {
-            // Only worker-originated forwards: hub→worker frames
-            // (`from` = 0) already crossed the send-side decorator,
-            // and SHUTDOWN is exempt everywhere (see the fault module
-            // docs).
-            if frame.from != 0 && frame.tag != tags::SHUTDOWN {
-                return self.route_faulted(rf, peer, frame);
-            }
-        }
-        self.write_to_peer(peer, frame.to, frame.from, frame.tag, &frame.payload);
+    /// Rank `to`'s (1-based) connection while it is up. Frames for a
+    /// peer that is gone are dropped: dead peers are silence, not errors.
+    fn live_peer(&self, to: u32) -> Option<&Peer> {
+        let peer = self.peers.get((to as usize).checked_sub(1)?)?;
+        peer.alive.load(Ordering::Acquire).then_some(peer)
     }
 
-    /// Writes one frame to `peer`, marking it dead on failure — unless
-    /// a rejoin swapped the stream mid-write, in which case the failure
+    /// Forwards a worker's frame to the worker it addresses. The
+    /// decoder verified it, so it leaves as the bytes that came in — no
+    /// re-encode, no copy — unless the seeded plan mutates it.
+    fn forward(&self, frame: &Frame) {
+        let Some(peer) = self.live_peer(frame.to) else {
+            return;
+        };
+        // SHUTDOWN is exempt from faults everywhere (see the fault docs).
+        match self.route_faults.get() {
+            Some(rf) if frame.tag != tags::SHUTDOWN => self.route_faulted(rf, peer, frame),
+            _ => self.write_to_peer(peer, &[], &frame.wire),
+        }
+    }
+
+    fn send_to_peer(&self, peer: &Peer, to: u32, from: u32, tag: Tag, payload: &[u8]) {
+        if let Some(header) = frame_header(to, from, tag, payload) {
+            self.write_to_peer(peer, &header, payload);
+        }
+    }
+
+    /// Writes to `peer`, marking it dead on failure — unless a rejoin
+    /// swapped the stream mid-write, in which case the failure
     /// belonged to the previous generation.
-    fn write_to_peer(&self, peer: &Peer, to: u32, from: u32, tag: Tag, payload: &[u8]) {
+    fn write_to_peer(&self, peer: &Peer, header: &[u8], payload: &[u8]) {
         let generation = peer.generation.load(Ordering::Acquire);
-        if !write_frame(&peer.writer, to, from, tag, payload)
+        if !write_locked(&peer.writer, header, payload)
             && peer.generation.load(Ordering::Acquire) == generation
         {
             peer.alive.store(false, Ordering::Release);
@@ -505,7 +672,7 @@ impl HubShared {
         let index = rf.next_index(frame.from, frame.to);
         let d = rf.plan.decision(frame.from as Rank, frame.to as Rank, index);
         if d.is_clean() {
-            return self.write_to_peer(peer, frame.to, frame.from, frame.tag, &frame.payload);
+            return self.write_to_peer(peer, &[], &frame.wire);
         }
         if d.drop {
             record_fault(&rf.stats, FaultKind::Drop);
@@ -525,10 +692,10 @@ impl HubShared {
             record_fault(&rf.stats, FaultKind::Delay);
             std::thread::sleep(Duration::from_micros(d.delay_us));
         }
-        self.write_to_peer(peer, frame.to, frame.from, frame.tag, &payload);
+        self.send_to_peer(peer, frame.to, frame.from, frame.tag, &payload);
         if d.duplicate {
             record_fault(&rf.stats, FaultKind::Duplicate);
-            self.write_to_peer(peer, frame.to, frame.from, frame.tag, &payload);
+            self.send_to_peer(peer, frame.to, frame.from, frame.tag, &payload);
         }
     }
 }
@@ -608,7 +775,7 @@ impl SocketListener {
 
     fn accept_stream(&self) -> std::io::Result<Stream> {
         match &self.kind {
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            ListenerKind::Tcp(l) => Stream::tcp(l.accept()?.0),
             #[cfg(unix)]
             ListenerKind::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
@@ -747,7 +914,7 @@ fn spawn_peer_reader(
                         payload: f.payload,
                     });
                 } else {
-                    shared.route(&f);
+                    shared.forward(&f);
                 }
                 true
             });
@@ -923,7 +1090,6 @@ fn read_one_frame(
     deadline: Instant,
 ) -> std::io::Result<(Frame, FrameDecoder)> {
     let mut dec = FrameDecoder::new();
-    let mut chunk = [0u8; 4096];
     loop {
         while let Some(step) = dec.next() {
             if let DecodeStep::Frame(f) = step {
@@ -938,9 +1104,9 @@ fn read_one_frame(
             ));
         }
         stream.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
-        match stream.read(&mut chunk) {
+        match dec.read_from(stream) {
             Ok(0) => return Err(protocol_err("peer closed during handshake")),
-            Ok(n) => dec.feed(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut
@@ -973,12 +1139,9 @@ impl Transport for SocketHub {
         if to > self.n_workers {
             return Err(CommError::UnknownRank(to));
         }
-        self.shared.route(&Frame {
-            to: to as u32,
-            from: 0,
-            tag,
-            payload,
-        });
+        if let Some(peer) = self.shared.live_peer(to as u32) {
+            self.shared.send_to_peer(peer, to as u32, 0, tag, &payload);
+        }
         Ok(())
     }
 
@@ -1154,7 +1317,7 @@ impl SocketWorker {
         rejoin_as: Option<Rank>,
     ) -> std::io::Result<SocketWorker> {
         let stream = match spec {
-            SocketAddrSpec::Tcp(addr) => Stream::Tcp(TcpStream::connect(addr)?),
+            SocketAddrSpec::Tcp(addr) => Stream::tcp(TcpStream::connect(addr)?)?,
             #[cfg(unix)]
             SocketAddrSpec::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
             #[cfg(not(unix))]
@@ -1410,12 +1573,239 @@ mod tests {
 
     #[test]
     fn crc_is_never_zero() {
-        // fnv1a(to=0,from=0,tag=0,[]) happens to be non-zero; the nudge
-        // is still pinned so the "unchecked" sentinel stays reserved.
+        // No input is known to digest to 0; the nudge is still pinned
+        // so the "unchecked" sentinel stays reserved.
         assert_ne!(frame_crc(0, 0, 0, b""), 0);
         for tag in 0..200u32 {
             assert_ne!(frame_crc(1, 2, tag, b"abc"), 0);
         }
+    }
+
+    #[test]
+    fn crc_changes_with_any_single_word() {
+        // Lengths around the 32-byte stride and the 8-byte word, so the
+        // padded tail is covered too.
+        for len in [1usize, 7, 8, 9, 31, 32, 33, 63, 64, 65, 200] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let base = frame_crc(3, 4, 5, &payload);
+            for word in payload.chunks(8).enumerate().map(|(i, _)| i * 8) {
+                for flip in [0x01u8, 0x80, 0xff] {
+                    let mut damaged = payload.clone();
+                    // Damage every byte of the word, or one of them.
+                    for b in damaged[word..].iter_mut().take(8) {
+                        *b ^= flip;
+                    }
+                    assert_ne!(frame_crc(3, 4, 5, &damaged), base, "len {len} word {word}");
+                    damaged.copy_from_slice(&payload);
+                    damaged[word] ^= flip;
+                    assert_ne!(frame_crc(3, 4, 5, &damaged), base, "len {len} byte {word}");
+                }
+            }
+            // Zero padding does not alias a longer payload of zeros.
+            let mut longer = payload.clone();
+            longer.push(0);
+            assert_ne!(frame_crc(3, 4, 5, &longer), base);
+        }
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_by_the_sender() {
+        let too_big = vec![0u8; MAX_FRAME_PAYLOAD + 1];
+        assert!(frame_header(1, 0, 7, &too_big).is_none());
+        assert!(frame_header(1, 0, 7, &too_big[..MAX_FRAME_PAYLOAD]).is_some());
+    }
+
+    /// Accepts at most `step` bytes per call, cycling `step` through
+    /// 1..=k, whether asked through `write` or `write_vectored`.
+    struct ShortWriter {
+        out: Vec<u8>,
+        k: usize,
+        step: usize,
+        vectored_calls: usize,
+    }
+
+    impl ShortWriter {
+        fn take(&mut self, offered: usize) -> usize {
+            self.step = self.step % self.k + 1;
+            self.step.min(offered)
+        }
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.take(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored_calls += 1;
+            let mut left = self.take(bufs.iter().map(|b| b.len()).sum());
+            let took = left;
+            for b in bufs {
+                let n = left.min(b.len());
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(took)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_vectored_writes_still_put_the_whole_frame_on_the_wire() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        let header = frame_header(2, 1, 9, &payload).unwrap();
+        // k = 1 crawls through the header a byte at a time; larger k
+        // makes single calls span the header/payload boundary.
+        for k in [1usize, 5, 27, 28, 29, 64, 5000] {
+            let mut w = ShortWriter {
+                out: Vec::new(),
+                k,
+                step: 0,
+                vectored_calls: 0,
+            };
+            write_parts(&mut w, &header, &payload).unwrap();
+            assert_eq!(w.out, encode_frame(2, 1, 9, &payload), "k = {k}");
+            assert!(w.vectored_calls >= 1);
+        }
+        // An empty payload and an empty header (the forward path).
+        let mut w = ShortWriter {
+            out: Vec::new(),
+            k: 3,
+            step: 0,
+            vectored_calls: 0,
+        };
+        write_parts(&mut w, &frame_header(0, 0, 1, b"").unwrap(), b"").unwrap();
+        assert_eq!(w.out, encode_frame(0, 0, 1, b""));
+        let mut w = ShortWriter {
+            out: Vec::new(),
+            k: 3,
+            step: 0,
+            vectored_calls: 0,
+        };
+        write_parts(&mut w, &[], &payload).unwrap();
+        assert_eq!(w.out, payload);
+        // A writer that accepts nothing is an error, not a spin.
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_parts(&mut Full, &header, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    /// Hands out its bytes at most `step` per `read`, then reports
+    /// end of stream.
+    struct ShortReader<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for ShortReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn drain_frames(dec: &mut FrameDecoder, into: &mut Vec<Frame>) {
+        while let Some(step) = dec.next() {
+            match step {
+                DecodeStep::Frame(f) => into.push(f),
+                other => panic!("clean stream produced {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn large_frame_is_read_into_one_buffer_and_handed_out_whole() {
+        let big: Vec<u8> = (0..300_000u32).map(|i| (i ^ (i >> 8)) as u8).collect();
+        let mut stream = encode_frame(1, 0, 5, b"small first");
+        stream.extend_from_slice(&encode_frame(1, 0, 6, &big));
+        stream.extend_from_slice(&encode_frame(1, 0, 7, b"small after"));
+        for step in [1000usize, 64 * 1024, usize::MAX] {
+            let mut r = ShortReader {
+                data: &stream,
+                step,
+            };
+            let mut dec = FrameDecoder::new();
+            let mut frames = Vec::new();
+            let mut peak = 0;
+            loop {
+                drain_frames(&mut dec, &mut frames);
+                if frames.len() == 2 && frames[1].tag == 6 && r.data.len() >= 30 {
+                    // The big frame took the buffer with it.
+                    assert_eq!(dec.buf.capacity(), 0, "step {step}");
+                }
+                if dec.read_from(&mut r).unwrap() == 0 {
+                    break;
+                }
+                peak = peak.max(dec.buf.capacity());
+            }
+            assert_eq!(frames.len(), 3, "step {step}");
+            assert_eq!(&frames[0].payload[..], b"small first");
+            assert_eq!(&frames[1].payload[..], &big[..]);
+            assert_eq!(frames[1].wire.len(), FRAME_HEADER_LEN + big.len());
+            assert_eq!(&frames[2].payload[..], b"small after");
+            // Sized once from the header: never a doubling past it.
+            assert!(
+                peak <= FRAME_HEADER_LEN + big.len() + 2 * READ_CHUNK,
+                "peak {peak}"
+            );
+        }
+    }
+
+    #[test]
+    fn forged_length_reserves_at_most_one_step_and_resync_still_works() {
+        // The largest length the decoder believes, then silence: it
+        // waits, holding one step of room and not the 64 MiB claimed.
+        let mut forged = FRAME_MAGIC.to_vec();
+        forged.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        forged.extend_from_slice(&[0u8; FRAME_HEADER_LEN - 8]);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&forged);
+        assert_eq!(dec.next(), None);
+        let mut silence = ShortReader { data: &[], step: 1 };
+        assert_eq!(dec.read_from(&mut silence).unwrap(), 0);
+        assert_eq!(dec.next(), None);
+        assert!(dec.buf.capacity() <= dec.pending() + READ_STEP);
+        // A mebibyte of the claimed payload arrives: still one step.
+        dec.feed(&vec![0u8; 1 << 20]);
+        assert_eq!(dec.next(), None);
+        assert!(dec.buf.capacity() <= dec.pending() + READ_STEP);
+
+        // One past the bound is a false magic: skipped byte by byte,
+        // and the valid frame behind it decodes.
+        let mut stream = FRAME_MAGIC.to_vec();
+        stream.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
+        stream.extend_from_slice(&[0u8; FRAME_HEADER_LEN - 8]);
+        stream.extend_from_slice(&encode_frame(1, 0, 1, b"ok"));
+        let mut dec = FrameDecoder::new();
+        dec.feed(&stream);
+        let mut frames = Vec::new();
+        let mut skipped = 0;
+        while let Some(step) = dec.next() {
+            match step {
+                DecodeStep::Frame(f) => frames.push(f),
+                DecodeStep::Resync(n) => skipped += n,
+                DecodeStep::Corrupt => panic!("nothing here is a whole frame"),
+            }
+        }
+        assert_eq!(skipped, FRAME_HEADER_LEN);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(&frames[0].payload[..], b"ok");
+        assert!(dec.buf.capacity() <= 2 * READ_CHUNK);
     }
 
     #[test]
@@ -1531,6 +1921,14 @@ mod tests {
     #[test]
     fn tcp_world_roundtrip_and_large_payload() {
         let (hub, workers) = socket_world(&SocketAddrSpec::Tcp("127.0.0.1:0".into()), 1);
+        // Both ends of the connection run without Nagle's algorithm.
+        for writer in [&hub.shared.peers[0].writer, &*workers[0].writer] {
+            match &*writer.lock().unwrap() {
+                Stream::Tcp(s) => assert!(s.nodelay().unwrap()),
+                #[cfg(unix)]
+                Stream::Unix(_) => panic!("a TCP world"),
+            }
+        }
         // A payload spanning many reader chunks survives intact.
         let big: Vec<u8> = (0..1_000_000u32).map(|i| i as u8).collect();
         hub.send(1, tags::DMS, Bytes::from(big.clone())).unwrap();
@@ -1800,6 +2198,64 @@ mod tests {
             hub.recv_timeout(Duration::from_secs(5)).unwrap().tag,
             tags::JOB_DONE
         );
+    }
+
+    /// A worker as bytes on a socket: handshakes by hand and returns
+    /// the stream, so a test sees exactly what the hub reads and writes.
+    fn raw_peer(addr: &str) -> TcpStream {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&encode_frame(
+            0,
+            0,
+            TAG_HELLO,
+            &PROTOCOL_VERSION.to_le_bytes(),
+        ))
+        .unwrap();
+        let mut welcome = [0u8; FRAME_HEADER_LEN + 8];
+        s.read_exact(&mut welcome).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s
+    }
+
+    #[test]
+    fn hub_forwards_a_verified_frame_as_received_and_drops_a_corrupt_one() {
+        let listener = SocketListener::bind(&SocketAddrSpec::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = listener.local_addr().trim_start_matches("tcp:").to_string();
+        let peers = std::thread::spawn(move || {
+            let p1 = raw_peer(&addr); // rank 1: connection order
+            let p2 = raw_peer(&addr);
+            (p1, p2)
+        });
+        let hub = listener.accept_world(2, Duration::from_secs(10)).unwrap();
+        let (mut p1, mut p2) = peers.join().unwrap();
+
+        // A large frame (handed through the hub as one buffer) and a
+        // small one (copied out of the read chunk): what arrives at
+        // rank 2 is byte for byte what rank 1 wrote.
+        let big: Vec<u8> = (0..200_000u32).map(|i| (i * 7) as u8).collect();
+        for payload in [&big[..], b"small"] {
+            let sent = encode_frame(2, 1, 70, payload);
+            p1.write_all(&sent).unwrap();
+            let mut got = vec![0u8; sent.len()];
+            p2.read_exact(&mut got).unwrap();
+            assert_eq!(got, sent);
+        }
+
+        // A frame damaged before it reached the hub goes no further;
+        // the good frame behind it does, and nothing of the bad one
+        // precedes it on rank 2's stream.
+        let corrupt = obs::counter("socket_frames_corrupt_total");
+        let before = corrupt.get();
+        let mut bad = encode_frame(2, 1, 71, &big);
+        bad[FRAME_HEADER_LEN + 1000] ^= 0x10;
+        let good = encode_frame(2, 1, 72, b"after the damage");
+        p1.write_all(&bad).unwrap();
+        p1.write_all(&good).unwrap();
+        let mut got = vec![0u8; good.len()];
+        p2.read_exact(&mut got).unwrap();
+        assert_eq!(got, good);
+        assert!(corrupt.get() > before, "the drop was counted");
+        drop(hub);
     }
 
     #[test]

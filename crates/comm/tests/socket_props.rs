@@ -190,7 +190,7 @@ proptest! {
 
     /// The checksum is order- and content-sensitive: any differing
     /// (to, from, tag, payload) tuple gets a different crc, except for
-    /// unavoidable 32-bit collisions — approximated here by checking
+    /// unavoidable 64-bit collisions — approximated here by checking
     /// that single-field tweaks change the crc.
     #[test]
     fn crc_reacts_to_every_field(

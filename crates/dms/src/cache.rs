@@ -12,8 +12,8 @@ use crate::name::ItemId;
 use crate::policy::ReplacementPolicy;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use vira_grid::field::BlockData;
@@ -31,7 +31,8 @@ impl CachePayload for BlockData {
 }
 
 /// Serializer for the disk tier. Application-layer types supply their own
-/// encoding (the DMS itself is format-agnostic).
+/// encoding (the DMS itself is format-agnostic). The cache hands a codec
+/// the spill file itself, unbuffered: move the payload in large slabs.
 pub trait DiskCodec<P>: Send + Sync {
     fn encode(&self, payload: &P, w: &mut dyn Write) -> io::Result<()>;
     fn decode(&self, r: &mut dyn Read) -> io::Result<P>;
@@ -252,12 +253,27 @@ impl<P: CachePayload> MemoryCache<P> {
     }
 }
 
+/// Spill files whose item has left the tier and that wait to be
+/// overwritten, at most; beyond it a vacated file is deleted.
+const IDLE_FILES: usize = 4;
+
 /// The secondary (local-disk) cache tier: spilled items are serialized to
 /// files in a spill directory.
+///
+/// A promotion vacates one file and the demotion it causes fills one, so
+/// the tier overwrites the file it just vacated instead of deleting it
+/// and creating the next: in place there is no directory or inode update
+/// and no page-cache page to free and allocate again, which on a
+/// journaling file system was most of an L2 hit and the part whose cost
+/// swung from run to run. The vacated files (up to [`IDLE_FILES`]) sit on
+/// disk beside the `capacity_bytes` of live ones.
 pub struct DiskCache<P: CachePayload> {
     dir: PathBuf,
     codec: Arc<dyn DiskCodec<P>>,
     map: HashMap<ItemId, (PathBuf, usize)>,
+    /// Vacated spill files with their lengths.
+    idle: Vec<(PathBuf, usize)>,
+    files_created: u64,
     policy: Box<dyn ReplacementPolicy>,
     capacity_bytes: usize,
     used_bytes: usize,
@@ -276,6 +292,8 @@ impl<P: CachePayload> DiskCache<P> {
             dir,
             codec,
             map: HashMap::new(),
+            idle: Vec::new(),
+            files_created: 0,
             policy,
             capacity_bytes,
             used_bytes: 0,
@@ -303,8 +321,14 @@ impl<P: CachePayload> DiskCache<P> {
         self.map.keys().copied()
     }
 
-    fn spill_path(&self, id: ItemId) -> PathBuf {
-        self.dir.join(format!("spill_{}.vbk", id.0))
+    /// A file to spill into and its current length: a vacated one, or a
+    /// new name.
+    fn vacant_file(&mut self) -> (PathBuf, usize) {
+        self.idle.pop().unwrap_or_else(|| {
+            self.files_created += 1;
+            let name = format!("spill_{}.vbk", self.files_created);
+            (self.dir.join(name), 0)
+        })
     }
 
     /// Writes an item to the spill area, evicting (deleting) old spill
@@ -315,13 +339,27 @@ impl<P: CachePayload> DiskCache<P> {
             self.policy.on_access(id);
             return Ok(Vec::new());
         }
-        let path = self.spill_path(id);
-        {
-            let mut w = BufWriter::new(File::create(&path)?);
-            self.codec.encode(payload, &mut w)?;
-            w.flush()?;
-        }
-        let size = fs::metadata(&path)?.len() as usize;
+        let (path, old_len) = self.vacant_file();
+        // Not truncated on open: the payload overwrites what is there.
+        let mut open = OpenOptions::new();
+        open.write(true).create(true).truncate(false);
+        let written = open.open(&path).and_then(|mut f| {
+            self.codec.encode(payload, &mut f)?;
+            // Where the codec stopped writing is the file's size.
+            let size = f.stream_position()?;
+            if size < old_len as u64 {
+                f.set_len(size)?;
+            }
+            Ok(size)
+        });
+        let size = match written {
+            Ok(size) => size as usize,
+            Err(e) => {
+                // Nothing in the map would ever delete a partial file.
+                let _ = fs::remove_file(&path);
+                return Err(e);
+            }
+        };
         if size > self.capacity_bytes {
             fs::remove_file(&path)?;
             return Err(io::Error::new(
@@ -344,23 +382,47 @@ impl<P: CachePayload> DiskCache<P> {
         Ok(evicted)
     }
 
-    /// Reads an item back from the spill area.
+    /// Reads an item back from the spill area. An entry whose file no
+    /// longer opens or decodes is evicted and reported as a miss (the
+    /// source can always reload it), never as a lasting error.
     pub fn get(&mut self, id: ItemId) -> io::Result<Option<P>> {
         let Some((path, _)) = self.map.get(&id) else {
             return Ok(None);
         };
-        let mut r = BufReader::new(File::open(path)?);
-        let p = self.codec.decode(&mut r)?;
-        self.policy.on_access(id);
-        Ok(Some(p))
+        match File::open(path).and_then(|mut f| self.codec.decode(&mut f)) {
+            Ok(p) => {
+                self.policy.on_access(id);
+                Ok(Some(p))
+            }
+            Err(e) => {
+                let fields = [("item", id.0.into()), ("error", e.to_string().into())];
+                vira_obs::warn("dms", "spill file unreadable, entry evicted", &fields);
+                // Not to be overwritten in place: its length is unknown.
+                if let Some((path, _)) = self.forget(id) {
+                    let _ = fs::remove_file(path);
+                }
+                Ok(None)
+            }
+        }
     }
 
-    /// Deletes an item's spill file.
+    /// Drops the entry of `id`; its file is the caller's to dispose of.
+    fn forget(&mut self, id: ItemId) -> Option<(PathBuf, usize)> {
+        let file = self.map.remove(&id)?;
+        self.used_bytes -= file.1;
+        self.policy.on_remove(id);
+        Some(file)
+    }
+
+    /// Removes an item; its spill file is kept for the next spill to
+    /// overwrite, or deleted when enough are waiting already.
     pub fn remove(&mut self, id: ItemId) -> io::Result<()> {
-        if let Some((path, size)) = self.map.remove(&id) {
-            self.used_bytes -= size;
-            self.policy.on_remove(id);
-            let _ = fs::remove_file(path);
+        if let Some(file) = self.forget(id) {
+            if self.idle.len() < IDLE_FILES {
+                self.idle.push(file);
+            } else {
+                let _ = fs::remove_file(file.0);
+            }
         }
         Ok(())
     }
@@ -370,6 +432,9 @@ impl<P: CachePayload> DiskCache<P> {
         let ids: Vec<_> = self.map.keys().copied().collect();
         for id in ids {
             self.remove(id)?;
+        }
+        for (path, _) in self.idle.drain(..) {
+            let _ = fs::remove_file(path);
         }
         Ok(())
     }
@@ -447,7 +512,6 @@ impl<P: CachePayload> TieredCache<P> {
         }
         if let Some(l2) = self.l2.as_mut() {
             if let Some(p) = l2.get(id)? {
-                l2.remove(id)?;
                 let p = Arc::new(p);
                 self.insert(id, p.clone())?;
                 return Ok(Some((p, Tier::Disk)));
@@ -460,6 +524,11 @@ impl<P: CachePayload> TieredCache<P> {
     /// Items that leave the cache entirely are recorded in the dropped
     /// log (see [`drain_dropped`](Self::drain_dropped)).
     pub fn insert(&mut self, id: ItemId, payload: Arc<P>) -> io::Result<()> {
+        // The memory copy supersedes a spilled one (a promotion, or a
+        // re-insert while demoted): an item lives in one tier at a time.
+        if let Some(l2) = self.l2.as_mut() {
+            l2.remove(id)?;
+        }
         let demoted = self.l1.insert(id, payload);
         if let Some(l2) = self.l2.as_mut() {
             for (vid, v) in demoted {
@@ -621,6 +690,105 @@ mod tests {
         assert!(!c.contains(ItemId(1)));
         // Too-large items are refused.
         assert!(c.insert(ItemId(9), &Blob(vec![0; 64])).is_err());
+    }
+
+    fn files_in(dir: &std::path::Path) -> usize {
+        fs::read_dir(dir).unwrap().count()
+    }
+
+    #[test]
+    fn vacated_spill_files_are_overwritten_not_recreated() {
+        let dir = spill_dir("reuse");
+        let mut c = DiskCache::new(
+            dir.clone(),
+            1000,
+            Box::new(LruPolicy::new()),
+            Arc::new(BlobCodec),
+        )
+        .unwrap();
+        c.insert(ItemId(1), &Blob(vec![1; 40])).unwrap();
+        c.insert(ItemId(2), &Blob(vec![2; 40])).unwrap();
+        // Promote-then-demote churn, with payloads shorter and longer
+        // than what the file held before.
+        for n in 3..40u64 {
+            c.remove(ItemId(n - 2)).unwrap();
+            let blob = Blob(vec![n as u8; 10 + (n as usize * 7) % 50]);
+            c.insert(ItemId(n), &blob).unwrap();
+            assert_eq!(c.get(ItemId(n)).unwrap().unwrap(), blob, "no stale tail");
+            assert_eq!(files_in(&dir), 2, "the vacated file was reused");
+        }
+        assert_eq!(c.used_bytes(), 10 + (38 * 7) % 50 + 10 + (39 * 7) % 50);
+        // No more than IDLE_FILES vacated files wait on disk.
+        for n in 40..50u64 {
+            c.insert(ItemId(n), &Blob(vec![0; 8])).unwrap();
+        }
+        for n in 38..50u64 {
+            c.remove(ItemId(n)).unwrap();
+        }
+        assert!(c.is_empty());
+        assert_eq!(files_in(&dir), IDLE_FILES);
+        c.clear().unwrap();
+        assert_eq!(files_in(&dir), 0, "clear deletes the vacated files too");
+        drop(c);
+        assert!(!dir.exists());
+    }
+
+    /// Writes half the payload, then fails — a full disk, say.
+    struct FailingCodec;
+
+    impl DiskCodec<Blob> for FailingCodec {
+        fn encode(&self, p: &Blob, w: &mut dyn Write) -> io::Result<()> {
+            w.write_all(&p.0[..p.0.len() / 2])?;
+            Err(io::Error::other("no space left"))
+        }
+
+        fn decode(&self, _: &mut dyn Read) -> io::Result<Blob> {
+            unreachable!("nothing is ever stored")
+        }
+    }
+
+    #[test]
+    fn failed_spill_leaves_no_file_behind() {
+        let dir = spill_dir("failed_spill");
+        let mut c = DiskCache::new(
+            dir.clone(),
+            1000,
+            Box::new(LruPolicy::new()),
+            Arc::new(FailingCodec),
+        )
+        .unwrap();
+        assert!(c.insert(ItemId(1), &Blob(vec![7; 10])).is_err());
+        assert!(!c.contains(ItemId(1)));
+        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(
+            fs::read_dir(&dir).unwrap().count(),
+            0,
+            "partial file removed"
+        );
+    }
+
+    #[test]
+    fn unreadable_spill_file_is_evicted_and_reported_as_a_miss() {
+        let dir = spill_dir("unreadable");
+        let l1 = MemoryCache::new(10, Box::new(LruPolicy::new()));
+        let l2 = DiskCache::new(
+            dir.clone(),
+            1000,
+            Box::new(LruPolicy::new()),
+            Arc::new(BlobCodec),
+        )
+        .unwrap();
+        let mut c = TieredCache::new(l1, Some(l2));
+        c.insert(ItemId(1), blob(10)).unwrap();
+        c.insert(ItemId(2), blob(10)).unwrap(); // demotes 1 to disk
+        assert_eq!(c.locate(ItemId(1)), Some(Tier::Disk));
+        fs::remove_file(dir.join("spill_1.vbk")).unwrap();
+        assert_eq!(c.get(ItemId(1)).unwrap(), None, "a miss, not an error");
+        assert_eq!(c.locate(ItemId(1)), None, "the entry is gone");
+        assert_eq!(c.l2().unwrap().used_bytes(), 0);
+        // The item can be cached again like any other.
+        c.insert(ItemId(1), blob(10)).unwrap();
+        assert_eq!(c.locate(ItemId(1)), Some(Tier::Memory));
     }
 
     #[test]

@@ -716,13 +716,14 @@ mod tests {
         server.reset_fileserver();
     }
 
-    #[test]
-    fn l2_spill_and_promote() {
+    /// A proxy whose L1 holds exactly one item, with an L2 spill
+    /// directory named after `tag`.
+    fn setup_l2(tag: &str) -> (PathBuf, DataProxy) {
         let ds = test_cube(4, 4);
         let item_bytes = ds.actual_item_bytes();
         let server = DataServer::new(SimClock::instant(), ServerConfig::default());
         server.register_dataset(Arc::new(SynthSource::new(Arc::new(ds))), false);
-        let spill = std::env::temp_dir().join(format!("vira_proxy_l2_{}", std::process::id()));
+        let spill = std::env::temp_dir().join(format!("vira_proxy_{tag}_{}", std::process::id()));
         let proxy = DataProxy::new(
             0,
             server,
@@ -732,11 +733,17 @@ mod tests {
                 l2: Some(L2Config {
                     capacity_bytes: 1 << 30,
                     policy: "lru".into(),
-                    spill_dir: spill,
+                    spill_dir: spill.clone(),
                 }),
                 prefetcher: "none".into(),
             },
         );
+        (spill, proxy)
+    }
+
+    #[test]
+    fn l2_spill_and_promote() {
+        let (_spill, proxy) = setup_l2("l2");
         let m = Meter::new();
         proxy.request("TestCube", bs(0, 0), &m).unwrap();
         proxy.request("TestCube", bs(0, 1), &m).unwrap(); // demotes step 0 to L2
@@ -749,6 +756,37 @@ mod tests {
             m.total(CostCategory::Read) > read_before,
             "L2 promotion charges the local-disk transfer"
         );
+    }
+
+    #[test]
+    fn damaged_spill_file_is_a_miss_not_a_permanent_failure() {
+        let (spill, proxy) = setup_l2("l2_damaged");
+        let m = Meter::new();
+        let original = proxy.request("TestCube", bs(0, 0), &m).unwrap();
+        proxy.request("TestCube", bs(0, 1), &m).unwrap(); // demotes step 0 to L2
+                                                          // Truncate the one spill file behind the cache's back.
+        let files: Vec<_> = std::fs::read_dir(&spill)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1);
+        let len = std::fs::metadata(&files[0]).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&files[0])
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        // The request falls through to the source: the entry is gone,
+        // not poisoned.
+        let again = proxy.request("TestCube", bs(0, 0), &m).unwrap();
+        assert_eq!(*again, *original);
+        assert!(proxy.is_cached("TestCube", bs(0, 0)), "resident again");
+        let s = proxy.stats().snapshot();
+        assert_eq!((s.l2_hits, s.misses), (0, 3));
+        assert!(!files[0].exists(), "the damaged file was deleted");
+        proxy.request("TestCube", bs(0, 0), &m).unwrap();
+        assert_eq!(proxy.stats().snapshot().l1_hits, 1);
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! This is Viracocha's own format; support for arbitrary formats is given
 //! by keeping data and its manipulation methods separate (§4): the DMS
 //! treats items as opaque payloads and delegates to loader callbacks.
+//!
+//! [`write_block_data`] and [`read_block_data`] move a block in slabs:
+//! the 36-byte header in one call, then each field array in one
+//! `write_all` / `read_exact` of `n_points × 24` bytes, converted
+//! between `Vec3` and little-endian bytes 24 at a time in memory. The
+//! reader or writer is therefore called three times per block whatever
+//! its size, and needs no buffering of its own (a `File` or a `&[u8]`
+//! does as well as a `BufReader`). The header is validated — magic,
+//! version, dims, in that order — before anything is allocated from it,
+//! and a stream that ends early, inside the header or after it, is a
+//! [`FormatError::Io`] (`UnexpectedEof`).
 
 use crate::block::{BlockDims, BlockStepId, CurvilinearBlock};
 use crate::field::{BlockData, VectorField};
@@ -25,7 +36,7 @@ use crate::synth::{DatasetSpec, SyntheticDataset};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: [u8; 4] = *b"VIRA";
@@ -74,89 +85,81 @@ impl From<io::Error> for FormatError {
     }
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
+/// magic + version + block + step + dims (3×u32) + time
+const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 12 + 8;
+/// One `Vec3` on disk: x, y, z as f64.
+const VEC3_LEN: usize = 24;
 
-fn write_f64(w: &mut impl Write, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
-fn write_vec3s(w: &mut impl Write, vs: &[Vec3]) -> io::Result<()> {
-    // Buffered element-wise writes; the caller wraps in a BufWriter.
-    for v in vs {
-        write_f64(w, v.x)?;
-        write_f64(w, v.y)?;
-        write_f64(w, v.z)?;
+fn write_vec3s(w: &mut impl Write, vs: &[Vec3], slab: &mut Vec<u8>) -> io::Result<()> {
+    slab.resize(vs.len() * VEC3_LEN, 0);
+    for (v, out) in vs.iter().zip(slab.chunks_exact_mut(VEC3_LEN)) {
+        out[..8].copy_from_slice(&v.x.to_le_bytes());
+        out[8..16].copy_from_slice(&v.y.to_le_bytes());
+        out[16..].copy_from_slice(&v.z.to_le_bytes());
     }
-    Ok(())
+    w.write_all(slab)
 }
 
-fn read_vec3s(r: &mut impl Read, n: usize) -> io::Result<Vec<Vec3>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = read_f64(r)?;
-        let y = read_f64(r)?;
-        let z = read_f64(r)?;
-        out.push(Vec3::new(x, y, z));
-    }
-    Ok(out)
+fn read_vec3s(r: &mut impl Read, n: usize, slab: &mut Vec<u8>) -> io::Result<Vec<Vec3>> {
+    slab.resize(n * VEC3_LEN, 0);
+    r.read_exact(slab)?;
+    let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+    Ok(slab
+        .chunks_exact(VEC3_LEN)
+        .map(|c| Vec3::new(f(&c[..8]), f(&c[8..16]), f(&c[16..])))
+        .collect())
 }
 
 /// Serializes one data item to a writer.
 pub fn write_block_data(w: &mut impl Write, item: &BlockData) -> Result<(), FormatError> {
-    w.write_all(&MAGIC)?;
-    write_u32(w, VERSION)?;
-    write_u32(w, item.id.block)?;
-    write_u32(w, item.id.step)?;
     let d = item.dims();
-    write_u32(w, d.ni as u32)?;
-    write_u32(w, d.nj as u32)?;
-    write_u32(w, d.nk as u32)?;
-    write_f64(w, item.time)?;
-    write_vec3s(w, &item.grid.points)?;
-    write_vec3s(w, &item.velocity.values)?;
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    let words = [
+        VERSION,
+        item.id.block,
+        item.id.step,
+        d.ni as u32,
+        d.nj as u32,
+        d.nk as u32,
+    ];
+    for (word, out) in words.iter().zip(header[4..28].chunks_exact_mut(4)) {
+        out.copy_from_slice(&word.to_le_bytes());
+    }
+    header[28..].copy_from_slice(&item.time.to_le_bytes());
+    w.write_all(&header)?;
+    let mut slab = Vec::new();
+    write_vec3s(w, &item.grid.points, &mut slab)?;
+    write_vec3s(w, &item.velocity.values, &mut slab)?;
     Ok(())
 }
 
 /// Deserializes one data item from a reader.
 pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
     if magic != MAGIC {
         return Err(FormatError::BadMagic(magic));
     }
-    let version = read_u32(r)?;
+    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+    let version = word(4);
     if version != VERSION {
         return Err(FormatError::BadVersion(version));
     }
-    let block = read_u32(r)?;
-    let step = read_u32(r)?;
-    let ni = read_u32(r)?;
-    let nj = read_u32(r)?;
-    let nk = read_u32(r)?;
+    let (block, step) = (word(8), word(12));
+    let (ni, nj, nk) = (word(16), word(20), word(24));
     // 64M points (≈ 3 GB of f64 triplets) is far beyond any block we write;
     // treat larger headers as corruption rather than attempting the alloc.
     let n = (ni as u64) * (nj as u64) * (nk as u64);
     if ni == 0 || nj == 0 || nk == 0 || n > (1 << 26) {
         return Err(FormatError::BadDims { ni, nj, nk });
     }
-    let time = read_f64(r)?;
+    let time = f64::from_le_bytes(header[28..].try_into().expect("8 bytes"));
     let dims = BlockDims::new(ni as usize, nj as usize, nk as usize);
-    let points = read_vec3s(r, dims.n_points())?;
-    let velocity = read_vec3s(r, dims.n_points())?;
+    let mut slab = Vec::new();
+    let points = read_vec3s(r, dims.n_points(), &mut slab)?;
+    let velocity = read_vec3s(r, dims.n_points(), &mut slab)?;
     Ok(BlockData::new(
         BlockStepId::new(block, step),
         CurvilinearBlock::new(block, dims, points),
@@ -167,9 +170,7 @@ pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
 
 /// Serialized size in bytes of an item with the given dims.
 pub fn encoded_size(dims: BlockDims) -> u64 {
-    // magic + version + block + step + dims (3×u32) + time
-    let header = 4 + 4 + 4 + 4 + 12 + 8;
-    header + dims.n_points() as u64 * 24 * 2
+    HEADER_LEN as u64 + dims.n_points() as u64 * VEC3_LEN as u64 * 2
 }
 
 /// JSON descriptor stored next to the item files.
@@ -209,10 +210,7 @@ impl DiskDataset {
         fs::create_dir_all(dir)?;
         for id in items {
             let item = ds.generate(id);
-            let f = File::create(dir.join(item_file_name(id)))?;
-            let mut w = BufWriter::new(f);
-            write_block_data(&mut w, &item)?;
-            w.flush()?;
+            write_block_data(&mut File::create(dir.join(item_file_name(id)))?, &item)?;
         }
         let files = ds.spec.items_in_file_order().map(item_file_name).collect();
         let descriptor = DatasetDescriptor {
@@ -254,10 +252,7 @@ impl DiskDataset {
 
     /// Loads one item from disk.
     pub fn load(&self, id: BlockStepId) -> Result<BlockData, FormatError> {
-        let path = self.item_path(id)?;
-        let f = File::open(path)?;
-        let mut r = BufReader::new(f);
-        read_block_data(&mut r)
+        read_block_data(&mut File::open(self.item_path(id)?)?)
     }
 }
 
@@ -330,6 +325,97 @@ mod tests {
         assert!(matches!(
             read_block_data(&mut buf.as_slice()),
             Err(FormatError::Io(_))
+        ));
+    }
+
+    /// The element-wise encoder the slab codec replaced, kept as the
+    /// oracle for the on-disk v1 layout: one `write_all` per scalar.
+    fn write_block_data_elementwise(w: &mut Vec<u8>, item: &BlockData) {
+        w.extend_from_slice(&MAGIC);
+        let d = item.dims();
+        for word in [
+            VERSION,
+            item.id.block,
+            item.id.step,
+            d.ni as u32,
+            d.nj as u32,
+            d.nk as u32,
+        ] {
+            w.extend_from_slice(&word.to_le_bytes());
+        }
+        w.extend_from_slice(&item.time.to_le_bytes());
+        for v in item.grid.points.iter().chain(&item.velocity.values) {
+            for c in [v.x, v.y, v.z] {
+                w.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+    }
+
+    /// A block with the given (odd, unequal) dims and values that make
+    /// every byte of every scalar matter.
+    fn odd_block(ni: usize, nj: usize, nk: usize) -> BlockData {
+        let dims = BlockDims::new(ni, nj, nk);
+        let vec = |i: usize, salt: f64| {
+            let t = i as f64 + salt;
+            Vec3::new(
+                t.sin() * 1e3,
+                -t / 7.0,
+                f64::from_bits(0x3ff0_0000_0000_0001 + i as u64),
+            )
+        };
+        let n = dims.n_points();
+        BlockData::new(
+            BlockStepId::new(3, 9),
+            CurvilinearBlock::new(3, dims, (0..n).map(|i| vec(i, 0.25)).collect()),
+            VectorField::new(dims, (0..n).map(|i| vec(i, 0.75)).collect()),
+            -1.5e-3,
+        )
+    }
+
+    #[test]
+    fn slab_encoding_is_byte_identical_to_elementwise() {
+        for (ni, nj, nk) in [(1, 1, 1), (1, 2, 3), (3, 1, 5), (5, 7, 3), (21, 21, 21)] {
+            let item = odd_block(ni, nj, nk);
+            let mut slab = Vec::new();
+            write_block_data(&mut slab, &item).unwrap();
+            let mut golden = Vec::new();
+            write_block_data_elementwise(&mut golden, &item);
+            assert_eq!(slab, golden, "{ni}x{nj}x{nk}");
+            assert_eq!(slab.len() as u64, encoded_size(item.dims()));
+            assert_eq!(read_block_data(&mut golden.as_slice()).unwrap(), item);
+        }
+    }
+
+    #[test]
+    fn every_prefix_truncation_is_an_io_error() {
+        for (ni, nj, nk) in [(1, 1, 1), (3, 1, 5)] {
+            let mut buf = Vec::new();
+            write_block_data(&mut buf, &odd_block(ni, nj, nk)).unwrap();
+            for cut in 0..buf.len() {
+                match read_block_data(&mut &buf[..cut]) {
+                    Err(FormatError::Io(e)) => {
+                        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}")
+                    }
+                    other => panic!("cut {cut} of {}: expected Io, got {other:?}", buf.len()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_dims_are_rejected_before_allocation() {
+        // 2^27 points would need 3 GB per array; nothing follows the
+        // header, so reaching the allocation would also hide behind an
+        // Io error — BadDims proves the bound came first.
+        let mut buf = Vec::new();
+        write_block_data(&mut buf, &odd_block(1, 1, 1)).unwrap();
+        buf.truncate(36);
+        buf[16..20].copy_from_slice(&(1u32 << 9).to_le_bytes());
+        buf[20..24].copy_from_slice(&(1u32 << 9).to_le_bytes());
+        buf[24..28].copy_from_slice(&(1u32 << 9).to_le_bytes());
+        assert!(matches!(
+            read_block_data(&mut buf.as_slice()),
+            Err(FormatError::BadDims { .. })
         ));
     }
 

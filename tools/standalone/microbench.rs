@@ -15,8 +15,10 @@
 //! a smaller time budget, same output shape.
 
 use std::hint::black_box;
+use std::io::{Read, Write};
 use std::time::Instant;
 
+use vira_comm::socket::{encode_frame, frame_crc, DecodeStep, FrameDecoder};
 use vira_extract::bricktree::BrickTree;
 use vira_extract::iso::{
     extract_isosurface, extract_isosurface_oracle, extract_isosurface_soa_with_tree,
@@ -29,6 +31,7 @@ use vira_extract::par::scoped_map;
 use vira_extract::tetra::{contour_cell, CELL_TETRAHEDRA};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::{BlockData, ScalarField, ScalarFieldSoA};
+use vira_grid::io::{encoded_size, read_block_data, write_block_data};
 use vira_grid::math::Vec3;
 use vira_grid::synth::test_cube;
 
@@ -329,6 +332,41 @@ fn main() {
             })
         });
     }
+
+    // ---- bulk bytes: the socket frame codec on a 3 MB payload (the
+    // size of a merged iso_scrub package) and the block file codec on
+    // a 21-cubed item (an L2 spill and its read-back) ----
+    let payload: Vec<u8> = (0..3_000_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    h.bench("comm/frame_checksum_3mb", || {
+        frame_crc(1, 2, 7, black_box(&payload))
+    });
+    h.bench("comm/frame_roundtrip_3mb", || {
+        let wire = encode_frame(1, 2, 7, black_box(&payload));
+        let mut dec = FrameDecoder::new();
+        for chunk in wire.chunks(64 * 1024) {
+            dec.feed(chunk);
+        }
+        match dec.next() {
+            Some(DecodeStep::Frame(f)) => f.payload.len(),
+            other => panic!("expected the frame back, got {other:?}"),
+        }
+    });
+    // Through `dyn Write` / `dyn Read`, as the DMS disk codec calls them.
+    let data21 = vortex_block(21);
+    let mut file = Vec::with_capacity(encoded_size(data21.dims()) as usize);
+    h.bench("grid/block_encode_21c", || {
+        file.clear();
+        let mut w: &mut dyn Write = black_box(&mut file);
+        write_block_data(&mut w, black_box(&data21)).expect("Vec writes cannot fail");
+        file.len()
+    });
+    h.bench("grid/block_decode_21c", || {
+        let mut bytes = &file[..];
+        let mut r: &mut dyn Read = black_box(&mut bytes);
+        read_block_data(&mut r).expect("well-formed")
+    });
 
     // ---- obs layer (fixture from bench_obs) ----
     vira_obs::set_enabled(false);
