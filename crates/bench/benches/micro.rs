@@ -11,18 +11,15 @@ use vira_dms::prefetch::{MarkovPrefetch, Prefetcher};
 use vira_extract::bricktree::BrickTree;
 use vira_extract::bsp::BspTree;
 use vira_extract::eigen::symmetric_eigenvalues;
-use vira_extract::iso::{
-    extract_isosurface, extract_isosurface_oracle, extract_isosurface_soa_with_tree,
-    extract_isosurface_with_tree,
-};
-use vira_extract::lambda2::{lambda2_field, lambda2_field_oracle, lambda2_field_soa};
-use vira_extract::locate::{invert_trilinear, invert_trilinear_oracle, BlockLocator};
+use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
+use vira_extract::lambda2::lambda2_field;
+use vira_extract::locate::{invert_trilinear, BlockLocator};
 use vira_extract::mesh::TriangleSoup;
 use vira_extract::par::scoped_map;
-use vira_extract::tetra::{contour_cell, CELL_TETRAHEDRA};
+use vira_extract::tetra::contour_cell;
 use vira_extract::pathline::{trace_pathline, AnalyticSampler, PathlineConfig};
 use vira_grid::block::BlockStepId;
-use vira_grid::field::{BlockData, ScalarField, ScalarFieldSoA};
+use vira_grid::field::{BlockData, ScalarField};
 use vira_grid::math::{Mat3, Vec3};
 use vira_grid::synth::test_cube;
 
@@ -53,101 +50,6 @@ fn bench_iso(c: &mut Criterion) {
     });
 }
 
-// ---- baseline contouring kernel (pre case-table), for comparison ----
-//
-// The original scan-based marching-tetrahedra kernel allocated three
-// Vecs per crossed tetrahedron. It is kept here verbatim so
-// `tetra/contour_cell_active` vs `tetra/contour_cell_active_baseline`
-// measures exactly what the allocation-free rewrite bought.
-
-fn edge_point(pa: Vec3, pb: Vec3, sa: f64, sb: f64, iso: f64) -> Vec3 {
-    let t = (iso - sa) / (sb - sa);
-    pa.lerp(pb, t.clamp(0.0, 1.0))
-}
-
-fn push_oriented(out: &mut TriangleSoup, a: Vec3, b: Vec3, c: Vec3, toward: Vec3) {
-    let n = (b - a).cross(c - a);
-    if n.dot(toward) < 0.0 {
-        out.push_tri(a, c, b);
-    } else {
-        out.push_tri(a, b, c);
-    }
-}
-
-fn contour_tetra_baseline(p: &[Vec3; 4], s: &[f64; 4], iso: f64, out: &mut TriangleSoup) -> usize {
-    let mut mask = 0usize;
-    for (i, &si) in s.iter().enumerate() {
-        if si > iso {
-            mask |= 1 << i;
-        }
-    }
-    if mask == 0 || mask == 0b1111 {
-        return 0;
-    }
-    let inside: Vec<usize> = (0..4).filter(|&i| mask & (1 << i) != 0).collect();
-    match inside.len() {
-        1 | 3 => {
-            let lone = if inside.len() == 1 {
-                inside[0]
-            } else {
-                (0..4).find(|i| !inside.contains(i)).expect("one outside")
-            };
-            let others: Vec<usize> = (0..4).filter(|&i| i != lone).collect();
-            let v: Vec<Vec3> = others
-                .iter()
-                .map(|&o| edge_point(p[lone], p[o], s[lone], s[o], iso))
-                .collect();
-            let centroid_others = (p[others[0]] + p[others[1]] + p[others[2]]) / 3.0;
-            let toward = if s[lone] > iso {
-                centroid_others - p[lone]
-            } else {
-                p[lone] - centroid_others
-            };
-            push_oriented(out, v[0], v[1], v[2], toward);
-            1
-        }
-        2 => {
-            let (a, b) = (inside[0], inside[1]);
-            let outside: Vec<usize> = (0..4).filter(|&i| i != a && i != b).collect();
-            let (c, d) = (outside[0], outside[1]);
-            let q0 = edge_point(p[a], p[c], s[a], s[c], iso);
-            let q1 = edge_point(p[b], p[c], s[b], s[c], iso);
-            let q2 = edge_point(p[b], p[d], s[b], s[d], iso);
-            let q3 = edge_point(p[a], p[d], s[a], s[d], iso);
-            let toward = (p[c] + p[d] - p[a] - p[b]) * 0.5;
-            push_oriented(out, q0, q1, q2, toward);
-            push_oriented(out, q0, q2, q3, toward);
-            2
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn contour_cell_baseline(
-    corners: &[Vec3; 8],
-    scalars: &[f64; 8],
-    iso: f64,
-    out: &mut TriangleSoup,
-) -> usize {
-    let mut n = 0;
-    for tet in &CELL_TETRAHEDRA {
-        let p = [
-            corners[tet[0]],
-            corners[tet[1]],
-            corners[tet[2]],
-            corners[tet[3]],
-        ];
-        let s = [
-            scalars[tet[0]],
-            scalars[tet[1]],
-            scalars[tet[2]],
-            scalars[tet[3]],
-        ];
-        n += contour_tetra_baseline(&p, &s, iso, out);
-    }
-    n
-}
-
 fn bench_contour(c: &mut Criterion) {
     // An active cell where all six tetrahedra cross the iso level —
     // the worst (and hottest) case of the inner loop.
@@ -167,12 +69,6 @@ fn bench_contour(c: &mut Criterion) {
         b.iter(|| {
             out.positions.clear();
             contour_cell(black_box(&corners), black_box(&scalars), 0.5, &mut out)
-        })
-    });
-    c.bench_function("tetra/contour_cell_active_baseline", |b| {
-        b.iter(|| {
-            out.positions.clear();
-            contour_cell_baseline(black_box(&corners), black_box(&scalars), 0.5, &mut out)
         })
     });
 }
@@ -221,56 +117,24 @@ fn bench_mesh_encode(c: &mut Criterion) {
 
 fn bench_lambda2(c: &mut Criterion) {
     let data = vortex_block(17);
-    c.bench_function("lambda2/field_block_17cubed", |b| {
-        b.iter(|| lambda2_field(black_box(&data)))
-    });
-    // SoA staged row kernels vs the retained per-point AoS oracle — the
-    // pair that backs the λ₂ acceptance ratio in BENCH_micro.json.
     c.bench_function("lambda2/field_soa", |b| {
-        b.iter(|| lambda2_field_soa(black_box(&data)))
-    });
-    c.bench_function("lambda2/field_aos", |b| {
-        b.iter(|| lambda2_field_oracle(black_box(&data)))
+        b.iter(|| lambda2_field(black_box(&data)))
     });
 }
 
 fn bench_soa_contour(c: &mut Criterion) {
-    // Vectorized SoA cell scan vs the retained AoS oracle, unpruned on
-    // the sparse 25³ sphere so the pair isolates the *scan* (the part
-    // the SoA rewrite vectorizes) rather than the shared triangulation
-    // of active cells; pruned-vs-unpruned is bench_bricktree's job.
+    // The vectorized cell scan, unpruned on the sparse 25³ sphere so the
+    // row isolates the *scan* rather than the triangulation of active
+    // cells; pruned-vs-unpruned is bench_bricktree's job.
     let data = vortex_block(25);
     let grid = &data.grid;
     let field = ScalarField::from_fn(grid.dims, |i, j, k| {
         (grid.point(i, j, k) - Vec3::splat(0.5)).norm()
     });
     let iso = 0.15;
-    let soa = ScalarFieldSoA::from(field.clone());
     c.bench_function("contour/block_scan_soa", |b| {
-        b.iter(|| extract_isosurface_soa_with_tree(grid, black_box(&soa), iso, None))
+        b.iter(|| extract_isosurface_with_tree(grid, black_box(&field), iso, None))
     });
-    c.bench_function("contour/block_scan_aos", |b| {
-        b.iter(|| extract_isosurface_oracle(grid, black_box(&field), iso, None))
-    });
-}
-
-/// The branchy scalar min/max fold `ScalarField::range` used before the
-/// lane scan, retained as the AoS side of the `minmax` pair.
-fn scalar_range(values: &[f64]) -> Option<(f64, f64)> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in values {
-        if v < lo {
-            lo = v;
-        }
-        if v > hi {
-            hi = v;
-        }
-    }
-    Some((lo, hi))
 }
 
 fn bench_minmax(c: &mut Criterion) {
@@ -279,14 +143,11 @@ fn bench_minmax(c: &mut Criterion) {
     c.bench_function("minmax/block_range_lanes", |b| {
         b.iter(|| black_box(&speed).range())
     });
-    c.bench_function("minmax/block_range_scalar", |b| {
-        b.iter(|| scalar_range(black_box(&speed.values)))
-    });
 }
 
 fn bench_newton_locate(c: &mut Criterion) {
-    // Newton trilinear inversion on a sheared cell: fused residual +
-    // Jacobian accumulation vs the two-pass oracle.
+    // Newton trilinear inversion on a sheared cell (fused residual +
+    // Jacobian accumulation).
     let shear = |u: f64, v: f64, w: f64| {
         Vec3::new(u + 0.3 * v + 0.1 * w, v + 0.2 * w * u, w + 0.15 * u * v)
     };
@@ -305,30 +166,27 @@ fn bench_newton_locate(c: &mut Criterion) {
     c.bench_function("locate/newton_fused", |b| {
         b.iter(|| invert_trilinear(black_box(&cell), black_box(probe)))
     });
-    c.bench_function("locate/newton_aos", |b| {
-        b.iter(|| invert_trilinear_oracle(black_box(&cell), black_box(probe)))
-    });
 }
 
 fn bench_parallel_extract(c: &mut Criterion) {
     // Intra-worker parallel block extraction: 8 items of 17³ (one block
-    // over 8 steps — the test-cube dataset is single-block), full SoA
+    // over 8 steps — the test-cube dataset is single-block), full
     // extraction per item, scoped pool at 1/2/4/8 threads. On a
     // single-core box the >1t numbers measure pool overhead, not
     // speedup; the manifest notes flag them accordingly.
-    let blocks: Vec<(BlockData, ScalarFieldSoA, BrickTree)> = (0..8)
+    let blocks: Vec<(BlockData, ScalarField, BrickTree)> = (0..8)
         .map(|s| {
             let data = test_cube(17, 8).generate(BlockStepId::new(0, s));
-            let soa: ScalarFieldSoA = speed_field(&data).into();
-            let tree = BrickTree::build_soa(&soa);
-            (data, soa, tree)
+            let speed = speed_field(&data);
+            let tree = BrickTree::build(&speed);
+            (data, speed, tree)
         })
         .collect();
     for threads in [1usize, 2, 4, 8] {
         c.bench_function(&format!("extract/parallel_blocks_{threads}t"), |b| {
             b.iter(|| {
-                scoped_map(threads, &blocks, |_, (data, soa, tree)| {
-                    extract_isosurface_soa_with_tree(&data.grid, soa, 0.15, Some(tree))
+                scoped_map(threads, &blocks, |_, (data, speed, tree)| {
+                    extract_isosurface_with_tree(&data.grid, speed, 0.15, Some(tree))
                 })
             })
         });

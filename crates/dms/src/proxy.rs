@@ -401,10 +401,12 @@ impl DataProxy {
         core.stats.bump(&core.stats.misses);
         obs::counter_cached(&MISSES, "dms_misses_total").inc();
         span.set_arg("tier", "miss");
-        let result = core.load(dataset, item, id, meter);
-        if let Ok(payload) = &result {
-            core.install(item, payload.clone())?;
-        }
+        // A failed install (the spill behind it) is this request's
+        // error; the in-flight entry goes either way, or every later
+        // request for the item would wait on it for ever.
+        let result = core
+            .load(dataset, item, id, meter)
+            .and_then(|payload| core.install(item, payload.clone()).map(|()| payload));
         core.finish_inflight(item);
         self.enqueue_suggestions(dataset, core.advise(dataset, id, false));
         result
@@ -787,6 +789,27 @@ mod tests {
         assert!(!files[0].exists(), "the damaged file was deleted");
         proxy.request("TestCube", bs(0, 0), &m).unwrap();
         assert_eq!(proxy.stats().snapshot().l1_hits, 1);
+    }
+
+    #[test]
+    fn failed_install_does_not_strand_later_requests() {
+        let (spill, proxy) = setup_l2("l2_gone");
+        // With the spill directory gone, every demotion fails.
+        std::fs::remove_dir_all(&spill).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let requester = std::thread::spawn(move || {
+            let m = Meter::new();
+            // Step 0 fills the L1; steps 1 and 2 each demote their
+            // predecessor and fail in the install; by the repeat, step 1
+            // is in no tier, so the request goes by the in-flight set.
+            let steps = [0, 1, 2, 1];
+            tx.send(steps.map(|s| proxy.request("TestCube", bs(0, s), &m).is_ok()))
+        });
+        let outcomes = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a request waits on an in-flight entry that no load will clear");
+        assert_eq!(outcomes, [true, false, false, false]);
+        requester.join().unwrap().unwrap();
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! tested in `tests/bricktree_props.rs`).
 
 use vira_grid::block::BlockDims;
-use vira_grid::field::{ScalarField, ScalarFieldSoA, ScalarFieldSoAView};
+use vira_grid::field::ScalarField;
 
 /// Cells per brick edge at the finest level.
 pub const BRICK: usize = 4;
@@ -72,20 +72,10 @@ pub struct BrickTree {
 }
 
 impl BrickTree {
-    /// Builds the tree for one field (one pass over the point data).
+    /// Builds the tree for one field: one pass over the point data, the
+    /// row-contiguous per-brick scans running through the lane-parallel
+    /// min/max fold.
     pub fn build(field: &ScalarField) -> BrickTree {
-        BrickTree::build_view(ScalarFieldSoA::of(field))
-    }
-
-    /// Builds the tree for an SoA field (same pass; the scalar SoA form
-    /// shares the AoS layout).
-    pub fn build_soa(field: &ScalarFieldSoA) -> BrickTree {
-        BrickTree::build_view(field.view())
-    }
-
-    /// Builds the tree from a borrowed sample view; the row-contiguous
-    /// per-brick scans run through the lane-parallel min/max fold.
-    pub fn build_view(field: ScalarFieldSoAView<'_>) -> BrickTree {
         let dims = field.dims;
         let (ci, cj, ck) = dims.cell_dims();
         let mut levels = Vec::new();

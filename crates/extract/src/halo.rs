@@ -65,7 +65,8 @@ impl<'a> GhostedBlock<'a> {
                 let depth = 1.min(depth_available(&nb.grid, interface.face_b));
                 let p_idx = face_lattice_point(&nb.grid, interface.face_b, ba, bb, depth);
                 positions.push(nb.grid.points[p_idx]);
-                velocities.push(nb.velocity.values[p_idx]);
+                let u = &nb.velocity;
+                velocities.push(Vec3::new(u.xs[p_idx], u.ys[p_idx], u.zs[p_idx]));
             }
             ghosts.insert(
                 interface.face_a,
@@ -208,10 +209,7 @@ mod tests {
                     2.0 * k as f64 / (n - 1) as f64 - 1.0,
                 )
             });
-            let vel = VectorField::new(
-                dims,
-                grid.points.iter().map(|&p| flow.velocity(p, 0.0)).collect(),
-            );
+            let vel = VectorField::from_fn(dims, |i, j, k| flow.velocity(grid.point(i, j, k), 0.0));
             BlockData::new(BlockStepId::new(id, 0), grid, vel, 0.0)
         };
         // Left [-1, 0], right [0, 1], merged [-1, 1] with the shared

@@ -15,7 +15,7 @@ use crate::bricktree::BrickTree;
 use crate::mesh::TriangleSoup;
 use crate::tetra::contour_cell;
 use vira_grid::block::CurvilinearBlock;
-use vira_grid::field::{ScalarField, ScalarFieldSoA, ScalarFieldSoAView};
+use vira_grid::field::ScalarField;
 use vira_grid::lanes;
 
 /// Counters reported by an extraction pass. `cells_visited` counts cells
@@ -76,52 +76,8 @@ pub fn extract_streamed(
 /// Streaming extraction with a caller-held bricktree (`None` disables
 /// pruning). Surviving cells are visited in storage order either way, so
 /// the concatenated batches are byte-identical across both modes.
-pub fn extract_streamed_with_tree(
-    grid: &CurvilinearBlock,
-    field: &ScalarField,
-    iso: f64,
-    tree: Option<&BrickTree>,
-    batch_triangles: usize,
-    sink: impl FnMut(TriangleSoup),
-) -> IsoStats {
-    extract_streamed_view(
-        grid,
-        ScalarFieldSoA::of(field),
-        iso,
-        tree,
-        batch_triangles,
-        sink,
-    )
-}
-
-/// SoA entry point: extracts the full isosurface of one block from a
-/// structure-of-arrays field, building a throwaway bricktree.
-pub fn extract_isosurface_soa(
-    grid: &CurvilinearBlock,
-    field: &ScalarFieldSoA,
-    iso: f64,
-) -> (TriangleSoup, IsoStats) {
-    let tree = BrickTree::build_soa(field);
-    extract_isosurface_soa_with_tree(grid, field, iso, Some(&tree))
-}
-
-/// SoA entry point with a caller-held bricktree (`None` disables
-/// pruning).
-pub fn extract_isosurface_soa_with_tree(
-    grid: &CurvilinearBlock,
-    field: &ScalarFieldSoA,
-    iso: f64,
-    tree: Option<&BrickTree>,
-) -> (TriangleSoup, IsoStats) {
-    let mut soup = TriangleSoup::new();
-    let stats = extract_streamed_view(grid, field.view(), iso, tree, usize::MAX, |batch| {
-        soup.extend_from(&batch);
-    });
-    (soup, stats)
-}
-
-/// The vectorized contour scan all public entry points funnel into.
 ///
+/// This is the vectorized contour scan every entry point funnels into.
 /// Cells arrive as maximal storage-order runs along `i` (from the
 /// bricktree's run scan, or whole rows when pruning is off). Per run,
 /// the corner ranges of every cell come from one adjacent-pair
@@ -130,9 +86,9 @@ pub fn extract_isosurface_soa_with_tree(
 /// gather; only straddling cells fall through to the scalar case-table
 /// triangulation, in exactly the storage order of the classic pass —
 /// the output stays byte-identical to [`extract_isosurface_oracle`].
-fn extract_streamed_view(
+pub fn extract_streamed_with_tree(
     grid: &CurvilinearBlock,
-    field: ScalarFieldSoAView<'_>,
+    field: &ScalarField,
     iso: f64,
     tree: Option<&BrickTree>,
     batch_triangles: usize,
@@ -205,9 +161,8 @@ fn extract_streamed_view(
     stats
 }
 
-/// The pre-SoA cell-at-a-time extractor, retained verbatim as the test
-/// oracle for the vectorized scan (and as the AoS side of the
-/// `contour` micro-benches): per cell, an eight-corner gather feeds a
+/// The cell-at-a-time extractor, retained verbatim as the test oracle
+/// for the vectorized scan: per cell, an eight-corner gather feeds a
 /// scalar min/max fold and then the same case-table triangulation.
 pub fn extract_isosurface_oracle(
     grid: &CurvilinearBlock,
@@ -401,18 +356,6 @@ mod tests {
                 assert_eq!(fast_stats, oracle_stats);
             }
         }
-    }
-
-    #[test]
-    fn soa_entry_point_matches_aos() {
-        let (grid, field) = sphere_case(14);
-        let soa = ScalarFieldSoA::from(field.clone());
-        let (aos_soup, aos_stats) = extract_isosurface(&grid, &field, 0.7);
-        let (soa_soup, soa_stats) = extract_isosurface_soa(&grid, &soa, 0.7);
-        assert_eq!(soa_soup.to_bytes(), aos_soup.to_bytes());
-        assert_eq!(soa_stats, aos_stats);
-        let (unpruned, _) = extract_isosurface_soa_with_tree(&grid, &soa, 0.7, None);
-        assert_eq!(unpruned.to_bytes(), aos_soup.to_bytes());
     }
 
     #[test]

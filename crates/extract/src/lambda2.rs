@@ -23,7 +23,7 @@ use crate::bricktree::BrickTree;
 use crate::eigen::lambda2_of_gradient;
 use crate::mesh::TriangleSoup;
 use crate::tetra::contour_cell;
-use vira_grid::field::{BlockData, ScalarField, ScalarFieldSoA, VectorFieldSoA};
+use vira_grid::field::{BlockData, ScalarField, VectorField};
 use vira_grid::lanes;
 use vira_grid::math::{Mat3, Vec3};
 
@@ -80,7 +80,7 @@ pub fn gradient_from_derivatives(
 /// singular-Jacobian case is folded into a final value select instead of
 /// an early return, and every float operation is shared with (and
 /// ordered exactly as in) [`gradient_from_derivatives`] +
-/// [`lambda2_of_gradient`] — so a lane evaluation inside the SoA row
+/// [`lambda2_of_gradient`] — so a lane evaluation inside the row
 /// kernel is bit-identical to the scalar [`lambda2_at`] path. With a
 /// singular Jacobian the unconditional `1/det` produces non-finite
 /// intermediates; they are discarded by the select, never observed.
@@ -127,26 +127,17 @@ pub fn lambda2_at(data: &BlockData, i: usize, j: usize, k: usize) -> f64 {
         .unwrap_or(f64::INFINITY)
 }
 
-/// Computes the complete λ₂ scalar field of a block.
-///
-/// Routed through the SoA row kernel ([`lambda2_field_soa`]); output is
-/// bit-identical to the retained point-at-a-time oracle
-/// ([`lambda2_field_oracle`]).
-pub fn lambda2_field(data: &BlockData) -> ScalarField {
-    lambda2_field_soa(data).into()
-}
-
-/// The pre-SoA λ₂ field computation, retained verbatim as the test
-/// oracle (and the AoS side of the `lambda2` micro-benches): one
-/// [`lambda2_at`] evaluation per grid point, each re-deriving its six
-/// stencil samples through indexed AoS accesses.
+/// The point-at-a-time λ₂ field computation, retained verbatim as the
+/// test oracle: one [`lambda2_at`] evaluation per grid point, each
+/// re-deriving its six stencil samples through indexed accesses.
 pub fn lambda2_field_oracle(data: &BlockData) -> ScalarField {
     let d = data.dims();
     ScalarField::from_fn(d, |i, j, k| lambda2_at(data, i, j, k))
 }
 
-/// Vectorized λ₂: splits geometry and velocity into planar
-/// structure-of-arrays buffers, then walks the block row by row. All six
+/// Computes the complete λ₂ scalar field of a block, row by row over
+/// component planes: the velocity planes are read in place, the
+/// interleaved geometry is split into three scratch planes first. All six
 /// index-space derivatives of a row are produced by branch-free
 /// elementwise stencil loops over contiguous component rows, and the
 /// per-point tensor pipeline runs as **staged row kernels**
@@ -157,12 +148,12 @@ pub fn lambda2_field_oracle(data: &BlockData) -> ScalarField {
 /// the row loop — a shape the autovectorizer refuses; the staged loops
 /// are each straight-line and lane-lowerable. Every per-element
 /// expression is transcribed operation for operation from the scalar
-/// [`lambda2_at`] path, which keeps the result bit-identical to the
-/// oracle.
-pub fn lambda2_field_soa(data: &BlockData) -> ScalarFieldSoA {
+/// [`lambda2_at`] path, which keeps the result bit-identical to
+/// [`lambda2_field_oracle`].
+pub fn lambda2_field(data: &BlockData) -> ScalarField {
     let d = data.dims();
-    let geo = VectorFieldSoA::from_vec3s(d, &data.grid.points);
-    let vel = VectorFieldSoA::from_vec3s(d, &data.velocity.values);
+    let geo = VectorField::from_vec3s(d, &data.grid.points);
+    let vel = &data.velocity;
     let n = d.n_points();
     let mut values = vec![0.0; n];
 
@@ -203,7 +194,7 @@ pub fn lambda2_field_soa(data: &BlockData) -> ScalarFieldSoA {
     }
     // 18 stencil rows + 5 kernel stage loops per grid row.
     lanes::record_chunks(23 * (d.nj * d.nk) as u64 * lanes::chunks_for(ni));
-    ScalarFieldSoA::new(d, values)
+    ScalarField::new(d, values)
 }
 
 /// Reusable row workspace of the staged λ₂ kernel — one `ni`-long buffer
@@ -658,12 +649,11 @@ mod tests {
         // u = (2x, -y, 3z) on a uniform grid → ∇u = diag(2, -1, 3).
         let mut data = vortex_block(6);
         let pts = data.grid.points.clone();
-        data.velocity = vira_grid::field::VectorField::new(
-            data.dims(),
-            pts.iter()
-                .map(|p| Vec3::new(2.0 * p.x, -p.y, 3.0 * p.z))
-                .collect(),
-        );
+        let linear: Vec<Vec3> = pts
+            .iter()
+            .map(|p| Vec3::new(2.0 * p.x, -p.y, 3.0 * p.z))
+            .collect();
+        data.velocity = VectorField::from_vec3s(data.dims(), &linear);
         for &(i, j, k) in &[(2, 3, 1), (0, 0, 0), (5, 5, 5)] {
             let g = velocity_gradient(&data, i, j, k).unwrap();
             for r in 0..3 {
@@ -701,25 +691,23 @@ mod tests {
     }
 
     #[test]
-    fn soa_field_bit_identical_to_oracle() {
+    fn field_bit_identical_to_oracle() {
         // Cube blocks, ragged dims, and degenerate (< 2 point) axes all
         // hit different stencil branches; all must match the oracle bit
         // for bit (including +inf at singular points).
         for data in [vortex_block(13), vortex_block(2)] {
-            let fast = lambda2_field_soa(&data);
+            let fast = lambda2_field(&data);
             let oracle = lambda2_field_oracle(&data);
             assert_eq!(fast.dims, oracle.dims);
             for (a, b) in fast.values.iter().zip(&oracle.values) {
                 assert_eq!(a.to_bits(), b.to_bits(), "λ₂ mismatch: {a} vs {b}");
             }
-            assert_eq!(ScalarField::from(fast), lambda2_field(&data));
         }
     }
 
     #[test]
-    fn soa_field_handles_degenerate_axes() {
+    fn field_handles_degenerate_axes() {
         use vira_grid::block::BlockDims;
-        use vira_grid::field::VectorField;
         use vira_grid::CurvilinearBlock;
         let dims = BlockDims::new(4, 1, 3);
         let grid = CurvilinearBlock::from_fn(0, dims, |i, j, k| {
@@ -727,7 +715,7 @@ mod tests {
         });
         let vel = VectorField::from_fn(dims, |i, _, k| Vec3::new(k as f64, i as f64, 0.0));
         let data = BlockData::new(vira_grid::block::BlockStepId::new(0, 0), grid, vel, 0.0);
-        let fast = lambda2_field_soa(&data);
+        let fast = lambda2_field(&data);
         let oracle = lambda2_field_oracle(&data);
         for (a, b) in fast.values.iter().zip(&oracle.values) {
             assert_eq!(a.to_bits(), b.to_bits());

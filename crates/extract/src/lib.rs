@@ -53,13 +53,11 @@ pub use eigen::{
 pub use export::{save_soup, write_obj, write_vtk_mesh, write_vtk_polylines};
 pub use halo::{GhostLayer, GhostedBlock};
 pub use iso::{
-    active_cells, extract_isosurface, extract_isosurface_oracle, extract_isosurface_soa,
-    extract_isosurface_soa_with_tree, extract_isosurface_with_tree, extract_streamed,
-    extract_streamed_with_tree, IsoStats,
+    active_cells, extract_isosurface, extract_isosurface_oracle, extract_isosurface_with_tree,
+    extract_streamed, extract_streamed_with_tree, IsoStats,
 };
 pub use lambda2::{
-    lambda2_at, lambda2_element, lambda2_field, lambda2_field_oracle, lambda2_field_soa,
-    velocity_gradient,
+    lambda2_at, lambda2_element, lambda2_field, lambda2_field_oracle, velocity_gradient,
     Lambda2Stats, Lambda2Streamer,
 };
 pub use locate::{invert_trilinear, invert_trilinear_oracle, BlockLocator, CellHit, TrilinearCell};

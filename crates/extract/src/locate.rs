@@ -68,8 +68,7 @@ pub fn invert_trilinear(corners: &[Vec3; 8], p: Vec3) -> Option<(f64, f64, f64)>
 }
 
 /// The pre-fusion Newton inversion, retained verbatim as the test
-/// oracle (and the AoS side of the `locate` micro-benches): corner
-/// differences are re-derived inside every iteration.
+/// oracle: corner differences are re-derived inside every iteration.
 pub fn invert_trilinear_oracle(corners: &[Vec3; 8], p: Vec3) -> Option<(f64, f64, f64)> {
     let (mut u, mut v, mut w) = (0.5, 0.5, 0.5);
     for _ in 0..NEWTON_MAX_IT {

@@ -33,20 +33,10 @@ pub fn coarsen(data: &BlockData, stride: usize) -> BlockData {
     let iy = coarse_axis(d.nj, stride);
     let iz = coarse_axis(d.nk, stride);
     let cd = BlockDims::new(ix.len(), iy.len(), iz.len());
-    let mut points = Vec::with_capacity(cd.n_points());
-    let mut vel = Vec::with_capacity(cd.n_points());
-    for &k in &iz {
-        for &j in &iy {
-            for &i in &ix {
-                points.push(data.grid.point(i, j, k));
-                vel.push(data.velocity.at(i, j, k));
-            }
-        }
-    }
     BlockData::new(
         data.id,
-        CurvilinearBlock::new(data.grid.id, cd, points),
-        VectorField::new(cd, vel),
+        coarsen_geometry(&data.grid, stride),
+        VectorField::from_fn(cd, |i, j, k| data.velocity.at(ix[i], iy[j], iz[k])),
         data.time,
     )
 }

@@ -1,17 +1,17 @@
-//! Property tests of the SoA fast paths against their retained AoS
-//! oracles: the vectorized kernels are rewrites for throughput, not new
+//! Property tests of the vectorized kernels against their retained
+//! scalar oracles: the kernels are rewrites for throughput, not new
 //! math, so on arbitrary inputs every one of them must be *bit-identical*
 //! to the scalar original — and the scoped thread pool must preserve
 //! item order at every thread count.
 
 use proptest::prelude::*;
 use vira_extract::bricktree::BrickTree;
-use vira_extract::iso::{extract_isosurface_oracle, extract_isosurface_soa_with_tree};
-use vira_extract::lambda2::{lambda2_field_oracle, lambda2_field_soa};
+use vira_extract::iso::{extract_isosurface_oracle, extract_isosurface_with_tree};
+use vira_extract::lambda2::{lambda2_field, lambda2_field_oracle};
 use vira_extract::locate::{invert_trilinear, invert_trilinear_oracle};
 use vira_extract::par::scoped_map;
 use vira_grid::block::{BlockDims, CurvilinearBlock};
-use vira_grid::field::{BlockData, ScalarField, ScalarFieldSoA, VectorField};
+use vira_grid::field::{BlockData, ScalarField, VectorField};
 use vira_grid::math::Vec3;
 
 /// A regular lattice on the unit cube (geometry does not influence the
@@ -61,30 +61,29 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 proptest! {
-    /// The SoA run-scan contour kernel reproduces the AoS oracle's
-    /// surface byte for byte on arbitrary fields — unpruned (pure scan
-    /// comparison) and pruned through `BrickTree::build_soa` (the shape
+    /// The run-scan contour kernel reproduces the cell-at-a-time
+    /// oracle's surface byte for byte on arbitrary fields — unpruned
+    /// (pure scan comparison) and pruned through a bricktree (the shape
     /// the parallel extraction path runs).
     #[test]
-    fn soa_contour_is_byte_identical_to_aos_oracle(
+    fn contour_is_byte_identical_to_the_oracle(
         (dims, values) in dims_and_values(),
         iso in -1.2f64..1.2,
     ) {
         let grid = lattice(dims);
         let field = ScalarField::new(dims, values);
-        let soa = ScalarFieldSoA::from(field.clone());
 
-        let (aos_soup, aos_stats) = extract_isosurface_oracle(&grid, &field, iso, None);
-        let (soa_soup, soa_stats) = extract_isosurface_soa_with_tree(&grid, &soa, iso, None);
-        prop_assert_eq!(soa_soup.to_bytes(), aos_soup.to_bytes());
-        prop_assert_eq!(soa_stats.triangles, aos_stats.triangles);
-        prop_assert_eq!(soa_stats.active_cells, aos_stats.active_cells);
+        let (oracle_soup, oracle_stats) = extract_isosurface_oracle(&grid, &field, iso, None);
+        let (soup, stats) = extract_isosurface_with_tree(&grid, &field, iso, None);
+        prop_assert_eq!(soup.to_bytes(), oracle_soup.to_bytes());
+        prop_assert_eq!(stats.triangles, oracle_stats.triangles);
+        prop_assert_eq!(stats.active_cells, oracle_stats.active_cells);
 
-        let tree = BrickTree::build_soa(&soa);
+        let tree = BrickTree::build(&field);
         let (pruned_soup, pruned_stats) =
-            extract_isosurface_soa_with_tree(&grid, &soa, iso, Some(&tree));
-        prop_assert_eq!(pruned_soup.to_bytes(), aos_soup.to_bytes());
-        prop_assert_eq!(pruned_stats.triangles, aos_stats.triangles);
+            extract_isosurface_with_tree(&grid, &field, iso, Some(&tree));
+        prop_assert_eq!(pruned_soup.to_bytes(), oracle_soup.to_bytes());
+        prop_assert_eq!(pruned_stats.triangles, oracle_stats.triangles);
         prop_assert_eq!(
             pruned_stats.cells_visited + pruned_stats.cells_skipped,
             dims.n_cells(),
@@ -96,19 +95,17 @@ proptest! {
     /// transcription of the per-point oracle, so the two fields must
     /// agree to the last bit on arbitrary velocity data.
     #[test]
-    fn lambda2_soa_rows_match_the_point_oracle_bitwise(
+    fn lambda2_rows_match_the_point_oracle_bitwise(
         (dims, vel) in dims_and_velocities(),
     ) {
         let grid = lattice(dims);
-        let velocity = VectorField::new(
-            dims,
-            vel.iter().map(|v| Vec3::new(v[0], v[1], v[2])).collect(),
-        );
+        let [xs, ys, zs] = [0, 1, 2].map(|c| vel.iter().map(|v| v[c]).collect());
+        let velocity = VectorField::new(dims, xs, ys, zs);
         let data = BlockData::new(vira_grid::block::BlockStepId::new(0, 0), grid, velocity, 0.0);
-        let soa = lambda2_field_soa(&data);
+        let rows = lambda2_field(&data);
         let oracle = lambda2_field_oracle(&data);
-        prop_assert_eq!(soa.dims, oracle.dims);
-        prop_assert_eq!(bits(&soa.values), bits(&oracle.values));
+        prop_assert_eq!(rows.dims, oracle.dims);
+        prop_assert_eq!(bits(&rows.values), bits(&oracle.values));
     }
 
     /// The lane min/max scan agrees exactly with a branchy scalar fold.
@@ -117,7 +114,6 @@ proptest! {
         (dims, values) in dims_and_values(),
     ) {
         let field = ScalarField::new(dims, values.clone());
-        let soa = ScalarFieldSoA::new(dims, values.clone());
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for &v in &values {
@@ -125,7 +121,6 @@ proptest! {
             hi = hi.max(v);
         }
         prop_assert_eq!(field.range(), Some((lo, hi)));
-        prop_assert_eq!(soa.min_max(), Some((lo, hi)));
     }
 
     /// The fused Newton trilinear inversion (hoisted corner differences)

@@ -83,7 +83,16 @@ impl ScalarField {
         j: std::ops::Range<usize>,
         k: std::ops::Range<usize>,
     ) -> (f64, f64) {
-        ScalarFieldSoA::of(self).range_over_points(i, j, k)
+        debug_assert!(i.end <= self.dims.ni && j.end <= self.dims.nj && k.end <= self.dims.nk);
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for kk in k {
+            for jj in j.clone() {
+                let base = self.dims.point_index(i.start, jj, kk);
+                (lo, hi) = lanes::min_max_seeded(lo, hi, &self.values[base..base + i.len()]);
+            }
+        }
+        (lo, hi)
     }
 
     /// Minimum and maximum over the eight corners of one cell.
@@ -99,42 +108,80 @@ impl ScalarField {
     }
 }
 
-/// A vector quantity (typically velocity) sampled at every grid point.
+/// A vector quantity (typically velocity) sampled at every grid point,
+/// stored as one contiguous `f64` plane per component, `i` fastest.
+///
+/// The kernels that sweep a whole block — the velocity-gradient stencils
+/// of λ₂, the magnitude — read one component at a time, and planar
+/// storage turns those reads into unit-stride streams the autovectorizer
+/// can chunk into lanes. Point queries ([`at`](Self::at),
+/// [`sample`](Self::sample)) gather the three components back into a
+/// `Vec3`. The block file format interleaves `(x, y, z)` per point;
+/// `io` converts on the way through its slab.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VectorField {
     pub dims: BlockDims,
-    /// Point samples, `i` fastest; length `dims.n_points()`.
-    pub values: Vec<Vec3>,
+    /// Component planes, each of length `dims.n_points()`.
+    pub xs: Vec<f64>,
+    pub ys: Vec<f64>,
+    pub zs: Vec<f64>,
 }
 
 impl VectorField {
-    pub fn new(dims: BlockDims, values: Vec<Vec3>) -> Self {
-        assert_eq!(values.len(), dims.n_points(), "vector field size mismatch");
-        VectorField { dims, values }
+    pub fn new(dims: BlockDims, xs: Vec<f64>, ys: Vec<f64>, zs: Vec<f64>) -> Self {
+        let n = dims.n_points();
+        assert!(
+            xs.len() == n && ys.len() == n && zs.len() == n,
+            "vector field size mismatch"
+        );
+        VectorField { dims, xs, ys, zs }
+    }
+
+    /// Splits a `Vec3` point array (e.g. a block's geometry) into planes.
+    pub fn from_vec3s(dims: BlockDims, values: &[Vec3]) -> Self {
+        VectorField::new(
+            dims,
+            values.iter().map(|v| v.x).collect(),
+            values.iter().map(|v| v.y).collect(),
+            values.iter().map(|v| v.z).collect(),
+        )
     }
 
     pub fn from_fn(dims: BlockDims, mut f: impl FnMut(usize, usize, usize) -> Vec3) -> Self {
-        let mut values = Vec::with_capacity(dims.n_points());
+        let n = dims.n_points();
+        let (mut xs, mut ys, mut zs) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
         for k in 0..dims.nk {
             for j in 0..dims.nj {
                 for i in 0..dims.ni {
-                    values.push(f(i, j, k));
+                    let v = f(i, j, k);
+                    xs.push(v.x);
+                    ys.push(v.y);
+                    zs.push(v.z);
                 }
             }
         }
-        VectorField::new(dims, values)
+        VectorField { dims, xs, ys, zs }
+    }
+
+    #[inline]
+    fn point(&self, n: usize) -> Vec3 {
+        Vec3::new(self.xs[n], self.ys[n], self.zs[n])
     }
 
     #[inline]
     pub fn at(&self, i: usize, j: usize, k: usize) -> Vec3 {
-        self.values[self.dims.point_index(i, j, k)]
+        self.point(self.dims.point_index(i, j, k))
     }
 
     #[inline]
     pub fn cell_corners(&self, i: usize, j: usize, k: usize) -> [Vec3; 8] {
         self.dims
             .cell_corner_indices(i, j, k)
-            .map(|n| self.values[n])
+            .map(|n| self.point(n))
     }
 
     /// Trilinear interpolation at local coordinates within a cell.
@@ -142,213 +189,21 @@ impl VectorField {
         trilinear_vec3(&self.cell_corners(cell.0, cell.1, cell.2), u, v, w)
     }
 
-    /// Magnitude field (`|v|` at every point).
+    /// Magnitude field: `sqrt(x² + y² + z²)` per point, one pass over the
+    /// three planes, bit-identical to `Vec3::norm` (same association).
     pub fn magnitude(&self) -> ScalarField {
-        ScalarField {
-            dims: self.dims,
-            values: self.values.iter().map(|v| v.norm()).collect(),
-        }
-    }
-}
-
-/// Structure-of-arrays view of a [`ScalarField`].
-///
-/// A scalar field already stores one contiguous `f64` array, so the SoA
-/// form shares the exact same buffer; the type exists so the vectorized
-/// kernels in `vira-extract` can take an explicitly lane-oriented input
-/// (row slices, lane-parallel range scans) without touching the serde
-/// wire type. Conversions in both directions move the buffer and are
-/// lossless by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalarFieldSoA {
-    pub dims: BlockDims,
-    /// Point samples, `i` fastest; length `dims.n_points()`.
-    pub values: Vec<f64>,
-}
-
-impl ScalarFieldSoA {
-    pub fn new(dims: BlockDims, values: Vec<f64>) -> Self {
-        assert_eq!(values.len(), dims.n_points(), "scalar field size mismatch");
-        ScalarFieldSoA { dims, values }
-    }
-
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.values[self.dims.point_index(i, j, k)]
-    }
-
-    /// One contiguous row of point samples at fixed `(j, k)`.
-    #[inline]
-    pub fn row(&self, j: usize, k: usize) -> &[f64] {
-        let base = self.dims.point_index(0, j, k);
-        &self.values[base..base + self.dims.ni]
-    }
-
-    /// Lane-parallel minimum and maximum over the block; `None` when
-    /// empty.
-    pub fn min_max(&self) -> Option<(f64, f64)> {
-        if self.values.is_empty() {
-            return None;
-        }
-        Some(lanes::min_max(&self.values))
-    }
-
-    /// Borrowing view over an existing AoS field (same layout, no copy).
-    pub fn of(field: &ScalarField) -> ScalarFieldSoAView<'_> {
-        ScalarFieldSoAView {
-            dims: field.dims,
-            values: &field.values,
-        }
-    }
-
-    /// Borrowing view over this field.
-    pub fn view(&self) -> ScalarFieldSoAView<'_> {
-        ScalarFieldSoAView {
-            dims: self.dims,
-            values: &self.values,
-        }
-    }
-}
-
-impl From<ScalarField> for ScalarFieldSoA {
-    fn from(f: ScalarField) -> Self {
-        ScalarFieldSoA {
-            dims: f.dims,
-            values: f.values,
-        }
-    }
-}
-
-impl From<ScalarFieldSoA> for ScalarField {
-    fn from(f: ScalarFieldSoA) -> Self {
-        ScalarField {
-            dims: f.dims,
-            values: f.values,
-        }
-    }
-}
-
-/// Borrowed counterpart of [`ScalarFieldSoA`], for running the
-/// vectorized kernels over a field owned elsewhere (e.g. an
-/// `Arc<ScalarField>` in the derived-field cache) without cloning the
-/// sample buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarFieldSoAView<'a> {
-    pub dims: BlockDims,
-    pub values: &'a [f64],
-}
-
-impl ScalarFieldSoAView<'_> {
-    #[inline]
-    pub fn row(&self, j: usize, k: usize) -> &[f64] {
-        let base = self.dims.point_index(0, j, k);
-        &self.values[base..base + self.dims.ni]
-    }
-
-    /// Minimum and maximum over a half-open box of grid points, row-wise
-    /// through the lane-parallel fold (same contract as
-    /// [`ScalarField::range_over_points`]).
-    pub fn range_over_points(
-        &self,
-        i: std::ops::Range<usize>,
-        j: std::ops::Range<usize>,
-        k: std::ops::Range<usize>,
-    ) -> (f64, f64) {
-        debug_assert!(i.end <= self.dims.ni && j.end <= self.dims.nj && k.end <= self.dims.nk);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for kk in k {
-            for jj in j.clone() {
-                let base = self.dims.point_index(i.start, jj, kk);
-                (lo, hi) = lanes::min_max_seeded(lo, hi, &self.values[base..base + i.len()]);
-            }
-        }
-        (lo, hi)
-    }
-}
-
-/// Structure-of-arrays layout of a [`VectorField`]: one contiguous
-/// `f64` array per component, `i` fastest.
-///
-/// The hot kernels (velocity-gradient stencils, magnitude) read one
-/// component at a time; splitting the interleaved `Vec<Vec3>` into three
-/// planar arrays turns those reads into unit-stride streams the
-/// autovectorizer can chunk into lanes. Conversion from the serde AoS
-/// type is lossless (a pure permutation of the same `f64` values), so
-/// wire and DMS formats are untouched.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VectorFieldSoA {
-    pub dims: BlockDims,
-    pub xs: Vec<f64>,
-    pub ys: Vec<f64>,
-    pub zs: Vec<f64>,
-}
-
-impl VectorFieldSoA {
-    /// Splits a raw `Vec3` point array (e.g. a block's geometry) into
-    /// planar component arrays.
-    pub fn from_vec3s(dims: BlockDims, values: &[Vec3]) -> Self {
-        assert_eq!(values.len(), dims.n_points(), "vector field size mismatch");
-        let n = values.len();
-        let mut xs = vec![0.0; n];
-        let mut ys = vec![0.0; n];
-        let mut zs = vec![0.0; n];
-        for (p, v) in values.iter().enumerate() {
-            xs[p] = v.x;
-            ys[p] = v.y;
-            zs[p] = v.z;
-        }
-        VectorFieldSoA { dims, xs, ys, zs }
-    }
-
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> Vec3 {
-        let n = self.dims.point_index(i, j, k);
-        Vec3::new(self.xs[n], self.ys[n], self.zs[n])
-    }
-
-    /// Contiguous component rows at fixed `(j, k)`: `(x, y, z)`.
-    #[inline]
-    pub fn rows(&self, j: usize, k: usize) -> (&[f64], &[f64], &[f64]) {
-        let base = self.dims.point_index(0, j, k);
-        let end = base + self.dims.ni;
-        (&self.xs[base..end], &self.ys[base..end], &self.zs[base..end])
-    }
-
-    /// Magnitude field, lane-friendly: `sqrt(x² + y² + z²)` per point
-    /// over the planar arrays. Bit-identical to
-    /// [`VectorField::magnitude`] (same association as `Vec3::norm`).
-    pub fn magnitude(&self) -> ScalarFieldSoA {
-        let n = self.xs.len();
-        let mut values = vec![0.0; n];
-        for p in 0..n {
-            values[p] = (self.xs[p] * self.xs[p] + self.ys[p] * self.ys[p]
-                + self.zs[p] * self.zs[p])
-                .sqrt();
-        }
-        lanes::record_chunks(lanes::chunks_for(n));
-        ScalarFieldSoA {
-            dims: self.dims,
-            values,
-        }
-    }
-
-    /// Back-conversion to the interleaved serde type; exact inverse of
-    /// `From<&VectorField>`.
-    pub fn to_aos(&self) -> VectorField {
-        let values = (0..self.xs.len())
-            .map(|n| Vec3::new(self.xs[n], self.ys[n], self.zs[n]))
+        let values: Vec<f64> = self
+            .xs
+            .iter()
+            .zip(&self.ys)
+            .zip(&self.zs)
+            .map(|((x, y), z)| (x * x + y * y + z * z).sqrt())
             .collect();
-        VectorField {
+        lanes::record_chunks(lanes::chunks_for(values.len()));
+        ScalarField {
             dims: self.dims,
             values,
         }
-    }
-}
-
-impl From<&VectorField> for VectorFieldSoA {
-    fn from(f: &VectorField) -> Self {
-        VectorFieldSoA::from_vec3s(f.dims, &f.values)
     }
 }
 
@@ -380,7 +235,7 @@ impl BlockData {
 
     /// Bytes of payload this item occupies in memory (geometry + field).
     pub fn memory_bytes(&self) -> usize {
-        self.grid.geometry_bytes() + self.velocity.values.len() * std::mem::size_of::<Vec3>()
+        self.grid.geometry_bytes() + self.velocity.xs.len() * std::mem::size_of::<Vec3>()
     }
 
     pub fn dims(&self) -> BlockDims {
@@ -446,47 +301,47 @@ mod tests {
         assert_eq!(bd.memory_bytes(), 27 * 24 * 2);
     }
 
-    #[test]
-    fn soa_roundtrip_is_lossless() {
-        let f = VectorField::from_fn(dims(), |i, j, k| {
-            Vec3::new(i as f64 + 0.25, j as f64 - 0.5, k as f64 * 3.0)
-        });
-        let soa = VectorFieldSoA::from(&f);
-        assert_eq!(soa.to_aos(), f);
-        let s = f.magnitude();
-        let s_soa = ScalarFieldSoA::from(s.clone());
-        assert_eq!(ScalarField::from(s_soa), s);
-    }
-
-    #[test]
-    fn soa_magnitude_bit_identical_to_aos() {
-        let f = VectorField::from_fn(dims(), |i, j, k| {
+    /// A field whose components differ in every bit pattern that matters
+    /// to rounding, on dims that leave a ragged lane tail.
+    fn wavy_field(d: BlockDims) -> VectorField {
+        VectorField::from_fn(d, |i, j, k| {
             Vec3::new(
                 (i as f64).sin() + 0.1,
                 (j as f64 * 1.7).cos(),
                 k as f64 - 1.3,
             )
-        });
-        let aos = f.magnitude();
-        let soa = VectorFieldSoA::from(&f).magnitude();
-        assert_eq!(soa.values, aos.values);
-        assert!(aos
-            .values
-            .iter()
-            .zip(&soa.values)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        })
     }
 
     #[test]
-    fn soa_rows_and_at_agree_with_aos() {
-        let f = VectorField::from_fn(dims(), |i, j, k| {
-            Vec3::new(i as f64, j as f64 * 2.0, k as f64 * 4.0)
-        });
-        let soa = VectorFieldSoA::from(&f);
-        let (xs, ys, zs) = soa.rows(1, 2);
-        for i in 0..3 {
-            assert_eq!(soa.at(i, 1, 2), f.at(i, 1, 2));
-            assert_eq!(Vec3::new(xs[i], ys[i], zs[i]), f.at(i, 1, 2));
+    fn magnitude_bit_identical_to_vec3_norm() {
+        let f = wavy_field(BlockDims::new(5, 3, 4));
+        let m = f.magnitude();
+        for k in 0..4 {
+            for j in 0..3 {
+                for i in 0..5 {
+                    assert_eq!(m.at(i, j, k).to_bits(), f.at(i, j, k).norm().to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_bit_identical_to_trilinear_over_gathered_corners() {
+        let d = BlockDims::new(5, 3, 4);
+        let f = wavy_field(d);
+        for (i, j, k) in d.cells() {
+            let gathered = d
+                .cell_corner_indices(i, j, k)
+                .map(|n| Vec3::new(f.xs[n], f.ys[n], f.zs[n]));
+            assert_eq!(f.cell_corners(i, j, k), gathered);
+            for &(u, v, w) in &[(0.0, 0.0, 0.0), (0.3, 0.9, 0.55), (1.0, 1.0, 1.0)] {
+                let (a, b) = (f.sample((i, j, k), u, v, w), trilinear_vec3(&gathered, u, v, w));
+                assert_eq!(
+                    [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
+                    [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()]
+                );
+            }
         }
     }
 
@@ -502,7 +357,6 @@ mod tests {
             hi = hi.max(v);
         }
         assert_eq!(f.range(), Some((lo, hi)));
-        assert_eq!(ScalarFieldSoA::from(f).min_max(), Some((lo, hi)));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! [`write_block_data`] and [`read_block_data`] move a block in slabs:
 //! the 36-byte header in one call, then each field array in one
 //! `write_all` / `read_exact` of `n_points × 24` bytes, converted
-//! between `Vec3` and little-endian bytes 24 at a time in memory. The
+//! between memory and little-endian bytes 24 at a time — the pass that
+//! also splits the file's `(x, y, z)` triples into the velocity planes
+//! and interleaves them again. The
 //! reader or writer is therefore called three times per block whatever
 //! its size, and needs no buffering of its own (a `File` or a `&[u8]`
 //! does as well as a `BufReader`). The header is validated — magic,
@@ -90,9 +92,13 @@ const HEADER_LEN: usize = 4 + 4 + 4 + 4 + 12 + 8;
 /// One `Vec3` on disk: x, y, z as f64.
 const VEC3_LEN: usize = 24;
 
-fn write_vec3s(w: &mut impl Write, vs: &[Vec3], slab: &mut Vec<u8>) -> io::Result<()> {
+fn write_vec3s(
+    w: &mut impl Write,
+    vs: impl ExactSizeIterator<Item = Vec3>,
+    slab: &mut Vec<u8>,
+) -> io::Result<()> {
     slab.resize(vs.len() * VEC3_LEN, 0);
-    for (v, out) in vs.iter().zip(slab.chunks_exact_mut(VEC3_LEN)) {
+    for (v, out) in vs.zip(slab.chunks_exact_mut(VEC3_LEN)) {
         out[..8].copy_from_slice(&v.x.to_le_bytes());
         out[8..16].copy_from_slice(&v.y.to_le_bytes());
         out[16..].copy_from_slice(&v.z.to_le_bytes());
@@ -100,14 +106,18 @@ fn write_vec3s(w: &mut impl Write, vs: &[Vec3], slab: &mut Vec<u8>) -> io::Resul
     w.write_all(slab)
 }
 
-fn read_vec3s(r: &mut impl Read, n: usize, slab: &mut Vec<u8>) -> io::Result<Vec<Vec3>> {
+/// Reads `n` points into `slab` and returns them as `[x, y, z]` triples.
+fn read_vec3s<'a>(
+    r: &mut impl Read,
+    n: usize,
+    slab: &'a mut Vec<u8>,
+) -> io::Result<impl ExactSizeIterator<Item = [f64; 3]> + 'a> {
     slab.resize(n * VEC3_LEN, 0);
     r.read_exact(slab)?;
     let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
     Ok(slab
         .chunks_exact(VEC3_LEN)
-        .map(|c| Vec3::new(f(&c[..8]), f(&c[8..16]), f(&c[16..])))
-        .collect())
+        .map(move |c| [f(&c[..8]), f(&c[8..16]), f(&c[16..])]))
 }
 
 /// Serializes one data item to a writer.
@@ -129,8 +139,10 @@ pub fn write_block_data(w: &mut impl Write, item: &BlockData) -> Result<(), Form
     header[28..].copy_from_slice(&item.time.to_le_bytes());
     w.write_all(&header)?;
     let mut slab = Vec::new();
-    write_vec3s(w, &item.grid.points, &mut slab)?;
-    write_vec3s(w, &item.velocity.values, &mut slab)?;
+    write_vec3s(w, item.grid.points.iter().copied(), &mut slab)?;
+    let u = &item.velocity;
+    let velocity = u.xs.iter().zip(&u.ys).zip(&u.zs);
+    write_vec3s(w, velocity.map(|((&x, &y), &z)| Vec3::new(x, y, z)), &mut slab)?;
     Ok(())
 }
 
@@ -158,12 +170,17 @@ pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
     let time = f64::from_le_bytes(header[28..].try_into().expect("8 bytes"));
     let dims = BlockDims::new(ni as usize, nj as usize, nk as usize);
     let mut slab = Vec::new();
-    let points = read_vec3s(r, dims.n_points(), &mut slab)?;
-    let velocity = read_vec3s(r, dims.n_points(), &mut slab)?;
+    let n = dims.n_points();
+    let points = read_vec3s(r, n, &mut slab)?
+        .map(|[x, y, z]| Vec3::new(x, y, z))
+        .collect();
+    let (xs, (ys, zs)) = read_vec3s(r, n, &mut slab)?
+        .map(|[x, y, z]| (x, (y, z)))
+        .unzip();
     Ok(BlockData::new(
         BlockStepId::new(block, step),
         CurvilinearBlock::new(block, dims, points),
-        VectorField::new(dims, velocity),
+        VectorField::new(dims, xs, ys, zs),
         time,
     ))
 }
@@ -344,7 +361,11 @@ mod tests {
             w.extend_from_slice(&word.to_le_bytes());
         }
         w.extend_from_slice(&item.time.to_le_bytes());
-        for v in item.grid.points.iter().chain(&item.velocity.values) {
+        let velocity = (0..d.n_points()).map(|n| {
+            let (i, j, k) = d.point_coords(n);
+            item.velocity.at(i, j, k)
+        });
+        for v in item.grid.points.iter().copied().chain(velocity) {
             for c in [v.x, v.y, v.z] {
                 w.extend_from_slice(&c.to_le_bytes());
             }
@@ -367,7 +388,7 @@ mod tests {
         BlockData::new(
             BlockStepId::new(3, 9),
             CurvilinearBlock::new(3, dims, (0..n).map(|i| vec(i, 0.25)).collect()),
-            VectorField::new(dims, (0..n).map(|i| vec(i, 0.75)).collect()),
+            VectorField::from_vec3s(dims, &(0..n).map(|i| vec(i, 0.75)).collect::<Vec<_>>()),
             -1.5e-3,
         )
     }

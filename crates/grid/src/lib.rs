@@ -9,10 +9,9 @@
 //! * [`math`] — `Vec3`, `Mat3`, `Aabb` primitives.
 //! * [`block`] — structured block lattices and trilinear interpolation.
 //! * [`field`] — scalar/vector point fields and the [`field::BlockData`]
-//!   data item moved around by the data management system, plus the
-//!   structure-of-arrays forms consumed by the vectorized kernels.
-//! * [`lanes`] — lane-chunked min/max scan primitives behind those
-//!   kernels.
+//!   data item moved around by the data management system.
+//! * [`lanes`] — lane-chunked min/max scan primitives behind the
+//!   vectorized kernels.
 //! * [`synth`] — analytic stand-ins for the paper's *Engine* and *Propfan*
 //!   datasets (Table 1 structure preserved).
 //! * [`topology`] — block adjacency for pathline continuation and
@@ -28,7 +27,7 @@
 //! let engine = synth::engine(5); // 5×5×5 points per block
 //! assert_eq!(engine.spec.n_blocks, 23);
 //! let item = engine.generate(BlockStepId::new(0, 0));
-//! assert!(item.velocity.values.iter().all(|v| v.is_finite()));
+//! assert!(item.velocity.magnitude().values.iter().all(|v| v.is_finite()));
 //! ```
 
 pub mod block;
@@ -42,8 +41,5 @@ pub mod topology;
 
 pub use block::{BlockDims, BlockId, BlockStepId, CurvilinearBlock, StepId};
 pub use faces::{face_dims, face_points, matching_interface, Face, Interface};
-pub use field::{
-    BlockData, ScalarField, ScalarFieldSoA, ScalarFieldSoAView, SharedBlockData, VectorField,
-    VectorFieldSoA,
-};
+pub use field::{BlockData, ScalarField, SharedBlockData, VectorField};
 pub use math::{Aabb, Mat3, Vec3};

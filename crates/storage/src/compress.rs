@@ -90,10 +90,11 @@ pub fn rle_decompress(data: &[u8]) -> Option<Vec<u8>> {
 /// then velocities) — the transfer representation a compressor would see.
 pub fn payload_bytes_f32(data: &BlockData) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.grid.points.len() * 24);
-    for p in data.grid.points.iter().chain(data.velocity.values.iter()) {
-        out.extend_from_slice(&(p.x as f32).to_le_bytes());
-        out.extend_from_slice(&(p.y as f32).to_le_bytes());
-        out.extend_from_slice(&(p.z as f32).to_le_bytes());
+    let u = &data.velocity;
+    let positions = data.grid.points.iter().map(|p| [p.x, p.y, p.z]);
+    let velocities = (0..u.xs.len()).map(|n| [u.xs[n], u.ys[n], u.zs[n]]);
+    for c in positions.chain(velocities).flatten() {
+        out.extend_from_slice(&(c as f32).to_le_bytes());
     }
     out
 }

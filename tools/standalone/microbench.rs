@@ -20,17 +20,14 @@ use std::time::Instant;
 
 use vira_comm::socket::{encode_frame, frame_crc, DecodeStep, FrameDecoder};
 use vira_extract::bricktree::BrickTree;
-use vira_extract::iso::{
-    extract_isosurface, extract_isosurface_oracle, extract_isosurface_soa_with_tree,
-    extract_isosurface_with_tree,
-};
-use vira_extract::lambda2::{lambda2_field_oracle, lambda2_field_soa};
-use vira_extract::locate::{invert_trilinear, invert_trilinear_oracle};
+use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
+use vira_extract::lambda2::lambda2_field;
+use vira_extract::locate::invert_trilinear;
 use vira_extract::mesh::TriangleSoup;
 use vira_extract::par::scoped_map;
-use vira_extract::tetra::{contour_cell, CELL_TETRAHEDRA};
+use vira_extract::tetra::contour_cell;
 use vira_grid::block::BlockStepId;
-use vira_grid::field::{BlockData, ScalarField, ScalarFieldSoA};
+use vira_grid::field::{BlockData, ScalarField};
 use vira_grid::io::{encoded_size, read_block_data, write_block_data};
 use vira_grid::math::Vec3;
 use vira_grid::synth::test_cube;
@@ -103,121 +100,11 @@ impl Harness {
     }
 }
 
-// ---- baseline contouring kernel, kept verbatim from the criterion
-// bench so `tetra/contour_cell_active_baseline` measures the same code.
-
-fn edge_point(pa: Vec3, pb: Vec3, sa: f64, sb: f64, iso: f64) -> Vec3 {
-    let t = (iso - sa) / (sb - sa);
-    pa.lerp(pb, t.clamp(0.0, 1.0))
-}
-
-fn push_oriented(out: &mut TriangleSoup, a: Vec3, b: Vec3, c: Vec3, toward: Vec3) {
-    let n = (b - a).cross(c - a);
-    if n.dot(toward) < 0.0 {
-        out.push_tri(a, c, b);
-    } else {
-        out.push_tri(a, b, c);
-    }
-}
-
-fn contour_tetra_baseline(p: &[Vec3; 4], s: &[f64; 4], iso: f64, out: &mut TriangleSoup) -> usize {
-    let mut mask = 0usize;
-    for (i, &si) in s.iter().enumerate() {
-        if si > iso {
-            mask |= 1 << i;
-        }
-    }
-    if mask == 0 || mask == 0b1111 {
-        return 0;
-    }
-    let inside: Vec<usize> = (0..4).filter(|&i| mask & (1 << i) != 0).collect();
-    match inside.len() {
-        1 | 3 => {
-            let lone = if inside.len() == 1 {
-                inside[0]
-            } else {
-                (0..4).find(|i| !inside.contains(i)).expect("one outside")
-            };
-            let others: Vec<usize> = (0..4).filter(|&i| i != lone).collect();
-            let v: Vec<Vec3> = others
-                .iter()
-                .map(|&o| edge_point(p[lone], p[o], s[lone], s[o], iso))
-                .collect();
-            let centroid_others = (p[others[0]] + p[others[1]] + p[others[2]]) / 3.0;
-            let toward = if s[lone] > iso {
-                centroid_others - p[lone]
-            } else {
-                p[lone] - centroid_others
-            };
-            push_oriented(out, v[0], v[1], v[2], toward);
-            1
-        }
-        2 => {
-            let (a, b) = (inside[0], inside[1]);
-            let outside: Vec<usize> = (0..4).filter(|&i| i != a && i != b).collect();
-            let (c, d) = (outside[0], outside[1]);
-            let q0 = edge_point(p[a], p[c], s[a], s[c], iso);
-            let q1 = edge_point(p[b], p[c], s[b], s[c], iso);
-            let q2 = edge_point(p[b], p[d], s[b], s[d], iso);
-            let q3 = edge_point(p[a], p[d], s[a], s[d], iso);
-            let toward = (p[c] + p[d] - p[a] - p[b]) * 0.5;
-            push_oriented(out, q0, q1, q2, toward);
-            push_oriented(out, q0, q2, q3, toward);
-            2
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn contour_cell_baseline(
-    corners: &[Vec3; 8],
-    scalars: &[f64; 8],
-    iso: f64,
-    out: &mut TriangleSoup,
-) -> usize {
-    let mut n = 0;
-    for tet in &CELL_TETRAHEDRA {
-        let p = [
-            corners[tet[0]],
-            corners[tet[1]],
-            corners[tet[2]],
-            corners[tet[3]],
-        ];
-        let s = [
-            scalars[tet[0]],
-            scalars[tet[1]],
-            scalars[tet[2]],
-            scalars[tet[3]],
-        ];
-        n += contour_tetra_baseline(&p, &s, iso, out);
-    }
-    n
-}
-
-/// The branchy scalar min/max fold `ScalarField::range` used before the
-/// lane scan, retained here as the AoS side of the `minmax` pair.
-fn scalar_range(values: &[f64]) -> Option<(f64, f64)> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in values {
-        if v < lo {
-            lo = v;
-        }
-        if v > hi {
-            hi = v;
-        }
-    }
-    Some((lo, hi))
-}
-
 fn main() {
     let mut h = Harness::new();
     vira_obs::set_enabled(false);
 
-    // ---- tetra pair (fixture from bench_contour) ----
+    // ---- tetra kernel (fixture from bench_contour) ----
     let corners = [
         Vec3::new(0.0, 0.0, 0.0),
         Vec3::new(1.0, 0.0, 0.0),
@@ -233,10 +120,6 @@ fn main() {
     h.bench("tetra/contour_cell_active", || {
         out.positions.clear();
         contour_cell(black_box(&corners), black_box(&scalars), 0.5, &mut out)
-    });
-    h.bench("tetra/contour_cell_active_baseline", || {
-        out.positions.clear();
-        contour_cell_baseline(black_box(&corners), black_box(&scalars), 0.5, &mut out)
     });
 
     // ---- bricktree + sparse iso (fixture from bench_bricktree) ----
@@ -271,29 +154,22 @@ fn main() {
         TriangleSoup::from_bytes(black_box(bytes.clone())).expect("well-formed")
     });
 
-    // ---- contour pair: vectorized SoA run scan vs retained AoS oracle.
-    // Unpruned on the sparse 25-cubed sphere, so the pair isolates the
-    // cell *scan* (the part the SoA rewrite vectorizes) rather than the
-    // shared triangulation of active cells; pruned-vs-unpruned is
-    // covered by the iso/extract_sparse pair above. ----
-    let sphere_soa = ScalarFieldSoA::from(sphere.clone());
+    // ---- contour scan: unpruned on the sparse 25-cubed sphere, so the
+    // row isolates the cell *scan* (the vectorized part) rather than the
+    // triangulation of active cells; pruned-vs-unpruned is covered by
+    // the iso/extract_sparse pair above. ----
     h.bench("contour/block_scan_soa", || {
-        extract_isosurface_soa_with_tree(grid25, black_box(&sphere_soa), iso_sphere, None)
-    });
-    h.bench("contour/block_scan_aos", || {
-        extract_isosurface_oracle(grid25, black_box(&sphere), iso_sphere, None)
+        extract_isosurface_with_tree(grid25, black_box(&sphere), iso_sphere, None)
     });
 
-    // ---- lambda2 pair (fixture from bench_lambda2) ----
-    h.bench("lambda2/field_soa", || lambda2_field_soa(black_box(&data17)));
-    h.bench("lambda2/field_aos", || lambda2_field_oracle(black_box(&data17)));
+    // ---- lambda2 field (fixture from bench_lambda2) ----
+    h.bench("lambda2/field_soa", || lambda2_field(black_box(&data17)));
 
-    // ---- min/max pair over a 25-cubed speed field ----
+    // ---- min/max over a 25-cubed speed field ----
     let speed25 = speed_field(&data25);
     h.bench("minmax/block_range_lanes", || black_box(&speed25).range());
-    h.bench("minmax/block_range_scalar", || scalar_range(black_box(&speed25.values)));
 
-    // ---- Newton point-location pair on a sheared cell ----
+    // ---- Newton point location on a sheared cell ----
     let shear = |u: f64, v: f64, w: f64| {
         Vec3::new(u + 0.3 * v + 0.1 * w, v + 0.2 * w * u, w + 0.15 * u * v)
     };
@@ -310,25 +186,22 @@ fn main() {
     let probe = shear(0.37, 0.61, 0.22);
     assert!(invert_trilinear(&cell, probe).is_some());
     h.bench("locate/newton_fused", || invert_trilinear(black_box(&cell), black_box(probe)));
-    h.bench("locate/newton_aos", || {
-        invert_trilinear_oracle(black_box(&cell), black_box(probe))
-    });
 
     // ---- intra-worker parallel block extraction: 8 items of 17-cubed
     // (one block over 8 steps — the test-cube dataset is single-block),
-    // full SoA extraction per item, scoped pool at 1/2/4/8 threads ----
-    let blocks: Vec<(BlockData, ScalarFieldSoA, BrickTree)> = (0..8)
+    // full extraction per item, scoped pool at 1/2/4/8 threads ----
+    let blocks: Vec<(BlockData, ScalarField, BrickTree)> = (0..8)
         .map(|s| {
             let data = test_cube(17, 8).generate(BlockStepId::new(0, s));
-            let soa: ScalarFieldSoA = speed_field(&data).into();
-            let tree = BrickTree::build_soa(&soa);
-            (data, soa, tree)
+            let speed = speed_field(&data);
+            let tree = BrickTree::build(&speed);
+            (data, speed, tree)
         })
         .collect();
     for threads in [1usize, 2, 4, 8] {
         h.bench(&format!("extract/parallel_blocks_{threads}t"), || {
-            scoped_map(threads, &blocks, |_, (data, soa, tree)| {
-                extract_isosurface_soa_with_tree(&data.grid, soa, 0.15, Some(tree))
+            scoped_map(threads, &blocks, |_, (data, speed, tree)| {
+                extract_isosurface_with_tree(&data.grid, speed, 0.15, Some(tree))
             })
         });
     }
