@@ -1,26 +1,38 @@
-//! Criterion micro-benchmarks of the extraction and DMS kernels that sit
-//! in the framework's inner loops: the *real* (undilated) computational
-//! costs, complementing the modeled-time experiment benches.
+//! Micro-benchmarks of the kernels and the bulk byte paths, timed with
+//! `std::time::Instant` (`harness = false`, no bench framework).
+//!
+//! ```text
+//! cargo bench -p vira-bench --bench micro > fresh_micro.json
+//! cargo run -p vira-bench --bin bench_check -- fresh_micro.json
+//! ```
+//!
+//! Emits a JSON array of `{"name", "measured_ns"}` pairs on stdout in
+//! exactly the shape `vira_bench::micro_manifest::merge_measurements`
+//! consumes (progress goes to stderr); the row names are those of
+//! `results/BENCH_micro.json`.
+//!
+//! Methodology: per bench, the iteration count is calibrated so one
+//! repetition takes a few milliseconds, then the **median** per-iteration
+//! time over several repetitions is reported — robust against one-off
+//! scheduling noise. Set `MICROBENCH_QUICK=1` for a fast smoke run (CI):
+//! fewer repetitions and a smaller time budget, same output shape.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
-use vira_dms::cache::{CachePayload, MemoryCache};
-use vira_dms::name::ItemId;
-use vira_dms::policy::policy_by_name;
-use vira_dms::prefetch::{MarkovPrefetch, Prefetcher};
+use std::hint::black_box;
+use std::io::{Read, Write};
+use std::time::Instant;
+
+use vira_comm::socket::{encode_frame, frame_crc, DecodeStep, FrameDecoder};
 use vira_extract::bricktree::BrickTree;
-use vira_extract::bsp::BspTree;
-use vira_extract::eigen::symmetric_eigenvalues;
 use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
 use vira_extract::lambda2::lambda2_field;
-use vira_extract::locate::{invert_trilinear, BlockLocator};
+use vira_extract::locate::invert_trilinear;
 use vira_extract::mesh::TriangleSoup;
 use vira_extract::par::scoped_map;
 use vira_extract::tetra::contour_cell;
-use vira_extract::pathline::{trace_pathline, AnalyticSampler, PathlineConfig};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::{BlockData, ScalarField};
-use vira_grid::math::{Mat3, Vec3};
+use vira_grid::io::{encoded_size, read_block_data, write_block_data};
+use vira_grid::math::Vec3;
 use vira_grid::synth::test_cube;
 
 fn vortex_block(res: usize) -> BlockData {
@@ -31,28 +43,77 @@ fn speed_field(data: &BlockData) -> ScalarField {
     data.velocity.magnitude()
 }
 
-fn bench_eigen(c: &mut Criterion) {
-    let m = Mat3::from_rows(
-        Vec3::new(4.0, -2.0, 0.5),
-        Vec3::new(-2.0, 1.0, 3.0),
-        Vec3::new(0.5, 3.0, -2.0),
-    );
-    c.bench_function("eigen/symmetric_3x3", |b| {
-        b.iter(|| symmetric_eigenvalues(black_box(&m)))
-    });
+struct Harness {
+    quick: bool,
+    results: Vec<(String, u64)>,
 }
 
-fn bench_iso(c: &mut Criterion) {
-    let data = vortex_block(17);
-    let field = speed_field(&data);
-    c.bench_function("iso/extract_block_17cubed", |b| {
-        b.iter(|| extract_isosurface(black_box(&data.grid), black_box(&field), 0.15))
-    });
+impl Harness {
+    fn new() -> Self {
+        Harness {
+            quick: std::env::var("MICROBENCH_QUICK")
+                .map(|v| v == "1")
+                .unwrap_or(false),
+            results: Vec::new(),
+        }
+    }
+
+    /// Times `f` and records the median per-iteration nanoseconds.
+    fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+        let (budget_ns, reps) = if self.quick {
+            (1_000_000u64, 5usize)
+        } else {
+            (5_000_000u64, 11usize)
+        };
+        // Calibrate: grow the per-rep iteration count until one rep
+        // costs at least `budget_ns`.
+        let mut iters = 1u64;
+        loop {
+            let t = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            let elapsed = t.elapsed().as_nanos() as u64;
+            if elapsed >= budget_ns || iters >= 1 << 30 {
+                break;
+            }
+            // Aim past the budget in one or two more doublings.
+            iters = (iters * 2).max(iters * budget_ns / elapsed.max(1) / 2);
+        }
+        let mut per_iter: Vec<u64> = (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    black_box(f());
+                }
+                (t.elapsed().as_nanos() as u64).max(iters) / iters
+            })
+            .collect();
+        per_iter.sort_unstable();
+        let median = per_iter[per_iter.len() / 2];
+        eprintln!("{name}: {median} ns/iter ({iters} iters x {reps} reps)");
+        self.results.push((name.to_string(), median));
+    }
+
+    fn emit(&self) {
+        println!("[");
+        for (idx, (name, ns)) in self.results.iter().enumerate() {
+            let comma = if idx + 1 == self.results.len() {
+                ""
+            } else {
+                ","
+            };
+            println!("  {{\"name\": \"{name}\", \"measured_ns\": {ns}}}{comma}");
+        }
+        println!("]");
+    }
 }
 
-fn bench_contour(c: &mut Criterion) {
-    // An active cell where all six tetrahedra cross the iso level —
-    // the worst (and hottest) case of the inner loop.
+fn main() {
+    let mut h = Harness::new();
+    vira_obs::set_enabled(false);
+
+    // ---- tetra kernel ----
     let corners = [
         Vec3::new(0.0, 0.0, 0.0),
         Vec3::new(1.0, 0.0, 0.0),
@@ -65,89 +126,61 @@ fn bench_contour(c: &mut Criterion) {
     ];
     let scalars = [0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6];
     let mut out = TriangleSoup::with_capacity(16);
-    c.bench_function("tetra/contour_cell_active", |b| {
-        b.iter(|| {
-            out.positions.clear();
-            contour_cell(black_box(&corners), black_box(&scalars), 0.5, &mut out)
-        })
+    h.bench("tetra/contour_cell_active", || {
+        out.positions.clear();
+        contour_cell(black_box(&corners), black_box(&scalars), 0.5, &mut out)
     });
-}
 
-fn bench_bricktree(c: &mut Criterion) {
-    // A sparse feature — small sphere in a 25³ block — is the case the
-    // bricktree exists for.
-    let data = vortex_block(25);
-    let grid = &data.grid;
-    let field = ScalarField::from_fn(grid.dims, |i, j, k| {
-        (grid.point(i, j, k) - Vec3::splat(0.5)).norm()
+    // ---- bricktree + sparse iso ----
+    let data25 = vortex_block(25);
+    let grid25 = &data25.grid;
+    let sphere = ScalarField::from_fn(grid25.dims, |i, j, k| {
+        (grid25.point(i, j, k) - Vec3::splat(0.5)).norm()
     });
-    let iso = 0.15;
-    c.bench_function("bricktree/build_25cubed", |b| {
-        b.iter(|| BrickTree::build(black_box(&field)))
+    let iso_sphere = 0.15;
+    h.bench("bricktree/build_25cubed", || {
+        BrickTree::build(black_box(&sphere))
     });
-    let tree = BrickTree::build(&field);
-    c.bench_function("bricktree/scan_sparse_25cubed", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            tree.scan_candidates(black_box(iso), |_, _, _| n += 1);
-            n
-        })
+    let tree25 = BrickTree::build(&sphere);
+    h.bench("bricktree/scan_sparse_25cubed", || {
+        let mut n = 0usize;
+        tree25.scan_candidates(black_box(iso_sphere), |_, _, _| n += 1);
+        n
     });
-    c.bench_function("iso/extract_sparse_pruned", |b| {
-        b.iter(|| extract_isosurface_with_tree(grid, black_box(&field), iso, Some(&tree)))
+    h.bench("iso/extract_sparse_pruned", || {
+        extract_isosurface_with_tree(grid25, black_box(&sphere), iso_sphere, Some(&tree25))
     });
-    c.bench_function("iso/extract_sparse_unpruned", |b| {
-        b.iter(|| extract_isosurface_with_tree(grid, black_box(&field), iso, None))
+    h.bench("iso/extract_sparse_unpruned", || {
+        extract_isosurface_with_tree(grid25, black_box(&sphere), iso_sphere, None)
     });
-}
 
-fn bench_mesh_encode(c: &mut Criterion) {
-    let data = vortex_block(17);
-    let field = speed_field(&data);
-    let (soup, _) = extract_isosurface(&data.grid, &field, 0.15);
+    // ---- mesh encode/decode ----
+    let data17 = vortex_block(17);
+    let speed17 = speed_field(&data17);
+    let (soup, _) = extract_isosurface(&data17.grid, &speed17, 0.15);
     assert!(!soup.is_empty());
-    c.bench_function("mesh/soup_to_bytes", |b| {
-        b.iter(|| black_box(&soup).to_bytes())
-    });
+    h.bench("mesh/soup_to_bytes", || black_box(&soup).to_bytes());
     let bytes = soup.to_bytes();
-    c.bench_function("mesh/soup_from_bytes", |b| {
-        b.iter(|| TriangleSoup::from_bytes(black_box(bytes.clone())).expect("well-formed"))
+    h.bench("mesh/soup_from_bytes", || {
+        TriangleSoup::from_bytes(black_box(bytes.clone())).expect("well-formed")
     });
-}
 
-fn bench_lambda2(c: &mut Criterion) {
-    let data = vortex_block(17);
-    c.bench_function("lambda2/field_soa", |b| {
-        b.iter(|| lambda2_field(black_box(&data)))
+    // ---- contour scan: unpruned on the sparse 25-cubed sphere, so the
+    // row isolates the cell *scan* (the vectorized part) rather than the
+    // triangulation of active cells; pruned-vs-unpruned is covered by
+    // the iso/extract_sparse pair above. ----
+    h.bench("contour/block_scan_soa", || {
+        extract_isosurface_with_tree(grid25, black_box(&sphere), iso_sphere, None)
     });
-}
 
-fn bench_soa_contour(c: &mut Criterion) {
-    // The vectorized cell scan, unpruned on the sparse 25³ sphere so the
-    // row isolates the *scan* rather than the triangulation of active
-    // cells; pruned-vs-unpruned is bench_bricktree's job.
-    let data = vortex_block(25);
-    let grid = &data.grid;
-    let field = ScalarField::from_fn(grid.dims, |i, j, k| {
-        (grid.point(i, j, k) - Vec3::splat(0.5)).norm()
-    });
-    let iso = 0.15;
-    c.bench_function("contour/block_scan_soa", |b| {
-        b.iter(|| extract_isosurface_with_tree(grid, black_box(&field), iso, None))
-    });
-}
+    // ---- lambda2 field ----
+    h.bench("lambda2/field_soa", || lambda2_field(black_box(&data17)));
 
-fn bench_minmax(c: &mut Criterion) {
-    let data = vortex_block(25);
-    let speed = speed_field(&data);
-    c.bench_function("minmax/block_range_lanes", |b| {
-        b.iter(|| black_box(&speed).range())
-    });
-}
+    // ---- min/max over a 25-cubed speed field ----
+    let speed25 = speed_field(&data25);
+    h.bench("minmax/block_range_lanes", || black_box(&speed25).range());
 
-fn bench_newton_locate(c: &mut Criterion) {
-    // Newton trilinear inversion on a sheared cell (fused residual +
-    // Jacobian accumulation).
+    // ---- Newton point location on a sheared cell ----
     let shear = |u: f64, v: f64, w: f64| {
         Vec3::new(u + 0.3 * v + 0.1 * w, v + 0.2 * w * u, w + 0.15 * u * v)
     };
@@ -163,17 +196,13 @@ fn bench_newton_locate(c: &mut Criterion) {
     ];
     let probe = shear(0.37, 0.61, 0.22);
     assert!(invert_trilinear(&cell, probe).is_some());
-    c.bench_function("locate/newton_fused", |b| {
-        b.iter(|| invert_trilinear(black_box(&cell), black_box(probe)))
+    h.bench("locate/newton_fused", || {
+        invert_trilinear(black_box(&cell), black_box(probe))
     });
-}
 
-fn bench_parallel_extract(c: &mut Criterion) {
-    // Intra-worker parallel block extraction: 8 items of 17³ (one block
-    // over 8 steps — the test-cube dataset is single-block), full
-    // extraction per item, scoped pool at 1/2/4/8 threads. On a
-    // single-core box the >1t numbers measure pool overhead, not
-    // speedup; the manifest notes flag them accordingly.
+    // ---- intra-worker parallel block extraction: 8 items of 17-cubed
+    // (one block over 8 steps — the test-cube dataset is single-block),
+    // full extraction per item, scoped pool at 1/2/4/8 threads ----
     let blocks: Vec<(BlockData, ScalarField, BrickTree)> = (0..8)
         .map(|s| {
             let data = test_cube(17, 8).generate(BlockStepId::new(0, s));
@@ -183,168 +212,74 @@ fn bench_parallel_extract(c: &mut Criterion) {
         })
         .collect();
     for threads in [1usize, 2, 4, 8] {
-        c.bench_function(&format!("extract/parallel_blocks_{threads}t"), |b| {
-            b.iter(|| {
-                scoped_map(threads, &blocks, |_, (data, speed, tree)| {
-                    extract_isosurface_with_tree(&data.grid, speed, 0.15, Some(tree))
-                })
+        h.bench(&format!("extract/parallel_blocks_{threads}t"), || {
+            scoped_map(threads, &blocks, |_, (data, speed, tree)| {
+                extract_isosurface_with_tree(&data.grid, speed, 0.15, Some(tree))
             })
         });
     }
-}
 
-fn bench_bsp(c: &mut Criterion) {
-    let data = vortex_block(17);
-    let field = speed_field(&data);
-    c.bench_function("bsp/build_block_17cubed", |b| {
-        b.iter(|| BspTree::build(black_box(&data.grid), black_box(&field)))
+    // ---- bulk bytes: the socket frame codec on a 3 MB payload (the
+    // size of a merged iso_scrub package) and the block file codec on
+    // a 21-cubed item (an L2 spill and its read-back) ----
+    let payload: Vec<u8> = (0..3_000_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    h.bench("comm/frame_checksum_3mb", || {
+        frame_crc(1, 2, 7, black_box(&payload))
     });
-    let tree = BspTree::build(&data.grid, &field);
-    c.bench_function("bsp/traverse_front_to_back", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            tree.traverse_front_to_back(0.15, Vec3::new(5.0, 0.0, 0.0), &field, |_| n += 1);
-            n
-        })
+    h.bench("comm/frame_roundtrip_3mb", || {
+        let wire = encode_frame(1, 2, 7, black_box(&payload));
+        let mut dec = FrameDecoder::new();
+        for chunk in wire.chunks(64 * 1024) {
+            dec.feed(chunk);
+        }
+        match dec.next() {
+            Some(DecodeStep::Frame(f)) => f.payload.len(),
+            other => panic!("expected the frame back, got {other:?}"),
+        }
     });
-}
-
-fn bench_locate(c: &mut Criterion) {
-    let data = vortex_block(17);
-    let locator = BlockLocator::build(&data.grid);
-    let p = Vec3::new(0.31, -0.12, 0.44);
-    c.bench_function("locate/point_cold", |b| {
-        b.iter(|| locator.locate(black_box(&data.grid), black_box(p), None))
+    // Through `dyn Write` / `dyn Read`, as the DMS disk codec calls them.
+    let data21 = vortex_block(21);
+    let mut file = Vec::with_capacity(encoded_size(data21.dims()) as usize);
+    h.bench("grid/block_encode_21c", || {
+        file.clear();
+        let mut w: &mut dyn Write = black_box(&mut file);
+        write_block_data(&mut w, black_box(&data21)).expect("Vec writes cannot fail");
+        file.len()
     });
-    c.bench_function("locate/point_with_hint", |b| {
-        b.iter(|| locator.locate(black_box(&data.grid), black_box(p), Some((10, 7, 11))))
+    h.bench("grid/block_decode_21c", || {
+        let mut bytes = &file[..];
+        let mut r: &mut dyn Read = black_box(&mut bytes);
+        read_block_data(&mut r).expect("well-formed")
     });
-}
 
-fn bench_pathline(c: &mut Criterion) {
-    c.bench_function("pathline/rigid_rotation_one_turn", |b| {
-        b.iter(|| {
-            let mut s = AnalyticSampler {
-                f: |p: Vec3, _t| Vec3::new(-p.y, p.x, 0.0),
-            };
-            trace_pathline(
-                &mut s,
-                Vec3::new(1.0, 0.0, 0.0),
-                0.0,
-                std::f64::consts::TAU,
-                &PathlineConfig::default(),
-            )
-        })
-    });
-}
-
-struct Blob(usize);
-impl CachePayload for Blob {
-    fn payload_bytes(&self) -> usize {
-        self.0
-    }
-}
-
-fn bench_cache(c: &mut Criterion) {
-    for policy in ["lru", "lfu", "fbr"] {
-        c.bench_function(&format!("cache/{policy}_churn_1000"), |b| {
-            b.iter(|| {
-                let mut cache =
-                    MemoryCache::new(64, policy_by_name(policy).expect("known policy"));
-                for i in 0..1000u64 {
-                    let id = ItemId(i % 128);
-                    if cache.get(id).is_none() {
-                        cache.insert(id, Arc::new(Blob(1)));
-                    }
-                }
-                cache.len()
-            })
-        });
-    }
-}
-
-fn bench_markov(c: &mut Criterion) {
-    c.bench_function("prefetch/markov_advise", |b| {
-        let mut m = MarkovPrefetch::first_order();
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % 64;
-            m.advise(BlockStepId::new(i, 0), false)
-        })
-    });
-}
-
-fn bench_compress(c: &mut Criterion) {
-    let data = vortex_block(17);
-    let raw = vira_storage::compress::payload_bytes_f32(&data);
-    c.bench_function("compress/rle_block_payload", |b| {
-        b.iter(|| vira_storage::compress::rle_compress(black_box(&raw)))
-    });
-}
-
-fn bench_dataset_generate(c: &mut Criterion) {
-    let ds = vira_grid::synth::engine(5);
-    c.bench_function("synth/engine_generate_item", |b| {
-        b.iter(|| ds.generate(black_box(BlockStepId::new(3, 7))))
-    });
-}
-
-fn bench_obs(c: &mut Criterion) {
-    // The overhead bound the observability layer promises: with tracing
-    // disabled a span is one relaxed atomic load; enabled, an open+drop
-    // pushes one fixed-size record into a thread-local ring.
+    // ---- obs layer ----
     vira_obs::set_enabled(false);
-    c.bench_function("obs/span_disabled", |b| {
-        b.iter(|| vira_obs::span(black_box("bench.span"), "bench"))
+    h.bench("obs/span_disabled", || {
+        vira_obs::span(black_box("bench.span"), "bench")
     });
     vira_obs::set_enabled(true);
-    c.bench_function("obs/span_enabled", |b| {
-        b.iter(|| vira_obs::span(black_box("bench.span"), "bench").arg("i", 1u64))
+    h.bench("obs/span_enabled", || {
+        vira_obs::span(black_box("bench.span"), "bench").arg("i", 1u64)
     });
     vira_obs::set_enabled(false);
     let _ = vira_obs::drain();
     let counter = vira_obs::counter("obs_bench_scratch_total");
-    c.bench_function("obs/counter_inc", |b| b.iter(|| counter.inc()));
-    // Trace-context propagation: what every dispatch/run_job pays to
-    // adopt a wire context (install + guard drop), and what a span
-    // opened under an installed context pays extra for inheriting the
-    // parent linkage.
+    h.bench("obs/counter_inc", || counter.inc());
     let ctx = vira_obs::TraceCtx {
         trace_id: 0x5eed,
         parent_span_id: 7,
     };
-    c.bench_function("obs/install_ctx", |b| {
-        b.iter(|| vira_obs::install_ctx(black_box(ctx)))
-    });
+    h.bench("obs/install_ctx", || vira_obs::install_ctx(black_box(ctx)));
     vira_obs::set_enabled(true);
-    let _guard = vira_obs::install_ctx(ctx);
-    c.bench_function("obs/span_under_ctx", |b| {
-        b.iter(|| vira_obs::span(black_box("bench.span"), "bench").arg("i", 1u64))
+    let guard = vira_obs::install_ctx(ctx);
+    h.bench("obs/span_under_ctx", || {
+        vira_obs::span(black_box("bench.span"), "bench").arg("i", 1u64)
     });
-    drop(_guard);
+    drop(guard);
     vira_obs::set_enabled(false);
     let _ = vira_obs::drain();
-}
 
-criterion_group!(
-    benches,
-    bench_eigen,
-    bench_iso,
-    bench_contour,
-    bench_bricktree,
-    bench_mesh_encode,
-    bench_lambda2,
-    bench_soa_contour,
-    bench_minmax,
-    bench_newton_locate,
-    bench_parallel_extract,
-    bench_bsp,
-    bench_locate,
-    bench_pathline,
-    bench_cache,
-    bench_markov,
-    bench_compress,
-    bench_dataset_generate,
-    bench_obs
-);
-criterion_main!(benches);
+    h.emit();
+}

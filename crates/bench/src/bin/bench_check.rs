@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `fresh.json` is the `[{"name", "measured_ns"}, ...]` array emitted by
-//! `tools/standalone/run.sh bench` (or assembled from Criterion output).
+//! `cargo bench -p vira-bench --bench micro`.
 //! The tool exits non-zero when any bench regressed past the tolerance
 //! (default 20%) against `results/BENCH_micro.json`, or went
 //! null-after-measured — the two failure modes `merge_measurements`
@@ -21,6 +21,7 @@ use std::process::exit;
 use vira_bench::micro_manifest::{
     check_regressions, merge_measurements, parse_fresh, DEFAULT_TOLERANCE,
 };
+use vira_obs::json;
 
 fn usage() -> ! {
     eprintln!(
@@ -65,7 +66,7 @@ fn main() {
 
     let fresh_text = std::fs::read_to_string(&fresh_path)
         .unwrap_or_else(|e| fatal(&format!("reading {}: {e}", fresh_path.display())));
-    let fresh_value: serde_json::Value = serde_json::from_str(&fresh_text)
+    let fresh_value = json::parse(&fresh_text)
         .unwrap_or_else(|e| fatal(&format!("parsing {}: {e}", fresh_path.display())));
     let fresh = parse_fresh(&fresh_value).unwrap_or_else(|| {
         fatal(&format!(
@@ -76,7 +77,7 @@ fn main() {
 
     let manifest_text = std::fs::read_to_string(&manifest_path)
         .unwrap_or_else(|e| fatal(&format!("reading {}: {e}", manifest_path.display())));
-    let mut manifest: serde_json::Value = serde_json::from_str(&manifest_text)
+    let mut manifest = json::parse(&manifest_text)
         .unwrap_or_else(|e| fatal(&format!("parsing {}: {e}", manifest_path.display())));
 
     let regressions = check_regressions(&manifest, &fresh, tolerance);
@@ -86,9 +87,7 @@ fn main() {
 
     if regressions.is_empty() && merge {
         let out = merge_measurements(&mut manifest, &fresh);
-        let pretty =
-            serde_json::to_string_pretty(&manifest).expect("manifest serializes");
-        std::fs::write(&manifest_path, pretty + "\n")
+        std::fs::write(&manifest_path, manifest.pretty() + "\n")
             .unwrap_or_else(|e| fatal(&format!("writing {}: {e}", manifest_path.display())));
         eprintln!(
             "merged into {}: {} updated, {} kept, {} added",

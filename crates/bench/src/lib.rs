@@ -127,7 +127,7 @@ pub fn write_json(results: &[ExperimentResult], dir: &Path) -> std::io::Result<(
     std::fs::create_dir_all(dir)?;
     for r in results {
         let path = dir.join(format!("{}.json", r.id));
-        std::fs::write(path, serde_json::to_string_pretty(r).expect("serializable"))?;
+        std::fs::write(path, r.to_json().pretty())?;
     }
     Ok(())
 }

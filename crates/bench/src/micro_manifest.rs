@@ -1,6 +1,6 @@
 //! Provenance handling for `results/BENCH_micro.json`.
 //!
-//! The micro-benchmark manifest records the Criterion bench inventory
+//! The micro-benchmark manifest records the micro-bench inventory
 //! plus (optionally) measured per-iteration times. Measurements are
 //! machine-dependent, so the manifest distinguishes real numbers from
 //! placeholders: every entry carries a `status` of `"measured"` or
@@ -8,7 +8,7 @@
 //! null. Merging fresh results into the manifest never lets a null
 //! (an unmeasured re-run, a skipped bench) clobber a real measurement.
 
-use serde_json::Value;
+use vira_obs::json::Json;
 
 /// Status string for an entry with a numeric `measured_ns`.
 pub const MEASURED: &str = "measured";
@@ -28,32 +28,36 @@ pub struct MergeOutcome {
     pub added: usize,
 }
 
-fn benches_mut(manifest: &mut Value) -> Option<&mut Vec<Value>> {
-    manifest.get_mut("benches")?.as_array_mut()
+fn benches_mut(manifest: &mut Json) -> Option<&mut Vec<Json>> {
+    match manifest.get_mut("benches")? {
+        Json::Arr(benches) => Some(benches),
+        _ => None,
+    }
 }
 
-fn entry_name(entry: &Value) -> Option<&str> {
+fn entry_name(entry: &Json) -> Option<&str> {
     entry.get("name")?.as_str()
 }
 
-fn is_measured(entry: &Value) -> bool {
+fn is_measured(entry: &Json) -> bool {
     entry
         .get("measured_ns")
-        .map(|v| v.is_number())
-        .unwrap_or(false)
+        .is_some_and(|v| v.as_f64().is_some())
 }
 
 /// Stamps every bench entry's `status` field from its `measured_ns`
 /// (`"measured"` for numbers, `"unmeasured"` for null/absent).
-pub fn annotate_status(manifest: &mut Value) {
+pub fn annotate_status(manifest: &mut Json) {
     let Some(benches) = benches_mut(manifest) else {
         return;
     };
     for entry in benches.iter_mut() {
-        let status = if is_measured(entry) { MEASURED } else { UNMEASURED };
-        if let Some(obj) = entry.as_object_mut() {
-            obj.insert("status".into(), Value::String(status.into()));
-        }
+        let status = if is_measured(entry) {
+            MEASURED
+        } else {
+            UNMEASURED
+        };
+        entry.set("status", status.into());
     }
 }
 
@@ -65,7 +69,7 @@ pub fn annotate_status(manifest: &mut Value) {
 /// measurement — the manifest's provenance rule. Unknown names are
 /// appended as minimal entries. `status` fields are re-derived at the
 /// end.
-pub fn merge_measurements(manifest: &mut Value, fresh: &[(String, Option<u64>)]) -> MergeOutcome {
+pub fn merge_measurements(manifest: &mut Json, fresh: &[(String, Option<u64>)]) -> MergeOutcome {
     let mut out = MergeOutcome::default();
     if let Some(benches) = benches_mut(manifest) {
         for (name, measured) in fresh {
@@ -74,10 +78,8 @@ pub fn merge_measurements(manifest: &mut Value, fresh: &[(String, Option<u64>)])
                 .find(|e| entry_name(e) == Some(name.as_str()));
             match (existing, measured) {
                 (Some(entry), Some(ns)) => {
-                    if let Some(obj) = entry.as_object_mut() {
-                        obj.insert("measured_ns".into(), Value::from(*ns));
-                        out.updated += 1;
-                    }
+                    entry.set("measured_ns", (*ns).into());
+                    out.updated += 1;
                 }
                 (Some(entry), None) => {
                     // Refuse to null out a real measurement.
@@ -86,11 +88,11 @@ pub fn merge_measurements(manifest: &mut Value, fresh: &[(String, Option<u64>)])
                     }
                 }
                 (None, measured) => {
-                    benches.push(serde_json::json!({
-                        "name": name,
-                        "unit": "ns/iter",
-                        "measured_ns": measured,
-                    }));
+                    benches.push(Json::obj([
+                        ("name", name.as_str().into()),
+                        ("unit", "ns/iter".into()),
+                        ("measured_ns", (*measured).into()),
+                    ]));
                     out.added += 1;
                 }
             }
@@ -116,14 +118,14 @@ pub struct Regression {
 /// Parses the `[{"name", "measured_ns"}, ...]` array shape that the
 /// measurement harnesses emit into the pair list
 /// [`merge_measurements`] and [`check_regressions`] consume.
-pub fn parse_fresh(fresh: &Value) -> Option<Vec<(String, Option<u64>)>> {
+pub fn parse_fresh(fresh: &Json) -> Option<Vec<(String, Option<u64>)>> {
     fresh
-        .as_array()?
+        .as_arr()?
         .iter()
         .map(|e| {
             let name = entry_name(e)?.to_string();
             let ns = match e.get("measured_ns") {
-                Some(Value::Null) | None => None,
+                Some(Json::Null) | None => None,
                 Some(v) => Some(v.as_u64()?),
             };
             Some((name, ns))
@@ -146,12 +148,12 @@ pub fn parse_fresh(fresh: &Value) -> Option<Vec<(String, Option<u64>)>> {
 /// territory and never fail. Fresh readings *faster* than baseline
 /// never fail either — improvements land via [`merge_measurements`].
 pub fn check_regressions(
-    manifest: &Value,
+    manifest: &Json,
     fresh: &[(String, Option<u64>)],
     tolerance: f64,
 ) -> Vec<Regression> {
     let mut out = Vec::new();
-    let Some(benches) = manifest.get("benches").and_then(|b| b.as_array()) else {
+    let Some(benches) = manifest.get("benches").and_then(Json::as_arr) else {
         return out;
     };
     for (name, measured) in fresh {
@@ -159,7 +161,7 @@ pub fn check_regressions(
             .iter()
             .find(|e| entry_name(e) == Some(name.as_str()))
             .and_then(|e| e.get("measured_ns"))
-            .and_then(|v| v.as_u64());
+            .and_then(Json::as_u64);
         let Some(baseline) = baseline else {
             continue;
         };
@@ -193,38 +195,52 @@ pub fn check_regressions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vira_obs::json::parse;
 
-    fn manifest() -> Value {
-        serde_json::json!({
+    fn manifest() -> Json {
+        parse(
+            r#"{
             "id": "micro",
             "benches": [
                 {"name": "a/real", "unit": "ns/iter", "measured_ns": 120},
-                {"name": "b/null", "unit": "ns/iter", "measured_ns": null},
+                {"name": "b/null", "unit": "ns/iter", "measured_ns": null}
             ]
-        })
+        }"#,
+        )
+        .unwrap()
+    }
+
+    /// Field `key` of the manifest's `i`-th bench entry.
+    fn bench<'a>(m: &'a Json, i: usize, key: &str) -> &'a Json {
+        m.get("benches").unwrap().as_arr().unwrap()[i]
+            .get(key)
+            .unwrap()
     }
 
     #[test]
     fn annotate_derives_status_from_measured_ns() {
         let mut m = manifest();
         annotate_status(&mut m);
-        let b = m["benches"].as_array().unwrap();
-        assert_eq!(b[0]["status"], MEASURED);
-        assert_eq!(b[1]["status"], UNMEASURED);
+        assert_eq!(bench(&m, 0, "status").as_str(), Some(MEASURED));
+        assert_eq!(bench(&m, 1, "status").as_str(), Some(UNMEASURED));
     }
 
     #[test]
     fn null_never_overwrites_a_real_measurement() {
         let mut m = manifest();
-        let out = merge_measurements(
-            &mut m,
-            &[("a/real".into(), None), ("b/null".into(), None)],
+        let out = merge_measurements(&mut m, &[("a/real".into(), None), ("b/null".into(), None)]);
+        assert_eq!(
+            out,
+            MergeOutcome {
+                updated: 0,
+                kept: 1,
+                added: 0
+            }
         );
-        assert_eq!(out, MergeOutcome { updated: 0, kept: 1, added: 0 });
-        assert_eq!(m["benches"][0]["measured_ns"], 120);
-        assert_eq!(m["benches"][0]["status"], MEASURED);
-        assert!(m["benches"][1]["measured_ns"].is_null());
-        assert_eq!(m["benches"][1]["status"], UNMEASURED);
+        assert_eq!(bench(&m, 0, "measured_ns").as_u64(), Some(120));
+        assert_eq!(bench(&m, 0, "status").as_str(), Some(MEASURED));
+        assert!(bench(&m, 1, "measured_ns").is_null());
+        assert_eq!(bench(&m, 1, "status").as_str(), Some(UNMEASURED));
     }
 
     #[test]
@@ -238,30 +254,39 @@ mod tests {
                 ("c/new".into(), Some(7)),
             ],
         );
-        assert_eq!(out, MergeOutcome { updated: 2, kept: 0, added: 1 });
-        assert_eq!(m["benches"][0]["measured_ns"], 95);
-        assert_eq!(m["benches"][1]["measured_ns"], 40);
-        assert_eq!(m["benches"][1]["status"], MEASURED);
-        let c = &m["benches"][2];
-        assert_eq!(c["name"], "c/new");
-        assert_eq!(c["measured_ns"], 7);
-        assert_eq!(c["status"], MEASURED);
+        assert_eq!(
+            out,
+            MergeOutcome {
+                updated: 2,
+                kept: 0,
+                added: 1
+            }
+        );
+        assert_eq!(bench(&m, 0, "measured_ns").as_u64(), Some(95));
+        assert_eq!(bench(&m, 1, "measured_ns").as_u64(), Some(40));
+        assert_eq!(bench(&m, 1, "status").as_str(), Some(MEASURED));
+        assert_eq!(bench(&m, 2, "name").as_str(), Some("c/new"));
+        assert_eq!(bench(&m, 2, "measured_ns").as_u64(), Some(7));
+        assert_eq!(bench(&m, 2, "status").as_str(), Some(MEASURED));
     }
 
     #[test]
     fn parse_fresh_accepts_harness_output_shape() {
-        let fresh = serde_json::json!([
+        let fresh = parse(
+            r#"[
             {"name": "a/real", "measured_ns": 120},
-            {"name": "b/skipped", "measured_ns": null},
-        ]);
+            {"name": "b/skipped", "measured_ns": null}
+        ]"#,
+        )
+        .unwrap();
         let pairs = parse_fresh(&fresh).expect("well-formed");
         assert_eq!(
             pairs,
             vec![("a/real".into(), Some(120)), ("b/skipped".into(), None)]
         );
-        assert!(parse_fresh(&serde_json::json!({"not": "an array"})).is_none());
+        assert!(parse_fresh(&parse(r#"{"not": "an array"}"#).unwrap()).is_none());
         assert!(
-            parse_fresh(&serde_json::json!([{"measured_ns": 5}])).is_none(),
+            parse_fresh(&parse(r#"[{"measured_ns": 5}]"#).unwrap()).is_none(),
             "entries without a name are malformed"
         );
     }
@@ -275,7 +300,10 @@ mod tests {
             &[("a/real".into(), Some(144)), ("a/real".into(), Some(60))],
             DEFAULT_TOLERANCE,
         );
-        assert!(ok.is_empty(), "within tolerance and improvements pass: {ok:?}");
+        assert!(
+            ok.is_empty(),
+            "within tolerance and improvements pass: {ok:?}"
+        );
         let bad = check_regressions(&m, &[("a/real".into(), Some(145))], DEFAULT_TOLERANCE);
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].name, "a/real");
@@ -288,11 +316,11 @@ mod tests {
         let found = check_regressions(
             &m,
             &[
-                ("a/real".into(), None),          // null-after-measured: fails
-                ("b/null".into(), None),          // never measured: fine
-                ("b/null".into(), Some(9999)),    // no baseline: fine
-                ("c/unknown".into(), Some(1)),    // not in manifest: fine
-                ("c/unknown".into(), None),       // ditto
+                ("a/real".into(), None),       // null-after-measured: fails
+                ("b/null".into(), None),       // never measured: fine
+                ("b/null".into(), Some(9999)), // no baseline: fine
+                ("c/unknown".into(), Some(1)), // not in manifest: fine
+                ("c/unknown".into(), None),    // ditto
             ],
             DEFAULT_TOLERANCE,
         );
@@ -310,9 +338,15 @@ mod tests {
         // The checked-in manifest must parse and already carry statuses
         // consistent with its measurements.
         let text = include_str!("../results/BENCH_micro.json");
-        let mut m: Value = serde_json::from_str(text).expect("BENCH_micro.json parses");
+        let mut m = parse(text).expect("BENCH_micro.json parses");
         let before = m.clone();
         annotate_status(&mut m);
         assert_eq!(before, m, "checked-in statuses must match measured_ns");
+        // `bench_check --merge` rewrites the file as this text.
+        assert_eq!(
+            m.pretty() + "\n",
+            text,
+            "the writer reproduces the checked-in file"
+        );
     }
 }

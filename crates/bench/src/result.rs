@@ -1,9 +1,9 @@
 //! Experiment result records and rendering.
 
-use serde::{Deserialize, Serialize};
+use vira_obs::json::{self, Json};
 
 /// One measured data point of an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Series label (typically a command name or configuration).
     pub series: String,
@@ -25,7 +25,7 @@ impl Row {
 }
 
 /// A fully evaluated experiment (one table or figure of the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Harness id, e.g. "fig06".
     pub id: String,
@@ -50,6 +50,43 @@ impl ExperimentResult {
 
     pub fn push(&mut self, row: Row) {
         self.rows.push(row);
+    }
+
+    /// The `results/<id>.json` document.
+    pub fn to_json(&self) -> Json {
+        let row = |r: &Row| {
+            Json::obj([
+                ("series", r.series.as_str().into()),
+                ("x", r.x.as_str().into()),
+                ("value", r.value.into()),
+                ("unit", r.unit.as_str().into()),
+            ])
+        };
+        Json::obj([
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("paper_ref", self.paper_ref.as_str().into()),
+            ("rows", Json::Arr(self.rows.iter().map(row).collect())),
+            ("notes", Json::arr(self.notes.iter().map(String::as_str))),
+        ])
+    }
+
+    pub fn from_json(j: &Json) -> Result<ExperimentResult, String> {
+        let row = |r: &Json| {
+            Ok(Row {
+                series: r.req("series", json::string)?,
+                x: r.req("x", json::string)?,
+                value: r.req("value", json::f64)?,
+                unit: r.req("unit", json::string)?,
+            })
+        };
+        Ok(ExperimentResult {
+            id: j.req("id", json::string)?,
+            title: j.req("title", json::string)?,
+            paper_ref: j.req("paper_ref", json::string)?,
+            rows: j.req("rows", |rs| json::list(rs, row))?,
+            notes: j.req("notes", |ns| json::list(ns, json::string))?,
+        })
     }
 
     pub fn note(&mut self, s: impl Into<String>) {
@@ -97,7 +134,11 @@ impl ExperimentResult {
         ));
         let series = self.series_names();
         let xs = self.x_labels();
-        let unit = self.rows.first().map(|r| r.unit.clone()).unwrap_or_default();
+        let unit = self
+            .rows
+            .first()
+            .map(|r| r.unit.clone())
+            .unwrap_or_default();
         out.push_str("| |");
         for s in &series {
             out.push_str(&format!(" {s} |"));
@@ -164,7 +205,10 @@ mod tests {
         assert_eq!(e.x_labels(), vec!["workers=1", "workers=2"]);
         assert_eq!(
             e.series("A"),
-            vec![("workers=1".to_string(), 10.0), ("workers=2".to_string(), 5.5)]
+            vec![
+                ("workers=1".to_string(), 10.0),
+                ("workers=2".to_string(), 5.5)
+            ]
         );
     }
 
@@ -178,11 +222,40 @@ mod tests {
     }
 
     #[test]
+    fn checked_in_results_read_back_and_rewrite_byte_for_byte() {
+        // The files under results/ were written by the derived encoder
+        // of earlier versions; the file format has not moved if each one
+        // decodes and encodes to exactly its own text.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.file_name().unwrap() == "BENCH_micro.json" {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let result = json::parse(&text)
+                .and_then(|j| ExperimentResult::from_json(&j))
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(
+                result.to_json().pretty(),
+                text.trim_end(),
+                "{}",
+                path.display()
+            );
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} result files found");
+    }
+
+    #[test]
     fn json_roundtrip() {
         let e = sample();
-        let json = serde_json::to_string(&e).unwrap();
-        let back: ExperimentResult = serde_json::from_str(&json).unwrap();
+        let text = e.to_json().pretty();
+        let back = ExperimentResult::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.rows, e.rows);
         assert_eq!(back.id, e.id);
+        assert_eq!(back.notes, e.notes);
+        assert_eq!(back.to_json().pretty(), text);
     }
 }

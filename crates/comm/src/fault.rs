@@ -275,7 +275,7 @@ impl FaultDecision {
 /// Corruption prefers the binary region of a layer-2 frame
 /// (`u32 LE header-len | JSON | payload`) when one exists, so that
 /// silent bit flips land where only a checksum can catch them; flips
-/// inside the JSON header are almost always caught by serde and are
+/// inside the JSON header are almost always caught by the header decoder and are
 /// equivalent to a drop once the decoder rejects the frame.
 pub fn apply_payload_faults(d: &FaultDecision, payload: &Bytes) -> Bytes {
     let mut buf: BytesMut = BytesMut::from(&payload[..]);

@@ -7,7 +7,7 @@
 //! would have.
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use vira_obs as obs;
@@ -38,20 +38,20 @@ const LINK_DEPTH: usize = 4096;
 
 /// Client-side handle: submit requests, receive events.
 pub struct ClientSide {
-    to_server: Sender<Bytes>,
+    to_server: SyncSender<Bytes>,
     from_server: Receiver<Bytes>,
 }
 
 /// Back-end-side handle: receive requests, emit events.
 pub struct ServerSide {
     from_client: Receiver<Bytes>,
-    to_client: Sender<Bytes>,
+    to_client: SyncSender<Bytes>,
 }
 
 /// Creates a connected client/server link pair.
 pub fn client_server_link() -> (ClientSide, ServerSide) {
-    let (req_tx, req_rx) = bounded(LINK_DEPTH);
-    let (ev_tx, ev_rx) = bounded(LINK_DEPTH);
+    let (req_tx, req_rx) = sync_channel(LINK_DEPTH);
+    let (ev_tx, ev_rx) = sync_channel(LINK_DEPTH);
     (
         ClientSide {
             to_server: req_tx,
@@ -146,7 +146,7 @@ impl ServerSide {
 /// `CLIENT_EVENT` messages, and the scheduler re-emits them here.
 #[derive(Clone)]
 enum Sink {
-    Link(Sender<Bytes>),
+    Link(SyncSender<Bytes>),
     Hook(Arc<dyn Fn(Bytes) -> Result<(), CommError> + Send + Sync>),
 }
 

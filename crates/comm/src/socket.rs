@@ -49,7 +49,7 @@
 use crate::fault::{apply_payload_faults, record_fault, FaultKind, FaultPlan, FaultStats};
 use crate::transport::{tags, CommError, Message, Rank, Tag, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -835,7 +835,7 @@ impl SocketListener {
                 Err(e) => return Err(e),
             }
         }
-        let (inbox_tx, inbox_rx) = unbounded();
+        let (inbox_tx, inbox_rx) = channel();
         let shared = Arc::new(HubShared {
             peers: streams
                 .iter()
@@ -1355,7 +1355,7 @@ impl SocketWorker {
             return Err(protocol_err("WELCOME did not confirm the claimed rank"));
         }
         stream.set_read_timeout(None)?;
-        let (tx, inbox_rx) = unbounded();
+        let (tx, inbox_rx) = channel();
         let my_rank = rank as u32;
         let reader_stream = stream.try_clone()?;
         let tap: Arc<Mutex<Option<FrameTap>>> = Arc::new(Mutex::new(None));

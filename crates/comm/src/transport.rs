@@ -11,7 +11,7 @@
 //! trait over sockets or MPI without touching layers 2 and 3.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::fmt;
 use std::time::Duration;
 
@@ -130,7 +130,7 @@ impl LocalWorld {
         let mut senders = Vec::with_capacity(n);
         let mut inboxes = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             inboxes.push(rx);
         }

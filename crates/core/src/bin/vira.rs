@@ -884,7 +884,7 @@ fn cmd_worker(args: Args) {
         transport.set_frame_tap(move |frame| {
             if frame.tag == tags::CANCEL {
                 if let Some(job) = viracocha::wire::decode_cancel(&frame.payload) {
-                    cancels.write().insert(job);
+                    cancels.write().unwrap().insert(job);
                 }
             }
         });

@@ -9,9 +9,8 @@
 //! worker to merge.
 
 use crate::wire;
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use vira_comm::collective::Group;
 use vira_comm::link::EventSender;
 use vira_comm::transport::{CommError, Rank};
@@ -295,7 +294,7 @@ impl<'a> JobCtx<'a> {
     /// True once the client cancelled this job; commands should check
     /// between work units and return early with whatever they have.
     pub fn is_cancelled(&self) -> bool {
-        self.cancels.read().contains(&self.job)
+        self.cancels.read().unwrap().contains(&self.job)
     }
 
     /// Reports this worker's progress fraction to the visualization

@@ -14,9 +14,8 @@
 //! the `cache_fields` parameter is set; the `ablation_derived` bench
 //! quantifies the effect on a threshold sweep.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vira_extract::bricktree::BrickTree;
 use vira_grid::block::BlockStepId;
 use vira_grid::field::ScalarField;
@@ -83,7 +82,7 @@ impl DerivedFieldCache {
             id,
         };
         {
-            let mut g = self.inner.lock();
+            let mut g = self.inner.lock().unwrap();
             g.stamp += 1;
             let stamp = g.stamp;
             if g.map.contains_key(&key) {
@@ -98,7 +97,7 @@ impl DerivedFieldCache {
         // this (potentially long) derivation runs.
         let field = Arc::new(compute());
         let bytes = field.values.len() * std::mem::size_of::<f64>();
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         g.stamp += 1;
         let stamp = g.stamp;
         // Another thread may have computed the same key concurrently:
@@ -150,7 +149,7 @@ impl DerivedFieldCache {
             id,
         };
         {
-            let mut g = self.inner.lock();
+            let mut g = self.inner.lock().unwrap();
             if let Some(e) = g.map.get_mut(&key) {
                 if let Some(t) = &e.tree {
                     return (field, t.clone());
@@ -161,7 +160,7 @@ impl DerivedFieldCache {
         // a given key is deterministic, so even if the entry was evicted
         // and recomputed concurrently the tree stays valid for `field`.
         let tree = Arc::new(BrickTree::build(&field));
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         if let Some(e) = g.map.get_mut(&key) {
             let t = e.tree.get_or_insert_with(|| tree.clone());
             return (field, t.clone());
@@ -185,7 +184,7 @@ impl DerivedFieldCache {
             id,
         };
         let field = {
-            let mut g = self.inner.lock();
+            let mut g = self.inner.lock().unwrap();
             g.stamp += 1;
             let stamp = g.stamp;
             let e = g.map.get_mut(&key)?;
@@ -196,7 +195,7 @@ impl DerivedFieldCache {
             e.field.clone()
         };
         let tree = Arc::new(BrickTree::build(&field));
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         if let Some(e) = g.map.get_mut(&key) {
             let t = e.tree.get_or_insert_with(|| tree.clone()).clone();
             return Some((field, t));
@@ -223,7 +222,7 @@ impl DerivedFieldCache {
             id,
         };
         let field = {
-            let mut g = self.inner.lock();
+            let mut g = self.inner.lock().unwrap();
             g.stamp += 1;
             let stamp = g.stamp;
             let e = g.map.get_mut(&key)?;
@@ -242,7 +241,7 @@ impl DerivedFieldCache {
         // deterministic, so a concurrent scan of the same key lands on
         // the same value.
         let r = field.range()?;
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         if let Some(e) = g.map.get_mut(&key) {
             e.range.get_or_insert(r);
         }
@@ -251,12 +250,12 @@ impl DerivedFieldCache {
 
     /// `(hits, misses)` since construction.
     pub fn stats(&self) -> (u64, u64) {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap();
         (g.hits, g.misses)
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().unwrap().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -264,12 +263,12 @@ impl DerivedFieldCache {
     }
 
     pub fn used_bytes(&self) -> usize {
-        self.inner.lock().used_bytes
+        self.inner.lock().unwrap().used_bytes
     }
 
     /// Drops every cached field.
     pub fn clear(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap();
         g.map.clear();
         g.used_bytes = 0;
     }

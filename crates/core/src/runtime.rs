@@ -6,9 +6,8 @@ use crate::commands::default_registry;
 use crate::config::ViracochaConfig;
 use crate::scheduler::{scheduler_main, SchedulerSetup};
 use crate::worker::{worker_main, WorkerSetup};
-use parking_lot::RwLock;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use vira_comm::endpoint::Endpoint;
 use vira_comm::fault::{FaultPlan, FaultStats, FaultyTransport};

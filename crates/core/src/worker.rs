@@ -355,7 +355,7 @@ fn run_job<T: Transport>(
                 // Notices for other (already finished) jobs are stale
                 // and dropped.
                 if wire::decode_cancel(&m.payload) == Some(msg.job) {
-                    cancels.write().insert(msg.job);
+                    cancels.write().unwrap().insert(msg.job);
                 }
             }
             tags::SHUTDOWN => return JobExit::Shutdown,

@@ -461,7 +461,7 @@ fn cancel_of_queued_job_leaves_no_cancel_set_residue() {
         "a queued-job cancel ends in a Cancelled final"
     );
     assert!(
-        backend.cancel_set().read().is_empty(),
+        backend.cancel_set().read().unwrap().is_empty(),
         "queue-position cancels never dispatch, so the cancel set must stay empty"
     );
     finish(backend, client);

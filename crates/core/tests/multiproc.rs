@@ -213,7 +213,7 @@ fn sorted_bits(soup: &TriangleSoup) -> Vec<[u32; 3]> {
     v
 }
 
-/// Acceptance criterion: `vira serve` + 3 separate worker OS processes
+/// Acceptance test: `vira serve` + 3 separate worker OS processes
 /// over a Unix socket produce the same TriangleSoup, byte for byte, as
 /// the in-process transport — and the whole world shuts down
 /// gracefully (every process exits 0).

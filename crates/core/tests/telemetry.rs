@@ -8,7 +8,6 @@
 //! the end-to-end check is a single test; the property tests below only
 //! build local histograms and can run alongside it.
 
-use proptest::prelude::*;
 use std::sync::Arc;
 use vira_grid::synth::test_cube;
 use vira_obs::{HistogramSnapshot, MetricsDelta, SparseHist};
@@ -195,35 +194,39 @@ fn local_hist(samples: &[u64]) -> HistogramSnapshot {
     h
 }
 
-proptest! {
-    /// Satellite check: log2-histogram quantile upper bounds are sound
-    /// (never below the exact quantile) and tight (within one bucket,
-    /// i.e. a factor of two) for p50, p99 and p999.
-    #[test]
-    fn quantile_upper_bounds_are_sound_and_bucket_tight(
-        samples in prop::collection::vec(0u64..(1 << 48), 1..300),
-    ) {
+fn arb_samples(g: &mut vira_testkit::Gen, min_len: usize, max_len: usize) -> Vec<u64> {
+    g.vec(min_len..max_len, |g| g.u64_in(0..1 << 48))
+}
+
+/// Satellite check: log2-histogram quantile upper bounds are sound
+/// (never below the exact quantile) and tight (within one bucket,
+/// i.e. a factor of two) for p50, p99 and p999.
+#[test]
+fn quantile_upper_bounds_are_sound_and_bucket_tight() {
+    vira_testkit::check(vira_testkit::DEFAULT_CASES, |g| {
+        let samples = arb_samples(g, 1, 300);
         let h = local_hist(&samples);
         let mut sorted = samples.clone();
         for &q in &[0.50, 0.99, 0.999] {
             let exact = exact_quantile(&mut sorted, q);
             let ub = h.quantile_upper_bound(q);
-            prop_assert!(ub > exact, "ub {ub} not above exact {exact} at q={q}");
-            prop_assert!(
+            assert!(ub > exact, "ub {ub} not above exact {exact} at q={q}");
+            assert!(
                 ub <= 2 * exact.max(1),
                 "ub {ub} beyond one bucket of exact {exact} at q={q}"
             );
         }
-    }
+    });
+}
 
-    /// Merging per-rank sparse deltas through the tsdb is lossless: the
-    /// cross-rank merged histogram equals a direct fold of all samples,
-    /// so cluster quantiles come from the real distribution.
-    #[test]
-    fn tsdb_merged_histogram_equals_direct_fold(
-        a in prop::collection::vec(0u64..(1 << 48), 0..100),
-        b in prop::collection::vec(0u64..(1 << 48), 0..100),
-    ) {
+/// Merging per-rank sparse deltas through the tsdb is lossless: the
+/// cross-rank merged histogram equals a direct fold of all samples,
+/// so cluster quantiles come from the real distribution.
+#[test]
+fn tsdb_merged_histogram_equals_direct_fold() {
+    vira_testkit::check(vira_testkit::DEFAULT_CASES, |g| {
+        let a = arb_samples(g, 0, 100);
+        let b = arb_samples(g, 0, 100);
         let mut db = vira_obs::Tsdb::new(vira_obs::TsdbConfig::default());
         for (rank, samples) in [(1u64, &a), (2u64, &b)] {
             let delta = MetricsDelta {
@@ -241,8 +244,8 @@ proptest! {
         let merged = db.merged_histogram("sched_job_runtime_ns");
         let all: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
         let direct = local_hist(&all);
-        prop_assert_eq!(merged.count, direct.count);
-        prop_assert_eq!(merged.sum, direct.sum);
-        prop_assert_eq!(merged.buckets, direct.buckets);
-    }
+        assert_eq!(merged.count, direct.count);
+        assert_eq!(merged.sum, direct.sum);
+        assert_eq!(merged.buckets, direct.buckets);
+    });
 }

@@ -10,13 +10,13 @@
 
 use crate::name::ItemId;
 use crate::policy::ReplacementPolicy;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use vira_grid::field::BlockData;
+use vira_obs::json::{self, Json};
 
 /// Anything the cache can hold: must report its own size.
 pub trait CachePayload: Send + Sync {
@@ -71,11 +71,10 @@ const DIGEST_WORDS: usize = DIGEST_BITS / 64;
 /// queries may therefore over-count (hash collisions) but never
 /// under-count — a positive locality score always reflects at least a
 /// plausible cached block. An *empty* word vector means "no information"
-/// (the serde/wire default for peers that predate the digest), which is
+/// (the wire default for peers that predate the digest), which is
 /// distinct from an all-zero digest of a known-empty cache.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResidencyDigest {
-    #[serde(default)]
     words: Vec<u64>,
 }
 
@@ -129,6 +128,17 @@ impl ResidencyDigest {
     /// distinct resident blocks, good enough for a telemetry gauge.
     pub fn set_bits(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// The digest inside a JSON wire header: `{"words":[…]}`.
+    pub fn to_json(&self) -> Json {
+        Json::obj([("words", Json::arr(self.words.iter().copied()))])
+    }
+
+    /// Inverse of [`Self::to_json`]; absent `words` is the unknown digest.
+    pub fn from_json(j: &Json) -> Result<ResidencyDigest, String> {
+        let words = j.opt("words", |w| json::list(w, json::u64))?.unwrap_or_default();
+        Ok(ResidencyDigest { words })
     }
 
     /// Little-endian word dump for piggybacking on raw (non-JSON)
@@ -522,7 +532,9 @@ impl<P: CachePayload> TieredCache<P> {
 
     /// Inserts into L1, demoting L1 evictions into L2 when present.
     /// Items that leave the cache entirely are recorded in the dropped
-    /// log (see [`drain_dropped`](Self::drain_dropped)).
+    /// log (see [`drain_dropped`](Self::drain_dropped)) — also when a
+    /// spill fails: `id` is then resident, every victim that reached
+    /// neither tier is in the log, and the first error is returned.
     pub fn insert(&mut self, id: ItemId, payload: Arc<P>) -> io::Result<()> {
         // The memory copy supersedes a spilled one (a promotion, or a
         // re-insert while demoted): an item lives in one tier at a time.
@@ -530,23 +542,27 @@ impl<P: CachePayload> TieredCache<P> {
             l2.remove(id)?;
         }
         let demoted = self.l1.insert(id, payload);
+        let mut first_err = None;
         if let Some(l2) = self.l2.as_mut() {
             for (vid, v) in demoted {
-                // An item too large for the disk tier is dropped — it can
-                // always be reloaded from its source.
                 match l2.insert(vid, &v) {
                     Ok(evicted) => self.dropped_log.extend(evicted),
-                    Err(e) if e.kind() == io::ErrorKind::OutOfMemory => {
-                        self.dropped_log.push(vid)
+                    Err(e) => {
+                        self.dropped_log.push(vid);
+                        // An item too large for the disk tier is just
+                        // dropped — it can always be reloaded from its
+                        // source.
+                        if e.kind() != io::ErrorKind::OutOfMemory {
+                            first_err.get_or_insert(e);
+                        }
                     }
-                    Err(e) => return Err(e),
                 }
             }
         } else {
             self.dropped_log
                 .extend(demoted.into_iter().map(|(vid, _)| vid));
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Evicts an item from both tiers.
@@ -792,6 +808,59 @@ mod tests {
     }
 
     #[test]
+    fn residency_digest_wire_shape_is_pinned() {
+        let mut d = ResidencyDigest::empty();
+        d.insert(ItemId(0));
+        d.insert(ItemId(63));
+        d.insert(ItemId(64));
+        let zeros = ",0".repeat(DIGEST_WORDS - 2);
+        // Bit 63 makes the first word exceed what an f64 holds exactly.
+        let text = format!(r#"{{"words":[9223372036854775809,1{zeros}]}}"#);
+        assert_eq!(d.to_json().to_string(), text);
+        assert_eq!(ResidencyDigest::from_json(&json::parse(&text).unwrap()), Ok(d.clone()));
+        assert_eq!(ResidencyDigest::from_json(&d.to_json()), Ok(d));
+        // The unknown digest, as written and as an older peer omits it.
+        let unknown = ResidencyDigest::default();
+        assert_eq!(unknown.to_json().to_string(), r#"{"words":[]}"#);
+        assert_eq!(ResidencyDigest::from_json(&unknown.to_json()), Ok(unknown.clone()));
+        assert_eq!(ResidencyDigest::from_json(&json::parse("{}").unwrap()), Ok(unknown));
+        assert!(ResidencyDigest::from_json(&json::parse(r#"{"words":[1.5]}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn failed_spill_logs_every_victim_as_dropped() {
+        let dir = spill_dir("spill_fails");
+        let l1 = MemoryCache::new(100, Box::new(LruPolicy::new()));
+        let l2 = DiskCache::new(
+            dir.clone(),
+            1000,
+            Box::new(LruPolicy::new()),
+            Arc::new(BlobCodec),
+        )
+        .unwrap();
+        let mut c = TieredCache::new(l1, Some(l2));
+        c.insert(ItemId(1), blob(40)).unwrap();
+        c.insert(ItemId(2), blob(40)).unwrap();
+        // With the spill directory gone, every demotion fails.
+        fs::remove_dir_all(&dir).unwrap();
+        // Item 3 pushes both residents out of the memory tier.
+        let err = c.insert(ItemId(3), blob(90)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let mut dropped = c.drain_dropped();
+        dropped.sort();
+        assert_eq!(dropped, vec![ItemId(1), ItemId(2)], "both victims, not only the first");
+        for id in [1, 2, 3].map(ItemId) {
+            assert_eq!(
+                c.locate(id).is_none(),
+                dropped.contains(&id),
+                "{id:?}: the log and the tiers must agree"
+            );
+        }
+        assert_eq!(c.locate(ItemId(3)), Some(Tier::Memory));
+        assert!(c.drain_dropped().is_empty(), "reported once");
+    }
+
+    #[test]
     fn tiered_demotes_and_promotes() {
         let l1 = MemoryCache::new(20, Box::new(LruPolicy::new()));
         let l2 = DiskCache::new(
@@ -949,7 +1018,7 @@ mod tests {
     #[test]
     fn residency_digest_membership_and_roundtrip() {
         let mut d = ResidencyDigest::default();
-        assert!(d.is_unknown(), "serde default carries no information");
+        assert!(d.is_unknown(), "the default carries no information");
         assert!(!d.contains(ItemId(5)), "unknown digest claims nothing");
         d.insert(ItemId(5));
         d.insert(ItemId(5 + DIGEST_BITS as u64)); // collides with 5

@@ -7,19 +7,17 @@
 //! handling unambiguous identifiers; proxies include a **name resolver**
 //! that translates names to identifiers and vice versa.
 
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use vira_grid::block::BlockStepId;
 
 /// Opaque, globally unique identifier assigned by the name server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ItemId(pub u64);
 
 /// Fully qualified name of a data item.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ItemName {
     /// Source of the raw data (a file, a part of a file, or a combination
     /// of files — here: the dataset identifier).
@@ -120,10 +118,10 @@ impl NameServer {
 
     /// Returns the id for `name`, assigning a fresh one on first use.
     pub fn register(&self, name: &ItemName) -> ItemId {
-        if let Some(&id) = self.inner.read().by_name.get(name) {
+        if let Some(&id) = self.inner.read().unwrap().by_name.get(name) {
             return id;
         }
-        let mut g = self.inner.write();
+        let mut g = self.inner.write().unwrap();
         // Re-check under the write lock (another thread may have won).
         if let Some(&id) = g.by_name.get(name) {
             return id;
@@ -137,16 +135,16 @@ impl NameServer {
 
     /// Looks up an already-registered name without assigning.
     pub fn lookup(&self, name: &ItemName) -> Option<ItemId> {
-        self.inner.read().by_name.get(name).copied()
+        self.inner.read().unwrap().by_name.get(name).copied()
     }
 
     /// Reverse lookup.
     pub fn resolve(&self, id: ItemId) -> Option<ItemName> {
-        self.inner.read().by_id.get(&id).cloned()
+        self.inner.read().unwrap().by_id.get(&id).cloned()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().by_name.len()
+        self.inner.read().unwrap().by_name.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -171,11 +169,11 @@ impl NameResolver {
 
     /// Name → id, consulting the local cache before the server.
     pub fn to_id(&self, name: &ItemName) -> ItemId {
-        if let Some(&id) = self.local.read().get(name) {
+        if let Some(&id) = self.local.read().unwrap().get(name) {
             return id;
         }
         let id = self.server.register(name);
-        self.local.write().insert(name.clone(), id);
+        self.local.write().unwrap().insert(name.clone(), id);
         id
     }
 
@@ -187,7 +185,7 @@ impl NameResolver {
 
     /// Number of locally cached translations.
     pub fn cached(&self) -> usize {
-        self.local.read().len()
+        self.local.read().unwrap().len()
     }
 }
 

@@ -15,7 +15,6 @@
 //!   phase, during which a pure Markov prefetcher issues no useful
 //!   prefetches).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use vira_grid::block::{BlockId, BlockStepId};
@@ -25,7 +24,7 @@ use vira_grid::synth::DatasetSpec;
 ///
 /// Items are ordered step-major; within a step, blocks follow a
 /// permutation (file order by default, or e.g. a topology BFS order).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequenceOrder {
     n_blocks: u32,
     n_steps: u32,

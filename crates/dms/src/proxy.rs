@@ -17,10 +17,9 @@ use crate::policy::policy_by_name;
 use crate::prefetch::{prefetcher_by_name, Prefetcher};
 use crate::server::{DataServer, LoadStrategy, NodeId, SharedCache};
 use crate::stats::{DmsStats, StrategyIndex};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use vira_obs as obs;
 use vira_grid::block::BlockStepId;
@@ -114,7 +113,7 @@ impl Core {
         if self.prefetcher_kind == "none" {
             return Vec::new();
         }
-        let mut g = self.prefetchers.lock();
+        let mut g = self.prefetchers.lock().unwrap();
         if !g.contains_key(dataset) {
             let Some(order) = self.server.sequence_order(dataset) else {
                 return Vec::new();
@@ -211,23 +210,24 @@ impl Core {
     /// Inserts a loaded item and synchronizes the server's peer
     /// directory.
     fn install(&self, item: ItemId, payload: SharedBlockData) -> Result<(), StorageError> {
-        let dropped = {
-            let mut c = self.cache.lock();
-            c.insert(item, payload)
-                .map_err(|e| StorageError::Unavailable(format!("cache spill failed: {e}")))?;
-            c.drain_dropped()
+        let (inserted, dropped) = {
+            let mut c = self.cache.lock().unwrap();
+            let inserted = c.insert(item, payload);
+            (inserted, c.drain_dropped())
         };
+        // What a failed spill dropped has left this node all the same.
         for d in &dropped {
             self.server.notify_evicted(*d, self.node);
-            self.prefetched.lock().remove(d);
+            self.prefetched.lock().unwrap().remove(d);
         }
+        inserted.map_err(|e| StorageError::Unavailable(format!("cache spill failed: {e}")))?;
         self.server.notify_cached(item, self.node);
         Ok(())
     }
 
     /// Removes `item` from the in-flight set and wakes waiters.
     fn finish_inflight(&self, item: ItemId) {
-        let mut fl = self.inflight.lock();
+        let mut fl = self.inflight.lock().unwrap();
         fl.remove(&item);
         drop(fl);
         self.inflight_cv.notify_all();
@@ -238,7 +238,7 @@ impl Core {
 /// the proxy shuts the thread down.
 pub struct DataProxy {
     core: Arc<Core>,
-    prefetch_tx: Option<crossbeam::channel::Sender<PrefetchJob>>,
+    prefetch_tx: Option<mpsc::Sender<PrefetchJob>>,
     prefetch_handle: Option<JoinHandle<()>>,
     prefetch_meter: Arc<Meter>,
 }
@@ -277,7 +277,7 @@ impl DataProxy {
         });
 
         let prefetch_meter = Meter::new();
-        let (tx, rx) = crossbeam::channel::unbounded::<PrefetchJob>();
+        let (tx, rx) = mpsc::channel::<PrefetchJob>();
         let thread_core = core.clone();
         let thread_meter = prefetch_meter.clone();
         let prefetch_handle = std::thread::Builder::new()
@@ -336,7 +336,7 @@ impl DataProxy {
         loop {
             // 1. Cache lookup.
             let hit = {
-                let mut c = core.cache.lock();
+                let mut c = core.cache.lock().unwrap();
                 c.get(item)
                     .map_err(|e| StorageError::Unavailable(format!("cache read failed: {e}")))?
             };
@@ -370,7 +370,7 @@ impl DataProxy {
                         }
                     }
                 }
-                if core.prefetched.lock().remove(&item) {
+                if core.prefetched.lock().unwrap().remove(&item) {
                     core.stats.bump(&core.stats.prefetch_hits);
                     obs::counter_cached(&PREFETCH_HITS, "dms_prefetch_hits_total").inc();
                 }
@@ -380,16 +380,17 @@ impl DataProxy {
 
             // 2. Somebody already loading it? Wait and retry the lookup.
             {
-                let mut fl = core.inflight.lock();
+                let mut fl = core.inflight.lock().unwrap();
                 if fl.contains(&item) {
                     if !waited {
                         core.stats.bump(&core.stats.prefetch_waits);
                         obs::counter_cached(&PREFETCH_WAITS, "dms_prefetch_waits_total").inc();
                         waited = true;
                     }
-                    while fl.contains(&item) {
-                        core.inflight_cv.wait(&mut fl);
-                    }
+                    let _fl = core
+                        .inflight_cv
+                        .wait_while(fl, |fl| fl.contains(&item))
+                        .unwrap();
                     continue;
                 }
                 fl.insert(item);
@@ -442,20 +443,20 @@ impl DataProxy {
     /// True if the item is resident in either cache tier.
     pub fn is_cached(&self, dataset: &str, id: BlockStepId) -> bool {
         let item = self.core.item_id(dataset, id);
-        self.core.cache.lock().locate(item).is_some()
+        self.core.cache.lock().unwrap().locate(item).is_some()
     }
 
     /// Compact fingerprint of everything resident in either tier, for
     /// piggybacking on worker → scheduler frames (locality placement).
     pub fn residency_digest(&self) -> crate::cache::ResidencyDigest {
-        self.core.cache.lock().residency_digest()
+        self.core.cache.lock().unwrap().residency_digest()
     }
 
     /// Empties both cache tiers (e.g. between cold-cache experiments) and
     /// resets learned prefetcher state if `reset_prefetcher` is set.
     pub fn clear_cache(&self, reset_prefetcher: bool) {
         let resident: Vec<ItemId> = {
-            let mut c = self.core.cache.lock();
+            let mut c = self.core.cache.lock().unwrap();
             let ids: Vec<ItemId> = c.l1().resident().collect();
             c.clear().ok();
             ids
@@ -463,9 +464,9 @@ impl DataProxy {
         for id in resident {
             self.core.server.notify_evicted(id, self.core.node);
         }
-        self.core.prefetched.lock().clear();
+        self.core.prefetched.lock().unwrap().clear();
         if reset_prefetcher {
-            for p in self.core.prefetchers.lock().values_mut() {
+            for p in self.core.prefetchers.lock().unwrap().values_mut() {
                 p.reset();
             }
         }
@@ -477,7 +478,7 @@ impl DataProxy {
         use std::sync::atomic::Ordering;
         loop {
             let drained = self.core.pending_jobs.load(Ordering::Acquire) == 0;
-            let idle = self.core.inflight.lock().is_empty();
+            let idle = self.core.inflight.lock().unwrap().is_empty();
             if drained && idle {
                 return;
             }
@@ -488,13 +489,13 @@ impl DataProxy {
 
 fn run_prefetch_job(core: &Core, job: &PrefetchJob, meter: &Meter) {
     let item = core.item_id(&job.dataset, job.id);
-    if core.cache.lock().locate(item).is_some() {
+    if core.cache.lock().unwrap().locate(item).is_some() {
         core.stats.bump(&core.stats.prefetch_redundant);
         obs::counter_cached(&PREFETCH_REDUNDANT, "dms_prefetch_redundant_total").inc();
         return;
     }
     {
-        let mut fl = core.inflight.lock();
+        let mut fl = core.inflight.lock().unwrap();
         if fl.contains(&item) {
             core.stats.bump(&core.stats.prefetch_redundant);
             obs::counter_cached(&PREFETCH_REDUNDANT, "dms_prefetch_redundant_total").inc();
@@ -511,7 +512,7 @@ fn run_prefetch_job(core: &Core, job: &PrefetchJob, meter: &Meter) {
     match core.load(&job.dataset, item, job.id, meter) {
         Ok(payload) => {
             if core.install(item, payload).is_ok() {
-                core.prefetched.lock().insert(item);
+                core.prefetched.lock().unwrap().insert(item);
             }
         }
         Err(_) => {

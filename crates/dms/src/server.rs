@@ -20,10 +20,9 @@
 use crate::cache::TieredCache;
 use crate::name::{ItemId, NameServer};
 use crate::prefetch::SequenceOrder;
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::BlockData;
 use vira_grid::synth::DatasetSpec;
@@ -190,7 +189,7 @@ impl DataServer {
                 1e-9,
             ))
         });
-        self.datasets.write().insert(
+        self.datasets.write().unwrap().insert(
             spec.name.clone(),
             Arc::new(DatasetEntry {
                 spec,
@@ -205,17 +204,17 @@ impl DataServer {
 
     /// Spec of a registered dataset.
     pub fn dataset_spec(&self, dataset: &str) -> Option<DatasetSpec> {
-        self.datasets.read().get(dataset).map(|e| e.spec.clone())
+        self.datasets.read().unwrap().get(dataset).map(|e| e.spec.clone())
     }
 
     /// Sequential prefetch order of a registered dataset.
     pub fn sequence_order(&self, dataset: &str) -> Option<Arc<SequenceOrder>> {
-        self.datasets.read().get(dataset).map(|e| e.order.clone())
+        self.datasets.read().unwrap().get(dataset).map(|e| e.order.clone())
     }
 
     /// Replaces the prefetch order (e.g. with a topology BFS order).
     pub fn set_sequence_order(&self, dataset: &str, order: SequenceOrder) {
-        let mut g = self.datasets.write();
+        let mut g = self.datasets.write().unwrap();
         if let Some(e) = g.get(dataset) {
             let new = DatasetEntry {
                 spec: e.spec.clone(),
@@ -231,12 +230,12 @@ impl DataServer {
 
     /// Static per-block bounding boxes of a registered dataset, if known.
     pub fn block_bboxes(&self, dataset: &str) -> Option<Arc<Vec<vira_grid::math::Aabb>>> {
-        self.datasets.read().get(dataset)?.bboxes.clone()
+        self.datasets.read().unwrap().get(dataset)?.bboxes.clone()
     }
 
     /// Block adjacency of a registered dataset, if known.
     pub fn topology(&self, dataset: &str) -> Option<Arc<vira_grid::topology::BlockTopology>> {
-        self.datasets.read().get(dataset)?.topology.clone()
+        self.datasets.read().unwrap().get(dataset)?.topology.clone()
     }
 
     /// Direct load from the file server, bypassing strategy selection and
@@ -254,7 +253,7 @@ impl DataServer {
 
     fn entry(&self, dataset: &str) -> Result<Arc<DatasetEntry>, StorageError> {
         self.datasets
-            .read()
+            .read().unwrap()
             .get(dataset)
             .cloned()
             .ok_or_else(|| StorageError::Unavailable(format!("dataset {dataset} not registered")))
@@ -262,18 +261,18 @@ impl DataServer {
 
     /// The registered cache handle of a node, if any.
     pub fn peer_cache_handle(&self, node: NodeId) -> Option<SharedCache> {
-        self.peer_caches.read().get(&node).cloned()
+        self.peer_caches.read().unwrap().get(&node).cloned()
     }
 
     /// A proxy announces itself for cooperative caching.
     pub fn register_proxy(&self, node: NodeId, cache: SharedCache) {
-        self.peer_caches.write().insert(node, cache);
+        self.peer_caches.write().unwrap().insert(node, cache);
     }
 
     /// Drops a proxy (its cached items leave the directory).
     pub fn unregister_proxy(&self, node: NodeId) {
-        self.peer_caches.write().remove(&node);
-        let mut dir = self.directory.write();
+        self.peer_caches.write().unwrap().remove(&node);
+        let mut dir = self.directory.write().unwrap();
         dir.retain(|_, nodes| {
             nodes.remove(&node);
             !nodes.is_empty()
@@ -282,12 +281,12 @@ impl DataServer {
 
     /// Proxy → server: `item` is now cached at `node`.
     pub fn notify_cached(&self, item: ItemId, node: NodeId) {
-        self.directory.write().entry(item).or_default().insert(node);
+        self.directory.write().unwrap().entry(item).or_default().insert(node);
     }
 
     /// Proxy → server: `item` fully left `node`'s cache.
     pub fn notify_evicted(&self, item: ItemId, node: NodeId) {
-        let mut dir = self.directory.write();
+        let mut dir = self.directory.write().unwrap();
         if let Some(nodes) = dir.get_mut(&item) {
             nodes.remove(&node);
             if nodes.is_empty() {
@@ -299,7 +298,7 @@ impl DataServer {
     /// Nodes currently known to cache `item`.
     pub fn holders(&self, item: ItemId) -> Vec<NodeId> {
         self.directory
-            .read()
+            .read().unwrap()
             .get(&item)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
@@ -354,7 +353,7 @@ impl DataServer {
         if self.config.peer_transfers {
             if let Some(&peer) = self
                 .directory
-                .read()
+                .read().unwrap()
                 .get(&item)
                 .and_then(|nodes| nodes.iter().find(|&&n| n != requester))
             {
@@ -429,9 +428,9 @@ impl DataServer {
         if consume_budget(&self.peer_failure_budget) {
             return None;
         }
-        let cache = self.peer_caches.read().get(&peer).cloned()?;
+        let cache = self.peer_caches.read().unwrap().get(&peer).cloned()?;
         let hit = {
-            let mut guard = cache.lock();
+            let mut guard = cache.lock().unwrap();
             guard.get(item).ok().flatten()
         };
         let (data, tier) = hit?;
@@ -596,7 +595,7 @@ mod tests {
             None,
         )));
         let payload = Arc::new(test_cube(4, 3).generate(id));
-        cache.lock().insert(item, payload.clone()).unwrap();
+        cache.lock().unwrap().insert(item, payload.clone()).unwrap();
         srv.register_proxy(1, cache);
         srv.notify_cached(item, 1);
         // Node 0 loads it via the peer strategy.
@@ -678,7 +677,7 @@ mod tests {
             None,
         )));
         cache
-            .lock()
+            .lock().unwrap()
             .insert(item, Arc::new(test_cube(4, 3).generate(id)))
             .unwrap();
         srv.register_proxy(1, cache);

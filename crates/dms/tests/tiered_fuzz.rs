@@ -2,7 +2,6 @@
 //! survive demotion/promotion, capacity bounds hold in both tiers, and
 //! the dropped-log matches reality.
 
-use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 use vira_dms::cache::{BlockDataCodec, DiskCache, MemoryCache, TieredCache};
@@ -11,12 +10,10 @@ use vira_dms::policy::policy_by_name;
 use vira_grid::block::BlockStepId;
 use vira_grid::field::BlockData;
 use vira_grid::synth::test_cube;
+use vira_testkit::check;
 
 fn spill_dir(tag: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "vira_tiered_fuzz_{}_{tag}",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("vira_tiered_fuzz_{}_{tag}", std::process::id()))
 }
 
 /// Builds a tiered cache whose L1 holds `l1_items` items and whose L2
@@ -39,72 +36,84 @@ fn build(
     TieredCache::new(l1, Some(l2))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Arbitrary access sequences: whatever the cache returns equals what
-    /// the dataset generates, items never duplicate between tiers'
-    /// accounting, and dropped items are exactly those absent from both
-    /// tiers.
-    #[test]
-    fn tiered_cache_is_coherent_under_churn(
-        seq in prop::collection::vec(0u32..12, 1..60),
-        l1_items in 1usize..4,
-        l2_items in 1usize..4,
-        tag in any::<u64>(),
-    ) {
-        let ds = Arc::new(test_cube(4, 12));
-        let sample = ds.generate(BlockStepId::new(0, 0));
-        let item_bytes = sample.memory_bytes();
-        let encoded = vira_grid::io::encoded_size(sample.dims()) as usize;
-        let mut cache = build(item_bytes, encoded, l1_items, l2_items, tag);
-        let mut inserted = std::collections::HashSet::new();
-        let mut dropped_total = std::collections::HashSet::new();
-        for &step in &seq {
-            let id = ItemId(step as u64);
-            match cache.get(id).unwrap() {
-                Some((payload, _tier)) => {
-                    // Cached payload must be the exact item (the disk
-                    // tier round-trips through the binary codec).
-                    prop_assert_eq!(payload.id, BlockStepId::new(0, step));
-                }
-                None => {
-                    let payload = Arc::new(ds.generate(BlockStepId::new(0, step)));
-                    cache.insert(id, payload).unwrap();
-                    inserted.insert(id);
-                    for d in cache.drain_dropped() {
-                        dropped_total.insert(d);
-                    }
-                    // Re-inserting a previously dropped item makes it
-                    // resident again.
-                    dropped_total.remove(&id);
-                }
+/// Replays `seq` (time steps of block 0) against a cache of the given
+/// tier sizes: whatever the cache returns equals what the dataset
+/// generates, items never duplicate between tiers' accounting, and
+/// dropped items are exactly those absent from both tiers.
+fn assert_coherent_under_churn(seq: &[u32], l1_items: usize, l2_items: usize, tag: u64) {
+    let ds = Arc::new(test_cube(4, 12));
+    let sample = ds.generate(BlockStepId::new(0, 0));
+    let item_bytes = sample.memory_bytes();
+    let encoded = vira_grid::io::encoded_size(sample.dims()) as usize;
+    let mut cache = build(item_bytes, encoded, l1_items, l2_items, tag);
+    let mut inserted = std::collections::HashSet::new();
+    let mut dropped_total = std::collections::HashSet::new();
+    for &step in seq {
+        let id = ItemId(step as u64);
+        match cache.get(id).unwrap() {
+            Some((payload, _tier)) => {
+                // Cached payload must be the exact item (the disk
+                // tier round-trips through the binary codec).
+                assert_eq!(payload.id, BlockStepId::new(0, step));
             }
-            // Capacity invariants.
-            prop_assert!(cache.l1().used_bytes() <= item_bytes * l1_items + 1);
-            if let Some(l2) = cache.l2() {
-                prop_assert!(l2.used_bytes() <= encoded * l2_items + 1);
+            None => {
+                let payload = Arc::new(ds.generate(BlockStepId::new(0, step)));
+                cache.insert(id, payload).unwrap();
+                inserted.insert(id);
+                for d in cache.drain_dropped() {
+                    dropped_total.insert(d);
+                }
+                // Re-inserting a previously dropped item makes it
+                // resident again.
+                dropped_total.remove(&id);
             }
         }
-        for d in cache.drain_dropped() {
-            dropped_total.insert(d);
+        // Capacity invariants.
+        assert!(cache.l1().used_bytes() <= item_bytes * l1_items + 1);
+        if let Some(l2) = cache.l2() {
+            assert!(l2.used_bytes() <= encoded * l2_items + 1);
         }
-        // Every inserted item is either locatable or was reported
-        // dropped.
-        for id in inserted {
-            let located = cache.locate(id).is_some();
-            let dropped = dropped_total.contains(&id);
-            prop_assert!(
-                located ^ dropped,
-                "{id:?}: located={located} dropped={dropped}"
-            );
-        }
-        cache.clear().unwrap();
     }
+    for d in cache.drain_dropped() {
+        dropped_total.insert(d);
+    }
+    // Every inserted item is either locatable or was reported
+    // dropped.
+    for id in inserted {
+        let located = cache.locate(id).is_some();
+        let dropped = dropped_total.contains(&id);
+        assert!(
+            located ^ dropped,
+            "{id:?}: located={located} dropped={dropped}"
+        );
+    }
+    cache.clear().unwrap();
+}
 
-    /// Promotion from disk keeps the payload byte-identical.
-    #[test]
-    fn disk_roundtrip_is_lossless(step in 0u32..12, tag in any::<u64>()) {
+/// Arbitrary access sequences over arbitrary tier sizes.
+#[test]
+fn tiered_cache_is_coherent_under_churn() {
+    check(16, |g| {
+        let seq = g.vec(1..60, |g| g.u32_in(0..12));
+        let (l1_items, l2_items) = (g.usize_in(1..4), g.usize_in(1..4));
+        assert_coherent_under_churn(&seq, l1_items, l2_items, g.u64());
+    });
+}
+
+/// The one case the earlier property-test runs had saved as a
+/// regression: a promotion from a one-item disk tier into a one-item
+/// memory tier, whose demotion evicts nothing else.
+#[test]
+fn one_item_tiers_promote_then_demote() {
+    assert_coherent_under_churn(&[4, 0, 5, 4], 1, 1, 85365135471293);
+}
+
+/// Promotion from disk keeps the payload byte-identical.
+#[test]
+fn disk_roundtrip_is_lossless() {
+    check(16, |g| {
+        let step = g.u32_in(0..12);
+        let tag = g.u64();
         let ds = Arc::new(test_cube(5, 12));
         let original = ds.generate(BlockStepId::new(0, step));
         let item_bytes = original.memory_bytes();
@@ -114,12 +123,15 @@ proptest! {
         cache.insert(id, Arc::new(original.clone())).unwrap();
         // Force demotion by inserting another item.
         cache
-            .insert(ItemId(1000), Arc::new(ds.generate(BlockStepId::new(0, (step + 1) % 12))))
+            .insert(
+                ItemId(1000),
+                Arc::new(ds.generate(BlockStepId::new(0, (step + 1) % 12))),
+            )
             .unwrap();
-        prop_assert_eq!(cache.locate(id), Some(vira_dms::cache::Tier::Disk));
+        assert_eq!(cache.locate(id), Some(vira_dms::cache::Tier::Disk));
         let (restored, tier) = cache.get(id).unwrap().expect("resident");
-        prop_assert_eq!(tier, vira_dms::cache::Tier::Disk);
-        prop_assert_eq!(&*restored, &original);
+        assert_eq!(tier, vira_dms::cache::Tier::Disk);
+        assert_eq!(&*restored, &original);
         cache.clear().unwrap();
-    }
+    });
 }

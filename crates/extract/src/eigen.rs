@@ -1,5 +1,5 @@
 //! Eigenvalues of symmetric 3×3 matrices, needed by the λ₂ vortex
-//! criterion (eigenvalues of `S² + Ω²`, which is symmetric).
+//! test (eigenvalues of `S² + Ω²`, which is symmetric).
 //!
 //! Uses the analytic (trigonometric) method: exact for the 3×3 symmetric
 //! case, allocation-free, and orders of magnitude faster than iterative

@@ -285,7 +285,7 @@ mod tests {
     fn sparse_iso_level_visits_minority_of_cells() {
         // The r = 0.3 sphere in a 24³ block is a small feature: the
         // bricktree must discard the bulk of the volume (acceptance
-        // criterion: < 25 % of cells examined).
+        // bar: < 25 % of cells examined).
         let (grid, field) = sphere_case(24);
         let (soup, stats) = extract_isosurface(&grid, &field, 0.3);
         assert!(!soup.is_empty());

@@ -568,12 +568,12 @@ mod tests {
         // The fetch log is the workload the Markov prefetcher learns from.
         let ds = Arc::new(test_cube(10, 4));
         let topo = Arc::new(topology_of(&ds, 1e-9));
-        let log = Arc::new(parking_lot_stub::Mutex::new(Vec::new()));
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
         let ds2 = ds.clone();
         let log2 = log.clone();
         let mut cache: HashMap<BlockStepId, SharedBlockData> = HashMap::new();
         let fetch = move |id: BlockStepId| {
-            log2.lock().push(id);
+            log2.lock().unwrap().push(id);
             Some(
                 cache
                     .entry(id)
@@ -587,7 +587,7 @@ mod tests {
             ..PathlineConfig::default()
         };
         let _ = trace_pathline(&mut sampler, Vec3::new(0.2, 0.0, 0.0), 0.0, ds.spec.dt * 2.5, &cfg);
-        let requests = log.lock().clone();
+        let requests = log.lock().unwrap().clone();
         assert!(!requests.is_empty());
         // The trace walks forward through the time levels overall (the
         // step-doubling controller re-evaluates earlier levels within one
@@ -680,20 +680,6 @@ mod tests {
         assert!(line.len() < 8);
         for p in &line.points {
             assert!(p[0] <= 0.6);
-        }
-    }
-
-    /// Minimal std-based stand-in so the test above doesn't add a
-    /// dependency on parking_lot to this crate.
-    mod parking_lot_stub {
-        pub struct Mutex<T>(std::sync::Mutex<T>);
-        impl<T> Mutex<T> {
-            pub fn new(v: T) -> Self {
-                Mutex(std::sync::Mutex::new(v))
-            }
-            pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-                self.0.lock().unwrap()
-            }
         }
     }
 }

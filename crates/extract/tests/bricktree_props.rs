@@ -3,13 +3,13 @@
 //! arbitrary fields, and the bulk triangle-soup wire codec must
 //! round-trip exactly and reject malformed payloads.
 
-use proptest::prelude::*;
 use vira_extract::bricktree::BrickTree;
 use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
 use vira_extract::mesh::{payload_triangle_count, TriangleSoup};
 use vira_grid::block::{BlockDims, CurvilinearBlock};
 use vira_grid::field::ScalarField;
 use vira_grid::math::Vec3;
+use vira_testkit::{check, Gen, DEFAULT_CASES};
 
 /// A regular grid of the given dims on the unit cube — geometry does not
 /// influence pruning, so a simple lattice exercises everything.
@@ -29,51 +29,45 @@ fn lattice(dims: BlockDims) -> CurvilinearBlock {
     CurvilinearBlock::new(0, dims, points)
 }
 
-/// Strategy: dims spanning sub-brick, exact-brick and multi-brick sizes
-/// per axis, plus a value vector of matching length.
-fn dims_and_values() -> impl Strategy<Value = (BlockDims, Vec<f64>)> {
-    (2usize..=11, 2usize..=11, 2usize..=11)
-        .prop_map(|(ni, nj, nk)| BlockDims::new(ni, nj, nk))
-        .prop_flat_map(|d| {
-            let n = d.n_points();
-            (
-                Just(d),
-                prop::collection::vec(-1.0f64..1.0, n..=n),
-            )
-        })
+/// Dims spanning sub-brick, exact-brick and multi-brick sizes per axis,
+/// plus a value vector of matching length.
+fn dims_and_values(g: &mut Gen) -> (BlockDims, Vec<f64>) {
+    let dims = BlockDims::new(g.usize_in(2..12), g.usize_in(2..12), g.usize_in(2..12));
+    let n = dims.n_points();
+    (dims, g.vec(n..n + 1, |g| g.f64_in(-1.0, 1.0)))
 }
 
-proptest! {
-    /// The tentpole guarantee: pruning never changes the output. The
-    /// serialized surfaces (triangle order included) must be identical,
-    /// and the visited/skipped partition must cover every cell.
-    #[test]
-    fn pruned_extraction_is_byte_identical_to_unpruned(
-        (dims, values) in dims_and_values(),
-        iso in -1.2f64..1.2,
-    ) {
+/// The tentpole guarantee: pruning never changes the output. The
+/// serialized surfaces (triangle order included) must be identical,
+/// and the visited/skipped partition must cover every cell.
+#[test]
+fn pruned_extraction_is_byte_identical_to_unpruned() {
+    check(DEFAULT_CASES, |g| {
+        let (dims, values) = dims_and_values(g);
+        let iso = g.f64_in(-1.2, 1.2);
         let grid = lattice(dims);
         let field = ScalarField::new(dims, values);
         let (pruned, pstats) = extract_isosurface(&grid, &field, iso);
         let (full, fstats) = extract_isosurface_with_tree(&grid, &field, iso, None);
-        prop_assert_eq!(pruned.to_bytes(), full.to_bytes());
-        prop_assert_eq!(pstats.triangles, fstats.triangles);
-        prop_assert_eq!(pstats.active_cells, fstats.active_cells);
-        prop_assert_eq!(
+        assert_eq!(&pruned.to_bytes()[..], &full.to_bytes()[..]);
+        assert_eq!(pstats.triangles, fstats.triangles);
+        assert_eq!(pstats.active_cells, fstats.active_cells);
+        assert_eq!(
             pstats.cells_visited + pstats.cells_skipped,
             dims.n_cells(),
             "visited + skipped must partition the block"
         );
-        prop_assert!(pstats.cells_visited <= fstats.cells_visited);
-    }
+        assert!(pstats.cells_visited <= fstats.cells_visited);
+    });
+}
 
-    /// Every candidate the bricktree skips really is inactive: a skipped
-    /// cell's corner range can never straddle the iso value.
-    #[test]
-    fn skipped_cells_are_never_active(
-        (dims, values) in dims_and_values(),
-        iso in -1.2f64..1.2,
-    ) {
+/// Every candidate the bricktree skips really is inactive: a skipped
+/// cell's corner range can never straddle the iso value.
+#[test]
+fn skipped_cells_are_never_active() {
+    check(DEFAULT_CASES, |g| {
+        let (dims, values) = dims_and_values(g);
+        let iso = g.f64_in(-1.2, 1.2);
         let field = ScalarField::new(dims, values);
         let tree = BrickTree::build(&field);
         let mut visited = vec![false; dims.n_cells()];
@@ -84,22 +78,21 @@ proptest! {
         for (i, j, k) in dims.cells() {
             if !visited[(k * cj + j) * ci + i] {
                 let (lo, hi) = field.cell_range(i, j, k);
-                prop_assert!(
+                assert!(
                     !(hi > iso && lo <= iso),
                     "skipped cell ({i},{j},{k}) straddles iso={iso}: [{lo},{hi}]"
                 );
             }
         }
-    }
+    });
+}
 
-    /// The bulk encoder round-trips bit-exactly through `from_bytes`, and
-    /// `payload_triangle_count` agrees with the decoded count.
-    #[test]
-    fn soup_bytes_round_trip(
-        tris in prop::collection::vec(
-            prop::array::uniform9(-1e6f64..1e6), 0..80,
-        ),
-    ) {
+/// The bulk encoder round-trips bit-exactly through `from_bytes`, and
+/// `payload_triangle_count` agrees with the decoded count.
+#[test]
+fn soup_bytes_round_trip() {
+    check(DEFAULT_CASES, |g| {
+        let tris = g.vec(0..80, |g| [(); 9].map(|_| g.f64_in(-1e6, 1e6)));
         let mut soup = TriangleSoup::new();
         for t in &tris {
             soup.push_tri(
@@ -109,20 +102,21 @@ proptest! {
             );
         }
         let bytes = soup.to_bytes();
-        prop_assert_eq!(bytes.len(), 4 + 36 * tris.len());
-        prop_assert_eq!(payload_triangle_count(&bytes), Some(tris.len()));
+        assert_eq!(bytes.len(), 4 + 36 * tris.len());
+        assert_eq!(payload_triangle_count(&bytes), Some(tris.len()));
         let back = TriangleSoup::from_bytes(bytes).expect("well-formed payload");
-        prop_assert_eq!(back, soup);
-    }
+        assert_eq!(back, soup);
+    });
+}
 
-    /// Truncated or length-inconsistent payloads are rejected, never
-    /// mis-decoded — by both the decoder and the count validator.
-    #[test]
-    fn malformed_soup_bytes_are_rejected(
-        n_tris in 0u32..40,
-        cut in 1usize..36,
-        inflate in 1u32..1000,
-    ) {
+/// Truncated or length-inconsistent payloads are rejected, never
+/// mis-decoded — by both the decoder and the count validator.
+#[test]
+fn malformed_soup_bytes_are_rejected() {
+    check(DEFAULT_CASES, |g| {
+        let n_tris = g.u32_in(0..40);
+        let cut = g.usize_in(1..36);
+        let inflate = g.u32_in(1..1000);
         let mut soup = TriangleSoup::new();
         for t in 0..n_tris {
             let v = t as f64;
@@ -132,19 +126,19 @@ proptest! {
 
         // Truncation anywhere inside the body (or into the header).
         let cut = cut.min(good.len());
-        let truncated = good.slice(..good.len() - cut);
-        prop_assert!(TriangleSoup::from_bytes(truncated.clone()).is_none());
-        prop_assert!(payload_triangle_count(&truncated).is_none());
+        let truncated = good.slice(0..good.len() - cut);
+        assert!(TriangleSoup::from_bytes(truncated.clone()).is_none());
+        assert!(payload_triangle_count(&truncated).is_none());
 
         // A count prefix claiming more triangles than the body holds.
         let mut lying = good.to_vec();
         lying[..4].copy_from_slice(&(n_tris + inflate).to_le_bytes());
-        prop_assert!(TriangleSoup::from_bytes(lying.clone().into()).is_none());
-        prop_assert!(payload_triangle_count(&lying).is_none());
-    }
+        assert!(TriangleSoup::from_bytes(lying.clone().into()).is_none());
+        assert!(payload_triangle_count(&lying).is_none());
+    });
 }
 
-/// Deterministic acceptance check (ISSUE criterion): on a sparse iso
+/// Deterministic acceptance check: on a sparse iso
 /// level — a small sphere in a large block — pruning must visit fewer
 /// than 25 % of the cells while reproducing the full surface exactly.
 #[test]

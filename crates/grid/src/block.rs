@@ -7,7 +7,6 @@
 //! convention.
 
 use crate::math::{Aabb, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a block within a dataset.
 pub type BlockId = u32;
@@ -17,7 +16,7 @@ pub type StepId = u32;
 
 /// A `(block, time step)` pair — the minimal unit of data handling in the
 /// Viracocha data management system (a "data item" source address).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockStepId {
     pub block: BlockId,
     pub step: StepId,
@@ -30,7 +29,7 @@ impl BlockStepId {
 }
 
 /// Number of grid *points* along each computational direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockDims {
     pub ni: usize,
     pub nj: usize,
@@ -153,7 +152,7 @@ pub fn trilinear_vec3(corners: &[Vec3; 8], u: f64, v: f64, w: f64) -> Vec3 {
 /// Geometry of one curvilinear block: the physical coordinates of its grid
 /// points. Geometry is shared by all time steps of a dataset (grids are
 /// static; the flow fields vary in time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurvilinearBlock {
     pub id: BlockId,
     pub dims: BlockDims,

@@ -10,10 +10,9 @@
 
 use crate::block::CurvilinearBlock;
 use crate::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// The six logical faces of a structured block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Face {
     IMin,
     IMax,

@@ -5,11 +5,10 @@
 use crate::block::{trilinear, trilinear_vec3, BlockDims, BlockStepId, CurvilinearBlock};
 use crate::lanes;
 use crate::math::Vec3;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A scalar quantity sampled at every grid point of a block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarField {
     pub dims: BlockDims,
     /// Point samples, `i` fastest; length `dims.n_points()`.
@@ -118,7 +117,7 @@ impl ScalarField {
 /// [`sample`](Self::sample)) gather the three components back into a
 /// `Vec3`. The block file format interleaves `(x, y, z)` per point;
 /// `io` converts on the way through its slab.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorField {
     pub dims: BlockDims,
     /// Component planes, each of length `dims.n_points()`.
@@ -213,7 +212,7 @@ impl VectorField {
 ///
 /// `BlockData` is shared between caches and workers behind an [`Arc`]; it is
 /// immutable after construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockData {
     pub id: BlockStepId,
     pub grid: CurvilinearBlock,

@@ -35,11 +35,11 @@ use crate::block::{BlockDims, BlockStepId, CurvilinearBlock};
 use crate::field::{BlockData, VectorField};
 use crate::math::Vec3;
 use crate::synth::{DatasetSpec, SyntheticDataset};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use vira_obs::json::{self, Json};
 
 const MAGIC: [u8; 4] = *b"VIRA";
 const VERSION: u32 = 1;
@@ -191,11 +191,57 @@ pub fn encoded_size(dims: BlockDims) -> u64 {
 }
 
 /// JSON descriptor stored next to the item files.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetDescriptor {
     pub spec: DatasetSpec,
     /// Relative file name of every item, indexed `step * n_blocks + block`.
     pub files: Vec<String>,
+}
+
+impl DatasetDescriptor {
+    /// The `dataset.json` document.
+    pub fn to_json(&self) -> Json {
+        let spec = &self.spec;
+        let dims = spec.block_dims;
+        Json::obj([
+            (
+                "spec",
+                Json::obj([
+                    ("name", spec.name.as_str().into()),
+                    ("n_blocks", spec.n_blocks.into()),
+                    ("n_steps", spec.n_steps.into()),
+                    (
+                        "block_dims",
+                        Json::obj([("ni", dims.ni.into()), ("nj", dims.nj.into()), ("nk", dims.nk.into())]),
+                    ),
+                    ("nominal_disk_bytes", spec.nominal_disk_bytes.into()),
+                    ("dt", spec.dt.into()),
+                ]),
+            ),
+            ("files", Json::arr(self.files.iter().map(String::as_str))),
+        ])
+    }
+
+    pub fn from_json(j: &Json) -> Result<DatasetDescriptor, String> {
+        let spec = j.req("spec", |s| {
+            Ok(DatasetSpec {
+                name: s.req("name", json::string)?,
+                n_blocks: s.req("n_blocks", json::u32)?,
+                n_steps: s.req("n_steps", json::u32)?,
+                block_dims: s.req("block_dims", |d| {
+                    Ok(BlockDims::new(
+                        d.req("ni", json::usize)?,
+                        d.req("nj", json::usize)?,
+                        d.req("nk", json::usize)?,
+                    ))
+                })?,
+                nominal_disk_bytes: s.req("nominal_disk_bytes", json::u64)?,
+                dt: s.req("dt", json::f64)?,
+            })
+        })?;
+        let files = j.req("files", |f| json::list(f, json::string))?;
+        Ok(DatasetDescriptor { spec, files })
+    }
 }
 
 /// A dataset laid out on disk, one file per item.
@@ -234,9 +280,7 @@ impl DiskDataset {
             spec: ds.spec.clone(),
             files,
         };
-        let json = serde_json::to_string_pretty(&descriptor)
-            .map_err(|e| FormatError::BadDescriptor(e.to_string()))?;
-        fs::write(dir.join("dataset.json"), json)?;
+        fs::write(dir.join("dataset.json"), descriptor.to_json().pretty())?;
         Ok(DiskDataset {
             dir: dir.to_path_buf(),
             descriptor,
@@ -245,9 +289,10 @@ impl DiskDataset {
 
     /// Opens an existing on-disk dataset by reading its descriptor.
     pub fn open(dir: &Path) -> Result<DiskDataset, FormatError> {
-        let json = fs::read_to_string(dir.join("dataset.json"))?;
-        let descriptor: DatasetDescriptor =
-            serde_json::from_str(&json).map_err(|e| FormatError::BadDescriptor(e.to_string()))?;
+        let text = fs::read_to_string(dir.join("dataset.json"))?;
+        let descriptor = json::parse(&text)
+            .and_then(|j| DatasetDescriptor::from_json(&j))
+            .map_err(FormatError::BadDescriptor)?;
         Ok(DiskDataset {
             dir: dir.to_path_buf(),
             descriptor,
@@ -453,6 +498,61 @@ mod tests {
         }
         assert!(disk.item_path(BlockStepId::new(5, 0)).is_err());
         assert!(disk.item_path(BlockStepId::new(0, 5)).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn descriptor_json_shape_is_pinned() {
+        // Byte for byte what the derived encoder of earlier versions
+        // wrote, so datasets on disk stay readable in both directions.
+        let text = r#"{
+  "spec": {
+    "name": "TestCube",
+    "n_blocks": 2,
+    "n_steps": 3,
+    "block_dims": {
+      "ni": 4,
+      "nj": 5,
+      "nk": 6
+    },
+    "nominal_disk_bytes": 9007199254740993,
+    "dt": 0.25
+  },
+  "files": [
+    "b0000_s0000.vbk",
+    "b0001_s0000.vbk"
+  ]
+}"#;
+        let d = DatasetDescriptor {
+            spec: DatasetSpec {
+                name: "TestCube".into(),
+                n_blocks: 2,
+                n_steps: 3,
+                block_dims: BlockDims::new(4, 5, 6),
+                nominal_disk_bytes: (1 << 53) + 1,
+                dt: 0.25,
+            },
+            files: vec!["b0000_s0000.vbk".into(), "b0001_s0000.vbk".into()],
+        };
+        assert_eq!(d.to_json().pretty(), text);
+        let mut j = json::parse(text).unwrap();
+        assert_eq!(DatasetDescriptor::from_json(&j).unwrap(), d);
+        // An unknown key is skipped, a missing one is named.
+        j.set("written_by", "a newer version".into());
+        assert_eq!(DatasetDescriptor::from_json(&j).unwrap(), d);
+        j.remove("files");
+        let err = DatasetDescriptor::from_json(&j).unwrap_err();
+        assert!(err.contains("files"), "{err}");
+    }
+
+    #[test]
+    fn unreadable_descriptor_is_a_format_error() {
+        let dir = tmp_dir("bad_descriptor");
+        fs::create_dir_all(&dir).unwrap();
+        for text in ["", "{\"spec\": 3}", "[[[["] {
+            fs::write(dir.join("dataset.json"), text).unwrap();
+            assert!(matches!(DiskDataset::open(&dir), Err(FormatError::BadDescriptor(_))));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

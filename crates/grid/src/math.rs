@@ -4,12 +4,11 @@
 //! provided: 3-vectors, 3×3 matrices, and the handful of products the
 //! velocity-gradient-tensor computation requires.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component vector of `f64`, used for both physical positions and
 /// velocities.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,
@@ -200,7 +199,7 @@ impl Neg for Vec3 {
 }
 
 /// A row-major 3×3 matrix of `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Rows of the matrix.
     pub m: [[f64; 3]; 3],
@@ -367,7 +366,7 @@ impl Mat3 {
 }
 
 /// An axis-aligned bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     pub min: Vec3,
     pub max: Vec3,

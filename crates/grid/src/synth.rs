@@ -21,7 +21,6 @@
 use crate::block::{BlockDims, BlockId, BlockStepId, CurvilinearBlock, StepId};
 use crate::field::{BlockData, VectorField};
 use crate::math::Vec3;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 use std::sync::Arc;
 
@@ -210,7 +209,7 @@ impl AnalyticFlow for BladeVortexRing {
 
 /// Static description of a synthetic dataset: structure, resolution and the
 /// *nominal* (paper-scale) on-disk size used by the I/O cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     pub name: String,
     pub n_blocks: u32,

@@ -7,11 +7,10 @@
 
 use crate::block::BlockId;
 use crate::math::Aabb;
-use serde::{Deserialize, Serialize};
 
 /// Spatial adjacency between the blocks of one dataset (time-independent,
 /// since geometry is static).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockTopology {
     /// `neighbors[b]` lists the ids of blocks whose (slightly inflated)
     /// bounding boxes intersect block `b`'s, excluding `b` itself.

@@ -241,8 +241,8 @@ mod tests {
 
     fn sample_spans() -> Vec<FlightSpan> {
         vec![
-            fs("sched.queued", 0, 100, 1, &[("job", Json::Num(7.0))]),
-            fs("sched.job", 100, 900, 1, &[("job", Json::Num(7.0))]),
+            fs("sched.queued", 0, 100, 1, &[("job", Json::UInt(7))]),
+            fs("sched.job", 100, 900, 1, &[("job", Json::UInt(7))]),
             fs("worker.job", 150, 800, 2, &[]),
             // Extraction with a nested cache miss.
             fs("extract.block", 200, 300, 2, &[]),
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn scheduler_only_trace_still_attributes_queue_time() {
         let spans = vec![
-            fs("sched.queued", 0, 400, 1, &[("job", Json::Num(3.0))]),
+            fs("sched.queued", 0, 400, 1, &[("job", Json::UInt(3))]),
             fs("sched.job", 400, 600, 1, &[]),
         ];
         let a = analyze_spans(&spans).unwrap();

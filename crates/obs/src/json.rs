@@ -1,12 +1,16 @@
-//! Minimal JSON support for the exporters: escape/format helpers for
-//! writing, and a small recursive-descent parser used by the schema
-//! self-checks (`validate_*` in [`crate::export`]) and the
-//! `obs-validate` CI binary.
+//! The repository's one JSON codec: escape/format helpers and a value
+//! writer, a small recursive-descent parser, and the field readers the
+//! per-type `to_json`/`from_json` functions of the other crates are
+//! written with. It serves the exporters and their schema self-checks
+//! (`validate_*` in [`crate::export`], the `obs-validate` CI binary) and
+//! — since the workspace has no external dependencies — every JSON
+//! header on the wire and every JSON file the tools read and write.
 //!
-//! This is deliberately tiny — the crate must not depend on serde so it
-//! can build in offline containers. It is not a general-purpose JSON
-//! library: numbers are parsed as `f64`, objects preserve key order and
-//! allow duplicate keys (last one wins on lookup).
+//! The parser therefore assumes a hostile peer: nesting is bounded
+//! ([`MAX_DEPTH`]), integer literals are kept exact (`u64`/`i64` apart
+//! from `f64`, so ids and digest words survive), and malformed input is
+//! an `Err`, never a panic. Objects preserve key order and allow
+//! duplicate keys (last one wins on lookup).
 
 use std::fmt::Write as _;
 
@@ -48,14 +52,18 @@ pub fn write_f64(out: &mut String, v: f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Values
 // ---------------------------------------------------------------------------
 
-/// Parsed JSON value.
+/// A JSON value. Integer literals keep their exact value: non-negative
+/// ones are `UInt`, negative ones `Int`; everything with a fraction or
+/// an exponent (and integers beyond 64 bits) is `Num`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
+    UInt(u64),
+    Int(i64),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -63,11 +71,54 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// An array of whatever converts into a value.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .rev()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v),
+            _ => None,
+        }
+    }
+    /// Sets `key` of an object, replacing an existing entry in place.
+    /// No-op on non-objects.
+    pub fn set(&mut self, key: &str, value: Json) {
+        if let Some(slot) = self.get_mut(key) {
+            *slot = value;
+        } else if let Json::Obj(fields) = self {
+            fields.push((key.to_owned(), value));
+        }
+    }
+    /// Removes every entry named `key` from an object; returns the last.
+    pub fn remove(&mut self, key: &str) -> Option<Json> {
+        let Json::Obj(fields) = self else { return None };
+        let mut removed = None;
+        fields.retain_mut(|(k, v)| {
+            if k == key {
+                removed = Some(std::mem::replace(v, Json::Null));
+                false
+            } else {
+                true
+            }
+        });
+        removed
     }
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -75,15 +126,28 @@ impl Json {
             _ => None,
         }
     }
+    /// Any number, integers converted (and so rounded beyond 2^53).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::UInt(n) => Some(*n as f64),
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
+    /// A non-negative integer literal, exactly; `None` for `7.0`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::UInt(n) => Some(*n),
+            Json::Int(n) => u64::try_from(*n).ok(),
+            _ => None,
+        }
+    }
+    /// An integer literal that fits `i64`, exactly.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::UInt(n) => i64::try_from(*n).ok(),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -108,7 +172,203 @@ impl Json {
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
+
+    /// Reads the required field `key` of an object with `read`.
+    pub fn req<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))?;
+        read(v).map_err(|e| format!("field `{key}`: {e}"))
+    }
+
+    /// Reads the optional field `key`: absent or `null` is `None`, so a
+    /// frame from a peer that predates the field decodes with
+    /// `.unwrap_or_default()`.
+    pub fn opt<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => read(v).map(Some).map_err(|e| format!("field `{key}`: {e}")),
+        }
+    }
+
+    /// Two-space indented text, keys in stored order.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// `indent` is the current depth when pretty-printing, `None` for
+    /// the compact form.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", depth));
+        };
+        let inner = indent.map(|d| d + 1);
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::UInt(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            // `{:?}` is the shortest text that reads back as the same
+            // f64 and always looks like a float (`1.0`, `1e-7`).
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n:?}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    if let Some(d) = inner {
+                        newline(out, d);
+                    }
+                    item.write(out, inner);
+                }
+                if let (Some(d), false) = (indent, items.is_empty()) {
+                    newline(out, d);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    if let Some(d) = inner {
+                        newline(out, d);
+                    }
+                    write_str(out, k);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
+                }
+                if let (Some(d), false) = (indent, fields.is_empty()) {
+                    newline(out, d);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
+
+/// The compact form (no whitespace), e.g. for wire headers.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        f.write_str(&out)
+    }
+}
+
+macro_rules! json_from_uint {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::UInt(v as u64)
+            }
+        }
+    )*};
+}
+json_from_uint!(u32, u64, usize);
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+/// Through the shortest text of the `f32`, so `0.1f32` is written `0.1`
+/// and not as the digits of its `f64` widening.
+impl From<f32> for Json {
+    fn from(v: f32) -> Json {
+        Json::Num(format!("{v:?}").parse().unwrap_or(v as f64))
+    }
+}
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_owned())
+    }
+}
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Readers for `Json::req` / `Json::opt`
+// ---------------------------------------------------------------------------
+
+pub fn u64(v: &Json) -> Result<u64, String> {
+    v.as_u64()
+        .ok_or_else(|| "expected an unsigned integer".to_owned())
+}
+pub fn u32(v: &Json) -> Result<u32, String> {
+    u64(v)?
+        .try_into()
+        .map_err(|_| "integer out of range for u32".to_owned())
+}
+pub fn usize(v: &Json) -> Result<usize, String> {
+    u64(v)?
+        .try_into()
+        .map_err(|_| "integer out of range for usize".to_owned())
+}
+pub fn f64(v: &Json) -> Result<f64, String> {
+    v.as_f64().ok_or_else(|| "expected a number".to_owned())
+}
+pub fn bool(v: &Json) -> Result<bool, String> {
+    v.as_bool().ok_or_else(|| "expected a boolean".to_owned())
+}
+pub fn string(v: &Json) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_owned)
+        .ok_or_else(|| "expected a string".to_owned())
+}
+/// An array, each element read with `read`.
+pub fn list<T>(v: &Json, read: impl Fn(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+    let items = v.as_arr().ok_or("expected an array")?;
+    items.iter().map(read).collect()
+}
+/// A two-element array (a tuple on the wire).
+pub fn pair<A, B>(
+    v: &Json,
+    first: impl FnOnce(&Json) -> Result<A, String>,
+    second: impl FnOnce(&Json) -> Result<B, String>,
+) -> Result<(A, B), String> {
+    match v.as_arr() {
+        Some([a, b]) => Ok((first(a)?, second(b)?)),
+        _ => Err("expected a two-element array".to_owned()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Parsing
+// ---------------------------------------------------------------------------
+
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a line of `[` overflows the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage is an error).
@@ -116,6 +376,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -129,6 +390,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -170,11 +432,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -253,14 +525,14 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
+                                // Surrogate pair: expect a \uXXXX low half.
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let cp = 0x10000
-                                        + ((hi - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(cp)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -278,13 +550,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -294,11 +568,25 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad unicode escape"))?;
+        let mut v = 0;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad unicode escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos += 4;
         Ok(v)
+    }
+
+    fn digits(&mut self) -> Result<(), String> {
+        if !matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -306,28 +594,36 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        self.digits()?;
+        let mut integer = true;
         if self.peek() == Some(b'.') {
+            integer = false;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            integer = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            self.digits()?;
+        }
+        // The scanned bytes are ASCII.
+        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if integer && s != "-0" {
+            if let Ok(n) = s.parse::<u64>() {
+                return Ok(Json::UInt(n));
+            }
+            if let Ok(n) = s.parse::<i64>() {
+                return Ok(Json::Int(n));
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        // `-0`, fractions, exponents and integers beyond 64 bits.
+        match s.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -355,7 +651,9 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Json::Null);
         assert_eq!(parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(parse("false").unwrap(), Json::Bool(false));
-        assert_eq!(parse("42").unwrap(), Json::Num(42.0));
+        assert_eq!(parse("42").unwrap(), Json::UInt(42));
+        assert_eq!(parse("-42").unwrap(), Json::Int(-42));
+        assert_eq!(parse("42.0").unwrap(), Json::Num(42.0));
         assert_eq!(parse("-1.5e2").unwrap(), Json::Num(-150.0));
         assert_eq!(parse("\"hi\"").unwrap(), Json::Str("hi".into()));
     }
@@ -407,6 +705,166 @@ mod tests {
     fn as_u64_rejects_fractions_and_negatives() {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
+        assert_eq!(parse("7.0").unwrap().as_u64(), None, "a float is not an id");
         assert_eq!(parse("-7").unwrap().as_u64(), None);
+        assert_eq!(parse("-7").unwrap().as_i64(), Some(-7));
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
+    }
+
+    #[test]
+    fn integer_literals_are_exact() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        assert_eq!(
+            parse("9007199254740993").unwrap().as_u64(),
+            Some(9007199254740993)
+        );
+        assert_eq!(
+            parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(
+            parse("-9223372036854775808").unwrap().as_i64(),
+            Some(i64::MIN)
+        );
+        // One past either end is still a number, just not an exact one.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            Json::Num(18446744073709551616.0)
+        );
+        assert_eq!(parse("-9223372036854775809").unwrap().as_i64(), None);
+        // Every integer is written back digit for digit.
+        for text in [
+            "0",
+            "9007199254740993",
+            "18446744073709551615",
+            "-9223372036854775808",
+        ] {
+            assert_eq!(parse(text).unwrap().to_string(), text);
+        }
+        match parse("-0").unwrap() {
+            Json::Num(z) => assert!(z == 0.0 && z.is_sign_negative()),
+            other => panic!("-0 parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        // Siblings do not count towards the depth.
+        let wide = format!("[{}[]]", "[],".repeat(1000));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn hostile_input_is_an_error_never_a_panic() {
+        for bad in [
+            "1e400",
+            "-1e400",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\ud800\\ud800\"",
+            "\"\\u12",
+            "\"\\u+123\"",
+            "\"\\",
+            "-",
+            "1.",
+            ".5",
+            "1e",
+            "1e+",
+            "[1",
+            "{\"a\"",
+            "{\"a\":",
+            "{\"a\":1,",
+            "tru",
+            "\u{0}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        // Every prefix of a valid document is an error or a value.
+        let doc = r#"{"a":[1,-2,3.5e-1,"x\u00e9\ud83d\ude00"],"b":{"c":null,"d":true}}"#;
+        assert!(parse(doc).is_ok());
+        for cut in 0..doc.len() {
+            if doc.is_char_boundary(cut) {
+                let _ = parse(&doc[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn writer_forms() {
+        let v = Json::obj([
+            ("id", 7u64.into()),
+            ("neg", Json::Int(-3)),
+            ("ratio", 1.0.into()),
+            ("tiny", 1e-7.into()),
+            ("frac", 0.1f32.into()),
+            ("nan", f64::NAN.into()),
+            ("none", Option::<u64>::None.into()),
+            ("some", Some("x").into()),
+            ("list", Json::arr([1u32, 2])),
+            ("empty", Json::Arr(Vec::new())),
+            ("nested", Json::obj([])),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"id":7,"neg":-3,"ratio":1.0,"tiny":1e-7,"frac":0.1,"nan":null,"none":null,"some":"x","list":[1,2],"empty":[],"nested":{}}"#
+        );
+        assert_eq!(
+            Json::obj([
+                ("a", Json::arr([1u32])),
+                ("b", Json::obj([("c", true.into())]))
+            ])
+            .pretty(),
+            "{\n  \"a\": [\n    1\n  ],\n  \"b\": {\n    \"c\": true\n  }\n}"
+        );
+        assert_eq!(
+            Json::obj([("a", Json::Arr(Vec::new()))]).pretty(),
+            "{\n  \"a\": []\n}"
+        );
+        // What is written reads back as the same value.
+        let mut back = parse(&v.pretty()).unwrap();
+        assert_eq!(back.remove("nan"), Some(Json::Null));
+        let mut want = v.clone();
+        want.remove("nan");
+        assert_eq!(back, want);
+    }
+
+    #[test]
+    fn object_surgery_and_field_readers() {
+        let mut v =
+            parse(r#"{"job":3,"name":"iso","w":[1,2],"pair":[4,"x"],"gone":null}"#).unwrap();
+        assert_eq!(v.req("job", u64), Ok(3));
+        assert_eq!(v.req("name", string), Ok("iso".to_owned()));
+        assert_eq!(v.req("w", |w| list(w, usize)), Ok(vec![1, 2]));
+        assert_eq!(
+            v.req("pair", |p| pair(p, u32, string)),
+            Ok((4, "x".to_owned()))
+        );
+        assert_eq!(v.opt("gone", u64), Ok(None), "null reads as absent");
+        assert_eq!(v.opt("absent", u64), Ok(None));
+        assert!(v
+            .req("absent", u64)
+            .unwrap_err()
+            .contains("missing field `absent`"));
+        assert!(v.req("name", u64).unwrap_err().contains("field `name`"));
+        assert!(
+            v.opt("name", f64).is_err(),
+            "a present field of the wrong type is an error"
+        );
+        assert!(
+            parse("300").unwrap().as_u64().is_some() && u32(&parse("4294967296").unwrap()).is_err()
+        );
+        v.set("job", 9u64.into());
+        v.set("new", true.into());
+        assert_eq!(v.req("job", u64), Ok(9));
+        assert_eq!(v.req("new", bool), Ok(true));
+        assert_eq!(v.remove("job"), Some(Json::UInt(9)));
+        assert_eq!(v.get("job"), None);
+        assert_eq!(v.remove("job"), None);
     }
 }

@@ -7,9 +7,9 @@
 //! never allocate; when the ring is full the oldest records are
 //! overwritten and counted as dropped at the next drain.
 //!
-//! Reads follow the classic seqlock protocol (the same pattern crossbeam's
-//! `AtomicCell` uses): every slot carries a sequence word that is odd
-//! while a write is in progress and encodes the generation when complete.
+//! Reads follow the classic seqlock protocol: every slot carries a
+//! sequence word that is odd while a write is in progress and encodes
+//! the generation when complete.
 //! A drain re-checks the sequence after copying the slot and discards the
 //! copy on any mismatch, so a record is either observed exactly as
 //! written or not at all.

@@ -89,9 +89,10 @@ impl SparseHist {
 pub struct MetricsDelta {
     /// Rank that shipped the delta (attribution key in the tsdb).
     pub rank: u64,
-    /// Monotone sequence number; receivers drop `seq <=` last seen per
-    /// rank, which makes delta ingest idempotent under duplicated
-    /// frames (the fault injector duplicates PONGs).
+    /// Monotone sequence number; receivers accept each seq of a rank
+    /// once, in whatever order the frames arrive, which makes delta
+    /// ingest idempotent under duplicated frames (the fault injector
+    /// duplicates PONGs) without losing one that was overtaken.
     pub seq: u64,
     /// Sender clock (`vira_obs::now_ns`) when the delta was cut.
     pub t_ns: u64,

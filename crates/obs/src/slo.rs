@@ -16,7 +16,7 @@
 //! Latency SLOs are bucket-granular: the threshold rounds **up** to the
 //! upper bound of its enclosing log2 bucket (a value can't be split
 //! within a bucket), so effective thresholds are powers of two. The
-//! quantile-accuracy proptest in `crates/core/tests` bounds the error
+//! quantile-accuracy property test in `crates/core/tests` bounds the error
 //! this introduces.
 
 use std::sync::{Arc, OnceLock};

@@ -89,7 +89,7 @@ pub fn intern(s: &str) -> &'static str {
 /// trace id plus the span to parent top-level child spans to.
 ///
 /// All-zero means "no context" — the value older peers that never heard
-/// of tracing produce via `#[serde(default)]`, so absence needs no
+/// of tracing produce (the wire decoders default both fields), so absence needs no
 /// `Option` on the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCtx {

@@ -134,7 +134,11 @@ struct HistSeries {
 
 #[derive(Clone, Debug, Default)]
 pub struct RankState {
+    /// Highest sequence number accepted from this rank.
     pub last_seq: u64,
+    /// Which of the 64 sequence numbers up to `last_seq` have been
+    /// accepted: bit `i` stands for `last_seq - i`.
+    seen: u64,
     /// Receiver clock at last accepted delta.
     pub last_ingest_ns: u64,
     /// Sender clock stamped on the last accepted delta.
@@ -172,16 +176,29 @@ impl Tsdb {
 
     /// Applies one shipped delta, stamped with the receiver clock
     /// `now_ns`. Returns `false` when the delta was dropped as a
-    /// duplicate (seq not newer than the last accepted from that rank).
+    /// duplicate: its seq was already accepted from that rank, or is
+    /// more than 64 behind the newest one. A rank's deltas travel by
+    /// two routes (heartbeat pongs and the job's DONE frame) and so
+    /// overtake each other; each is an increment cut once, so a late one
+    /// is applied when it arrives, only its gauges — older than the
+    /// ones already stored — are skipped.
     pub fn ingest(&mut self, d: &MetricsDelta, now_ns: u64) -> bool {
         let rs = self.ranks.entry(d.rank).or_default();
-        if d.seq <= rs.last_seq {
-            self.dup_dropped += 1;
-            return false;
+        let newest = d.seq > rs.last_seq;
+        if newest {
+            let advance = d.seq - rs.last_seq;
+            rs.seen = if advance < 64 { rs.seen << advance } else { 0 } | 1;
+            rs.last_seq = d.seq;
+            rs.last_remote_ns = d.t_ns;
+        } else {
+            let age = rs.last_seq - d.seq;
+            if age >= 64 || rs.seen & (1 << age) != 0 {
+                self.dup_dropped += 1;
+                return false;
+            }
+            rs.seen |= 1 << age;
         }
-        rs.last_seq = d.seq;
         rs.last_ingest_ns = now_ns;
-        rs.last_remote_ns = d.t_ns;
         rs.deltas_accepted += 1;
 
         for (name, inc) in &d.counters {
@@ -198,7 +215,8 @@ impl Tsdb {
             let total = entry.0;
             entry.1.push(&self.cfg, now_ns, total as f64);
         }
-        for (name, v) in &d.gauges {
+        let gauges: &[_] = if newest { &d.gauges } else { &[] };
+        for (name, v) in gauges {
             let key = (d.rank, name.clone());
             if !self.gauges.contains_key(&key) && self.series_count() >= self.cfg.max_series {
                 self.series_dropped += 1;
@@ -418,12 +436,37 @@ mod tests {
         let d = delta(1, 5, &[("jobs_total", 3)]);
         assert!(db.ingest(&d, 100));
         assert!(!db.ingest(&d, 200), "replayed frame must be dropped");
-        assert!(!db.ingest(&delta(1, 4, &[("jobs_total", 9)]), 300));
         assert_eq!(db.counter_total("jobs_total"), 3);
-        assert_eq!(db.dup_dropped(), 2);
+        assert_eq!(db.dup_dropped(), 1);
         // A different rank with the same seq is independent.
         assert!(db.ingest(&delta(2, 5, &[("jobs_total", 4)]), 400));
         assert_eq!(db.counter_total("jobs_total"), 7);
+    }
+
+    #[test]
+    fn overtaken_delta_is_applied_once_when_it_arrives() {
+        // Seq 4 rode a DONE frame, seq 5 a heartbeat pong that got
+        // there first: both increments count, neither twice.
+        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut late = delta(1, 4, &[("jobs_total", 9)]);
+        late.gauges = vec![("queue_depth".into(), 7)];
+        let mut early = delta(1, 5, &[("jobs_total", 3)]);
+        early.gauges = vec![("queue_depth".into(), 2)];
+        assert!(db.ingest(&early, 100));
+        assert!(db.ingest(&late, 200));
+        assert_eq!(db.counter_total("jobs_total"), 12);
+        assert_eq!(db.gauge_sum("queue_depth"), 2, "the newer gauge stands");
+        assert!(!db.ingest(&late, 300), "replayed");
+        assert!(!db.ingest(&early, 300), "replayed");
+        assert_eq!(db.counter_total("jobs_total"), 12);
+        assert_eq!(db.rank_state(1).unwrap().last_seq, 5);
+        // Far ahead: the window moves on and what falls out is refused.
+        assert!(db.ingest(&delta(1, 100, &[("jobs_total", 1)]), 400));
+        assert!(!db.ingest(&delta(1, 36, &[("jobs_total", 1)]), 500), "64 behind");
+        assert!(db.ingest(&delta(1, 37, &[("jobs_total", 1)]), 500), "63 behind");
+        assert!(!db.ingest(&delta(1, 37, &[("jobs_total", 1)]), 600));
+        assert_eq!(db.counter_total("jobs_total"), 14);
+        assert_eq!(db.dup_dropped(), 4);
     }
 
     #[test]

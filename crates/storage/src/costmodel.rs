@@ -14,10 +14,8 @@
 //! grids. With `dilation = 0` the model becomes pure accounting (no
 //! sleeps), which is what the unit tests use.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use vira_obs as obs;
 
@@ -32,7 +30,7 @@ static WALL_SLEPT_NS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 
 /// The cost categories reported in the paper's Figure 15 component
 /// breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostCategory {
     /// Loading data from secondary storage (or a peer / the file server).
     Read,
@@ -118,14 +116,14 @@ impl SimClock {
 
     /// Resets the origin used by [`modeled_elapsed`](Self::modeled_elapsed).
     pub fn reset(&self) {
-        *self.start.lock() = Instant::now();
+        *self.start.lock().unwrap() = Instant::now();
     }
 
     /// Wall time since the last reset converted back into modeled seconds.
     /// Only meaningful when `dilation > 0`; returns wall seconds unscaled
     /// otherwise.
     pub fn modeled_elapsed(&self) -> f64 {
-        let wall = self.start.lock().elapsed().as_secs_f64();
+        let wall = self.start.lock().unwrap().elapsed().as_secs_f64();
         if self.dilation > 0.0 {
             wall / self.dilation
         } else {
@@ -296,7 +294,7 @@ impl Meter {
 }
 
 /// Immutable snapshot of charged modeled time, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     pub read_s: f64,
     pub compute_s: f64,
@@ -325,7 +323,7 @@ impl CostBreakdown {
 
 /// Modeled per-cell and per-byte cost constants for the extraction
 /// commands, expressed against the *nominal* (paper-scale) workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeCosts {
     /// Isosurface extraction cost per nominal cell, seconds.
     pub iso_s_per_cell: f64,

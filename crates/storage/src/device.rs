@@ -8,17 +8,13 @@
 
 use crate::costmodel::{CostCategory, Meter, SimClock};
 use crate::source::{DataSource, StorageError};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::BlockData;
-#[allow(unused_imports)]
-use std::sync::Arc as _ArcCheck;
 
 /// Modeled characteristics of one storage tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     pub name: String,
     /// Fixed per-request latency, seconds.
@@ -131,7 +127,7 @@ impl Device {
         }
         let modeled = self.read_cost();
         if self.profile.serialize_transfers {
-            let _guard = self.channel.lock();
+            let _guard = self.channel.lock().unwrap();
             meter.charge(&self.clock, CostCategory::Read, modeled);
         } else {
             meter.charge(&self.clock, CostCategory::Read, modeled);

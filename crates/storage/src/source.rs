@@ -5,10 +5,9 @@
 //! synthetic analytic dataset (the common case in tests and benches) and
 //! real file reads from an on-disk dataset written by `vira_grid::io`.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::BlockData;
 use vira_grid::io::{DiskDataset, FormatError};
@@ -146,7 +145,7 @@ impl CachedSynthSource {
 
     /// Number of memoized items.
     pub fn memoized(&self) -> usize {
-        self.memo.read().len()
+        self.memo.read().unwrap().len()
     }
 }
 
@@ -156,11 +155,11 @@ impl DataSource for CachedSynthSource {
     }
 
     fn fetch(&self, id: BlockStepId) -> Result<Arc<BlockData>, StorageError> {
-        if let Some(hit) = self.memo.read().get(&id) {
+        if let Some(hit) = self.memo.read().unwrap().get(&id) {
             return Ok(hit.clone());
         }
         let item = self.inner.fetch(id)?;
-        self.memo.write().insert(id, item.clone());
+        self.memo.write().unwrap().insert(id, item.clone());
         Ok(item)
     }
 

@@ -89,7 +89,7 @@ pub struct JobOutcome {
     /// Per-worker progress reports in arrival order.
     pub progress: Vec<ProgressRecord>,
     /// Wall time from submission until the *first* geometry arrived —
-    /// the latency criterion. For non-streamed commands this equals
+    /// the latency figure that matters. For non-streamed commands this equals
     /// `total_wall`.
     pub first_result_wall: Option<Duration>,
     /// Wall time from submission to the final event.

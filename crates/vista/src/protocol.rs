@@ -10,15 +10,15 @@
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use vira_extract::mesh::{Polyline, TriangleSoup};
+use vira_obs::json::{self, Json};
 
 /// Client-assigned job identifier.
 pub type JobId = u64;
 
 /// Loosely typed command parameters (iso value, viewpoint, seeds, …).
 /// Kept as string pairs on the wire; see the typed accessors.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommandParams(pub Vec<(String, String)>);
 
 impl CommandParams {
@@ -60,10 +60,20 @@ impl CommandParams {
     pub fn set_vec3(self, key: &str, v: [f64; 3]) -> Self {
         self.set(key, format!("{},{},{}", v[0], v[1], v[2]))
     }
+
+    /// On the wire: `[["key","value"],…]`.
+    pub fn to_json(&self) -> Json {
+        let pair = |(k, v): &(String, String)| Json::arr([k.as_str(), v.as_str()]);
+        Json::Arr(self.0.iter().map(pair).collect())
+    }
+
+    pub fn from_json(j: &Json) -> Result<CommandParams, String> {
+        json::list(j, |kv| json::pair(kv, json::string, json::string)).map(CommandParams)
+    }
 }
 
 /// Requests from the client to the scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClientRequest {
     /// Run a registered command on a dataset.
     Submit {
@@ -77,15 +87,12 @@ pub enum ClientRequest {
         /// Client session the job belongs to; the scheduler round-robins
         /// dispatch credit across sessions (absent in frames from older
         /// peers → session 0).
-        #[serde(default)]
         session: u64,
         /// Causal trace context minted by the client at submit time:
         /// the job's trace id and the client-side root span every
         /// back-end span of this job descends from. `0` means "no
         /// trace" (older clients, or tracing disabled).
-        #[serde(default)]
         trace_id: u64,
-        #[serde(default)]
         parent_span_id: u64,
     },
     /// Abort a running job ("meaningless extraction processes can be
@@ -103,8 +110,82 @@ pub enum ClientRequest {
     Shutdown,
 }
 
+/// The one `{"Variant": {…}}` entry of an externally tagged enum value.
+fn variant(j: &Json) -> Result<(&str, &Json), String> {
+    match j.as_obj() {
+        Some([(name, body)]) => Ok((name, body)),
+        _ => Err("expected an object with exactly one variant key".to_owned()),
+    }
+}
+
+impl ClientRequest {
+    /// Externally tagged: `{"Submit":{…}}`, the unit variant as the bare
+    /// string `"Shutdown"`.
+    pub fn to_json(&self) -> Json {
+        let (name, body) = match self {
+            ClientRequest::Submit {
+                job,
+                command,
+                dataset,
+                params,
+                workers,
+                session,
+                trace_id,
+                parent_span_id,
+            } => (
+                "Submit",
+                Json::obj([
+                    ("job", (*job).into()),
+                    ("command", command.as_str().into()),
+                    ("dataset", dataset.as_str().into()),
+                    ("params", params.to_json()),
+                    ("workers", (*workers).into()),
+                    ("session", (*session).into()),
+                    ("trace_id", (*trace_id).into()),
+                    ("parent_span_id", (*parent_span_id).into()),
+                ]),
+            ),
+            ClientRequest::Cancel { job } => ("Cancel", Json::obj([("job", (*job).into())])),
+            ClientRequest::Ack { job, up_to_seq } => (
+                "Ack",
+                Json::obj([("job", (*job).into()), ("up_to_seq", (*up_to_seq).into())]),
+            ),
+            ClientRequest::Resume { job } => ("Resume", Json::obj([("job", (*job).into())])),
+            ClientRequest::Shutdown => return "Shutdown".into(),
+        };
+        Json::obj([(name, body)])
+    }
+
+    pub fn from_json(j: &Json) -> Result<ClientRequest, String> {
+        if j.as_str() == Some("Shutdown") {
+            return Ok(ClientRequest::Shutdown);
+        }
+        let (name, b) = variant(j)?;
+        let job = b.req("job", json::u64);
+        match name {
+            "Submit" => Ok(ClientRequest::Submit {
+                job: job?,
+                command: b.req("command", json::string)?,
+                dataset: b.req("dataset", json::string)?,
+                params: b.req("params", CommandParams::from_json)?,
+                workers: b.req("workers", json::usize)?,
+                session: b.opt("session", json::u64)?.unwrap_or_default(),
+                trace_id: b.opt("trace_id", json::u64)?.unwrap_or_default(),
+                parent_span_id: b.opt("parent_span_id", json::u64)?.unwrap_or_default(),
+            }),
+            "Cancel" => Ok(ClientRequest::Cancel { job: job? }),
+            "Ack" => Ok(ClientRequest::Ack {
+                job: job?,
+                up_to_seq: b.req("up_to_seq", json::u32)?,
+            }),
+            "Resume" => Ok(ClientRequest::Resume { job: job? }),
+            other => Err(format!("unknown request variant `{other}`")),
+        }
+    }
+}
+
 /// What a result payload contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
     Triangles,
     Polylines,
@@ -112,9 +193,30 @@ pub enum PayloadKind {
     None,
 }
 
+impl PayloadKind {
+    /// On the wire: the variant name as a string.
+    pub fn to_json(self) -> Json {
+        match self {
+            PayloadKind::Triangles => "Triangles",
+            PayloadKind::Polylines => "Polylines",
+            PayloadKind::None => "None",
+        }
+        .into()
+    }
+
+    pub fn from_json(j: &Json) -> Result<PayloadKind, String> {
+        match j.as_str() {
+            Some("Triangles") => Ok(PayloadKind::Triangles),
+            Some("Polylines") => Ok(PayloadKind::Polylines),
+            Some("None") => Ok(PayloadKind::None),
+            _ => Err("expected a payload kind".to_owned()),
+        }
+    }
+}
+
 /// Modeled-time job accounting shipped with the final event. Flat struct
 /// so the client library stays decoupled from the back-end crates.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobReport {
     /// Modeled wall-clock runtime of the job (submission → final merge).
     pub total_runtime_s: f64,
@@ -124,16 +226,13 @@ pub struct JobReport {
     pub send_s: f64,
     /// Modeled seconds the job spent queued at the scheduler before its
     /// *first* dispatch (absent in frames from older peers → 0).
-    #[serde(default)]
     pub queue_wait_s: f64,
     /// Modeled seconds spent re-queued between dispatch attempts after a
     /// rank died — separate from `queue_wait_s` so requeued jobs do not
     /// inflate the pre-dispatch wait (absent in older frames → 0).
-    #[serde(default)]
     pub requeue_wait_s: f64,
     /// Modeled seconds the master worker spent gathering and merging the
     /// group's partials.
-    #[serde(default)]
     pub merge_s: f64,
     /// DMS counters summed across the group's proxies.
     pub demand_requests: u64,
@@ -146,33 +245,81 @@ pub struct JobReport {
     pub polylines: u64,
     /// Extraction cells skipped by bricktree pruning, summed across the
     /// work group (absent in frames from older peers → 0).
-    #[serde(default)]
     pub cells_skipped: u64,
     /// Finest-level bricks skipped whole.
-    #[serde(default)]
     pub bricks_skipped: u64,
     /// Modeled seconds spent inside intra-worker parallel extraction
     /// sections, summed across the group (absent in frames from older
     /// peers → 0; 0 on fully serial runs).
-    #[serde(default)]
     pub extract_par_s: f64,
     /// Maximum per-worker extraction thread count of the group (absent
     /// in frames from older peers → 0; 1 = all workers ran serially).
-    #[serde(default)]
     pub extract_threads: u32,
     /// Command retransmissions the scheduler issued for this job
     /// (absent in frames from older peers → 0).
-    #[serde(default)]
     pub retries: u64,
     /// Set when the job was requeued onto a smaller work group after
     /// a rank died; the result is complete but was computed with
     /// degraded parallelism.
-    #[serde(default)]
     pub degraded: bool,
 }
 
+impl JobReport {
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("total_runtime_s", self.total_runtime_s.into()),
+            ("read_s", self.read_s.into()),
+            ("compute_s", self.compute_s.into()),
+            ("send_s", self.send_s.into()),
+            ("queue_wait_s", self.queue_wait_s.into()),
+            ("requeue_wait_s", self.requeue_wait_s.into()),
+            ("merge_s", self.merge_s.into()),
+            ("demand_requests", self.demand_requests.into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("cache_misses", self.cache_misses.into()),
+            ("prefetch_issued", self.prefetch_issued.into()),
+            ("prefetch_hits", self.prefetch_hits.into()),
+            ("triangles", self.triangles.into()),
+            ("polylines", self.polylines.into()),
+            ("cells_skipped", self.cells_skipped.into()),
+            ("bricks_skipped", self.bricks_skipped.into()),
+            ("extract_par_s", self.extract_par_s.into()),
+            ("extract_threads", self.extract_threads.into()),
+            ("retries", self.retries.into()),
+            ("degraded", self.degraded.into()),
+        ])
+    }
+
+    /// The fields documented as absent in frames from older peers
+    /// default to zero / `false`.
+    pub fn from_json(j: &Json) -> Result<JobReport, String> {
+        Ok(JobReport {
+            total_runtime_s: j.req("total_runtime_s", json::f64)?,
+            read_s: j.req("read_s", json::f64)?,
+            compute_s: j.req("compute_s", json::f64)?,
+            send_s: j.req("send_s", json::f64)?,
+            queue_wait_s: j.opt("queue_wait_s", json::f64)?.unwrap_or_default(),
+            requeue_wait_s: j.opt("requeue_wait_s", json::f64)?.unwrap_or_default(),
+            merge_s: j.opt("merge_s", json::f64)?.unwrap_or_default(),
+            demand_requests: j.req("demand_requests", json::u64)?,
+            cache_hits: j.req("cache_hits", json::u64)?,
+            cache_misses: j.req("cache_misses", json::u64)?,
+            prefetch_issued: j.req("prefetch_issued", json::u64)?,
+            prefetch_hits: j.req("prefetch_hits", json::u64)?,
+            triangles: j.req("triangles", json::u64)?,
+            polylines: j.req("polylines", json::u64)?,
+            cells_skipped: j.opt("cells_skipped", json::u64)?.unwrap_or_default(),
+            bricks_skipped: j.opt("bricks_skipped", json::u64)?.unwrap_or_default(),
+            extract_par_s: j.opt("extract_par_s", json::f64)?.unwrap_or_default(),
+            extract_threads: j.opt("extract_threads", json::u32)?.unwrap_or_default(),
+            retries: j.opt("retries", json::u64)?.unwrap_or_default(),
+            degraded: j.opt("degraded", json::bool)?.unwrap_or_default(),
+        })
+    }
+}
+
 /// Events from the scheduler to the client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventHeader {
     JobAccepted {
         job: JobId,
@@ -185,12 +332,10 @@ pub enum EventHeader {
         /// many milliseconds. Absent on permanent refusals (unknown
         /// command, unregistered dataset, shutdown) and in frames from
         /// older schedulers → `None`.
-        #[serde(default)]
         retry_after_ms: Option<u64>,
         /// Scheduler queue depth at the moment of a busy rejection, so
         /// clients can scale their own backoff. Absent alongside
         /// `retry_after_ms`.
-        #[serde(default)]
         queue_depth: Option<u64>,
     },
     /// A streamed partial result; the payload follows in the same frame.
@@ -249,6 +394,127 @@ impl EventHeader {
     }
 }
 
+impl EventHeader {
+    /// Externally tagged, like [`ClientRequest::to_json`].
+    pub fn to_json(&self) -> Json {
+        let (name, body) = match self {
+            EventHeader::JobAccepted { job, workers } => (
+                "JobAccepted",
+                Json::obj([("job", (*job).into()), ("workers", (*workers).into())]),
+            ),
+            EventHeader::JobRejected {
+                job,
+                reason,
+                retry_after_ms,
+                queue_depth,
+            } => (
+                "JobRejected",
+                Json::obj([
+                    ("job", (*job).into()),
+                    ("reason", reason.as_str().into()),
+                    ("retry_after_ms", (*retry_after_ms).into()),
+                    ("queue_depth", (*queue_depth).into()),
+                ]),
+            ),
+            EventHeader::Partial {
+                job,
+                seq,
+                kind,
+                n_items,
+                from_worker,
+            } => (
+                "Partial",
+                Json::obj([
+                    ("job", (*job).into()),
+                    ("seq", (*seq).into()),
+                    ("kind", kind.to_json()),
+                    ("n_items", (*n_items).into()),
+                    ("from_worker", (*from_worker).into()),
+                ]),
+            ),
+            EventHeader::Final {
+                job,
+                kind,
+                n_items,
+                report,
+            } => (
+                "Final",
+                Json::obj([
+                    ("job", (*job).into()),
+                    ("kind", kind.to_json()),
+                    ("n_items", (*n_items).into()),
+                    ("report", report.to_json()),
+                ]),
+            ),
+            EventHeader::Error { job, message } => (
+                "Error",
+                Json::obj([("job", (*job).into()), ("message", message.as_str().into())]),
+            ),
+            EventHeader::Cancelled { job, report } => (
+                "Cancelled",
+                Json::obj([("job", (*job).into()), ("report", report.to_json())]),
+            ),
+            EventHeader::Progress {
+                job,
+                from_worker,
+                fraction,
+            } => (
+                "Progress",
+                Json::obj([
+                    ("job", (*job).into()),
+                    ("from_worker", (*from_worker).into()),
+                    ("fraction", (*fraction).into()),
+                ]),
+            ),
+        };
+        Json::obj([(name, body)])
+    }
+
+    pub fn from_json(j: &Json) -> Result<EventHeader, String> {
+        let (name, b) = variant(j)?;
+        let job = b.req("job", json::u64)?;
+        match name {
+            "JobAccepted" => Ok(EventHeader::JobAccepted {
+                job,
+                workers: b.req("workers", json::usize)?,
+            }),
+            "JobRejected" => Ok(EventHeader::JobRejected {
+                job,
+                reason: b.req("reason", json::string)?,
+                retry_after_ms: b.opt("retry_after_ms", json::u64)?,
+                queue_depth: b.opt("queue_depth", json::u64)?,
+            }),
+            "Partial" => Ok(EventHeader::Partial {
+                job,
+                seq: b.req("seq", json::u32)?,
+                kind: b.req("kind", PayloadKind::from_json)?,
+                n_items: b.req("n_items", json::u32)?,
+                from_worker: b.req("from_worker", json::usize)?,
+            }),
+            "Final" => Ok(EventHeader::Final {
+                job,
+                kind: b.req("kind", PayloadKind::from_json)?,
+                n_items: b.req("n_items", json::u32)?,
+                report: b.req("report", JobReport::from_json)?,
+            }),
+            "Error" => Ok(EventHeader::Error {
+                job,
+                message: b.req("message", json::string)?,
+            }),
+            "Cancelled" => Ok(EventHeader::Cancelled {
+                job,
+                report: b.req("report", JobReport::from_json)?,
+            }),
+            "Progress" => Ok(EventHeader::Progress {
+                job,
+                from_worker: b.req("from_worker", json::usize)?,
+                fraction: b.req("fraction", json::f64)? as f32,
+            }),
+            other => Err(format!("unknown event variant `{other}`")),
+        }
+    }
+}
+
 /// Protocol encode/decode failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
@@ -265,18 +531,20 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-fn encode_frame<T: Serialize>(header: &T, payload: &Bytes) -> Bytes {
-    let json = serde_json::to_vec(header).expect("protocol headers always serialize");
+/// The framing of every JSON-headed message (this protocol and the
+/// layer-2 one in `viracocha::wire`): `u32` header length (LE), the
+/// compact JSON header, the binary payload.
+pub fn encode_frame(header: &Json, payload: &Bytes) -> Bytes {
+    let json = header.to_string();
     let mut buf = BytesMut::with_capacity(4 + json.len() + payload.len());
     buf.put_u32_le(json.len() as u32);
-    buf.put_slice(&json);
+    buf.put_slice(json.as_bytes());
     buf.put_slice(payload);
     buf.freeze()
 }
 
-fn decode_frame<T: for<'de> Deserialize<'de>>(
-    mut frame: Bytes,
-) -> Result<(T, Bytes), ProtocolError> {
+/// Splits a frame into its parsed JSON header and the payload behind it.
+pub fn decode_frame(mut frame: Bytes) -> Result<(Json, Bytes), ProtocolError> {
     if frame.remaining() < 4 {
         return Err(ProtocolError::Malformed(
             "frame shorter than header length".into(),
@@ -286,30 +554,41 @@ fn decode_frame<T: for<'de> Deserialize<'de>>(
     if frame.remaining() < len {
         return Err(ProtocolError::Malformed("truncated header".into()));
     }
-    let json = frame.split_to(len);
-    let header = serde_json::from_slice(&json)
-        .map_err(|e| ProtocolError::Malformed(format!("bad header JSON: {e}")))?;
+    let header = std::str::from_utf8(&frame[..len])
+        .map_err(|e| e.to_string())
+        .and_then(json::parse)
+        .map_err(bad_header)?;
+    frame.advance(len);
     Ok((header, frame))
+}
+
+fn bad_header(e: String) -> ProtocolError {
+    ProtocolError::Malformed(format!("bad header JSON: {e}"))
 }
 
 /// Encodes a request frame (requests carry no binary payload).
 pub fn encode_request(req: &ClientRequest) -> Bytes {
-    encode_frame(req, &Bytes::new())
+    encode_frame(&req.to_json(), &Bytes::new())
 }
 
 /// Decodes a request frame.
 pub fn decode_request(frame: Bytes) -> Result<ClientRequest, ProtocolError> {
-    decode_frame(frame).map(|(h, _)| h)
+    let (header, _) = decode_frame(frame)?;
+    ClientRequest::from_json(&header).map_err(bad_header)
 }
 
 /// Encodes an event frame with its binary payload.
 pub fn encode_event(header: &EventHeader, payload: Bytes) -> Bytes {
-    encode_frame(header, &payload)
+    encode_frame(&header.to_json(), &payload)
 }
 
 /// Decodes an event frame into header + payload.
 pub fn decode_event(frame: Bytes) -> Result<(EventHeader, Bytes), ProtocolError> {
-    decode_frame(frame)
+    let (header, payload) = decode_frame(frame)?;
+    Ok((
+        EventHeader::from_json(&header).map_err(bad_header)?,
+        payload,
+    ))
 }
 
 /// Encodes a list of polylines: `u32` count, then each polyline's own
@@ -331,7 +610,9 @@ pub fn decode_polylines(mut b: Bytes) -> Result<Vec<Polyline>, ProtocolError> {
         return Err(ProtocolError::Malformed("missing polyline count".into()));
     }
     let n = b.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
+    // Every polyline takes at least its 4-byte length, so the count a
+    // hostile frame claims cannot reserve more than the frame holds.
+    let mut out = Vec::with_capacity(n.min(b.remaining() / 4));
     for _ in 0..n {
         if b.remaining() < 4 {
             return Err(ProtocolError::Malformed("missing polyline length".into()));
@@ -340,9 +621,9 @@ pub fn decode_polylines(mut b: Bytes) -> Result<Vec<Polyline>, ProtocolError> {
         if b.remaining() < len {
             return Err(ProtocolError::Malformed("truncated polyline".into()));
         }
-        let chunk = b.split_to(len);
-        let line = Polyline::from_bytes(chunk)
+        let line = Polyline::from_bytes(b.slice(0..len))
             .ok_or_else(|| ProtocolError::Malformed("bad polyline body".into()))?;
+        b.advance(len);
         out.push(line);
     }
     Ok(out)
@@ -388,7 +669,7 @@ mod tests {
     #[test]
     fn submit_without_trace_context_decodes_as_untraced() {
         // Submits from clients predating causal tracing must still
-        // decode; the context fields are #[serde(default)].
+        // decode; the context fields are optional on decode.
         let req = ClientRequest::Submit {
             job: 11,
             command: "IsoDataMan".into(),
@@ -399,17 +680,11 @@ mod tests {
             trace_id: 77,
             parent_span_id: 8,
         };
-        let mut v = serde_json::to_value(&req).unwrap();
-        let obj = v
-            .as_object_mut()
-            .unwrap()
-            .get_mut("Submit")
-            .unwrap()
-            .as_object_mut()
-            .unwrap();
+        let mut v = req.to_json();
+        let obj = v.get_mut("Submit").unwrap();
         obj.remove("trace_id");
         obj.remove("parent_span_id");
-        let back: ClientRequest = serde_json::from_value(v).unwrap();
+        let back = ClientRequest::from_json(&v).unwrap();
         match back {
             ClientRequest::Submit {
                 job,
@@ -428,7 +703,7 @@ mod tests {
     #[test]
     fn submit_without_session_decodes_as_session_zero() {
         // Submits from clients predating per-session fair share must
-        // still decode; the field is #[serde(default)].
+        // still decode; the field is optional on decode.
         let req = ClientRequest::Submit {
             job: 9,
             command: "IsoDataMan".into(),
@@ -439,15 +714,9 @@ mod tests {
             trace_id: 0,
             parent_span_id: 0,
         };
-        let mut v = serde_json::to_value(&req).unwrap();
-        v.as_object_mut()
-            .unwrap()
-            .get_mut("Submit")
-            .unwrap()
-            .as_object_mut()
-            .unwrap()
-            .remove("session");
-        let back: ClientRequest = serde_json::from_value(v).unwrap();
+        let mut v = req.to_json();
+        v.get_mut("Submit").unwrap().remove("session");
+        let back = ClientRequest::from_json(&v).unwrap();
         match back {
             ClientRequest::Submit { job, session, .. } => {
                 assert_eq!(job, 9);
@@ -461,24 +730,18 @@ mod tests {
     fn rejection_without_busy_fields_decodes_as_permanent_refusal() {
         // JobRejected frames from schedulers predating admission
         // control carry only the bare reason string; the busy fields
-        // are #[serde(default)] and must come back `None`.
+        // are optional on decode and must come back `None`.
         let ev = EventHeader::JobRejected {
             job: 3,
             reason: "unknown command 'Nope'".into(),
             retry_after_ms: Some(25),
             queue_depth: Some(7),
         };
-        let mut v = serde_json::to_value(&ev).unwrap();
-        let obj = v
-            .as_object_mut()
-            .unwrap()
-            .get_mut("JobRejected")
-            .unwrap()
-            .as_object_mut()
-            .unwrap();
+        let mut v = ev.to_json();
+        let obj = v.get_mut("JobRejected").unwrap();
         obj.remove("retry_after_ms");
         obj.remove("queue_depth");
-        let back: EventHeader = serde_json::from_value(v).unwrap();
+        let back = EventHeader::from_json(&v).unwrap();
         match back {
             EventHeader::JobRejected {
                 job,
@@ -584,7 +847,7 @@ mod tests {
     #[test]
     fn report_without_stage_timings_decodes_with_zero_defaults() {
         // Final events from schedulers predating the per-stage timing
-        // fields must still decode; the new fields are #[serde(default)].
+        // fields must still decode; the new fields are optional on decode.
         let report = JobReport {
             total_runtime_s: 2.0,
             read_s: 1.0,
@@ -593,11 +856,10 @@ mod tests {
             triangles: 10,
             ..JobReport::default()
         };
-        let mut v = serde_json::to_value(report).unwrap();
-        let obj = v.as_object_mut().unwrap();
-        obj.remove("queue_wait_s");
-        obj.remove("merge_s");
-        let back: JobReport = serde_json::from_value(v).unwrap();
+        let mut v = report.to_json();
+        v.remove("queue_wait_s");
+        v.remove("merge_s");
+        let back = JobReport::from_json(&v).unwrap();
         assert_eq!(back.queue_wait_s, 0.0);
         assert_eq!(back.merge_s, 0.0);
         assert_eq!(back.total_runtime_s, 2.0);
@@ -671,11 +933,10 @@ mod tests {
             degraded: true,
             ..JobReport::default()
         };
-        let mut v = serde_json::to_value(report).unwrap();
-        let obj = v.as_object_mut().unwrap();
-        obj.remove("retries");
-        obj.remove("degraded");
-        let back: JobReport = serde_json::from_value(v).unwrap();
+        let mut v = report.to_json();
+        v.remove("retries");
+        v.remove("degraded");
+        let back = JobReport::from_json(&v).unwrap();
         assert_eq!(back.retries, 0);
         assert!(!back.degraded);
         assert_eq!(back.total_runtime_s, 2.0);
@@ -691,11 +952,10 @@ mod tests {
             extract_threads: 8,
             ..JobReport::default()
         };
-        let mut v = serde_json::to_value(report).unwrap();
-        let obj = v.as_object_mut().unwrap();
-        obj.remove("extract_par_s");
-        obj.remove("extract_threads");
-        let back: JobReport = serde_json::from_value(v).unwrap();
+        let mut v = report.to_json();
+        v.remove("extract_par_s");
+        v.remove("extract_threads");
+        let back = JobReport::from_json(&v).unwrap();
         assert_eq!(back.extract_par_s, 0.0);
         assert_eq!(back.extract_threads, 0, "absent thread count means unknown");
         assert_eq!(back.total_runtime_s, 2.0);
@@ -710,11 +970,184 @@ mod tests {
             requeue_wait_s: 1.5,
             ..JobReport::default()
         };
-        let mut v = serde_json::to_value(report).unwrap();
-        v.as_object_mut().unwrap().remove("requeue_wait_s");
-        let back: JobReport = serde_json::from_value(v).unwrap();
+        let mut v = report.to_json();
+        v.remove("requeue_wait_s");
+        let back = JobReport::from_json(&v).unwrap();
         assert_eq!(back.requeue_wait_s, 0.0);
         assert_eq!(back.queue_wait_s, 0.5);
+    }
+
+    /// `text` is what a peer built with the derived encoder of earlier
+    /// versions sends for `value`: it must decode to it, be what we
+    /// send ourselves, and survive a round trip.
+    fn assert_request_shape(text: &str, value: ClientRequest) {
+        let j = json::parse(text).unwrap();
+        assert_eq!(ClientRequest::from_json(&j).as_ref(), Ok(&value), "{text}");
+        assert_eq!(value.to_json().to_string(), text);
+        assert_eq!(decode_request(encode_request(&value)).unwrap(), value);
+    }
+
+    fn assert_event_shape(text: &str, value: EventHeader) {
+        let j = json::parse(text).unwrap();
+        assert_eq!(EventHeader::from_json(&j).as_ref(), Ok(&value), "{text}");
+        assert_eq!(value.to_json().to_string(), text);
+        let (back, _) = decode_event(encode_event(&value, Bytes::new())).unwrap();
+        assert_eq!(back, value);
+    }
+
+    const REPORT_TEXT: &str = r#"{"total_runtime_s":12.5,"read_s":3.0,"compute_s":9.0,"send_s":0.5,"queue_wait_s":0.75,"requeue_wait_s":0.0,"merge_s":0.125,"demand_requests":9,"cache_hits":6,"cache_misses":3,"prefetch_issued":4,"prefetch_hits":2,"triangles":1234,"polylines":0,"cells_skipped":1000,"bricks_skipped":12,"extract_par_s":0.0625,"extract_threads":4,"retries":2,"degraded":true}"#;
+
+    fn fixture_report() -> JobReport {
+        JobReport {
+            total_runtime_s: 12.5,
+            read_s: 3.0,
+            compute_s: 9.0,
+            send_s: 0.5,
+            queue_wait_s: 0.75,
+            requeue_wait_s: 0.0,
+            merge_s: 0.125,
+            demand_requests: 9,
+            cache_hits: 6,
+            cache_misses: 3,
+            prefetch_issued: 4,
+            prefetch_hits: 2,
+            triangles: 1234,
+            polylines: 0,
+            cells_skipped: 1000,
+            bricks_skipped: 12,
+            extract_par_s: 0.0625,
+            extract_threads: 4,
+            retries: 2,
+            degraded: true,
+        }
+    }
+
+    #[test]
+    fn request_wire_shapes_are_pinned() {
+        assert_request_shape(
+            r#"{"Submit":{"job":18446744073709551615,"command":"IsoDataMan","dataset":"Engine","params":[["iso","0.5"],["viewpoint","1,2,3"]],"workers":8,"session":3,"trace_id":9007199254740993,"parent_span_id":12}}"#,
+            ClientRequest::Submit {
+                job: u64::MAX,
+                command: "IsoDataMan".into(),
+                dataset: "Engine".into(),
+                params: CommandParams::new()
+                    .set("iso", 0.5)
+                    .set_vec3("viewpoint", [1.0, 2.0, 3.0]),
+                workers: 8,
+                session: 3,
+                trace_id: (1 << 53) + 1,
+                parent_span_id: 12,
+            },
+        );
+        assert_request_shape(r#"{"Cancel":{"job":4}}"#, ClientRequest::Cancel { job: 4 });
+        assert_request_shape(
+            r#"{"Ack":{"job":4,"up_to_seq":17}}"#,
+            ClientRequest::Ack {
+                job: 4,
+                up_to_seq: 17,
+            },
+        );
+        assert_request_shape(r#"{"Resume":{"job":4}}"#, ClientRequest::Resume { job: 4 });
+        assert_request_shape(r#""Shutdown""#, ClientRequest::Shutdown);
+        // Unknown fields are skipped, unknown variants are not.
+        let j = json::parse(r#"{"Cancel":{"job":4,"why":"bored"}}"#).unwrap();
+        assert_eq!(
+            ClientRequest::from_json(&j),
+            Ok(ClientRequest::Cancel { job: 4 })
+        );
+        for bad in [
+            r#"{"Pause":{"job":4}}"#,
+            r#""Submit""#,
+            r#"{"Cancel":{}}"#,
+            "{}",
+            "7",
+        ] {
+            assert!(
+                ClientRequest::from_json(&json::parse(bad).unwrap()).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn event_wire_shapes_are_pinned() {
+        assert_event_shape(
+            r#"{"JobAccepted":{"job":1,"workers":4}}"#,
+            EventHeader::JobAccepted { job: 1, workers: 4 },
+        );
+        assert_event_shape(
+            r#"{"JobRejected":{"job":3,"reason":"busy: \"queue\" full","retry_after_ms":25,"queue_depth":null}}"#,
+            EventHeader::JobRejected {
+                job: 3,
+                reason: "busy: \"queue\" full".into(),
+                retry_after_ms: Some(25),
+                queue_depth: None,
+            },
+        );
+        assert_event_shape(
+            r#"{"Partial":{"job":3,"seq":11,"kind":"Triangles","n_items":1,"from_worker":2}}"#,
+            EventHeader::Partial {
+                job: 3,
+                seq: 11,
+                kind: PayloadKind::Triangles,
+                n_items: 1,
+                from_worker: 2,
+            },
+        );
+        assert_event_shape(
+            &format!(r#"{{"Final":{{"job":1,"kind":"None","n_items":0,"report":{REPORT_TEXT}}}}}"#),
+            EventHeader::Final {
+                job: 1,
+                kind: PayloadKind::None,
+                n_items: 0,
+                report: fixture_report(),
+            },
+        );
+        assert_event_shape(
+            r#"{"Error":{"job":42,"message":"boom"}}"#,
+            EventHeader::Error {
+                job: 42,
+                message: "boom".into(),
+            },
+        );
+        assert_event_shape(
+            &format!(r#"{{"Cancelled":{{"job":8,"report":{REPORT_TEXT}}}}}"#),
+            EventHeader::Cancelled {
+                job: 8,
+                report: fixture_report(),
+            },
+        );
+        assert_event_shape(
+            r#"{"Progress":{"job":5,"from_worker":1,"fraction":0.1}}"#,
+            EventHeader::Progress {
+                job: 5,
+                from_worker: 1,
+                fraction: 0.1,
+            },
+        );
+        assert_event_shape(
+            r#"{"Partial":{"job":3,"seq":0,"kind":"Polylines","n_items":7,"from_worker":0}}"#,
+            EventHeader::Partial {
+                job: 3,
+                seq: 0,
+                kind: PayloadKind::Polylines,
+                n_items: 7,
+                from_worker: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn non_finite_report_values_travel_as_null_and_are_refused() {
+        // JSON has no NaN; the derived encoder wrote `null` too, and a
+        // required number that is `null` never decoded.
+        let report = JobReport {
+            total_runtime_s: f64::NAN,
+            ..JobReport::default()
+        };
+        let text = report.to_json().to_string();
+        assert!(text.starts_with(r#"{"total_runtime_s":null,"#));
+        assert!(JobReport::from_json(&json::parse(&text).unwrap()).is_err());
     }
 
     #[test]
@@ -737,6 +1170,9 @@ mod tests {
         let back = decode_polylines(encode_polylines(&lines)).unwrap();
         assert_eq!(back, lines);
         assert!(decode_polylines(Bytes::from_static(b"z")).is_err());
+        // A count of four billion in an eight-byte frame is refused, not
+        // allocated for.
+        assert!(decode_polylines(Bytes::from_static(b"\xFF\xFF\xFF\xFF\0\0\0\0")).is_err());
     }
 
     #[test]

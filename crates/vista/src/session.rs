@@ -12,12 +12,12 @@
 use crate::client::JobOutcome;
 use crate::protocol::{CommandParams, JobId, JobReport};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use vira_obs as obs;
+use vira_obs::json::{self, Json};
 
 static RESENDS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 
@@ -99,7 +99,7 @@ impl StreamSession {
 
 /// One completed job, reduced to its measurable facts (geometry is
 /// summarized, not stored).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionRecord {
     pub job: JobId,
     pub command: String,
@@ -143,13 +143,13 @@ impl SessionRecord {
 }
 
 /// An append-only session log with aggregate statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionLog {
     pub records: Vec<SessionRecord>,
 }
 
 /// Aggregates computed over a session log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionSummary {
     pub jobs: usize,
     pub total_modeled_s: f64,
@@ -209,17 +209,56 @@ impl SessionLog {
         s
     }
 
+    pub fn to_json(&self) -> Json {
+        let record = |r: &SessionRecord| {
+            Json::obj([
+                ("job", r.job.into()),
+                ("command", r.command.as_str().into()),
+                ("dataset", r.dataset.as_str().into()),
+                ("params", r.params.to_json()),
+                ("workers", r.workers.into()),
+                ("report", r.report.to_json()),
+                ("wall_s", r.wall_s.into()),
+                ("first_result_wall_s", r.first_result_wall_s.into()),
+                ("triangles", r.triangles.into()),
+                ("polylines", r.polylines.into()),
+                ("packets", r.packets.into()),
+            ])
+        };
+        Json::obj([("records", Json::Arr(self.records.iter().map(record).collect()))])
+    }
+
+    pub fn from_json(j: &Json) -> Result<SessionLog, String> {
+        let record = |r: &Json| {
+            Ok(SessionRecord {
+                job: r.req("job", json::u64)?,
+                command: r.req("command", json::string)?,
+                dataset: r.req("dataset", json::string)?,
+                params: r.req("params", CommandParams::from_json)?,
+                workers: r.req("workers", json::usize)?,
+                report: r.req("report", JobReport::from_json)?,
+                wall_s: r.req("wall_s", json::f64)?,
+                first_result_wall_s: r.opt("first_result_wall_s", json::f64)?,
+                triangles: r.req("triangles", json::u64)?,
+                polylines: r.req("polylines", json::u64)?,
+                packets: r.req("packets", json::u64)?,
+            })
+        };
+        let records = j.req("records", |rs| json::list(rs, record))?;
+        Ok(SessionLog { records })
+    }
+
     /// Writes the log as pretty JSON.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
+        std::fs::write(path, self.to_json().pretty())
     }
 
     /// Reads a log written by [`save`](Self::save).
     pub fn load(path: &Path) -> io::Result<SessionLog> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let text = std::fs::read_to_string(path)?;
+        json::parse(&text)
+            .and_then(|j| SessionLog::from_json(&j))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -396,6 +435,45 @@ mod tests {
         let back = SessionLog::load(&path).unwrap();
         assert_eq!(back, log);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn session_file_shape_is_pinned() {
+        // The head of a one-record log exactly as the derived encoder of
+        // earlier versions saved it; logs on disk stay loadable.
+        let mut log = SessionLog::new();
+        log.push(record("IsoDataMan", 2.0, 1, 2));
+        let text = log.to_json().pretty();
+        let head = r#"{
+  "records": [
+    {
+      "job": 1,
+      "command": "IsoDataMan",
+      "dataset": "Engine",
+      "params": [
+        [
+          "iso",
+          "15"
+        ]
+      ],
+      "workers": 4,
+      "report": {
+        "total_runtime_s": 2.0,
+        "read_s": 0.0,"#;
+        let tail = r#"
+        "degraded": false
+      },
+      "wall_s": 0.1,
+      "first_result_wall_s": null,
+      "triangles": 100,
+      "polylines": 0,
+      "packets": 0
+    }
+  ]
+}"#;
+        assert!(text.starts_with(head), "{text}");
+        assert!(text.ends_with(tail), "{text}");
+        assert_eq!(SessionLog::from_json(&json::parse(&text).unwrap()), Ok(log));
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn main() {
         );
     }
 
-    println!("\nnow the λ₂ vortex criterion on the cached data (\"a value about zero\"):");
+    println!("\nnow the λ₂ vortex test on the cached data (\"a value about zero\"):");
     for threshold in [-1.0e5, -2.0e4, -5.0e3] {
         let out = client
             .run(&SubmitSpec {

@@ -1,8 +1,7 @@
-//! Property-based tests (proptest) on the core data structures and
-//! invariants across the workspace.
+//! Property tests (seeded cases, see `vira-testkit`) on the core data
+//! structures and invariants across the workspace.
 
 use bytes::Bytes;
-use proptest::prelude::*;
 use std::sync::Arc;
 use vira_dms::cache::{CachePayload, MemoryCache};
 use vira_dms::name::ItemId;
@@ -16,6 +15,7 @@ use vira_grid::block::{trilinear_vec3, BlockDims, BlockStepId};
 use vira_grid::math::{Mat3, Vec3};
 use vira_grid::synth::DatasetSpec;
 use vira_storage::compress::{rle_compress, rle_decompress};
+use vira_testkit::{check, Gen, DEFAULT_CASES};
 use vira_vista::protocol;
 
 #[derive(Debug)]
@@ -27,17 +27,39 @@ impl CachePayload for Blob {
     }
 }
 
-proptest! {
-    /// The memory cache never exceeds its byte capacity (except when a
-    /// single admitted item is itself larger), for every policy and any
-    /// access pattern.
-    #[test]
-    fn cache_capacity_invariant(
-        policy_idx in 0usize..3,
-        capacity in 1usize..200,
-        ops in prop::collection::vec((0u64..40, 1usize..50), 1..200),
-    ) {
-        let policy = ["lru", "lfu", "fbr"][policy_idx];
+const UNIT_CELL: [Vec3; 8] = [
+    Vec3::new(0.0, 0.0, 0.0),
+    Vec3::new(1.0, 0.0, 0.0),
+    Vec3::new(0.0, 1.0, 0.0),
+    Vec3::new(1.0, 1.0, 0.0),
+    Vec3::new(0.0, 0.0, 1.0),
+    Vec3::new(1.0, 0.0, 1.0),
+    Vec3::new(0.0, 1.0, 1.0),
+    Vec3::new(1.0, 1.0, 1.0),
+];
+
+/// A soup of `n` triangles with `f32`-valued coordinates in `±extent`.
+fn arb_soup(g: &mut Gen, n: usize, extent: f64) -> TriangleSoup {
+    let mut soup = TriangleSoup::new();
+    for _ in 0..n {
+        let mut v = || {
+            let c = [(); 3].map(|_| g.f64_in(-extent, extent) as f32 as f64);
+            Vec3::new(c[0], c[1], c[2])
+        };
+        soup.push_tri(v(), v(), v());
+    }
+    soup
+}
+
+/// The memory cache never exceeds its byte capacity (except when a
+/// single admitted item is itself larger), for every policy and any
+/// access pattern.
+#[test]
+fn cache_capacity_invariant() {
+    check(DEFAULT_CASES, |g| {
+        let policy = ["lru", "lfu", "fbr"][g.usize_in(0..3)];
+        let capacity = g.usize_in(1..200);
+        let ops = g.vec(1..200, |g| (g.u64_in(0..40), g.usize_in(1..50)));
         let mut cache = MemoryCache::new(capacity, policy_by_name(policy).unwrap());
         for (id, size) in ops {
             let id = ItemId(id);
@@ -45,20 +67,21 @@ proptest! {
                 cache.insert(id, Arc::new(Blob(size)));
             }
             // Invariant: within capacity unless a lone oversized item.
-            prop_assert!(
+            assert!(
                 cache.used_bytes() <= capacity || cache.len() == 1,
                 "{policy}: used {} > capacity {capacity} with {} items",
                 cache.used_bytes(),
                 cache.len()
             );
         }
-    }
+    });
+}
 
-    /// Accounting stays exact under interleaved inserts and removes.
-    #[test]
-    fn cache_byte_accounting_is_exact(
-        ops in prop::collection::vec((0u64..20, 1usize..30, prop::bool::ANY), 1..150),
-    ) {
+/// Accounting stays exact under interleaved inserts and removes.
+#[test]
+fn cache_byte_accounting_is_exact() {
+    check(DEFAULT_CASES, |g| {
+        let ops = g.vec(1..150, |g| (g.u64_in(0..20), g.usize_in(1..30), g.bool()));
         let mut cache = MemoryCache::new(10_000, policy_by_name("lru").unwrap());
         let mut shadow: std::collections::HashMap<u64, usize> = Default::default();
         for (id, size, remove) in ops {
@@ -69,24 +92,27 @@ proptest! {
                 cache.insert(ItemId(id), Arc::new(Blob(size)));
                 shadow.insert(id, size);
             }
-            prop_assert_eq!(cache.len(), shadow.len());
-            prop_assert_eq!(cache.used_bytes(), shadow.values().sum::<usize>());
+            assert_eq!(cache.len(), shadow.len());
+            assert_eq!(cache.used_bytes(), shadow.values().sum::<usize>());
         }
-    }
+    });
+}
 
-    /// After one full pass over a sequence of *distinct* items, a
-    /// first-order Markov prefetcher predicts every transition exactly.
-    #[test]
-    fn markov_perfect_recall_on_distinct_sequences(
-        raw in prop::collection::vec((0u32..100, 0u32..100), 2..40),
-    ) {
+/// After one full pass over a sequence of *distinct* items, a
+/// first-order Markov prefetcher predicts every transition exactly.
+#[test]
+fn markov_perfect_recall_on_distinct_sequences() {
+    check(DEFAULT_CASES, |g| {
+        let raw = g.vec(2..40, |g| (g.u32_in(0..100), g.u32_in(0..100)));
         let mut seen = std::collections::HashSet::new();
         let seq: Vec<BlockStepId> = raw
             .into_iter()
             .map(|(b, s)| BlockStepId::new(b, s))
             .filter(|id| seen.insert(*id))
             .collect();
-        prop_assume!(seq.len() >= 2);
+        if seq.len() < 2 {
+            return;
+        }
         let mut m = MarkovPrefetch::first_order();
         for &id in &seq {
             m.advise(id, false);
@@ -94,18 +120,20 @@ proptest! {
         // Replay: each item predicts its successor.
         for w in seq.windows(2) {
             let advice = m.advise(w[0], true);
-            prop_assert_eq!(advice, vec![w[1]]);
+            assert_eq!(advice, vec![w[1]]);
         }
-    }
+    });
+}
 
-    /// Walking `SequenceOrder::next` from the first item enumerates every
-    /// item of the dataset exactly once.
-    #[test]
-    fn sequence_order_enumerates_all_items(n_blocks in 1u32..20, n_steps in 1u32..10) {
+/// Walking `SequenceOrder::next` from the first item enumerates every
+/// item of the dataset exactly once.
+#[test]
+fn sequence_order_enumerates_all_items() {
+    check(DEFAULT_CASES, |g| {
         let spec = DatasetSpec {
             name: "t".into(),
-            n_blocks,
-            n_steps,
+            n_blocks: g.u32_in(1..20),
+            n_steps: g.u32_in(1..10),
             block_dims: BlockDims::new(2, 2, 2),
             nominal_disk_bytes: 1 << 20,
             dt: 0.1,
@@ -114,183 +142,166 @@ proptest! {
         let mut cur = Some(BlockStepId::new(0, 0));
         let mut visited = std::collections::HashSet::new();
         while let Some(id) = cur {
-            prop_assert!(visited.insert(id), "revisited {id:?}");
+            assert!(visited.insert(id), "revisited {id:?}");
             cur = order.next(id);
         }
-        prop_assert_eq!(visited.len() as u64, spec.n_items());
-    }
+        assert_eq!(visited.len() as u64, spec.n_items());
+    });
+}
 
-    /// Point index mapping is a bijection.
-    #[test]
-    fn block_dims_index_bijection(ni in 2usize..8, nj in 2usize..8, nk in 2usize..8) {
-        let d = BlockDims::new(ni, nj, nk);
+/// Point index mapping is a bijection.
+#[test]
+fn block_dims_index_bijection() {
+    check(DEFAULT_CASES, |g| {
+        let d = BlockDims::new(g.usize_in(2..8), g.usize_in(2..8), g.usize_in(2..8));
         for idx in 0..d.n_points() {
             let (i, j, k) = d.point_coords(idx);
-            prop_assert_eq!(d.point_index(i, j, k), idx);
+            assert_eq!(d.point_index(i, j, k), idx);
         }
-    }
+    });
+}
 
-    /// Newton inversion of the trilinear map recovers local coordinates
-    /// on randomly perturbed (non-degenerate) cells.
-    #[test]
-    fn trilinear_inversion_roundtrip(
-        jitter in prop::collection::vec(-0.15f64..0.15, 24),
-        u in 0.05f64..0.95,
-        v in 0.05f64..0.95,
-        w in 0.05f64..0.95,
-    ) {
+/// Newton inversion of the trilinear map recovers local coordinates
+/// on randomly perturbed (non-degenerate) cells.
+#[test]
+fn trilinear_inversion_roundtrip() {
+    check(DEFAULT_CASES, |g| {
         // Unit cell corners plus bounded jitter stay a valid hexahedron.
-        let base = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            Vec3::new(1.0, 1.0, 0.0),
-            Vec3::new(0.0, 0.0, 1.0),
-            Vec3::new(1.0, 0.0, 1.0),
-            Vec3::new(0.0, 1.0, 1.0),
-            Vec3::new(1.0, 1.0, 1.0),
-        ];
-        let mut corners = base;
-        for (n, c) in corners.iter_mut().enumerate() {
-            c.x += jitter[3 * n];
-            c.y += jitter[3 * n + 1];
-            c.z += jitter[3 * n + 2];
+        let mut corners = UNIT_CELL;
+        for c in corners.iter_mut() {
+            c.x += g.f64_in(-0.15, 0.15);
+            c.y += g.f64_in(-0.15, 0.15);
+            c.z += g.f64_in(-0.15, 0.15);
         }
+        let [u, v, w] = [(); 3].map(|_| g.f64_in(0.05, 0.95));
         let p = trilinear_vec3(&corners, u, v, w);
         let (ru, rv, rw) = invert_trilinear(&corners, p).expect("inversion");
         let back = trilinear_vec3(&corners, ru, rv, rw);
-        prop_assert!((back - p).norm() < 1e-7, "residual {}", (back - p).norm());
-    }
+        assert!((back - p).norm() < 1e-7, "residual {}", (back - p).norm());
+    });
+}
 
-    /// Marching tetrahedra: every emitted vertex lies inside the cell's
-    /// bounding box, and a linear scalar field puts all vertices exactly
-    /// on the iso plane.
-    #[test]
-    fn tetra_vertices_stay_in_cell(scalars in prop::collection::vec(-1.0f64..1.0, 8), iso in -0.9f64..0.9) {
-        let corners = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            Vec3::new(1.0, 1.0, 0.0),
-            Vec3::new(0.0, 0.0, 1.0),
-            Vec3::new(1.0, 0.0, 1.0),
-            Vec3::new(0.0, 1.0, 1.0),
-            Vec3::new(1.0, 1.0, 1.0),
-        ];
-        let s: [f64; 8] = scalars.try_into().expect("length 8");
+/// Marching tetrahedra: every emitted vertex lies inside the cell's
+/// bounding box, and a linear scalar field puts all vertices exactly
+/// on the iso plane.
+#[test]
+fn tetra_vertices_stay_in_cell() {
+    check(DEFAULT_CASES, |g| {
+        let s = [(); 8].map(|_| g.f64_in(-1.0, 1.0));
+        let iso = g.f64_in(-0.9, 0.9);
         let mut out = TriangleSoup::new();
-        contour_cell(&corners, &s, iso, &mut out);
+        contour_cell(&UNIT_CELL, &s, iso, &mut out);
         for v in &out.positions {
             for c in v {
-                prop_assert!((-1e-6..=1.0 + 1e-6).contains(&(*c as f64)), "vertex {v:?}");
+                assert!((-1e-6..=1.0 + 1e-6).contains(&(*c as f64)), "vertex {v:?}");
             }
         }
-        prop_assert!(out.is_finite());
-    }
+        assert!(out.is_finite());
+    });
+}
 
-    /// Symmetric eigenvalue invariants: ordering, trace and determinant.
-    #[test]
-    fn eigen_invariants(
-        a in -5.0f64..5.0, b in -5.0f64..5.0, c in -5.0f64..5.0,
-        d in -5.0f64..5.0, e in -5.0f64..5.0, f in -5.0f64..5.0,
-    ) {
-        let m = Mat3::from_rows(
-            Vec3::new(a, b, c),
-            Vec3::new(b, d, e),
-            Vec3::new(c, e, f),
-        );
+/// Symmetric eigenvalue invariants: ordering, trace and determinant.
+#[test]
+fn eigen_invariants() {
+    check(DEFAULT_CASES, |g| {
+        let [a, b, c, d, e, f] = [(); 6].map(|_| g.f64_in(-5.0, 5.0));
+        let m = Mat3::from_rows(Vec3::new(a, b, c), Vec3::new(b, d, e), Vec3::new(c, e, f));
         let eig = symmetric_eigenvalues(&m);
-        prop_assert!(eig[0] >= eig[1] && eig[1] >= eig[2]);
+        assert!(eig[0] >= eig[1] && eig[1] >= eig[2]);
         let scale = 1.0 + eig.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-        prop_assert!((eig.iter().sum::<f64>() - m.trace()).abs() < 1e-8 * scale);
-        prop_assert!((eig[0] * eig[1] * eig[2] - m.det()).abs() < 1e-6 * scale * scale * scale);
-    }
+        assert!((eig.iter().sum::<f64>() - m.trace()).abs() < 1e-8 * scale);
+        assert!((eig[0] * eig[1] * eig[2] - m.det()).abs() < 1e-6 * scale * scale * scale);
+    });
+}
 
-    /// Triangle-soup wire encoding round-trips arbitrary geometry.
-    #[test]
-    fn soup_bytes_roundtrip(verts in prop::collection::vec(-1e6f32..1e6, 9..90)) {
-        let n = verts.len() / 9;
-        let mut soup = TriangleSoup::new();
-        for t in 0..n {
-            soup.push_tri(
-                Vec3::new(verts[9 * t] as f64, verts[9 * t + 1] as f64, verts[9 * t + 2] as f64),
-                Vec3::new(verts[9 * t + 3] as f64, verts[9 * t + 4] as f64, verts[9 * t + 5] as f64),
-                Vec3::new(verts[9 * t + 6] as f64, verts[9 * t + 7] as f64, verts[9 * t + 8] as f64),
-            );
-        }
+/// Triangle-soup wire encoding round-trips arbitrary geometry.
+#[test]
+fn soup_bytes_roundtrip() {
+    check(DEFAULT_CASES, |g| {
+        let n = g.usize_in(1..10);
+        let soup = arb_soup(g, n, 1e6);
         let back = TriangleSoup::from_bytes(soup.to_bytes()).expect("roundtrip");
-        prop_assert_eq!(back, soup);
-    }
+        assert_eq!(back, soup);
+    });
+}
 
-    /// Random byte blobs never panic any decoder (they may fail, never
-    /// crash).
-    #[test]
-    fn decoders_tolerate_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let b = Bytes::from(bytes);
+/// Random byte blobs never panic any decoder (they may fail, never
+/// crash).
+#[test]
+fn decoders_tolerate_garbage() {
+    check(DEFAULT_CASES, |g| {
+        let b = Bytes::from(g.bytes(0..256));
         let _ = TriangleSoup::from_bytes(b.clone());
         let _ = Polyline::from_bytes(b.clone());
         let _ = protocol::decode_request(b.clone());
         let _ = protocol::decode_event(b.clone());
         let _ = protocol::decode_polylines(b);
-    }
-
-    /// Client protocol round-trips arbitrary submit requests.
-    #[test]
-    fn protocol_request_roundtrip(
-        job in any::<u64>(),
-        command in "[A-Za-z]{1,16}",
-        dataset in "[A-Za-z0-9]{1,12}",
-        workers in 1usize..64,
-        session in any::<u64>(),
-        trace_id in any::<u64>(),
-        parent_span_id in any::<u64>(),
-        params in prop::collection::vec(("[a-z]{1,6}", "[a-z0-9.\\-]{1,8}"), 0..6),
-    ) {
-        let req = protocol::ClientRequest::Submit {
-            job,
-            command,
-            dataset,
-            params: protocol::CommandParams(
-                params.into_iter().collect(),
-            ),
-            workers,
-            session,
-            trace_id,
-            parent_span_id,
-        };
-        let mut normalized = req.clone();
-        if let protocol::ClientRequest::Submit { params, .. } = &mut normalized {
-            params.0.sort();
-        }
-        let back = protocol::decode_request(protocol::encode_request(&normalized)).expect("roundtrip");
-        prop_assert_eq!(back, normalized);
-    }
+    });
 }
 
-proptest! {
-    /// PackBits round-trips arbitrary byte strings.
-    #[test]
-    fn rle_roundtrip_arbitrary_bytes(data in prop::collection::vec(any::<u8>(), 0..2048)) {
+/// Client protocol round-trips arbitrary submit requests.
+#[test]
+fn protocol_request_roundtrip() {
+    const LETTERS: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    const DIGITS: &str = "0123456789";
+    check(DEFAULT_CASES, |g| {
+        let mut params = g.vec(0..6, |g| {
+            let key = g.string(&LETTERS[..26], 1..7);
+            (
+                key,
+                g.string(&format!("{}{DIGITS}.-", &LETTERS[..26]), 1..9),
+            )
+        });
+        params.sort();
+        let req = protocol::ClientRequest::Submit {
+            job: g.u64(),
+            command: g.string(LETTERS, 1..17),
+            dataset: g.string(&format!("{LETTERS}{DIGITS}"), 1..13),
+            params: protocol::CommandParams(params),
+            workers: g.usize_in(1..64),
+            session: g.u64(),
+            trace_id: g.u64(),
+            parent_span_id: g.u64(),
+        };
+        let back = protocol::decode_request(protocol::encode_request(&req)).expect("roundtrip");
+        assert_eq!(back, req);
+    });
+}
+
+/// PackBits round-trips arbitrary byte strings.
+#[test]
+fn rle_roundtrip_arbitrary_bytes() {
+    check(DEFAULT_CASES, |g| {
+        // Noise (all literal packets, the worst case for expansion) or
+        // runs (repeat packets).
+        let data: Vec<u8> = if g.bool() {
+            g.bytes(0..2048)
+        } else {
+            g.vec(0..64, |g| vec![g.u64() as u8; g.usize_in(1..64)])
+                .concat()
+        };
         let c = rle_compress(&data);
         let restored = rle_decompress(&c);
-        prop_assert_eq!(restored.as_deref(), Some(data.as_slice()));
+        assert_eq!(restored.as_deref(), Some(data.as_slice()));
         // Worst-case expansion is bounded by the literal-header overhead.
-        prop_assert!(c.len() <= data.len() + data.len() / 128 + 2);
-    }
+        assert!(c.len() <= data.len() + data.len() / 128 + 2);
+    });
+}
 
-    /// PackBits decompression never panics on arbitrary input.
-    #[test]
-    fn rle_decompress_tolerates_garbage(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = rle_decompress(&data);
-    }
+/// PackBits decompression never panics on arbitrary input.
+#[test]
+fn rle_decompress_tolerates_garbage() {
+    check(DEFAULT_CASES, |g| {
+        let _ = rle_decompress(&g.bytes(0..512));
+    });
+}
 
-    /// Histogram quantiles are monotone in q and bounded by the range.
-    #[test]
-    fn histogram_quantiles_are_monotone(
-        samples in prop::collection::vec(-10.0f64..10.0, 1..300),
-        qa in 0.0f64..1.0,
-        qb in 0.0f64..1.0,
-    ) {
+/// Histogram quantiles are monotone in q and bounded by the range.
+#[test]
+fn histogram_quantiles_are_monotone() {
+    check(DEFAULT_CASES, |g| {
+        let samples = g.vec(1..300, |g| g.f64_in(-10.0, 10.0));
+        let (qa, qb) = (g.f64_in(0.0, 1.0), g.f64_in(0.0, 1.0));
         let mut h = vira_extract::stats::Histogram::new(-10.0, 10.0, 64);
         for &s in &samples {
             h.add(s);
@@ -298,55 +309,49 @@ proptest! {
         let (lo, hi) = (qa.min(qb), qa.max(qb));
         let vlo = h.quantile(lo).unwrap();
         let vhi = h.quantile(hi).unwrap();
-        prop_assert!(vlo <= vhi + 1e-12, "q{lo} = {vlo} > q{hi} = {vhi}");
-        prop_assert!((-10.0..=10.0).contains(&vlo));
-        prop_assert!((-10.0..=10.0).contains(&vhi));
-    }
+        assert!(vlo <= vhi + 1e-12, "q{lo} = {vlo} > q{hi} = {vhi}");
+        assert!((-10.0..=10.0).contains(&vlo));
+        assert!((-10.0..=10.0).contains(&vhi));
+    });
+}
 
-    /// Welding never invents geometry: vertex count bounded by the soup,
-    /// triangle count never grows, and every surviving index is valid.
-    #[test]
-    fn weld_is_conservative(verts in prop::collection::vec(-100.0f32..100.0, 9..18 * 9)) {
-        let n = verts.len() / 9;
-        let mut soup = vira_extract::TriangleSoup::new();
-        for t in 0..n {
-            soup.push_tri(
-                Vec3::new(verts[9 * t] as f64, verts[9 * t + 1] as f64, verts[9 * t + 2] as f64),
-                Vec3::new(verts[9 * t + 3] as f64, verts[9 * t + 4] as f64, verts[9 * t + 5] as f64),
-                Vec3::new(verts[9 * t + 6] as f64, verts[9 * t + 7] as f64, verts[9 * t + 8] as f64),
-            );
-        }
+/// Welding never invents geometry: vertex count bounded by the soup,
+/// triangle count never grows, and every surviving index is valid.
+#[test]
+fn weld_is_conservative() {
+    check(DEFAULT_CASES, |g| {
+        let n = g.usize_in(1..18);
+        let soup = arb_soup(g, n, 100.0);
         let mesh = vira_extract::weld(&soup, 1e-4);
-        prop_assert!(mesh.n_vertices() <= soup.positions.len());
-        prop_assert!(mesh.n_triangles() <= soup.n_triangles());
+        assert!(mesh.n_vertices() <= soup.positions.len());
+        assert!(mesh.n_triangles() <= soup.n_triangles());
         for t in &mesh.triangles {
             for &i in t {
-                prop_assert!((i as usize) < mesh.n_vertices());
+                assert!((i as usize) < mesh.n_vertices());
             }
         }
-        prop_assert_eq!(mesh.normals.len(), mesh.n_vertices());
-    }
+        assert_eq!(mesh.normals.len(), mesh.n_vertices());
+    });
+}
 
-    /// The face-lattice index helper stays within the block for every
-    /// face, lattice position and depth.
-    #[test]
-    fn face_lattice_points_are_in_bounds(
-        ni in 2usize..6, nj in 2usize..6, nk in 2usize..6,
-        depth in 0usize..2,
-    ) {
-        let block = vira_grid::CurvilinearBlock::from_fn(
-            0,
-            BlockDims::new(ni, nj, nk),
-            |i, j, k| Vec3::new(i as f64, j as f64, k as f64),
-        );
+/// The face-lattice index helper stays within the block for every
+/// face, lattice position and depth.
+#[test]
+fn face_lattice_points_are_in_bounds() {
+    check(DEFAULT_CASES, |g| {
+        let dims = BlockDims::new(g.usize_in(2..6), g.usize_in(2..6), g.usize_in(2..6));
+        let depth = g.usize_in(0..2);
+        let block = vira_grid::CurvilinearBlock::from_fn(0, dims, |i, j, k| {
+            Vec3::new(i as f64, j as f64, k as f64)
+        });
         for face in vira_grid::Face::ALL {
             let (n1, n2) = vira_grid::face_dims(&block, face);
             for b in 0..n2 {
                 for a in 0..n1 {
                     let idx = vira_grid::faces::face_lattice_point(&block, face, a, b, depth);
-                    prop_assert!(idx < block.points.len());
+                    assert!(idx < block.points.len());
                 }
             }
         }
-    }
+    });
 }
