@@ -28,12 +28,15 @@ use vira_extract::lambda2::lambda2_field;
 use vira_extract::locate::invert_trilinear;
 use vira_extract::mesh::TriangleSoup;
 use vira_extract::par::scoped_map;
+use vira_extract::pathline::{trace_pathline, MultiBlockSampler, PathlineConfig, TimeScheme};
 use vira_extract::tetra::contour_cell;
 use vira_grid::block::BlockStepId;
-use vira_grid::field::{BlockData, ScalarField};
+use vira_grid::field::{BlockData, ScalarField, SharedBlockData};
 use vira_grid::io::{encoded_size, read_block_data, write_block_data};
+use vira_grid::locator::BlockLocator;
 use vira_grid::math::Vec3;
-use vira_grid::synth::test_cube;
+use vira_grid::synth::{engine, test_cube};
+use vira_grid::topology::topology_of;
 
 fn vortex_block(res: usize) -> BlockData {
     test_cube(res, 1).generate(BlockStepId::new(0, 0))
@@ -199,6 +202,52 @@ fn main() {
     h.bench("locate/newton_fused", || {
         invert_trilinear(black_box(&cell), black_box(probe))
     });
+
+    // ---- cell bins of one 21-cubed Engine sector: paid once per block
+    // and dataset, on the first trace that looks into the block ----
+    let ring = engine(21);
+    h.bench("locate/locator_build_21c", || {
+        BlockLocator::build(black_box(ring.block_geometry(0)))
+    });
+
+    // ---- 40 pathlines over the Engine ring, 16 levels, one sampler per
+    // seed as the commands make them, every item resident and (after
+    // the calibration pass) every locator built: locate + RK4 alone,
+    // what the pathline workload's jobs spend outside the DMS ----
+    let (n_steps, dt) = (16u32, ring.spec.dt);
+    let topology = std::sync::Arc::new(topology_of(&ring, 1e-9));
+    let mut items: std::collections::HashMap<BlockStepId, SharedBlockData> = Default::default();
+    let cfg = PathlineConfig {
+        h_init: dt / 4.0,
+        h_min: dt * 1e-6,
+        h_max: dt,
+        tol: 1e-5,
+        max_steps: 20_000,
+        scheme: TimeScheme::VelocityInterp,
+    };
+    let seeds: Vec<Vec3> = (0..40)
+        .map(|n| {
+            let (r, theta) = (0.030 + 0.0004 * n as f64, 0.61 * n as f64);
+            Vec3::new(r * theta.cos(), r * theta.sin(), 0.055 + 0.001 * n as f64)
+        })
+        .collect();
+    h.bench("pathline/engine_40_traces_21c_warm", || {
+        let mut points = 0usize;
+        for &seed in &seeds {
+            let fetch = |id: BlockStepId| {
+                let item = items
+                    .entry(id)
+                    .or_insert_with(|| std::sync::Arc::new(ring.generate(id)));
+                Some(item.clone())
+            };
+            let mut sampler = MultiBlockSampler::new(fetch, topology.clone(), n_steps, dt);
+            let t1 = f64::from(n_steps - 1) * dt;
+            points += trace_pathline(&mut sampler, black_box(seed), 0.0, t1, &cfg).line.len();
+        }
+        assert!(points > 40 * 12, "traces ended early: {points} points");
+        points
+    });
+    drop(items);
 
     // ---- intra-worker parallel block extraction: 8 items of 17-cubed
     // (one block over 8 steps — the test-cube dataset is single-block),

@@ -243,11 +243,27 @@ pub struct DataProxy {
     prefetch_meter: Arc<Meter>,
 }
 
+/// Shows the allocator, once per proxy, how much memory this node frees
+/// and takes back for as long as it lives. glibc returns the top of a
+/// heap to the kernel, and faults it in again, once more than twice the
+/// largest mapping it has seen *unmapped* lies free there; where nothing
+/// larger than an item is ever unmapped that is less than one request's
+/// buffers. Mapping and unmapping, untouched, a buffer of the memory
+/// tier's size (capped where glibc stops adapting) moves both thresholds
+/// past the churn; other allocators ignore it. Measurements: DESIGN.md,
+/// "Steady state takes nothing from the kernel's allocators".
+fn announce_recycled_bytes(l1_capacity_bytes: usize) {
+    const GLIBC_ADAPTS_UP_TO: usize = 32 << 20;
+    let bytes = l1_capacity_bytes.min(GLIBC_ADAPTS_UP_TO / 2);
+    drop(std::hint::black_box(Vec::<u8>::with_capacity(bytes)));
+}
+
 impl DataProxy {
     pub fn new(node: NodeId, server: Arc<DataServer>, config: ProxyConfig) -> DataProxy {
         let l1_policy =
             policy_by_name(&config.l1_policy).unwrap_or_else(|| panic!("unknown policy {}", config.l1_policy));
         let l1 = MemoryCache::new(config.l1_capacity_bytes, l1_policy);
+        announce_recycled_bytes(config.l1_capacity_bytes);
         let l2 = config.l2.as_ref().map(|l2c| {
             let policy = policy_by_name(&l2c.policy)
                 .unwrap_or_else(|| panic!("unknown policy {}", l2c.policy));

@@ -60,7 +60,7 @@ pub use lambda2::{
     lambda2_at, lambda2_element, lambda2_field, lambda2_field_oracle, velocity_gradient,
     Lambda2Stats, Lambda2Streamer,
 };
-pub use locate::{invert_trilinear, invert_trilinear_oracle, BlockLocator, CellHit, TrilinearCell};
+pub use locate::{invert_trilinear, invert_trilinear_oracle, locate_cell, CellHit, TrilinearCell};
 pub use mesh::{payload_triangle_count, Polyline, TriangleSoup};
 pub use par::scoped_map;
 pub use stats::{suggest_iso_level, FieldSummary, Histogram};

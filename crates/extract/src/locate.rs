@@ -5,12 +5,14 @@
 //! Strategy: Newton inversion of the trilinear mapping inside a cell,
 //! combined with *cell walking* (stepping to the neighbouring cell in the
 //! direction of the most violated local coordinate) from a hint cell.
-//! When walking fails (bad hint, concave regions) a uniform spatial bin
-//! grid over the cell bounding boxes provides candidates for a robust
-//! restart.
+//! When walking fails (bad hint, concave regions) the block's
+//! [`BlockLocator`] — a bin grid over the cell bounding boxes, built once
+//! per block and owned by the dataset's topology — provides candidates
+//! for a robust restart.
 
 use vira_grid::block::{trilinear_vec3, CurvilinearBlock};
-use vira_grid::math::{Aabb, Mat3, Vec3};
+use vira_grid::locator::BlockLocator;
+use vira_grid::math::{Mat3, Vec3};
 
 /// Local coordinates within a located cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,104 +184,49 @@ fn deriv_w(c: &[Vec3; 8], u: f64, v: f64) -> Vec3 {
     d0.lerp(d1, v)
 }
 
-/// Spatial accelerator for point location within one block.
-#[derive(Debug)]
-pub struct BlockLocator {
-    bbox: Aabb,
-    /// Bin grid resolution per axis.
-    nb: [usize; 3],
-    /// Cell indices per bin.
-    bins: Vec<Vec<u32>>,
+/// Locates `p` in `grid`, optionally starting a cell walk from `hint`;
+/// `bins` (the block's [`BlockLocator`]) supplies the candidate cells
+/// for a robust restart when the walk fails. Returns `None` when `p`
+/// lies outside the block.
+pub fn locate_cell(
+    bins: &BlockLocator,
+    grid: &CurvilinearBlock,
+    p: Vec3,
+    hint: Option<(usize, usize, usize)>,
+) -> Option<CellHit> {
+    if let Some(h) = hint {
+        if let Some(hit) = walk_from(grid, p, h) {
+            return Some(hit);
+        }
+    }
+    bins.candidates(p)
+        .iter()
+        .find_map(|&c| try_cell(grid, p, grid.dims.cell_coords(c as usize)))
 }
 
-impl BlockLocator {
-    /// Builds the accelerator (one-off per block geometry).
-    pub fn build(grid: &CurvilinearBlock) -> BlockLocator {
-        let n_cells = grid.dims.n_cells().max(1);
-        // ~4 cells per bin on average.
-        let per_axis = ((n_cells as f64 / 4.0).cbrt().ceil() as usize).clamp(1, 64);
-        let nb = [per_axis, per_axis, per_axis];
-        let bbox = grid.bbox().inflate(1e-12);
-        let mut bins = vec![Vec::new(); nb[0] * nb[1] * nb[2]];
-        let (ci, cj, ck) = grid.dims.cell_dims();
-        for k in 0..ck {
-            for j in 0..cj {
-                for i in 0..ci {
-                    let cb = grid.cell_bbox(i, j, k);
-                    let (lo, hi) = bin_range(&bbox, nb, &cb);
-                    for bz in lo[2]..=hi[2] {
-                        for by in lo[1]..=hi[1] {
-                            for bx in lo[0]..=hi[0] {
-                                bins[(bz * nb[1] + by) * nb[0] + bx]
-                                    .push(grid.dims.cell_index(i, j, k) as u32);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        BlockLocator { bbox, nb, bins }
-    }
-
-    /// Cells whose bounding boxes may contain `p`.
-    fn candidates(&self, p: Vec3) -> &[u32] {
-        if !self.bbox.contains(p) {
-            return &[];
-        }
-        let d = self.bbox.diagonal();
-        let f = |x: f64, lo: f64, extent: f64, n: usize| -> usize {
-            if extent <= 0.0 {
-                0
-            } else {
-                (((x - lo) / extent * n as f64) as usize).min(n - 1)
-            }
-        };
-        let bx = f(p.x, self.bbox.min.x, d.x, self.nb[0]);
-        let by = f(p.y, self.bbox.min.y, d.y, self.nb[1]);
-        let bz = f(p.z, self.bbox.min.z, d.z, self.nb[2]);
-        &self.bins[(bz * self.nb[1] + by) * self.nb[0] + bx]
-    }
-
-    /// Locates `p` in `grid`, optionally starting a cell walk from
-    /// `hint`. Returns `None` when `p` lies outside the block.
-    pub fn locate(
-        &self,
-        grid: &CurvilinearBlock,
-        p: Vec3,
-        hint: Option<(usize, usize, usize)>,
-    ) -> Option<CellHit> {
-        if let Some(h) = hint {
-            if let Some(hit) = walk_from(grid, p, h) {
-                return Some(hit);
-            }
-        }
-        // Robust fallback: try every candidate cell from the bin grid.
-        for &c in self.candidates(p) {
-            let cell = grid.dims.cell_coords(c as usize);
-            if let Some(hit) = try_cell(grid, p, cell) {
-                return Some(hit);
-            }
-        }
-        None
-    }
+/// Whether local coordinates lie in the cell, shared faces included.
+fn inside_cell(u: f64, v: f64, w: f64) -> bool {
+    let inside = |x: f64| (-UVW_TOL..=1.0 + UVW_TOL).contains(&x);
+    inside(u) && inside(v) && inside(w)
 }
 
-fn bin_range(bbox: &Aabb, nb: [usize; 3], cell: &Aabb) -> ([usize; 3], [usize; 3]) {
-    let d = bbox.diagonal();
-    let mut lo = [0usize; 3];
-    let mut hi = [0usize; 3];
-    for a in 0..3 {
-        let extent = d[a];
-        if extent <= 0.0 {
-            lo[a] = 0;
-            hi[a] = 0;
-            continue;
-        }
-        let f = |x: f64| ((x - bbox.min[a]) / extent * nb[a] as f64) as isize;
-        lo[a] = f(cell.min[a]).clamp(0, nb[a] as isize - 1) as usize;
-        hi[a] = f(cell.max[a]).clamp(0, nb[a] as isize - 1) as usize;
-    }
-    (lo, hi)
+/// Turns the Newton solution `(u, v, w)` for `cell` — already found
+/// [`inside_cell`] — into a hit, unless the residual says Newton stalled.
+fn accept(
+    grid: &CurvilinearBlock,
+    p: Vec3,
+    cell: (usize, usize, usize),
+    corners: &[Vec3; 8],
+    (u, v, w): (f64, f64, f64),
+) -> Option<CellHit> {
+    let x = trilinear_vec3(corners, u, v, w);
+    let scale = grid.cell_bbox(cell.0, cell.1, cell.2).diagonal().norm() + 1e-30;
+    ((x - p).norm() < 1e-8 * scale.max(1.0)).then(|| CellHit {
+        cell,
+        u: u.clamp(0.0, 1.0),
+        v: v.clamp(0.0, 1.0),
+        w: w.clamp(0.0, 1.0),
+    })
 }
 
 /// Attempts Newton inversion within one specific cell; succeeds only if
@@ -287,21 +234,10 @@ fn bin_range(bbox: &Aabb, nb: [usize; 3], cell: &Aabb) -> ([usize; 3], [usize; 3
 fn try_cell(grid: &CurvilinearBlock, p: Vec3, cell: (usize, usize, usize)) -> Option<CellHit> {
     let corners = grid.cell_corners(cell.0, cell.1, cell.2);
     let (u, v, w) = invert_trilinear(&corners, p)?;
-    let inside = |x: f64| (-UVW_TOL..=1.0 + UVW_TOL).contains(&x);
-    if inside(u) && inside(v) && inside(w) {
-        // Validate the residual: Newton may have stalled.
-        let x = trilinear_vec3(&corners, u, v, w);
-        let scale = grid.cell_bbox(cell.0, cell.1, cell.2).diagonal().norm() + 1e-30;
-        if (x - p).norm() < 1e-8 * scale.max(1.0) {
-            return Some(CellHit {
-                cell,
-                u: u.clamp(0.0, 1.0),
-                v: v.clamp(0.0, 1.0),
-                w: w.clamp(0.0, 1.0),
-            });
-        }
+    if !inside_cell(u, v, w) {
+        return None;
     }
-    None
+    accept(grid, p, cell, &corners, (u, v, w))
 }
 
 /// Walks from `start` toward `p`, stepping one cell per iteration in the
@@ -315,9 +251,8 @@ fn walk_from(grid: &CurvilinearBlock, p: Vec3, start: (usize, usize, usize)) -> 
     for _ in 0..WALK_MAX_STEPS {
         let corners = grid.cell_corners(cell.0, cell.1, cell.2);
         let (u, v, w) = invert_trilinear(&corners, p)?;
-        let inside = |x: f64| (-UVW_TOL..=1.0 + UVW_TOL).contains(&x);
-        if inside(u) && inside(v) && inside(w) {
-            return try_cell(grid, p, cell);
+        if inside_cell(u, v, w) {
+            return accept(grid, p, cell, &corners, (u, v, w));
         }
         // Step toward the most violated coordinate.
         let viol = [
@@ -456,7 +391,7 @@ mod tests {
             ((2, 1, 3), (0.99, 0.01, 0.5)),
         ] {
             let p = b.position_at(cell, uvw.0, uvw.1, uvw.2);
-            let hit = loc.locate(&b, p, None).expect("point must be found");
+            let hit = locate_cell(&loc, &b, p, None).expect("point must be found");
             // Verify by forward evaluation (the cell may legitimately be a
             // neighbour when the point lies on a face).
             let x = b.position_at(hit.cell, hit.u, hit.v, hit.w);
@@ -468,8 +403,8 @@ mod tests {
     fn locator_rejects_outside_points() {
         let b = uniform_block(5);
         let loc = BlockLocator::build(&b);
-        assert!(loc.locate(&b, Vec3::new(2.0, 0.5, 0.5), None).is_none());
-        assert!(loc.locate(&b, Vec3::new(-0.5, 0.5, 0.5), None).is_none());
+        assert!(locate_cell(&loc, &b, Vec3::new(2.0, 0.5, 0.5), None).is_none());
+        assert!(locate_cell(&loc, &b, Vec3::new(-0.5, 0.5, 0.5), None).is_none());
     }
 
     #[test]
@@ -478,7 +413,7 @@ mod tests {
         let loc = BlockLocator::build(&b);
         let p = b.position_at((6, 6, 6), 0.5, 0.5, 0.5);
         // Hint at the opposite corner: the walker must cross the block.
-        let hit = loc.locate(&b, p, Some((0, 0, 0))).unwrap();
+        let hit = locate_cell(&loc, &b, p, Some((0, 0, 0))).unwrap();
         assert_eq!(hit.cell, (6, 6, 6));
         assert!((hit.u - 0.5).abs() < 1e-7);
     }
@@ -489,7 +424,7 @@ mod tests {
         let loc = BlockLocator::build(&b);
         // Exact block corner and a face point.
         for p in [Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), Vec3::new(0.5, 0.0, 0.25)] {
-            let hit = loc.locate(&b, p, None);
+            let hit = locate_cell(&loc, &b, p, None);
             assert!(hit.is_some(), "boundary point {p:?} not found");
         }
     }
@@ -499,7 +434,7 @@ mod tests {
         let b = sheared_block(6);
         let loc = BlockLocator::build(&b);
         let p = b.position_at((3, 3, 3), 0.4, 0.4, 0.4);
-        let hit = loc.locate(&b, p, Some((3, 3, 3))).unwrap();
+        let hit = locate_cell(&loc, &b, p, Some((3, 3, 3))).unwrap();
         let x = b.position_at(hit.cell, hit.u, hit.v, hit.w);
         assert!((x - p).norm() < 1e-8);
     }

@@ -16,7 +16,7 @@
 //! interesting cache/prefetch workloads), while tests use analytic
 //! samplers with known trajectories.
 
-use crate::locate::BlockLocator;
+use crate::locate::{locate_cell, CellHit};
 use crate::mesh::Polyline;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,48 +68,70 @@ impl<F: FnMut(BlockStepId) -> Option<SharedBlockData>> BlockFetcher for F {
     }
 }
 
-/// Sampler over a time-dependent multi-block dataset. Maintains a block
-/// hint (particles usually stay in a block for many steps), per-block
-/// locators, and performs linear interpolation between adjacent time
-/// levels.
-pub struct MultiBlockSampler<F: BlockFetcher> {
+/// The items one trace holds. Holding them (a) lets the integrator touch
+/// its working set thousands of times without hammering the data
+/// management system and (b) makes the fetch stream the clean per-item
+/// load sequence a Markov prefetcher can learn from: each distinct item
+/// is fetched exactly once per trace, and only for blocks the particle
+/// enters (plus one item per block it merely comes close to).
+struct HeldItems<F: BlockFetcher> {
     fetcher: F,
+    items: HashMap<BlockStepId, SharedBlockData>,
+    /// The first item fetched of each block: its grid stands for the
+    /// block's geometry at every step.
+    first_of_block: HashMap<BlockId, SharedBlockData>,
+}
+
+impl<F: BlockFetcher> HeldItems<F> {
+    /// One fetcher call per distinct item per trace.
+    fn item(&mut self, id: BlockStepId) -> Option<&SharedBlockData> {
+        use std::collections::hash_map::Entry;
+        match self.items.entry(id) {
+            Entry::Occupied(held) => Some(held.into_mut()),
+            Entry::Vacant(slot) => {
+                let data = self.fetcher.fetch(id)?;
+                self.first_of_block.entry(id.block).or_insert_with(|| data.clone());
+                Some(slot.insert(data))
+            }
+        }
+    }
+
+    /// Any held item of `block`; fetches `(block, step)` when the trace
+    /// has none yet.
+    fn geometry(&mut self, block: BlockId, step: u32) -> Option<&SharedBlockData> {
+        if !self.first_of_block.contains_key(&block) {
+            self.item(BlockStepId::new(block, step))?;
+        }
+        self.first_of_block.get(&block)
+    }
+}
+
+/// Sampler over a time-dependent multi-block dataset. Maintains a block
+/// hint (particles usually stay in a block for many steps), locates
+/// through the topology's shared per-block locators, and performs linear
+/// interpolation between adjacent time levels.
+pub struct MultiBlockSampler<F: BlockFetcher> {
+    held: HeldItems<F>,
     topology: Arc<BlockTopology>,
     n_steps: u32,
     dt: f64,
     hint: Option<(BlockId, (usize, usize, usize))>,
-    locators: HashMap<BlockId, Arc<BlockLocator>>,
-    /// Items fetched during this trace. Holding them (a) lets the
-    /// integrator touch its working set thousands of times without
-    /// hammering the data management system and (b) makes the fetch
-    /// stream the clean per-item load sequence a Markov prefetcher can
-    /// learn from (each distinct item is fetched exactly once per trace).
-    held: HashMap<BlockStepId, SharedBlockData>,
 }
 
 impl<F: BlockFetcher> MultiBlockSampler<F> {
     pub fn new(fetcher: F, topology: Arc<BlockTopology>, n_steps: u32, dt: f64) -> Self {
         assert!(n_steps >= 1 && dt > 0.0);
         MultiBlockSampler {
-            fetcher,
+            held: HeldItems {
+                fetcher,
+                items: HashMap::new(),
+                first_of_block: HashMap::new(),
+            },
             topology,
             n_steps,
             dt,
             hint: None,
-            locators: HashMap::new(),
-            held: HashMap::new(),
         }
-    }
-
-    /// Fetches through the held-item map (one fetcher call per distinct
-    /// item per trace).
-    fn item(&mut self, id: BlockStepId) -> Option<SharedBlockData> {
-        if let Some(d) = self.held.get(&id) {
-            return Some(d.clone());
-        }
-        let d = self.fetcher.fetch(id)?;
-        self.held.insert(id, d.clone());
-        Some(d)
     }
 
     /// Adjacent data levels of `t` and the interpolation weight.
@@ -123,23 +145,19 @@ impl<F: BlockFetcher> MultiBlockSampler<F> {
     }
 
     /// Finds the block and cell containing `p`, using the hint first.
-    fn locate(&mut self, p: Vec3, step: u32) -> Option<(BlockId, crate::locate::CellHit)> {
-        let candidates = match self.hint {
-            Some((b, _)) => self.topology.candidates_near(p, b),
-            None => self.topology.candidates_for_point(p),
-        };
-        for b in candidates {
-            let data = self.item(BlockStepId::new(b, step))?;
-            let locator = self
-                .locators
-                .entry(b)
-                .or_insert_with(|| Arc::new(BlockLocator::build(&data.grid)))
-                .clone();
+    /// Geometry is static, so the answer holds at every time level;
+    /// `step` only names the item to fetch for a candidate block the
+    /// trace holds nothing of yet.
+    fn locate(&mut self, p: Vec3, step: u32) -> Option<(BlockId, CellHit)> {
+        let near = self.hint.map(|(b, _)| self.topology.candidates_near(p, b));
+        let all = near.is_none().then(|| self.topology.candidates_for_point(p));
+        for b in near.into_iter().flatten().chain(all.into_iter().flatten()) {
+            let grid = &self.held.geometry(b, step)?.grid;
             let hint_cell = match self.hint {
                 Some((hb, c)) if hb == b => Some(c),
                 _ => None,
             };
-            if let Some(hit) = locator.locate(&data.grid, p, hint_cell) {
+            if let Some(hit) = locate_cell(self.topology.locator(b, grid), grid, p, hint_cell) {
                 self.hint = Some((b, hit.cell));
                 return Some((b, hit));
             }
@@ -147,9 +165,8 @@ impl<F: BlockFetcher> MultiBlockSampler<F> {
         None
     }
 
-    fn sample_level(&mut self, p: Vec3, step: u32) -> Option<Vec3> {
-        let (b, hit) = self.locate(p, step)?;
-        let data = self.item(BlockStepId::new(b, step))?;
+    fn sample(&mut self, b: BlockId, step: u32, hit: &CellHit) -> Option<Vec3> {
+        let data = self.held.item(BlockStepId::new(b, step))?;
         Some(data.velocity.sample(hit.cell, hit.u, hit.v, hit.w))
     }
 }
@@ -157,17 +174,20 @@ impl<F: BlockFetcher> MultiBlockSampler<F> {
 impl<F: BlockFetcher> FieldSampler for MultiBlockSampler<F> {
     fn velocity(&mut self, p: Vec3, t: f64) -> Option<Vec3> {
         let (lo, hi, alpha) = self.levels(t);
-        let v_lo = self.sample_level(p, lo)?;
+        let (b, hit) = self.locate(p, lo)?;
+        let v_lo = self.sample(b, lo, &hit)?;
         if hi == lo || alpha == 0.0 {
             return Some(v_lo);
         }
-        let v_hi = self.sample_level(p, hi)?;
+        let v_hi = self.sample(b, hi, &hit)?;
         Some(v_lo.lerp(v_hi, alpha))
     }
 
     fn velocity_at_level(&mut self, p: Vec3, t: f64, hi: bool) -> Option<Vec3> {
         let (lo, hi_lv, _) = self.levels(t);
-        self.sample_level(p, if hi { hi_lv } else { lo })
+        let step = if hi { hi_lv } else { lo };
+        let (b, hit) = self.locate(p, step)?;
+        self.sample(b, step, &hit)
     }
 
     fn level_alpha(&self, t: f64) -> f64 {
@@ -596,6 +616,123 @@ mod tests {
         let steps: Vec<u32> = requests.iter().map(|r| r.step).collect();
         assert_eq!(*steps.first().unwrap(), 0);
         assert!(*steps.iter().max().unwrap() >= 2, "reached later time levels");
+    }
+
+    /// Engine ring at a small resolution with every item generated up
+    /// front, and the configuration the benchmark traces with.
+    struct Ring {
+        ds: vira_grid::synth::SyntheticDataset,
+        topology: Arc<BlockTopology>,
+        items: HashMap<BlockStepId, SharedBlockData>,
+        n_steps: u32,
+    }
+
+    impl Ring {
+        fn new(n_steps: u32) -> Ring {
+            let ds = vira_grid::synth::engine(7);
+            let topology = Arc::new(topology_of(&ds, 1e-9));
+            let items = (0..n_steps)
+                .flat_map(|s| (0..ds.spec.n_blocks).map(move |b| BlockStepId::new(b, s)))
+                .map(|id| (id, Arc::new(ds.generate(id))))
+                .collect();
+            Ring { ds, topology, items, n_steps }
+        }
+
+        /// Traces from `seed` over all levels; `fetch` sees every request.
+        fn trace(
+            &self,
+            seed: Vec3,
+            fetch: impl FnMut(BlockStepId) -> Option<SharedBlockData>,
+        ) -> PathlineResult {
+            let dt = self.ds.spec.dt;
+            let mut sampler = MultiBlockSampler::new(fetch, self.topology.clone(), self.n_steps, dt);
+            let cfg = PathlineConfig {
+                h_init: dt / 4.0,
+                h_min: dt * 1e-6,
+                h_max: dt,
+                tol: 1e-5,
+                max_steps: 20_000,
+                scheme: TimeScheme::VelocityInterp,
+            };
+            trace_pathline(&mut sampler, seed, 0.0, f64::from(self.n_steps - 1) * dt, &cfg)
+        }
+
+        fn seeds(&self) -> [Vec3; 4] {
+            [(0.03, 0.0), (-0.02, 0.02), (0.0, -0.035), (0.015, 0.03)]
+                .map(|(x, y)| Vec3::new(x, y, 0.04))
+        }
+    }
+
+    #[test]
+    fn a_trace_fetches_each_item_once_and_only_what_it_samples() {
+        let ring = Ring::new(6);
+        for seed in ring.seeds() {
+            let mut log = Vec::new();
+            let reference = ring.trace(seed, |id| {
+                log.push(id);
+                ring.items.get(&id).cloned()
+            });
+            assert!(reference.line.len() > 3);
+            let blocks: std::collections::HashSet<_> = log.iter().map(|id| id.block).collect();
+            assert!(blocks.len() > 1, "the trace stays in one block: {log:?}");
+            for (n, id) in log.iter().enumerate() {
+                assert!(!log[..n].contains(id), "{id:?} fetched twice");
+                if !log[..n].iter().any(|earlier| earlier.block == id.block) {
+                    continue; // the block's first item may be held for its geometry alone
+                }
+                // Any later item must have been sampled: with its
+                // velocities doubled the particle goes elsewhere.
+                let mut doubled = (*ring.items[id]).clone();
+                for plane in [&mut doubled.velocity.xs, &mut doubled.velocity.ys, &mut doubled.velocity.zs] {
+                    plane.iter_mut().for_each(|v| *v *= 2.0);
+                }
+                let doubled = Arc::new(doubled);
+                let moved = ring.trace(seed, |other| {
+                    if other == *id {
+                        Some(doubled.clone())
+                    } else {
+                        ring.items.get(&other).cloned()
+                    }
+                });
+                assert_ne!(
+                    moved.line.to_bytes()[..],
+                    reference.line.to_bytes()[..],
+                    "{id:?} was fetched but never sampled"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn traces_sharing_a_topology_build_each_locator_once() {
+        let ring = Ring::new(4);
+        let trace_all = || -> Vec<Vec<u8>> {
+            ring.seeds()
+                .iter()
+                .map(|&seed| ring.trace(seed, |id| ring.items.get(&id).cloned()).line.to_bytes().to_vec())
+                .collect()
+        };
+        let first = trace_all();
+        let built = ring.topology.locators_built();
+        assert!((2..=ring.ds.spec.n_blocks as usize).contains(&built), "{built} locators");
+        let addresses = |topology: &BlockTopology| -> Vec<usize> {
+            (0..ring.ds.spec.n_blocks)
+                .map(|b| topology.locator(b, ring.ds.block_geometry(b)) as *const _ as usize)
+                .collect()
+        };
+        // The same traces again, from two threads at once, find every
+        // locator they need already built.
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(trace_all);
+            (trace_all(), other.join().expect("tracing thread panicked"))
+        });
+        assert_eq!(a, first);
+        assert_eq!(b, first);
+        assert_eq!(ring.topology.locators_built(), built, "a repeated trace built a locator");
+        // Asking for all of them builds the rest, each exactly where it stays.
+        let all = addresses(&ring.topology);
+        assert_eq!(ring.topology.locators_built(), ring.ds.spec.n_blocks as usize);
+        assert_eq!(addresses(&ring.topology), all);
     }
 
     #[test]

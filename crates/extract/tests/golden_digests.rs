@@ -15,7 +15,7 @@ use vira_extract::halo::GhostedBlock;
 use vira_extract::iso::extract_isosurface;
 use vira_extract::lambda2::lambda2_field;
 use vira_extract::multires::{coarsen, progressive_isosurface};
-use vira_extract::pathline::{trace_pathline, MultiBlockSampler, PathlineConfig};
+use vira_extract::pathline::{trace_pathline, MultiBlockSampler, PathlineConfig, TimeScheme};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
 use vira_grid::io::write_block_data;
@@ -95,4 +95,69 @@ fn outputs_match_the_recorded_digests() {
 
     let got: Vec<String> = got.iter().map(|(what, d)| format!("{what}: {d:#018x}")).collect();
     assert_eq!(got, RECORDED, "an output moved");
+}
+
+/// Recorded at the commit before block locators moved into the topology
+/// and the sampler stopped fetching blocks it only looked at (ISSUE 15).
+const RECORDED_MULTI_BLOCK: &str = "16 Engine pathlines: 0xff8a16985d3ffca5";
+
+/// Sector of the Engine ring a polyline point lies in.
+fn engine_sector(p: &[f32; 3]) -> u32 {
+    let theta = f64::from(p[1]).atan2(f64::from(p[0])).rem_euclid(std::f64::consts::TAU);
+    (theta / std::f64::consts::TAU * 23.0) as u32
+}
+
+/// Sixteen traces over the 23-block Engine ring and 16 time levels, one
+/// sampler per seed as every caller makes them, both temporal schemes:
+/// the path the single-block `RK4 pathline` digest does not reach —
+/// block hand-over, candidate order, hints carried across levels.
+#[test]
+fn multi_block_pathlines_match_the_recorded_digest() {
+    let ds = Arc::new(engine(9));
+    let (n_steps, dt) = (16u32, ds.spec.dt);
+    let topology = Arc::new(topology_of(&ds, 1e-9));
+    let mut bbox = *ds.blocks()[0].bbox();
+    for b in ds.blocks() {
+        bbox.expand(b.bbox().min);
+        bbox.expand(b.bbox().max);
+    }
+    let (center, half) = (bbox.center(), bbox.diagonal() * 0.3);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+    };
+    let mut items: HashMap<BlockStepId, SharedBlockData> = HashMap::new();
+    let mut digest = FNV_OFFSET;
+    let mut crossed = 0;
+    for n in 0..16 {
+        let seed = Vec3::new(
+            center.x + half.x * next(),
+            center.y + half.y * next(),
+            center.z + half.z * next(),
+        );
+        let fetch = |id: BlockStepId| {
+            let item = items.entry(id).or_insert_with(|| Arc::new(ds.generate(id)));
+            Some(item.clone())
+        };
+        let mut sampler = MultiBlockSampler::new(fetch, topology.clone(), n_steps, dt);
+        let cfg = PathlineConfig {
+            h_init: dt / 4.0,
+            h_min: dt * 1e-6,
+            h_max: dt,
+            tol: 1e-5,
+            max_steps: 20_000,
+            scheme: if n % 2 == 0 { TimeScheme::VelocityInterp } else { TimeScheme::AdjacentLevels },
+        };
+        let traced = trace_pathline(&mut sampler, seed, 0.0, f64::from(n_steps - 1) * dt, &cfg);
+        digest = fnv1a(digest, &traced.line.to_bytes());
+        digest = fnv1a(digest, &(traced.steps_accepted as u64).to_le_bytes());
+        digest = fnv1a(digest, &(traced.steps_rejected as u64).to_le_bytes());
+        let sectors: Vec<u32> = traced.line.points.iter().map(engine_sector).collect();
+        crossed += usize::from(sectors.iter().any(|&s| s != sectors[0]));
+    }
+    assert!(crossed >= 12, "only {crossed} of 16 traces cross a block boundary");
+    assert_eq!(format!("16 Engine pathlines: {digest:#018x}"), RECORDED_MULTI_BLOCK, "an output moved");
 }

@@ -145,7 +145,7 @@ fn fused_newton_inversion_matches_the_oracle_bitwise() {
         ];
         let mut cell = unit;
         for (c, j) in cell.iter_mut().zip(jitter.chunks(3)) {
-            *c = *c + Vec3::new(j[0], j[1], j[2]);
+            *c += Vec3::new(j[0], j[1], j[2]);
         }
         let p = Vec3::new(probe[0], probe[1], probe[2]);
         let fused = invert_trilinear(&cell, p);

@@ -15,7 +15,8 @@
 //! * [`synth`] — analytic stand-ins for the paper's *Engine* and *Propfan*
 //!   datasets (Table 1 structure preserved).
 //! * [`topology`] — block adjacency for pathline continuation and
-//!   topology-aware prefetch ordering.
+//!   topology-aware prefetch ordering; owns one [`locator`] (cell bins
+//!   for point location) per block.
 //! * [`io`] — binary item files + JSON descriptor on disk.
 //!
 //! ## Example
@@ -35,6 +36,7 @@ pub mod faces;
 pub mod field;
 pub mod io;
 pub mod lanes;
+pub mod locator;
 pub mod math;
 pub mod synth;
 pub mod topology;

@@ -4,19 +4,28 @@
 //! (when a particle leaves a block, only adjacent blocks are candidates)
 //! and the "more sophisticated" sequential-prefetch ordering the paper
 //! mentions in §4.2 (topology-aware block sequences).
+//!
+//! Everything here is time-independent, since geometry is static: a
+//! block's grid is the same in every `(block, step)` item. That is what
+//! lets the topology also own the per-block cell locators.
 
-use crate::block::BlockId;
-use crate::math::Aabb;
+use crate::block::{BlockId, CurvilinearBlock};
+use crate::locator::BlockLocator;
+use crate::math::{Aabb, Vec3};
+use std::sync::OnceLock;
 
-/// Spatial adjacency between the blocks of one dataset (time-independent,
-/// since geometry is static).
-#[derive(Debug, Clone, PartialEq)]
+/// Spatial adjacency between the blocks of one dataset, and the static
+/// point-location structures over them.
+#[derive(Debug)]
 pub struct BlockTopology {
     /// `neighbors[b]` lists the ids of blocks whose (slightly inflated)
     /// bounding boxes intersect block `b`'s, excluding `b` itself.
     neighbors: Vec<Vec<BlockId>>,
     /// The inflated bounding boxes used for point→block candidate lookup.
     bboxes: Vec<Aabb>,
+    /// One cell locator per block, built by whoever first needs it and
+    /// shared by every trace and thread holding this topology.
+    locators: Vec<OnceLock<BlockLocator>>,
 }
 
 impl BlockTopology {
@@ -35,6 +44,7 @@ impl BlockTopology {
             }
         }
         BlockTopology {
+            locators: inflated.iter().map(|_| OnceLock::new()).collect(),
             neighbors,
             bboxes: inflated,
         }
@@ -57,29 +67,40 @@ impl BlockTopology {
 
     /// Blocks whose inflated bounding boxes contain `p`, in ascending id
     /// order. Candidates for point location.
-    pub fn candidates_for_point(&self, p: crate::math::Vec3) -> Vec<BlockId> {
-        (0..self.bboxes.len() as BlockId)
-            .filter(|&b| self.bboxes[b as usize].contains(p))
-            .collect()
+    pub fn candidates_for_point(&self, p: Vec3) -> impl Iterator<Item = BlockId> + '_ {
+        (0..self.bboxes.len() as BlockId).filter(move |&b| self.bboxes[b as usize].contains(p))
     }
 
     /// Like [`candidates_for_point`](Self::candidates_for_point) but tries
-    /// `hint` first and then its neighbours before the global scan — the
-    /// common case during particle tracing.
-    pub fn candidates_near(&self, p: crate::math::Vec3, hint: BlockId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        if (hint as usize) < self.bboxes.len() && self.bboxes[hint as usize].contains(p) {
-            out.push(hint);
-        }
-        for &n in self.neighbors(hint) {
-            if self.bboxes[n as usize].contains(p) {
-                out.push(n);
-            }
-        }
-        if out.is_empty() {
-            return self.candidates_for_point(p);
-        }
-        out
+    /// `hint` first and then its neighbours, and scans globally only when
+    /// none of those contains `p` — the common case during particle
+    /// tracing.
+    pub fn candidates_near(&self, p: Vec3, hint: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        let mut near = std::iter::once(hint)
+            .chain(self.neighbors(hint).iter().copied())
+            .filter(move |&b| self.bboxes[b as usize].contains(p))
+            .peekable();
+        let global = near.peek().is_none().then(|| self.candidates_for_point(p));
+        near.chain(global.into_iter().flatten())
+    }
+
+    /// The cell locator of block `b`, built from `grid` on first use.
+    /// `grid` may come from any step's item of that block; one whose
+    /// dims or bounding box differ from what the locator was built from
+    /// breaks the static-geometry contract and is refused in debug
+    /// builds.
+    pub fn locator(&self, b: BlockId, grid: &CurvilinearBlock) -> &BlockLocator {
+        let locator = self.locators[b as usize].get_or_init(|| BlockLocator::build(grid));
+        debug_assert!(
+            locator.matches(grid),
+            "block {b}: grid geometry differs from the one its locator was built from"
+        );
+        locator
+    }
+
+    /// How many blocks have their locator built.
+    pub fn locators_built(&self) -> usize {
+        self.locators.iter().filter(|l| l.get().is_some()).count()
     }
 
     /// A topology-aware sequential ordering of blocks: breadth-first from
@@ -119,7 +140,6 @@ pub fn topology_of(ds: &crate::synth::SyntheticDataset, eps: f64) -> BlockTopolo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::math::Vec3;
 
     fn row_of_boxes(n: usize) -> Vec<Aabb> {
         // n unit cubes side by side along x, touching at faces.
@@ -155,19 +175,53 @@ mod tests {
     #[test]
     fn candidates_for_point() {
         let topo = BlockTopology::from_bboxes(row_of_boxes(3), 1e-9);
-        assert_eq!(topo.candidates_for_point(Vec3::new(0.5, 0.5, 0.5)), vec![0]);
+        let candidates = |p| topo.candidates_for_point(p).collect::<Vec<_>>();
+        assert_eq!(candidates(Vec3::new(0.5, 0.5, 0.5)), vec![0]);
         // A point on the shared face belongs to both.
-        let c = topo.candidates_for_point(Vec3::new(1.0, 0.5, 0.5));
-        assert_eq!(c, vec![0, 1]);
-        assert!(topo.candidates_for_point(Vec3::new(10.0, 0.0, 0.0)).is_empty());
+        assert_eq!(candidates(Vec3::new(1.0, 0.5, 0.5)), vec![0, 1]);
+        assert!(candidates(Vec3::new(10.0, 0.0, 0.0)).is_empty());
     }
 
     #[test]
     fn candidates_near_prefers_hint() {
         let topo = BlockTopology::from_bboxes(row_of_boxes(3), 1e-9);
-        let c = topo.candidates_near(Vec3::new(1.0, 0.5, 0.5), 1);
-        assert_eq!(c[0], 1, "hint block is listed first");
-        assert!(c.contains(&0));
+        let near = |p, hint| topo.candidates_near(p, hint).collect::<Vec<_>>();
+        assert_eq!(near(Vec3::new(1.0, 0.5, 0.5), 1), vec![1, 0], "hint block first");
+        // Neither the hint nor its neighbour holds the point: global scan.
+        assert_eq!(near(Vec3::new(2.5, 0.5, 0.5), 0), vec![2]);
+        assert!(near(Vec3::new(10.0, 0.0, 0.0), 0).is_empty());
+    }
+
+    #[test]
+    fn racing_threads_share_one_locator_per_block() {
+        let ds = crate::synth::engine(5);
+        let topo = topology_of(&ds, 1e-9);
+        let grid = ds.block_geometry(3);
+        let barrier = std::sync::Barrier::new(2);
+        let racer = || {
+            barrier.wait();
+            topo.locator(3, grid) as *const BlockLocator as usize
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(racer);
+            (racer(), other.join().expect("racer panicked"))
+        });
+        assert_eq!(a, b, "both threads hold the same locator");
+        assert_eq!(topo.locators_built(), 1);
+        // A later step's item of the same block finds it built.
+        assert_eq!(topo.locator(3, &grid.clone()) as *const BlockLocator as usize, a);
+        assert_eq!(topo.locators_built(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "grid geometry differs")]
+    fn a_grid_that_is_not_the_blocks_geometry_is_refused() {
+        let ds = crate::synth::engine(5);
+        let topo = topology_of(&ds, 1e-9);
+        topo.locator(3, ds.block_geometry(3));
+        // Block 4's grid has the same dims but another bounding box.
+        topo.locator(3, ds.block_geometry(4));
     }
 
     #[test]
