@@ -7,7 +7,8 @@
 //! cargo run -p vira-bench --release --bin repro -- --trace-out traces fig06
 //! ```
 //!
-//! JSON records land in `results/`; markdown tables go to stdout. With
+//! JSON records land in `crates/bench/results/` from any working
+//! directory; markdown tables go to stdout. With
 //! `--trace-out <dir>`, each experiment additionally writes its Chrome
 //! trace, JSONL event log and metrics dump under `<dir>/<id>/`.
 
@@ -41,7 +42,7 @@ fn main() {
         &[],
     );
     let results = run_ids_traced(&ids, &cfg, trace_out.as_deref());
-    let out = std::path::Path::new("results");
+    let out = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/results"));
     match write_json(&results, out) {
         Ok(()) => vira_obs::info(
             "repro",

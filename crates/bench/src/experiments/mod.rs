@@ -17,8 +17,6 @@ pub mod fig11_vortex_prefetch;
 pub mod fig13_pathlines;
 pub mod fig14_pathline_prefetch;
 pub mod fig15_components;
-pub mod load_plane;
-pub mod sched_backfill;
 pub mod stream_progress;
 pub mod table1_datasets;
 
@@ -43,8 +41,6 @@ pub fn all_ids() -> Vec<&'static str> {
         "e15-progressive",
         "e16-compression",
         "e17-derived",
-        "e18-sched",
-        "e19-load",
     ]
 }
 
@@ -67,8 +63,6 @@ pub fn run_experiment(id: &str, cfg: &BenchConfig) -> Option<Vec<ExperimentResul
         "e15-progressive" => vec![ablation_progressive::run(cfg)],
         "e16-compression" => vec![ablation_compression::run(cfg)],
         "e17-derived" => vec![ablation_derived::run(cfg)],
-        "e18-sched" => vec![sched_backfill::run(cfg)],
-        "e19-load" => vec![load_plane::run(cfg)],
         _ => return None,
     })
 }

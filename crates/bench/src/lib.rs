@@ -9,10 +9,9 @@
 //!
 //! * `cargo run -p vira-bench --release --bin repro [-- ids…]` — runs
 //!   experiments (default: all), prints markdown tables and writes JSON
-//!   records under `results/`.
-//! * `cargo bench` — runs the same experiments as `harness = false`
-//!   bench targets, plus Criterion micro-benchmarks of the extraction
-//!   kernels.
+//!   records under `crates/bench/results/`.
+//! * `cargo bench -p vira-bench --bench micro` — std-timed
+//!   micro-benchmarks of the extraction kernels.
 //!
 //! `VIRA_QUICK=1` switches to a scaled-down smoke configuration.
 
@@ -39,15 +38,10 @@ pub fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Runs a set of experiment ids (or all when empty), printing each
-/// result and collecting them.
-pub fn run_ids(ids: &[String], cfg: &BenchConfig) -> Vec<ExperimentResult> {
-    run_ids_traced(ids, cfg, None)
-}
-
-/// Like [`run_ids`], but when `trace_out` is set the observability layer
-/// is enabled and each experiment's spans, events and metric *deltas*
-/// are exported under `trace_out/<id>/` (Chrome trace + JSONL + metrics
-/// dump, each schema-checked before writing).
+/// result and collecting them. When `trace_out` is set the observability
+/// layer is enabled and each experiment's spans, events and metric
+/// *deltas* are exported under `trace_out/<id>/` (Chrome trace + JSONL +
+/// metrics dump, each schema-checked before writing).
 pub fn run_ids_traced(
     ids: &[String],
     cfg: &BenchConfig,
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn unknown_id_is_reported_not_fatal() {
         let cfg = BenchConfig::quick();
-        let out = run_ids(&["does-not-exist".into()], &cfg);
+        let out = run_ids_traced(&["does-not-exist".into()], &cfg, None);
         assert!(out.is_empty());
     }
 }

@@ -1,11 +1,8 @@
-//! Collective operations within a work group, built on tag-selective
-//! receives. Work groups are dynamic subsets of the world (the scheduler
-//! assembles them per job, §3), so collectives take an explicit rank list
-//! instead of assuming the full world.
+//! Work groups: dynamic subsets of the world that the scheduler
+//! assembles per job (§3), so they carry an explicit rank list instead
+//! of assuming the full world.
 
-use crate::endpoint::Endpoint;
-use crate::transport::{tags, CommError, Rank, Transport};
-use bytes::Bytes;
+use crate::transport::Rank;
 
 /// An ordered set of ranks forming a work group. The lowest rank is the
 /// group's root (the paper's "master worker").
@@ -63,91 +60,9 @@ impl Group {
     }
 }
 
-/// Gathers one payload from every group member at the root.
-///
-/// Non-root members send and return `Ok(None)`. The root returns the
-/// payloads ordered by rank (including its own contribution).
-pub fn gather<T: Transport>(
-    ep: &mut Endpoint<T>,
-    group: &Group,
-    payload: Bytes,
-) -> Result<Option<Vec<(Rank, Bytes)>>, CommError> {
-    let me = ep.rank();
-    debug_assert!(group.contains(me), "rank {me} not in group");
-    if me != group.root() {
-        ep.send(group.root(), tags::COLLECTIVE, payload)?;
-        return Ok(None);
-    }
-    let mut parts: Vec<(Rank, Bytes)> = vec![(me, payload)];
-    for _ in 1..group.len() {
-        let m = ep.recv_tag(tags::COLLECTIVE)?;
-        parts.push((m.from, m.payload));
-    }
-    parts.sort_by_key(|(r, _)| *r);
-    Ok(Some(parts))
-}
-
-/// Broadcasts the root's payload to every group member. The root passes
-/// `Some(payload)`; everyone receives the payload as the return value.
-pub fn broadcast<T: Transport>(
-    ep: &mut Endpoint<T>,
-    group: &Group,
-    payload: Option<Bytes>,
-) -> Result<Bytes, CommError> {
-    let me = ep.rank();
-    debug_assert!(group.contains(me), "rank {me} not in group");
-    if me == group.root() {
-        let payload = payload.expect("root must supply the broadcast payload");
-        for &r in group.ranks() {
-            if r != me {
-                ep.send(r, tags::COLLECTIVE, payload.clone())?;
-            }
-        }
-        Ok(payload)
-    } else {
-        Ok(ep.recv_tag(tags::COLLECTIVE)?.payload)
-    }
-}
-
-/// Synchronizes all group members: nobody returns before everybody
-/// entered. Implemented as gather + broadcast of empty payloads.
-pub fn barrier<T: Transport>(ep: &mut Endpoint<T>, group: &Group) -> Result<(), CommError> {
-    let at_root = gather(ep, group, Bytes::new())?;
-    if at_root.is_some() {
-        broadcast(ep, group, Some(Bytes::new()))?;
-    } else {
-        broadcast(ep, group, None)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LocalWorld;
-
-    fn run_group<F>(n: usize, group: Group, f: F) -> Vec<Vec<u8>>
-    where
-        F: Fn(&mut Endpoint<crate::transport::LocalEndpoint>, &Group) -> Vec<u8>
-            + Send
-            + Sync
-            + Copy
-            + 'static,
-    {
-        let world = LocalWorld::create(n);
-        let mut handles = Vec::new();
-        for t in world {
-            let g = group.clone();
-            if !g.contains(t.rank()) {
-                continue;
-            }
-            handles.push(std::thread::spawn(move || {
-                let mut ep = Endpoint::new(t);
-                f(&mut ep, &g)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
 
     #[test]
     fn group_root_and_index() {
@@ -169,55 +84,5 @@ mod tests {
         assert_eq!(total, 10);
         // Zero items → all empty.
         assert_eq!(g.chunk_of(0, 1), (0, 0));
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let results = run_group(4, Group::new(vec![0, 1, 3]), |ep, g| {
-            let me = ep.rank() as u8;
-            match gather(ep, g, Bytes::copy_from_slice(&[me])).unwrap() {
-                Some(parts) => parts.iter().map(|(_, b)| b[0]).collect(),
-                None => vec![],
-            }
-        });
-        // Exactly one participant (the root) saw all payloads.
-        let root_view: Vec<_> = results.into_iter().filter(|r| !r.is_empty()).collect();
-        assert_eq!(root_view, vec![vec![0, 1, 3]]);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let results = run_group(3, Group::new(vec![0, 1, 2]), |ep, g| {
-            let payload = if ep.rank() == g.root() {
-                Some(Bytes::from_static(b"go"))
-            } else {
-                None
-            };
-            broadcast(ep, g, payload).unwrap().to_vec()
-        });
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(|r| r == b"go"));
-    }
-
-    #[test]
-    fn barrier_completes_for_all() {
-        let results = run_group(4, Group::new(vec![0, 1, 2, 3]), |ep, g| {
-            barrier(ep, g).unwrap();
-            vec![1]
-        });
-        assert_eq!(results.len(), 4);
-    }
-
-    #[test]
-    fn single_member_collectives_are_trivial() {
-        let results = run_group(1, Group::new(vec![0]), |ep, g| {
-            let gathered = gather(ep, g, Bytes::from_static(b"x")).unwrap().unwrap();
-            assert_eq!(gathered.len(), 1);
-            barrier(ep, g).unwrap();
-            broadcast(ep, g, Some(Bytes::from_static(b"y")))
-                .unwrap()
-                .to_vec()
-        });
-        assert_eq!(results, vec![b"y".to_vec()]);
     }
 }

@@ -8,7 +8,7 @@
 //! * [`transport`] — the [`transport::Transport`] trait and the in-process
 //!   rank world [`transport::LocalWorld`] standing in for MPI.
 //! * [`endpoint`] — tag-selective receives with buffering.
-//! * [`collective`] — work-group gather / broadcast / barrier.
+//! * [`collective`] — work groups ([`Group`]): the ranks of one job.
 //! * [`link`] — the framed client link standing in for TCP/IP between the
 //!   visualization host and the scheduler.
 //! * [`fault`] — deterministic fault injection: [`fault::FaultyTransport`]
@@ -23,7 +23,7 @@ pub mod link;
 pub mod socket;
 pub mod transport;
 
-pub use collective::{barrier, broadcast, gather, Group};
+pub use collective::Group;
 pub use endpoint::Endpoint;
 pub use fault::{FaultPlan, FaultStats, FaultStatsSnapshot, FaultyTransport, LinkFaults};
 pub use link::{client_server_link, ClientSide, EventSender, ServerSide};

@@ -35,8 +35,6 @@ pub mod tags {
     pub const JOB_DONE: Tag = 3;
     /// Any → any: data-management traffic (peer cache transfer etc.).
     pub const DMS: Tag = 4;
-    /// Barrier / collective bookkeeping.
-    pub const COLLECTIVE: Tag = 5;
     /// Scheduler → worker: orderly shutdown.
     pub const SHUTDOWN: Tag = 6;
     /// Scheduler → worker: liveness probe (answered with [`PONG`]).

@@ -1,9 +1,7 @@
 //! Stress and ordering tests of the layer-1 transport under real
-//! concurrency: many ranks, interleaved tags, collective storms.
+//! concurrency: many ranks, interleaved tags.
 
 use bytes::Bytes;
-use vira_comm::collective::{barrier, broadcast, gather, Group};
-use vira_comm::endpoint::Endpoint;
 use vira_comm::transport::{LocalWorld, Transport};
 
 /// All-to-all: every rank sends a tagged message to every other rank and
@@ -39,116 +37,4 @@ fn all_to_all_preserves_per_sender_order() {
     for h in handles {
         h.join().unwrap();
     }
-}
-
-/// Repeated collectives on a subgroup while outsiders flood unrelated
-/// traffic: the tag-selective endpoint must never confuse the two.
-#[test]
-fn collectives_survive_unrelated_traffic() {
-    const ROUNDS: usize = 20;
-    let world = LocalWorld::create(5);
-    let group = Group::new(vec![0, 2, 4]);
-    let mut handles = Vec::new();
-    for t in world {
-        let group = group.clone();
-        handles.push(std::thread::spawn(move || {
-            let me = t.rank();
-            if !group.contains(me) {
-                // Outsiders: spam group members with user-tag noise.
-                for i in 0..200u32 {
-                    let target = [0usize, 2, 4][i as usize % 3];
-                    t.send(target, 1000 + i, Bytes::from_static(b"noise"))
-                        .unwrap();
-                }
-                return 0u64;
-            }
-            let mut ep = Endpoint::new(t);
-            let mut checksum = 0u64;
-            for round in 0..ROUNDS {
-                barrier(&mut ep, &group).unwrap();
-                let payload = Bytes::copy_from_slice(&[(me * ROUNDS + round) as u8]);
-                if let Some(parts) = gather(&mut ep, &group, payload).unwrap() {
-                    for (_, b) in parts {
-                        checksum += b[0] as u64;
-                    }
-                    broadcast(&mut ep, &group, Some(Bytes::copy_from_slice(&[round as u8])))
-                        .unwrap();
-                } else {
-                    let b = broadcast(&mut ep, &group, None).unwrap();
-                    assert_eq!(b[0] as usize, round);
-                }
-            }
-            // Drain the noise afterwards; it must all still be there.
-            let mut noise = 0;
-            while let Some(m) = ep.try_recv_any().unwrap() {
-                assert!(m.tag >= 1000, "unexpected leftover tag {}", m.tag);
-                noise += 1;
-            }
-            assert!(noise > 0, "noise was delivered");
-            checksum
-        }));
-    }
-    let sums: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    // Only the root gathered; its checksum is the sum over all members
-    // and rounds.
-    let expected: u64 = (0..ROUNDS)
-        .flat_map(|r| [0usize, 2, 4].into_iter().map(move |m| (m * ROUNDS + r) as u64))
-        .sum();
-    assert!(sums.contains(&expected), "root checksum missing: {sums:?}");
-}
-
-/// A chain of barriers across the full world: no deadlock, no message
-/// loss over many iterations.
-#[test]
-fn barrier_storm() {
-    const N: usize = 8;
-    const ROUNDS: usize = 100;
-    let world = LocalWorld::create(N);
-    let group = Group::new((0..N).collect());
-    let mut handles = Vec::new();
-    for t in world {
-        let group = group.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut ep = Endpoint::new(t);
-            for _ in 0..ROUNDS {
-                barrier(&mut ep, &group).unwrap();
-            }
-            assert_eq!(ep.buffered_len(), 0);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
-/// Gather with large payloads: bytes arrive intact.
-#[test]
-fn gather_large_payloads() {
-    let world = LocalWorld::create(4);
-    let group = Group::new(vec![0, 1, 2, 3]);
-    let mut handles = Vec::new();
-    for t in world {
-        let group = group.clone();
-        handles.push(std::thread::spawn(move || {
-            let me = t.rank();
-            let mut ep = Endpoint::new(t);
-            let payload = Bytes::from(vec![me as u8; 100_000]);
-            match gather(&mut ep, &group, payload).unwrap() {
-                Some(parts) => {
-                    assert_eq!(parts.len(), 4);
-                    for (rank, bytes) in parts {
-                        assert_eq!(bytes.len(), 100_000);
-                        assert!(bytes.iter().all(|&b| b == rank as u8));
-                    }
-                    true
-                }
-                None => false,
-            }
-        }));
-    }
-    let roots: usize = handles
-        .into_iter()
-        .map(|h| usize::from(h.join().unwrap()))
-        .sum();
-    assert_eq!(roots, 1, "exactly one root gathered");
 }

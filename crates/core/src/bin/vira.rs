@@ -517,7 +517,7 @@ fn render_load_json(plan: &LoadPlan, admission: &AdmissionConfig, out: &LoadOutc
     )
 }
 
-/// `vira load`: the e19 load plane on the in-process transport —
+/// `vira load`: the load plane on the in-process transport —
 /// replays `--sessions` synthetic Vista sessions with a seeded mixed
 /// command stream (iso / λ₂ / pathlines / progressive) against a
 /// freshly launched back-end and reports offered vs. admitted vs. shed
@@ -1175,35 +1175,33 @@ fn sparse_hist(samples: &[u64]) -> vira_obs::SparseHist {
     vira_obs::SparseHist::from_snapshot(&snap)
 }
 
-/// `vira slo-report <dir>`: replay a recording's flight spans through
-/// the same tsdb + SLO engine the live telemetry plane runs, as an
-/// independent cross-check of `telemetry.json`. Job runtimes come from
-/// `sched.job` spans and time-to-first-geometry from
-/// `vista.first_result` spans.
-fn cmd_slo_report(args: Args) {
-    let Some(dir) = args.flags.get("dir").cloned() else {
-        usage();
-    };
-    let json = args.flags.contains_key("json");
+/// The `--slo-job-latency-ms` / `--slo-ttfg-ms` thresholds in ns, or
+/// the live telemetry plane's defaults.
+fn slo_thresholds(args: &Args) -> (u64, u64) {
     let defaults = viracocha::TelemetryConfig::default();
-    let job_slo_ns = flag_parse::<u64>(&args, "slo-job-latency-ms", "milliseconds")
-        .map(|ms| ms.saturating_mul(1_000_000))
-        .unwrap_or(defaults.job_latency_slo_ns);
-    let ttfg_slo_ns = flag_parse::<u64>(&args, "slo-ttfg-ms", "milliseconds")
-        .map(|ms| ms.saturating_mul(1_000_000))
-        .unwrap_or(defaults.ttfg_slo_ns);
+    let ms = |key: &str, default_ns: u64| {
+        flag_parse::<u64>(args, key, "milliseconds")
+            .map(|ms| ms.saturating_mul(1_000_000))
+            .unwrap_or(default_ns)
+    };
+    (
+        ms("slo-job-latency-ms", defaults.job_latency_slo_ns),
+        ms("slo-ttfg-ms", defaults.ttfg_slo_ns),
+    )
+}
 
-    let (job_ns, ttfg_ns) = collect_flight_durations(&dir);
-    if job_ns.is_empty() && ttfg_ns.is_empty() {
-        vira_obs::error(
-            "vira",
-            &format!("{dir}: no flight-<trace>.jsonl recordings (run with --trace-out)"),
-            &[],
-        );
-        std::process::exit(1);
-    }
-
-    // One synthetic delta replayed through the live-plane machinery.
+/// Replays recorded durations through the same tsdb + SLO engine the
+/// live telemetry plane runs, as one synthetic delta. `admission` is
+/// `[admitted, shed, quota rejections]` copied from a live snapshot (all
+/// zero when there is none), so the shed-ratio SLO sees the run's real
+/// offered/shed split. Returns the SLO statuses and the rendered
+/// `telemetry.json`-shaped snapshot.
+fn replay_flight(
+    job_ns: &[u64],
+    ttfg_ns: &[u64],
+    admission: [u64; 3],
+    (job_slo_ns, ttfg_slo_ns): (u64, u64),
+) -> (Vec<vira_obs::SloStatus>, String) {
     let now = vira_obs::now_ns();
     let mut delta = vira_obs::MetricsDelta {
         rank: 0,
@@ -1214,35 +1212,74 @@ fn cmd_slo_report(args: Args) {
     delta
         .counters
         .push(("sched_jobs_done_total".into(), job_ns.len() as u64));
+    let [admitted, shed, quota] = admission;
+    if admitted > 0 || shed > 0 {
+        delta
+            .counters
+            .push(("sched_admitted_total".into(), admitted));
+        delta.counters.push(("sched_shed_total".into(), shed));
+        delta
+            .counters
+            .push(("sched_quota_rejections_total".into(), quota));
+    }
     if !job_ns.is_empty() {
         delta
             .histograms
-            .push(("sched_job_runtime_ns".into(), sparse_hist(&job_ns)));
+            .push(("sched_job_runtime_ns".into(), sparse_hist(job_ns)));
     }
     if !ttfg_ns.is_empty() {
         delta
             .histograms
-            .push(("vista_first_result_ns".into(), sparse_hist(&ttfg_ns)));
+            .push(("vista_first_result_ns".into(), sparse_hist(ttfg_ns)));
     }
     let mut db = vira_obs::Tsdb::new(vira_obs::TsdbConfig::default());
     db.ingest(&delta, now);
     let mut engine = vira_obs::SloEngine::new(vira_obs::default_specs(job_slo_ns, ttfg_slo_ns));
     let statuses = engine.evaluate(&db, now);
     let text = vira_obs::render_telemetry_json(&db, &statuses, &[], now, true);
+    (statuses, text)
+}
+
+/// Prints a rendered snapshot as the `vira top` table.
+fn print_snapshot(text: &str) {
+    let snap = vira_obs::json::parse(text).unwrap_or_else(|e| {
+        vira_obs::error("vira", &format!("internal render error: {e}"), &[]);
+        std::process::exit(1);
+    });
+    print!("{}", render_top(&snap));
+}
+
+/// `vira slo-report <dir>`: replay a recording's flight spans through
+/// the same tsdb + SLO engine the live telemetry plane runs, as an
+/// independent cross-check of `telemetry.json`. Job runtimes come from
+/// `sched.job` spans and time-to-first-geometry from
+/// `vista.first_result` spans.
+fn cmd_slo_report(args: Args) {
+    let Some(dir) = args.flags.get("dir").cloned() else {
+        usage();
+    };
+    let json = args.flags.contains_key("json");
+    let slo = slo_thresholds(&args);
+    let (job_ns, ttfg_ns) = collect_flight_durations(&dir);
+    if job_ns.is_empty() && ttfg_ns.is_empty() {
+        vira_obs::error(
+            "vira",
+            &format!("{dir}: no flight-<trace>.jsonl recordings (run with --trace-out)"),
+            &[],
+        );
+        std::process::exit(1);
+    }
+    let (statuses, text) = replay_flight(&job_ns, &ttfg_ns, [0; 3], slo);
     if json {
         println!("{text}");
         return;
     }
-    let snap = vira_obs::json::parse(&text).unwrap_or_else(|e| {
-        vira_obs::error("vira", &format!("internal render error: {e}"), &[]);
-        std::process::exit(1);
-    });
     println!(
         "slo report : {} jobs, {} first-geometry samples from {dir}",
         job_ns.len(),
         ttfg_ns.len()
     );
-    print!("{}", render_top(&snap));
+    print_snapshot(&text);
     if statuses.iter().any(|s| s.firing) {
         std::process::exit(1);
     }
@@ -1284,9 +1321,9 @@ fn collect_flight_durations(dir: &str) -> (Vec<u64>, Vec<u64>) {
 
 /// `vira load-report <dir>`: post-mortem for a `vira load --trace-out`
 /// (or any traced) run. Combines the live `telemetry.json` snapshot —
-/// admission counters, queue high-watermark, per-cohort quantiles —
-/// with an *independent* replay of the flight recordings through the
-/// same tsdb + SLO engine, and reports offered vs. admitted vs. shed
+/// admission counters, queue high-watermark, quantiles — with an
+/// *independent* replay of the flight recordings through the same
+/// tsdb + SLO engine, and reports offered vs. admitted vs. shed
 /// plus which SLO is burning hardest. The replay inherits the live
 /// admission counters so the shed-ratio SLO evaluates on real
 /// offered/shed data. `--json` emits `{"live":…,"replay":…}` so CI can
@@ -1296,14 +1333,7 @@ fn cmd_load_report(args: Args) {
         usage();
     };
     let json = args.flags.contains_key("json");
-    let defaults = viracocha::TelemetryConfig::default();
-    let job_slo_ns = flag_parse::<u64>(&args, "slo-job-latency-ms", "milliseconds")
-        .map(|ms| ms.saturating_mul(1_000_000))
-        .unwrap_or(defaults.job_latency_slo_ns);
-    let ttfg_slo_ns = flag_parse::<u64>(&args, "slo-ttfg-ms", "milliseconds")
-        .map(|ms| ms.saturating_mul(1_000_000))
-        .unwrap_or(defaults.ttfg_slo_ns);
-
+    let slo = slo_thresholds(&args);
     let live_path = std::path::Path::new(&dir).join("telemetry.json");
     let live_text = std::fs::read_to_string(&live_path).ok();
     let live = live_text
@@ -1328,44 +1358,7 @@ fn cmd_load_report(args: Args) {
             "{dir}: no telemetry.json and no flight-<trace>.jsonl recordings (run vira load with --trace-out)"
         ));
     }
-
-    // One synthetic delta replayed through the live-plane machinery.
-    // The admission counters are copied over from the live snapshot so
-    // the shed-ratio SLO sees the run's real offered/shed split.
-    let now = vira_obs::now_ns();
-    let mut delta = vira_obs::MetricsDelta {
-        rank: 0,
-        seq: 1,
-        t_ns: now,
-        ..Default::default()
-    };
-    delta
-        .counters
-        .push(("sched_jobs_done_total".into(), job_ns.len() as u64));
-    if admitted > 0 || shed > 0 {
-        delta
-            .counters
-            .push(("sched_admitted_total".into(), admitted));
-        delta.counters.push(("sched_shed_total".into(), shed));
-        delta
-            .counters
-            .push(("sched_quota_rejections_total".into(), quota));
-    }
-    if !job_ns.is_empty() {
-        delta
-            .histograms
-            .push(("sched_job_runtime_ns".into(), sparse_hist(&job_ns)));
-    }
-    if !ttfg_ns.is_empty() {
-        delta
-            .histograms
-            .push(("vista_first_result_ns".into(), sparse_hist(&ttfg_ns)));
-    }
-    let mut db = vira_obs::Tsdb::new(vira_obs::TsdbConfig::default());
-    db.ingest(&delta, now);
-    let mut engine = vira_obs::SloEngine::new(vira_obs::default_specs(job_slo_ns, ttfg_slo_ns));
-    let statuses = engine.evaluate(&db, now);
-    let replay_text = vira_obs::render_telemetry_json(&db, &statuses, &[], now, true);
+    let (statuses, replay_text) = replay_flight(&job_ns, &ttfg_ns, [admitted, shed, quota], slo);
 
     if json {
         let live_json = live_text
@@ -1411,11 +1404,7 @@ fn cmd_load_report(args: Args) {
         ),
         None => println!("burning    : no SLO consuming error budget"),
     }
-    let snap = vira_obs::json::parse(&replay_text).unwrap_or_else(|e| {
-        vira_obs::error("vira", &format!("internal render error: {e}"), &[]);
-        std::process::exit(1);
-    });
-    print!("{}", render_top(&snap));
+    print_snapshot(&replay_text);
 }
 
 /// Rewrites a bare leading positional into `--dir` and gives listed
@@ -1600,6 +1589,37 @@ mod tests {
             .and_then(|v| v.as_u64())
             .expect("p50_ub");
         assert!(p50 >= 1_000_000, "{p50}");
+    }
+
+    #[test]
+    fn replay_at_a_zero_latency_threshold_burns_at_exactly_100() {
+        // Hand-computed burn fixture (`--slo-job-latency-ms 0`): only a
+        // sub-2ns job could count good, so every real job is bad.
+        // bad_fraction = 1 in both windows, and burn = 1 / (1 - 0.99).
+        let ttfg_slo_ns = viracocha::TelemetryConfig::default().ttfg_slo_ns;
+        let (statuses, text) = replay_flight(
+            &[6_515_734, 900_000],
+            &[7_852_097],
+            [0; 3],
+            (0, ttfg_slo_ns),
+        );
+        let lat = statuses
+            .iter()
+            .find(|s| s.name == "job_latency_p99")
+            .expect("job_latency_p99 row");
+        assert!(lat.firing, "{lat:?}");
+        assert!((lat.fast_burn - 100.0).abs() < 1e-6, "{lat:?}");
+        assert!((lat.slow_burn - 100.0).abs() < 1e-6, "{lat:?}");
+        // The rendered snapshot is what `slo-report --json` prints.
+        let snap = vira_obs::json::parse(&text).expect("replay renders valid json");
+        let row = snap
+            .get("slo")
+            .and_then(|t| t.as_arr())
+            .expect("slo table")
+            .iter()
+            .find(|r| r.get("name").and_then(|v| v.as_str()) == Some("job_latency_p99"))
+            .expect("job_latency_p99 in the snapshot");
+        assert_eq!(row.get("firing").and_then(|v| v.as_bool()), Some(true));
     }
 
     #[test]

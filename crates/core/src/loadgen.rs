@@ -1,4 +1,4 @@
-//! Synthetic session load generator — the e19-load harness core.
+//! Synthetic session load generator — the core of `vira load`.
 //!
 //! Replays N logical Vista sessions against one back-end client link
 //! with a seeded mixed command stream (iso / λ₂ / pathline /
@@ -16,9 +16,7 @@
 //!   to capacity, so this mode measures latency under sustainable
 //!   concurrency rather than shed behavior.
 //!
-//! Both `vira load` and the `e19-load` bench experiment drive this
-//! module, so the CLI and the bench report can never drift apart on
-//! bookkeeping semantics. The invariant the CI smoke leg asserts:
+//! The invariant the CI smoke leg asserts:
 //!
 //! ```text
 //! offered == completed + failed + shed + refused
@@ -65,8 +63,7 @@ pub struct LoadPlan {
 }
 
 impl LoadPlan {
-    /// A plan over [`default_mix`] with the driver defaults the CLI
-    /// and the bench experiment share.
+    /// A plan over [`default_mix`] with the driver defaults.
     pub fn new(sessions: u64, jobs: usize, seed: u64, arrival: Arrival, dataset: &str) -> LoadPlan {
         LoadPlan {
             sessions: sessions.max(1),
@@ -192,10 +189,8 @@ struct Outstanding {
     resubmits: u32,
 }
 
-/// Drives `plan` through `client`. The client's session id is restored
-/// before every submit *and* collect so per-session-cohort TTFG
-/// histograms attribute to the session that issued the job, not to
-/// whichever session submitted last.
+/// Drives `plan` through `client`, stamping each submission with the
+/// session that issues it.
 pub fn run(client: &mut VistaClient, plan: &LoadPlan) -> Result<LoadOutcome, ClientError> {
     assert!(!plan.commands.is_empty(), "load plan needs a command mix");
     let mut out = LoadOutcome::default();
@@ -241,7 +236,6 @@ fn collect_one(
 ) -> Result<(), ClientError> {
     let mut pending = pending;
     loop {
-        client.set_session(pending.session);
         match client.collect(pending.job) {
             Ok(o) => {
                 let elapsed = pending.submitted.elapsed();
@@ -401,6 +395,7 @@ mod tests {
 
     #[test]
     fn closed_loop_run_completes_and_balances() {
+        let _guard = timing_lock();
         let config = ViracochaConfig::for_tests(2);
         let (backend, mut client) = launch(config);
         let plan = LoadPlan::new(4, 12, 1, Arrival::ClosedLoop { think_ms: 0 }, "TestCube");
@@ -417,6 +412,7 @@ mod tests {
 
     #[test]
     fn undersized_quota_sheds_but_never_loses_a_job() {
+        let _guard = timing_lock();
         let mut config = ViracochaConfig::for_tests(1);
         config.admission.enabled = true;
         config.admission.max_queue_depth = 2;
@@ -444,6 +440,7 @@ mod tests {
 
     #[test]
     fn retry_budget_resubmits_after_shed() {
+        let _guard = timing_lock();
         let mut config = ViracochaConfig::for_tests(1);
         config.admission.enabled = true;
         config.admission.max_queue_depth = 1;
@@ -461,5 +458,67 @@ mod tests {
         }
         client.shutdown().unwrap();
         backend.join();
+    }
+
+    /// Tests that launch a back-end run one at a time: parallel test
+    /// threads distort each other's wall-clock tails on small hosts.
+    fn timing_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Exact p99 over raw samples.
+    fn p99(samples: &[u64]) -> u64 {
+        let mut s = samples.to_vec();
+        s.sort_unstable();
+        s[(s.len() * 99).div_ceil(100).max(1) - 1]
+    }
+
+    #[test]
+    fn tight_quotas_shed_and_cut_the_tail() {
+        let _guard = timing_lock();
+        let jobs = 48;
+        // Offered far faster than even a warm worker serves, so the
+        // unbounded run always fills its window and the gap in the tails
+        // does not depend on how fast this host runs a job.
+        let mut open = LoadPlan::new(
+            4,
+            jobs,
+            7,
+            Arrival::OpenLoop { rate_hz: 20_000.0 },
+            "TestCube",
+        );
+        open.window = 32;
+        let drive = |queue_bound: Option<usize>| {
+            let mut config = ViracochaConfig::for_tests(1);
+            if let Some(bound) = queue_bound {
+                config.admission.enabled = true;
+                config.admission.max_queue_depth = bound;
+                config.admission.max_session_queued = 2;
+                config.admission.max_session_running = 1;
+                config.admission.retry_after_ms = 1;
+            }
+            let (backend, mut client) = launch(config);
+            let out = run(&mut client, &open).expect("load run");
+            client.shutdown().unwrap();
+            backend.join();
+            out
+        };
+        let unbounded = drive(None);
+        let quota = drive(Some(4));
+        assert!(unbounded.balanced(), "{unbounded:?}");
+        assert!(quota.balanced(), "{quota:?}");
+        assert_eq!(unbounded.shed, 0, "no admission control, no sheds");
+        assert_eq!(unbounded.completed, jobs as u64);
+        assert!(quota.shed > 0, "tight quotas must shed: {quota:?}");
+        assert!(quota.completed > 0);
+        // The whole point of shedding: admitted jobs wait behind a
+        // bounded queue, so their completion tail shrinks.
+        let (p99_unbounded, p99_quota) =
+            (p99(&unbounded.job_latency_ns), p99(&quota.job_latency_ns));
+        assert!(
+            p99_quota < p99_unbounded,
+            "bounded queue must cut the admitted tail ({p99_quota} vs {p99_unbounded})"
+        );
     }
 }

@@ -119,24 +119,6 @@ static ADMITTED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static SHED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static QUOTA_REJECTIONS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static QUEUE_HIGH_WATERMARK: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-static JOB_LATENCY_COHORTS: OnceLock<Vec<Arc<obs::Histogram>>> = OnceLock::new();
-
-/// Session-cohort fan-out for the per-cohort job-latency histograms.
-/// Sessions hash onto a fixed small set of cohorts so the load plane
-/// gets per-session-class tail latency without a per-session metric
-/// family (ten thousand sessions would blow up the registry and every
-/// OBSD1 delta). Mirrors the client's `vista_ttfg_cohort*_ns`.
-const SESSION_COHORTS: u64 = 4;
-
-/// The log2 latency histogram for `session`'s cohort.
-fn job_latency_cohort(session: u64) -> Arc<obs::Histogram> {
-    let cohorts = JOB_LATENCY_COHORTS.get_or_init(|| {
-        (0..SESSION_COHORTS)
-            .map(|k| obs::histogram(&format!("sched_job_latency_cohort{k}_ns")))
-            .collect()
-    });
-    cohorts[(session % SESSION_COHORTS) as usize].clone()
-}
 
 /// Everything the scheduler thread needs.
 pub struct SchedulerSetup<T: Transport = LocalEndpoint> {
@@ -1306,7 +1288,6 @@ fn handle_job_done(
         ],
     );
     obs::histogram_cached(&JOB_RUNTIME_NS, "sched_job_runtime_ns").record_duration(run_elapsed);
-    job_latency_cohort(run.q.session).record_duration(run_elapsed);
     if was_cancelled {
         // Whatever geometry (or error) the late DONE carried is
         // discarded — the client abandoned the job and must see exactly
@@ -1825,7 +1806,7 @@ mod tests {
         // Stale probe pongs (8-byte echo) are ignored outright.
         let probe_pong = 9u64.to_le_bytes();
         harvest_obs_pong(&probe_pong, 1, &mut tsdb, &mut residency);
-        assert!(residency.get(&1).is_none());
+        assert!(!residency.contains_key(&1));
     }
 
     #[test]

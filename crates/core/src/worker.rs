@@ -29,6 +29,8 @@ use vira_vista::protocol::{JobId, PayloadKind};
 /// lost frame — the worker resends the cached response instead of
 /// recomputing the job.
 const FRAME_CACHE_CAP: usize = 16;
+/// One cached response: its (job, attempt) and where it was sent.
+type SentFrame = ((JobId, u32), (Rank, Tag, Bytes));
 
 /// Everything a worker thread needs at startup.
 pub struct WorkerSetup<T: Transport = LocalEndpoint> {
@@ -94,7 +96,7 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
     let derived = crate::derived::DerivedFieldCache::new(config.proxy.l1_capacity_bytes);
     // Responses of recently completed (job, attempt) pairs, replayed
     // when the scheduler retransmits a command whose answer was lost.
-    let mut frame_cache: VecDeque<((JobId, u32), (Rank, Tag, Bytes))> = VecDeque::new();
+    let mut frame_cache: VecDeque<SentFrame> = VecDeque::new();
     // A command that superseded an abandoned gather, to run next.
     let mut pending: Option<Box<wire::CommandMsg>> = None;
 
@@ -348,15 +350,12 @@ fn run_job<T: Transport>(
                 // abandon this gather and serve the new command.
                 return JobExit::Superseded(Box::new(c));
             }
-            tags::CANCEL => {
-                // The client cancelled the very job this master is
-                // gathering: trip the rank-local set so cancellation
-                // checks during the remaining gather/merge fire.
-                // Notices for other (already finished) jobs are stale
-                // and dropped.
-                if wire::decode_cancel(&m.payload) == Some(msg.job) {
-                    cancels.write().unwrap().insert(msg.job);
-                }
+            // The client cancelled the very job this master is
+            // gathering: trip the rank-local set so cancellation checks
+            // during the remaining gather/merge fire. Notices for other
+            // (already finished) jobs are stale and dropped.
+            tags::CANCEL if wire::decode_cancel(&m.payload) == Some(msg.job) => {
+                cancels.write().unwrap().insert(msg.job);
             }
             tags::SHUTDOWN => return JobExit::Shutdown,
             _ => {}

@@ -155,7 +155,7 @@ impl ResidencyDigest {
     /// not a whole number of words or exceed the digest size (a
     /// truncated or foreign payload), returning `None`.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() % 8 != 0 || bytes.len() > DIGEST_WORDS * 8 {
+        if !bytes.len().is_multiple_of(8) || bytes.len() > DIGEST_WORDS * 8 {
             return None;
         }
         let words = bytes

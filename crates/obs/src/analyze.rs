@@ -107,7 +107,7 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
     let wjob = spans
         .iter()
         .filter(|s| s.name == "worker.job")
-        .filter(|s| merge.map_or(true, |m| s.tid == m.tid))
+        .filter(|s| merge.is_none_or(|m| s.tid == m.tid))
         .max_by_key(|s| s.ts_ns);
     if let Some(wj) = wjob {
         a.dispatch_ns = wj.ts_ns.saturating_sub(end(queued));

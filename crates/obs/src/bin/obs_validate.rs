@@ -19,10 +19,10 @@
 //! appear in any checked artifact are reported as a warning so the
 //! DESIGN.md mirror can't rot in either direction.
 //!
-//! `--fail-on-drops` turns span-ring overflow (`obs_spans_dropped_total
-//! > 0` in a checked `metrics.json`) from a warning into a failure;
-//! acceptance tests pass it, chaos runs — which legitimately drop under
-//! pressure — don't.
+//! `--fail-on-drops` turns span-ring overflow (a nonzero
+//! `obs_spans_dropped_total` in a checked `metrics.json`) from a warning
+//! into a failure; acceptance tests pass it, chaos runs — which
+//! legitimately drop under pressure — don't.
 //!
 //! `analyze` runs the critical-path analyzer over the directory's
 //! flight recordings and prints the attribution table; with

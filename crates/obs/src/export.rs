@@ -480,7 +480,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
             continue; // free-form comment
         }
         let name_part = line
-            .split(|c| c == '{' || c == ' ')
+            .split(['{', ' '])
             .next()
             .unwrap_or("");
         if !valid_name(name_part) {
@@ -719,9 +719,11 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.push(("dms_l1_hits_total".into(), 42));
         snap.gauges.push(("sched_queue_depth".into(), -1));
-        let mut h = HistogramSnapshot::default();
-        h.count = 3;
-        h.sum = 1030;
+        let mut h = HistogramSnapshot {
+            count: 3,
+            sum: 1030,
+            ..Default::default()
+        };
         h.buckets[1] = 2; // values 2,3
         h.buckets[9] = 1; // value ~1000
         snap.histograms.push(("sched_queue_wait_ns".into(), h));
@@ -846,9 +848,11 @@ mod tests {
         .is_ok());
         // Histogram suffixes resolve to their family's HELP/TYPE.
         let mut hsnap = MetricsSnapshot::default();
-        let mut h = HistogramSnapshot::default();
-        h.count = 1;
-        h.sum = 2;
+        let mut h = HistogramSnapshot {
+            count: 1,
+            sum: 2,
+            ..Default::default()
+        };
         h.buckets[1] = 1;
         hsnap.histograms.push(("sched_queue_wait_ns".into(), h));
         assert!(validate_prometheus_text(&prometheus_text(&hsnap)).is_ok());
@@ -875,9 +879,11 @@ mod tests {
     fn metrics_json_parses() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.push(("a_total".into(), 1));
-        let mut h = HistogramSnapshot::default();
-        h.count = 1;
-        h.sum = 5;
+        let mut h = HistogramSnapshot {
+            count: 1,
+            sum: 5,
+            ..Default::default()
+        };
         h.buckets[2] = 1;
         snap.histograms.push(("lat_ns".into(), h));
         let v = json::parse(&metrics_json(&snap)).unwrap();

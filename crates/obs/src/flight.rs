@@ -176,7 +176,7 @@ pub fn flight_jsonl(dump: &TraceDump, events: &[EventRecord], trace_id: u64) -> 
         line.push('}');
         lines.push((e.ts_ns, line));
     }
-    lines.sort_by(|a, b| a.0.cmp(&b.0));
+    lines.sort_by_key(|l| l.0);
     let mut out = String::with_capacity(lines.iter().map(|(_, l)| l.len() + 1).sum());
     for (_, l) in lines {
         out.push_str(&l);

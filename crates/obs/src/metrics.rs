@@ -408,22 +408,6 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
         "Scheduler time spent idle waiting for messages",
     ),
     (
-        "sched_job_latency_cohort0_ns",
-        "Accept-to-done runtime histogram, session cohort 0",
-    ),
-    (
-        "sched_job_latency_cohort1_ns",
-        "Accept-to-done runtime histogram, session cohort 1",
-    ),
-    (
-        "sched_job_latency_cohort2_ns",
-        "Accept-to-done runtime histogram, session cohort 2",
-    ),
-    (
-        "sched_job_latency_cohort3_ns",
-        "Accept-to-done runtime histogram, session cohort 3",
-    ),
-    (
         "sched_job_runtime_ns",
         "Per-job accept-to-done runtime histogram",
     ),
@@ -509,22 +493,6 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
     (
         "vista_stream_items_total",
         "Geometry items received by the client",
-    ),
-    (
-        "vista_ttfg_cohort0_ns",
-        "Submit-to-first-geometry histogram, session cohort 0",
-    ),
-    (
-        "vista_ttfg_cohort1_ns",
-        "Submit-to-first-geometry histogram, session cohort 1",
-    ),
-    (
-        "vista_ttfg_cohort2_ns",
-        "Submit-to-first-geometry histogram, session cohort 2",
-    ),
-    (
-        "vista_ttfg_cohort3_ns",
-        "Submit-to-first-geometry histogram, session cohort 3",
     ),
     // workers
     (
@@ -712,9 +680,11 @@ mod tests {
         let mut a = MetricsSnapshot::default();
         a.counters.push(("x_total".into(), 5));
         a.counters.push(("y_total".into(), 1));
-        let mut h = HistogramSnapshot::default();
-        h.count = 2;
-        h.sum = 10;
+        let mut h = HistogramSnapshot {
+            count: 2,
+            sum: 10,
+            ..Default::default()
+        };
         h.buckets[2] = 2;
         a.histograms.push(("lat_ns".into(), h));
 

@@ -404,9 +404,11 @@ mod tests {
 
     #[test]
     fn sparse_hist_roundtrip() {
-        let mut snap = HistogramSnapshot::default();
-        snap.count = 4;
-        snap.sum = 77;
+        let mut snap = HistogramSnapshot {
+            count: 4,
+            sum: 77,
+            ..Default::default()
+        };
         snap.buckets[0] = 1;
         snap.buckets[63] = 3;
         let sparse = SparseHist::from_snapshot(&snap);

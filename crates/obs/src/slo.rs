@@ -492,8 +492,10 @@ mod tests {
 
     #[test]
     fn threshold_rounds_up_within_its_bucket() {
-        let mut h = HistogramSnapshot::default();
-        h.count = 2;
+        let mut h = HistogramSnapshot {
+            count: 2,
+            ..Default::default()
+        };
         h.buckets[10] = 2; // two samples in [1024, 2048)
                            // 1500 is inside bucket 10, so the whole bucket counts good.
         assert_eq!(good_below(&h, 1500), 2);

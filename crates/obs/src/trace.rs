@@ -174,19 +174,14 @@ pub fn install_ctx(ctx: TraceCtx) -> CtxGuard {
 // ---------------------------------------------------------------------------
 
 /// A span argument value. `Copy` so records can live in the ring.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum ArgValue {
     U64(u64),
     I64(i64),
     F64(f64),
     Str(&'static str),
+    #[default]
     None,
-}
-
-impl Default for ArgValue {
-    fn default() -> Self {
-        ArgValue::None
-    }
 }
 
 impl From<u64> for ArgValue {

@@ -27,26 +27,6 @@ static JOBS_COLLECTED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static FIRST_RESULT_NS: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
 static DUP_DROPPED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static BUSY_REJECTIONS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-static TTFG_COHORTS: OnceLock<Vec<Arc<obs::Histogram>>> = OnceLock::new();
-
-/// Session-cohort fan-out for the per-cohort TTFG histograms. Sessions
-/// hash onto a fixed small set of cohorts so the load plane gets
-/// per-session-class tail latency without a per-session metric family
-/// (ten thousand sessions would blow up the registry and the OBSD1
-/// deltas). Mirrors the scheduler's `sched_job_latency_cohort*_ns`.
-pub const SESSION_COHORTS: u64 = 4;
-
-/// Records one submit-to-first-geometry latency: the cluster-wide
-/// histogram plus the session's cohort histogram.
-fn record_first_result(session: u64, elapsed: Duration) {
-    obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns").record_duration(elapsed);
-    let cohorts = TTFG_COHORTS.get_or_init(|| {
-        (0..SESSION_COHORTS)
-            .map(|k| obs::histogram(&format!("vista_ttfg_cohort{k}_ns")))
-            .collect()
-    });
-    cohorts[(session % SESSION_COHORTS) as usize].record_duration(elapsed);
-}
 
 /// A submission to the back-end.
 #[derive(Debug, Clone)]
@@ -439,7 +419,8 @@ impl VistaClient {
                     cumulative += n_items as u64;
                     if n_items > 0 && first.is_none() {
                         first = Some(elapsed);
-                        record_first_result(self.session, elapsed);
+                        obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns")
+                            .record_duration(elapsed);
                         // Time-to-first-triangle span, measured from
                         // submit — the critical-path analyzer reads it
                         // as the job's ttft.
@@ -477,7 +458,8 @@ impl VistaClient {
                     Self::ingest(kind, payload, &mut triangles, &mut polylines)?;
                     if n_items > 0 && first.is_none() {
                         first = Some(elapsed);
-                        record_first_result(self.session, elapsed);
+                        obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns")
+                            .record_duration(elapsed);
                         // Time-to-first-triangle span, measured from
                         // submit — the critical-path analyzer reads it
                         // as the job's ttft.

@@ -28,4 +28,4 @@ pub use protocol::{
     triangle_packet, ClientRequest, CommandParams, EventHeader, JobId, JobReport, PayloadKind,
     ProtocolError,
 };
-pub use session::{SessionLog, SessionRecord, SessionSummary, StreamSession};
+pub use session::StreamSession;
