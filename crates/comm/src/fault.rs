@@ -270,13 +270,8 @@ impl FaultDecision {
 /// Applies truncation / corruption from a [`FaultDecision`] to a
 /// payload copy. Shared between [`FaultyTransport`] and the socket
 /// hub's worker↔worker forward path, so both injection sites mangle
-/// payloads identically for the same decision.
-///
-/// Corruption prefers the binary region of a layer-2 frame
-/// (`u32 LE header-len | JSON | payload`) when one exists, so that
-/// silent bit flips land where only a checksum can catch them; flips
-/// inside the JSON header are almost always caught by the header decoder and are
-/// equivalent to a drop once the decoder rejects the frame.
+/// payloads identically for the same decision. Corruption flips one
+/// uniformly chosen bit of the whole message.
 pub fn apply_payload_faults(d: &FaultDecision, payload: &Bytes) -> Bytes {
     let mut buf: BytesMut = BytesMut::from(&payload[..]);
     if d.truncate && !buf.is_empty() {
@@ -284,21 +279,8 @@ pub fn apply_payload_faults(d: &FaultDecision, payload: &Bytes) -> Bytes {
         buf.truncate(keep);
     }
     if d.corrupt && !buf.is_empty() {
-        let body_start = if buf.len() >= 4 {
-            let hlen = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            let start = 4usize.saturating_add(hlen);
-            if start < buf.len() {
-                start
-            } else {
-                0
-            }
-        } else {
-            0
-        };
-        let span = buf.len() - body_start;
-        let bit = splitmix64(d.entropy) % (span as u64 * 8);
-        let byte = body_start + (bit / 8) as usize;
-        buf[byte] ^= 1 << (bit % 8);
+        let bit = splitmix64(d.entropy) % (buf.len() as u64 * 8);
+        buf[(bit / 8) as usize] ^= 1 << (bit % 8);
     }
     buf.freeze()
 }
@@ -683,25 +665,6 @@ mod tests {
             .sum();
         assert_eq!(flipped, 1);
         assert_eq!(stats.snapshot().corrupted, 1);
-    }
-
-    #[test]
-    fn corrupt_fault_targets_frame_body_when_present() {
-        let plan = FaultPlan::new(11).with_default(LinkFaults {
-            corrupt_p: 1.0,
-            ..Default::default()
-        });
-        let (a, b, _) = world2(plan);
-        // A layer-2-shaped frame: 4-byte header len, 4-byte "JSON",
-        // then an 8-byte body.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&4u32.to_le_bytes());
-        frame.extend_from_slice(b"{\"j\"");
-        frame.extend_from_slice(&[0u8; 8]);
-        a.send(1, 10, Bytes::from(frame.clone())).unwrap();
-        let m = b.recv().unwrap();
-        assert_eq!(&m.payload[..8], &frame[..8], "header region untouched");
-        assert_ne!(&m.payload[8..], &frame[8..], "body region flipped");
     }
 
     #[test]

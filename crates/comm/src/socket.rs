@@ -19,8 +19,7 @@
 //! ```
 //!
 //! `digest` is [`frame_crc`] over the `to | from | tag | len` words and
-//! the payload (0 is reserved, a real 0 is nudged to 1 — same convention
-//! as the layer-2 wire headers). A frame whose digest fails is dropped
+//! the payload. A frame whose digest fails is dropped
 //! where it lands; the stream stays synchronized because the frame's
 //! extent was known. A corrupted *length* desynchronizes the stream:
 //! the decoder scans forward to the next magic and reports how many
@@ -61,9 +60,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vira_obs as obs;
 
-/// Wire protocol version carried in the `HELLO` frame. Bumped on any
-/// incompatible frame-format change; the hub rejects mismatches.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Wire protocol version carried in the `HELLO` and `REJOIN` frames.
+/// Bumped on any change to a frame format or to a layer-2 message
+/// layout; the hub refuses a peer of another version.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame preamble. A fixed magic keeps the decoder re-synchronizable:
 /// after losing framing it scans for the next occurrence. Bumped with
@@ -116,22 +116,29 @@ fn count_resync(skipped: usize) {
 
 /// One 32-byte stride: word `i` goes into lane `i`, four independent
 /// chains the CPU runs in parallel. The multiplier is odd, so a step is
-/// a bijection of the lane and injective in the word.
+/// a bijection of the lane and injective in the word. Spelled out word
+/// by word: layer 2 seals whole result payloads with this, and the
+/// unrolled form stays cheap in unoptimized (test) builds too.
 #[inline(always)]
-fn absorb(lanes: &mut [u64; 4], stride: &[u8]) {
-    for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
-        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
-        *lane = (*lane ^ w)
-            .wrapping_mul(0xff51_afd7_ed55_8ccd)
-            .rotate_left(29);
-    }
+fn absorb(lanes: &mut [u64; 4], stride: &[u8; 32]) {
+    let (words, _) = stride.as_chunks::<8>();
+    step(&mut lanes[0], words[0]);
+    step(&mut lanes[1], words[1]);
+    step(&mut lanes[2], words[2]);
+    step(&mut lanes[3], words[3]);
+}
+
+#[inline(always)]
+fn step(lane: &mut u64, word: [u8; 8]) {
+    *lane = (*lane ^ u64::from_le_bytes(word))
+        .wrapping_mul(0xff51_afd7_ed55_8ccd)
+        .rotate_left(29);
 }
 
 /// Checksum of one frame over the addressing words, the length and the
 /// payload. Lane steps and the fold are bijections of each lane, so
-/// damage confined to one 8-byte word always changes the digest — but
-/// for the one pair of values the nudge merges: `0` means "unchecked"
-/// in layer-2 headers, so a real zero digest becomes 1 here too.
+/// damage confined to one 8-byte word always changes the digest. Layer
+/// 2 seals its messages with the same function.
 pub fn frame_crc(to: u32, from: u32, tag: u32, payload: &[u8]) -> u64 {
     const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut lanes = [
@@ -140,11 +147,10 @@ pub fn frame_crc(to: u32, from: u32, tag: u32, payload: &[u8]) -> u64 {
         SEED.rotate_left(32) ^ payload.len() as u64,
         SEED.rotate_left(48),
     ];
-    let mut strides = payload.chunks_exact(32);
-    for stride in &mut strides {
+    let (strides, rest) = payload.as_chunks::<32>();
+    for stride in strides {
         absorb(&mut lanes, stride);
     }
-    let rest = strides.remainder();
     if !rest.is_empty() {
         // Zero padding is unambiguous: the length is in lane 2.
         let mut last = [0u8; 32];
@@ -158,12 +164,7 @@ pub fn frame_crc(to: u32, from: u32, tag: u32, payload: &[u8]) -> u64 {
         .wrapping_add(lanes[3].rotate_left(47));
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    if h == 0 {
-        1
-    } else {
-        h
-    }
+    h ^ (h >> 31)
 }
 
 /// A decoded frame. `to`/`from` are wire-level rank ids.
@@ -1572,16 +1573,6 @@ mod tests {
     }
 
     #[test]
-    fn crc_is_never_zero() {
-        // No input is known to digest to 0; the nudge is still pinned
-        // so the "unchecked" sentinel stays reserved.
-        assert_ne!(frame_crc(0, 0, 0, b""), 0);
-        for tag in 0..200u32 {
-            assert_ne!(frame_crc(1, 2, tag, b"abc"), 0);
-        }
-    }
-
-    #[test]
     fn crc_changes_with_any_single_word() {
         // Lengths around the 32-byte stride and the 8-byte word, so the
         // padded tail is covered too.
@@ -2287,5 +2278,103 @@ mod tests {
             "the worker→worker frame was dropped by the hub"
         );
         assert_eq!(stats.snapshot().dropped, 1);
+    }
+
+    /// A handshake frame of the next protocol version: HELLO, or REJOIN
+    /// claiming `rank`.
+    fn next_version_handshake(tag: Tag, rank: u32) -> Vec<u8> {
+        let mut payload = (PROTOCOL_VERSION + 1).to_le_bytes().to_vec();
+        if tag == TAG_REJOIN {
+            payload.extend_from_slice(&rank.to_le_bytes());
+        }
+        encode_frame(0, rank, tag, &payload)
+    }
+
+    /// Writes `frame` from a fresh TCP peer, runs `handshake` on the
+    /// hub's end of the connection and returns the refusal it reports.
+    fn refusal<T>(frame: &[u8], handshake: impl FnOnce(&Stream) -> std::io::Result<T>) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.write_all(frame).unwrap();
+        let hub_end = Stream::tcp(listener.accept().unwrap().0).unwrap();
+        match handshake(&hub_end) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a peer of another version was accepted"),
+        }
+    }
+
+    /// Reads `peer` to its end: what the hub wrote before closing.
+    fn read_until_closed(mut peer: impl Read) -> Vec<u8> {
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        got
+    }
+
+    #[test]
+    fn hello_of_another_protocol_version_is_refused() {
+        let hello = next_version_handshake(TAG_HELLO, 0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let err = refusal(&hello, |s| handshake_server(s, 1, 2, deadline));
+        assert!(err.contains("protocol version mismatch"), "{err}");
+
+        // In a forming world the refused peer gets no rank: the hub
+        // closes on it and gives rank 1 to the next peer.
+        let listener = SocketListener::bind(&SocketAddrSpec::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = listener.local_addr().trim_start_matches("tcp:").to_string();
+        let peers = std::thread::spawn(move || {
+            let mut stale = TcpStream::connect(&addr).unwrap();
+            stale.write_all(&hello).unwrap();
+            stale
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (read_until_closed(stale), raw_peer(&addr))
+        });
+        let hub = listener.accept_world(1, Duration::from_secs(10)).unwrap();
+        let (welcome, mut peer) = peers.join().unwrap();
+        assert!(welcome.is_empty(), "the refused peer got no WELCOME");
+        hub.send(1, 70, Bytes::from_static(b"served")).unwrap();
+        let sent = encode_frame(1, 0, 70, b"served");
+        let mut got = vec![0u8; sent.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got, sent);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn rejoin_of_another_protocol_version_is_refused() {
+        let spec = tmp_sock("rejoin-version");
+        let (hub, mut workers) = socket_world(&spec, 2);
+        let rejoin = next_version_handshake(TAG_REJOIN, 1);
+        let err = refusal(&rejoin, |s| handshake_rejoin(s, &hub.shared, 3));
+        assert!(err.contains("protocol version mismatch"), "{err}");
+
+        // Rank 1 dies; a REJOIN of another version cannot reclaim it…
+        drop(workers.remove(0));
+        for _ in 0..200 {
+            if !hub.peer_alive(1) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let SocketAddrSpec::Unix(path) = &spec else {
+            unreachable!("a unix world")
+        };
+        let mut stale = UnixStream::connect(path).unwrap();
+        stale.write_all(&rejoin).unwrap();
+        stale
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(
+            read_until_closed(stale).is_empty(),
+            "the refused peer got no WELCOME"
+        );
+        assert!(!hub.peer_alive(1));
+        assert_eq!(hub.try_recv().unwrap(), None, "layer 2 heard of no rejoin");
+
+        // …and the hub keeps serving rank 2.
+        hub.send(2, tags::COMMAND, Bytes::from_static(b"still here"))
+            .unwrap();
+        let m = workers[0].recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(&m.payload[..], b"still here");
     }
 }

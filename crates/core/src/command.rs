@@ -390,14 +390,13 @@ pub(crate) fn encode_output(
         extract_par_s: out.extract_par_s,
         extract_threads: out.extract_threads,
         attempt,
-        payload_crc: 0, // filled in by encode_partial
         residency,
         obs_delta,
         error,
         trace_id: ctx.trace_id,
         parent_span_id: ctx.parent_span_id,
     };
-    wire::encode_partial(&header, payload)
+    wire::encode_partial(&header, &payload)
 }
 
 #[cfg(test)]

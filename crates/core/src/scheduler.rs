@@ -429,9 +429,9 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
             }
         }
 
-        // 2. Worker completions, plus telemetry pongs answering the
-        // heartbeat pings of step 4b (probe pongs are consumed inside
-        // the probe loop; anything else is stale traffic and dropped).
+        // 2. Worker completions, plus pongs (answers to the heartbeat
+        // pings of step 4b, or late answers to a finished probe);
+        // anything else is stale traffic and dropped.
         while let Ok(Some(msg)) = endpoint.try_recv_any() {
             progressed = true;
             match msg.tag {
@@ -446,7 +446,9 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                     &mut residency,
                     &mut tsdb,
                 ),
-                tags::PONG => harvest_obs_pong(&msg.payload, msg.from, &mut tsdb, &mut residency),
+                tags::PONG => {
+                    harvest_pong(&msg.payload, msg.from, &mut tsdb, &mut residency);
+                }
                 // A previously-convicted worker rank completed the hub's
                 // rejoin handshake: lift its dead-rank exclusion so it
                 // is eligible for placement again. Probe/placement state
@@ -573,7 +575,6 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                     params: q.params.clone(),
                     group: group.clone(),
                     attempt: q.attempt,
-                    check: 0,
                     trace_id: child.trace_id,
                     parent_span_id: child.parent_span_id,
                 };
@@ -641,7 +642,10 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
             // Unanswered ranks are re-pinged every slice — on a lossy
             // link a single ping would regularly convict live ranks.
             probe_nonce += 1;
-            let nonce = Bytes::copy_from_slice(&probe_nonce.to_le_bytes());
+            let ping = wire::encode_ping(&wire::Ping {
+                nonce: probe_nonce,
+                want_delta: false,
+            });
             let mut alive_ranks: HashSet<Rank> = HashSet::new();
             let probe_deadline = Instant::now() + resilience.probe_timeout;
             'probe: while alive_ranks.len() < run.group.len() {
@@ -654,7 +658,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 let sent_ns = obs::now_ns();
                 for &r in &run.group {
                     if !alive_ranks.contains(&r) {
-                        let _ = endpoint.send(r, tags::PING, nonce.clone());
+                        let _ = endpoint.send(r, tags::PING, ping.clone());
                     }
                 }
                 let slice_end = (round_start + Duration::from_millis(25)).min(probe_deadline);
@@ -663,44 +667,31 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                     if left.is_zero() {
                         break;
                     }
-                    match endpoint.recv_tag_timeout(tags::PONG, left) {
-                        Ok(m) if is_obs_pong(&m.payload) => {
-                            // A heartbeat pong drained mid-probe: harvest
-                            // its delta instead of dropping it (the shared
-                            // nonce counter keeps it from ever aliasing
-                            // this probe's nonce).
-                            harvest_obs_pong(&m.payload, m.from, &mut tsdb, &mut residency);
-                        }
-                        Ok(m)
-                            if pong_matches(&m.payload, &nonce) && run.group.contains(&m.from) =>
-                        {
-                            // Workers append their cache-residency
-                            // digest (and, on newer peers, their clock
-                            // timestamp) after the echoed nonce;
-                            // harvest both while we're here.
-                            let (digest, t_remote) = split_pong_tail(&m.payload[nonce.len()..]);
-                            if let Some(d) = digest {
-                                if !d.is_unknown() {
-                                    residency.insert(m.from, d);
-                                }
-                            }
-                            if let Some(t_remote) = t_remote {
-                                // NTP-style estimate: the worker stamped
-                                // its clock mid-flight, so offset =
-                                // t_remote - (t_send + rtt/2). The probe
-                                // doubles as the flight recorder's clock
-                                // probe; min-RTT samples win over there.
-                                let rtt = obs::now_ns().saturating_sub(sent_ns);
-                                let offset = t_remote as i64 - (sent_ns + rtt / 2) as i64;
-                                obs::flight::record_clock_offset(m.from as u64, offset, rtt);
-                            }
-                            alive_ranks.insert(m.from);
-                            if alive_ranks.len() == run.group.len() {
-                                break 'probe;
-                            }
-                        }
-                        Ok(_) => {} // stale pong from an earlier probe
-                        Err(_) => break,
+                    let Ok(m) = endpoint.recv_tag_timeout(tags::PONG, left) else {
+                        break;
+                    };
+                    // Every pong feeds placement and telemetry, a
+                    // heartbeat's drained mid-probe too; only this
+                    // probe's nonce from a group member proves a rank
+                    // alive (the shared nonce counter keeps heartbeat
+                    // and earlier probe nonces from aliasing it).
+                    let Some(pong) = harvest_pong(&m.payload, m.from, &mut tsdb, &mut residency)
+                    else {
+                        continue;
+                    };
+                    if pong.nonce != probe_nonce || !run.group.contains(&m.from) {
+                        continue;
+                    }
+                    // NTP-style estimate: the worker stamped its clock
+                    // mid-flight, so offset = t_remote - (t_send + rtt/2).
+                    // The probe doubles as the flight recorder's clock
+                    // probe; min-RTT samples win over there.
+                    let rtt = obs::now_ns().saturating_sub(sent_ns);
+                    let offset = pong.clock_ns as i64 - (sent_ns + rtt / 2) as i64;
+                    obs::flight::record_clock_offset(m.from as u64, offset, rtt);
+                    alive_ranks.insert(m.from);
+                    if alive_ranks.len() == run.group.len() {
+                        break 'probe;
                     }
                 }
             }
@@ -777,11 +768,14 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 // Shares the probe's nonce counter so a heartbeat nonce
                 // can never alias an in-flight probe nonce.
                 probe_nonce += 1;
-                let payload = obs_ping_payload(probe_nonce);
+                let ping = wire::encode_ping(&wire::Ping {
+                    nonce: probe_nonce,
+                    want_delta: true,
+                });
                 let mut sent = 0u64;
                 for r in 1..=n_workers {
                     if !dead.contains(&r) {
-                        let _ = endpoint.send(r, tags::PING, payload.clone());
+                        let _ = endpoint.send(r, tags::PING, ping.clone());
                         sent += 1;
                     }
                 }
@@ -854,100 +848,25 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
     }
 }
 
-/// True when a PONG payload answers the probe `nonce`: the nonce must
-/// be echoed as a *prefix*. New workers append their cache-residency
-/// digest after the nonce; old workers echo the nonce verbatim — both
-/// count as alive.
-fn pong_matches(payload: &[u8], nonce: &[u8]) -> bool {
-    payload.len() >= nonce.len() && &payload[..nonce.len()] == nonce
-}
-
-/// Splits a PONG payload tail (everything after the echoed nonce) into
-/// the optional residency digest and the optional clock timestamp.
-/// Old workers send the digest alone; new workers append their
-/// trace-epoch timestamp (8 bytes LE) after it. A digest dump is only
-/// ever empty or full-size (`DIGEST_BITS / 8` bytes), so the two
-/// layouts cannot alias; anything else is a foreign payload.
-fn split_pong_tail(rest: &[u8]) -> (Option<ResidencyDigest>, Option<u64>) {
-    const FULL: usize = vira_dms::cache::DIGEST_BITS / 8;
-    if rest.is_empty() || rest.len() == FULL {
-        return (ResidencyDigest::from_bytes(rest), None);
-    }
-    if rest.len() == 8 || rest.len() == FULL + 8 {
-        let (d, t) = rest.split_at(rest.len() - 8);
-        let ts = u64::from_le_bytes(t.try_into().expect("8-byte tail"));
-        return (ResidencyDigest::from_bytes(d), Some(ts));
-    }
-    (None, None)
-}
-
-/// Builds a telemetry heartbeat PING payload: the 8-byte LE nonce
-/// followed by the [`wire::OBS_PING_SUFFIX`] marker.
-fn obs_ping_payload(nonce: u64) -> Bytes {
-    let mut p = Vec::with_capacity(12);
-    p.extend_from_slice(&nonce.to_le_bytes());
-    p.extend_from_slice(wire::OBS_PING_SUFFIX);
-    Bytes::from(p)
-}
-
-/// True when a PONG answers a telemetry heartbeat: its echoed prefix is
-/// a 12-byte obs-ping payload.
-fn is_obs_pong(payload: &[u8]) -> bool {
-    payload.len() >= 12 && wire::is_obs_ping(&payload[..12])
-}
-
-/// Splits an obs-pong's post-echo bytes into the classic digest/clock
-/// pair plus the piggybacked delta blob, when one rides along. The
-/// trailer layout is `digest | clock(8) | blob | blob_len(4 LE)`; a
-/// blob must start with the `OBSD1` magic, so anything that fails the
-/// structural checks falls back to the classic [`split_pong_tail`]
-/// parse (old workers answer obs pings with classic pongs).
-fn split_obs_pong_tail(rest: &[u8]) -> (Option<ResidencyDigest>, Option<u64>, Option<&str>) {
-    const FULL: usize = vira_dms::cache::DIGEST_BITS / 8;
-    if rest.len() >= 13 {
-        let blob_len =
-            u32::from_le_bytes(rest[rest.len() - 4..].try_into().expect("4-byte trailer")) as usize;
-        if blob_len >= 1 && blob_len + 12 <= rest.len() {
-            let digest_len = rest.len() - 12 - blob_len;
-            if digest_len == 0 || digest_len == FULL {
-                let blob = &rest[digest_len + 8..digest_len + 8 + blob_len];
-                if blob.starts_with(vira_obs::ship::DELTA_MAGIC.as_bytes()) {
-                    if let Ok(s) = std::str::from_utf8(blob) {
-                        let (d, t) = split_pong_tail(&rest[..digest_len + 8]);
-                        return (d, t, Some(s));
-                    }
-                }
-            }
-        }
-    }
-    let (d, t) = split_pong_tail(rest);
-    (d, t, None)
-}
-
-/// Harvests one telemetry pong: residency digest into the placement
-/// map, the metric delta into the tsdb (per-rank seq numbers make the
-/// ingest idempotent, so duplicated frames on a lossy transport are
-/// dropped there). Non-obs pongs (stale probe answers) are ignored.
-fn harvest_obs_pong(
-    payload: &[u8],
+/// Harvests one PONG, a probe's or a heartbeat's alike: the residency
+/// digest into the placement map, any metric delta into the tsdb
+/// (per-rank seq numbers make the ingest idempotent, so duplicated
+/// frames on a lossy transport are dropped there). Returns the pong
+/// for the probe's nonce check, or `None` for a damaged frame.
+fn harvest_pong(
+    frame: &[u8],
     from: Rank,
     tsdb: &mut obs::Tsdb,
     residency: &mut HashMap<Rank, ResidencyDigest>,
-) {
-    if !is_obs_pong(payload) {
-        return;
+) -> Option<wire::Pong> {
+    let pong = wire::decode_pong(frame)?;
+    if !pong.residency.is_unknown() {
+        residency.insert(from, pong.residency.clone());
     }
-    let (digest, _clock, blob) = split_obs_pong_tail(&payload[12..]);
-    if let Some(d) = digest {
-        if !d.is_unknown() {
-            residency.insert(from, d);
-        }
+    if let Ok(delta) = obs::ship::decode(&pong.delta) {
+        tsdb.ingest(&delta, obs::now_ns());
     }
-    if let Some(blob) = blob {
-        if let Ok(delta) = obs::ship::decode(blob) {
-            tsdb.ingest(&delta, obs::now_ns());
-        }
-    }
+    Some(pong)
 }
 
 /// One telemetry evaluation pass: refresh the scheduler gauges, cut and
@@ -1683,129 +1602,28 @@ mod tests {
     }
 
     #[test]
-    fn pong_prefix_match_accepts_digest_tails() {
-        let nonce = 9u64.to_le_bytes();
-        assert!(pong_matches(&nonce, &nonce));
-        let mut with_tail = nonce.to_vec();
-        with_tail.extend_from_slice(&[0u8; 16]);
-        assert!(pong_matches(&with_tail, &nonce));
-        assert!(!pong_matches(&nonce[..4], &nonce));
-        let other = 10u64.to_le_bytes();
-        assert!(!pong_matches(&other, &nonce));
-    }
-
-    #[test]
-    fn pong_tail_split_covers_old_and_new_layouts() {
-        let full = vira_dms::cache::DIGEST_BITS / 8;
-        let mut digest = ResidencyDigest::empty();
-        digest.insert(ItemId(5));
-        let dump = digest.to_bytes();
-        assert_eq!(dump.len(), full);
-        // Old worker, nonce only.
-        assert_eq!(
-            split_pong_tail(&[]),
-            (Some(ResidencyDigest::default()), None)
-        );
-        // Old worker, digest only.
-        let (d, t) = split_pong_tail(&dump);
-        assert_eq!(d.as_ref(), Some(&digest));
-        assert_eq!(t, None);
-        // New worker, digest + timestamp.
-        let mut tail = dump.clone();
-        tail.extend_from_slice(&1234u64.to_le_bytes());
-        let (d, t) = split_pong_tail(&tail);
-        assert_eq!(d.as_ref(), Some(&digest));
-        assert_eq!(t, Some(1234));
-        // New worker with an unknown digest: timestamp alone.
-        let (d, t) = split_pong_tail(&77u64.to_le_bytes());
-        assert_eq!(d, Some(ResidencyDigest::default()));
-        assert_eq!(t, Some(77));
-        // Foreign payloads yield neither.
-        assert_eq!(split_pong_tail(&[1, 2, 3]), (None, None));
-    }
-
-    #[test]
-    fn obs_pong_tail_split_covers_all_layouts() {
-        let full = vira_dms::cache::DIGEST_BITS / 8;
-        let mut digest = ResidencyDigest::empty();
-        digest.insert(ItemId(5));
-        let dump = digest.to_bytes();
-        let blob = "OBSD1 1 1 100\nc sched_jobs_done_total 2\n";
-
-        // New worker: digest | clock | blob | len.
-        let mut tail = dump.clone();
-        tail.extend_from_slice(&1234u64.to_le_bytes());
-        tail.extend_from_slice(blob.as_bytes());
-        tail.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        let (d, t, b) = split_obs_pong_tail(&tail);
-        assert_eq!(d.as_ref(), Some(&digest));
-        assert_eq!(t, Some(1234));
-        assert_eq!(b, Some(blob));
-
-        // Unknown digest still parses: clock | blob | len.
-        let mut tail = 77u64.to_le_bytes().to_vec();
-        tail.extend_from_slice(blob.as_bytes());
-        tail.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        let (d, t, b) = split_obs_pong_tail(&tail);
-        assert_eq!(d, Some(ResidencyDigest::default()));
-        assert_eq!(t, Some(77));
-        assert_eq!(b, Some(blob));
-
-        // Old worker answering an obs ping: classic digest|clock pong.
-        let mut classic = dump.clone();
-        classic.extend_from_slice(&55u64.to_le_bytes());
-        let (d, t, b) = split_obs_pong_tail(&classic);
-        assert_eq!(d.as_ref(), Some(&digest));
-        assert_eq!(t, Some(55));
-        assert_eq!(b, None);
-        assert_eq!(split_obs_pong_tail(&[]).2, None);
-
-        // A trailer whose blob lacks the OBSD1 magic is rejected (falls
-        // back to the classic parse, which also fails the odd length).
-        let mut bogus = 9u64.to_le_bytes().to_vec();
-        bogus.extend_from_slice(b"not a delta blob here");
-        bogus.extend_from_slice(&21u32.to_le_bytes());
-        assert_eq!(split_obs_pong_tail(&bogus), (None, None, None));
-        assert_eq!(full, 128, "layout constants baked into this test");
-    }
-
-    #[test]
-    fn obs_ping_payload_roundtrips_the_marker() {
-        let p = obs_ping_payload(42);
-        assert_eq!(p.len(), 12);
-        assert!(wire::is_obs_ping(&p));
-        assert_eq!(&p[..8], &42u64.to_le_bytes());
-        // A classic 8-byte probe nonce is not an obs ping.
-        assert!(!wire::is_obs_ping(&42u64.to_le_bytes()));
-        // An obs pong echoes the ping as its prefix.
-        let mut pong = p.to_vec();
-        pong.extend_from_slice(&7u64.to_le_bytes());
-        assert!(is_obs_pong(&pong));
-        assert!(!is_obs_pong(&pong[..11]));
-    }
-
-    #[test]
     fn harvest_obs_pong_feeds_the_tsdb_and_residency_map() {
         let mut tsdb = obs::Tsdb::new(obs::TsdbConfig::default());
         let mut residency: HashMap<Rank, ResidencyDigest> = HashMap::new();
-        let mut digest = ResidencyDigest::empty();
-        digest.insert(ItemId(3));
-        let blob = "OBSD1 2 1 100\nc sched_jobs_done_total 5\n";
-        let mut pong = obs_ping_payload(1).to_vec();
-        pong.extend_from_slice(&digest.to_bytes());
-        pong.extend_from_slice(&123u64.to_le_bytes());
-        pong.extend_from_slice(blob.as_bytes());
-        pong.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        harvest_obs_pong(&pong, 2, &mut tsdb, &mut residency);
+        let digest = ResidencyDigest::from_items([ItemId(3)]);
+        let pong = wire::encode_pong(&wire::Pong {
+            nonce: 1,
+            clock_ns: 123,
+            residency: digest.clone(),
+            delta: "OBSD1 2 1 100\nc sched_jobs_done_total 5\n".into(),
+        });
+        let got = harvest_pong(&pong, 2, &mut tsdb, &mut residency).unwrap();
+        assert_eq!((got.nonce, got.clock_ns), (1, 123));
         assert_eq!(residency.get(&2), Some(&digest));
         assert_eq!(tsdb.counter_total("sched_jobs_done_total"), 5);
         // A duplicated frame (lossy transport) is dropped by seq.
-        harvest_obs_pong(&pong, 2, &mut tsdb, &mut residency);
+        harvest_pong(&pong, 2, &mut tsdb, &mut residency);
         assert_eq!(tsdb.counter_total("sched_jobs_done_total"), 5);
         assert_eq!(tsdb.dup_dropped(), 1);
-        // Stale probe pongs (8-byte echo) are ignored outright.
-        let probe_pong = 9u64.to_le_bytes();
-        harvest_obs_pong(&probe_pong, 1, &mut tsdb, &mut residency);
+        // A damaged pong is ignored outright.
+        let mut damaged = pong.to_vec();
+        damaged[0] ^= 1;
+        assert!(harvest_pong(&damaged, 1, &mut tsdb, &mut residency).is_none());
         assert!(!residency.contains_key(&1));
     }
 

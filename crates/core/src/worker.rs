@@ -111,16 +111,9 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
                 match msg.tag {
                     tags::SHUTDOWN => return,
                     tags::PING => {
-                        // Liveness probe: echo the nonce back, with this
-                        // node's cache-residency digest piggybacked so the
-                        // scheduler can refresh its placement map for free.
-                        // Telemetry probes additionally carry home a metric
-                        // delta in the pong's trailer.
-                        let _ = endpoint.send(
-                            msg.from,
-                            tags::PONG,
-                            pong_reply(&msg.payload, &proxy, rank),
-                        );
+                        if let Some(pong) = answer_ping(&msg.payload, &proxy, rank) {
+                            let _ = endpoint.send(msg.from, tags::PONG, pong);
+                        }
                         continue;
                     }
                     tags::COMMAND => {
@@ -337,7 +330,9 @@ fn run_job<T: Transport>(
                 }
             }
             tags::PING => {
-                let _ = endpoint.send(m.from, tags::PONG, pong_reply(&m.payload, proxy, rank));
+                if let Some(pong) = answer_ping(&m.payload, proxy, rank) {
+                    let _ = endpoint.send(m.from, tags::PONG, pong);
+                }
             }
             tags::COMMAND => {
                 let Some(c) = wire::decode_command(m.payload) else {
@@ -476,14 +471,13 @@ fn run_job<T: Transport>(
         extract_par_s,
         extract_threads,
         attempt: msg.attempt,
-        payload_crc: 0, // filled in by encode_done
         residency,
         obs_deltas,
         error: first_error,
         trace_id: reply_ctx.trace_id,
         parent_span_id: reply_ctx.parent_span_id,
     };
-    let frame = wire::encode_done(&done, payload);
+    let frame = wire::encode_done(&done, &payload);
     test_abort_point("before-done");
     let _ = endpoint.send(0, tags::JOB_DONE, frame.clone());
     JobExit::Sent {
@@ -518,47 +512,23 @@ fn take_encoded_delta(rank: usize) -> String {
         .unwrap_or_default()
 }
 
-/// Builds the PONG for a probe. Plain liveness pings get the classic
-/// `echo | digest | clock` payload; telemetry probes (`OBS1` suffix,
-/// see [`wire::is_obs_ping`]) additionally carry this rank's pending
-/// metric delta and a 4-byte LE blob-length trailer, so the scheduler's
-/// time-series store is fed by the heartbeat it already pays for.
-fn pong_reply(ping: &Bytes, proxy: &DataProxy, rank: usize) -> Bytes {
-    let base = pong_payload(ping, &proxy.residency_digest());
-    if !wire::is_obs_ping(ping) {
-        return base;
-    }
-    let blob = take_encoded_delta(rank);
-    if blob.is_empty() {
-        return base; // nothing to ship; classic pong
-    }
-    append_delta_trailer(&base, &blob)
-}
-
-/// Appends `blob | blob_len(4 LE)` after an existing pong payload.
-fn append_delta_trailer(base: &Bytes, blob: &str) -> Bytes {
-    let mut buf = BytesMut::with_capacity(base.len() + blob.len() + 4);
-    buf.extend_from_slice(base);
-    buf.extend_from_slice(blob.as_bytes());
-    buf.put_u32_le(blob.len() as u32);
-    buf.freeze()
-}
-
-/// PONG payload: the probe nonce echoed verbatim, followed by this
-/// node's serialized cache-residency digest, followed by the node's
-/// monotonic clock reading (8 bytes LE, nanoseconds since the obs
-/// epoch). Old schedulers compared the whole payload against the nonce
-/// and will simply re-probe; new schedulers prefix-match the nonce,
-/// harvest the digest by its exact serialized length (0 or
-/// `DIGEST_BITS / 8` bytes), and use the timestamp to estimate this
-/// node's clock offset for flight-recorder alignment.
-fn pong_payload(ping: &Bytes, digest: &vira_dms::cache::ResidencyDigest) -> Bytes {
-    let tail = digest.to_bytes();
-    let mut buf = BytesMut::with_capacity(ping.len() + tail.len() + 8);
-    buf.extend_from_slice(ping);
-    buf.extend_from_slice(&tail);
-    buf.put_u64_le(vira_obs::now_ns());
-    buf.freeze()
+/// Answers a PING with its nonce, this node's clock (for the
+/// flight recorder's clock-offset estimate) and cache-residency digest
+/// (so the scheduler refreshes its placement map for free), plus the
+/// pending metric delta when the ping is a telemetry heartbeat. A
+/// damaged ping gets no answer; the prober pings again.
+fn answer_ping(frame: &[u8], proxy: &DataProxy, rank: usize) -> Option<Bytes> {
+    let ping = wire::decode_ping(frame)?;
+    Some(wire::encode_pong(&wire::Pong {
+        nonce: ping.nonce,
+        clock_ns: vira_obs::now_ns(),
+        residency: proxy.residency_digest(),
+        delta: if ping.want_delta {
+            take_encoded_delta(rank)
+        } else {
+            String::new()
+        },
+    }))
 }
 
 #[cfg(test)]
@@ -610,24 +580,24 @@ mod tests {
 
     #[test]
     fn pong_payload_prefixes_the_nonce_and_appends_digest_and_clock() {
-        const FULL: usize = vira_dms::cache::DIGEST_BITS / 8;
-        let nonce = Bytes::copy_from_slice(&42u64.to_le_bytes());
-        let mut digest = vira_dms::cache::ResidencyDigest::empty();
-        digest.insert(vira_dms::ItemId(9));
-        let pong = pong_payload(&nonce, &digest);
-        assert_eq!(pong.len(), 8 + FULL + 8, "nonce | digest | clock");
-        assert_eq!(&pong[..8], nonce.as_ref());
-        let tail = vira_dms::cache::ResidencyDigest::from_bytes(&pong[8..8 + FULL]).unwrap();
-        assert!(tail.contains(vira_dms::ItemId(9)));
-        // The trailing 8 bytes are a plausible monotonic clock reading.
+        let server = DataServer::new(SimClock::instant(), Default::default());
+        let proxy = DataProxy::new(1, server, ProxyConfig::default());
+        let ping = wire::encode_ping(&wire::Ping {
+            nonce: 42,
+            want_delta: false,
+        });
         let before = vira_obs::now_ns();
-        let pong2 = pong_payload(&nonce, &digest);
-        let ts = u64::from_le_bytes(pong2[8 + FULL..].try_into().unwrap());
-        assert!(ts >= before && ts <= vira_obs::now_ns());
-        // An unknown digest serializes to nothing: nonce + clock only.
-        let bare = pong_payload(&nonce, &vira_dms::cache::ResidencyDigest::default());
-        assert_eq!(bare.len(), 16);
-        assert_eq!(&bare[..8], nonce.as_ref());
+        let frame = answer_ping(&ping, &proxy, 1).expect("an intact ping is answered");
+        assert_eq!(&frame[..8], &42u64.to_le_bytes(), "the nonce leads");
+        let pong = wire::decode_pong(&frame).unwrap();
+        assert_eq!(pong.nonce, 42);
+        assert_eq!(pong.residency, proxy.residency_digest());
+        assert!(pong.clock_ns >= before && pong.clock_ns <= vira_obs::now_ns());
+        assert!(pong.delta.is_empty(), "a liveness probe carries no delta");
+        // A damaged ping gets no answer; the prober pings again.
+        let mut damaged = ping.to_vec();
+        damaged[0] ^= 1;
+        assert!(answer_ping(&damaged, &proxy, 1).is_none());
     }
 
     #[test]

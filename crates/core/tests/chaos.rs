@@ -278,6 +278,15 @@ fn kitchen_sink_plan_recovers_byte_identical() {
             "job {i}: truncation/corruption must be caught by checksums, \
              never silently merged"
         );
+        // The counters riding the sealed headers survive the faults too.
+        let counts = |o: &JobOutcome| {
+            (
+                o.report.triangles,
+                o.report.cells_skipped,
+                o.report.bricks_skipped,
+            )
+        };
+        assert_eq!(counts(out), counts(&clean[0]), "job {i}: report counters");
         assert!(!out.report.degraded);
     }
     let report_retries: u64 = outs.iter().map(|o| o.report.retries).sum();

@@ -1,15 +1,17 @@
 //! Property tests for the layer-2 wire codecs under hostile input:
 //! whatever a faulty transport hands `decode_*`, it must either
 //! decode faithfully or return `None` — never panic, and never return
-//! a frame whose payload no longer matches its checksum.
+//! a message with a changed bit.
 
 use bytes::Bytes;
+use vira_dms::cache::ResidencyDigest;
 use vira_dms::stats::DmsStatsSnapshot;
-use vira_testkit::{check, DEFAULT_CASES};
+use vira_testkit::{check, Gen, DEFAULT_CASES};
 use vira_vista::protocol::{CommandParams, PayloadKind};
 use viracocha::wire::{
-    decode_command, decode_done, decode_partial, encode_command, encode_done, encode_partial,
-    CommandMsg, DoneHeader, PartialHeader,
+    decode_cancel, decode_command, decode_done, decode_partial, decode_ping, decode_pong,
+    encode_cancel, encode_command, encode_done, encode_partial, encode_ping, encode_pong,
+    CommandMsg, DoneHeader, PartialHeader, Ping, Pong,
 };
 
 fn sample_command(job: u64, attempt: u32) -> CommandMsg {
@@ -20,7 +22,6 @@ fn sample_command(job: u64, attempt: u32) -> CommandMsg {
         params: CommandParams::new().set("iso", 0.4),
         group: vec![0, 1, 2],
         attempt,
-        check: 0,
         trace_id: job.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         parent_span_id: attempt as u64 + 1,
     }
@@ -40,7 +41,6 @@ fn sample_partial(job: u64, payload_len: usize) -> (PartialHeader, Bytes) {
         extract_par_s: 0.75,
         extract_threads: 2,
         attempt: 1,
-        payload_crc: 0,
         residency: Default::default(),
         error: None,
         obs_delta: String::new(),
@@ -66,7 +66,6 @@ fn done_from_partial(p: &PartialHeader) -> DoneHeader {
         extract_par_s: p.extract_par_s,
         extract_threads: p.extract_threads,
         attempt: p.attempt,
-        payload_crc: 0,
         residency: Vec::new(),
         error: None,
         trace_id: p.trace_id,
@@ -75,15 +74,14 @@ fn done_from_partial(p: &PartialHeader) -> DoneHeader {
     }
 }
 
-/// Truncating an encoded frame anywhere must be detected: either
-/// the framing/JSON no longer parses, or the payload checksum
-/// catches the shortened body. A truncated frame must never
+/// Truncating an encoded frame anywhere must be detected: the seal
+/// no longer matches the shortened body. A truncated frame must never
 /// decode as if it were intact.
 #[test]
 fn truncated_partial_frames_are_rejected() {
     check(DEFAULT_CASES, |g| {
         let (h, payload) = sample_partial(g.u64_in(0..1000), g.usize_in(1..128));
-        let frame = encode_partial(&h, payload);
+        let frame = encode_partial(&h, &payload);
         let cut = g.usize_in(0..frame.len());
         assert!(decode_partial(frame.slice(0..cut)).is_none());
     });
@@ -93,51 +91,18 @@ fn truncated_partial_frames_are_rejected() {
 fn truncated_done_frames_are_rejected() {
     check(DEFAULT_CASES, |g| {
         let (p, payload) = sample_partial(g.u64_in(0..1000), g.usize_in(1..128));
-        let frame = encode_done(&done_from_partial(&p), payload);
+        let frame = encode_done(&done_from_partial(&p), &payload);
         let cut = g.usize_in(0..frame.len());
         assert!(decode_done(frame.slice(0..cut)).is_none());
     });
 }
 
-/// A truncated command either fails to decode or — when the cut
-/// happens to land on a still-valid JSON document, which the
-/// length prefix prevents — never yields altered fields.
 #[test]
 fn truncated_command_frames_are_rejected() {
     check(DEFAULT_CASES, |g| {
         let frame = encode_command(&sample_command(g.u64_in(0..1000), g.u32_in(0..8)));
         let cut = g.usize_in(0..frame.len());
         assert!(decode_command(frame.slice(0..cut)).is_none());
-    });
-}
-
-/// Any single bit flip anywhere in a framed partial must not
-/// panic, and must not surface a frame whose payload fails its
-/// checksum. (A flip confined to redundant JSON whitespace can
-/// legitimately still decode; a flip in the binary body cannot.)
-#[test]
-fn bitflipped_partial_frames_never_misdecode() {
-    check(DEFAULT_CASES, |g| {
-        let payload_len = g.usize_in(1..128);
-        let (h, payload) = sample_partial(g.u64_in(0..1000), payload_len);
-        let frame = encode_partial(&h, payload);
-        let byte = g.usize_in(0..frame.len());
-        let mut bytes = frame.to_vec();
-        bytes[byte] ^= 1 << g.u32_in(0..8);
-        let body_start = frame.len() - payload_len;
-        match decode_partial(Bytes::from(bytes)) {
-            None => {} // rejected: always acceptable
-            Some((h2, p2)) => {
-                // Whatever survived must be internally consistent (a
-                // flip that knocked out the crc *field name* leaves it
-                // 0 = unchecked — but then the body was untouched)…
-                if h2.payload_crc != 0 {
-                    assert_eq!(h2.payload_crc, viracocha::wire::fnv1a(&p2));
-                }
-                // …and a flip inside the binary body is always caught.
-                assert!(byte < body_start);
-            }
-        }
     });
 }
 
@@ -158,70 +123,74 @@ fn trace_context_roundtrips_on_all_frame_types() {
         let (mut ph, payload) = sample_partial(job, 16);
         ph.trace_id = trace_id;
         ph.parent_span_id = parent;
-        let (got, _) = decode_partial(encode_partial(&ph, payload.clone())).unwrap();
+        let (got, _) = decode_partial(encode_partial(&ph, &payload)).unwrap();
         assert_eq!((got.trace_id, got.parent_span_id), (trace_id, parent));
 
-        let (got, _) = decode_done(encode_done(&done_from_partial(&ph), payload)).unwrap();
+        let (got, _) = decode_done(encode_done(&done_from_partial(&ph), &payload)).unwrap();
         assert_eq!((got.trace_id, got.parent_span_id), (trace_id, parent));
     });
 }
 
-/// Mixed-version compatibility: the command integrity check covers
-/// the semantic fields only, so a frame differing solely in trace
-/// context still verifies on an old scheduler (which recomputes the
-/// check without knowing the trace fields exist), and an old
-/// writer's frame — the trace keys stripped from the JSON — still
-/// decodes on a new reader with both fields defaulting to zero.
-#[test]
-fn trace_fields_never_affect_command_verification() {
-    check(DEFAULT_CASES, |g| {
-        let untraced = {
-            let mut c = sample_command(g.u64_in(0..1000), g.u32_in(0..8));
-            c.trace_id = 0;
-            c.parent_span_id = 0;
-            c
-        };
-        let mut traced = untraced.clone();
-        traced.trace_id = g.u64();
-        traced.parent_span_id = g.u64();
-        // Both variants pass decode-time verification…
-        let a = decode_command(encode_command(&untraced)).unwrap();
-        let b = decode_command(encode_command(&traced)).unwrap();
-        // …and carry the same integrity check: trace fields are
-        // invisible to old peers' recomputation.
-        assert_eq!(a.check, b.check);
-        assert_eq!(a.job, b.job);
-        assert_eq!(a.params, b.params);
-        // Old-writer simulation: drop the trace keys from the message
-        // JSON; a new reader defaults both fields to zero.
-        let mut val = traced.to_json();
-        val.remove("trace_id");
-        val.remove("parent_span_id");
-        let old = CommandMsg::from_json(&val).unwrap();
-        assert_eq!(old.trace_id, 0);
-        assert_eq!(old.parent_span_id, 0);
-        assert_eq!(old.job, traced.job);
-    });
+type Decodes = fn(Bytes) -> bool;
+
+/// Flips one randomly chosen bit of `frame` — header, payload or seal
+/// alike — and asserts the decoder refuses what is left. The seal
+/// detects any change confined to one 8-byte word, so not even a flip
+/// in a redundant byte of a JSON header slips through.
+fn assert_a_flipped_bit_is_refused(g: &mut Gen, frame: Bytes, decodes: Decodes) {
+    assert!(decodes(frame.clone()), "the intact message decodes");
+    let bit = g.usize_in(0..frame.len() * 8);
+    let mut bytes = frame.to_vec();
+    bytes[bit / 8] ^= 1 << (bit % 8);
+    assert!(!decodes(Bytes::from(bytes)), "bit {bit} flipped");
 }
 
-/// Same for commands: a flip either breaks the JSON, trips the
-/// integrity check, or hit a redundant byte leaving every field
-/// intact. It must never produce a command with changed fields.
 #[test]
 fn bitflipped_command_frames_never_misdecode() {
     check(DEFAULT_CASES, |g| {
-        let msg = sample_command(g.u64_in(0..1000), g.u32_in(0..8));
-        let frame = encode_command(&msg);
-        let byte = g.usize_in(0..frame.len());
-        let mut bytes = frame.to_vec();
-        bytes[byte] ^= 1 << g.u32_in(0..8);
-        if let Some(got) = decode_command(Bytes::from(bytes)) {
-            assert_eq!(got.job, msg.job);
-            assert_eq!(got.command, msg.command);
-            assert_eq!(got.dataset, msg.dataset);
-            assert_eq!(got.params, msg.params);
-            assert_eq!(got.group, msg.group);
-            assert_eq!(got.attempt, msg.attempt);
+        let frame = encode_command(&sample_command(g.u64_in(0..1000), g.u32_in(0..8)));
+        assert_a_flipped_bit_is_refused(g, frame, |f| decode_command(f).is_some());
+    });
+}
+
+#[test]
+fn bitflipped_partial_frames_never_misdecode() {
+    check(DEFAULT_CASES, |g| {
+        let (h, payload) = sample_partial(g.u64_in(0..1000), g.usize_in(0..128));
+        let frame = encode_partial(&h, &payload);
+        assert_a_flipped_bit_is_refused(g, frame, |f| decode_partial(f).is_some());
+    });
+}
+
+/// The two properties above, for every other message core puts on the
+/// rank transport: DONE, PING, PONG and CANCEL.
+#[test]
+fn every_single_bit_flip_is_refused() {
+    check(DEFAULT_CASES, |g| {
+        let job = g.u64_in(0..1000);
+        let (h, payload) = sample_partial(job, g.usize_in(0..128));
+        let pong = Pong {
+            nonce: g.u64(),
+            clock_ns: g.u64(),
+            residency: ResidencyDigest::from_items([vira_dms::ItemId(job)]),
+            delta: "OBSD1 1 1 100\nc jobs 2\n".into(),
+        };
+        let messages: [(Bytes, Decodes); 4] = [
+            (encode_done(&done_from_partial(&h), &payload), |f| {
+                decode_done(f).is_some()
+            }),
+            (
+                encode_ping(&Ping {
+                    nonce: g.u64(),
+                    want_delta: g.bool(),
+                }),
+                |f| decode_ping(&f).is_some(),
+            ),
+            (encode_pong(&pong), |f| decode_pong(&f).is_some()),
+            (encode_cancel(job), |f| decode_cancel(&f).is_some()),
+        ];
+        for (frame, decodes) in messages {
+            assert_a_flipped_bit_is_refused(g, frame, decodes);
         }
     });
 }

@@ -71,8 +71,8 @@ const DIGEST_WORDS: usize = DIGEST_BITS / 64;
 /// queries may therefore over-count (hash collisions) but never
 /// under-count — a positive locality score always reflects at least a
 /// plausible cached block. An *empty* word vector means "no information"
-/// (the wire default for peers that predate the digest), which is
-/// distinct from an all-zero digest of a known-empty cache.
+/// (a proxy that has not reported one), which is distinct from an
+/// all-zero digest of a known-empty cache.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResidencyDigest {
     words: Vec<u64>,
@@ -99,8 +99,7 @@ impl ResidencyDigest {
         (bit / 64, 1u64 << (bit % 64))
     }
 
-    /// True when the digest carries no information (wire default from a
-    /// peer that never reported one).
+    /// True when the digest carries no information.
     pub fn is_unknown(&self) -> bool {
         self.words.is_empty()
     }
@@ -135,14 +134,14 @@ impl ResidencyDigest {
         Json::obj([("words", Json::arr(self.words.iter().copied()))])
     }
 
-    /// Inverse of [`Self::to_json`]; absent `words` is the unknown digest.
+    /// Inverse of [`Self::to_json`].
     pub fn from_json(j: &Json) -> Result<ResidencyDigest, String> {
-        let words = j.opt("words", |w| json::list(w, json::u64))?.unwrap_or_default();
+        let words = j.req("words", |w| json::list(w, json::u64))?;
         Ok(ResidencyDigest { words })
     }
 
-    /// Little-endian word dump for piggybacking on raw (non-JSON)
-    /// frames such as PONG payloads. Unknown digests encode as empty.
+    /// Little-endian word dump for binary messages such as PONG.
+    /// Unknown digests encode as empty.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.words.len() * 8);
         for w in &self.words {
@@ -151,11 +150,10 @@ impl ResidencyDigest {
         out
     }
 
-    /// Inverse of [`to_bytes`](Self::to_bytes). Rejects lengths that are
-    /// not a whole number of words or exceed the digest size (a
-    /// truncated or foreign payload), returning `None`.
+    /// Inverse of [`to_bytes`](Self::to_bytes): `None` for any length
+    /// but the two it writes, 0 and `DIGEST_BITS / 8`.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if !bytes.len().is_multiple_of(8) || bytes.len() > DIGEST_WORDS * 8 {
+        if !bytes.is_empty() && bytes.len() != DIGEST_WORDS * 8 {
             return None;
         }
         let words = bytes
@@ -819,11 +817,11 @@ mod tests {
         assert_eq!(d.to_json().to_string(), text);
         assert_eq!(ResidencyDigest::from_json(&json::parse(&text).unwrap()), Ok(d.clone()));
         assert_eq!(ResidencyDigest::from_json(&d.to_json()), Ok(d));
-        // The unknown digest, as written and as an older peer omits it.
+        // The unknown digest is written as an empty list, never omitted.
         let unknown = ResidencyDigest::default();
         assert_eq!(unknown.to_json().to_string(), r#"{"words":[]}"#);
-        assert_eq!(ResidencyDigest::from_json(&unknown.to_json()), Ok(unknown.clone()));
-        assert_eq!(ResidencyDigest::from_json(&json::parse("{}").unwrap()), Ok(unknown));
+        assert_eq!(ResidencyDigest::from_json(&unknown.to_json()), Ok(unknown));
+        assert!(ResidencyDigest::from_json(&json::parse("{}").unwrap()).is_err());
         assert!(ResidencyDigest::from_json(&json::parse(r#"{"words":[1.5]}"#).unwrap()).is_err());
     }
 
@@ -1032,6 +1030,7 @@ mod tests {
         assert_eq!(bytes.len(), DIGEST_BITS / 8);
         assert_eq!(ResidencyDigest::from_bytes(&bytes), Some(d));
         assert_eq!(ResidencyDigest::from_bytes(&bytes[..7]), None, "torn payload");
+        assert_eq!(ResidencyDigest::from_bytes(&bytes[..8]), None, "one word short of 16");
         assert_eq!(
             ResidencyDigest::from_bytes(&[]),
             Some(ResidencyDigest::default()),

@@ -124,8 +124,7 @@ impl DmsStatsSnapshot {
         ])
     }
 
-    /// Inverse of [`Self::to_json`]; `fallbacks` is absent in frames
-    /// from older peers and defaults to zero.
+    /// Inverse of [`Self::to_json`].
     pub fn from_json(j: &Json) -> Result<DmsStatsSnapshot, String> {
         Ok(DmsStatsSnapshot {
             demand_requests: j.req("demand_requests", json::u64)?,
@@ -136,7 +135,7 @@ impl DmsStatsSnapshot {
             prefetch_issued: j.req("prefetch_issued", json::u64)?,
             prefetch_redundant: j.req("prefetch_redundant", json::u64)?,
             prefetch_hits: j.req("prefetch_hits", json::u64)?,
-            fallbacks: j.opt("fallbacks", json::u64)?.unwrap_or_default(),
+            fallbacks: j.req("fallbacks", json::u64)?,
             loads_by_strategy: j.req("loads_by_strategy", |l| {
                 json::list(l, json::u64)?
                     .try_into()
@@ -250,7 +249,7 @@ mod tests {
 
     #[test]
     fn snapshot_wire_shape_is_pinned() {
-        // The object a peer built with the derived encoder sends.
+        // The object this build sends.
         let text = r#"{"demand_requests":9,"l1_hits":4,"l2_hits":2,"misses":3,"prefetch_waits":1,"prefetch_issued":5,"prefetch_redundant":6,"prefetch_hits":7,"fallbacks":8,"loads_by_strategy":[1,2,18446744073709551615,4]}"#;
         let snap = DmsStatsSnapshot {
             demand_requests: 9,
@@ -266,19 +265,12 @@ mod tests {
         };
         assert_eq!(snap.to_json().to_string(), text);
         let mut j = json::parse(text).unwrap();
-        assert_eq!(DmsStatsSnapshot::from_json(&j), Ok(snap));
-        // A peer that predates the fallback counter, and one that
-        // knows a counter we do not.
-        j.remove("fallbacks");
+        // An unknown counter is skipped; a missing one is an error.
         j.set("l3_hits", 1u64.into());
-        let old = DmsStatsSnapshot::from_json(&j).unwrap();
-        assert_eq!(
-            old,
-            DmsStatsSnapshot {
-                fallbacks: 0,
-                ..snap
-            }
-        );
+        assert_eq!(DmsStatsSnapshot::from_json(&j), Ok(snap));
+        let mut without = j.clone();
+        without.remove("fallbacks");
+        assert!(DmsStatsSnapshot::from_json(&without).is_err());
         j.set("loads_by_strategy", Json::arr([1u64, 2, 3]));
         assert!(
             DmsStatsSnapshot::from_json(&j).is_err(),

@@ -110,8 +110,11 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
         .filter(|s| merge.is_none_or(|m| s.tid == m.tid))
         .max_by_key(|s| s.ts_ns);
     if let Some(wj) = wjob {
+        // The master's span closes only after its DONE has left, so the
+        // scheduler may finish the job first: clip the span to the wall.
+        let wj_end = end(wj).min(wall_end);
         a.dispatch_ns = wj.ts_ns.saturating_sub(end(queued));
-        a.finalize_ns = wall_end.saturating_sub(end(wj));
+        a.finalize_ns = wall_end - wj_end;
         a.merge_ns = merge
             .filter(|m| m.tid == wj.tid)
             .map(|m| m.dur_ns)
@@ -146,7 +149,7 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
             }
         }
         a.extract_ns = extract;
-        a.gather_ns = wj.dur_ns.saturating_sub(covered);
+        a.gather_ns = wj_end.saturating_sub(wj.ts_ns).saturating_sub(covered);
     }
     a.coverage = if a.wall_ns == 0 {
         1.0
@@ -275,6 +278,17 @@ mod tests {
         assert_eq!(a.ttft_ns, 640);
         assert_eq!(a.attributed_ns(), 1_000);
         assert!((a.coverage - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_master_span_outliving_the_job_is_clipped_to_the_wall() {
+        // worker.job runs 150..1050 but sched.job ends at 1000.
+        let mut spans = sample_spans();
+        spans[2].dur_ns = 900;
+        let a = analyze_spans(&spans).unwrap();
+        assert_eq!(a.finalize_ns, 0);
+        assert_eq!(a.gather_ns, 470, "850 clipped job - 300 blocks - 30 load - 50 merge");
+        assert_eq!(a.attributed_ns(), 1_000);
     }
 
     #[test]

@@ -185,9 +185,9 @@ impl Json {
         read(v).map_err(|e| format!("field `{key}`: {e}"))
     }
 
-    /// Reads the optional field `key`: absent or `null` is `None`, so a
-    /// frame from a peer that predates the field decodes with
-    /// `.unwrap_or_default()`.
+    /// Reads the field `key` of an `Option`, written as `null` when
+    /// `None`: absent or `null` is `None`. A field the writer always
+    /// fills is read with [`Json::req`].
     pub fn opt<T>(
         &self,
         key: &str,

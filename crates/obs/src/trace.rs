@@ -88,8 +88,7 @@ pub fn intern(s: &str) -> &'static str {
 /// Causal context of one logical operation (a job): a process-unique
 /// trace id plus the span to parent top-level child spans to.
 ///
-/// All-zero means "no context" — the value older peers that never heard
-/// of tracing produce (the wire decoders default both fields), so absence needs no
+/// All-zero means "no context" (tracing disabled), so absence needs no
 /// `Option` on the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCtx {

@@ -101,9 +101,8 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Classifies a wire rejection. Frames carrying either busy field
-    /// are admission sheds; bare-string frames (validation refusals, and
-    /// everything from schedulers predating admission control) are
-    /// permanent.
+    /// are admission sheds; frames with both `null` (validation
+    /// refusals, shutdown) are permanent.
     pub fn from_wire(
         reason: String,
         retry_after_ms: Option<u64>,
@@ -656,9 +655,8 @@ mod tests {
         let mut client = VistaClient::new(client_side);
         match client.run(&spec()) {
             Err(ClientError::Rejected(r)) => {
-                // A bare-reason frame (validation refusal, or any frame
-                // from a scheduler predating admission control) is a
-                // permanent refusal, never a busy shed.
+                // A rejection without busy fields (a validation
+                // refusal) is permanent, never a busy shed.
                 assert_eq!(r, RejectReason::Refused("unknown command".into()));
                 assert!(!r.is_busy());
                 assert_eq!(r.message(), "unknown command");

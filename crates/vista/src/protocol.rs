@@ -85,13 +85,12 @@ pub enum ClientRequest {
         /// Requested work-group size.
         workers: usize,
         /// Client session the job belongs to; the scheduler round-robins
-        /// dispatch credit across sessions (absent in frames from older
-        /// peers → session 0).
+        /// dispatch credit across sessions.
         session: u64,
         /// Causal trace context minted by the client at submit time:
         /// the job's trace id and the client-side root span every
         /// back-end span of this job descends from. `0` means "no
-        /// trace" (older clients, or tracing disabled).
+        /// trace" (tracing disabled).
         trace_id: u64,
         parent_span_id: u64,
     },
@@ -169,9 +168,9 @@ impl ClientRequest {
                 dataset: b.req("dataset", json::string)?,
                 params: b.req("params", CommandParams::from_json)?,
                 workers: b.req("workers", json::usize)?,
-                session: b.opt("session", json::u64)?.unwrap_or_default(),
-                trace_id: b.opt("trace_id", json::u64)?.unwrap_or_default(),
-                parent_span_id: b.opt("parent_span_id", json::u64)?.unwrap_or_default(),
+                session: b.req("session", json::u64)?,
+                trace_id: b.req("trace_id", json::u64)?,
+                parent_span_id: b.req("parent_span_id", json::u64)?,
             }),
             "Cancel" => Ok(ClientRequest::Cancel { job: job? }),
             "Ack" => Ok(ClientRequest::Ack {
@@ -225,11 +224,11 @@ pub struct JobReport {
     pub compute_s: f64,
     pub send_s: f64,
     /// Modeled seconds the job spent queued at the scheduler before its
-    /// *first* dispatch (absent in frames from older peers → 0).
+    /// *first* dispatch.
     pub queue_wait_s: f64,
     /// Modeled seconds spent re-queued between dispatch attempts after a
     /// rank died — separate from `queue_wait_s` so requeued jobs do not
-    /// inflate the pre-dispatch wait (absent in older frames → 0).
+    /// inflate the pre-dispatch wait.
     pub requeue_wait_s: f64,
     /// Modeled seconds the master worker spent gathering and merging the
     /// group's partials.
@@ -244,19 +243,17 @@ pub struct JobReport {
     pub triangles: u64,
     pub polylines: u64,
     /// Extraction cells skipped by bricktree pruning, summed across the
-    /// work group (absent in frames from older peers → 0).
+    /// work group.
     pub cells_skipped: u64,
     /// Finest-level bricks skipped whole.
     pub bricks_skipped: u64,
     /// Modeled seconds spent inside intra-worker parallel extraction
-    /// sections, summed across the group (absent in frames from older
-    /// peers → 0; 0 on fully serial runs).
+    /// sections, summed across the group (0 on fully serial runs).
     pub extract_par_s: f64,
-    /// Maximum per-worker extraction thread count of the group (absent
-    /// in frames from older peers → 0; 1 = all workers ran serially).
+    /// Maximum per-worker extraction thread count of the group (0 = no
+    /// extraction section ran, 1 = all workers ran serially).
     pub extract_threads: u32,
-    /// Command retransmissions the scheduler issued for this job
-    /// (absent in frames from older peers → 0).
+    /// Command retransmissions the scheduler issued for this job.
     pub retries: u64,
     /// Set when the job was requeued onto a smaller work group after
     /// a rank died; the result is complete but was computed with
@@ -290,17 +287,15 @@ impl JobReport {
         ])
     }
 
-    /// The fields documented as absent in frames from older peers
-    /// default to zero / `false`.
     pub fn from_json(j: &Json) -> Result<JobReport, String> {
         Ok(JobReport {
             total_runtime_s: j.req("total_runtime_s", json::f64)?,
             read_s: j.req("read_s", json::f64)?,
             compute_s: j.req("compute_s", json::f64)?,
             send_s: j.req("send_s", json::f64)?,
-            queue_wait_s: j.opt("queue_wait_s", json::f64)?.unwrap_or_default(),
-            requeue_wait_s: j.opt("requeue_wait_s", json::f64)?.unwrap_or_default(),
-            merge_s: j.opt("merge_s", json::f64)?.unwrap_or_default(),
+            queue_wait_s: j.req("queue_wait_s", json::f64)?,
+            requeue_wait_s: j.req("requeue_wait_s", json::f64)?,
+            merge_s: j.req("merge_s", json::f64)?,
             demand_requests: j.req("demand_requests", json::u64)?,
             cache_hits: j.req("cache_hits", json::u64)?,
             cache_misses: j.req("cache_misses", json::u64)?,
@@ -308,12 +303,12 @@ impl JobReport {
             prefetch_hits: j.req("prefetch_hits", json::u64)?,
             triangles: j.req("triangles", json::u64)?,
             polylines: j.req("polylines", json::u64)?,
-            cells_skipped: j.opt("cells_skipped", json::u64)?.unwrap_or_default(),
-            bricks_skipped: j.opt("bricks_skipped", json::u64)?.unwrap_or_default(),
-            extract_par_s: j.opt("extract_par_s", json::f64)?.unwrap_or_default(),
-            extract_threads: j.opt("extract_threads", json::u32)?.unwrap_or_default(),
-            retries: j.opt("retries", json::u64)?.unwrap_or_default(),
-            degraded: j.opt("degraded", json::bool)?.unwrap_or_default(),
+            cells_skipped: j.req("cells_skipped", json::u64)?,
+            bricks_skipped: j.req("bricks_skipped", json::u64)?,
+            extract_par_s: j.req("extract_par_s", json::f64)?,
+            extract_threads: j.req("extract_threads", json::u32)?,
+            retries: j.req("retries", json::u64)?,
+            degraded: j.req("degraded", json::bool)?,
         })
     }
 }
@@ -329,12 +324,11 @@ pub enum EventHeader {
         job: JobId,
         reason: String,
         /// Admission-control busy rejection: resubmit after roughly this
-        /// many milliseconds. Absent on permanent refusals (unknown
-        /// command, unregistered dataset, shutdown) and in frames from
-        /// older schedulers → `None`.
+        /// many milliseconds. `None` on permanent refusals (unknown
+        /// command, unregistered dataset, shutdown).
         retry_after_ms: Option<u64>,
         /// Scheduler queue depth at the moment of a busy rejection, so
-        /// clients can scale their own backoff. Absent alongside
+        /// clients can scale their own backoff. `None` alongside
         /// `retry_after_ms`.
         queue_depth: Option<u64>,
     },
@@ -531,10 +525,11 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// The framing of every JSON-headed message (this protocol and the
-/// layer-2 one in `viracocha::wire`): `u32` header length (LE), the
-/// compact JSON header, the binary payload.
-pub fn encode_frame(header: &Json, payload: &Bytes) -> Bytes {
+/// The framing of every JSON-headed message: `u32` header length (LE),
+/// the compact JSON header, the binary payload. Layer 2
+/// (`viracocha::wire`) builds the same framing with a seal behind it and
+/// reads it back with [`decode_frame`].
+fn encode_frame(header: &Json, payload: &Bytes) -> Bytes {
     let json = header.to_string();
     let mut buf = BytesMut::with_capacity(4 + json.len() + payload.len());
     buf.put_u32_le(json.len() as u32);
@@ -667,98 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_without_trace_context_decodes_as_untraced() {
-        // Submits from clients predating causal tracing must still
-        // decode; the context fields are optional on decode.
-        let req = ClientRequest::Submit {
-            job: 11,
-            command: "IsoDataMan".into(),
-            dataset: "Engine".into(),
-            params: CommandParams::new(),
-            workers: 2,
-            session: 0,
-            trace_id: 77,
-            parent_span_id: 8,
-        };
-        let mut v = req.to_json();
-        let obj = v.get_mut("Submit").unwrap();
-        obj.remove("trace_id");
-        obj.remove("parent_span_id");
-        let back = ClientRequest::from_json(&v).unwrap();
-        match back {
-            ClientRequest::Submit {
-                job,
-                trace_id,
-                parent_span_id,
-                ..
-            } => {
-                assert_eq!(job, 11);
-                assert_eq!(trace_id, 0);
-                assert_eq!(parent_span_id, 0);
-            }
-            other => panic!("wrong request {other:?}"),
-        }
-    }
-
-    #[test]
-    fn submit_without_session_decodes_as_session_zero() {
-        // Submits from clients predating per-session fair share must
-        // still decode; the field is optional on decode.
-        let req = ClientRequest::Submit {
-            job: 9,
-            command: "IsoDataMan".into(),
-            dataset: "Engine".into(),
-            params: CommandParams::new(),
-            workers: 2,
-            session: 5,
-            trace_id: 0,
-            parent_span_id: 0,
-        };
-        let mut v = req.to_json();
-        v.get_mut("Submit").unwrap().remove("session");
-        let back = ClientRequest::from_json(&v).unwrap();
-        match back {
-            ClientRequest::Submit { job, session, .. } => {
-                assert_eq!(job, 9);
-                assert_eq!(session, 0);
-            }
-            other => panic!("wrong request {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejection_without_busy_fields_decodes_as_permanent_refusal() {
-        // JobRejected frames from schedulers predating admission
-        // control carry only the bare reason string; the busy fields
-        // are optional on decode and must come back `None`.
-        let ev = EventHeader::JobRejected {
-            job: 3,
-            reason: "unknown command 'Nope'".into(),
-            retry_after_ms: Some(25),
-            queue_depth: Some(7),
-        };
-        let mut v = ev.to_json();
-        let obj = v.get_mut("JobRejected").unwrap();
-        obj.remove("retry_after_ms");
-        obj.remove("queue_depth");
-        let back = EventHeader::from_json(&v).unwrap();
-        match back {
-            EventHeader::JobRejected {
-                job,
-                reason,
-                retry_after_ms,
-                queue_depth,
-            } => {
-                assert_eq!(job, 3);
-                assert_eq!(reason, "unknown command 'Nope'");
-                assert_eq!(retry_after_ms, None);
-                assert_eq!(queue_depth, None);
-            }
-            other => panic!("wrong header {other:?}"),
-        }
-    }
-
-    #[test]
     fn busy_rejection_roundtrips_through_event_frame() {
         let ev = EventHeader::JobRejected {
             job: 12,
@@ -845,28 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn report_without_stage_timings_decodes_with_zero_defaults() {
-        // Final events from schedulers predating the per-stage timing
-        // fields must still decode; the new fields are optional on decode.
-        let report = JobReport {
-            total_runtime_s: 2.0,
-            read_s: 1.0,
-            queue_wait_s: 0.5,
-            merge_s: 0.25,
-            triangles: 10,
-            ..JobReport::default()
-        };
-        let mut v = report.to_json();
-        v.remove("queue_wait_s");
-        v.remove("merge_s");
-        let back = JobReport::from_json(&v).unwrap();
-        assert_eq!(back.queue_wait_s, 0.0);
-        assert_eq!(back.merge_s, 0.0);
-        assert_eq!(back.total_runtime_s, 2.0);
-        assert_eq!(back.triangles, 10);
-    }
-
-    #[test]
     fn report_roundtrips_through_event_frame_with_stage_timings() {
         let report = JobReport {
             total_runtime_s: 5.0,
@@ -924,62 +805,34 @@ mod tests {
     }
 
     #[test]
-    fn report_without_resilience_fields_decodes_with_defaults() {
-        // Final events from schedulers predating retry/requeue
-        // accounting must still decode.
-        let report = JobReport {
-            total_runtime_s: 2.0,
-            retries: 3,
-            degraded: true,
-            ..JobReport::default()
-        };
-        let mut v = report.to_json();
-        v.remove("retries");
-        v.remove("degraded");
-        let back = JobReport::from_json(&v).unwrap();
-        assert_eq!(back.retries, 0);
-        assert!(!back.degraded);
-        assert_eq!(back.total_runtime_s, 2.0);
+    fn every_written_key_is_required() {
+        // Deleting any one key of a submit or a report fails its decode.
+        let submit = ClientRequest::Submit {
+            job: 1,
+            command: "IsoDataMan".into(),
+            dataset: "Engine".into(),
+            params: CommandParams::new(),
+            workers: 2,
+            session: 3,
+            trace_id: 4,
+            parent_span_id: 5,
+        }
+        .to_json();
+        for (key, _) in submit.get("Submit").unwrap().as_obj().unwrap() {
+            let mut v = submit.clone();
+            v.get_mut("Submit").unwrap().remove(key);
+            assert!(ClientRequest::from_json(&v).is_err(), "without `{key}`");
+        }
+        let report = fixture_report().to_json();
+        for (key, _) in report.as_obj().unwrap() {
+            let mut v = report.clone();
+            v.remove(key);
+            assert!(JobReport::from_json(&v).is_err(), "without `{key}`");
+        }
     }
 
-    #[test]
-    fn report_without_extract_fields_decodes_with_zero_defaults() {
-        // Finals from schedulers predating intra-worker parallel
-        // extraction must still decode.
-        let report = JobReport {
-            total_runtime_s: 2.0,
-            extract_par_s: 0.5,
-            extract_threads: 8,
-            ..JobReport::default()
-        };
-        let mut v = report.to_json();
-        v.remove("extract_par_s");
-        v.remove("extract_threads");
-        let back = JobReport::from_json(&v).unwrap();
-        assert_eq!(back.extract_par_s, 0.0);
-        assert_eq!(back.extract_threads, 0, "absent thread count means unknown");
-        assert_eq!(back.total_runtime_s, 2.0);
-    }
-
-    #[test]
-    fn report_without_requeue_wait_decodes_with_zero_default() {
-        // Finals from schedulers predating split queue/requeue wait
-        // accounting must still decode.
-        let report = JobReport {
-            queue_wait_s: 0.5,
-            requeue_wait_s: 1.5,
-            ..JobReport::default()
-        };
-        let mut v = report.to_json();
-        v.remove("requeue_wait_s");
-        let back = JobReport::from_json(&v).unwrap();
-        assert_eq!(back.requeue_wait_s, 0.0);
-        assert_eq!(back.queue_wait_s, 0.5);
-    }
-
-    /// `text` is what a peer built with the derived encoder of earlier
-    /// versions sends for `value`: it must decode to it, be what we
-    /// send ourselves, and survive a round trip.
+    /// `text` is what this build sends for `value`: it must decode to
+    /// it, be what we send ourselves, and survive a round trip.
     fn assert_request_shape(text: &str, value: ClientRequest) {
         let j = json::parse(text).unwrap();
         assert_eq!(ClientRequest::from_json(&j).as_ref(), Ok(&value), "{text}");

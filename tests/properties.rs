@@ -17,6 +17,7 @@ use vira_grid::synth::DatasetSpec;
 use vira_storage::compress::{rle_compress, rle_decompress};
 use vira_testkit::{check, Gen, DEFAULT_CASES};
 use vira_vista::protocol;
+use viracocha::wire;
 
 #[derive(Debug)]
 struct Blob(usize);
@@ -235,7 +236,13 @@ fn decoders_tolerate_garbage() {
         let _ = Polyline::from_bytes(b.clone());
         let _ = protocol::decode_request(b.clone());
         let _ = protocol::decode_event(b.clone());
-        let _ = protocol::decode_polylines(b);
+        let _ = protocol::decode_polylines(b.clone());
+        let _ = wire::decode_cancel(&b);
+        let _ = wire::decode_ping(&b);
+        let _ = wire::decode_pong(&b);
+        let _ = wire::decode_command(b.clone());
+        let _ = wire::decode_partial(b.clone());
+        let _ = wire::decode_done(b);
     });
 }
 
