@@ -297,11 +297,19 @@ fn main() {
         write_block_data(&mut w, black_box(&data21)).expect("Vec writes cannot fail");
         file.len()
     });
-    h.bench("grid/block_decode_21c", || {
+    // Nothing holds the decoded item between iterations, so every read
+    // is a block's first: it decodes the geometry and the velocity.
+    let decode = || {
         let mut bytes = &file[..];
         let mut r: &mut dyn Read = black_box(&mut bytes);
         read_block_data(&mut r).expect("well-formed")
-    });
+    };
+    h.bench("grid/block_decode_21c", decode);
+    // With one decoded item alive, a read of any step of the block
+    // compares the points against that item's geometry and shares it.
+    let held = decode();
+    h.bench("grid/block_decode_21c_shared", decode);
+    drop(held);
 
     // ---- obs layer ----
     vira_obs::set_enabled(false);

@@ -24,6 +24,10 @@ pub trait CachePayload: Send + Sync {
     fn payload_bytes(&self) -> usize;
 }
 
+/// A data item charges the memory tier for its velocity field alone: the
+/// geometry is one object per block that every step's item shares
+/// ([`BlockData::memory_bytes`]). The disk tier charges the file it
+/// writes, geometry included.
 impl CachePayload for BlockData {
     fn payload_bytes(&self) -> usize {
         self.memory_bytes()

@@ -577,6 +577,12 @@ mod tests {
         BlockStepId::new(b, s)
     }
 
+    /// What one `test_cube(4, 4)` item charges an L1: its velocity
+    /// planes, the geometry being shared by every step of the block.
+    fn item_charge() -> usize {
+        test_cube(4, 4).generate(bs(0, 0)).memory_bytes()
+    }
+
     #[test]
     fn cold_miss_then_warm_hit() {
         let (_srv, proxy) = setup("none", 1 << 30);
@@ -626,10 +632,8 @@ mod tests {
 
     #[test]
     fn eviction_updates_server_directory() {
-        let ds = test_cube(4, 4);
-        let item_bytes = ds.actual_item_bytes();
         // Capacity for exactly one item.
-        let (srv, proxy) = setup("none", item_bytes + 1);
+        let (srv, proxy) = setup("none", item_charge() + 1);
         let m = Meter::new();
         proxy.request("TestCube", bs(0, 0), &m).unwrap();
         let item0 = srv
@@ -639,6 +643,20 @@ mod tests {
         assert_eq!(srv.holders(item0), vec![0]);
         proxy.request("TestCube", bs(0, 1), &m).unwrap();
         assert!(srv.holders(item0).is_empty(), "evicted item left directory");
+    }
+
+    #[test]
+    fn l1_sized_for_two_fields_holds_two_steps_of_a_block() {
+        let (_srv, proxy) = setup("none", 2 * item_charge());
+        let m = Meter::new();
+        let a = proxy.request("TestCube", bs(0, 0), &m).unwrap();
+        let b = proxy.request("TestCube", bs(0, 1), &m).unwrap();
+        assert!(Arc::ptr_eq(&a.grid, &b.grid), "one geometry for both steps");
+        assert!(proxy.is_cached("TestCube", bs(0, 0)), "step 0 not evicted");
+        assert!(proxy.is_cached("TestCube", bs(0, 1)));
+        proxy.request("TestCube", bs(0, 0), &m).unwrap();
+        let s = proxy.stats().snapshot();
+        assert_eq!((s.misses, s.l1_hits), (2, 1));
     }
 
     #[test]
@@ -738,16 +756,14 @@ mod tests {
     /// A proxy whose L1 holds exactly one item, with an L2 spill
     /// directory named after `tag`.
     fn setup_l2(tag: &str) -> (PathBuf, DataProxy) {
-        let ds = test_cube(4, 4);
-        let item_bytes = ds.actual_item_bytes();
         let server = DataServer::new(SimClock::instant(), ServerConfig::default());
-        server.register_dataset(Arc::new(SynthSource::new(Arc::new(ds))), false);
+        server.register_dataset(Arc::new(SynthSource::new(Arc::new(test_cube(4, 4)))), false);
         let spill = std::env::temp_dir().join(format!("vira_proxy_{tag}_{}", std::process::id()));
         let proxy = DataProxy::new(
             0,
             server,
             ProxyConfig {
-                l1_capacity_bytes: item_bytes + 1,
+                l1_capacity_bytes: item_charge() + 1,
                 l1_policy: "lru".into(),
                 l2: Some(L2Config {
                     capacity_bytes: 1 << 30,

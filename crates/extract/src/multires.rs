@@ -239,7 +239,7 @@ mod tests {
         let d = data(7);
         let c = coarsen(&d, 2);
         let g = coarsen_geometry(&d.grid, 2);
-        assert_eq!(c.grid, g);
+        assert_eq!(*c.grid, g);
     }
 
     #[test]

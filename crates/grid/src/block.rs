@@ -151,7 +151,9 @@ pub fn trilinear_vec3(corners: &[Vec3; 8], u: f64, v: f64, w: f64) -> Vec3 {
 
 /// Geometry of one curvilinear block: the physical coordinates of its grid
 /// points. Geometry is shared by all time steps of a dataset (grids are
-/// static; the flow fields vary in time).
+/// static; the flow fields vary in time), so a data item holds it behind
+/// an `Arc` and every step's item of a block holds the same one
+/// ([`crate::field::BlockData::grid`]). Immutable once built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurvilinearBlock {
     pub id: BlockId,

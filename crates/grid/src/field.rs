@@ -211,18 +211,28 @@ impl VectorField {
 /// (paper §4: "the minimal unit of data handling is a data item").
 ///
 /// `BlockData` is shared between caches and workers behind an [`Arc`]; it is
-/// immutable after construction.
+/// immutable after construction. Grids are static, so the geometry is a
+/// shared handle too: every step's item of a block holds the block's one
+/// [`CurvilinearBlock`] (`SyntheticDataset::generate` clones the dataset's
+/// handle, `io::read_block_data` reuses the geometry of an earlier read
+/// whose points are bit-identical).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockData {
     pub id: BlockStepId,
-    pub grid: CurvilinearBlock,
+    pub grid: Arc<CurvilinearBlock>,
     pub velocity: VectorField,
     /// Physical solution time of this step.
     pub time: f64,
 }
 
 impl BlockData {
-    pub fn new(id: BlockStepId, grid: CurvilinearBlock, velocity: VectorField, time: f64) -> Self {
+    pub fn new(
+        id: BlockStepId,
+        grid: impl Into<Arc<CurvilinearBlock>>,
+        velocity: VectorField,
+        time: f64,
+    ) -> Self {
+        let grid = grid.into();
         assert_eq!(grid.dims, velocity.dims, "grid / field dims mismatch");
         BlockData {
             id,
@@ -232,9 +242,12 @@ impl BlockData {
         }
     }
 
-    /// Bytes of payload this item occupies in memory (geometry + field).
+    /// Bytes this item adds to memory, what it charges a cache: its
+    /// velocity planes. The geometry is not charged, because every step's
+    /// item of the block shares it; it stays resident while any of them
+    /// is alive.
     pub fn memory_bytes(&self) -> usize {
-        self.grid.geometry_bytes() + self.velocity.xs.len() * std::mem::size_of::<Vec3>()
+        self.velocity.xs.len() * std::mem::size_of::<Vec3>()
     }
 
     pub fn dims(&self) -> BlockDims {
@@ -296,8 +309,9 @@ mod tests {
         });
         let v = VectorField::from_fn(dims(), |_, _, _| Vec3::ZERO);
         let bd = BlockData::new(BlockStepId::new(7, 0), g, v, 0.0);
-        // 27 points of geometry + 27 velocity vectors, 24 bytes each.
-        assert_eq!(bd.memory_bytes(), 27 * 24 * 2);
+        // 27 velocity vectors, 24 bytes each; the shared geometry is not
+        // charged to the item.
+        assert_eq!(bd.memory_bytes(), 27 * 24);
     }
 
     /// A field whose components differ in every bit pattern that matters

@@ -30,15 +30,28 @@
 //! version, dims, in that order — before anything is allocated from it,
 //! and a stream that ends early, inside the header or after it, is a
 //! [`FormatError::Io`] (`UnexpectedEof`).
+//!
+//! Every item file repeats its block's points (the layout above is
+//! unchanged), but a read shares them: grids are static, so
+//! [`read_block_data`] hands out the geometry an earlier read of the same
+//! block decoded, as long as some item still holds it and the file's
+//! points are bit-identical to it, and decodes only the velocity. A
+//! private table of weak handles, keyed by block id and dims, finds that
+//! geometry; it never keeps one alive. A file whose points differ — by a
+//! single bit, `-0.0` for `+0.0` or another NaN payload included — gets
+//! its own geometry, so what a read returns is always exactly what was
+//! written.
 
-use crate::block::{BlockDims, BlockStepId, CurvilinearBlock};
+use crate::block::{BlockDims, BlockId, BlockStepId, CurvilinearBlock};
 use crate::field::{BlockData, VectorField};
 use crate::math::Vec3;
 use crate::synth::{DatasetSpec, SyntheticDataset};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use vira_obs::json::{self, Json};
 
 const MAGIC: [u8; 4] = *b"VIRA";
@@ -106,18 +119,80 @@ fn write_vec3s(
     w.write_all(slab)
 }
 
-/// Reads `n` points into `slab` and returns them as `[x, y, z]` triples.
-fn read_vec3s<'a>(
-    r: &mut impl Read,
-    n: usize,
-    slab: &'a mut Vec<u8>,
-) -> io::Result<impl ExactSizeIterator<Item = [f64; 3]> + 'a> {
+/// Reads `n` points into `slab`.
+fn read_slab(r: &mut impl Read, n: usize, slab: &mut Vec<u8>) -> io::Result<()> {
     slab.resize(n * VEC3_LEN, 0);
-    r.read_exact(slab)?;
-    let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
-    Ok(slab
-        .chunks_exact(VEC3_LEN)
-        .map(move |c| [f(&c[..8]), f(&c[8..16]), f(&c[16..])]))
+    r.read_exact(slab)
+}
+
+/// The little-endian bit patterns of the `(x, y, z)` triples in `slab`.
+fn triples(slab: &[u8]) -> impl ExactSizeIterator<Item = [u64; 3]> + '_ {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    slab.chunks_exact(VEC3_LEN)
+        .map(move |c| [word(&c[..8]), word(&c[8..16]), word(&c[16..])])
+}
+
+/// Block geometry decoded by earlier reads, by block id and dims. The
+/// handles are weak: a geometry lives as long as some item holds it.
+/// Every update (prune, push) leaves the table valid, so a lock poisoned
+/// by a panicking reader is taken over as is.
+type GeometryKey = (BlockId, [u32; 3]);
+static GEOMETRY: Mutex<BTreeMap<GeometryKey, Vec<Weak<CurvilinearBlock>>>> =
+    Mutex::new(BTreeMap::new());
+
+/// `true` when `slab` holds exactly `grid`'s points, bit for bit.
+fn holds_points(slab: &[u8], grid: &CurvilinearBlock) -> bool {
+    let differing = triples(slab)
+        .zip(&grid.points)
+        .fold(0, |acc, ([x, y, z], p)| {
+            acc | (x ^ p.x.to_bits()) | (y ^ p.y.to_bits()) | (z ^ p.z.to_bits())
+        });
+    differing == 0 && slab.len() == grid.points.len() * VEC3_LEN
+}
+
+/// The geometry whose points `slab` holds: the one an earlier read of
+/// `block` decoded, when a live item still holds it and its points are
+/// bit-identical, else a fresh decode, registered for later reads.
+///
+/// Points are compared outside the lock. Before registering a fresh
+/// decode the table is looked at again, so two readers racing on a
+/// block's first read leave one geometry that both, and later reads,
+/// share.
+fn shared_geometry(block: BlockId, dims: BlockDims, slab: &[u8]) -> Arc<CurvilinearBlock> {
+    let key = (block, [dims.ni, dims.nj, dims.nk].map(|n| n as u32));
+    let mut compared: Vec<Arc<CurvilinearBlock>> = Vec::new();
+    let mut fresh = None;
+    loop {
+        let unseen: Vec<_> = {
+            let mut table = GEOMETRY.lock().unwrap_or_else(PoisonError::into_inner);
+            let held = table.entry(key).or_default();
+            held.retain(|g| g.strong_count() > 0);
+            let unseen: Vec<_> = held
+                .iter()
+                .filter_map(Weak::upgrade)
+                .filter(|g| !compared.iter().any(|c| Arc::ptr_eq(c, g)))
+                .collect();
+            match &fresh {
+                Some(grid) if unseen.is_empty() => {
+                    held.push(Arc::downgrade(grid));
+                    return Arc::clone(grid);
+                }
+                _ => unseen,
+            }
+        };
+        for grid in unseen {
+            if holds_points(slab, &grid) {
+                return grid;
+            }
+            compared.push(grid);
+        }
+        fresh.get_or_insert_with(|| {
+            let points = triples(slab).map(|[x, y, z]| {
+                Vec3::new(f64::from_bits(x), f64::from_bits(y), f64::from_bits(z))
+            });
+            Arc::new(CurvilinearBlock::new(block, dims, points.collect()))
+        });
+    }
 }
 
 /// Serializes one data item to a writer.
@@ -146,7 +221,9 @@ pub fn write_block_data(w: &mut impl Write, item: &BlockData) -> Result<(), Form
     Ok(())
 }
 
-/// Deserializes one data item from a reader.
+/// Deserializes one data item from a reader. The item's geometry is the
+/// one earlier reads of the block share when the points match it bit for
+/// bit (see the module docs).
 pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -171,21 +248,22 @@ pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
     let dims = BlockDims::new(ni as usize, nj as usize, nk as usize);
     let mut slab = Vec::new();
     let n = dims.n_points();
-    let points = read_vec3s(r, n, &mut slab)?
-        .map(|[x, y, z]| Vec3::new(x, y, z))
-        .collect();
-    let (xs, (ys, zs)) = read_vec3s(r, n, &mut slab)?
-        .map(|[x, y, z]| (x, (y, z)))
+    read_slab(r, n, &mut slab)?;
+    let grid = shared_geometry(block, dims, &slab);
+    read_slab(r, n, &mut slab)?;
+    let (xs, (ys, zs)) = triples(&slab)
+        .map(|[x, y, z]| (f64::from_bits(x), (f64::from_bits(y), f64::from_bits(z))))
         .unzip();
     Ok(BlockData::new(
         BlockStepId::new(block, step),
-        CurvilinearBlock::new(block, dims, points),
+        grid,
         VectorField::new(dims, xs, ys, zs),
         time,
     ))
 }
 
-/// Serialized size in bytes of an item with the given dims.
+/// Serialized size in bytes of an item with the given dims: header,
+/// points and velocity (every file carries its block's points).
 pub fn encoded_size(dims: BlockDims) -> u64 {
     HEADER_LEN as u64 + dims.n_points() as u64 * VEC3_LEN as u64 * 2
 }
@@ -483,6 +561,123 @@ mod tests {
             read_block_data(&mut buf.as_slice()),
             Err(FormatError::BadDims { .. })
         ));
+    }
+
+    /// The file of step `step` of an `n`×1×1 block `block` with the
+    /// given `n` points (each test below owns its block ids, so reads of
+    /// other tests never meet its geometry).
+    fn item_file(block: u32, step: u32, points: &[Vec3]) -> Vec<u8> {
+        let dims = BlockDims::new(points.len(), 1, 1);
+        let velocity: Vec<_> = (0..points.len())
+            .map(|i| Vec3::splat((i as u32 + step) as f64))
+            .collect();
+        let item = BlockData::new(
+            BlockStepId::new(block, step),
+            CurvilinearBlock::new(block, dims, points.to_vec()),
+            VectorField::from_vec3s(dims, &velocity),
+            step as f64,
+        );
+        let mut buf = Vec::new();
+        write_block_data(&mut buf, &item).unwrap();
+        buf
+    }
+
+    fn points(salt: f64, n: usize) -> Vec<Vec3> {
+        (0..n)
+            .map(|i| Vec3::new(i as f64, salt, -(i as f64) / 3.0))
+            .collect()
+    }
+
+    fn read(file: &[u8]) -> BlockData {
+        read_block_data(&mut &file[..]).unwrap()
+    }
+
+    fn bits(points: &[Vec3]) -> Vec<[u64; 3]> {
+        points
+            .iter()
+            .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn two_steps_of_a_block_share_one_geometry() {
+        let a = read(&item_file(9001, 0, &points(0.5, 12)));
+        let b = read(&item_file(9001, 1, &points(0.5, 12)));
+        assert!(Arc::ptr_eq(&a.grid, &b.grid));
+        assert_ne!(a.velocity, b.velocity);
+        assert_eq!(b.id, BlockStepId::new(9001, 1));
+    }
+
+    #[test]
+    fn other_points_under_the_same_id_and_dims_get_their_own_geometry() {
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let mut base = points(0.0, 12);
+        base[5].z = nan(1);
+        let mut signed_zero = base.clone();
+        signed_zero[0].y = -0.0;
+        let mut other_nan = base.clone();
+        other_nan[5].z = nan(2);
+        let variants = [base, signed_zero, other_nan];
+        let files: Vec<_> = variants.iter().map(|p| item_file(9002, 0, p)).collect();
+        let mut held: Vec<BlockData> = Vec::new();
+        for round in 0..3 {
+            for (v, file) in files.iter().enumerate() {
+                let item = read(file);
+                assert_eq!(
+                    bits(&item.grid.points),
+                    bits(&variants[v]),
+                    "round {round}, variant {v}"
+                );
+                if round > 0 {
+                    assert!(
+                        Arc::ptr_eq(&item.grid, &held[v].grid),
+                        "round {round}, variant {v}"
+                    );
+                }
+                held.push(item);
+            }
+        }
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            assert!(
+                !Arc::ptr_eq(&held[a].grid, &held[b].grid),
+                "variants {a} and {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_item_releases_the_geometry() {
+        let file = item_file(9003, 0, &points(1.5, 12));
+        let (first, second) = (read(&file), read(&file));
+        let weak = Arc::downgrade(&first.grid);
+        drop(first);
+        assert!(weak.upgrade().is_some(), "the second item still holds it");
+        drop(second);
+        assert!(
+            weak.upgrade().is_none(),
+            "the table kept the geometry alive"
+        );
+        assert_eq!(bits(&read(&file).grid.points), bits(&points(1.5, 12)));
+    }
+
+    #[test]
+    fn racing_first_reads_leave_one_geometry() {
+        for round in 0..20 {
+            // Enough points that the two decodes overlap: both racers
+            // miss, and the re-check alone keeps them on one geometry.
+            let file = item_file(9004 + round, 0, &points(2.5, 20_000));
+            let start = std::sync::Barrier::new(2);
+            let (a, b) = std::thread::scope(|s| {
+                let racer = || {
+                    start.wait();
+                    read(&file)
+                };
+                let (a, b) = (s.spawn(racer), s.spawn(racer));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert!(Arc::ptr_eq(&a.grid, &b.grid), "round {round}");
+            assert!(Arc::ptr_eq(&a.grid, &read(&file).grid), "round {round}");
+        }
     }
 
     #[test]

@@ -258,13 +258,15 @@ impl DatasetSpec {
 /// flow used to evaluate the unsteady field at any step on demand.
 pub struct SyntheticDataset {
     pub spec: DatasetSpec,
-    blocks: Vec<CurvilinearBlock>,
+    /// One geometry per block, handed to every item generated for it.
+    blocks: Vec<Arc<CurvilinearBlock>>,
     flow: Arc<dyn AnalyticFlow>,
 }
 
 impl SyntheticDataset {
     pub fn new(spec: DatasetSpec, blocks: Vec<CurvilinearBlock>, flow: Arc<dyn AnalyticFlow>) -> Self {
         assert_eq!(blocks.len(), spec.n_blocks as usize, "block count mismatch");
+        let blocks = blocks.into_iter().map(Arc::new).collect();
         SyntheticDataset { spec, blocks, flow }
     }
 
@@ -272,7 +274,7 @@ impl SyntheticDataset {
         &self.blocks[id as usize]
     }
 
-    pub fn blocks(&self) -> &[CurvilinearBlock] {
+    pub fn blocks(&self) -> &[Arc<CurvilinearBlock>] {
         &self.blocks
     }
 
@@ -286,14 +288,15 @@ impl SyntheticDataset {
     }
 
     /// Materializes the data item for `(block, step)` by sampling the
-    /// analytic flow at the block's grid points.
+    /// analytic flow at the block's grid points. The item shares the
+    /// block's geometry with every other item of the block.
     pub fn generate(&self, id: BlockStepId) -> BlockData {
         assert!(id.block < self.spec.n_blocks, "block out of range");
         assert!(id.step < self.spec.n_steps, "step out of range");
         let _span = vira_obs::span("grid.generate", "grid")
             .arg("block", id.block)
             .arg("step", id.step);
-        let grid = self.blocks[id.block as usize].clone();
+        let grid = Arc::clone(&self.blocks[id.block as usize]);
         let t = self.time_of_step(id.step);
         let flow = &self.flow;
         let velocity = VectorField::from_fn(grid.dims, |i, j, k| {
@@ -302,8 +305,10 @@ impl SyntheticDataset {
         BlockData::new(id, grid, velocity, t)
     }
 
-    /// In-memory payload bytes of one materialized item (all items share
-    /// the same dims, so this is uniform).
+    /// Stored bytes of one item, points + velocity (all items share the
+    /// same dims, so this is uniform): what an item file holds past its
+    /// header. Not what an item charges a cache — that is the velocity
+    /// alone ([`BlockData::memory_bytes`]), the geometry being shared.
     pub fn actual_item_bytes(&self) -> usize {
         // points + velocity, 24 bytes each
         self.spec.block_dims.n_points() * std::mem::size_of::<Vec3>() * 2
@@ -572,8 +577,9 @@ mod tests {
         let a = ds.generate(BlockStepId::new(0, 0));
         let b = ds.generate(BlockStepId::new(0, 20));
         assert_ne!(a.velocity, b.velocity);
-        // Geometry is static across time.
+        // Geometry is static across time: both steps hold the one grid.
         assert_eq!(a.grid, b.grid);
+        assert!(Arc::ptr_eq(&a.grid, &b.grid));
     }
 
     #[test]

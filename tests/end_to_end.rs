@@ -66,7 +66,7 @@ fn disk_backed_dataset_through_the_full_stack() {
 #[test]
 fn two_tier_cache_under_pressure() {
     let ds = Arc::new(synth::test_cube(8, 4));
-    let item_bytes = ds.actual_item_bytes();
+    let item_bytes = ds.generate(vira_grid::BlockStepId::new(0, 0)).memory_bytes();
     let spill = tmp_dir("spill");
     let mut cfg = ViracochaConfig::for_tests(1);
     cfg.proxy = ProxyConfig {

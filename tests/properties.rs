@@ -11,7 +11,9 @@ use vira_extract::eigen::symmetric_eigenvalues;
 use vira_extract::locate::invert_trilinear;
 use vira_extract::mesh::{Polyline, TriangleSoup};
 use vira_extract::tetra::contour_cell;
-use vira_grid::block::{trilinear_vec3, BlockDims, BlockStepId};
+use vira_grid::block::{trilinear_vec3, BlockDims, BlockStepId, CurvilinearBlock};
+use vira_grid::field::{BlockData, VectorField};
+use vira_grid::io::{read_block_data, write_block_data};
 use vira_grid::math::{Mat3, Vec3};
 use vira_grid::synth::DatasetSpec;
 use vira_storage::compress::{rle_compress, rle_decompress};
@@ -226,12 +228,68 @@ fn soup_bytes_roundtrip() {
     });
 }
 
+/// Coordinates whose bit patterns `f64 ==` confuses: both zeros and two
+/// NaN payloads, plus a plain value.
+const TRICKY_COORDS: [u64; 5] = [
+    0,
+    1 << 63,
+    0x3ff0_0000_0000_0000,
+    0x7ff8_0000_0000_0001,
+    0x7ff8_0000_0000_0002,
+];
+
+fn tricky_points(g: &mut Gen, dims: BlockDims) -> Vec<Vec3> {
+    g.vec(dims.n_points()..dims.n_points() + 1, |g| {
+        let [x, y, z] = [(); 3].map(|_| f64::from_bits(TRICKY_COORDS[g.usize_in(0..5)]));
+        Vec3::new(x, y, z)
+    })
+}
+
+fn bits(points: &[Vec3]) -> Vec<[u64; 3]> {
+    points
+        .iter()
+        .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+        .collect()
+}
+
+/// The `.vbk` bytes of step `step` of `block`: the given points, and the
+/// same points again as the velocity.
+fn block_file(block: u32, step: u32, dims: BlockDims, points: &[Vec3]) -> Vec<u8> {
+    let item = BlockData::new(
+        BlockStepId::new(block, step),
+        CurvilinearBlock::new(block, dims, points.to_vec()),
+        VectorField::from_vec3s(dims, points),
+        0.0,
+    );
+    let mut file = Vec::new();
+    write_block_data(&mut file, &item).expect("Vec writes cannot fail");
+    file
+}
+
 /// Random byte blobs never panic any decoder (they may fail, never
 /// crash).
 #[test]
 fn decoders_tolerate_garbage() {
     check(DEFAULT_CASES, |g| {
+        // A valid header of a block of at most 4³ points, then garbage:
+        // whatever geometry the garbage decodes to enters the table of
+        // shared geometry, and a later well-formed read of the same
+        // block must still return its own points. (Block ids apart from
+        // the other properties' reads.)
+        let block = g.u32_in(100..103);
+        let dims = BlockDims::new(g.usize_in(1..5), g.usize_in(1..5), g.usize_in(1..5));
+        let own = tricky_points(g, dims);
+        let mut file = block_file(block, 0, dims, &own);
+        file.truncate(36);
+        file.extend(g.bytes(0..2 * dims.n_points() * 24 + 8));
+        let garbage = read_block_data(&mut &file[..]);
+        let read =
+            read_block_data(&mut &block_file(block, 1, dims, &own)[..]).expect("well-formed");
+        assert_eq!(bits(&read.grid.points), bits(&own));
+        drop(garbage);
+
         let b = Bytes::from(g.bytes(0..256));
+        let _ = read_block_data(&mut &b[..]);
         let _ = TriangleSoup::from_bytes(b.clone());
         let _ = Polyline::from_bytes(b.clone());
         let _ = protocol::decode_request(b.clone());
@@ -243,6 +301,50 @@ fn decoders_tolerate_garbage() {
         let _ = wire::decode_command(b.clone());
         let _ = wire::decode_partial(b.clone());
         let _ = wire::decode_done(b);
+    });
+}
+
+/// Interleaved writes and reads of small blocks whose ids and dims
+/// collide and whose points differ in as little as a zero's sign or a
+/// NaN payload: every read returns exactly the points written for it,
+/// and while an earlier read of the same points is held, the new read
+/// shares its geometry.
+#[test]
+fn block_reads_return_the_points_written_for_them() {
+    const DIMS: [BlockDims; 2] = [BlockDims::new(1, 1, 1), BlockDims::new(2, 1, 2)];
+    check(DEFAULT_CASES, |g| {
+        let mut files: Vec<(u32, BlockDims, Vec<Vec3>, Vec<u8>)> = Vec::new();
+        let mut held: Vec<BlockData> = Vec::new();
+        for step in 0..g.u32_in(1..40) {
+            if files.is_empty() || g.bool() {
+                let (block, dims) = (g.u32_in(0..3), DIMS[g.usize_in(0..2)]);
+                let points = tricky_points(g, dims);
+                let file = block_file(block, step, dims, &points);
+                files.push((block, dims, points, file));
+                continue;
+            }
+            let (block, dims, points, file) = &files[g.usize_in(0..files.len())];
+            let item = read_block_data(&mut &file[..]).expect("well-formed");
+            assert_eq!((item.grid.id, item.dims()), (*block, *dims));
+            assert_eq!(bits(&item.grid.points), bits(points));
+            let v = &item.velocity;
+            let velocity: Vec<_> = (0..points.len())
+                .map(|n| Vec3::new(v.xs[n], v.ys[n], v.zs[n]))
+                .collect();
+            assert_eq!(bits(&velocity), bits(points));
+            let same = |h: &&BlockData| {
+                (h.grid.id, h.dims()) == (*block, *dims) && bits(&h.grid.points) == bits(points)
+            };
+            if let Some(earlier) = held.iter().find(same) {
+                assert!(Arc::ptr_eq(&earlier.grid, &item.grid));
+            }
+            if g.bool() {
+                held.push(item);
+            }
+            if !held.is_empty() && g.bool() {
+                held.swap_remove(g.usize_in(0..held.len()));
+            }
+        }
     });
 }
 
