@@ -35,7 +35,7 @@ use vira_grid::field::{BlockData, ScalarField, SharedBlockData};
 use vira_grid::io::{encoded_size, read_block_data, write_block_data};
 use vira_grid::locator::BlockLocator;
 use vira_grid::math::Vec3;
-use vira_grid::synth::{engine, test_cube};
+use vira_grid::synth::{engine, propfan, test_cube};
 use vira_grid::topology::topology_of;
 
 fn vortex_block(res: usize) -> BlockData {
@@ -267,6 +267,17 @@ fn main() {
             })
         });
     }
+
+    // ---- two threads building the |u| bricktrees of 32 Propfan 21-cubed
+    // blocks at once, as two workers of one process do: any write to
+    // shared memory on the min/max path puts both on one cache line ----
+    let fan = propfan(21);
+    let speeds: Vec<ScalarField> = (0..32)
+        .map(|b| speed_field(&fan.generate(BlockStepId::new(b, 0))))
+        .collect();
+    h.bench("bricktree/build_21c_2t", || {
+        scoped_map(2, &speeds, |_, speed| BrickTree::build(speed))
+    });
 
     // ---- bulk bytes: the socket frame codec on a 3 MB payload (the
     // size of a merged iso_scrub package) and the block file codec on

@@ -13,13 +13,15 @@
 //! null-after-measured — the two failure modes `merge_measurements`
 //! would otherwise absorb silently. With `--merge`, passing readings are
 //! folded back into the manifest (statuses re-derived), keeping the
-//! checked-in numbers current.
+//! checked-in numbers current. A rung named `..._<N>t` runs N threads;
+//! on a host with fewer than N cores it is reported as skipped, neither
+//! gated nor merged.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use vira_bench::micro_manifest::{
-    check_regressions, merge_measurements, parse_fresh, DEFAULT_TOLERANCE,
+    check_regressions, merge_measurements, parse_fresh, rung_threads, DEFAULT_TOLERANCE,
 };
 use vira_obs::json;
 
@@ -68,7 +70,7 @@ fn main() {
         .unwrap_or_else(|e| fatal(&format!("reading {}: {e}", fresh_path.display())));
     let fresh_value = json::parse(&fresh_text)
         .unwrap_or_else(|e| fatal(&format!("parsing {}: {e}", fresh_path.display())));
-    let fresh = parse_fresh(&fresh_value).unwrap_or_else(|| {
+    let mut fresh = parse_fresh(&fresh_value).unwrap_or_else(|| {
         fatal(&format!(
             "{} is not a [{{\"name\", \"measured_ns\"}}] array",
             fresh_path.display()
@@ -79,6 +81,15 @@ fn main() {
         .unwrap_or_else(|e| fatal(&format!("reading {}: {e}", manifest_path.display())));
     let mut manifest = json::parse(&manifest_text)
         .unwrap_or_else(|e| fatal(&format!("parsing {}: {e}", manifest_path.display())));
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    fresh.retain(|(name, _)| match rung_threads(name) {
+        Some(threads) if threads > cores => {
+            eprintln!("{name}: skipped ({threads} threads, {cores} cores)");
+            false
+        }
+        _ => true,
+    });
 
     let regressions = check_regressions(&manifest, &fresh, tolerance);
     for r in &regressions {

@@ -133,6 +133,14 @@ pub fn parse_fresh(fresh: &Json) -> Option<Vec<(String, Option<u64>)>> {
         .collect()
 }
 
+/// Thread count of a multi-thread rung, read from its `_<N>t` name
+/// suffix (`extract/parallel_blocks_4t` → 4); `None` for other rungs.
+/// On a host with fewer cores than that, the rung measures time slicing,
+/// not the parallel path, so `bench_check` neither gates nor merges it.
+pub fn rung_threads(name: &str) -> Option<usize> {
+    name.rsplit_once('_')?.1.strip_suffix('t')?.parse().ok()
+}
+
 /// Compares fresh measurements against the manifest's recorded
 /// baselines and returns every regression found.
 ///
@@ -330,6 +338,36 @@ mod tests {
             found[0].detail.contains("null-after-measured"),
             "{}",
             found[0].detail
+        );
+    }
+
+    #[test]
+    fn thread_counts_come_from_the_t_suffix_only() {
+        assert_eq!(rung_threads("extract/parallel_blocks_8t"), Some(8));
+        assert_eq!(rung_threads("x/y_2t"), Some(2));
+        for single in ["a/real", "obs/install_ctx", "x/y_t", "x/y_2tt"] {
+            assert_eq!(rung_threads(single), None, "{single}");
+        }
+        // Of the shipped rungs, only the `_<N>t` ones are multi-thread.
+        let m = parse(include_str!("../results/BENCH_micro.json")).unwrap();
+        let multi: Vec<_> = m
+            .get("benches")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(entry_name)
+            .filter_map(|name| Some((name, rung_threads(name)?)))
+            .collect();
+        assert_eq!(
+            multi,
+            [
+                ("extract/parallel_blocks_1t", 1),
+                ("extract/parallel_blocks_2t", 2),
+                ("extract/parallel_blocks_4t", 4),
+                ("extract/parallel_blocks_8t", 8),
+                ("bricktree/build_21c_2t", 2),
+            ]
         );
     }
 

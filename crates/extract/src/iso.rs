@@ -51,11 +51,12 @@ pub fn extract_isosurface_with_tree(
     iso: f64,
     tree: Option<&BrickTree>,
 ) -> (TriangleSoup, IsoStats) {
-    let mut soup = TriangleSoup::new();
+    // With no batch limit the sink sees at most one batch: keep it whole.
+    let mut soup = None;
     let stats = extract_streamed_with_tree(grid, field, iso, tree, usize::MAX, |batch| {
-        soup.extend_from(&batch);
+        soup = Some(batch);
     });
-    (soup, stats)
+    (soup.unwrap_or_default(), stats)
 }
 
 /// Extracts the isosurface, flushing `sink` whenever at least

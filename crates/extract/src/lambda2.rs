@@ -24,7 +24,6 @@ use crate::eigen::lambda2_of_gradient;
 use crate::mesh::TriangleSoup;
 use crate::tetra::contour_cell;
 use vira_grid::field::{BlockData, ScalarField, VectorField};
-use vira_grid::lanes;
 use vira_grid::math::{Mat3, Vec3};
 
 /// A value differentiable by the index stencil: subtraction, scaling by
@@ -192,8 +191,6 @@ pub fn lambda2_field(data: &BlockData) -> ScalarField {
             kernel.compute(&rows, out);
         }
     }
-    // 18 stencil rows + 5 kernel stage loops per grid row.
-    lanes::record_chunks(23 * (d.nj * d.nk) as u64 * lanes::chunks_for(ni));
     ScalarField::new(d, values)
 }
 

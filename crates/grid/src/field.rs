@@ -198,7 +198,6 @@ impl VectorField {
             .zip(&self.zs)
             .map(|((x, y), z)| (x * x + y * y + z * z).sqrt())
             .collect();
-        lanes::record_chunks(lanes::chunks_for(values.len()));
         ScalarField {
             dims: self.dims,
             values,

@@ -9,33 +9,11 @@
 //! non-NaN data the two are equivalent, and none of the materialized
 //! fields produce NaN (singular Jacobians yield `+inf`, see
 //! `vira-extract::lambda2`).
-//!
-//! Every scan reports how many lane chunks it processed to the
-//! `extract_lane_chunks_total` counter so traces can attribute the
-//! vectorized work.
-
-use std::sync::{Arc, OnceLock};
-use vira_obs as obs;
 
 /// Lane width of the chunked scans. Eight `f64` lanes span two AVX2
 /// registers (or one AVX-512 register); narrower blocks simply fall
 /// through to the remainder loop.
 pub const LANES: usize = 8;
-
-static LANE_CHUNKS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-
-/// Records `n` processed lane chunks against `extract_lane_chunks_total`.
-#[inline]
-pub fn record_chunks(n: u64) {
-    obs::counter_cached(&LANE_CHUNKS, "extract_lane_chunks_total").add(n);
-}
-
-/// Number of lane chunks (including a partial tail chunk) a scan over
-/// `len` elements processes.
-#[inline]
-pub fn chunks_for(len: usize) -> u64 {
-    len.div_ceil(LANES) as u64
-}
 
 /// Minimum and maximum of `values` via a lane-parallel scan.
 ///
@@ -69,7 +47,6 @@ pub fn min_max_seeded(mut lo: f64, mut hi: f64, values: &[f64]) -> (f64, f64) {
         lo = if v < lo { v } else { lo };
         hi = if v > hi { v } else { hi };
     }
-    record_chunks(chunks_for(values.len()));
     (lo, hi)
 }
 
@@ -102,7 +79,6 @@ pub fn cell_ranges_along_i(rows: [&[f64]; 4], n: usize, out_lo: &mut [f64], out_
         out_lo[c] = pair_min(lo01, lo23);
         out_hi[c] = pair_max(hi01, hi23);
     }
-    record_chunks(chunks_for(n));
 }
 
 #[inline(always)]
@@ -199,13 +175,5 @@ mod tests {
             ];
             assert_eq!((lo[c], hi[c]), scalar_min_max(&corners), "cell {c}");
         }
-    }
-
-    #[test]
-    fn chunk_accounting_rounds_up() {
-        assert_eq!(chunks_for(0), 0);
-        assert_eq!(chunks_for(1), 1);
-        assert_eq!(chunks_for(8), 1);
-        assert_eq!(chunks_for(9), 2);
     }
 }

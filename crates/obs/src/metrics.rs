@@ -345,11 +345,7 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
         "dms_prefetch_waits_total",
         "Demand requests that waited on an in-flight prefetch",
     ),
-    // extraction kernels
-    (
-        "extract_lane_chunks_total",
-        "Lane-width chunks processed by vectorized extraction kernels",
-    ),
+    // intra-worker extraction
     (
         "extract_threads_total",
         "Threads entering intra-worker parallel extraction sections",
