@@ -19,9 +19,12 @@
 
 use std::hint::black_box;
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Instant;
 
 use vira_comm::socket::{encode_frame, frame_crc, DecodeStep, FrameDecoder};
+use vira_dms::proxy::{DataProxy, ProxyConfig};
+use vira_dms::server::{DataServer, ServerConfig};
 use vira_extract::bricktree::BrickTree;
 use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
 use vira_extract::lambda2::lambda2_field;
@@ -37,6 +40,8 @@ use vira_grid::locator::BlockLocator;
 use vira_grid::math::Vec3;
 use vira_grid::synth::{engine, propfan, test_cube};
 use vira_grid::topology::topology_of;
+use vira_storage::costmodel::{Meter, SimClock};
+use vira_storage::source::SynthSource;
 
 fn vortex_block(res: usize) -> BlockData {
     test_cube(res, 1).generate(BlockStepId::new(0, 0))
@@ -267,6 +272,48 @@ fn main() {
             })
         });
     }
+
+    // ---- the round shape of the item walk (`commands::walk_share`):
+    // 8 Engine 17-cubed items behind a cold DMS, loaded on this thread a
+    // round at a time, each round extracted on the scoped pool and
+    // merged in item order. At 2 threads, rounds of one item per thread
+    // against rounds of four per thread ----
+    let server = DataServer::new(SimClock::instant(), ServerConfig::default());
+    server.register_dataset(Arc::new(SynthSource::new(Arc::new(engine(17)))), false);
+    let proxy = DataProxy::new(
+        0,
+        server.clone(),
+        ProxyConfig {
+            prefetcher: "none".into(),
+            ..ProxyConfig::default()
+        },
+    );
+    let meter = Meter::new();
+    let walk_ids: Vec<BlockStepId> = (0..8).map(|b| BlockStepId::new(b, 0)).collect();
+    for (threads, round, name) in [
+        (1usize, 1usize, "walk/cold_8_items_1t"),
+        (2, 2, "walk/cold_8_items_rounds_of_2_2t"),
+        (2, 8, "walk/cold_8_items_rounds_of_8_2t"),
+    ] {
+        h.bench(name, || {
+            proxy.clear_cache(false);
+            let mut merged = TriangleSoup::new();
+            for ids in walk_ids.chunks(round) {
+                let loaded: Vec<SharedBlockData> = ids
+                    .iter()
+                    .map(|&id| proxy.request("Engine", id, &meter).expect("synthetic load"))
+                    .collect();
+                let soups = scoped_map(threads, &loaded, |_, data| {
+                    extract_isosurface(&data.grid, &data.velocity.magnitude(), 15.0).0
+                });
+                for soup in &soups {
+                    merged.extend_from(soup);
+                }
+            }
+            merged.n_triangles()
+        });
+    }
+    drop(proxy);
 
     // ---- two threads building the |u| bricktrees of 32 Propfan 21-cubed
     // blocks at once, as two workers of one process do: any write to

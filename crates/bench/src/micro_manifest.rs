@@ -367,6 +367,9 @@ mod tests {
                 ("extract/parallel_blocks_4t", 4),
                 ("extract/parallel_blocks_8t", 8),
                 ("bricktree/build_21c_2t", 2),
+                ("walk/cold_8_items_1t", 1),
+                ("walk/cold_8_items_rounds_of_2_2t", 2),
+                ("walk/cold_8_items_rounds_of_8_2t", 2),
             ]
         );
     }

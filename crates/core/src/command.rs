@@ -3,7 +3,7 @@
 //! Actual post-processing algorithms live on the uppermost layer of the
 //! design (paper §3) and are registered as [`Command`]s. A command is
 //! executed by every member of a work group; each member processes its
-//! share of the work (see [`JobCtx::my_items`]) and either streams
+//! share of the work (see [`JobCtx::my_blocks`]) and either streams
 //! partial geometry directly to the visualization client
 //! ([`JobCtx::stream_triangles`]) or returns its share for the master
 //! worker to merge.
@@ -72,11 +72,6 @@ pub struct CommandOutput {
     pub cells_skipped: u64,
     /// Finest-level bricks skipped whole.
     pub bricks_skipped: u64,
-    /// Modeled seconds this worker spent inside the parallel extraction
-    /// section (zero on the serial path).
-    pub extract_par_s: f64,
-    /// Extraction threads the command actually used (1 = serial path).
-    pub extract_threads: u32,
 }
 
 impl CommandOutput {
@@ -119,9 +114,8 @@ pub struct JobCtx<'a> {
     pub clock: Arc<SimClock>,
     pub costs: ComputeCosts,
     /// Extraction threads available to this command (from
-    /// [`crate::config::ExtractConfig`]); commands that support the
-    /// parallel block path fan out over `vira_extract::scoped_map` when
-    /// this exceeds one.
+    /// [`crate::config::ExtractConfig`]): how many loaded items the
+    /// isosurface and λ₂ commands extract side by side.
     pub extract_threads: usize,
     pub(crate) events: EventSender,
     pub(crate) cancels: CancelSet,
@@ -228,16 +222,6 @@ impl<'a> JobCtx<'a> {
             .enumerate()
             .filter(|(i, _)| i % g == idx)
             .map(|(_, &b)| BlockStepId::new(b, step))
-            .collect()
-    }
-
-    /// All items this worker owns across every time step of the dataset,
-    /// step-major (the full unsteady workload of the evaluation
-    /// commands).
-    pub fn my_items(&self) -> Vec<BlockStepId> {
-        let order: Vec<BlockId> = (0..self.spec.n_blocks).collect();
-        (0..self.spec.n_steps)
-            .flat_map(|s| self.my_blocks(s, &order))
             .collect()
     }
 
@@ -387,8 +371,6 @@ pub(crate) fn encode_output(
         dms,
         cells_skipped: out.cells_skipped,
         bricks_skipped: out.bricks_skipped,
-        extract_par_s: out.extract_par_s,
-        extract_threads: out.extract_threads,
         attempt,
         residency,
         obs_delta,

@@ -2,23 +2,12 @@
 //! `SimpleIso` (no data management) and `IsoDataMan` (DMS-enabled)
 //! baselines, plus a collective-I/O variant for the §4.3 ablation.
 //!
-//! All three share [`extract_items`], which has two execution paths:
-//! the historical fully-serial loop, and — when the back-end is
-//! configured with more than one extraction thread
-//! ([`crate::config::ExtractConfig`]) — an intra-worker parallel path
-//! that loads blocks serially and fans the pure extraction kernels out
-//! over [`vira_extract::scoped_map`]. Results are merged in block
-//! order, so both paths produce byte-identical payloads.
+//! All three walk their share through [`walk_share`]; they differ only
+//! in how an item is loaded.
 
-use super::{require_f64, steps_of};
+use super::{require_f64, walk_share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use vira_extract::iso::extract_isosurface;
-
-// Counts threads entering parallel extraction sections (see DESIGN.md
-// metric registry; stays 0 on serial-only back-ends).
-static EXTRACT_THREADS: OnceLock<Arc<vira_obs::Counter>> = OnceLock::new();
 
 fn extract_items(
     ctx: &mut JobCtx<'_>,
@@ -26,33 +15,13 @@ fn extract_items(
     collective: bool,
 ) -> Result<CommandOutput, CommandError> {
     let iso = require_f64(ctx, "iso")?;
-    let mut out = CommandOutput {
-        extract_threads: 1,
-        ..CommandOutput::default()
-    };
-    let order: Vec<_> = (0..ctx.spec.n_blocks).collect();
     let compute_per_item = ctx.costs.iso_s_per_cell * ctx.nominal_cells();
-    let steps = steps_of(ctx);
-    let items: Vec<_> = steps
-        .iter()
-        .flat_map(|&s| ctx.my_blocks(s, &order))
-        .collect();
-    let total_items = items.len().max(1);
-    let threads = ctx.extract_threads.min(items.len()).max(1);
-
-    if threads > 1 {
-        // Parallel block path. Loads stay serial — DMS traffic, the
-        // cost meter and the cache accounting are order-sensitive —
-        // and only the pure extraction kernels fan out. The merge
-        // below walks the results in item order, so the payload is
-        // byte-identical to the serial path no matter the thread count
-        // or completion order.
-        let mut loaded = Vec::with_capacity(items.len());
-        for &id in &items {
-            if ctx.is_cancelled() {
-                return Ok(out);
-            }
+    walk_share(
+        ctx,
+        |ctx, id| {
             let data = if collective && !ctx.proxy.is_cached(&ctx.dataset, id) {
+                // Cold item: all group members fetch their items in one
+                // coordinated operation.
                 ctx.server
                     .collective_read(&ctx.dataset, id, ctx.group.len(), &ctx.meter)?
             } else if use_dms {
@@ -61,76 +30,10 @@ fn extract_items(
                 ctx.direct_read(id)?
             };
             ctx.charge_compute(compute_per_item);
-            loaded.push((id, data));
-        }
-        vira_obs::counter_cached(&EXTRACT_THREADS, "extract_threads_total").add(threads as u64);
-        let job = ctx.job;
-        let started = Instant::now();
-        let results = vira_extract::scoped_map(threads, &loaded, |_, (id, data)| {
-            let mut block_span = vira_obs::span("extract.block", "extract")
-                .arg("job", job)
-                .arg("block", id.block)
-                .arg("step", id.step);
-            let field = data.velocity.magnitude();
-            let (soup, stats) = extract_isosurface(&data.grid, &field, iso);
-            block_span.set_arg("triangles", soup.n_triangles());
-            block_span.set_arg("cells_skipped", stats.cells_skipped as u64);
-            block_span.set_arg("bricks_skipped", stats.bricks_skipped as u64);
-            drop(block_span);
-            (soup, stats)
-        });
-        out.extract_par_s = ctx.clock.wall_to_modeled(started.elapsed());
-        out.extract_threads = threads as u32;
-        let mut done = 0usize;
-        for (soup, stats) in &results {
-            out.triangles.extend_from(soup);
-            out.cells_skipped += stats.cells_skipped as u64;
-            out.bricks_skipped += stats.bricks_skipped as u64;
-            done += 1;
-            // Same cadence as the serial path: every ~5 % of the share.
-            if done.is_multiple_of((total_items / 20).max(1)) || done == total_items {
-                ctx.report_progress(done as f32 / total_items as f32)?;
-            }
-        }
-        return Ok(out);
-    }
-
-    let mut done = 0usize;
-    for id in items {
-        if ctx.is_cancelled() {
-            return Ok(out);
-        }
-        let mut block_span = vira_obs::span("extract.block", "extract")
-            .arg("job", ctx.job)
-            .arg("block", id.block)
-            .arg("step", id.step);
-        let data = if collective && !ctx.proxy.is_cached(&ctx.dataset, id) {
-            // Cold item: all group members fetch their items in one
-            // coordinated operation.
-            ctx.server
-                .collective_read(&ctx.dataset, id, ctx.group.len(), &ctx.meter)?
-        } else if use_dms {
-            ctx.load_block(id)?
-        } else {
-            ctx.direct_read(id)?
-        };
-        ctx.charge_compute(compute_per_item);
-        let field = data.velocity.magnitude();
-        let (soup, stats) = extract_isosurface(&data.grid, &field, iso);
-        block_span.set_arg("triangles", soup.n_triangles());
-        block_span.set_arg("cells_skipped", stats.cells_skipped as u64);
-        block_span.set_arg("bricks_skipped", stats.bricks_skipped as u64);
-        drop(block_span);
-        out.triangles.extend_from(&soup);
-        out.cells_skipped += stats.cells_skipped as u64;
-        out.bricks_skipped += stats.bricks_skipped as u64;
-        done += 1;
-        // Coarse progress ticks: every ~5 % of this worker's share.
-        if done.is_multiple_of((total_items / 20).max(1)) || done == total_items {
-            ctx.report_progress(done as f32 / total_items as f32)?;
-        }
-    }
-    Ok(out)
+            Ok(data)
+        },
+        |data| extract_isosurface(&data.grid, &data.velocity.magnitude(), iso),
+    )
 }
 
 /// Isosurface extraction without any data management (paper Fig. 6/7

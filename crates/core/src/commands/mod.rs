@@ -39,9 +39,12 @@ pub use progressive::ProgressiveIso;
 pub use viewer::ViewerIso;
 pub use vortex::{SimpleVortex, StreamedVortex, VortexDataMan};
 
-use crate::command::{CommandError, CommandRegistry, JobCtx};
+use crate::command::{CommandError, CommandOutput, CommandRegistry, JobCtx};
 use std::sync::Arc;
-use vira_grid::block::BlockId;
+use vira_extract::iso::IsoStats;
+use vira_extract::mesh::TriangleSoup;
+use vira_extract::scoped_map;
+use vira_grid::block::{BlockId, BlockStepId};
 use vira_grid::math::Vec3;
 
 /// Registers every built-in command.
@@ -75,22 +78,107 @@ pub(crate) fn batch_size(ctx: &JobCtx<'_>) -> usize {
     ctx.params.get_usize("batch").unwrap_or(2000).max(1)
 }
 
-/// The time steps this job processes: `step0 ..` limited by `n_steps`
-/// (default: the whole unsteady dataset, as in the paper's evaluation).
-pub(crate) fn steps_of(ctx: &JobCtx<'_>) -> Vec<u32> {
+/// This worker's share of the job, step-major: the steps `step0 ..`
+/// limited by `n_steps` (default: the whole unsteady dataset, as in the
+/// paper's evaluation), each with the blocks of `order` dealt
+/// round-robin over the group.
+pub(crate) fn share(ctx: &JobCtx<'_>, order: &[BlockId]) -> Vec<BlockStepId> {
     let step0 = ctx.params.get_usize("step0").unwrap_or(0) as u32;
     let limit = ctx
         .params
         .get_usize("n_steps")
         .unwrap_or(ctx.spec.n_steps as usize) as u32;
-    (step0..ctx.spec.n_steps.min(step0 + limit)).collect()
+    (step0..ctx.spec.n_steps.min(step0 + limit))
+        .flat_map(|s| ctx.my_blocks(s, order))
+        .collect()
+}
+
+/// Block ids in id order, the order every command but `ViewerIso` walks.
+pub(crate) fn id_order(ctx: &JobCtx<'_>) -> Vec<BlockId> {
+    (0..ctx.spec.n_blocks).collect()
+}
+
+/// Items per extraction thread in one round of [`walk_share`] beyond one
+/// thread: every round spawns its pool afresh, so fewer, fuller rounds
+/// spawn less and balance uneven blocks, while a worker still holds a
+/// bounded number of loaded items. The micro rungs
+/// `walk/cold_8_items_rounds_of_{2,8}_2t` time rounds of one and of four
+/// items per thread.
+const ITEMS_PER_THREAD: usize = 4;
+
+/// Walks this worker's share in id order and returns the merged
+/// surface: the one item loop of the isosurface and λ₂ commands.
+///
+/// `load` runs on the calling thread, one item at a time, and does
+/// everything order-sensitive: DMS requests, the cost meter and
+/// derived-field memoization. `extract` is pure. Each round loads its
+/// items, extracts them side by side on [`scoped_map`] with
+/// `ctx.extract_threads` threads and merges the results in item order,
+/// so the payload is byte-identical at any width and a worker holds at
+/// most one round of loaded items. At one thread a round is one item
+/// and `scoped_map` runs it inline: load and extraction alternate as in
+/// a plain loop, which is what gives a prefetch time to land. Progress
+/// goes to the client every ~5 % of the share; a cancel returns what is
+/// merged so far.
+pub(crate) fn walk_share<W: Sync>(
+    ctx: &mut JobCtx<'_>,
+    mut load: impl FnMut(&JobCtx<'_>, BlockStepId) -> Result<W, CommandError>,
+    extract: impl Fn(&W) -> (TriangleSoup, IsoStats) + Sync,
+) -> Result<CommandOutput, CommandError> {
+    let items = share(ctx, &id_order(ctx));
+    let total = items.len();
+    let width = ctx.extract_threads.clamp(1, total.max(1));
+    let round_len = if width == 1 {
+        1
+    } else {
+        width * ITEMS_PER_THREAD
+    };
+    let job = ctx.job;
+    let mut out = CommandOutput::default();
+    let mut done = 0usize;
+    for round in items.chunks(round_len) {
+        // The walking thread's part of the round: its loads, and the
+        // extraction itself or its wait on the pool.
+        let round_span = vira_obs::span("extract.round", "extract")
+            .arg("job", job)
+            .arg("items", round.len() as u64);
+        let mut loaded = Vec::with_capacity(round.len());
+        for &id in round {
+            if ctx.is_cancelled() {
+                return Ok(out);
+            }
+            loaded.push((id, load(ctx, id)?));
+        }
+        let results = scoped_map(width, &loaded, |_, (id, item)| {
+            let mut block_span = vira_obs::span("extract.block", "extract")
+                .arg("job", job)
+                .arg("block", id.block)
+                .arg("step", id.step);
+            let (soup, stats) = extract(item);
+            block_span.set_arg("triangles", soup.n_triangles());
+            block_span.set_arg("cells_skipped", stats.cells_skipped as u64);
+            block_span.set_arg("bricks_skipped", stats.bricks_skipped as u64);
+            (soup, stats)
+        });
+        drop(round_span);
+        for (soup, stats) in results {
+            out.triangles.extend_from(&soup);
+            out.cells_skipped += stats.cells_skipped as u64;
+            out.bricks_skipped += stats.bricks_skipped as u64;
+            done += 1;
+            if done.is_multiple_of((total / 20).max(1)) || done == total {
+                ctx.report_progress(done as f32 / total as f32)?;
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Block ids sorted front-to-back with respect to a viewpoint (by
 /// bounding-box distance); falls back to id order when the server has no
 /// geometry metadata for the dataset.
 pub(crate) fn front_to_back_order(ctx: &JobCtx<'_>, viewpoint: Vec3) -> Vec<BlockId> {
-    let ids: Vec<BlockId> = (0..ctx.spec.n_blocks).collect();
+    let ids = id_order(ctx);
     let Some(bboxes) = ctx.server.block_bboxes(&ctx.dataset) else {
         return ids;
     };

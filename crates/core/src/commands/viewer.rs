@@ -14,7 +14,7 @@
 //! viewpoints in the virtual environment; the view dependence only
 //! controls the *order* of delivery.
 
-use super::{batch_size, front_to_back_order, require_f64, steps_of};
+use super::{batch_size, front_to_back_order, require_f64, share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
 use vira_extract::bsp::BspTree;
 use vira_extract::mesh::TriangleSoup;
@@ -42,38 +42,36 @@ impl Command for ViewerIso {
         let compute_per_item =
             (ctx.costs.iso_s_per_cell + ctx.costs.bsp_overhead_s_per_cell) * ctx.nominal_cells();
 
-        for step in steps_of(ctx) {
-            for id in ctx.my_blocks(step, &order) {
-                if ctx.is_cancelled() {
-                    return Ok(CommandOutput::default());
-                }
-                // The data manager assists file loading with simple OBL
-                // prefetching (configured at the proxy); the request
-                // itself goes through the DMS.
-                let data = ctx.load_block(id)?;
-                ctx.charge_compute(compute_per_item);
-                let field = data.velocity.magnitude();
-                let tree = BspTree::build(&data.grid, &field);
-                let mut pending = TriangleSoup::new();
-                let mut stream_err: Option<CommandError> = None;
-                tree.traverse_front_to_back(iso, viewpoint, &field, |(i, j, k)| {
-                    if stream_err.is_some() {
-                        return;
-                    }
-                    let corners = data.grid.cell_corners(i, j, k);
-                    let scalars = field.cell_corners(i, j, k);
-                    contour_cell(&corners, &scalars, iso, &mut pending);
-                    if pending.n_triangles() >= batch {
-                        if let Err(e) = ctx.stream_triangles(&std::mem::take(&mut pending)) {
-                            stream_err = Some(e);
-                        }
-                    }
-                });
-                if let Some(e) = stream_err {
-                    return Err(e);
-                }
-                ctx.stream_triangles(&pending)?;
+        for id in share(ctx, &order) {
+            if ctx.is_cancelled() {
+                return Ok(CommandOutput::default());
             }
+            // The data manager assists file loading with simple OBL
+            // prefetching (configured at the proxy); the request
+            // itself goes through the DMS.
+            let data = ctx.load_block(id)?;
+            ctx.charge_compute(compute_per_item);
+            let field = data.velocity.magnitude();
+            let tree = BspTree::build(&data.grid, &field);
+            let mut pending = TriangleSoup::new();
+            let mut stream_err: Option<CommandError> = None;
+            tree.traverse_front_to_back(iso, viewpoint, &field, |(i, j, k)| {
+                if stream_err.is_some() {
+                    return;
+                }
+                let corners = data.grid.cell_corners(i, j, k);
+                let scalars = field.cell_corners(i, j, k);
+                contour_cell(&corners, &scalars, iso, &mut pending);
+                if pending.n_triangles() >= batch {
+                    if let Err(e) = ctx.stream_triangles(&std::mem::take(&mut pending)) {
+                        stream_err = Some(e);
+                    }
+                }
+            });
+            if let Some(e) = stream_err {
+                return Err(e);
+            }
+            ctx.stream_triangles(&pending)?;
         }
         Ok(CommandOutput::default())
     }

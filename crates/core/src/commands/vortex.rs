@@ -3,13 +3,59 @@
 //! streamed variant that processes cells one by one, flushing triangle
 //! batches to the client as soon as the active-cell list fills up.
 
-use super::{require_f64, steps_of};
+use super::{id_order, require_f64, share, walk_share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use std::sync::Arc;
+use vira_extract::bricktree::BrickTree;
 use vira_extract::halo::GhostedBlock;
-use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
+use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree, IsoStats};
 use vira_extract::lambda2::{lambda2_field, Lambda2Streamer};
+use vira_extract::mesh::TriangleSoup;
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
+use vira_grid::topology::BlockTopology;
+use vira_grid::{BlockData, ScalarField};
+
+/// One λ₂ item once its loads are done.
+enum Lambda2Item {
+    /// The memoized range cannot straddle the threshold: this many cells
+    /// are skipped without touching the field.
+    Outside(usize),
+    /// Memoized field and bricktree: only the contouring is left.
+    Memoized(SharedBlockData, Arc<ScalarField>, Arc<BrickTree>),
+    /// Derive λ₂ (across the face neighbours, when given), then contour.
+    Fresh(SharedBlockData, Option<Vec<SharedBlockData>>),
+}
+
+/// The face neighbours of `id` at its step, loaded through the DMS (so
+/// they are usually cache hits on another worker's behalf); `None`
+/// without ghost exchange.
+fn neighbours(
+    ctx: &JobCtx<'_>,
+    topology: Option<&BlockTopology>,
+    id: BlockStepId,
+) -> Result<Option<Vec<SharedBlockData>>, CommandError> {
+    topology
+        .map(|topo| {
+            topo.neighbors(id.block)
+                .iter()
+                .map(|&nb| ctx.load_block(BlockStepId::new(nb, id.step)))
+                .collect()
+        })
+        .transpose()
+}
+
+/// The λ₂ field of `data`, with centered stencils across the block
+/// interfaces when its neighbours are given.
+fn derive(data: &BlockData, neighbours: Option<&[SharedBlockData]>) -> ScalarField {
+    match neighbours {
+        Some(nbs) => {
+            let refs: Vec<&BlockData> = nbs.iter().map(|d| &**d).collect();
+            GhostedBlock::assemble(data, &refs, 1e-9).lambda2_field()
+        }
+        None => lambda2_field(data),
+    }
+}
 
 fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, CommandError> {
     let threshold = require_f64(ctx, "threshold")?;
@@ -22,9 +68,8 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
         .map(|v| v == "true" || v == "1")
         .unwrap_or(false);
     // With `ghosts`, each block additionally loads its face neighbours
-    // (through the DMS, so they are usually cache hits on another
-    // worker's behalf) and computes λ₂ with centered stencils across
-    // block interfaces — no seams in the vortex boundaries.
+    // and computes λ₂ with centered stencils across block interfaces —
+    // no seams in the vortex boundaries.
     let ghosts = ctx
         .params
         .get("ghosts")
@@ -40,87 +85,74 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
     } else {
         None
     };
-    let mut out = CommandOutput::default();
-    let order: Vec<_> = (0..ctx.spec.n_blocks).collect();
+    let topology = topology.as_deref();
+    let kind: &'static str = if ghosts { "lambda2-ghosted" } else { "lambda2" };
     let lambda2_cost = ctx.costs.lambda2_s_per_cell * ctx.nominal_cells();
     let iso_cost = ctx.costs.iso_s_per_cell * ctx.nominal_cells();
-    for step in steps_of(ctx) {
-        for id in ctx.my_blocks(step, &order) {
-            if ctx.is_cancelled() {
-                return Ok(out);
+    let load = |ctx: &JobCtx<'_>, id: BlockStepId| {
+        let data = if use_dms {
+            ctx.load_block(id)?
+        } else {
+            ctx.direct_read(id)?
+        };
+        if !cache_fields {
+            ctx.charge_compute(lambda2_cost);
+            return Ok(Lambda2Item::Fresh(data, neighbours(ctx, topology, id)?));
+        }
+        // Block-level prune on the memoized range (harvested from the
+        // bricktree root, see `DerivedFieldCache::range_of`): when the
+        // whole block straddles nothing at this threshold, a sweep
+        // iteration skips it without touching the field or the tree.
+        // Mirrors the brick activity test (`hi > iso && lo <= iso`), so
+        // geometry is unchanged.
+        if let Some((lo, hi)) = ctx.derived.range_of(&ctx.dataset, kind, id) {
+            if !(hi > threshold && lo <= threshold) {
+                return Ok(Lambda2Item::Outside(data.dims().n_cells()));
             }
-            let data = if use_dms {
-                ctx.load_block(id)?
-            } else {
-                ctx.direct_read(id)?
-            };
-            // Field derivation: plain, ghost-aware, and/or memoized.
-            let derive = |ctx: &JobCtx<'_>| -> Result<vira_grid::ScalarField, CommandError> {
-                if let Some(topo) = &topology {
-                    let neighbor_data: Vec<SharedBlockData> = topo
-                        .neighbors(id.block)
-                        .iter()
-                        .map(|&nb| ctx.load_block(BlockStepId::new(nb, id.step)))
-                        .collect::<Result<_, _>>()?;
-                    let refs: Vec<&vira_grid::BlockData> =
-                        neighbor_data.iter().map(|d| &**d).collect();
-                    Ok(GhostedBlock::assemble(&data, &refs, 1e-9).lambda2_field())
-                } else {
-                    Ok(lambda2_field(&data))
-                }
-            };
-            let kind: &'static str = if ghosts { "lambda2-ghosted" } else { "lambda2" };
-            let (soup, stats) = if cache_fields {
-                // Block-level prune on the memoized range (harvested from
-                // the bricktree root, see `DerivedFieldCache::range_of`):
-                // when the whole block straddles nothing at this
-                // threshold, a sweep iteration skips it without touching
-                // the field or the tree. Mirrors the brick activity test
-                // (`hi > iso && lo <= iso`), so geometry is unchanged.
-                if let Some((lo, hi)) = ctx.derived.range_of(&ctx.dataset, kind, id) {
-                    if !(hi > threshold && lo <= threshold) {
-                        out.cells_skipped += data.dims().n_cells() as u64;
-                        continue;
+        }
+        let (hits_before, _) = ctx.derived.stats();
+        let mut derive_err = None;
+        // The bricktree is memoized alongside the field, so a threshold
+        // sweep builds it exactly once per block.
+        let (field, tree) = ctx
+            .derived
+            .get_or_compute_with_tree(&ctx.dataset, kind, id, || {
+                match neighbours(ctx, topology, id) {
+                    Ok(nbs) => derive(&data, nbs.as_deref()),
+                    Err(e) => {
+                        derive_err = Some(e);
+                        ScalarField::from_fn(data.dims(), |_, _, _| f64::INFINITY)
                     }
                 }
-                let (hits_before, _) = ctx.derived.stats();
-                let mut derive_err = None;
-                // The bricktree is memoized alongside the field, so a
-                // threshold sweep builds it exactly once per block.
-                let (f, tree) =
-                    ctx.derived
-                        .get_or_compute_with_tree(&ctx.dataset, kind, id, || match derive(ctx) {
-                            Ok(f) => f,
-                            Err(e) => {
-                                derive_err = Some(e);
-                                vira_grid::ScalarField::from_fn(data.dims(), |_, _, _| {
-                                    f64::INFINITY
-                                })
-                            }
-                        });
-                if let Some(e) = derive_err {
-                    return Err(e);
-                }
-                let (hits_after, _) = ctx.derived.stats();
-                // Charge the full derivation only when it actually ran;
-                // a memoized field costs just the re-contouring below.
-                if hits_after == hits_before {
-                    ctx.charge_compute(lambda2_cost);
-                } else {
-                    ctx.charge_compute(iso_cost);
-                }
-                extract_isosurface_with_tree(&data.grid, &f, threshold, Some(&tree))
-            } else {
-                ctx.charge_compute(lambda2_cost);
-                let f = derive(ctx)?;
-                extract_isosurface(&data.grid, &f, threshold)
-            };
-            out.triangles.extend_from(&soup);
-            out.cells_skipped += stats.cells_skipped as u64;
-            out.bricks_skipped += stats.bricks_skipped as u64;
+            });
+        if let Some(e) = derive_err {
+            return Err(e);
         }
-    }
-    Ok(out)
+        let (hits_after, _) = ctx.derived.stats();
+        // Charge the full derivation only when it actually ran; a
+        // memoized field costs just the re-contouring.
+        if hits_after == hits_before {
+            ctx.charge_compute(lambda2_cost);
+        } else {
+            ctx.charge_compute(iso_cost);
+        }
+        Ok(Lambda2Item::Memoized(data, field, tree))
+    };
+    walk_share(ctx, load, |item| match item {
+        Lambda2Item::Outside(cells) => (
+            TriangleSoup::new(),
+            IsoStats {
+                cells_skipped: *cells,
+                ..IsoStats::default()
+            },
+        ),
+        Lambda2Item::Memoized(data, field, tree) => {
+            extract_isosurface_with_tree(&data.grid, field, threshold, Some(tree))
+        }
+        Lambda2Item::Fresh(data, nbs) => {
+            extract_isosurface(&data.grid, &derive(data, nbs.as_deref()), threshold)
+        }
+    })
 }
 
 /// λ₂ extraction without data management: the Fig. 9/10 baseline.
@@ -162,42 +194,39 @@ impl Command for StreamedVortex {
     fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
         let threshold = require_f64(ctx, "threshold")?;
         let batch = super::batch_size(ctx);
-        let order: Vec<_> = (0..ctx.spec.n_blocks).collect();
         // Streaming overhead: the cell-wise pass costs slightly more than
         // the optimized full-field pass (extra bookkeeping per cell).
         let compute_per_item =
             (ctx.costs.lambda2_s_per_cell + 0.1 * ctx.costs.iso_s_per_cell) * ctx.nominal_cells();
         let mut out = CommandOutput::default();
-        for step in steps_of(ctx) {
-            for id in ctx.my_blocks(step, &order) {
-                if ctx.is_cancelled() {
-                    return Ok(out);
-                }
-                let data = ctx.load_block(id)?;
-                ctx.charge_compute(compute_per_item);
-                // Prune with the memoized λ₂ field's bricktree when an
-                // earlier full-field pass (VortexDataMan with
-                // `cache_fields`) left one behind; otherwise stay lazy and
-                // scan every cell with compute-on-first-touch.
-                let cached = ctx.derived.peek_tree(&ctx.dataset, "lambda2", id);
-                let streamer = match &cached {
-                    Some((_, tree)) => Lambda2Streamer::with_tree(&data, tree),
-                    None => Lambda2Streamer::new(&data),
-                };
-                let mut stream_err: Option<CommandError> = None;
-                let stats = streamer.run(threshold, batch, |soup| {
-                    if stream_err.is_none() {
-                        if let Err(e) = ctx.stream_triangles(&soup) {
-                            stream_err = Some(e);
-                        }
-                    }
-                });
-                if let Some(e) = stream_err {
-                    return Err(e);
-                }
-                out.cells_skipped += stats.cells_skipped as u64;
-                out.bricks_skipped += stats.bricks_skipped as u64;
+        for id in share(ctx, &id_order(ctx)) {
+            if ctx.is_cancelled() {
+                return Ok(out);
             }
+            let data = ctx.load_block(id)?;
+            ctx.charge_compute(compute_per_item);
+            // Prune with the memoized λ₂ field's bricktree when an
+            // earlier full-field pass (VortexDataMan with `cache_fields`)
+            // left one behind; otherwise stay lazy and scan every cell
+            // with compute-on-first-touch.
+            let cached = ctx.derived.peek_tree(&ctx.dataset, "lambda2", id);
+            let streamer = match &cached {
+                Some((_, tree)) => Lambda2Streamer::with_tree(&data, tree),
+                None => Lambda2Streamer::new(&data),
+            };
+            let mut stream_err: Option<CommandError> = None;
+            let stats = streamer.run(threshold, batch, |soup| {
+                if stream_err.is_none() {
+                    if let Err(e) = ctx.stream_triangles(&soup) {
+                        stream_err = Some(e);
+                    }
+                }
+            });
+            if let Some(e) = stream_err {
+                return Err(e);
+            }
+            out.cells_skipped += stats.cells_skipped as u64;
+            out.bricks_skipped += stats.bricks_skipped as u64;
         }
         // Everything was streamed; the merged final result is empty
         // apart from the pruning counters.

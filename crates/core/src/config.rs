@@ -81,15 +81,13 @@ impl Default for SchedulerConfig {
 /// below the block level).
 ///
 /// Workers always *load* blocks serially — DMS traffic, cost metering
-/// and cache accounting are order-sensitive — but with `threads > 1`
-/// the pure extraction kernels run over the loaded blocks on a scoped
-/// thread pool ([`vira_extract::scoped_map`]). Results are merged in
-/// block order, so the produced payload is byte-identical to a serial
-/// run regardless of the thread count.
+/// and cache accounting are order-sensitive — and extract `threads`
+/// loaded items side by side on a scoped thread pool
+/// ([`vira_extract::scoped_map`]). Results are merged in item order, so
+/// the produced payload is byte-identical at any thread count.
 #[derive(Debug, Clone)]
 pub struct ExtractConfig {
-    /// Extraction threads per worker rank. `1` (the default) keeps the
-    /// historical fully-serial path.
+    /// Extraction threads per worker rank (default 1: no pool).
     pub threads: usize,
 }
 
@@ -97,7 +95,7 @@ impl Default for ExtractConfig {
     fn default() -> Self {
         // EXTRACT_THREADS is the ops-facing override (used by the
         // chaos-matrix CI leg); anything unparsable or zero falls back
-        // to the serial path.
+        // to one thread.
         let threads = std::env::var("EXTRACT_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())

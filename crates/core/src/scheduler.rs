@@ -976,7 +976,7 @@ const PLACEMENT_ITEM_CAP: usize = 512;
 
 /// The raw `(block, step)` item ids a job will touch: every block of
 /// the dataset across the command's time-step window (mirroring the
-/// worker-side `steps_of` parameter convention), capped at
+/// worker-side `share` parameter convention), capped at
 /// [`PLACEMENT_ITEM_CAP`].
 fn placement_items(
     resolver: &NameResolver,
@@ -1275,8 +1275,6 @@ fn handle_job_done(
         },
         cells_skipped: done.cells_skipped,
         bricks_skipped: done.bricks_skipped,
-        extract_par_s: done.extract_par_s,
-        extract_threads: done.extract_threads,
         retries: run.q.retries,
         degraded: run.q.degraded,
     };

@@ -90,12 +90,6 @@ pub struct PartialHeader {
     pub cells_skipped: u64,
     /// Finest-level bricks skipped whole.
     pub bricks_skipped: u64,
-    /// Modeled seconds this worker spent in the intra-worker parallel
-    /// extraction section.
-    pub extract_par_s: f64,
-    /// Extraction threads the worker used (`0` = the command ran no
-    /// extraction section, `1` = serial path).
-    pub extract_threads: u32,
     /// Dispatch attempt this partial answers (mirrors the command).
     pub attempt: u32,
     /// Fingerprint of this worker's DMS cache after the job, harvested
@@ -127,8 +121,6 @@ impl PartialHeader {
             ("dms", self.dms.to_json()),
             ("cells_skipped", self.cells_skipped.into()),
             ("bricks_skipped", self.bricks_skipped.into()),
-            ("extract_par_s", self.extract_par_s.into()),
-            ("extract_threads", self.extract_threads.into()),
             ("attempt", self.attempt.into()),
             ("residency", self.residency.to_json()),
             ("trace_id", self.trace_id.into()),
@@ -149,8 +141,6 @@ impl PartialHeader {
             dms: j.req("dms", DmsStatsSnapshot::from_json)?,
             cells_skipped: j.req("cells_skipped", json::u64)?,
             bricks_skipped: j.req("bricks_skipped", json::u64)?,
-            extract_par_s: j.req("extract_par_s", json::f64)?,
-            extract_threads: j.req("extract_threads", json::u32)?,
             attempt: j.req("attempt", json::u32)?,
             residency: j.req("residency", ResidencyDigest::from_json)?,
             trace_id: j.req("trace_id", json::u64)?,
@@ -178,11 +168,6 @@ pub struct DoneHeader {
     /// Summed bricktree pruning counters of the whole group.
     pub cells_skipped: u64,
     pub bricks_skipped: u64,
-    /// Summed parallel-extraction seconds of the whole group.
-    pub extract_par_s: f64,
-    /// Maximum extraction thread count any group member used (`0` = no
-    /// extraction section ran, `1` = all serial).
-    pub extract_threads: u32,
     /// Dispatch attempt this result answers (mirrors the command).
     pub attempt: u32,
     /// Per-rank DMS cache fingerprints of the whole work group (the
@@ -218,8 +203,6 @@ impl DoneHeader {
             ("dms", self.dms.to_json()),
             ("cells_skipped", self.cells_skipped.into()),
             ("bricks_skipped", self.bricks_skipped.into()),
-            ("extract_par_s", self.extract_par_s.into()),
-            ("extract_threads", self.extract_threads.into()),
             ("attempt", self.attempt.into()),
             (
                 "residency",
@@ -249,8 +232,6 @@ impl DoneHeader {
             dms: j.req("dms", DmsStatsSnapshot::from_json)?,
             cells_skipped: j.req("cells_skipped", json::u64)?,
             bricks_skipped: j.req("bricks_skipped", json::u64)?,
-            extract_par_s: j.req("extract_par_s", json::f64)?,
-            extract_threads: j.req("extract_threads", json::u32)?,
             attempt: j.req("attempt", json::u32)?,
             residency: j.req("residency", |r| json::list(r, residency))?,
             trace_id: j.req("trace_id", json::u64)?,
@@ -443,8 +424,6 @@ mod tests {
             dms: fixture_dms(),
             cells_skipped: 120,
             bricks_skipped: 3,
-            extract_par_s: 0.5,
-            extract_threads: 4,
             attempt: 1,
             residency: ResidencyDigest::default(),
             trace_id: 7,
@@ -466,8 +445,6 @@ mod tests {
             dms: fixture_dms(),
             cells_skipped: 0,
             bricks_skipped: 0,
-            extract_par_s: 0.0,
-            extract_threads: 0,
             attempt: 0,
             residency: vec![
                 (1, ResidencyDigest::from_items([ItemId(63)])),
@@ -728,7 +705,7 @@ mod tests {
     #[test]
     fn partial_wire_shape_is_pinned() {
         let text = format!(
-            r#"{{"job":1,"kind":"Triangles","n_items":2,"read_s":1.0,"compute_s":2.5,"send_s":0.1,"dms":{DMS_TEXT},"cells_skipped":120,"bricks_skipped":3,"extract_par_s":0.5,"extract_threads":4,"attempt":1,"residency":{{"words":[]}},"trace_id":7,"parent_span_id":8,"obs_delta":"OBSD1 2 1 100\nc jobs 3\n","error":null}}"#
+            r#"{{"job":1,"kind":"Triangles","n_items":2,"read_s":1.0,"compute_s":2.5,"send_s":0.1,"dms":{DMS_TEXT},"cells_skipped":120,"bricks_skipped":3,"attempt":1,"residency":{{"words":[]}},"trace_id":7,"parent_span_id":8,"obs_delta":"OBSD1 2 1 100\nc jobs 3\n","error":null}}"#
         );
         let h = partial();
         assert_eq!(
@@ -744,7 +721,7 @@ mod tests {
     #[test]
     fn done_wire_shape_is_pinned() {
         let text = format!(
-            r#"{{"job":9,"kind":"None","n_items":0,"read_s":0.0,"compute_s":0.0,"send_s":0.0,"merge_s":0.25,"dms":{DMS_TEXT},"cells_skipped":0,"bricks_skipped":0,"extract_par_s":0.0,"extract_threads":0,"attempt":0,"residency":[[1,{}],[2,{{"words":[]}}]],"trace_id":0,"parent_span_id":0,"obs_deltas":[[1,"OBSD1 1 4 200\n"]],"error":"worker 3 failed"}}"#,
+            r#"{{"job":9,"kind":"None","n_items":0,"read_s":0.0,"compute_s":0.0,"send_s":0.0,"merge_s":0.25,"dms":{DMS_TEXT},"cells_skipped":0,"bricks_skipped":0,"attempt":0,"residency":[[1,{}],[2,{{"words":[]}}]],"trace_id":0,"parent_span_id":0,"obs_deltas":[[1,"OBSD1 1 4 200\n"]],"error":"worker 3 failed"}}"#,
             ResidencyDigest::from_items([ItemId(63)]).to_json()
         );
         let h = done();

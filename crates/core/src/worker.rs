@@ -368,8 +368,6 @@ fn run_job<T: Transport>(
     let mut merged_polylines = output.polylines;
     let mut cells_skipped = output.cells_skipped;
     let mut bricks_skipped = output.bricks_skipped;
-    let mut extract_par_s = output.extract_par_s;
-    let mut extract_threads = output.extract_threads;
     let mut total_read = meter.total(CostCategory::Read);
     let mut total_compute = meter.total(CostCategory::Compute);
     let mut total_send = meter.total(CostCategory::Send);
@@ -397,8 +395,6 @@ fn run_job<T: Transport>(
         total_dms = total_dms.merge(&header.dms);
         cells_skipped += header.cells_skipped;
         bricks_skipped += header.bricks_skipped;
-        extract_par_s += header.extract_par_s;
-        extract_threads = extract_threads.max(header.extract_threads);
         if let Some(e) = header.error {
             first_error.get_or_insert(e);
         }
@@ -468,8 +464,6 @@ fn run_job<T: Transport>(
         dms: total_dms,
         cells_skipped,
         bricks_skipped,
-        extract_par_s,
-        extract_threads,
         attempt: msg.attempt,
         residency,
         obs_deltas,

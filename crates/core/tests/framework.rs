@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vira_dms::proxy::ProxyConfig;
 use vira_grid::synth::{self, test_cube};
 use vira_storage::source::SynthSource;
-use vira_vista::{ClientError, CommandParams, SubmitSpec, VistaClient};
+use vira_vista::{ClientError, CommandParams, JobOutcome, SubmitSpec, VistaClient};
 use viracocha::{Viracocha, ViracochaConfig};
 
 fn launch(n_workers: usize, prefetcher: &str) -> (Viracocha, VistaClient) {
@@ -88,10 +88,27 @@ fn result_is_independent_of_worker_count() {
 
 #[test]
 fn parallel_extraction_is_byte_identical_to_serial() {
-    // The intra-worker parallel block path must be invisible in the
-    // output: same triangles, in the same order, regardless of the
-    // extraction thread count. (TriangleSoup equality implies identical
-    // wire bytes — the payload encoding is a pure function of the soup.)
+    // The item walk extracts one loaded item per thread side by side and
+    // merges in item order: the same triangles in the same order with
+    // the same bits, the same pruning counters and the same progress
+    // ticks at every width, for iso and λ₂ alike. (TriangleSoup equality
+    // implies identical wire bytes — the payload encoding is a pure
+    // function of the soup.)
+    // Engine: 23 blocks whose surfaces differ, so any reordering shows.
+    let jobs = [
+        ("IsoDataMan", CommandParams::new().set("iso", 15.0)),
+        (
+            "SimpleVortex",
+            CommandParams::new().set("threshold", -2.0e4),
+        ),
+        (
+            "VortexDataMan",
+            CommandParams::new()
+                .set("threshold", -2.0e4)
+                .set("cache_fields", "true")
+                .set("ghosts", "true"),
+        ),
+    ];
     let run_with = |threads: usize| {
         let mut cfg = ViracochaConfig::for_tests(1);
         cfg.proxy = ProxyConfig {
@@ -101,35 +118,45 @@ fn parallel_extraction_is_byte_identical_to_serial() {
         cfg.extract.threads = threads;
         let (backend, link) = Viracocha::launch(cfg);
         backend.register_dataset(
-            Arc::new(SynthSource::new(Arc::new(test_cube(10, 4)))),
+            Arc::new(SynthSource::new(Arc::new(synth::engine(6)))),
             false,
         );
         let mut client = VistaClient::new(link);
-        let out = client
-            .run(&SubmitSpec {
-                command: "IsoDataMan".into(),
-                dataset: "TestCube".into(),
-                params: CommandParams::new().set("iso", 0.15).set("n_steps", 4),
-                workers: 1,
+        let outs: Vec<_> = jobs
+            .iter()
+            .map(|(command, params)| {
+                client
+                    .run(&SubmitSpec {
+                        command: (*command).into(),
+                        dataset: "Engine".into(),
+                        params: params.clone().set("n_steps", 2),
+                        workers: 1,
+                    })
+                    .unwrap()
             })
-            .unwrap();
+            .collect();
         finish(backend, client);
-        out
+        outs
     };
     let serial = run_with(1);
-    let parallel = run_with(4);
-    assert!(serial.triangles.n_triangles() > 0);
-    assert_eq!(
-        serial.triangles, parallel.triangles,
-        "exact order, exact bits"
-    );
-    // The report says which path ran: 4 items on this worker, so the
-    // full 4-thread fan-out engages; the serial run never enters the
-    // parallel section.
-    assert_eq!(serial.report.extract_threads, 1);
-    assert_eq!(parallel.report.extract_threads, 4);
-    assert_eq!(serial.report.extract_par_s, 0.0);
-    assert!(parallel.report.extract_par_s > 0.0);
+    for threads in [2, 4] {
+        for (((command, _), one), wide) in jobs.iter().zip(&serial).zip(run_with(threads)) {
+            assert!(one.triangles.n_triangles() > 0, "{command}");
+            assert_eq!(
+                one.triangles, wide.triangles,
+                "{command} at {threads} threads: exact order, exact bits"
+            );
+            assert_eq!(one.report.cells_skipped, wide.report.cells_skipped);
+            assert_eq!(one.report.bricks_skipped, wide.report.bricks_skipped);
+            let ticks = |o: &JobOutcome| o.progress.iter().map(|p| p.fraction).collect::<Vec<_>>();
+            assert_eq!(ticks(one), ticks(&wide), "{command} at {threads} threads");
+            assert_eq!(
+                ticks(one).last(),
+                Some(&1.0),
+                "{command} reports completion"
+            );
+        }
+    }
 }
 
 #[test]

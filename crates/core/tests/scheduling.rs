@@ -326,15 +326,14 @@ fn client_disconnect_fails_queued_jobs_instead_of_dropping_them() {
     let _g = serial();
     let before = counters();
     let (backend, mut client) = launch(1, |_| {});
-    // j1 must still be running when the client vanishes (~470 ms on a
+    // j1 must still be running when the client vanishes (~480 ms on a
     // fast host; `long_spec` takes ~135 ms) and must send the client
     // nothing before its final: a progress report or streamed packet to
-    // a vanished client fails the job, so IsoDataMan would count twice.
+    // a vanished client fails the job, so the iso and λ₂ commands, which
+    // report progress, would count twice. Pathlines report none.
     let j1 = SubmitSpec {
-        command: "VortexDataMan".into(),
-        params: CommandParams::new()
-            .set("threshold", -0.01)
-            .set("n_steps", 16),
+        command: "PathlinesDataMan".into(),
+        params: CommandParams::new().set("n_seeds", 16),
         ..long_spec(1)
     };
     let _j1 = client.submit(&j1).unwrap();

@@ -38,8 +38,6 @@ fn sample_partial(job: u64, payload_len: usize) -> (PartialHeader, Bytes) {
         dms: DmsStatsSnapshot::default(),
         cells_skipped: 11,
         bricks_skipped: 2,
-        extract_par_s: 0.75,
-        extract_threads: 2,
         attempt: 1,
         residency: Default::default(),
         error: None,
@@ -63,8 +61,6 @@ fn done_from_partial(p: &PartialHeader) -> DoneHeader {
         dms: p.dms,
         cells_skipped: p.cells_skipped,
         bricks_skipped: p.bricks_skipped,
-        extract_par_s: p.extract_par_s,
-        extract_threads: p.extract_threads,
         attempt: p.attempt,
         residency: Vec::new(),
         error: None,

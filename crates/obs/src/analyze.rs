@@ -11,9 +11,12 @@
 //!   `worker.job` start (command delivery, including retransmits).
 //! * **dms_l1 / dms_l2 / dms_miss** — `dms.request` spans on the master
 //!   thread, grouped by their `tier` argument.
-//! * **extract** — `extract.block` spans on the master thread, minus
-//!   the `dms.request` time nested inside them (so load time is not
-//!   double-counted).
+//! * **extract** — the outermost `extract.block` and `extract.round`
+//!   spans on the master thread, minus the `dms.request` time nested
+//!   inside them (so load time is not double-counted). A round of the
+//!   item walk covers its loads outside the DMS (direct and collective
+//!   reads), the modeled compute charge, derived-field memoization, and
+//!   the extraction or the master's wait on its extraction pool.
 //! * **gather** — master `worker.job` time not covered by extraction,
 //!   loads or the merge: waiting for the other ranks' partials.
 //! * **merge** — the master's `worker.merge` span.
@@ -121,10 +124,17 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
             .unwrap_or(0);
         let in_job =
             |s: &&FlightSpan| s.tid == wj.tid && s.ts_ns >= wj.ts_ns && end(s) <= end(wj);
-        let blocks: Vec<&FlightSpan> = spans
+        let stage: Vec<&FlightSpan> = spans
             .iter()
-            .filter(|s| s.name == "extract.block")
+            .filter(|s| s.name == "extract.block" || s.name == "extract.round")
             .filter(in_job)
+            .collect();
+        // Spans on one thread nest, so counting only the outermost
+        // extraction spans counts each instant once.
+        let blocks: Vec<&FlightSpan> = stage
+            .iter()
+            .copied()
+            .filter(|s| !stage.iter().any(|o| o.span_id == s.parent_span_id))
             .collect();
         let requests: Vec<&FlightSpan> = spans
             .iter()
@@ -288,6 +298,23 @@ mod tests {
         let a = analyze_spans(&spans).unwrap();
         assert_eq!(a.finalize_ns, 0);
         assert_eq!(a.gather_ns, 470, "850 clipped job - 300 blocks - 30 load - 50 merge");
+        assert_eq!(a.attributed_ns(), 1_000);
+    }
+
+    #[test]
+    fn a_walk_round_counts_once_around_its_blocks() {
+        // The extract.block of 200..500 becomes a round holding a cache
+        // miss and a block; a pool thread's blocks stay off the master.
+        let mut spans = sample_spans();
+        spans[3].name = "extract.round".into();
+        spans[4].parent_span_id = spans[3].span_id;
+        let mut block = fs("extract.block", 360, 120, 2, &[]);
+        block.parent_span_id = spans[3].span_id;
+        spans.push(block);
+        spans.push(fs("extract.block", 380, 100, 4, &[]));
+        let a = analyze_spans(&spans).unwrap();
+        assert_eq!(a.extract_ns, 200, "300 round minus 100 nested load");
+        assert_eq!(a.gather_ns, 420);
         assert_eq!(a.attributed_ns(), 1_000);
     }
 

@@ -345,11 +345,6 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
         "dms_prefetch_waits_total",
         "Demand requests that waited on an in-flight prefetch",
     ),
-    // intra-worker extraction
-    (
-        "extract_threads_total",
-        "Threads entering intra-worker parallel extraction sections",
-    ),
     // fault injection
     ("fault_corrupt_total", "Frames corrupted by the fault plan"),
     ("fault_delay_total", "Frames delayed by the fault plan"),

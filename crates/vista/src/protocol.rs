@@ -247,12 +247,6 @@ pub struct JobReport {
     pub cells_skipped: u64,
     /// Finest-level bricks skipped whole.
     pub bricks_skipped: u64,
-    /// Modeled seconds spent inside intra-worker parallel extraction
-    /// sections, summed across the group (0 on fully serial runs).
-    pub extract_par_s: f64,
-    /// Maximum per-worker extraction thread count of the group (0 = no
-    /// extraction section ran, 1 = all workers ran serially).
-    pub extract_threads: u32,
     /// Command retransmissions the scheduler issued for this job.
     pub retries: u64,
     /// Set when the job was requeued onto a smaller work group after
@@ -280,8 +274,6 @@ impl JobReport {
             ("polylines", self.polylines.into()),
             ("cells_skipped", self.cells_skipped.into()),
             ("bricks_skipped", self.bricks_skipped.into()),
-            ("extract_par_s", self.extract_par_s.into()),
-            ("extract_threads", self.extract_threads.into()),
             ("retries", self.retries.into()),
             ("degraded", self.degraded.into()),
         ])
@@ -305,8 +297,6 @@ impl JobReport {
             polylines: j.req("polylines", json::u64)?,
             cells_skipped: j.req("cells_skipped", json::u64)?,
             bricks_skipped: j.req("bricks_skipped", json::u64)?,
-            extract_par_s: j.req("extract_par_s", json::f64)?,
-            extract_threads: j.req("extract_threads", json::u32)?,
             retries: j.req("retries", json::u64)?,
             degraded: j.req("degraded", json::bool)?,
         })
@@ -766,8 +756,6 @@ mod tests {
             polylines: 0,
             cells_skipped: 1000,
             bricks_skipped: 12,
-            extract_par_s: 0.0625,
-            extract_threads: 4,
             retries: 2,
             degraded: true,
         };
@@ -848,7 +836,7 @@ mod tests {
         assert_eq!(back, value);
     }
 
-    const REPORT_TEXT: &str = r#"{"total_runtime_s":12.5,"read_s":3.0,"compute_s":9.0,"send_s":0.5,"queue_wait_s":0.75,"requeue_wait_s":0.0,"merge_s":0.125,"demand_requests":9,"cache_hits":6,"cache_misses":3,"prefetch_issued":4,"prefetch_hits":2,"triangles":1234,"polylines":0,"cells_skipped":1000,"bricks_skipped":12,"extract_par_s":0.0625,"extract_threads":4,"retries":2,"degraded":true}"#;
+    const REPORT_TEXT: &str = r#"{"total_runtime_s":12.5,"read_s":3.0,"compute_s":9.0,"send_s":0.5,"queue_wait_s":0.75,"requeue_wait_s":0.0,"merge_s":0.125,"demand_requests":9,"cache_hits":6,"cache_misses":3,"prefetch_issued":4,"prefetch_hits":2,"triangles":1234,"polylines":0,"cells_skipped":1000,"bricks_skipped":12,"retries":2,"degraded":true}"#;
 
     fn fixture_report() -> JobReport {
         JobReport {
@@ -868,8 +856,6 @@ mod tests {
             polylines: 0,
             cells_skipped: 1000,
             bricks_skipped: 12,
-            extract_par_s: 0.0625,
-            extract_threads: 4,
             retries: 2,
             degraded: true,
         }
