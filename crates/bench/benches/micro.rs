@@ -40,6 +40,7 @@ use vira_grid::locator::BlockLocator;
 use vira_grid::math::Vec3;
 use vira_grid::synth::{engine, propfan, test_cube};
 use vira_grid::topology::topology_of;
+use vira_obs::json::Json;
 use vira_storage::costmodel::{Meter, SimClock};
 use vira_storage::source::SynthSource;
 
@@ -104,16 +105,10 @@ impl Harness {
     }
 
     fn emit(&self) {
-        println!("[");
-        for (idx, (name, ns)) in self.results.iter().enumerate() {
-            let comma = if idx + 1 == self.results.len() {
-                ""
-            } else {
-                ","
-            };
-            println!("  {{\"name\": \"{name}\", \"measured_ns\": {ns}}}{comma}");
-        }
-        println!("]");
+        let readings = self.results.iter().map(|(name, ns)| {
+            Json::obj([("name", name.as_str().into()), ("measured_ns", (*ns).into())])
+        });
+        println!("{}", Json::Arr(readings.collect()).pretty());
     }
 }
 

@@ -36,6 +36,7 @@ use vira_comm::transport::{tags, Transport};
 use vira_extract::stats::suggest_iso_level;
 use vira_grid::block::BlockStepId;
 use vira_grid::synth::{self, SyntheticDataset};
+use vira_obs::json::Json;
 use vira_storage::source::CachedSynthSource;
 use vira_vista::{CommandParams, SubmitSpec, VistaClient};
 use viracocha::loadgen::{self, Arrival, LoadOutcome, LoadPlan};
@@ -473,48 +474,44 @@ fn render_load_summary(plan: &LoadPlan, admission: &AdmissionConfig, out: &LoadO
     o
 }
 
-/// Machine-readable `vira load --json` summary (hand-rolled: every
-/// value is a number or bool, nothing needs escaping).
-fn render_load_json(plan: &LoadPlan, admission: &AdmissionConfig, out: &LoadOutcome) -> String {
-    let (jn, jp50, jp99, jp999) = tail_ubs(&out.job_latency_ns);
-    let (tn, tp50, tp99, tp999) = tail_ubs(&out.ttfg_ns);
-    let arrival = match plan.arrival {
-        Arrival::OpenLoop { rate_hz } => format!("\"arrival\":\"open\",\"rate_hz\":{rate_hz}"),
-        Arrival::ClosedLoop { think_ms } => {
-            format!("\"arrival\":\"closed\",\"think_ms\":{think_ms}")
-        }
+/// Machine-readable `vira load --json` summary.
+fn render_load_json(plan: &LoadPlan, admission: &AdmissionConfig, out: &LoadOutcome) -> Json {
+    let tails = |samples: &[u64]| {
+        let (n, p50, p99, p999) = tail_ubs(samples);
+        Json::obj([
+            ("count", n.into()),
+            ("p50_ub", p50.into()),
+            ("p99_ub", p99.into()),
+            ("p999_ub", p999.into()),
+        ])
     };
-    format!(
-        concat!(
-            "{{\"sessions\":{},{},\"seed\":{},\"admission\":{},",
-            "\"offered\":{},\"admitted\":{},\"shed\":{},\"refused\":{},",
-            "\"completed\":{},\"failed\":{},\"resubmitted\":{},",
-            "\"wall_ns\":{},\"balanced\":{},",
-            "\"job_latency\":{{\"count\":{},\"p50_ub\":{},\"p99_ub\":{},\"p999_ub\":{}}},",
-            "\"ttfg\":{{\"count\":{},\"p50_ub\":{},\"p99_ub\":{},\"p999_ub\":{}}}}}"
-        ),
-        plan.sessions,
-        arrival,
-        plan.seed,
-        admission.enabled,
-        out.offered,
-        out.admitted(),
-        out.shed,
-        out.refused,
-        out.completed,
-        out.failed,
-        out.resubmitted,
-        out.wall_ns,
-        out.balanced(),
-        jn,
-        jp50,
-        jp99,
-        jp999,
-        tn,
-        tp50,
-        tp99,
-        tp999
-    )
+    let (arrival, pace) = match plan.arrival {
+        Arrival::OpenLoop { rate_hz } => ("open", ("rate_hz", rate_hz.into())),
+        Arrival::ClosedLoop { think_ms } => ("closed", ("think_ms", think_ms.into())),
+    };
+    Json::obj([
+        ("sessions", plan.sessions.into()),
+        ("arrival", arrival.into()),
+        pace,
+        ("seed", plan.seed.into()),
+        ("admission", admission.enabled.into()),
+        ("offered", out.offered.into()),
+        ("admitted", out.admitted().into()),
+        ("shed", out.shed.into()),
+        ("refused", out.refused.into()),
+        ("completed", out.completed.into()),
+        ("failed", out.failed.into()),
+        ("resubmitted", out.resubmitted.into()),
+        ("wall_ns", out.wall_ns.into()),
+        ("balanced", out.balanced().into()),
+        ("job_latency", tails(&out.job_latency_ns)),
+        ("ttfg", tails(&out.ttfg_ns)),
+    ])
+}
+
+/// `--rate`: open-loop arrivals per second, finite and above zero.
+fn parse_rate(text: &str) -> Option<f64> {
+    text.parse().ok().filter(|r: &f64| r.is_finite() && *r > 0.0)
 }
 
 /// `vira load`: the load plane on the in-process transport —
@@ -545,7 +542,16 @@ fn cmd_load(args: Args) {
         .unwrap_or("open")
     {
         "open" => Arrival::OpenLoop {
-            rate_hz: flag_parse(&args, "rate", "jobs per second").unwrap_or(200.0),
+            rate_hz: args.flags.get("rate").map_or(200.0, |v| {
+                parse_rate(v).unwrap_or_else(|| {
+                    vira_obs::error(
+                        "vira",
+                        &format!("--rate expects jobs per second above zero, got '{v}'"),
+                        &[],
+                    );
+                    usage();
+                })
+            }),
         },
         "closed" => Arrival::ClosedLoop {
             think_ms: flag_parse(&args, "think-ms", "milliseconds").unwrap_or(10),
@@ -1201,7 +1207,7 @@ fn replay_flight(
     ttfg_ns: &[u64],
     admission: [u64; 3],
     (job_slo_ns, ttfg_slo_ns): (u64, u64),
-) -> (Vec<vira_obs::SloStatus>, String) {
+) -> (Vec<vira_obs::SloStatus>, Json) {
     let now = vira_obs::now_ns();
     let mut delta = vira_obs::MetricsDelta {
         rank: 0,
@@ -1236,17 +1242,8 @@ fn replay_flight(
     db.ingest(&delta, now);
     let mut engine = vira_obs::SloEngine::new(vira_obs::default_specs(job_slo_ns, ttfg_slo_ns));
     let statuses = engine.evaluate(&db, now);
-    let text = vira_obs::render_telemetry_json(&db, &statuses, &[], now, true);
-    (statuses, text)
-}
-
-/// Prints a rendered snapshot as the `vira top` table.
-fn print_snapshot(text: &str) {
-    let snap = vira_obs::json::parse(text).unwrap_or_else(|e| {
-        vira_obs::error("vira", &format!("internal render error: {e}"), &[]);
-        std::process::exit(1);
-    });
-    print!("{}", render_top(&snap));
+    let snap = vira_obs::render_telemetry_json(&db, &statuses, &[], now, true);
+    (statuses, snap)
 }
 
 /// `vira slo-report <dir>`: replay a recording's flight spans through
@@ -1269,9 +1266,9 @@ fn cmd_slo_report(args: Args) {
         );
         std::process::exit(1);
     }
-    let (statuses, text) = replay_flight(&job_ns, &ttfg_ns, [0; 3], slo);
+    let (statuses, snap) = replay_flight(&job_ns, &ttfg_ns, [0; 3], slo);
     if json {
-        println!("{text}");
+        println!("{snap}");
         return;
     }
     println!(
@@ -1279,7 +1276,7 @@ fn cmd_slo_report(args: Args) {
         job_ns.len(),
         ttfg_ns.len()
     );
-    print_snapshot(&text);
+    print!("{}", render_top(&snap));
     if statuses.iter().any(|s| s.firing) {
         std::process::exit(1);
     }
@@ -1334,11 +1331,9 @@ fn cmd_load_report(args: Args) {
     };
     let json = args.flags.contains_key("json");
     let slo = slo_thresholds(&args);
-    let live_path = std::path::Path::new(&dir).join("telemetry.json");
-    let live_text = std::fs::read_to_string(&live_path).ok();
-    let live = live_text
-        .as_deref()
-        .and_then(|t| vira_obs::json::parse(t).ok());
+    let live = std::fs::read_to_string(std::path::Path::new(&dir).join("telemetry.json"))
+        .ok()
+        .and_then(|t| vira_obs::json::parse(&t).ok());
     let live_counter = |name: &str| -> u64 {
         live.as_ref()
             .and_then(|s| s.get("cluster"))
@@ -1358,14 +1353,10 @@ fn cmd_load_report(args: Args) {
             "{dir}: no telemetry.json and no flight-<trace>.jsonl recordings (run vira load with --trace-out)"
         ));
     }
-    let (statuses, replay_text) = replay_flight(&job_ns, &ttfg_ns, [admitted, shed, quota], slo);
+    let (statuses, replay) = replay_flight(&job_ns, &ttfg_ns, [admitted, shed, quota], slo);
 
     if json {
-        let live_json = live_text
-            .as_deref()
-            .map(|t| t.trim_end().to_string())
-            .unwrap_or_else(|| "null".to_string());
-        println!("{{\"live\":{live_json},\"replay\":{replay_text}}}");
+        println!("{}", Json::obj([("live", live.into()), ("replay", replay)]));
         return;
     }
 
@@ -1404,7 +1395,7 @@ fn cmd_load_report(args: Args) {
         ),
         None => println!("burning    : no SLO consuming error budget"),
     }
-    print_snapshot(&replay_text);
+    print!("{}", render_top(&replay));
 }
 
 /// Rewrites a bare leading positional into `--dir` and gives listed
@@ -1569,7 +1560,7 @@ mod tests {
             text.contains("balance    : offered == completed + failed + shed + refused: ok"),
             "{text}"
         );
-        let j = render_load_json(&plan, &admission, &out);
+        let j = render_load_json(&plan, &admission, &out).to_string();
         let parsed = vira_obs::json::parse(&j).expect("load json parses");
         assert_eq!(parsed.get("offered").and_then(|v| v.as_u64()), Some(400));
         assert_eq!(parsed.get("shed").and_then(|v| v.as_u64()), Some(20));
@@ -1611,7 +1602,7 @@ mod tests {
         assert!((lat.fast_burn - 100.0).abs() < 1e-6, "{lat:?}");
         assert!((lat.slow_burn - 100.0).abs() < 1e-6, "{lat:?}");
         // The rendered snapshot is what `slo-report --json` prints.
-        let snap = vira_obs::json::parse(&text).expect("replay renders valid json");
+        let snap = vira_obs::json::parse(&text.to_string()).expect("replay renders valid json");
         let row = snap
             .get("slo")
             .and_then(|t| t.as_arr())
@@ -1620,6 +1611,15 @@ mod tests {
             .find(|r| r.get("name").and_then(|v| v.as_str()) == Some("job_latency_p99"))
             .expect("job_latency_p99 in the snapshot");
         assert_eq!(row.get("firing").and_then(|v| v.as_bool()), Some(true));
+    }
+
+    #[test]
+    fn rate_must_be_finite_and_positive() {
+        assert_eq!(parse_rate("2000"), Some(2000.0));
+        assert_eq!(parse_rate("0.5"), Some(0.5));
+        for bad in ["0", "-0", "-3", "nan", "NaN", "inf", "-inf", "1e400", "fast", ""] {
+            assert_eq!(parse_rate(bad), None, "--rate {bad:?} must be refused");
+        }
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl<'a> JobCtx<'a> {
             .expect("executing rank must be a group member")
     }
 
-    /// True for the group's master worker.
-    pub fn is_master(&self) -> bool {
-        self.group.root() == self.rank
-    }
-
     /// Loads an item through the DMS (caches + prefetching + adaptive
     /// loading strategies).
     pub fn load_block(&self, id: BlockStepId) -> Result<SharedBlockData, CommandError> {

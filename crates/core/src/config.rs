@@ -149,14 +149,11 @@ impl Default for AdmissionConfig {
 /// scheduler's in-memory time-series store, SLO burn-rate evaluation
 /// and the periodic `telemetry.json` snapshot that `vira top` reads.
 ///
-/// Telemetry is on by default but writes nothing unless `out_dir` is
-/// set (the `vira run --trace-out` directory); the delta harvest and
-/// SLO engine still run so alerts land in the event log either way.
+/// Telemetry always runs but writes nothing unless `out_dir` is set
+/// (the `vira run --trace-out` directory); the delta harvest and SLO
+/// engine run either way, so alerts land in the event log.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Master switch; off restores the pre-telemetry scheduler loop
-    /// (no heartbeats, no tsdb, no snapshots).
-    pub enabled: bool,
     /// How often the scheduler fans out a telemetry heartbeat PING
     /// (each pong carries that rank's pending metric delta home).
     pub heartbeat_interval: Duration,
@@ -175,7 +172,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            enabled: true,
             heartbeat_interval: Duration::from_millis(250),
             write_interval: Duration::from_millis(1000),
             out_dir: None,
@@ -389,7 +385,6 @@ mod tests {
     #[test]
     fn telemetry_defaults_are_quiet_but_enabled() {
         let t = TelemetryConfig::default();
-        assert!(t.enabled);
         assert!(t.out_dir.is_none(), "no snapshot files unless a dir is set");
         assert!(t.heartbeat_interval <= t.write_interval);
         assert!(t.job_latency_slo_ns > 0 && t.ttfg_slo_ns > 0);

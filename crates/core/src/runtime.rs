@@ -13,7 +13,7 @@ use vira_comm::endpoint::Endpoint;
 use vira_comm::fault::{FaultPlan, FaultStats, FaultyTransport};
 use vira_comm::link::{client_server_link, ClientSide, EventSender};
 use vira_comm::transport::{LocalWorld, Transport};
-use vira_dms::server::{DataServer, SharedCache};
+use vira_dms::server::DataServer;
 use vira_storage::costmodel::{SharedChannel, SimClock};
 use vira_storage::source::DataSource;
 
@@ -241,13 +241,6 @@ impl Viracocha {
     /// from hard disk" strategy).
     pub fn register_dataset(&self, source: Arc<dyn DataSource>, replicated: bool) {
         self.server.register_dataset(source, replicated);
-    }
-
-    /// Per-node caches of all proxies — exposed for experiments that
-    /// need cold-cache runs.
-    pub fn peer_cache_of(&self, node: usize) -> Option<SharedCache> {
-        // The server holds the registered cache handles.
-        self.server.peer_cache_handle(node)
     }
 
     /// Waits for the back-end to exit (after the client sent `Shutdown`

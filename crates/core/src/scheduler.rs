@@ -202,57 +202,22 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                             trace_id,
                             parent_span_id,
                         }) => {
-                            if shutting_down {
-                                obs::counter_cached(&JOBS_REJECTED, "sched_jobs_rejected_total")
-                                    .inc();
-                                let _ = link.emit(encode_event(
-                                    &EventHeader::JobRejected {
-                                        job,
-                                        reason: "back-end is shutting down".into(),
-                                        retry_after_ms: None,
-                                        queue_depth: None,
-                                    },
-                                    Bytes::new(),
-                                ));
-                                continue;
-                            }
-                            if registry.get(&command).is_none() {
-                                obs::counter_cached(&JOBS_REJECTED, "sched_jobs_rejected_total")
-                                    .inc();
-                                let _ = link.emit(encode_event(
-                                    &EventHeader::JobRejected {
-                                        job,
-                                        reason: format!("unknown command '{command}'"),
-                                        retry_after_ms: None,
-                                        queue_depth: None,
-                                    },
-                                    Bytes::new(),
-                                ));
-                                continue;
-                            }
-                            if server.dataset_spec(&dataset).is_none() {
-                                obs::counter_cached(&JOBS_REJECTED, "sched_jobs_rejected_total")
-                                    .inc();
-                                let _ = link.emit(encode_event(
-                                    &EventHeader::JobRejected {
-                                        job,
-                                        reason: format!("dataset '{dataset}' not registered"),
-                                        retry_after_ms: None,
-                                        queue_depth: None,
-                                    },
-                                    Bytes::new(),
-                                ));
-                                continue;
-                            }
-                            // Admission control: shed instead of growing
-                            // the queue without bound. Sheds are *not*
-                            // validation rejects — they carry the retry
-                            // hint and count against sched_shed_total so
-                            // offered = admitted + shed (+ rejected).
-                            if let Some(verdict) =
+                            // Refusals. Validation rejects count against
+                            // sched_jobs_rejected_total and carry no retry
+                            // hint. Admission sheds (shed instead of growing
+                            // the queue without bound) carry the hint and
+                            // the queue depth, and count against
+                            // sched_shed_total so offered = admitted + shed
+                            // (+ rejected).
+                            let refusal = if shutting_down {
+                                Some(("back-end is shutting down".to_owned(), None))
+                            } else if registry.get(&command).is_none() {
+                                Some((format!("unknown command '{command}'"), None))
+                            } else if server.dataset_spec(&dataset).is_none() {
+                                Some((format!("dataset '{dataset}' not registered"), None))
+                            } else if let Some(verdict) =
                                 admission_verdict(&admission, &queue, &running, session)
                             {
-                                let depth = queue.len();
                                 obs::counter_cached(&SHED, "sched_shed_total").inc();
                                 let reason = match verdict {
                                     AdmissionReject::QueueFull => {
@@ -267,12 +232,22 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                                         format!("busy: session {session} is over its quota")
                                     }
                                 };
+                                Some((reason, Some(queue.len())))
+                            } else {
+                                None
+                            };
+                            if let Some((reason, shed_depth)) = refusal {
+                                if shed_depth.is_none() {
+                                    obs::counter_cached(&JOBS_REJECTED, "sched_jobs_rejected_total")
+                                        .inc();
+                                }
                                 let _ = link.emit(encode_event(
                                     &EventHeader::JobRejected {
                                         job,
                                         reason,
-                                        retry_after_ms: Some(busy_retry_hint(&admission, depth)),
-                                        queue_depth: Some(depth as u64),
+                                        retry_after_ms: shed_depth
+                                            .map(|depth| busy_retry_hint(&admission, depth)),
+                                        queue_depth: shed_depth.map(|depth| depth as u64),
                                     },
                                     Bytes::new(),
                                 ));
@@ -762,58 +737,54 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
         // 4b. Telemetry plane: heartbeat pings fan the delta harvest
         // out to every live rank, and the periodic snapshot write keeps
         // `telemetry.json` fresh for `vira top` while evaluating SLOs.
-        if telemetry.enabled {
-            if last_heartbeat.elapsed() >= telemetry.heartbeat_interval {
-                last_heartbeat = Instant::now();
-                // Shares the probe's nonce counter so a heartbeat nonce
-                // can never alias an in-flight probe nonce.
-                probe_nonce += 1;
-                let ping = wire::encode_ping(&wire::Ping {
-                    nonce: probe_nonce,
-                    want_delta: true,
-                });
-                let mut sent = 0u64;
-                for r in 1..=n_workers {
-                    if !dead.contains(&r) {
-                        let _ = endpoint.send(r, tags::PING, ping.clone());
-                        sent += 1;
-                    }
+        if last_heartbeat.elapsed() >= telemetry.heartbeat_interval {
+            last_heartbeat = Instant::now();
+            // Shares the probe's nonce counter so a heartbeat nonce
+            // can never alias an in-flight probe nonce.
+            probe_nonce += 1;
+            let ping = wire::encode_ping(&wire::Ping {
+                nonce: probe_nonce,
+                want_delta: true,
+            });
+            let mut sent = 0u64;
+            for r in 1..=n_workers {
+                if !dead.contains(&r) {
+                    let _ = endpoint.send(r, tags::PING, ping.clone());
+                    sent += 1;
                 }
-                obs::counter_cached(&HEARTBEATS, "obs_heartbeats_total").add(sent);
             }
-            if last_write.elapsed() >= telemetry.write_interval {
-                last_write = Instant::now();
-                telemetry_tick(
-                    &telemetry,
-                    &mut tsdb,
-                    &mut slo_engine,
-                    queue.len(),
-                    running.len(),
-                    n_workers,
-                    &dead,
-                    &residency,
-                    false,
-                );
-            }
+            obs::counter_cached(&HEARTBEATS, "obs_heartbeats_total").add(sent);
+        }
+        if last_write.elapsed() >= telemetry.write_interval {
+            last_write = Instant::now();
+            telemetry_tick(
+                &telemetry,
+                &mut tsdb,
+                &mut slo_engine,
+                queue.len(),
+                running.len(),
+                n_workers,
+                &dead,
+                &residency,
+                false,
+            );
         }
 
         // 5. Exit once shut down and drained.
         if shutting_down && running.is_empty() {
-            if telemetry.enabled {
-                // One last snapshot, marked final so `vira top` in
-                // follow mode knows the run is over.
-                telemetry_tick(
-                    &telemetry,
-                    &mut tsdb,
-                    &mut slo_engine,
-                    queue.len(),
-                    running.len(),
-                    n_workers,
-                    &dead,
-                    &residency,
-                    true,
-                );
-            }
+            // One last snapshot, marked final so `vira top` in follow
+            // mode knows the run is over.
+            telemetry_tick(
+                &telemetry,
+                &mut tsdb,
+                &mut slo_engine,
+                queue.len(),
+                running.len(),
+                n_workers,
+                &dead,
+                &residency,
+                true,
+            );
             for r in 1..=n_workers {
                 let _ = endpoint.send(r, tags::SHUTDOWN, Bytes::new());
             }
@@ -911,7 +882,7 @@ fn telemetry_tick(
             clock_offset_ns: offsets.get(&(r as u64)).copied().unwrap_or(0),
         })
         .collect();
-    let text = obs::render_telemetry_json(tsdb, &statuses, &ranks, now, final_snapshot);
+    let text = obs::render_telemetry_json(tsdb, &statuses, &ranks, now, final_snapshot).to_string();
     let _ = std::fs::create_dir_all(dir);
     // Write-then-rename so `vira top` never reads a torn snapshot.
     let tmp = dir.join("telemetry.json.tmp");

@@ -212,22 +212,6 @@ impl DataServer {
         self.datasets.read().unwrap().get(dataset).map(|e| e.order.clone())
     }
 
-    /// Replaces the prefetch order (e.g. with a topology BFS order).
-    pub fn set_sequence_order(&self, dataset: &str, order: SequenceOrder) {
-        let mut g = self.datasets.write().unwrap();
-        if let Some(e) = g.get(dataset) {
-            let new = DatasetEntry {
-                spec: e.spec.clone(),
-                fileserver: e.fileserver.clone(),
-                replica: e.replica.clone(),
-                order: Arc::new(order),
-                bboxes: e.bboxes.clone(),
-                topology: e.topology.clone(),
-            };
-            g.insert(dataset.to_string(), Arc::new(new));
-        }
-    }
-
     /// Static per-block bounding boxes of a registered dataset, if known.
     pub fn block_bboxes(&self, dataset: &str) -> Option<Arc<Vec<vira_grid::math::Aabb>>> {
         self.datasets.read().unwrap().get(dataset)?.bboxes.clone()
@@ -257,11 +241,6 @@ impl DataServer {
             .get(dataset)
             .cloned()
             .ok_or_else(|| StorageError::Unavailable(format!("dataset {dataset} not registered")))
-    }
-
-    /// The registered cache handle of a node, if any.
-    pub fn peer_cache_handle(&self, node: NodeId) -> Option<SharedCache> {
-        self.peer_caches.read().unwrap().get(&node).cloned()
     }
 
     /// A proxy announces itself for cooperative caching.

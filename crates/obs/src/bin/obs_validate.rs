@@ -34,70 +34,14 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use vira_obs::export::{
-    unregistered_metric_names, validate_chrome_trace, validate_chrome_trace_flows,
-    validate_events_jsonl, validate_prometheus_text,
+    scan_metrics_json, unregistered_metric_names, validate_chrome_trace,
+    validate_chrome_trace_flows, validate_events_jsonl, validate_prometheus_text,
 };
 use vira_obs::flight::validate_flight_jsonl;
-use vira_obs::json::{self, Json};
+use vira_obs::json;
 use vira_obs::metrics::METRIC_REGISTRY;
+use vira_obs::slo::validate_telemetry_json;
 use vira_obs::{analyze_dir, render_table};
-
-/// Family names found in one parsed `metrics.json`, plus the exported
-/// span-drop count.
-fn scan_metrics_json(j: &Json) -> Result<(BTreeSet<String>, u64), String> {
-    let mut seen = BTreeSet::new();
-    for section in ["counters", "gauges", "histograms"] {
-        let obj = j
-            .get(section)
-            .and_then(|v| v.as_obj())
-            .ok_or_else(|| format!("missing '{section}' object"))?;
-        for (name, _) in obj {
-            seen.insert(name.clone());
-        }
-    }
-    let drops = j
-        .get("counters")
-        .and_then(|c| c.get("obs_spans_dropped_total"))
-        .and_then(|v| v.as_u64())
-        .unwrap_or(0);
-    Ok((seen, drops))
-}
-
-/// Structural check of a `telemetry.json` snapshot (as written by the
-/// scheduler and read back by `vira top`).
-fn validate_telemetry_json(text: &str) -> Result<(usize, usize), String> {
-    let j = json::parse(text)?;
-    if j.get("v").and_then(|v| v.as_u64()) != Some(1) {
-        return Err("telemetry.json: missing or unknown version 'v'".into());
-    }
-    let cluster = j.get("cluster").ok_or("telemetry.json: missing 'cluster'")?;
-    for section in ["counters", "gauges", "quantiles"] {
-        if cluster.get(section).and_then(|v| v.as_obj()).is_none() {
-            return Err(format!("telemetry.json: missing cluster.{section}"));
-        }
-    }
-    let ranks = j
-        .get("ranks")
-        .and_then(|v| v.as_arr())
-        .ok_or("telemetry.json: missing 'ranks' array")?;
-    for r in ranks {
-        if r.get("rank").and_then(|v| v.as_u64()).is_none() {
-            return Err("telemetry.json: rank row without 'rank'".into());
-        }
-    }
-    let slo = j
-        .get("slo")
-        .and_then(|v| v.as_arr())
-        .ok_or("telemetry.json: missing 'slo' array")?;
-    for s in slo {
-        for key in ["name", "fast_burn", "slow_burn", "firing"] {
-            if s.get(key).is_none() {
-                return Err(format!("telemetry.json: slo row without '{key}'"));
-            }
-        }
-    }
-    Ok((ranks.len(), slo.len()))
-}
 
 struct CheckOptions {
     fail_on_drops: bool,

@@ -86,6 +86,18 @@ impl From<bool> for Field {
     }
 }
 
+impl From<&Field> for crate::json::Json {
+    fn from(f: &Field) -> Self {
+        match f {
+            Field::U64(v) => (*v).into(),
+            Field::I64(v) => (*v).into(),
+            Field::F64(v) => (*v).into(),
+            Field::Str(v) => v.as_str().into(),
+            Field::Bool(v) => (*v).into(),
+        }
+    }
+}
+
 impl std::fmt::Display for Field {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -3,31 +3,18 @@
 //! self-checks used by the integration test and the `obs-validate` CI
 //! binary.
 
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::event::{drain_events, EventRecord, Field};
-use crate::json::{self, write_f64, write_str, Json};
+use crate::event::{drain_events, EventRecord};
+use crate::json::{self, Json};
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-use crate::trace::{ArgValue, TraceDump};
+use crate::trace::TraceDump;
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event JSON
 // ---------------------------------------------------------------------------
-
-fn write_arg_value(out: &mut String, v: ArgValue) {
-    match v {
-        ArgValue::U64(n) => {
-            out.push_str(&n.to_string());
-        }
-        ArgValue::I64(n) => {
-            out.push_str(&n.to_string());
-        }
-        ArgValue::F64(n) => write_f64(out, n),
-        ArgValue::Str(s) => write_str(out, s),
-        ArgValue::None => out.push_str("null"),
-    }
-}
 
 /// Renders a [`TraceDump`] in the Chrome trace-event JSON object format:
 /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`. Spans become
@@ -42,148 +29,92 @@ fn write_arg_value(out: &mut String, v: ArgValue) {
 /// `id`) so one job renders as a connected arc across scheduler and
 /// worker tracks in `chrome://tracing`/Perfetto.
 pub fn chrome_trace_json(dump: &TraceDump) -> String {
-    let mut out = String::with_capacity(256 + dump.span_count() * 128);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let push_sep = |out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('\n');
-    };
-    for t in &dump.threads {
-        push_sep(&mut out, &mut first);
-        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
-        out.push_str(&t.tid.to_string());
-        out.push_str(",\"args\":{\"name\":");
-        write_str(&mut out, &t.name);
-        out.push_str("}}");
-    }
-    for t in &dump.threads {
-        for s in &t.spans {
-            push_sep(&mut out, &mut first);
-            out.push_str("{\"name\":");
-            write_str(&mut out, s.name);
-            out.push_str(",\"cat\":");
-            write_str(&mut out, if s.cat.is_empty() { "span" } else { s.cat });
-            out.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
-            out.push_str(&t.tid.to_string());
-            out.push_str(",\"ts\":");
-            write_f64(&mut out, s.start_ns as f64 / 1000.0);
-            out.push_str(",\"dur\":");
-            write_f64(&mut out, s.dur_ns as f64 / 1000.0);
-            out.push_str(",\"args\":{");
-            let mut afirst = true;
-            let mut push_arg = |out: &mut String, k: &str, v: ArgValue| {
-                if !afirst {
-                    out.push(',');
-                }
-                afirst = false;
-                write_str(out, k);
-                out.push(':');
-                write_arg_value(out, v);
-            };
-            if s.span_id != 0 {
-                push_arg(&mut out, "trace_id", ArgValue::U64(s.trace_id));
-                push_arg(&mut out, "span_id", ArgValue::U64(s.span_id));
-                push_arg(&mut out, "parent_span_id", ArgValue::U64(s.parent_span_id));
-            }
-            for (k, v) in s.args() {
-                push_arg(&mut out, k, v);
-            }
-            out.push_str("}}");
-        }
-    }
+    let us = |ns: u64| Json::from(ns as f64 / 1000.0);
+    let names = dump.threads.iter().map(|t| {
+        Json::obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", t.tid.into()),
+            ("args", Json::obj([("name", t.name.as_str().into())])),
+        ])
+    });
+    let spans = || (dump.threads.iter()).flat_map(|t| t.spans.iter().map(move |s| (t.tid, s)));
+    let slices = spans().map(|(tid, s)| {
+        let ids = [
+            ("trace_id", s.trace_id),
+            ("span_id", s.span_id),
+            ("parent_span_id", s.parent_span_id),
+        ];
+        let ids = ids.into_iter().filter(|_| s.span_id != 0);
+        let args = ids.map(|(k, v)| (k, Json::from(v)));
+        let args = args.chain(s.args().map(|(k, v)| (k, v.into())));
+        Json::obj([
+            ("name", s.name.into()),
+            ("cat", if s.cat.is_empty() { "span" } else { s.cat }.into()),
+            ("ph", "X".into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            ("ts", us(s.start_ns)),
+            ("dur", us(s.dur_ns)),
+            ("args", Json::map(args)),
+        ])
+    });
     // Flow events: one s/f pair per parent→child edge that crosses
     // threads, so causal hops (dispatch → worker.job, worker → merge
     // gather) draw as arrows. Same-thread edges are already visible as
     // slice nesting and are skipped.
-    let mut by_id: std::collections::HashMap<u64, (u64, u64, u64)> = std::collections::HashMap::new();
-    for t in &dump.threads {
-        for s in &t.spans {
-            if s.span_id != 0 {
-                by_id.insert(s.span_id, (t.tid, s.start_ns, s.dur_ns));
-            }
+    let by_id: std::collections::HashMap<u64, (u64, u64, u64)> = spans()
+        .filter(|(_, s)| s.span_id != 0)
+        .map(|(tid, s)| (s.span_id, (tid, s.start_ns, s.dur_ns)))
+        .collect();
+    let flows = spans().filter_map(|(tid, s)| {
+        let parent = by_id.get(&s.parent_span_id).filter(|_| s.span_id != 0);
+        let &(ptid, pstart, pdur) = parent?;
+        if ptid == tid {
+            return None;
         }
-    }
-    for t in &dump.threads {
-        for s in &t.spans {
-            if s.span_id == 0 || s.parent_span_id == 0 {
-                continue;
+        // The flow start must lie inside the parent slice for the
+        // viewer to attach it; clamp the child's start into it.
+        let ts = s.start_ns.clamp(pstart, pstart + pdur);
+        let flow = |ph: &str, tid: u64, ts: u64| {
+            let mut e: Vec<(&str, Json)> = vec![("name", "causal".into()), ("cat", "flow".into())];
+            e.push(("ph", ph.into()));
+            if ph == "f" {
+                e.push(("bp", "e".into()));
             }
-            let Some(&(ptid, pstart, pdur)) = by_id.get(&s.parent_span_id) else {
-                continue;
-            };
-            if ptid == t.tid {
-                continue;
-            }
-            // The flow start must lie inside the parent slice for the
-            // viewer to attach it; clamp the child's start into it.
-            let ts = s.start_ns.clamp(pstart, pstart + pdur);
-            push_sep(&mut out, &mut first);
-            out.push_str("{\"name\":\"causal\",\"cat\":\"flow\",\"ph\":\"s\",\"pid\":1,\"tid\":");
-            out.push_str(&ptid.to_string());
-            out.push_str(",\"ts\":");
-            write_f64(&mut out, ts as f64 / 1000.0);
-            out.push_str(",\"id\":");
-            out.push_str(&s.span_id.to_string());
-            out.push('}');
-            push_sep(&mut out, &mut first);
-            out.push_str("{\"name\":\"causal\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":");
-            out.push_str(&t.tid.to_string());
-            out.push_str(",\"ts\":");
-            write_f64(&mut out, s.start_ns as f64 / 1000.0);
-            out.push_str(",\"id\":");
-            out.push_str(&s.span_id.to_string());
-            out.push('}');
-        }
-    }
-    out.push_str("\n]}");
-    out
+            e.extend([("pid", 1u64.into()), ("tid", tid.into()), ("ts", us(ts))]);
+            e.push(("id", s.span_id.into()));
+            Json::map(e)
+        };
+        Some([flow("s", ptid, ts), flow("f", tid, s.start_ns)])
+    });
+    json::object_with_lines(
+        &[("displayTimeUnit", "ms".into())],
+        "traceEvents",
+        names.chain(slices).chain(flows.flatten()),
+    )
 }
 
 // ---------------------------------------------------------------------------
 // JSONL event log
 // ---------------------------------------------------------------------------
 
-fn write_field(out: &mut String, f: &Field) {
-    match f {
-        Field::U64(v) => out.push_str(&v.to_string()),
-        Field::I64(v) => out.push_str(&v.to_string()),
-        Field::F64(v) => write_f64(out, *v),
-        Field::Str(v) => write_str(out, v),
-        Field::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-    }
-}
-
 /// One JSON object per line:
-/// `{"ts_ns":..,"level":"info","target":"..","msg":"..","trace_id":..,"fields":{..}}`.
+/// `{"ts_ns":..,"trace_id":..,"level":"info","target":"..","msg":"..","fields":{..}}`.
 pub fn events_jsonl(events: &[EventRecord]) -> String {
     let mut out = String::with_capacity(events.len() * 128);
     for e in events {
-        out.push_str("{\"ts_ns\":");
-        out.push_str(&e.ts_ns.to_string());
-        out.push_str(",\"trace_id\":");
-        out.push_str(&e.trace_id.to_string());
-        out.push_str(",\"level\":");
-        write_str(&mut out, e.level.as_str());
-        out.push_str(",\"target\":");
-        write_str(&mut out, &e.target);
-        out.push_str(",\"msg\":");
-        write_str(&mut out, &e.message);
-        out.push_str(",\"fields\":{");
-        let mut first = true;
-        for (k, v) in &e.fields {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            write_str(&mut out, k);
-            out.push(':');
-            write_field(&mut out, v);
-        }
-        out.push_str("}}\n");
+        Json::obj([
+            ("ts_ns", e.ts_ns.into()),
+            ("trace_id", e.trace_id.into()),
+            ("level", e.level.as_str().into()),
+            ("target", e.target.as_str().into()),
+            ("msg", e.message.as_str().into()),
+            ("fields", Json::map(e.fields.iter().map(|(k, v)| (k, Json::from(v))))),
+        ])
+        .append(&mut out);
+        out.push('\n');
     }
     out
 }
@@ -270,48 +201,21 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
 /// JSON rendering of a metrics snapshot (used by the bench harness to
 /// stash per-experiment metric deltas next to result tables).
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    let mut first = true;
-    for (name, v) in &snap.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        write_str(&mut out, name);
-        out.push(':');
-        out.push_str(&v.to_string());
-    }
-    out.push_str("},\"gauges\":{");
-    first = true;
-    for (name, v) in &snap.gauges {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        write_str(&mut out, name);
-        out.push(':');
-        out.push_str(&v.to_string());
-    }
-    out.push_str("},\"histograms\":{");
-    first = true;
-    for (name, h) in &snap.histograms {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        write_str(&mut out, name);
-        out.push_str(":{\"count\":");
-        out.push_str(&h.count.to_string());
-        out.push_str(",\"sum\":");
-        out.push_str(&h.sum.to_string());
-        out.push_str(",\"p50_ub\":");
-        out.push_str(&h.quantile_upper_bound(0.5).to_string());
-        out.push_str(",\"p99_ub\":");
-        out.push_str(&h.quantile_upper_bound(0.99).to_string());
-        out.push('}');
-    }
-    out.push_str("}}");
-    out
+    let histograms = snap.histograms.iter().map(|(name, h)| {
+        let row = Json::obj([
+            ("count", h.count.into()),
+            ("sum", h.sum.into()),
+            ("p50_ub", h.quantile_upper_bound(0.5).into()),
+            ("p99_ub", h.quantile_upper_bound(0.99).into()),
+        ]);
+        (name, row)
+    });
+    Json::obj([
+        ("counters", Json::map(snap.counters.iter().map(|(n, v)| (n, *v)))),
+        ("gauges", Json::map(snap.gauges.iter().map(|(n, v)| (n, *v)))),
+        ("histograms", Json::map(histograms)),
+    ])
+    .to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -354,6 +258,27 @@ pub fn validate_events_jsonl(text: &str) -> Result<usize, String> {
         n += 1;
     }
     Ok(n)
+}
+
+/// Family names found in one parsed `metrics.json`, plus the exported
+/// span-drop count.
+pub fn scan_metrics_json(j: &Json) -> Result<(BTreeSet<String>, u64), String> {
+    let mut seen = BTreeSet::new();
+    for section in ["counters", "gauges", "histograms"] {
+        let obj = j
+            .get(section)
+            .and_then(|v| v.as_obj())
+            .ok_or_else(|| format!("missing '{section}' object"))?;
+        for (name, _) in obj {
+            seen.insert(name.clone());
+        }
+    }
+    let drops = j
+        .get("counters")
+        .and_then(|c| c.get("obs_spans_dropped_total"))
+        .and_then(|v| v.as_u64())
+        .unwrap_or(0);
+    Ok((seen, drops))
 }
 
 /// Validates Chrome trace-event JSON: top level must be an object with
@@ -598,8 +523,8 @@ pub fn export_all(dir: &Path) -> io::Result<ExportSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Level;
-    use crate::trace::{SpanRecord, ThreadDump};
+    use crate::event::{Field, Level};
+    use crate::trace::{ArgValue, SpanRecord, ThreadDump};
 
     fn sample_dump() -> TraceDump {
         let mut rec = SpanRecord {

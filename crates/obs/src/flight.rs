@@ -18,8 +18,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 use crate::event::EventRecord;
-use crate::json::{self, write_f64, write_str, Json};
-use crate::trace::{ArgValue, TraceDump};
+use crate::json::{self, Json};
+use crate::trace::TraceDump;
 
 // ---------------------------------------------------------------------------
 // Clock-offset estimation
@@ -98,16 +98,6 @@ fn apply_offset(ts_ns: u64, offset_ns: i64) -> u64 {
 // Assembly
 // ---------------------------------------------------------------------------
 
-fn write_arg_value(out: &mut String, v: ArgValue) {
-    match v {
-        ArgValue::U64(n) => out.push_str(&n.to_string()),
-        ArgValue::I64(n) => out.push_str(&n.to_string()),
-        ArgValue::F64(n) => write_f64(out, n),
-        ArgValue::Str(s) => write_str(out, s),
-        ArgValue::None => out.push_str("null"),
-    }
-}
-
 /// Renders one trace's flight record: every span and event with that
 /// trace id across all threads, clock-aligned and sorted by start
 /// time. One JSON object per line; spans are
@@ -124,57 +114,35 @@ pub fn flight_jsonl(dump: &TraceDump, events: &[EventRecord], trace_id: u64) -> 
                 continue;
             }
             let ts = apply_offset(s.start_ns, off);
-            let mut line = String::with_capacity(160);
-            line.push_str("{\"kind\":\"span\",\"trace_id\":");
-            line.push_str(&trace_id.to_string());
-            line.push_str(",\"name\":");
-            write_str(&mut line, s.name);
-            line.push_str(",\"cat\":");
-            write_str(&mut line, s.cat);
-            line.push_str(",\"ts_ns\":");
-            line.push_str(&ts.to_string());
-            line.push_str(",\"dur_ns\":");
-            line.push_str(&s.dur_ns.to_string());
-            line.push_str(",\"span_id\":");
-            line.push_str(&s.span_id.to_string());
-            line.push_str(",\"parent_span_id\":");
-            line.push_str(&s.parent_span_id.to_string());
-            line.push_str(",\"tid\":");
-            line.push_str(&t.tid.to_string());
-            line.push_str(",\"thread\":");
-            write_str(&mut line, &t.name);
-            line.push_str(",\"args\":{");
-            let mut first = true;
-            for (k, v) in s.args() {
-                if !first {
-                    line.push(',');
-                }
-                first = false;
-                write_str(&mut line, k);
-                line.push(':');
-                write_arg_value(&mut line, v);
-            }
-            line.push_str("}}");
-            lines.push((ts, line));
+            let line = Json::obj([
+                ("kind", "span".into()),
+                ("trace_id", trace_id.into()),
+                ("name", s.name.into()),
+                ("cat", s.cat.into()),
+                ("ts_ns", ts.into()),
+                ("dur_ns", s.dur_ns.into()),
+                ("span_id", s.span_id.into()),
+                ("parent_span_id", s.parent_span_id.into()),
+                ("tid", t.tid.into()),
+                ("thread", t.name.as_str().into()),
+                ("args", Json::map(s.args().map(|(k, v)| (k, Json::from(v))))),
+            ]);
+            lines.push((ts, line.to_string()));
         }
     }
     for e in events {
         if e.trace_id != trace_id {
             continue;
         }
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"kind\":\"event\",\"trace_id\":");
-        line.push_str(&trace_id.to_string());
-        line.push_str(",\"level\":");
-        write_str(&mut line, e.level.as_str());
-        line.push_str(",\"target\":");
-        write_str(&mut line, &e.target);
-        line.push_str(",\"msg\":");
-        write_str(&mut line, &e.message);
-        line.push_str(",\"ts_ns\":");
-        line.push_str(&e.ts_ns.to_string());
-        line.push('}');
-        lines.push((e.ts_ns, line));
+        let line = Json::obj([
+            ("kind", "event".into()),
+            ("trace_id", trace_id.into()),
+            ("level", e.level.as_str().into()),
+            ("target", e.target.as_str().into()),
+            ("msg", e.message.as_str().into()),
+            ("ts_ns", e.ts_ns.into()),
+        ]);
+        lines.push((e.ts_ns, line.to_string()));
     }
     lines.sort_by_key(|l| l.0);
     let mut out = String::with_capacity(lines.iter().map(|(_, l)| l.len() + 1).sum());

@@ -1,25 +1,24 @@
-//! The repository's one JSON codec: escape/format helpers and a value
-//! writer, a small recursive-descent parser, and the field readers the
-//! per-type `to_json`/`from_json` functions of the other crates are
-//! written with. It serves the exporters and their schema self-checks
-//! (`validate_*` in [`crate::export`], the `obs-validate` CI binary) and
-//! — since the workspace has no external dependencies — every JSON
-//! header on the wire and every JSON file the tools read and write.
+//! The repository's one JSON codec: a value type with one writer, a
+//! small recursive-descent parser, and the field readers the per-type
+//! `to_json`/`from_json` functions of the other crates are written with.
+//! Every JSON document the repository writes is built as a [`Json`] and
+//! rendered here — the exporters (`trace.json`, `events.jsonl`,
+//! `metrics.json`, the flight files, `telemetry.json`), the CLI's
+//! `--json` reports, and — since the workspace has no external
+//! dependencies — every JSON header on the wire. Integers are written
+//! digit for digit; floats as Rust's shortest round-trip text (`{:?}`,
+//! so `3.0` stays `3.0`), non-finite ones as `null`.
 //!
-//! The parser therefore assumes a hostile peer: nesting is bounded
-//! ([`MAX_DEPTH`]), integer literals are kept exact (`u64`/`i64` apart
-//! from `f64`, so ids and digest words survive), and malformed input is
-//! an `Err`, never a panic. Objects preserve key order and allow
-//! duplicate keys (last one wins on lookup).
+//! Wire headers come from peers, so the parser assumes a hostile one:
+//! nesting is bounded ([`MAX_DEPTH`]), integer literals are kept exact
+//! (`u64`/`i64` apart from `f64`, so ids and digest words survive), and
+//! malformed input is an `Err`, never a panic. Objects preserve key
+//! order and allow duplicate keys (last one wins on lookup).
 
 use std::fmt::Write as _;
 
-// ---------------------------------------------------------------------------
-// Writing
-// ---------------------------------------------------------------------------
-
 /// Appends `s` to `out` as a JSON string literal (with quotes).
-pub fn write_str(out: &mut String, s: &str) {
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -35,20 +34,6 @@ pub fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Appends `v` as a JSON number; non-finite values become `null`
-/// (JSON has no NaN/Inf).
-pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            let _ = write!(out, "{}", v as i64);
-        } else {
-            let _ = write!(out, "{}", v);
-        }
-    } else {
-        out.push_str("null");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -74,6 +59,11 @@ impl Json {
     /// An object from `(key, value)` pairs, in the order given.
     pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// An object from dynamic `(key, value)` pairs, in iteration order.
+    pub fn map<K: Into<String>, V: Into<Json>>(pairs: impl IntoIterator<Item = (K, V)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect())
     }
 
     /// An array of whatever converts into a value.
@@ -206,6 +196,12 @@ impl Json {
         out
     }
 
+    /// Appends the compact form to `out`: how line-oriented writers
+    /// render one record at a time without holding the whole document.
+    pub fn append(&self, out: &mut String) {
+        self.write(out, None);
+    }
+
     /// `indent` is the current depth when pretty-printing, `None` for
     /// the compact form.
     fn write(&self, out: &mut String, indent: Option<usize>) {
@@ -272,9 +268,34 @@ impl Json {
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, None);
+        self.append(&mut out);
         f.write_str(&out)
     }
+}
+
+/// Renders `{<head fields>,"<key>":[...]}` with the array's items one
+/// per line, each written as `items` yields it, so a long array (a
+/// trace's events) is never held as one tree.
+pub fn object_with_lines(
+    head: &[(&str, Json)],
+    key: &str,
+    items: impl IntoIterator<Item = Json>,
+) -> String {
+    let mut out = String::from("{");
+    for (k, v) in head {
+        write_str(&mut out, k);
+        out.push(':');
+        v.append(&mut out);
+        out.push(',');
+    }
+    write_str(&mut out, key);
+    out.push_str(":[");
+    for (i, item) in items.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        item.append(&mut out);
+    }
+    out.push_str("\n]}");
+    out
 }
 
 macro_rules! json_from_uint {
@@ -287,6 +308,13 @@ macro_rules! json_from_uint {
     )*};
 }
 json_from_uint!(u32, u64, usize);
+
+/// Non-negative values are `UInt`, as the parser reads them back.
+impl From<i64> for Json {
+    fn from(v: i64) -> Json {
+        u64::try_from(v).map_or(Json::Int(v), Json::UInt)
+    }
+}
 
 impl From<f64> for Json {
     fn from(v: f64) -> Json {
@@ -636,14 +664,6 @@ mod tests {
         let mut s = String::new();
         write_str(&mut s, "a\"b\\c\nd\te\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
-
-        let mut n = String::new();
-        write_f64(&mut n, 3.0);
-        n.push(' ');
-        write_f64(&mut n, 2.5);
-        n.push(' ');
-        write_f64(&mut n, f64::NAN);
-        assert_eq!(n, "3 2.5 null");
     }
 
     #[test]

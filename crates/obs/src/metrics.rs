@@ -452,6 +452,18 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
     ),
     // slo engine
     ("slo_alerts_total", "SLO burn-rate alerts fired"),
+    // socket transport
+    ("socket_bytes_sent_total", "Bytes of socket frames written"),
+    (
+        "socket_frames_corrupt_total",
+        "Socket frames refused by the frame digest",
+    ),
+    ("socket_frames_recv_total", "Socket frames decoded"),
+    ("socket_frames_sent_total", "Socket frames written"),
+    (
+        "socket_resync_bytes_total",
+        "Bytes skipped while resynchronising on a frame magic",
+    ),
     // vista client
     (
         "vista_busy_rejections_total",

@@ -22,7 +22,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::event;
-use crate::json::{write_f64, write_str};
+use crate::json::Json;
 use crate::metrics::{counter_cached, Counter, Histogram, HistogramSnapshot};
 use crate::tsdb::Tsdb;
 
@@ -277,165 +277,130 @@ pub struct RankMeta {
     pub clock_offset_ns: i64,
 }
 
-fn push_kv_u64(out: &mut String, key: &str, v: u64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    write_str(out, key);
-    out.push(':');
-    // Clamp to f64-exact integers so the value survives any JSON parser.
-    out.push_str(&(v.min(1u64 << 53)).to_string());
-}
-
-fn push_kv_f64(out: &mut String, key: &str, v: f64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    write_str(out, key);
-    out.push(':');
-    write_f64(out, v);
-}
-
-/// Renders the `telemetry.json` snapshot: cluster totals, cross-rank
+/// Builds the `telemetry.json` snapshot: cluster totals, cross-rank
 /// quantiles, per-rank rows, and SLO status. The scheduler writes this
 /// periodically (and once more, with `final_snapshot`, at shutdown);
-/// `vira top` and CI parse it back with [`crate::json::parse`].
+/// `vira top` and CI parse it back with [`crate::json::parse`], and
+/// `vira slo-report`/`load-report` print a replay's in the same shape.
 pub fn render_telemetry_json(
     db: &Tsdb,
     statuses: &[SloStatus],
     ranks: &[RankMeta],
     now_ns: u64,
     final_snapshot: bool,
-) -> String {
-    let mut o = String::with_capacity(4096);
-    o.push_str("{\"v\":1,");
-    o.push_str(&format!("\"t_ns\":{},", now_ns));
-    o.push_str(&format!("\"final\":{},", final_snapshot));
-
-    // Cluster totals.
-    o.push_str("\"cluster\":{\"counters\":{");
-    let mut first = true;
-    for name in db.counter_names() {
-        push_kv_u64(&mut o, &name, db.counter_total(&name), &mut first);
-    }
-    o.push_str("},\"gauges\":{");
+) -> Json {
+    // Clamp to f64-exact integers so the value survives any JSON parser.
+    let exact = |v: u64| Json::UInt(v.min(1u64 << 53));
+    let cnames = db.counter_names();
     let gnames = db.gauge_names();
-    let mut first = true;
-    for name in &gnames {
-        if !first {
-            o.push(',');
-        }
-        first = false;
-        write_str(&mut o, name);
-        o.push(':');
-        o.push_str(&db.gauge_sum(name).to_string());
-    }
-    o.push_str("},\"quantiles\":{");
-    let mut first = true;
-    for name in db.histogram_names() {
-        if !first {
-            o.push(',');
-        }
-        first = false;
+    let quantiles = db.histogram_names().into_iter().map(|name| {
         let h = db.merged_histogram(&name);
-        write_str(&mut o, &name);
-        o.push_str(":{");
-        let mut f2 = true;
-        push_kv_u64(&mut o, "count", h.count, &mut f2);
-        push_kv_f64(&mut o, "mean", h.mean(), &mut f2);
-        push_kv_u64(&mut o, "p50_ub", h.quantile_upper_bound(0.50), &mut f2);
-        push_kv_u64(&mut o, "p99_ub", h.quantile_upper_bound(0.99), &mut f2);
-        push_kv_u64(&mut o, "p999_ub", h.quantile_upper_bound(0.999), &mut f2);
-        o.push('}');
-    }
-    o.push_str("}},");
+        let row = Json::obj([
+            ("count", exact(h.count)),
+            ("mean", h.mean().into()),
+            ("p50_ub", exact(h.quantile_upper_bound(0.50))),
+            ("p99_ub", exact(h.quantile_upper_bound(0.99))),
+            ("p999_ub", exact(h.quantile_upper_bound(0.999))),
+        ]);
+        (name, row)
+    });
+    let counters = Json::map(cnames.iter().map(|n| (n, exact(db.counter_total(n)))));
+    let gauges = Json::map(gnames.iter().map(|n| (n, db.gauge_sum(n))));
+    let cluster = Json::obj([
+        ("counters", counters),
+        ("gauges", gauges),
+        ("quantiles", Json::map(quantiles)),
+    ]);
 
-    // Per-rank rows.
-    o.push_str("\"ranks\":[");
-    let mut first_rank = true;
-    for meta in ranks {
-        if !first_rank {
-            o.push(',');
-        }
-        first_rank = false;
-        o.push('{');
-        let mut f = true;
-        push_kv_u64(&mut o, "rank", meta.rank, &mut f);
-        o.push_str(",\"alive\":");
-        o.push_str(if meta.alive { "true" } else { "false" });
-        o.push_str(&format!(",\"residency_blocks\":{}", meta.residency_blocks));
-        o.push_str(&format!(",\"clock_offset_ns\":{}", meta.clock_offset_ns));
+    let rank_row = |meta: &RankMeta| {
+        let mut row = vec![
+            ("rank", exact(meta.rank)),
+            ("alive", meta.alive.into()),
+            ("residency_blocks", meta.residency_blocks.into()),
+            ("clock_offset_ns", meta.clock_offset_ns.into()),
+        ];
         if let Some(rs) = db.rank_state(meta.rank) {
-            o.push_str(&format!(",\"deltas\":{}", rs.deltas_accepted));
-            o.push_str(&format!(
-                ",\"last_delta_age_ns\":{}",
-                now_ns.saturating_sub(rs.last_ingest_ns)
-            ));
+            let age = now_ns.saturating_sub(rs.last_ingest_ns);
+            row.extend([("deltas", rs.deltas_accepted.into()), ("last_delta_age_ns", age.into())]);
         }
-        o.push_str(",\"counters\":{");
-        let mut f = true;
-        for name in db.counter_names() {
-            for (r, v) in db.counter_by_rank(&name) {
-                if r == meta.rank {
-                    push_kv_u64(&mut o, &name, v, &mut f);
-                }
+        let counters = cnames.iter().flat_map(|n| {
+            let mine = db.counter_by_rank(n).into_iter().filter(|&(r, _)| r == meta.rank);
+            mine.map(move |(_, v)| (n, exact(v)))
+        });
+        let gauges = gnames.iter().flat_map(|n| {
+            let mine = db.gauge_by_rank(n).into_iter().filter(|&(r, _)| r == meta.rank);
+            mine.map(move |(_, v)| (n, Json::from(v)))
+        });
+        row.extend([("counters", Json::map(counters)), ("gauges", Json::map(gauges))]);
+        Json::map(row)
+    };
+
+    let slo_row = |s: &SloStatus| {
+        Json::obj([
+            ("name", s.name.as_str().into()),
+            ("objective", s.objective.into()),
+            ("fast_total", exact(s.fast_total)),
+            ("slow_total", exact(s.slow_total)),
+            ("fast_bad_fraction", s.fast_bad_fraction.into()),
+            ("slow_bad_fraction", s.slow_bad_fraction.into()),
+            ("fast_burn", s.fast_burn.into()),
+            ("slow_burn", s.slow_burn.into()),
+            ("firing", s.firing.into()),
+        ])
+    };
+
+    Json::obj([
+        ("v", 1u64.into()),
+        ("t_ns", now_ns.into()),
+        ("final", final_snapshot.into()),
+        ("cluster", cluster),
+        ("ranks", Json::Arr(ranks.iter().map(rank_row).collect())),
+        ("slo", Json::Arr(statuses.iter().map(slo_row).collect())),
+        (
+            "tsdb",
+            Json::obj([
+                ("dup_dropped", db.dup_dropped().into()),
+                ("series_dropped", db.series_dropped().into()),
+                ("scalar_points", db.scalar_points().into()),
+            ]),
+        ),
+    ])
+}
+
+/// Structural check of a `telemetry.json` snapshot (as written by the
+/// scheduler and read back by `vira top`).
+pub fn validate_telemetry_json(text: &str) -> Result<(usize, usize), String> {
+    let j = crate::json::parse(text)?;
+    if j.get("v").and_then(|v| v.as_u64()) != Some(1) {
+        return Err("telemetry.json: missing or unknown version 'v'".into());
+    }
+    let cluster = j.get("cluster").ok_or("telemetry.json: missing 'cluster'")?;
+    for section in ["counters", "gauges", "quantiles"] {
+        if cluster.get(section).and_then(|v| v.as_obj()).is_none() {
+            return Err(format!("telemetry.json: missing cluster.{section}"));
+        }
+    }
+    let ranks = j
+        .get("ranks")
+        .and_then(|v| v.as_arr())
+        .ok_or("telemetry.json: missing 'ranks' array")?;
+    for r in ranks {
+        if r.get("rank").and_then(|v| v.as_u64()).is_none() {
+            return Err("telemetry.json: rank row without 'rank'".into());
+        }
+    }
+    let slo = j
+        .get("slo")
+        .and_then(|v| v.as_arr())
+        .ok_or("telemetry.json: missing 'slo' array")?;
+    for s in slo {
+        for key in ["name", "fast_burn", "slow_burn", "firing"] {
+            if s.get(key).is_none() {
+                return Err(format!("telemetry.json: slo row without '{key}'"));
             }
         }
-        o.push_str("},\"gauges\":{");
-        let mut f = true;
-        for name in &gnames {
-            for (r, v) in db.gauge_by_rank(name) {
-                if r == meta.rank {
-                    if !f {
-                        o.push(',');
-                    }
-                    f = false;
-                    write_str(&mut o, name);
-                    o.push(':');
-                    o.push_str(&v.to_string());
-                }
-            }
-        }
-        o.push_str("}}");
     }
-    o.push_str("],");
-
-    // SLO status.
-    o.push_str("\"slo\":[");
-    let mut first = true;
-    for s in statuses {
-        if !first {
-            o.push(',');
-        }
-        first = false;
-        o.push('{');
-        write_str(&mut o, "name");
-        o.push(':');
-        write_str(&mut o, &s.name);
-        let mut f = false;
-        push_kv_f64(&mut o, "objective", s.objective, &mut f);
-        push_kv_u64(&mut o, "fast_total", s.fast_total, &mut f);
-        push_kv_u64(&mut o, "slow_total", s.slow_total, &mut f);
-        push_kv_f64(&mut o, "fast_bad_fraction", s.fast_bad_fraction, &mut f);
-        push_kv_f64(&mut o, "slow_bad_fraction", s.slow_bad_fraction, &mut f);
-        push_kv_f64(&mut o, "fast_burn", s.fast_burn, &mut f);
-        push_kv_f64(&mut o, "slow_burn", s.slow_burn, &mut f);
-        o.push_str(",\"firing\":");
-        o.push_str(if s.firing { "true" } else { "false" });
-        o.push('}');
-    }
-    o.push_str("],");
-
-    o.push_str(&format!(
-        "\"tsdb\":{{\"dup_dropped\":{},\"series_dropped\":{},\"scalar_points\":{}}}",
-        db.dup_dropped(),
-        db.series_dropped(),
-        db.scalar_points()
-    ));
-    o.push('}');
-    o
+    Ok((ranks.len(), slo.len()))
 }
 
 #[cfg(test)]
@@ -642,7 +607,7 @@ mod tests {
             residency_blocks: 5,
             clock_offset_ns: -42,
         }];
-        let text = render_telemetry_json(&db, &statuses, &ranks, 2_000, true);
+        let text = render_telemetry_json(&db, &statuses, &ranks, 2_000, true).to_string();
         let j = json::parse(&text).expect("telemetry must be valid JSON");
         assert_eq!(j.get("v").and_then(|v| v.as_u64()), Some(1));
         assert_eq!(j.get("final").and_then(|v| v.as_bool()), Some(true));

@@ -119,17 +119,6 @@ impl TraceCtx {
     pub fn is_some(&self) -> bool {
         self.trace_id != 0
     }
-
-    /// A derived context with the same trace but a different parent —
-    /// used when handing off to another rank so its top-level spans
-    /// parent to the span that did the handoff.
-    #[inline]
-    pub fn child_of(&self, parent_span_id: u64) -> TraceCtx {
-        TraceCtx {
-            trace_id: self.trace_id,
-            parent_span_id,
-        }
-    }
 }
 
 thread_local! {
@@ -211,6 +200,18 @@ impl From<f64> for ArgValue {
 impl From<&'static str> for ArgValue {
     fn from(v: &'static str) -> Self {
         ArgValue::Str(v)
+    }
+}
+
+impl From<ArgValue> for crate::json::Json {
+    fn from(v: ArgValue) -> Self {
+        match v {
+            ArgValue::U64(n) => n.into(),
+            ArgValue::I64(n) => n.into(),
+            ArgValue::F64(n) => n.into(),
+            ArgValue::Str(s) => s.into(),
+            ArgValue::None => crate::json::Json::Null,
+        }
     }
 }
 
@@ -454,12 +455,6 @@ impl SpanGuard {
             self.args[self.n_args as usize] = (key, value.into());
             self.n_args += 1;
         }
-    }
-
-    /// Whether this guard will record anything on drop.
-    #[inline]
-    pub fn is_recording(&self) -> bool {
-        self.active
     }
 
     /// This span's id (0 on an inert guard).

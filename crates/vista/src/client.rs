@@ -365,7 +365,8 @@ impl VistaClient {
         let t0 = Instant::now();
         // Install the job's trace context so the collect span (and any
         // events fired while assembling) land in the job's flight
-        // recording; time-to-first-triangle is measured from submit.
+        // recording; time-to-first-triangle (the span and the
+        // `vista_first_result_ns` histogram) is measured from submit.
         let (ctx, submitted_at) = self.traces.remove(&job).unwrap_or((obs::current_ctx(), t0));
         let _ctx_guard = obs::install_ctx(ctx);
         let mut span = obs::span("vista.collect", "vista").arg("job", job);
@@ -419,7 +420,7 @@ impl VistaClient {
                     if n_items > 0 && first.is_none() {
                         first = Some(elapsed);
                         obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns")
-                            .record_duration(elapsed);
+                            .record_duration(submitted_at.elapsed());
                         // Time-to-first-triangle span, measured from
                         // submit — the critical-path analyzer reads it
                         // as the job's ttft.
@@ -458,7 +459,7 @@ impl VistaClient {
                     if n_items > 0 && first.is_none() {
                         first = Some(elapsed);
                         obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns")
-                            .record_duration(elapsed);
+                            .record_duration(submitted_at.elapsed());
                         // Time-to-first-triangle span, measured from
                         // submit — the critical-path analyzer reads it
                         // as the job's ttft.
