@@ -26,6 +26,7 @@ use vira_comm::socket::{encode_frame, frame_crc, DecodeStep, FrameDecoder};
 use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::{DataServer, ServerConfig};
 use vira_extract::bricktree::BrickTree;
+use vira_extract::halo::GhostedBlock;
 use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
 use vira_extract::lambda2::lambda2_field;
 use vira_extract::locate::invert_trilinear;
@@ -178,6 +179,15 @@ fn main() {
 
     // ---- lambda2 field ----
     h.bench("lambda2/field_soa", || lambda2_field(black_box(&data17)));
+    // Engine block 0 with its two ring neighbours: the ghosted field
+    // `VortexDataMan` computes with the `ghosts` parameter.
+    let sector = engine(17);
+    let [b0, b1, b22] = [0, 1, 22].map(|b| sector.generate(BlockStepId::new(b, 0)));
+    let ghosted = GhostedBlock::assemble(&b0, &[&b1, &b22], 1e-9);
+    assert_eq!(ghosted.ghosted_faces().len(), 2);
+    h.bench("lambda2/ghosted_field", || {
+        black_box(&ghosted).lambda2_field()
+    });
 
     // ---- min/max over a 25-cubed speed field ----
     let speed25 = speed_field(&data25);

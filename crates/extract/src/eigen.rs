@@ -105,7 +105,7 @@ pub fn chebyshev_middle_root(r: f64) -> f64 {
 /// root is extracted, via [`chebyshev_middle_root`] instead of
 /// `acos`/`cos`. Degenerate cases (diagonal input, `p ≈ 0`) are folded
 /// in as value selects so the function stays a single straight-line
-/// operation sequence — the shape the λ₂ SoA row kernel relies on for
+/// operation sequence — the shape the λ₂ slab kernel relies on for
 /// lane execution, and scalar callers get bit-identical values.
 #[inline(always)]
 pub fn symmetric_middle_eigenvalue(a: &Mat3) -> f64 {

@@ -13,10 +13,10 @@
 //! command activates it with the `ghosts` parameter, loading neighbour
 //! blocks through the DMS like any other data item.
 
-use crate::eigen::lambda2_of_gradient;
-use crate::lambda2::gradient_from_derivatives;
-use std::collections::HashMap;
-use vira_grid::faces::{face_correspondence, face_dims, face_lattice_point, matching_interface, Face};
+use crate::lambda2::lambda2_field_ghosted;
+use vira_grid::faces::{
+    face_correspondence, face_dims, face_lattice_point, matching_interface, Face,
+};
 use vira_grid::field::{BlockData, ScalarField};
 use vira_grid::math::Vec3;
 
@@ -32,7 +32,8 @@ pub struct GhostLayer {
 /// A block plus the ghost layers of its face neighbours.
 pub struct GhostedBlock<'a> {
     pub data: &'a BlockData,
-    ghosts: HashMap<Face, GhostLayer>,
+    /// The layer behind each face, at `face as usize`.
+    ghosts: [Option<GhostLayer>; 6],
 }
 
 impl<'a> GhostedBlock<'a> {
@@ -40,7 +41,7 @@ impl<'a> GhostedBlock<'a> {
     /// a full face with `data` (others are ignored). `tol` is the
     /// point-coincidence tolerance of the interface detection.
     pub fn assemble(data: &'a BlockData, neighbors: &[&BlockData], tol: f64) -> GhostedBlock<'a> {
-        let mut ghosts = HashMap::new();
+        let mut ghosts: [Option<GhostLayer>; 6] = Default::default();
         for nb in neighbors {
             let Some(interface) = matching_interface(&data.grid, &nb.grid, tol) else {
                 continue;
@@ -68,108 +69,27 @@ impl<'a> GhostedBlock<'a> {
                 let u = &nb.velocity;
                 velocities.push(Vec3::new(u.xs[p_idx], u.ys[p_idx], u.zs[p_idx]));
             }
-            ghosts.insert(
-                interface.face_a,
-                GhostLayer {
-                    positions,
-                    velocities,
-                },
-            );
+            ghosts[interface.face_a as usize] = Some(GhostLayer {
+                positions,
+                velocities,
+            });
         }
         GhostedBlock { data, ghosts }
     }
 
     /// Faces that received a ghost layer.
     pub fn ghosted_faces(&self) -> Vec<Face> {
-        let mut v: Vec<Face> = self.ghosts.keys().copied().collect();
-        v.sort_by_key(|f| *f as usize);
-        v
+        Face::ALL
+            .into_iter()
+            .filter(|&f| self.ghosts[f as usize].is_some())
+            .collect()
     }
 
-    /// Ghost sample `(position, velocity)` behind `face` at the face
-    /// lattice coordinates of point `(i, j, k)`, when the face is
-    /// ghosted and the point lies on it.
-    fn ghost_behind(&self, face: Face, i: usize, j: usize, k: usize) -> Option<(Vec3, Vec3)> {
-        let g = self.ghosts.get(&face)?;
-        let d = self.data.dims();
-        let (a, b) = match face {
-            Face::IMin | Face::IMax => (j, k),
-            Face::JMin | Face::JMax => (i, k),
-            Face::KMin | Face::KMax => (i, j),
-        };
-        let (n1, _) = face_dims(&self.data.grid, face);
-        let idx = b * n1 + a;
-        debug_assert!(idx < g.positions.len());
-        let _ = d;
-        Some((g.positions[idx], g.velocities[idx]))
-    }
-
-    /// Index-space derivative along one axis at `(i, j, k)`, using the
-    /// ghost layer for a central difference at ghosted faces.
-    fn axis_derivative(
-        &self,
-        axis: usize,
-        i: usize,
-        j: usize,
-        k: usize,
-    ) -> (Vec3, Vec3) {
-        let d = self.data.dims();
-        let (n, idx, min_face, max_face) = match axis {
-            0 => (d.ni, i, Face::IMin, Face::IMax),
-            1 => (d.nj, j, Face::JMin, Face::JMax),
-            _ => (d.nk, k, Face::KMin, Face::KMax),
-        };
-        let sample = |v: usize| -> (Vec3, Vec3) {
-            let (ii, jj, kk) = match axis {
-                0 => (v, j, k),
-                1 => (i, v, k),
-                _ => (i, j, v),
-            };
-            (
-                self.data.grid.point(ii, jj, kk),
-                self.data.velocity.at(ii, jj, kk),
-            )
-        };
-        if n < 2 {
-            return (Vec3::ZERO, Vec3::ZERO);
-        }
-        if idx == 0 {
-            if let Some((gp, gv)) = self.ghost_behind(min_face, i, j, k) {
-                // Central difference across the interface.
-                let (p1, v1) = sample(1);
-                return ((p1 - gp) * 0.5, (v1 - gv) * 0.5);
-            }
-            let (p1, v1) = sample(1);
-            let (p0, v0) = sample(0);
-            (p1 - p0, v1 - v0)
-        } else if idx == n - 1 {
-            if let Some((gp, gv)) = self.ghost_behind(max_face, i, j, k) {
-                let (p0, v0) = sample(n - 2);
-                return ((gp - p0) * 0.5, (gv - v0) * 0.5);
-            }
-            let (p1, v1) = sample(n - 1);
-            let (p0, v0) = sample(n - 2);
-            (p1 - p0, v1 - v0)
-        } else {
-            let (p1, v1) = sample(idx + 1);
-            let (p0, v0) = sample(idx - 1);
-            ((p1 - p0) * 0.5, (v1 - v0) * 0.5)
-        }
-    }
-
-    /// λ₂ at one grid point with ghost-aware stencils.
-    pub fn lambda2_at(&self, i: usize, j: usize, k: usize) -> f64 {
-        let (dx_di, du_di) = self.axis_derivative(0, i, j, k);
-        let (dx_dj, du_dj) = self.axis_derivative(1, i, j, k);
-        let (dx_dk, du_dk) = self.axis_derivative(2, i, j, k);
-        gradient_from_derivatives(dx_di, dx_dj, dx_dk, du_di, du_dj, du_dk)
-            .map(|g| lambda2_of_gradient(&g))
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// The full λ₂ field with ghost-aware boundaries.
+    /// The full λ₂ field with ghost-aware boundaries: the one λ₂ field
+    /// kernel, with every ghost layer patched into the boundary
+    /// derivative rows of its face.
     pub fn lambda2_field(&self) -> ScalarField {
-        ScalarField::from_fn(self.data.dims(), |i, j, k| self.lambda2_at(i, j, k))
+        lambda2_field_ghosted(self.data, &self.ghosts)
     }
 }
 

@@ -57,7 +57,7 @@ pub use iso::{
     extract_streamed, extract_streamed_with_tree, IsoStats,
 };
 pub use lambda2::{
-    lambda2_at, lambda2_element, lambda2_field, lambda2_field_oracle, velocity_gradient,
+    lambda2_at, lambda2_field, lambda2_field_oracle, velocity_gradient,
     Lambda2Stats, Lambda2Streamer,
 };
 pub use locate::{invert_trilinear, invert_trilinear_oracle, locate_cell, CellHit, TrilinearCell};

@@ -15,9 +15,10 @@ use crate::mesh::TriangleSoup;
 use vira_grid::block::{BlockDims, CurvilinearBlock};
 use vira_grid::field::{BlockData, ScalarField, VectorField};
 
-/// Index mapping for one subsampled axis: stride `s`, boundary kept.
+/// Index mapping for one subsampled axis: stride `s`, boundary kept. A
+/// one-point axis stays one point.
 fn coarse_axis(n: usize, stride: usize) -> Vec<usize> {
-    assert!(stride >= 1 && n >= 2);
+    assert!(stride >= 1 && n >= 1);
     let mut idx: Vec<usize> = (0..n).step_by(stride).collect();
     if *idx.last().expect("non-empty") != n - 1 {
         idx.push(n - 1);
@@ -155,6 +156,24 @@ mod tests {
         assert_eq!(coarse_axis(5, 4), vec![0, 4]);
         assert_eq!(coarse_axis(5, 16), vec![0, 4]);
         assert_eq!(coarse_axis(2, 1), vec![0, 1]);
+        assert_eq!(coarse_axis(1, 4), vec![0]);
+    }
+
+    #[test]
+    fn one_point_axis_progresses_to_empty_levels() {
+        // A flat block has no cells: every level is empty, as a direct
+        // extraction of the same block is.
+        let dims = BlockDims::new(4, 1, 3);
+        let grid =
+            CurvilinearBlock::from_fn(0, dims, |i, j, k| Vec3::new(i as f64, j as f64, k as f64));
+        let field = ScalarField::from_fn(dims, |i, _, k| (i + k) as f64);
+        let levels = progressive_isosurface(&grid, &field, 2.5, 3, |_| {});
+        assert_eq!(levels.len(), 3);
+        for l in &levels {
+            assert!(l.surface.is_empty(), "level {} has triangles", l.level);
+            assert_eq!(l.stats.triangles, 0);
+        }
+        assert_eq!(coarsen_geometry(&grid, 4).dims, BlockDims::new(2, 1, 2));
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! item order at every thread count.
 
 use vira_extract::bricktree::BrickTree;
+use vira_extract::halo::GhostedBlock;
 use vira_extract::iso::{extract_isosurface_oracle, extract_isosurface_with_tree};
 use vira_extract::lambda2::{lambda2_field, lambda2_field_oracle};
 use vira_extract::locate::{invert_trilinear, invert_trilinear_oracle};
 use vira_extract::par::scoped_map;
-use vira_grid::block::{BlockDims, CurvilinearBlock};
+use vira_grid::block::{BlockDims, BlockStepId, CurvilinearBlock};
+use vira_grid::faces::Face;
 use vira_grid::field::{BlockData, ScalarField, VectorField};
 use vira_grid::math::Vec3;
 use vira_testkit::{check, Gen, DEFAULT_CASES};
@@ -40,14 +42,49 @@ fn dims_and_values(g: &mut Gen) -> (BlockDims, Vec<f64>) {
     (dims, g.vec(n..n + 1, |g| g.f64_in(-1.0, 1.0)))
 }
 
-/// As above but with a velocity vector per point.
-fn dims_and_velocities(g: &mut Gen) -> (BlockDims, Vec<[f64; 3]>) {
-    let dims = BlockDims::new(g.usize_in(3..10), g.usize_in(3..8), g.usize_in(3..8));
+/// A block on a jittered curvilinear lattice — every point of the
+/// unit-spaced lattice moved by up to a quarter spacing per coordinate,
+/// so the Jacobian stencils differ from point to point — with a random
+/// velocity per point.
+fn jittered_block(g: &mut Gen, dims: BlockDims) -> BlockData {
     let n = dims.n_points();
-    (
-        dims,
-        g.vec(n..n + 1, |g| [(); 3].map(|_| g.f64_in(-2.0, 2.0))),
+    let mut points = Vec::with_capacity(n);
+    for k in 0..dims.nk {
+        for j in 0..dims.nj {
+            for i in 0..dims.ni {
+                let [x, y, z] = [i, j, k].map(|c| c as f64 + g.f64_in(-0.25, 0.25));
+                points.push(Vec3::new(x, y, z));
+            }
+        }
+    }
+    let [xs, ys, zs] = [(); 3].map(|_| g.vec(n..n + 1, |g| g.f64_in(-2.0, 2.0)));
+    BlockData::new(
+        BlockStepId::new(0, 0),
+        CurvilinearBlock::new(0, dims, points),
+        VectorField::new(dims, xs, ys, zs),
+        0.0,
     )
+}
+
+/// The sub-block of `data` over the index box `lo..=hi`, points and
+/// velocities copied exactly.
+fn cut(data: &BlockData, id: u32, lo: [usize; 3], hi: [usize; 3]) -> BlockData {
+    let dims = BlockDims::new(hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[2] - lo[2] + 1);
+    let at = |i: usize, j: usize, k: usize| (lo[0] + i, lo[1] + j, lo[2] + k);
+    let grid = CurvilinearBlock::from_fn(id, dims, |i, j, k| {
+        let (a, b, c) = at(i, j, k);
+        data.grid.point(a, b, c)
+    });
+    let velocity = VectorField::from_fn(dims, |i, j, k| {
+        let (a, b, c) = at(i, j, k);
+        data.velocity.at(a, b, c)
+    });
+    BlockData::new(BlockStepId::new(id, 0), grid, velocity, 0.0)
+}
+
+/// Whether `face` is the low end of its axis.
+fn is_min(face: Face) -> bool {
+    matches!(face, Face::IMin | Face::JMin | Face::KMin)
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -86,26 +123,80 @@ fn contour_is_byte_identical_to_the_oracle() {
     });
 }
 
-/// The staged λ₂ row kernels are an operation-for-operation
-/// transcription of the per-point oracle, so the two fields must
-/// agree to the last bit on arbitrary velocity data.
+/// The λ₂ slab kernel is an operation-for-operation transcription of
+/// the per-point oracle, so the two fields must agree to the last bit on
+/// curvilinear geometry and arbitrary velocity data. Dims start at one
+/// point per axis: one- and two-point axes and the first/last-row
+/// stencils of the slab loops all come up.
 #[test]
 fn lambda2_rows_match_the_point_oracle_bitwise() {
     check(DEFAULT_CASES, |g| {
-        let (dims, vel) = dims_and_velocities(g);
-        let grid = lattice(dims);
-        let [xs, ys, zs] = [0, 1, 2].map(|c| vel.iter().map(|v| v[c]).collect());
-        let velocity = VectorField::new(dims, xs, ys, zs);
-        let data = BlockData::new(
-            vira_grid::block::BlockStepId::new(0, 0),
-            grid,
-            velocity,
-            0.0,
-        );
+        let dims = BlockDims::new(g.usize_in(1..10), g.usize_in(1..8), g.usize_in(1..8));
+        let data = jittered_block(g, dims);
         let rows = lambda2_field(&data);
         let oracle = lambda2_field_oracle(&data);
         assert_eq!(rows.dims, oracle.dims);
         assert_eq!(bits(&rows.values), bits(&oracle.values));
+    });
+}
+
+/// The ghosted λ₂ field runs the same kernel: with no layer it is
+/// `lambda2_field` bit for bit; with layers, every point off the
+/// ghosted faces keeps its value bit for bit; and with all six faces
+/// ghosted the block's field is the enclosing block's field over the
+/// same points bit for bit — the ghost stencil is the interior one.
+#[test]
+fn ghosted_lambda2_patches_only_the_ghosted_faces() {
+    check(DEFAULT_CASES, |g| {
+        let d = [g.usize_in(1..7), g.usize_in(1..7), g.usize_in(1..7)];
+        let outer = jittered_block(g, BlockDims::new(d[0] + 2, d[1] + 2, d[2] + 2));
+        let block = cut(&outer, 0, [1; 3], d);
+        let plain = lambda2_field(&block);
+        let bare = GhostedBlock::assemble(&block, &[], 1e-9);
+        assert!(bare.ghosted_faces().is_empty());
+        assert_eq!(bits(&bare.lambda2_field().values), bits(&plain.values));
+
+        // Face neighbours two points deep: the min neighbour along an
+        // axis spans outer indices 0..=1 on it, the max one d..=d + 1.
+        let all = g.bool();
+        let mut neighbours = Vec::new();
+        let mut wanted = Vec::new();
+        for face in Face::ALL {
+            if !(all || g.bool()) {
+                continue;
+            }
+            let axis = face as usize / 2;
+            let (mut lo, mut hi) = ([1; 3], d);
+            (lo[axis], hi[axis]) = if is_min(face) {
+                (0, 1)
+            } else {
+                (d[axis], d[axis] + 1)
+            };
+            neighbours.push(cut(&outer, 1 + face as u32, lo, hi));
+            wanted.push(face);
+        }
+        let refs: Vec<&BlockData> = neighbours.iter().collect();
+        let ghosted = GhostedBlock::assemble(&block, &refs, 1e-9);
+        let faces = ghosted.ghosted_faces();
+        if d.iter().all(|&n| n >= 2) {
+            assert_eq!(faces, wanted, "each neighbour attaches behind its face");
+        }
+        let field = ghosted.lambda2_field();
+        let whole = (all && d.iter().all(|&n| n >= 2)).then(|| lambda2_field(&outer));
+        for (p, got) in field.values.iter().enumerate() {
+            let (i, j, k) = block.dims().point_coords(p);
+            let on_face = |f: Face| {
+                let (idx, n) = [(i, d[0]), (j, d[1]), (k, d[2])][f as usize / 2];
+                idx == if is_min(f) { 0 } else { n - 1 }
+            };
+            if !faces.iter().any(|&f| on_face(f)) {
+                assert_eq!(got.to_bits(), plain.values[p].to_bits(), "({i},{j},{k})");
+            }
+            if let Some(whole) = &whole {
+                let want = whole.at(i + 1, j + 1, k + 1);
+                assert_eq!(got.to_bits(), want.to_bits(), "({i},{j},{k}): {want}");
+            }
+        }
     });
 }
 
