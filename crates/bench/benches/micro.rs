@@ -320,13 +320,41 @@ fn main() {
     }
     drop(proxy);
 
+    // ---- the iso job of the end-to-end benchmark's iso_warm_local
+    // workload: |u| of the 144 Propfan 21-cubed blocks at 27.0. One
+    // block's extraction (throwaway bricktree, scan, contour), and the
+    // client's decode of the merged package of all 144 surfaces ----
+    let fan = propfan(21);
+    let iso_fan = 27.0;
+    let mut merged = TriangleSoup::new();
+    let mut speeds = Vec::new();
+    for b in 0..fan.spec.n_blocks {
+        let speed = speed_field(&fan.generate(BlockStepId::new(b, 0)));
+        merged.extend_from(&extract_isosurface(fan.block_geometry(b), &speed, iso_fan).0);
+        speeds.push(speed);
+    }
+    // Block 85 carries the median surface of the 96 that cut 27.0
+    // (about 3 200 triangles).
+    let fan_block = 85u32;
+    let fan_grid = fan.block_geometry(fan_block);
+    let fan_speed = &speeds[fan_block as usize];
+    let fan_triangles = extract_isosurface(fan_grid, fan_speed, iso_fan).1.triangles;
+    assert!(fan_triangles > 3000, "{fan_triangles} triangles");
+    h.bench("iso/extract_propfan_21c", || {
+        extract_isosurface(fan_grid, black_box(fan_speed), iso_fan)
+    });
+    let package = merged.to_bytes();
+    drop(merged);
+    eprintln!("merged iso package: {} bytes", package.len());
+    h.bench("mesh/soup_from_bytes_12mb", || {
+        TriangleSoup::from_bytes(black_box(package.clone())).expect("well-formed")
+    });
+    drop(package);
+
     // ---- two threads building the |u| bricktrees of 32 Propfan 21-cubed
     // blocks at once, as two workers of one process do: any write to
     // shared memory on the min/max path puts both on one cache line ----
-    let fan = propfan(21);
-    let speeds: Vec<ScalarField> = (0..32)
-        .map(|b| speed_field(&fan.generate(BlockStepId::new(b, 0))))
-        .collect();
+    speeds.truncate(32);
     h.bench("bricktree/build_21c_2t", || {
         scoped_map(2, &speeds, |_, speed| BrickTree::build(speed))
     });

@@ -33,7 +33,7 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
         e.push(Row::new(name, "Read", 100.0 * rec.report.read_s / total, "%"));
         e.push(Row::new(name, "Send", 100.0 * rec.report.send_s / total, "%"));
         // Bricktree pruning effectiveness: how much of the contouring
-        // scan the min/max hierarchy eliminated.
+        // scan the min/max bricks eliminated.
         e.push(Row::new(
             name,
             "Cells pruned",

@@ -70,7 +70,7 @@ pub struct CommandOutput {
     /// Extraction cells this worker never examined thanks to bricktree
     /// pruning (summed over all items it processed).
     pub cells_skipped: u64,
-    /// Finest-level bricks skipped whole.
+    /// Bricks skipped whole.
     pub bricks_skipped: u64,
 }
 

@@ -214,12 +214,15 @@ fn submit_one(
 ) -> Result<Outstanding, ClientError> {
     client.set_session(session);
     out.offered += 1;
+    // Stamped before the submit goes out, as the client stamps the
+    // job's time to first geometry: latency and TTFG share one origin.
+    let submitted = Instant::now();
     let job = client.submit(&plan.commands[mix])?;
     Ok(Outstanding {
         job,
         session,
         mix,
-        submitted: Instant::now(),
+        submitted,
         resubmits,
     })
 }

@@ -88,7 +88,7 @@ pub struct PartialHeader {
     pub dms: DmsStatsSnapshot,
     /// Extraction cells skipped by bricktree pruning (E11/E15 reporting).
     pub cells_skipped: u64,
-    /// Finest-level bricks skipped whole.
+    /// Bricks skipped whole.
     pub bricks_skipped: u64,
     /// Dispatch attempt this partial answers (mirrors the command).
     pub attempt: u32,

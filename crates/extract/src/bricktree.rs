@@ -1,47 +1,37 @@
-//! Hierarchical min/max acceleration ("bricktree") over the cells of one
-//! block — the shared empty-region-skipping layer of the extraction hot
-//! path.
+//! Min/max acceleration ("bricktree") over the cells of one block — the
+//! shared empty-region-skipping layer of the extraction hot path.
 //!
-//! The block's cells are grouped into coarse bricks of [`BRICK`]³ cells;
-//! each brick stores the min/max scalar range of the grid points it
-//! touches. Levels double the brick edge until a single root brick spans
-//! the block. An extraction pass at iso level `c` consults the tree to
-//! skip whole bricks whose range cannot contain `c` — without reading a
-//! single cell of them. Construction is one cheap pass over the field
-//! (`ScalarField::range_over_points` keeps the inner loop on contiguous
-//! slices), so the tree pays for itself after a fraction of one
-//! extraction; callers that re-extract with varying iso levels (the
-//! explorative loop of §1.1) amortize it further by caching the tree
-//! alongside the derived field (`viracocha::derived`).
+//! The block's cells are grouped into bricks of [`BRICK`]³ cells, the
+//! leaves; each stores the min/max scalar range of the grid points it
+//! touches, and the root range of the whole block is folded from them.
+//! An extraction pass at iso level `c` consults the leaves to skip whole
+//! bricks whose range cannot contain `c` — without reading a single cell
+//! of them.
+//!
+//! Construction is separable, one slab of bricks at a time: the slab's
+//! k-planes fold into one plane, that plane's rows fold across each brick
+//! row's j-range into one point row, and each leaf range is a five-point
+//! i-window of that row. Every pass is an elementwise loop over
+//! contiguous rows, so the tree costs a few times a plain min/max over
+//! the field and pays for itself within one extraction; callers that
+//! re-extract with varying iso levels (the explorative loop of §1.1)
+//! amortize it further by caching the tree alongside the derived field
+//! (`viracocha::derived`).
 //!
 //! Pruning is *conservative*: a brick's range bounds every contained
 //! cell's corner range, so a skipped brick can never contain an active
-//! cell, and [`scan_candidates`](BrickTree::scan_candidates) visits the
-//! surviving cells in exactly the storage order of [`BlockDims::cells`] —
-//! pruned extraction is triangle-identical to the plain pass (property
-//! tested in `tests/bricktree_props.rs`).
+//! cell. [`scan_candidate_runs`](BrickTree::scan_candidate_runs) works
+//! out the runs of straddling bricks once per brick row and replays them
+//! for each cell row in exactly the storage order of
+//! [`BlockDims::cells`] — pruned extraction is triangle-identical to the
+//! plain pass (property tested in `tests/bricktree_props.rs`).
 
+use std::ops::Range;
 use vira_grid::block::BlockDims;
 use vira_grid::field::ScalarField;
 
-/// Cells per brick edge at the finest level.
+/// Cells per brick edge.
 pub const BRICK: usize = 4;
-
-#[derive(Debug, Clone)]
-struct Level {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    /// `(lo, hi)` scalar range per brick, `x` fastest.
-    ranges: Vec<(f64, f64)>,
-}
-
-impl Level {
-    #[inline]
-    fn range(&self, bx: usize, by: usize, bz: usize) -> (f64, f64) {
-        self.ranges[(bz * self.ny + by) * self.nx + bx]
-    }
-}
 
 #[inline]
 fn straddles(r: (f64, f64), iso: f64) -> bool {
@@ -50,16 +40,53 @@ fn straddles(r: (f64, f64), iso: f64) -> bool {
 }
 
 #[inline]
-fn bricks_along(cells: usize, edge: usize) -> usize {
-    cells.div_ceil(edge).max(1)
+fn bricks_along(cells: usize) -> usize {
+    cells.div_ceil(BRICK).max(1)
+}
+
+/// Cells of brick `b` along an axis of `cells` cells.
+#[inline]
+fn brick_cells(b: usize, cells: usize) -> Range<usize> {
+    (b * BRICK).min(cells)..((b + 1) * BRICK).min(cells)
+}
+
+/// Points touched by brick `b` along an axis of `points` points: its
+/// cells `[c0, c1)` touch points `[c0, c1]`.
+#[inline]
+fn brick_points(b: usize, points: usize) -> Range<usize> {
+    let cells = brick_cells(b, points.saturating_sub(1));
+    cells.start..(cells.end + 1).min(points)
+}
+
+/// The range of no samples: every real sample widens it.
+const EMPTY: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// Range `r` widened to cover `(l, h)` by comparison-select.
+#[inline]
+fn widen(r: (f64, f64), (l, h): (f64, f64)) -> (f64, f64) {
+    (if l < r.0 { l } else { r.0 }, if h > r.1 { h } else { r.1 })
+}
+
+/// Elementwise `lo = min(lo, src_lo)`, `hi = max(hi, src_hi)` by
+/// comparison-select (NaN never wins a comparison, so NaN samples are
+/// skipped, as in `lanes::min_max`).
+#[inline]
+fn fold_rows(lo: &mut [f64], hi: &mut [f64], src_lo: &[f64], src_hi: &[f64]) {
+    for (l, &v) in lo.iter_mut().zip(src_lo) {
+        *l = if v < *l { v } else { *l };
+    }
+    for (h, &v) in hi.iter_mut().zip(src_hi) {
+        *h = if v > *h { v } else { *h };
+    }
 }
 
 /// Counters of one pruned scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneCounters {
-    /// Cells never examined because a containing brick was inactive.
+    /// Cells never examined because their brick was inactive.
     pub cells_skipped: usize,
-    /// Finest-level bricks skipped whole.
+    /// Bricks skipped whole: the leaves whose range does not straddle
+    /// the iso value.
     pub bricks_skipped: usize,
 }
 
@@ -67,76 +94,60 @@ pub struct PruneCounters {
 #[derive(Debug, Clone)]
 pub struct BrickTree {
     cell_dims: (usize, usize, usize),
-    /// Finest level first; the last level is a single root brick.
-    levels: Vec<Level>,
+    /// Bricks along `i` and `j`.
+    nx: usize,
+    ny: usize,
+    /// `(lo, hi)` scalar range per leaf brick, `x` fastest.
+    leaves: Vec<(f64, f64)>,
+    /// Range of the whole block, folded from the leaves.
+    root: (f64, f64),
 }
 
 impl BrickTree {
-    /// Builds the tree for one field: one pass over the point data, the
-    /// row-contiguous per-brick scans running through the lane-parallel
-    /// min/max fold.
+    /// Builds the tree for one field in separable passes per slab of
+    /// bricks: k-planes → one plane, rows per brick row → one point row,
+    /// five-point i-windows → leaf ranges.
     pub fn build(field: &ScalarField) -> BrickTree {
         let dims = field.dims;
         let (ci, cj, ck) = dims.cell_dims();
-        let mut levels = Vec::new();
-
-        // Finest level: point ranges per brick of BRICK³ cells. A brick
-        // covering cells [c0, c1) touches points [c0, c1] inclusive.
-        let (nx, ny, nz) = (
-            bricks_along(ci, BRICK),
-            bricks_along(cj, BRICK),
-            bricks_along(ck, BRICK),
-        );
-        let mut ranges = Vec::with_capacity(nx * ny * nz);
+        let (nx, ny, nz) = (bricks_along(ci), bricks_along(cj), bricks_along(ck));
+        let plane = dims.ni * dims.nj;
+        let (mut plane_lo, mut plane_hi) = (vec![0.0; plane], vec![0.0; plane]);
+        let (mut row_lo, mut row_hi) = (vec![0.0; dims.ni], vec![0.0; dims.ni]);
+        let mut leaves = Vec::with_capacity(nx * ny * nz);
         for bz in 0..nz {
+            plane_lo.fill(EMPTY.0);
+            plane_hi.fill(EMPTY.1);
+            for k in brick_points(bz, dims.nk) {
+                let src = &field.values[k * plane..(k + 1) * plane];
+                fold_rows(&mut plane_lo, &mut plane_hi, src, src);
+            }
             for by in 0..ny {
+                row_lo.fill(EMPTY.0);
+                row_hi.fill(EMPTY.1);
+                for j in brick_points(by, dims.nj) {
+                    let row = j * dims.ni..(j + 1) * dims.ni;
+                    fold_rows(
+                        &mut row_lo,
+                        &mut row_hi,
+                        &plane_lo[row.clone()],
+                        &plane_hi[row],
+                    );
+                }
                 for bx in 0..nx {
-                    let i1 = ((bx + 1) * BRICK).min(ci);
-                    let j1 = ((by + 1) * BRICK).min(cj);
-                    let k1 = ((bz + 1) * BRICK).min(ck);
-                    ranges.push(field.range_over_points(
-                        bx * BRICK..(i1 + 1).min(dims.ni),
-                        by * BRICK..(j1 + 1).min(dims.nj),
-                        bz * BRICK..(k1 + 1).min(dims.nk),
-                    ));
+                    let w = brick_points(bx, dims.ni);
+                    let window = row_lo[w.clone()].iter().zip(&row_hi[w]);
+                    leaves.push(window.fold(EMPTY, |r, (&l, &h)| widen(r, (l, h))));
                 }
             }
         }
-        levels.push(Level { nx, ny, nz, ranges });
-
-        // Coarser levels: combine 2×2×2 children until one root brick.
-        while levels.last().map(|l| l.nx * l.ny * l.nz > 1) == Some(true) {
-            let child = levels.last().expect("just pushed");
-            let (nx, ny, nz) = (
-                child.nx.div_ceil(2),
-                child.ny.div_ceil(2),
-                child.nz.div_ceil(2),
-            );
-            let mut ranges = Vec::with_capacity(nx * ny * nz);
-            for bz in 0..nz {
-                for by in 0..ny {
-                    for bx in 0..nx {
-                        let mut lo = f64::INFINITY;
-                        let mut hi = f64::NEG_INFINITY;
-                        for cz in 2 * bz..(2 * bz + 2).min(child.nz) {
-                            for cy in 2 * by..(2 * by + 2).min(child.ny) {
-                                for cx in 2 * bx..(2 * bx + 2).min(child.nx) {
-                                    let r = child.range(cx, cy, cz);
-                                    lo = lo.min(r.0);
-                                    hi = hi.max(r.1);
-                                }
-                            }
-                        }
-                        ranges.push((lo, hi));
-                    }
-                }
-            }
-            levels.push(Level { nx, ny, nz, ranges });
-        }
-
+        let root = leaves.iter().copied().fold(EMPTY, widen);
         BrickTree {
             cell_dims: (ci, cj, ck),
-            levels,
+            nx,
+            ny,
+            leaves,
+            root,
         }
     }
 
@@ -150,65 +161,40 @@ impl BrickTree {
         self.cell_dims == dims.cell_dims()
     }
 
-    pub fn n_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Finest-level brick count.
+    /// Leaf brick count.
     pub fn n_bricks(&self) -> usize {
-        let l = &self.levels[0];
-        l.nx * l.ny * l.nz
+        self.leaves.len()
     }
 
-    /// Scalar range of the whole block (the root brick).
+    /// Scalar range of the whole block.
     pub fn root_range(&self) -> (f64, f64) {
-        self.levels.last().expect("at least one level").ranges[0]
+        self.root
     }
 
-    /// Approximate heap footprint (for cache accounting).
+    /// Scalar range of the leaf brick `(bx, by, bz)`: the min/max over
+    /// the grid points its cells touch.
+    pub fn leaf_range(&self, bx: usize, by: usize, bz: usize) -> (f64, f64) {
+        self.leaves[(bz * self.ny + by) * self.nx + bx]
+    }
+
+    /// Approximate heap footprint (for cache accounting): the leaves.
     pub fn memory_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.ranges.len() * std::mem::size_of::<(f64, f64)>())
-            .sum()
+        self.leaves.len() * std::mem::size_of::<(f64, f64)>()
     }
 
-    /// True when the finest brick containing cell `(i, j, k)` straddles
-    /// `iso` — the cheap per-cell pre-test for callers that visit cells
-    /// in their own order (BSP leaves).
+    /// True when the brick containing cell `(i, j, k)` straddles `iso` —
+    /// the cheap per-cell pre-test for callers that visit cells in their
+    /// own order (BSP leaves).
     #[inline]
     pub fn cell_candidate(&self, i: usize, j: usize, k: usize, iso: f64) -> bool {
-        let l = &self.levels[0];
-        straddles(l.range(i / BRICK, j / BRICK, k / BRICK), iso)
-    }
-
-    /// For cell `(i, j, k)`: if a containing brick at some level is
-    /// inactive for `iso`, returns the end (exclusive, along `i`) of the
-    /// *largest* such brick, clipped to the block — the whole run
-    /// `i..end` of this row can be skipped. `None` when even the finest
-    /// brick straddles `iso`.
-    #[inline]
-    pub fn inactive_run_end(&self, i: usize, j: usize, k: usize, iso: f64) -> Option<usize> {
-        let mut end = None;
-        let mut edge = BRICK;
-        for level in &self.levels {
-            let (bx, by, bz) = (i / edge, j / edge, k / edge);
-            if straddles(level.range(bx, by, bz), iso) {
-                break;
-            }
-            end = Some(((bx + 1) * edge).min(self.cell_dims.0));
-            edge *= 2;
-        }
-        end
+        straddles(self.leaf_range(i / BRICK, j / BRICK, k / BRICK), iso)
     }
 
     /// Scans all cells in storage order ([`BlockDims::cells`] order),
-    /// invoking `candidate` for every cell whose containing bricks all
-    /// straddle `iso`, and skipping whole inactive bricks (hierarchically
-    /// — an inactive coarse brick skips its full row run in one step).
-    /// The visit order of surviving cells is exactly the storage order,
-    /// so downstream triangulation output is byte-identical to an
-    /// unpruned pass.
+    /// invoking `candidate` for every cell whose brick straddles `iso`
+    /// and skipping whole inactive bricks. The visit order of surviving
+    /// cells is exactly the storage order, so downstream triangulation
+    /// output is byte-identical to an unpruned pass.
     pub fn scan_candidates(
         &self,
         iso: f64,
@@ -223,48 +209,57 @@ impl BrickTree {
 
     /// Run-granular form of [`scan_candidates`](Self::scan_candidates):
     /// invokes `run` once per maximal run `i0..i1` of surviving cells at
-    /// fixed `(j, k)`, in storage order. Counters and the set of
-    /// surviving cells are exactly those of `scan_candidates`; the
-    /// vectorized contour scan consumes runs so it can compute cell
-    /// ranges from contiguous point rows instead of per-cell gathers.
+    /// fixed `(j, k)`, in storage order. The runs of one brick row are
+    /// the same for each of its cell rows, so they are worked out once
+    /// per brick row and replayed, `k` outer, then `j` across all brick
+    /// rows. The vectorized contour scan consumes runs so it can compute
+    /// cell ranges from contiguous point rows instead of per-cell
+    /// gathers.
     pub fn scan_candidate_runs(
         &self,
         iso: f64,
-        mut run: impl FnMut(std::ops::Range<usize>, usize, usize),
+        mut run: impl FnMut(Range<usize>, usize, usize),
     ) -> PruneCounters {
         let (ci, cj, ck) = self.cell_dims;
         let mut c = PruneCounters::default();
-        if !straddles(self.root_range(), iso) {
+        if !straddles(self.root, iso) {
             c.cells_skipped = ci * cj * ck;
             c.bricks_skipped = self.n_bricks();
             return c;
         }
-        for k in 0..ck {
-            for j in 0..cj {
-                let mut i = 0;
-                let mut run_start = None;
-                while i < ci {
-                    if let Some(end) = self.inactive_run_end(i, j, k, iso) {
-                        if let Some(s) = run_start.take() {
-                            run(s..i, j, k);
-                        }
-                        c.cells_skipped += end - i;
-                        // Count each finest brick once: at its first row
-                        // (i lands on brick boundaries, so `end - i`
-                        // spans whole bricks).
-                        if j % BRICK == 0 && k % BRICK == 0 {
-                            c.bricks_skipped += (end - i).div_ceil(BRICK);
-                        }
-                        i = end;
-                    } else {
-                        if run_start.is_none() {
-                            run_start = Some(i);
-                        }
-                        i = ((i / BRICK + 1) * BRICK).min(ci);
+        // Runs of the current slab; brick row `by`'s are
+        // `runs[starts[by]..starts[by + 1]]`. A slab holds no more runs
+        // than bricks.
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(self.nx * self.ny);
+        let mut starts = vec![0; self.ny + 1];
+        for (bz, slab) in self.leaves.chunks_exact(self.nx * self.ny).enumerate() {
+            let k_cells = brick_cells(bz, ck);
+            runs.clear();
+            for (by, row) in slab.chunks_exact(self.nx).enumerate() {
+                let cell_rows = brick_cells(by, cj).len() * k_cells.len();
+                let row_start = runs.len();
+                for (bx, &r) in row.iter().enumerate() {
+                    let cells = brick_cells(bx, ci);
+                    if !straddles(r, iso) {
+                        c.bricks_skipped += 1;
+                        c.cells_skipped += cells.len() * cell_rows;
+                    } else if let Some(last) = runs[row_start..]
+                        .last_mut()
+                        .filter(|l| l.end == cells.start)
+                    {
+                        last.end = cells.end;
+                    } else if !cells.is_empty() {
+                        runs.push(cells);
                     }
                 }
-                if let Some(s) = run_start {
-                    run(s..ci, j, k);
+                starts[by + 1] = runs.len();
+            }
+            for k in k_cells {
+                for j in 0..cj {
+                    let by = j / BRICK;
+                    for r in &runs[starts[by]..starts[by + 1]] {
+                        run(r.clone(), j, k);
+                    }
                 }
             }
         }
@@ -286,7 +281,6 @@ mod tests {
         let f = ramp_field(9);
         let t = BrickTree::build(&f);
         assert_eq!(t.root_range(), f.range().unwrap());
-        assert!(t.n_levels() >= 2);
         assert!(t.matches(f.dims));
     }
 

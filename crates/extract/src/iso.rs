@@ -28,7 +28,7 @@ pub struct IsoStats {
     pub triangles: usize,
     /// Cells never examined thanks to bricktree pruning.
     pub cells_skipped: usize,
-    /// Finest-level bricks skipped whole.
+    /// Bricks skipped whole.
     pub bricks_skipped: usize,
 }
 

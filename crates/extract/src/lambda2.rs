@@ -552,7 +552,7 @@ pub struct Lambda2Stats {
     pub point_evals: usize,
     /// Cells never examined thanks to bricktree pruning.
     pub cells_skipped: usize,
-    /// Finest-level bricks skipped whole.
+    /// Bricks skipped whole.
     pub bricks_skipped: usize,
 }
 

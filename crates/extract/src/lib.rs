@@ -6,7 +6,7 @@
 //!
 //! * [`iso`] — isosurface extraction over curvilinear blocks (marching
 //!   tetrahedra, [`tetra`]), plain and streamed.
-//! * [`bricktree`] — per-block min/max brick hierarchies that let every
+//! * [`bricktree`] — per-block min/max ranges of 4³-cell bricks that let every
 //!   extractor skip inactive regions without touching their cells.
 //! * [`bsp`] — per-block BSP trees for view-dependent front-to-back
 //!   extraction with empty-region pruning (the `ViewerIso` command).

@@ -195,16 +195,17 @@ impl TriangleSoup {
         if b.remaining() != n.checked_mul(36)? {
             return None;
         }
-        // Decode in 12-byte vertex chunks instead of per-float gets.
+        // One exact-size extend over 12-byte vertex chunks: the iterator
+        // knows its length, so the buffer is sized once and the loop
+        // writes vertices without a capacity check per push.
         let mut positions = spare(3 * n);
-        positions.reserve(3 * n);
-        for v in b.chunks_exact(12) {
-            positions.push([
+        positions.extend(b.chunks_exact(12).map(|v| {
+            [
                 f32::from_le_bytes([v[0], v[1], v[2], v[3]]),
                 f32::from_le_bytes([v[4], v[5], v[6], v[7]]),
                 f32::from_le_bytes([v[8], v[9], v[10], v[11]]),
-            ]);
-        }
+            ]
+        }));
         Some(TriangleSoup { positions })
     }
 }

@@ -1,9 +1,12 @@
 //! Property tests of the extraction acceleration path: bricktree-pruned
 //! contouring must be *byte-identical* to the exhaustive scan on
-//! arbitrary fields, and the bulk triangle-soup wire codec must
-//! round-trip exactly and reject malformed payloads.
+//! arbitrary fields, the separable leaf build and the per-brick-row run
+//! scan must agree with brute-force references, and the bulk
+//! triangle-soup wire codec must round-trip exactly and reject
+//! malformed payloads.
 
-use vira_extract::bricktree::BrickTree;
+use std::ops::Range;
+use vira_extract::bricktree::{BrickTree, PruneCounters, BRICK};
 use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
 use vira_extract::mesh::{payload_triangle_count, TriangleSoup};
 use vira_grid::block::{BlockDims, CurvilinearBlock};
@@ -87,6 +90,192 @@ fn skipped_cells_are_never_active() {
     });
 }
 
+/// Dims of 1–40 points per axis, and in one case of eight one axis of
+/// more than 256 cells (the others kept small), so no word-sized limit
+/// on bricks per row can hide.
+fn any_dims(g: &mut Gen) -> BlockDims {
+    let mut n = [g.usize_in(1..41), g.usize_in(1..41), g.usize_in(1..41)];
+    if g.u64().is_multiple_of(8) {
+        n = [g.usize_in(1..7), g.usize_in(1..7), g.usize_in(1..7)];
+        n[g.usize_in(0..3)] = g.usize_in(258..300);
+    }
+    BlockDims::new(n[0], n[1], n[2])
+}
+
+/// Samples for `dims`: white noise in half the cases, a smooth radial
+/// bump plus a little noise in the other half (so whole bricks fall
+/// outside an iso level), with NaN sprinkled in one case of four.
+fn any_values(g: &mut Gen, dims: BlockDims) -> Vec<f64> {
+    let smooth = g.bool();
+    let c = [
+        g.f64_in(0.0, 40.0),
+        g.f64_in(0.0, 40.0),
+        g.f64_in(0.0, 40.0),
+    ];
+    let nan_share = if g.u64().is_multiple_of(4) {
+        g.f64_in(0.0, 1.0)
+    } else {
+        0.0
+    };
+    let mut values = Vec::with_capacity(dims.n_points());
+    for k in 0..dims.nk {
+        for j in 0..dims.nj {
+            for i in 0..dims.ni {
+                let v = if g.f64_in(0.0, 1.0) < nan_share {
+                    f64::NAN
+                } else if smooth {
+                    let d = [i as f64 - c[0], j as f64 - c[1], k as f64 - c[2]];
+                    (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt() + g.f64_in(0.0, 0.5)
+                } else {
+                    g.f64_in(-1.0, 1.0)
+                };
+                values.push(v);
+            }
+        }
+    }
+    values
+}
+
+/// Bricks along an axis of `cells` cells (one even when there are none).
+fn bricks_along(cells: usize) -> usize {
+    cells.div_ceil(BRICK).max(1)
+}
+
+/// Grid points touched by brick `b` along an axis of `points` points.
+fn brick_points(b: usize, points: usize) -> Range<usize> {
+    let cells = points.saturating_sub(1);
+    b * BRICK..(((b + 1) * BRICK).min(cells) + 1).min(points)
+}
+
+/// Every leaf range is the min/max over exactly the points its brick
+/// touches, computed the direct way.
+#[test]
+fn leaf_ranges_equal_range_over_points() {
+    check(DEFAULT_CASES, |g| {
+        let dims = any_dims(g);
+        let field = ScalarField::new(dims, any_values(g, dims));
+        let tree = BrickTree::build(&field);
+        let (ci, cj, ck) = dims.cell_dims();
+        let (nx, ny, nz) = (bricks_along(ci), bricks_along(cj), bricks_along(ck));
+        assert_eq!(tree.n_bricks(), nx * ny * nz);
+        for bz in 0..nz {
+            for by in 0..ny {
+                for bx in 0..nx {
+                    let want = field.range_over_points(
+                        brick_points(bx, dims.ni),
+                        brick_points(by, dims.nj),
+                        brick_points(bz, dims.nk),
+                    );
+                    assert_eq!(
+                        tree.leaf_range(bx, by, bz),
+                        want,
+                        "brick ({bx},{by},{bz}) of {dims:?}"
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// NaN samples never reach a range: the leaves and the root hold the
+/// min/max of the other samples, and the root equals `field.range()`.
+#[test]
+fn nan_samples_are_skipped_and_root_is_the_field_range() {
+    check(DEFAULT_CASES, |g| {
+        let dims = any_dims(g);
+        let mut values = any_values(g, dims);
+        for _ in 0..g.usize_in(0..values.len() + 1) {
+            let at = g.usize_in(0..values.len());
+            values[at] = f64::NAN;
+        }
+        let field = ScalarField::new(dims, values);
+        let tree = BrickTree::build(&field);
+        assert_eq!(Some(tree.root_range()), field.range());
+        let finite: Vec<f64> = field
+            .values
+            .iter()
+            .copied()
+            .filter(|v| !v.is_nan())
+            .collect();
+        let lo = finite.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(tree.root_range(), (lo, hi));
+        let (ci, cj, ck) = dims.cell_dims();
+        for bz in 0..bricks_along(ck) {
+            for by in 0..bricks_along(cj) {
+                for bx in 0..bricks_along(ci) {
+                    let (l, h) = tree.leaf_range(bx, by, bz);
+                    assert!(!l.is_nan() && !h.is_nan(), "NaN in brick ({bx},{by},{bz})");
+                }
+            }
+        }
+    });
+}
+
+/// The reference run scan: every cell asked through `cell_candidate` in
+/// storage order, maximal runs of candidates per row, a skipped brick
+/// for every leaf that does not straddle `iso`.
+fn brute_force_runs(
+    tree: &BrickTree,
+    dims: BlockDims,
+    iso: f64,
+) -> (Vec<(Range<usize>, usize, usize)>, PruneCounters) {
+    let (ci, cj, ck) = dims.cell_dims();
+    let mut runs = Vec::new();
+    let mut c = PruneCounters::default();
+    for k in 0..ck {
+        for j in 0..cj {
+            let mut start = None;
+            for i in 0..=ci {
+                let candidate = i < ci && tree.cell_candidate(i, j, k, iso);
+                match (candidate, start) {
+                    (true, None) => start = Some(i),
+                    (false, Some(s)) => {
+                        runs.push((s..i, j, k));
+                        start = None;
+                    }
+                    _ => {}
+                }
+                if i < ci && !candidate {
+                    c.cells_skipped += 1;
+                }
+            }
+        }
+    }
+    for bz in 0..bricks_along(ck) {
+        for by in 0..bricks_along(cj) {
+            for bx in 0..bricks_along(ci) {
+                if !tree.cell_candidate(bx * BRICK, by * BRICK, bz * BRICK, iso) {
+                    c.bricks_skipped += 1;
+                }
+            }
+        }
+    }
+    (runs, c)
+}
+
+/// Runs replayed per brick row are exactly the brute-force runs, in the
+/// same order, with the same counters.
+#[test]
+fn candidate_runs_match_a_per_cell_reference() {
+    check(DEFAULT_CASES, |g| {
+        let dims = any_dims(g);
+        let field = ScalarField::new(dims, any_values(g, dims));
+        let tree = BrickTree::build(&field);
+        let (lo, hi) = tree.root_range();
+        let iso = if lo <= hi && !g.u64().is_multiple_of(8) {
+            g.f64_in(lo, hi)
+        } else {
+            g.f64_in(-50.0, 50.0)
+        };
+        let mut runs = Vec::new();
+        let counters = tree.scan_candidate_runs(iso, |r, j, k| runs.push((r, j, k)));
+        let (want_runs, want_counters) = brute_force_runs(&tree, dims, iso);
+        assert_eq!(runs, want_runs, "iso {iso} on {dims:?}");
+        assert_eq!(counters, want_counters, "iso {iso} on {dims:?}");
+    });
+}
+
 /// The bulk encoder round-trips bit-exactly through `from_bytes`, and
 /// `payload_triangle_count` agrees with the decoded count.
 #[test]
@@ -135,6 +324,58 @@ fn malformed_soup_bytes_are_rejected() {
         lying[..4].copy_from_slice(&(n_tris + inflate).to_le_bytes());
         assert!(TriangleSoup::from_bytes(lying.clone().into()).is_none());
         assert!(payload_triangle_count(&lying).is_none());
+    });
+}
+
+/// `f32` bit patterns a lossy decoder would disturb: quiet and
+/// signalling NaNs with payloads, both zeros, subnormals, infinities.
+const AWKWARD_F32: [u32; 9] = [
+    0x7fc0_0001,
+    0xffff_ffff,
+    0x7f80_0001,
+    0x8000_0000,
+    0x0000_0000,
+    0x0000_0001,
+    0x807f_ffff,
+    0x7f80_0000,
+    0xff80_0000,
+];
+
+/// The wire decoder on arbitrary bytes: it never panics, accepts a
+/// payload exactly when its length is `4 + 36 · count`, and every
+/// payload it accepts re-encodes to the same bytes, bit for bit.
+#[test]
+fn soup_decoder_accepts_exactly_the_well_formed_and_is_lossless() {
+    check(DEFAULT_CASES, |g| {
+        let payload: Vec<u8> = if g.bool() {
+            // Arbitrary bytes, mostly malformed.
+            g.bytes(0..120)
+        } else {
+            // A count prefix with a body of about the right length,
+            // floats drawn from random bits and the awkward patterns.
+            let n = g.u32_in(0..6);
+            let body = (36 * n as usize + g.usize_in(0..3)).saturating_sub(g.usize_in(0..3));
+            let mut p = n.to_le_bytes().to_vec();
+            while p.len() < 4 + body {
+                let bits = if g.bool() {
+                    AWKWARD_F32[g.usize_in(0..AWKWARD_F32.len())]
+                } else {
+                    g.u64() as u32
+                };
+                p.extend_from_slice(&bits.to_le_bytes());
+            }
+            p.truncate(4 + body);
+            p
+        };
+        let well_formed = payload.len() >= 4 && {
+            let n = u32::from_le_bytes(payload[..4].try_into().unwrap()) as u64;
+            payload.len() as u64 == 4 + 36 * n
+        };
+        let decoded = TriangleSoup::from_bytes(payload.clone().into());
+        assert_eq!(decoded.is_some(), well_formed, "{} bytes", payload.len());
+        if let Some(soup) = decoded {
+            assert_eq!(&soup.to_bytes()[..], &payload[..]);
+        }
     });
 }
 

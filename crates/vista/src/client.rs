@@ -68,9 +68,9 @@ pub struct JobOutcome {
     pub packets: Vec<PacketRecord>,
     /// Per-worker progress reports in arrival order.
     pub progress: Vec<ProgressRecord>,
-    /// Wall time from submission until the *first* geometry arrived —
-    /// the latency figure that matters. For non-streamed commands this equals
-    /// `total_wall`.
+    /// Wall time from submission until the *first* geometry was decoded —
+    /// the latency figure that matters, queueing behind earlier jobs
+    /// included. For non-streamed commands it ends at the final event.
     pub first_result_wall: Option<Duration>,
     /// Wall time from submission to the final event.
     pub total_wall: Duration,
@@ -362,12 +362,15 @@ impl VistaClient {
         job: JobId,
         cancel_after: Option<usize>,
     ) -> Result<JobOutcome, ClientError> {
-        let t0 = Instant::now();
         // Install the job's trace context so the collect span (and any
         // events fired while assembling) land in the job's flight
-        // recording; time-to-first-triangle (the span and the
-        // `vista_first_result_ns` histogram) is measured from submit.
-        let (ctx, submitted_at) = self.traces.remove(&job).unwrap_or((obs::current_ctx(), t0));
+        // recording. Every wall time of the outcome — packets, progress,
+        // first geometry, the final event — counts from submit, so a job
+        // that queued behind others shows its wait.
+        let (ctx, submitted_at) = self
+            .traces
+            .remove(&job)
+            .unwrap_or_else(|| (obs::current_ctx(), Instant::now()));
         let _ctx_guard = obs::install_ctx(ctx);
         let mut span = obs::span("vista.collect", "vista").arg("job", job);
         let mut triangles = TriangleSoup::new();
@@ -409,7 +412,7 @@ impl VistaClient {
                         obs::counter_cached(&DUP_DROPPED, "vista_dup_dropped_total").inc();
                         continue;
                     }
-                    let elapsed = t0.elapsed();
+                    let elapsed = submitted_at.elapsed();
                     obs::counter_cached(&PACKETS, "vista_packets_total").inc();
                     obs::counter_cached(&STREAM_BYTES, "vista_stream_bytes_total")
                         .add(payload.len() as u64);
@@ -418,20 +421,7 @@ impl VistaClient {
                     Self::ingest(kind, payload, &mut triangles, &mut polylines)?;
                     cumulative += n_items as u64;
                     if n_items > 0 && first.is_none() {
-                        first = Some(elapsed);
-                        obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns")
-                            .record_duration(submitted_at.elapsed());
-                        // Time-to-first-triangle span, measured from
-                        // submit — the critical-path analyzer reads it
-                        // as the job's ttft.
-                        obs::complete_span_ctx(
-                            "vista.first_result",
-                            "vista",
-                            submitted_at,
-                            Instant::now(),
-                            ctx,
-                            &[("job", obs::ArgValue::U64(job))],
-                        );
+                        first = Some(Self::first_geometry(job, ctx, submitted_at));
                     }
                     packets.push(PacketRecord {
                         seq,
@@ -452,25 +442,11 @@ impl VistaClient {
                     report,
                     ..
                 } => {
-                    let elapsed = t0.elapsed();
                     obs::counter_cached(&STREAM_BYTES, "vista_stream_bytes_total")
                         .add(payload.len() as u64);
                     Self::ingest(kind, payload, &mut triangles, &mut polylines)?;
                     if n_items > 0 && first.is_none() {
-                        first = Some(elapsed);
-                        obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns")
-                            .record_duration(submitted_at.elapsed());
-                        // Time-to-first-triangle span, measured from
-                        // submit — the critical-path analyzer reads it
-                        // as the job's ttft.
-                        obs::complete_span_ctx(
-                            "vista.first_result",
-                            "vista",
-                            submitted_at,
-                            Instant::now(),
-                            ctx,
-                            &[("job", obs::ArgValue::U64(job))],
-                        );
+                        first = Some(Self::first_geometry(job, ctx, submitted_at));
                     }
                     obs::counter_cached(&JOBS_COLLECTED, "vista_jobs_collected_total").inc();
                     span.set_arg("packets", packets.len());
@@ -482,7 +458,7 @@ impl VistaClient {
                         packets,
                         progress,
                         first_result_wall: first,
-                        total_wall: elapsed,
+                        total_wall: submitted_at.elapsed(),
                         report,
                         cancelled: false,
                     });
@@ -503,7 +479,7 @@ impl VistaClient {
                         packets,
                         progress,
                         first_result_wall: first,
-                        total_wall: t0.elapsed(),
+                        total_wall: submitted_at.elapsed(),
                         report,
                         cancelled: true,
                     });
@@ -515,12 +491,31 @@ impl VistaClient {
                 } => {
                     progress.push(ProgressRecord {
                         from_worker,
-                        elapsed: t0.elapsed(),
+                        elapsed: submitted_at.elapsed(),
                         fraction,
                     });
                 }
             }
         }
+    }
+
+    /// Time to first geometry, from submit until the first payload with
+    /// items is decoded: the outcome's `first_result_wall`, the live
+    /// `vista_first_result_ns` histogram and the `vista.first_result`
+    /// span the critical-path analyzer reads as the job's ttft.
+    fn first_geometry(job: JobId, ctx: obs::TraceCtx, submitted_at: Instant) -> Duration {
+        let now = Instant::now();
+        let ttfg = now - submitted_at;
+        obs::histogram_cached(&FIRST_RESULT_NS, "vista_first_result_ns").record_duration(ttfg);
+        obs::complete_span_ctx(
+            "vista.first_result",
+            "vista",
+            submitted_at,
+            now,
+            ctx,
+            &[("job", obs::ArgValue::U64(job))],
+        );
+        ttfg
     }
 
     fn ingest(
@@ -621,6 +616,64 @@ mod tests {
         assert!(out.first_result_wall.unwrap() <= out.total_wall);
         assert_eq!(out.packets.last().unwrap().cumulative_items, 3);
         assert_eq!(out.report.triangles, 3);
+    }
+
+    #[test]
+    fn ttfg_of_a_pipelined_job_includes_its_queueing_delay() {
+        // Two jobs in flight at once on a back-end that serves one at a
+        // time: the second waits out the first's 40 ms, then takes 5 ms.
+        // Each final report carries the wait the back-end saw, from the
+        // submit's arrival to the start of service.
+        let (client_side, server_side) = client_server_link();
+        let h = std::thread::spawn(move || {
+            let arrivals: Vec<(JobId, Instant)> = (0..2)
+                .map(|_| {
+                    let frame = server_side.next_request().unwrap();
+                    let ClientRequest::Submit { job, .. } = decode_request(frame).unwrap() else {
+                        panic!("expected submit");
+                    };
+                    (job, Instant::now())
+                })
+                .collect();
+            for ((job, arrived), service_ms) in arrivals.into_iter().zip([40, 5]) {
+                let queued = arrived.elapsed();
+                std::thread::sleep(Duration::from_millis(service_ms));
+                server_side
+                    .emit(triangle_packet(job, 0, 0, &one_tri()))
+                    .unwrap();
+                let report = JobReport {
+                    triangles: 1,
+                    queue_wait_s: queued.as_secs_f64(),
+                    ..JobReport::default()
+                };
+                let last = EventHeader::Final {
+                    job,
+                    kind: PayloadKind::None,
+                    n_items: 0,
+                    report,
+                };
+                server_side.emit(encode_event(&last, Bytes::new())).unwrap();
+            }
+        });
+        let mut client = VistaClient::new(client_side);
+        let first = client.submit(&spec()).unwrap();
+        let second = client.submit(&spec()).unwrap();
+        let outcomes = [
+            client.collect(first).unwrap(),
+            client.collect(second).unwrap(),
+        ];
+        h.join().unwrap();
+        assert!(outcomes[1].report.queue_wait_s >= 0.040);
+        for out in &outcomes {
+            let ttfg = out.first_result_wall.expect("one packet with a triangle");
+            assert!(
+                ttfg.as_secs_f64() >= out.report.queue_wait_s,
+                "job {}: ttfg {ttfg:?} < queueing delay {} s",
+                out.job,
+                out.report.queue_wait_s
+            );
+            assert!(ttfg <= out.total_wall);
+        }
     }
 
     #[test]

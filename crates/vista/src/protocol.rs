@@ -245,7 +245,7 @@ pub struct JobReport {
     /// Extraction cells skipped by bricktree pruning, summed across the
     /// work group.
     pub cells_skipped: u64,
-    /// Finest-level bricks skipped whole.
+    /// Bricks skipped whole.
     pub bricks_skipped: u64,
     /// Command retransmissions the scheduler issued for this job.
     pub retries: u64,
