@@ -27,7 +27,7 @@ use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::{DataServer, ServerConfig};
 use vira_extract::bricktree::BrickTree;
 use vira_extract::halo::GhostedBlock;
-use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree};
+use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree, extract_streamed};
 use vira_extract::lambda2::lambda2_field;
 use vira_extract::locate::invert_trilinear;
 use vira_extract::mesh::TriangleSoup;
@@ -342,6 +342,20 @@ fn main() {
     assert!(fan_triangles > 3000, "{fan_triangles} triangles");
     h.bench("iso/extract_propfan_21c", || {
         extract_isosurface(fan_grid, black_box(fan_speed), iso_fan)
+    });
+    // ---- StreamedVortex's work on one Propfan 21-cubed block, from the
+    // loaded data to its last batch: the λ₂ field, a throwaway bricktree
+    // and the contour at the figures' threshold -120 in batches of 2000
+    // triangles. Block 1 carries the median surface of the 120 that cut
+    // -120 (about 3 400 triangles) ----
+    let fan_vortex = fan.generate(BlockStepId::new(1, 0));
+    h.bench("lambda2/streamed_block", || {
+        let field = lambda2_field(black_box(&fan_vortex));
+        let mut triangles = 0;
+        extract_streamed(&fan_vortex.grid, &field, -120.0, 2000, |batch| {
+            triangles += batch.n_triangles()
+        });
+        triangles
     });
     let package = merged.to_bytes();
     drop(merged);

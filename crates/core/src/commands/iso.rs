@@ -18,6 +18,7 @@ fn extract_items(
     let compute_per_item = ctx.costs.iso_s_per_cell * ctx.nominal_cells();
     walk_share(
         ctx,
+        false,
         |ctx, id| {
             let data = if collective && !ctx.proxy.is_cached(&ctx.dataset, id) {
                 // Cold item: all group members fetch their items in one
@@ -32,7 +33,10 @@ fn extract_items(
             ctx.charge_compute(compute_per_item);
             Ok(data)
         },
-        |data| extract_isosurface(&data.grid, &data.velocity.magnitude(), iso),
+        |data| {
+            let (soup, stats) = extract_isosurface(&data.grid, &data.velocity.magnitude(), iso);
+            (vec![soup], stats)
+        },
     )
 }
 

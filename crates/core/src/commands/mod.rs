@@ -10,7 +10,7 @@
 //! | `CollectiveIso` | collective I/O on cold items | no |
 //! | `SimpleVortex` | direct reads | no |
 //! | `VortexDataMan` | DMS | no |
-//! | `StreamedVortex` | DMS | cell-wise λ₂ batches |
+//! | `StreamedVortex` | DMS | per-block λ₂ surface batches |
 //! | `SimplePathlines` | direct reads (job-local map) | no |
 //! | `PathlinesDataMan` | DMS (Markov-friendly) | per-trace packets |
 //! | `ProgressiveIso` | DMS | coarse-to-fine levels |
@@ -106,24 +106,27 @@ pub(crate) fn id_order(ctx: &JobCtx<'_>) -> Vec<BlockId> {
 /// items per thread.
 const ITEMS_PER_THREAD: usize = 4;
 
-/// Walks this worker's share in id order and returns the merged
-/// surface: the one item loop of the isosurface and λ₂ commands.
+/// Walks this worker's share in id order: the one item loop of the
+/// isosurface and λ₂ commands.
 ///
 /// `load` runs on the calling thread, one item at a time, and does
 /// everything order-sensitive: DMS requests, the cost meter and
-/// derived-field memoization. `extract` is pure. Each round loads its
-/// items, extracts them side by side on [`scoped_map`] with
-/// `ctx.extract_threads` threads and merges the results in item order,
-/// so the payload is byte-identical at any width and a worker holds at
-/// most one round of loaded items. At one thread a round is one item
-/// and `scoped_map` runs it inline: load and extraction alternate as in
-/// a plain loop, which is what gives a prefetch time to land. Progress
-/// goes to the client every ~5 % of the share; a cancel returns what is
-/// merged so far.
+/// derived-field memoization. `extract` is pure and hands back the
+/// item's surface as batches. Each round loads its items, extracts them
+/// side by side on [`scoped_map`] with `ctx.extract_threads` threads and
+/// takes the results in item order: with `stream`, every batch goes to
+/// the client as a PARTIAL packet; without, it is merged into the
+/// returned final package. Either way the payload is byte-identical at
+/// any width, and a worker holds at most one round of loaded items. At
+/// one thread a round is one item and `scoped_map` runs it inline: load,
+/// extraction and sends alternate as in a plain loop, which is what
+/// gives a prefetch time to land. Progress goes to the client every
+/// ~5 % of the share; a cancel returns what is merged so far.
 pub(crate) fn walk_share<W: Sync>(
     ctx: &mut JobCtx<'_>,
+    stream: bool,
     mut load: impl FnMut(&JobCtx<'_>, BlockStepId) -> Result<W, CommandError>,
-    extract: impl Fn(&W) -> (TriangleSoup, IsoStats) + Sync,
+    extract: impl Fn(&W) -> (Vec<TriangleSoup>, IsoStats) + Sync,
 ) -> Result<CommandOutput, CommandError> {
     let items = share(ctx, &id_order(ctx));
     let total = items.len();
@@ -154,15 +157,21 @@ pub(crate) fn walk_share<W: Sync>(
                 .arg("job", job)
                 .arg("block", id.block)
                 .arg("step", id.step);
-            let (soup, stats) = extract(item);
-            block_span.set_arg("triangles", soup.n_triangles());
+            let (batches, stats) = extract(item);
+            block_span.set_arg("triangles", stats.triangles);
             block_span.set_arg("cells_skipped", stats.cells_skipped as u64);
             block_span.set_arg("bricks_skipped", stats.bricks_skipped as u64);
-            (soup, stats)
+            (batches, stats)
         });
         drop(round_span);
-        for (soup, stats) in results {
-            out.triangles.extend_from(&soup);
+        for (batches, stats) in results {
+            for batch in &batches {
+                if stream {
+                    ctx.stream_triangles(batch)?;
+                } else {
+                    out.triangles.extend_from(batch);
+                }
+            }
             out.cells_skipped += stats.cells_skipped as u64;
             out.bricks_skipped += stats.bricks_skipped as u64;
             done += 1;

@@ -1,15 +1,21 @@
 //! λ₂ vortex-region commands (paper §6.3, Figures 9–12): direct-read and
-//! DMS baselines computing the complete λ₂ field per block, and the
-//! streamed variant that processes cells one by one, flushing triangle
-//! batches to the client as soon as the active-cell list fills up.
+//! DMS baselines that send each worker's surface in its final package,
+//! and the streamed variant that sends every block's surface in batches
+//! as soon as the block is contoured.
+//!
+//! All three walk their share through [`walk_share`] and extract an item
+//! the same way: the complete λ₂ field of the block ([`lambda2_field`],
+//! or a memoized one with its bricktree), contoured at the threshold by
+//! [`contour`]. They differ in how an item is loaded and in where its
+//! batches go.
 
-use super::{id_order, require_f64, share, walk_share};
+use super::{require_f64, walk_share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
 use std::sync::Arc;
 use vira_extract::bricktree::BrickTree;
 use vira_extract::halo::GhostedBlock;
-use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree, IsoStats};
-use vira_extract::lambda2::{lambda2_field, Lambda2Streamer};
+use vira_extract::iso::{extract_streamed, extract_streamed_with_tree, IsoStats};
+use vira_extract::lambda2::lambda2_field;
 use vira_extract::mesh::TriangleSoup;
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
@@ -55,6 +61,28 @@ fn derive(data: &BlockData, neighbours: Option<&[SharedBlockData]>) -> ScalarFie
         }
         None => lambda2_field(data),
     }
+}
+
+/// Contours one item at `threshold`, cut into batches of at least
+/// `batch` triangles (the last one may be short); `usize::MAX` keeps the
+/// surface in one piece.
+fn contour(item: &Lambda2Item, threshold: f64, batch: usize) -> (Vec<TriangleSoup>, IsoStats) {
+    let mut batches = Vec::new();
+    let sink = |soup| batches.push(soup);
+    let stats = match item {
+        Lambda2Item::Outside(cells) => IsoStats {
+            cells_skipped: *cells,
+            ..IsoStats::default()
+        },
+        Lambda2Item::Memoized(data, field, tree) => {
+            extract_streamed_with_tree(&data.grid, field, threshold, Some(tree), batch, sink)
+        }
+        Lambda2Item::Fresh(data, nbs) => {
+            let field = derive(data, nbs.as_deref());
+            extract_streamed(&data.grid, &field, threshold, batch, sink)
+        }
+    };
+    (batches, stats)
 }
 
 fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, CommandError> {
@@ -138,21 +166,7 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
         }
         Ok(Lambda2Item::Memoized(data, field, tree))
     };
-    walk_share(ctx, load, |item| match item {
-        Lambda2Item::Outside(cells) => (
-            TriangleSoup::new(),
-            IsoStats {
-                cells_skipped: *cells,
-                ..IsoStats::default()
-            },
-        ),
-        Lambda2Item::Memoized(data, field, tree) => {
-            extract_isosurface_with_tree(&data.grid, field, threshold, Some(tree))
-        }
-        Lambda2Item::Fresh(data, nbs) => {
-            extract_isosurface(&data.grid, &derive(data, nbs.as_deref()), threshold)
-        }
-    })
+    walk_share(ctx, false, load, |item| contour(item, threshold, usize::MAX))
 }
 
 /// λ₂ extraction without data management: the Fig. 9/10 baseline.
@@ -181,9 +195,10 @@ impl Command for VortexDataMan {
     }
 }
 
-/// Streamed λ₂ extraction: cells are processed one by one with lazy,
-/// memoized λ₂ evaluation; whenever the active-cell batch fills, the
-/// triangulated fragment is transmitted immediately (paper §6.3).
+/// Streamed λ₂ extraction: every block's surface goes to the client in
+/// batches of `batch` triangles as soon as the block is contoured, so
+/// first fragments arrive long before the last block is done (paper
+/// §6.3). The final package carries only the pruning counters.
 pub struct StreamedVortex;
 
 impl Command for StreamedVortex {
@@ -194,42 +209,21 @@ impl Command for StreamedVortex {
     fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
         let threshold = require_f64(ctx, "threshold")?;
         let batch = super::batch_size(ctx);
-        // Streaming overhead: the cell-wise pass costs slightly more than
-        // the optimized full-field pass (extra bookkeeping per cell).
+        // Streaming overhead: the paper's cell-wise pass costs slightly
+        // more than its full-field pass (extra bookkeeping per cell).
         let compute_per_item =
             (ctx.costs.lambda2_s_per_cell + 0.1 * ctx.costs.iso_s_per_cell) * ctx.nominal_cells();
-        let mut out = CommandOutput::default();
-        for id in share(ctx, &id_order(ctx)) {
-            if ctx.is_cancelled() {
-                return Ok(out);
-            }
+        let load = |ctx: &JobCtx<'_>, id: BlockStepId| {
             let data = ctx.load_block(id)?;
             ctx.charge_compute(compute_per_item);
-            // Prune with the memoized λ₂ field's bricktree when an
-            // earlier full-field pass (VortexDataMan with `cache_fields`)
-            // left one behind; otherwise stay lazy and scan every cell
-            // with compute-on-first-touch.
-            let cached = ctx.derived.peek_tree(&ctx.dataset, "lambda2", id);
-            let streamer = match &cached {
-                Some((_, tree)) => Lambda2Streamer::with_tree(&data, tree),
-                None => Lambda2Streamer::new(&data),
-            };
-            let mut stream_err: Option<CommandError> = None;
-            let stats = streamer.run(threshold, batch, |soup| {
-                if stream_err.is_none() {
-                    if let Err(e) = ctx.stream_triangles(&soup) {
-                        stream_err = Some(e);
-                    }
-                }
-            });
-            if let Some(e) = stream_err {
-                return Err(e);
-            }
-            out.cells_skipped += stats.cells_skipped as u64;
-            out.bricks_skipped += stats.bricks_skipped as u64;
-        }
-        // Everything was streamed; the merged final result is empty
-        // apart from the pruning counters.
-        Ok(out)
+            // Reuse the field and bricktree an earlier full-field pass
+            // (VortexDataMan with `cache_fields`) memoized; never fill
+            // the cache from here.
+            Ok(match ctx.derived.peek_tree(&ctx.dataset, "lambda2", id) {
+                Some((field, tree)) => Lambda2Item::Memoized(data, field, tree),
+                None => Lambda2Item::Fresh(data, None),
+            })
+        };
+        walk_share(ctx, true, load, |item| contour(item, threshold, batch))
     }
 }

@@ -169,9 +169,9 @@ impl DerivedFieldCache {
     }
 
     /// Bricktree for an already-cached field, or `None` when the field is
-    /// not cached. Never computes a field: callers on the lazy streaming
-    /// path use this to prune only when a memoized field is available and
-    /// fall back to an unpruned scan otherwise.
+    /// not cached. Never computes a field: `StreamedVortex` uses this to
+    /// reuse a memoized field and derive its own otherwise, without
+    /// filling the cache.
     pub fn peek_tree(
         &self,
         dataset: &str,

@@ -1,9 +1,10 @@
 //! The item walk really fans out: with several extraction threads, the
-//! `extract.block` spans of an isosurface or λ₂ job run on pool
-//! threads, not on the thread that walks the share; with one, every
-//! block runs on the walking thread. Payload equality across widths is
-//! `framework::parallel_extraction_is_byte_identical_to_serial`; this
-//! checks that the width is used at all.
+//! `extract.block` spans of an isosurface or λ₂ job, streamed or not,
+//! run on pool threads, not on the thread that walks the share; with
+//! one, every block runs on the walking thread. Payload equality across
+//! widths is `framework::parallel_extraction_is_byte_identical_to_serial`
+//! and `framework::streamed_vortex_streams_and_matches`; this checks
+//! that the width is used at all.
 //!
 //! The tracer is process-global, so this file holds exactly one test —
 //! integration-test binaries run in their own process, which keeps the
@@ -75,6 +76,12 @@ fn wide_walks_extract_off_the_walking_thread() {
                 .set("threshold", -2.0e4)
                 .set("cache_fields", "true")
                 .set("ghosts", "true"),
+        ),
+        (
+            "StreamedVortex",
+            CommandParams::new()
+                .set("threshold", -2.0e4)
+                .set("batch", 100),
         ),
     ];
     for threads in [1, 4] {

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 use vira_dms::proxy::ProxyConfig;
+use vira_extract::mesh::TriangleSoup;
 use vira_grid::synth::{self, test_cube};
 use vira_storage::source::SynthSource;
 use vira_vista::{ClientError, CommandParams, JobOutcome, SubmitSpec, VistaClient};
@@ -248,36 +249,67 @@ fn vortex_commands_find_the_test_vortex() {
     finish(backend, client);
 }
 
+/// A soup's triangles as vertex bits, sorted: equal for two soups that
+/// hold the same triangles in any order.
+fn sorted_triangles(soup: &TriangleSoup) -> Vec<[[u32; 3]; 3]> {
+    let mut tris: Vec<[[u32; 3]; 3]> = soup
+        .positions
+        .chunks_exact(3)
+        .map(|t| std::array::from_fn(|v| t[v].map(f32::to_bits)))
+        .collect();
+    tris.sort_unstable();
+    tris
+}
+
 #[test]
 fn streamed_vortex_streams_and_matches() {
-    let (backend, mut client) = launch(2, "none");
-    let plain = client
-        .run(&SubmitSpec {
-            command: "VortexDataMan".into(),
-            dataset: "TestCube".into(),
-            params: CommandParams::new()
-                .set("threshold", -0.05)
-                .set("n_steps", 1),
-            workers: 2,
-        })
-        .unwrap();
-    let streamed = client
-        .run(&SubmitSpec {
-            command: "StreamedVortex".into(),
-            dataset: "TestCube".into(),
-            params: CommandParams::new()
-                .set("threshold", -0.05)
-                .set("n_steps", 1)
-                .set("batch", 16),
-            workers: 2,
-        })
-        .unwrap();
-    assert!(!streamed.packets.is_empty());
-    assert_eq!(
-        plain.triangles.n_triangles(),
-        streamed.triangles.n_triangles()
-    );
-    finish(backend, client);
+    // StreamedVortex sends the surface VortexDataMan returns, in batches:
+    // from one worker the same bytes in the same order, from two the
+    // same triangles in arrival order; at every extraction width, from
+    // a freshly derived λ₂ field and from a memoized one (`cache_fields`
+    // on the plain run leaves field and bricktree behind). Engine: 23
+    // blocks whose surfaces differ, so a dropped or reordered batch
+    // shows.
+    for threads in [1, 2] {
+        let mut cfg = ViracochaConfig::for_tests(2);
+        cfg.extract.threads = threads;
+        let (backend, link) = Viracocha::launch(cfg);
+        backend.register_dataset(
+            Arc::new(SynthSource::new(Arc::new(synth::engine(6)))),
+            false,
+        );
+        let mut client = VistaClient::new(link);
+        for (workers, cache_fields) in [(1, false), (2, false), (1, true), (2, true)] {
+            let mut run = |command: &str, params: CommandParams| {
+                client
+                    .run(&SubmitSpec {
+                        command: command.into(),
+                        dataset: "Engine".into(),
+                        params: params.set("threshold", -2.0e4).set("n_steps", 2),
+                        workers,
+                    })
+                    .unwrap()
+            };
+            let plain = run(
+                "VortexDataMan",
+                CommandParams::new().set("cache_fields", cache_fields),
+            );
+            let streamed = run("StreamedVortex", CommandParams::new().set("batch", 16));
+            let case = format!("{workers} workers, {threads} threads, cache {cache_fields}");
+            assert!(plain.triangles.n_triangles() > 0, "{case}");
+            assert!(streamed.packets.len() > 1, "{case}: batches");
+            if workers == 1 {
+                assert_eq!(streamed.triangles, plain.triangles, "{case}");
+            } else {
+                assert_eq!(
+                    sorted_triangles(&streamed.triangles),
+                    sorted_triangles(&plain.triangles),
+                    "{case}"
+                );
+            }
+        }
+        finish(backend, client);
+    }
 }
 
 #[test]

@@ -5,25 +5,15 @@
 //! give `∂x/∂ξ` and `∂u/∂ξ`; inverting the geometric Jacobian yields
 //! `∇u = (∂u/∂ξ)(∂x/∂ξ)⁻¹`. λ₂ is the middle eigenvalue of `S² + Ω²`.
 //!
-//! Two paths mirror the paper's two commands:
-//!
-//! * [`lambda2_field`] computes the **complete** scalar field first (the
-//!   `VortexDataMan` approach) — the result can then be isosurfaced with
-//!   any extractor;
-//! * [`Lambda2Streamer`] processes cells one by one, computing λ₂ values
-//!   lazily per grid point (memoized), collecting active cells into a
-//!   list and flushing triangulated batches — the `StreamedVortex`
-//!   approach that avoids materializing the full field before first
-//!   results. When a [`BrickTree`] over a previously memoized λ₂ field is
-//!   available (derived-field cache hit), the streamer skips whole
-//!   inactive bricks; without one it conservatively computes on first
-//!   touch as before.
+//! [`lambda2_field`] computes the complete scalar field of a block, which
+//! every λ₂ command then contours with the isosurface extractor:
+//! `SimpleVortex` and `VortexDataMan` in one piece, `StreamedVortex` in
+//! batches ([`extract_streamed_with_tree`](crate::iso::extract_streamed_with_tree)).
+//! [`lambda2_field_oracle`] is the point-at-a-time reference the kernel
+//! is tested against.
 
-use crate::bricktree::BrickTree;
 use crate::eigen::lambda2_of_gradient;
 use crate::halo::GhostLayer;
-use crate::mesh::TriangleSoup;
-use crate::tetra::contour_cell;
 use vira_grid::block::BlockDims;
 use vira_grid::faces::Face;
 use vira_grid::field::{BlockData, ScalarField};
@@ -31,7 +21,7 @@ use vira_grid::math::{Mat3, Vec3};
 
 /// A value differentiable by the index stencil: subtraction, scaling by
 /// `f64`, and an additive zero for degenerate (single-point) axes.
-pub trait StencilValue:
+trait StencilValue:
     Copy + std::ops::Sub<Output = Self> + std::ops::Mul<f64, Output = Self>
 {
     const ZERO: Self;
@@ -64,7 +54,7 @@ fn index_derivative<T: StencilValue, F: Fn(usize) -> T>(n: usize, idx: usize, sa
 /// Assembles `∇u` from the six index-space derivatives via the chain
 /// rule: `∇u = (∂u/∂ξ)(∂x/∂ξ)⁻¹`. `None` where the geometric Jacobian is
 /// singular.
-pub fn gradient_from_derivatives(
+fn gradient_from_derivatives(
     dx_di: Vec3,
     dx_dj: Vec3,
     dx_dk: Vec3,
@@ -80,7 +70,7 @@ pub fn gradient_from_derivatives(
 
 /// Velocity-gradient tensor `∇u` at grid point `(i, j, k)`, or `None`
 /// where the geometric Jacobian is singular (collapsed cells).
-pub fn velocity_gradient(data: &BlockData, i: usize, j: usize, k: usize) -> Option<Mat3> {
+fn velocity_gradient(data: &BlockData, i: usize, j: usize, k: usize) -> Option<Mat3> {
     let d = data.dims();
     // ∂x/∂ξ columns and ∂u/∂ξ columns for ξ = (i, j, k) directions.
     let dx_di = index_derivative(d.ni, i, |ii| data.grid.point(ii, j, k));
@@ -94,14 +84,14 @@ pub fn velocity_gradient(data: &BlockData, i: usize, j: usize, k: usize) -> Opti
 
 /// λ₂ at one grid point (`+∞` where the metric is singular, so the point
 /// never reads as a vortex).
-pub fn lambda2_at(data: &BlockData, i: usize, j: usize, k: usize) -> f64 {
+fn lambda2_at(data: &BlockData, i: usize, j: usize, k: usize) -> f64 {
     velocity_gradient(data, i, j, k)
         .map(|g| lambda2_of_gradient(&g))
         .unwrap_or(f64::INFINITY)
 }
 
 /// The point-at-a-time λ₂ field computation, retained verbatim as the
-/// test oracle: one [`lambda2_at`] evaluation per grid point, each
+/// test oracle: one `lambda2_at` evaluation per grid point, each
 /// re-deriving its six stencil samples through indexed accesses.
 pub fn lambda2_field_oracle(data: &BlockData) -> ScalarField {
     let d = data.dims();
@@ -122,7 +112,7 @@ pub fn lambda2_field_oracle(data: &BlockData) -> ScalarField {
 /// `k` (against slabs `k ± 1`). The per-point tensor pipeline then runs
 /// as five stage passes over the slab, from the velocity gradient to the
 /// final selects. Every per-element expression is transcribed operation
-/// for operation from the scalar [`lambda2_at`] path, which keeps the
+/// for operation from the scalar `lambda2_at` path, which keeps the
 /// result bit-identical to [`lambda2_field_oracle`].
 pub fn lambda2_field(data: &BlockData) -> ScalarField {
     lambda2_field_ghosted(data, &Default::default())
@@ -541,144 +531,6 @@ fn select_stage(n: usize, invariants: &[f64], u: &[f64], det: &[f64], out: &mut 
     }
 }
 
-/// Statistics of one streamed λ₂ pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Lambda2Stats {
-    pub cells_visited: usize,
-    pub active_cells: usize,
-    pub triangles: usize,
-    /// λ₂ point evaluations actually performed (≤ number of points; the
-    /// memo avoids recomputation across neighbouring cells).
-    pub point_evals: usize,
-    /// Cells never examined thanks to bricktree pruning.
-    pub cells_skipped: usize,
-    /// Bricks skipped whole.
-    pub bricks_skipped: usize,
-}
-
-/// Cell-by-cell streamed λ₂ extraction with lazy, memoized point
-/// evaluation. `threshold` is the λ₂ iso level (≈ 0, slightly negative in
-/// practice); triangles are flushed to `sink` every `batch_triangles`.
-pub struct Lambda2Streamer<'a> {
-    data: &'a BlockData,
-    /// Bricktree over an already-materialized λ₂ field (derived-field
-    /// cache hit). `None` → no pruning; λ₂ is computed on first touch.
-    tree: Option<&'a BrickTree>,
-    /// Memoized λ₂ point values; NaN = not yet computed.
-    memo: Vec<f64>,
-    stats: Lambda2Stats,
-}
-
-impl<'a> Lambda2Streamer<'a> {
-    pub fn new(data: &'a BlockData) -> Self {
-        Lambda2Streamer {
-            data,
-            tree: None,
-            memo: vec![f64::NAN; data.dims().n_points()],
-            stats: Lambda2Stats::default(),
-        }
-    }
-
-    /// A streamer that prunes with `tree` — a bricktree built over the
-    /// memoized λ₂ field of this very block (see
-    /// `viracocha::derived::DerivedFieldCache::peek_tree`). Pruning with a
-    /// tree from a different field would silently drop triangles, so the
-    /// dims are asserted.
-    pub fn with_tree(data: &'a BlockData, tree: &'a BrickTree) -> Self {
-        assert!(tree.matches(data.dims()), "bricktree dims mismatch");
-        let mut s = Lambda2Streamer::new(data);
-        s.tree = Some(tree);
-        s
-    }
-
-    fn value_at(&mut self, i: usize, j: usize, k: usize) -> f64 {
-        let idx = self.data.dims().point_index(i, j, k);
-        let v = self.memo[idx];
-        if !v.is_nan() {
-            return v;
-        }
-        let v = lambda2_at(self.data, i, j, k);
-        self.stats.point_evals += 1;
-        self.memo[idx] = v;
-        v
-    }
-
-    // The cell, the contour parameters and the two output ends of one
-    // streaming scan; a struct for them would be built once per cell.
-    #[allow(clippy::too_many_arguments)]
-    fn process_cell(
-        &mut self,
-        i: usize,
-        j: usize,
-        k: usize,
-        threshold: f64,
-        batch_triangles: usize,
-        pending: &mut TriangleSoup,
-        sink: &mut impl FnMut(TriangleSoup),
-    ) {
-        self.stats.cells_visited += 1;
-        // λ₂ at the eight corners, computed lazily.
-        let idxs = [
-            (i, j, k),
-            (i + 1, j, k),
-            (i, j + 1, k),
-            (i + 1, j + 1, k),
-            (i, j, k + 1),
-            (i + 1, j, k + 1),
-            (i, j + 1, k + 1),
-            (i + 1, j + 1, k + 1),
-        ];
-        let mut scalars = [0.0; 8];
-        for (n, &(a, b, c)) in idxs.iter().enumerate() {
-            scalars[n] = self.value_at(a, b, c);
-        }
-        let (lo, hi) = scalars
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &s| {
-                (l.min(s), h.max(s))
-            });
-        if !(hi > threshold && lo <= threshold) {
-            return;
-        }
-        self.stats.active_cells += 1;
-        let corners = self.data.grid.cell_corners(i, j, k);
-        self.stats.triangles += contour_cell(&corners, &scalars, threshold, pending);
-        if pending.n_triangles() >= batch_triangles {
-            sink(std::mem::take(pending));
-        }
-    }
-
-    /// Runs the full pass. Vortex boundaries are extracted as the
-    /// iso-surface λ₂ = `threshold`. With a bricktree, whole inactive
-    /// bricks are skipped (in storage order, so output is byte-identical
-    /// to the unpruned pass).
-    pub fn run(
-        mut self,
-        threshold: f64,
-        batch_triangles: usize,
-        mut sink: impl FnMut(TriangleSoup),
-    ) -> Lambda2Stats {
-        let mut pending = TriangleSoup::new();
-        let pruned = match self.tree {
-            Some(tree) => tree.scan_candidates(threshold, |i, j, k| {
-                self.process_cell(i, j, k, threshold, batch_triangles, &mut pending, &mut sink)
-            }),
-            None => {
-                for (i, j, k) in self.data.dims().cells() {
-                    self.process_cell(i, j, k, threshold, batch_triangles, &mut pending, &mut sink);
-                }
-                Default::default()
-            }
-        };
-        self.stats.cells_skipped = pruned.cells_skipped;
-        self.stats.bricks_skipped = pruned.bricks_skipped;
-        if !pending.is_empty() {
-            sink(pending);
-        }
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,59 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn streamer_matches_full_field_extraction() {
-        let data = vortex_block(13);
-        let field = lambda2_field(&data);
-        let (full, full_stats) = crate::iso::extract_isosurface(&data.grid, &field, -0.05);
-        let mut streamed = TriangleSoup::new();
-        let stats = Lambda2Streamer::new(&data).run(-0.05, 64, |b| streamed.extend_from(&b));
-        assert_eq!(stats.triangles, full_stats.triangles);
-        assert_eq!(stats.active_cells, full_stats.active_cells);
-        assert_eq!(streamed, full);
-        assert!(stats.triangles > 0, "vortex tube must produce a surface");
-    }
-
-    #[test]
-    fn streamer_with_tree_matches_unpruned_streamer() {
-        let data = vortex_block(13);
-        let field = lambda2_field(&data);
-        let tree = BrickTree::build(&field);
-        let mut plain = TriangleSoup::new();
-        let plain_stats = Lambda2Streamer::new(&data).run(-0.05, 64, |b| plain.extend_from(&b));
-        let mut pruned = TriangleSoup::new();
-        let pruned_stats =
-            Lambda2Streamer::with_tree(&data, &tree).run(-0.05, 64, |b| pruned.extend_from(&b));
-        assert_eq!(pruned, plain, "pruning changed vortex geometry");
-        assert_eq!(pruned_stats.triangles, plain_stats.triangles);
-        assert_eq!(pruned_stats.active_cells, plain_stats.active_cells);
-        assert_eq!(
-            pruned_stats.cells_visited + pruned_stats.cells_skipped,
-            data.dims().n_cells()
-        );
-        assert!(
-            pruned_stats.cells_skipped > 0,
-            "vortex tube is localized; some bricks must be skipped"
-        );
-        // Pruning also avoids λ₂ evaluations, not just range checks.
-        assert!(pruned_stats.point_evals < plain_stats.point_evals);
-    }
-
-    #[test]
-    fn streamer_memo_avoids_recomputation() {
-        let data = vortex_block(9);
-        let mut sink = |_b: TriangleSoup| {};
-        let stats = Lambda2Streamer::new(&data).run(-0.05, usize::MAX, &mut sink);
-        // Every point is evaluated at most once.
-        assert!(stats.point_evals <= data.dims().n_points());
-        // All cells visited.
-        assert_eq!(stats.cells_visited, data.dims().n_cells());
-    }
-
-    #[test]
     fn vortex_tube_is_roughly_cylindrical() {
         let data = vortex_block(17);
-        let mut soup = TriangleSoup::new();
-        Lambda2Streamer::new(&data).run(-0.05, usize::MAX, |b| soup.extend_from(&b));
+        let (soup, _) = crate::iso::extract_isosurface(&data.grid, &lambda2_field(&data), -0.05);
         // Vertices cluster around the z axis: x² + y² roughly constant,
         // well inside the domain.
         assert!(soup.n_triangles() > 20);

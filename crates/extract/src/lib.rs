@@ -56,10 +56,7 @@ pub use iso::{
     active_cells, extract_isosurface, extract_isosurface_oracle, extract_isosurface_with_tree,
     extract_streamed, extract_streamed_with_tree, IsoStats,
 };
-pub use lambda2::{
-    lambda2_at, lambda2_field, lambda2_field_oracle, velocity_gradient,
-    Lambda2Stats, Lambda2Streamer,
-};
+pub use lambda2::{lambda2_field, lambda2_field_oracle};
 pub use locate::{invert_trilinear, invert_trilinear_oracle, locate_cell, CellHit, TrilinearCell};
 pub use mesh::{payload_triangle_count, Polyline, TriangleSoup};
 pub use par::scoped_map;

@@ -131,17 +131,47 @@ struct EventLog {
     echo: AtomicBool,
 }
 
+impl EventLog {
+    fn new() -> Self {
+        EventLog {
+            inner: Mutex::new(VecDeque::new()),
+            dropped: AtomicU64::new(0),
+            // Echo on by default: converted eprintln! sites keep their
+            // console behaviour until a harness turns the echo off.
+            echo: AtomicBool::new(true),
+        }
+    }
+
+    /// Appends `rec`, dropping (and counting) the oldest event when the
+    /// ring is full.
+    fn push(&self, rec: EventRecord) {
+        let mut q = self.inner.lock().unwrap();
+        if q.len() >= EVENT_CAPACITY {
+            q.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        q.push_back(rec);
+    }
+
+    /// Removes and returns every buffered event plus the cumulative
+    /// dropped count.
+    fn drain(&self) -> (Vec<EventRecord>, u64) {
+        let mut q = self.inner.lock().unwrap();
+        let out: Vec<EventRecord> = q.drain(..).collect();
+        (out, self.dropped.load(Ordering::Relaxed))
+    }
+}
+
 static LOG: OnceLock<EventLog> = OnceLock::new();
 
 fn log() -> &'static EventLog {
-    LOG.get_or_init(|| EventLog {
-        inner: Mutex::new(VecDeque::new()),
-        dropped: AtomicU64::new(0),
-        // Echo on by default: converted eprintln! sites keep their
-        // console behaviour until a harness turns the echo off.
-        echo: AtomicBool::new(true),
-    })
+    LOG.get_or_init(EventLog::new)
 }
+
+/// Serializes the unit tests that drain the global event log, which
+/// would otherwise take each other's events.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// Controls mirroring of events to stderr (default: on).
 pub fn set_stderr_echo(on: bool) {
@@ -173,12 +203,7 @@ pub fn event(level: Level, target: &str, message: &str, fields: &[(&str, Field)]
         }
         eprintln!("{line}");
     }
-    let mut q = l.inner.lock().unwrap();
-    if q.len() >= EVENT_CAPACITY {
-        q.pop_front();
-        l.dropped.fetch_add(1, Ordering::Relaxed);
-    }
-    q.push_back(rec);
+    l.push(rec);
 }
 
 pub fn debug(target: &str, message: &str, fields: &[(&str, Field)]) {
@@ -197,19 +222,12 @@ pub fn error(target: &str, message: &str, fields: &[(&str, Field)]) {
 /// Removes and returns all buffered events plus the cumulative dropped
 /// count.
 pub fn drain_events() -> (Vec<EventRecord>, u64) {
-    let l = log();
-    let mut q = l.inner.lock().unwrap();
-    let out: Vec<EventRecord> = q.drain(..).collect();
-    (out, l.dropped.load(Ordering::Relaxed))
+    log().drain()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // The event log is global; serialize tests touching it.
-    static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn event_roundtrip() {
@@ -236,16 +254,23 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest() {
-        let _g = TEST_LOCK.lock().unwrap();
-        set_stderr_echo(false);
-        drain_events();
+        // A private log: the global one is shared with every test that
+        // emits events.
+        let log = EventLog::new();
         for i in 0..(EVENT_CAPACITY + 5) {
-            event(Level::Debug, "test-flood", &format!("m{i}"), &[]);
+            log.push(EventRecord {
+                ts_ns: 0,
+                level: Level::Debug,
+                target: "test-flood".into(),
+                message: format!("m{i}"),
+                trace_id: 0,
+                fields: Vec::new(),
+            });
         }
-        let (evs, dropped) = drain_events();
+        let (evs, dropped) = log.drain();
         assert_eq!(evs.len(), EVENT_CAPACITY);
-        assert!(dropped >= 5);
+        assert_eq!(dropped, 5);
+        assert_eq!(evs[0].message, "m5");
         assert_eq!(evs.last().unwrap().message, format!("m{}", EVENT_CAPACITY + 4));
-        set_stderr_echo(true);
     }
 }

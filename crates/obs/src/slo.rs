@@ -470,6 +470,8 @@ mod tests {
 
     #[test]
     fn alerts_are_edge_triggered() {
+        // This test drains the global event log, as `event`'s own tests do.
+        let _g = crate::event::TEST_LOCK.lock().unwrap();
         let mut db = Tsdb::new(TsdbConfig::default());
         db.ingest(&hist_delta(0, 1, "lat_ns", &[4_000_000; 10]), 1_000);
         crate::event::set_stderr_echo(false);

@@ -6,6 +6,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use vira_dms::proxy::{L2Config, ProxyConfig};
+use vira_extract::mesh::TriangleSoup;
 use vira_grid::io::DiskDataset;
 use vira_grid::synth;
 use vira_storage::source::{DiskSource, SynthSource};
@@ -133,7 +134,7 @@ fn engine_pathlines_cross_blocks() {
 }
 
 /// The λ₂ pipeline finds the Engine's swirl core through the framework,
-/// and streaming returns the same surface as the plain command.
+/// and streaming returns the same triangles as the plain command.
 #[test]
 fn engine_vortex_core_is_found() {
     let (backend, link) = Viracocha::launch(ViracochaConfig::for_tests(2));
@@ -177,9 +178,20 @@ fn engine_vortex_core_is_found() {
             workers: 2,
         })
         .expect("streamed vortex");
+    // Two workers' batches arrive interleaved: the same triangles, in
+    // some order.
+    let sorted_triangles = |soup: &TriangleSoup| {
+        let mut tris: Vec<[[u32; 3]; 3]> = soup
+            .positions
+            .chunks_exact(3)
+            .map(|t| std::array::from_fn(|v| t[v].map(f32::to_bits)))
+            .collect();
+        tris.sort_unstable();
+        tris
+    };
     assert_eq!(
-        streamed.triangles.n_triangles(),
-        plain.triangles.n_triangles()
+        sorted_triangles(&streamed.triangles),
+        sorted_triangles(&plain.triangles)
     );
     client.shutdown().unwrap();
     backend.join();
