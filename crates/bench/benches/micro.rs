@@ -23,6 +23,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vira_comm::socket::{encode_frame, frame_crc, DecodeStep, FrameDecoder};
+use vira_dms::cache::{BlockDataCodec, DiskCache};
+use vira_dms::name::ItemId;
+use vira_dms::policy::policy_by_name;
 use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::{DataServer, ServerConfig};
 use vira_extract::bricktree::BrickTree;
@@ -374,8 +377,9 @@ fn main() {
     });
 
     // ---- bulk bytes: the socket frame codec on a 3 MB payload (the
-    // size of a merged iso_scrub package) and the block file codec on
-    // a 21-cubed item (an L2 spill and its read-back) ----
+    // size of a merged iso_scrub package), the item-file codec on a
+    // 21-cubed item (a source's read of an item file), and one L2 cycle
+    // of that item through a real spill file ----
     let payload: Vec<u8> = (0..3_000_000u32)
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
         .collect();
@@ -393,7 +397,9 @@ fn main() {
             other => panic!("expected the frame back, got {other:?}"),
         }
     });
-    // Through `dyn Write` / `dyn Read`, as the DMS disk codec calls them.
+    // Through `dyn Write` / `dyn Read`, as a file source calls them. The
+    // L2 no longer spills this layout (it writes the field alone), so
+    // these rungs model item-file reads, not L2 spills.
     let data21 = vortex_block(21);
     let mut file = Vec::with_capacity(encoded_size(data21.dims()) as usize);
     h.bench("grid/block_encode_21c", || {
@@ -415,6 +421,19 @@ fn main() {
     let held = decode();
     h.bench("grid/block_decode_21c_shared", decode);
     drop(held);
+    // The disk tier's share of an L2 hit: the demotion's spill and the
+    // promotion's read-back of the same item, then the entry's removal
+    // that leaves the file for the next spill to overwrite.
+    let spill = std::env::temp_dir().join(format!("vira_micro_l2_{}", std::process::id()));
+    let mut l2 = DiskCache::new(spill, 1 << 30, policy_by_name("lru").expect("lru"), BlockDataCodec)
+        .expect("spill dir must be creatable");
+    h.bench("dms/l2_cycle_21c", || {
+        l2.insert(ItemId(1), black_box(&data21)).expect("spill");
+        let item = l2.get(ItemId(1)).expect("read back").expect("resident");
+        l2.remove(ItemId(1)).expect("remove");
+        item
+    });
+    drop(l2);
 
     // ---- obs layer ----
     vira_obs::set_enabled(false);

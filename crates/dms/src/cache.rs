@@ -7,6 +7,13 @@
 //! any information about its type or structure" (§4); size accounting and
 //! (for the disk tier) serialization are delegated to the payload type
 //! via [`CachePayload`] and [`DiskCodec`].
+//!
+//! A codec may keep part of a payload in memory rather than write it:
+//! [`DiskCodec::encode`] returns that part, the disk tier holds it in the
+//! item's entry, and [`DiskCodec::decode`] takes it back. For a data item
+//! ([`BlockDataCodec`]) that part is the block's geometry, which every
+//! step's item shares, so a spill file holds the velocity alone and a
+//! promotion reattaches the very geometry the demotion had.
 
 use crate::name::ItemId;
 use crate::policy::ReplacementPolicy;
@@ -15,6 +22,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
+use vira_grid::block::CurvilinearBlock;
 use vira_grid::field::BlockData;
 use vira_obs::json::{self, Json};
 
@@ -27,7 +35,8 @@ pub trait CachePayload: Send + Sync {
 /// A data item charges the memory tier for its velocity field alone: the
 /// geometry is one object per block that every step's item shares
 /// ([`BlockData::memory_bytes`]). The disk tier charges the file it
-/// writes, geometry included.
+/// writes, which [`BlockDataCodec`] makes the velocity field too: the
+/// entry keeps the geometry in memory instead.
 impl CachePayload for BlockData {
     fn payload_bytes(&self) -> usize {
         self.memory_bytes()
@@ -38,23 +47,37 @@ impl CachePayload for BlockData {
 /// encoding (the DMS itself is format-agnostic). The cache hands a codec
 /// the spill file itself, unbuffered: move the payload in large slabs.
 pub trait DiskCodec<P>: Send + Sync {
-    fn encode(&self, payload: &P, w: &mut dyn Write) -> io::Result<()>;
-    fn decode(&self, r: &mut dyn Read) -> io::Result<P>;
+    /// The part of a payload that stays in memory while the rest is on
+    /// disk; `()` when the file holds all of it.
+    type Kept: Send + Sync;
+
+    /// Writes `payload` and returns what the file does not hold.
+    fn encode(&self, payload: &P, w: &mut dyn Write) -> io::Result<Self::Kept>;
+
+    /// Reads a payload back, given what [`encode`](Self::encode) kept.
+    fn decode(&self, kept: &Self::Kept, r: &mut dyn Read) -> io::Result<P>;
 }
 
-/// Codec for raw CFD data items using the `vira-grid` binary format.
+/// Codec for raw CFD data items: the file holds the field-only layout of
+/// `vira_grid::io` (header and velocity), and the entry keeps the item's
+/// geometry.
 pub struct BlockDataCodec;
 
 impl DiskCodec<BlockData> for BlockDataCodec {
-    fn encode(&self, payload: &BlockData, mut w: &mut dyn Write) -> io::Result<()> {
-        vira_grid::io::write_block_data(&mut w, payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    type Kept = Arc<CurvilinearBlock>;
+
+    fn encode(&self, item: &BlockData, mut w: &mut dyn Write) -> io::Result<Arc<CurvilinearBlock>> {
+        vira_grid::io::write_block_field(&mut w, item).map_err(invalid_data)?;
+        Ok(Arc::clone(&item.grid))
     }
 
-    fn decode(&self, mut r: &mut dyn Read) -> io::Result<BlockData> {
-        vira_grid::io::read_block_data(&mut r)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    fn decode(&self, grid: &Arc<CurvilinearBlock>, mut r: &mut dyn Read) -> io::Result<BlockData> {
+        vira_grid::io::read_block_field(&mut r, grid).map_err(invalid_data)
     }
+}
+
+fn invalid_data(e: vira_grid::io::FormatError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 /// Which tier served a request.
@@ -270,7 +293,8 @@ impl<P: CachePayload> MemoryCache<P> {
 const IDLE_FILES: usize = 4;
 
 /// The secondary (local-disk) cache tier: spilled items are serialized to
-/// files in a spill directory.
+/// files in a spill directory, and whatever the codec keeps of them stays
+/// in their entries.
 ///
 /// A promotion vacates one file and the demotion it causes fills one, so
 /// the tier overwrites the file it just vacated instead of deleting it
@@ -279,10 +303,10 @@ const IDLE_FILES: usize = 4;
 /// journaling file system was most of an L2 hit and the part whose cost
 /// swung from run to run. The vacated files (up to [`IDLE_FILES`]) sit on
 /// disk beside the `capacity_bytes` of live ones.
-pub struct DiskCache<P: CachePayload> {
+pub struct DiskCache<P: CachePayload, C: DiskCodec<P>> {
     dir: PathBuf,
-    codec: Arc<dyn DiskCodec<P>>,
-    map: HashMap<ItemId, (PathBuf, usize)>,
+    codec: C,
+    map: HashMap<ItemId, Spilled<C::Kept>>,
     /// Vacated spill files with their lengths.
     idle: Vec<(PathBuf, usize)>,
     files_created: u64,
@@ -291,13 +315,21 @@ pub struct DiskCache<P: CachePayload> {
     used_bytes: usize,
 }
 
-impl<P: CachePayload> DiskCache<P> {
+/// One spilled item: its file, the bytes written there, and what the
+/// codec kept in memory.
+struct Spilled<K> {
+    path: PathBuf,
+    size: usize,
+    kept: K,
+}
+
+impl<P: CachePayload, C: DiskCodec<P>> DiskCache<P, C> {
     /// Creates the spill directory if needed.
     pub fn new(
         dir: PathBuf,
         capacity_bytes: usize,
         policy: Box<dyn ReplacementPolicy>,
-        codec: Arc<dyn DiskCodec<P>>,
+        codec: C,
     ) -> io::Result<Self> {
         fs::create_dir_all(&dir)?;
         Ok(DiskCache {
@@ -356,16 +388,16 @@ impl<P: CachePayload> DiskCache<P> {
         let mut open = OpenOptions::new();
         open.write(true).create(true).truncate(false);
         let written = open.open(&path).and_then(|mut f| {
-            self.codec.encode(payload, &mut f)?;
+            let kept = self.codec.encode(payload, &mut f)?;
             // Where the codec stopped writing is the file's size.
             let size = f.stream_position()?;
             if size < old_len as u64 {
                 f.set_len(size)?;
             }
-            Ok(size)
+            Ok((size, kept))
         });
-        let size = match written {
-            Ok(size) => size as usize,
+        let (size, kept) = match written {
+            Ok((size, kept)) => (size as usize, kept),
             Err(e) => {
                 // Nothing in the map would ever delete a partial file.
                 let _ = fs::remove_file(&path);
@@ -388,7 +420,7 @@ impl<P: CachePayload> DiskCache<P> {
             self.remove(victim)?;
             evicted.push(victim);
         }
-        self.map.insert(id, (path, size));
+        self.map.insert(id, Spilled { path, size, kept });
         self.used_bytes += size;
         self.policy.on_insert(id);
         Ok(evicted)
@@ -398,10 +430,11 @@ impl<P: CachePayload> DiskCache<P> {
     /// longer opens or decodes is evicted and reported as a miss (the
     /// source can always reload it), never as a lasting error.
     pub fn get(&mut self, id: ItemId) -> io::Result<Option<P>> {
-        let Some((path, _)) = self.map.get(&id) else {
+        let Some(entry) = self.map.get(&id) else {
             return Ok(None);
         };
-        match File::open(path).and_then(|mut f| self.codec.decode(&mut f)) {
+        let read = File::open(&entry.path).and_then(|mut f| self.codec.decode(&entry.kept, &mut f));
+        match read {
             Ok(p) => {
                 self.policy.on_access(id);
                 Ok(Some(p))
@@ -418,12 +451,13 @@ impl<P: CachePayload> DiskCache<P> {
         }
     }
 
-    /// Drops the entry of `id`; its file is the caller's to dispose of.
+    /// Drops the entry of `id`; its file and length are the caller's to
+    /// dispose of.
     fn forget(&mut self, id: ItemId) -> Option<(PathBuf, usize)> {
-        let file = self.map.remove(&id)?;
-        self.used_bytes -= file.1;
+        let Spilled { path, size, .. } = self.map.remove(&id)?;
+        self.used_bytes -= size;
         self.policy.on_remove(id);
-        Some(file)
+        Some((path, size))
     }
 
     /// Removes an item; its spill file is kept for the next spill to
@@ -452,7 +486,7 @@ impl<P: CachePayload> DiskCache<P> {
     }
 }
 
-impl<P: CachePayload> Drop for DiskCache<P> {
+impl<P: CachePayload, C: DiskCodec<P>> Drop for DiskCache<P, C> {
     fn drop(&mut self) {
         let _ = self.clear();
         let _ = fs::remove_dir(&self.dir); // only removed if now empty
@@ -460,16 +494,16 @@ impl<P: CachePayload> Drop for DiskCache<P> {
 }
 
 /// The combined two-tier cache used by a data proxy.
-pub struct TieredCache<P: CachePayload> {
+pub struct TieredCache<P: CachePayload, C: DiskCodec<P>> {
     l1: MemoryCache<P>,
-    l2: Option<DiskCache<P>>,
+    l2: Option<DiskCache<P, C>>,
     /// Items that have left both tiers since the last
     /// [`drain_dropped`](Self::drain_dropped) call.
     dropped_log: Vec<ItemId>,
 }
 
-impl<P: CachePayload> TieredCache<P> {
-    pub fn new(l1: MemoryCache<P>, l2: Option<DiskCache<P>>) -> Self {
+impl<P: CachePayload, C: DiskCodec<P>> TieredCache<P, C> {
+    pub fn new(l1: MemoryCache<P>, l2: Option<DiskCache<P, C>>) -> Self {
         TieredCache {
             l1,
             l2,
@@ -488,7 +522,7 @@ impl<P: CachePayload> TieredCache<P> {
         &self.l1
     }
 
-    pub fn l2(&self) -> Option<&DiskCache<P>> {
+    pub fn l2(&self) -> Option<&DiskCache<P, C>> {
         self.l2.as_ref()
     }
 
@@ -603,11 +637,13 @@ mod tests {
     struct BlobCodec;
 
     impl DiskCodec<Blob> for BlobCodec {
+        type Kept = ();
+
         fn encode(&self, p: &Blob, w: &mut dyn Write) -> io::Result<()> {
             w.write_all(&p.0)
         }
 
-        fn decode(&self, r: &mut dyn Read) -> io::Result<Blob> {
+        fn decode(&self, _: &(), r: &mut dyn Read) -> io::Result<Blob> {
             let mut v = Vec::new();
             r.read_to_end(&mut v)?;
             Ok(Blob(v))
@@ -679,7 +715,7 @@ mod tests {
             dir.clone(),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         c.insert(ItemId(1), &Blob(vec![1, 2, 3])).unwrap();
@@ -698,7 +734,7 @@ mod tests {
             dir,
             8,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         c.insert(ItemId(1), &Blob(vec![0; 4])).unwrap();
@@ -721,7 +757,7 @@ mod tests {
             dir.clone(),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         c.insert(ItemId(1), &Blob(vec![1; 40])).unwrap();
@@ -755,12 +791,14 @@ mod tests {
     struct FailingCodec;
 
     impl DiskCodec<Blob> for FailingCodec {
+        type Kept = ();
+
         fn encode(&self, p: &Blob, w: &mut dyn Write) -> io::Result<()> {
             w.write_all(&p.0[..p.0.len() / 2])?;
             Err(io::Error::other("no space left"))
         }
 
-        fn decode(&self, _: &mut dyn Read) -> io::Result<Blob> {
+        fn decode(&self, _: &(), _: &mut dyn Read) -> io::Result<Blob> {
             unreachable!("nothing is ever stored")
         }
     }
@@ -772,7 +810,7 @@ mod tests {
             dir.clone(),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(FailingCodec),
+            FailingCodec,
         )
         .unwrap();
         assert!(c.insert(ItemId(1), &Blob(vec![7; 10])).is_err());
@@ -785,28 +823,54 @@ mod tests {
         );
     }
 
+    /// Overwrites the little-endian word at `at` of the file at `path`.
+    fn patch_word(path: &std::path::Path, at: usize, word: u32) {
+        let mut bytes = fs::read(path).unwrap();
+        bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        fs::write(path, bytes).unwrap();
+    }
+
     #[test]
     fn unreadable_spill_file_is_evicted_and_reported_as_a_miss() {
-        let dir = spill_dir("unreadable");
-        let l1 = MemoryCache::new(10, Box::new(LruPolicy::new()));
-        let l2 = DiskCache::new(
-            dir.clone(),
-            1000,
-            Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
-        )
-        .unwrap();
-        let mut c = TieredCache::new(l1, Some(l2));
-        c.insert(ItemId(1), blob(10)).unwrap();
-        c.insert(ItemId(2), blob(10)).unwrap(); // demotes 1 to disk
-        assert_eq!(c.locate(ItemId(1)), Some(Tier::Disk));
-        fs::remove_file(dir.join("spill_1.vbk")).unwrap();
-        assert_eq!(c.get(ItemId(1)).unwrap(), None, "a miss, not an error");
-        assert_eq!(c.locate(ItemId(1)), None, "the entry is gone");
-        assert_eq!(c.l2().unwrap().used_bytes(), 0);
-        // The item can be cached again like any other.
-        c.insert(ItemId(1), blob(10)).unwrap();
-        assert_eq!(c.locate(ItemId(1)), Some(Tier::Memory));
+        use vira_grid::block::BlockStepId;
+        let ds = vira_grid::synth::test_cube(4, 2);
+        let item = |step| Arc::new(ds.generate(BlockStepId::new(0, step)));
+        let first = item(0);
+        // Each turns the spill file of item 1 into something that is not
+        // its field. The header's block id is the word at offset 8, its
+        // ni the one at 16.
+        type Damage<'a> = (&'a str, &'a dyn Fn(&std::path::Path));
+        let damages: [Damage; 5] = [
+            ("deleted", &|f| fs::remove_file(f).unwrap()),
+            ("a v1 item file", &|f| {
+                vira_grid::io::write_block_data(&mut File::create(f).unwrap(), &first).unwrap()
+            }),
+            ("another block", &|f| patch_word(f, 8, 7)),
+            ("other dims", &|f| patch_word(f, 16, 2)),
+            ("a truncated velocity slab", &|f| {
+                let len = fs::metadata(f).unwrap().len();
+                OpenOptions::new().write(true).open(f).unwrap().set_len(len - 1).unwrap()
+            }),
+        ];
+        for (n, (damage, apply)) in damages.into_iter().enumerate() {
+            let dir = spill_dir(&format!("unreadable_{n}"));
+            let l1 = MemoryCache::new(first.payload_bytes() + 1, Box::new(LruPolicy::new()));
+            let l2 =
+                DiskCache::new(dir.clone(), 1 << 20, Box::new(LruPolicy::new()), BlockDataCodec);
+            let mut c = TieredCache::new(l1, Some(l2.unwrap()));
+            c.insert(ItemId(1), item(0)).unwrap();
+            c.insert(ItemId(2), item(1)).unwrap(); // demotes 1 to disk
+            assert_eq!(c.locate(ItemId(1)), Some(Tier::Disk));
+            let file = dir.join("spill_1.vbk");
+            apply(&file);
+            assert!(c.get(ItemId(1)).unwrap().is_none(), "{damage}: a miss, not an error");
+            assert_eq!(c.locate(ItemId(1)), None, "{damage}: the entry is gone");
+            assert_eq!(c.l2().unwrap().used_bytes(), 0, "{damage}");
+            assert!(!file.exists(), "{damage}: the file is deleted, not kept for reuse");
+            // The item can be cached again like any other.
+            c.insert(ItemId(1), item(0)).unwrap();
+            assert_eq!(c.locate(ItemId(1)), Some(Tier::Memory), "{damage}");
+        }
     }
 
     #[test]
@@ -837,7 +901,7 @@ mod tests {
             dir.clone(),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
@@ -869,7 +933,7 @@ mod tests {
             spill_dir("tiered"),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
@@ -889,7 +953,7 @@ mod tests {
     #[test]
     fn tiered_without_l2_drops_evictions() {
         let l1 = MemoryCache::new(15, Box::new(LruPolicy::new()));
-        let mut c = TieredCache::new(l1, None);
+        let mut c: TieredCache<Blob, BlobCodec> = TieredCache::new(l1, None);
         c.insert(ItemId(1), blob(10)).unwrap();
         c.insert(ItemId(2), blob(10)).unwrap();
         assert_eq!(c.locate(ItemId(1)), None);
@@ -905,7 +969,7 @@ mod tests {
             spill_dir("droplog"),
             25,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
@@ -923,7 +987,7 @@ mod tests {
     /// Invariant: no item may ever be resident in both tiers at once
     /// (a duplicate would double-count capacity and could serve stale
     /// bytes after a promote).
-    fn assert_no_cross_tier_duplicates(c: &TieredCache<Blob>, universe: &[ItemId]) {
+    fn assert_no_cross_tier_duplicates(c: &TieredCache<Blob, BlobCodec>, universe: &[ItemId]) {
         for &id in universe {
             let in_l1 = c.l1().contains(id);
             let in_l2 = c.l2().is_some_and(|l2| l2.contains(id));
@@ -941,7 +1005,7 @@ mod tests {
             spill_dir("churn"),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
@@ -989,7 +1053,7 @@ mod tests {
             spill_dir("fallback"),
             25,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
@@ -1049,7 +1113,7 @@ mod tests {
             spill_dir("digest"),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
@@ -1069,7 +1133,7 @@ mod tests {
             spill_dir("clear"),
             1000,
             Box::new(LruPolicy::new()),
-            Arc::new(BlobCodec),
+            BlobCodec,
         )
         .unwrap();
         let mut c = TieredCache::new(l1, Some(l2));

@@ -271,7 +271,7 @@ impl DataProxy {
                 l2c.spill_dir.clone(),
                 l2c.capacity_bytes,
                 policy,
-                Arc::new(BlockDataCodec),
+                BlockDataCodec,
             )
             .expect("spill dir must be creatable")
         });
@@ -795,33 +795,50 @@ mod tests {
 
     #[test]
     fn damaged_spill_file_is_a_miss_not_a_permanent_failure() {
-        let (spill, proxy) = setup_l2("l2_damaged");
-        let m = Meter::new();
-        let original = proxy.request("TestCube", bs(0, 0), &m).unwrap();
-        proxy.request("TestCube", bs(0, 1), &m).unwrap(); // demotes step 0 to L2
-                                                          // Truncate the one spill file behind the cache's back.
-        let files: Vec<_> = std::fs::read_dir(&spill)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert_eq!(files.len(), 1);
-        let len = std::fs::metadata(&files[0]).unwrap().len();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&files[0])
-            .unwrap()
-            .set_len(len / 2)
-            .unwrap();
-        // The request falls through to the source: the entry is gone,
-        // not poisoned.
-        let again = proxy.request("TestCube", bs(0, 0), &m).unwrap();
-        assert_eq!(*again, *original);
-        assert!(proxy.is_cached("TestCube", bs(0, 0)), "resident again");
-        let s = proxy.stats().snapshot();
-        assert_eq!((s.l2_hits, s.misses), (0, 3));
-        assert!(!files[0].exists(), "the damaged file was deleted");
-        proxy.request("TestCube", bs(0, 0), &m).unwrap();
-        assert_eq!(proxy.stats().snapshot().l1_hits, 1);
+        use std::fs;
+        use std::path::Path;
+        // Ways to damage the one spill file behind the cache's back,
+        // given the item it holds. The header's block id is the word at
+        // offset 8, its nj the one at 20.
+        let patch = |f: &Path, at: usize, word: u32| {
+            let mut bytes = fs::read(f).unwrap();
+            bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            fs::write(f, bytes).unwrap();
+        };
+        type Damage<'a> = (&'a str, &'a dyn Fn(&Path, &vira_grid::field::BlockData));
+        let damages: [Damage; 4] = [
+            ("truncated", &|f, _| {
+                let len = fs::metadata(f).unwrap().len();
+                fs::OpenOptions::new().write(true).open(f).unwrap().set_len(len / 2).unwrap()
+            }),
+            ("a v1 item file", &|f, item| {
+                vira_grid::io::write_block_data(&mut fs::File::create(f).unwrap(), item).unwrap()
+            }),
+            ("another block", &|f, _| patch(f, 8, 3)),
+            ("other dims", &|f, _| patch(f, 20, 1)),
+        ];
+        for (n, (damage, apply)) in damages.into_iter().enumerate() {
+            let (spill, proxy) = setup_l2(&format!("l2_damaged_{n}"));
+            let m = Meter::new();
+            let original = proxy.request("TestCube", bs(0, 0), &m).unwrap();
+            proxy.request("TestCube", bs(0, 1), &m).unwrap(); // demotes step 0 to L2
+            let files: Vec<_> = fs::read_dir(&spill)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert_eq!(files.len(), 1);
+            apply(&files[0], &original);
+            // The request falls through to the source: the entry is gone,
+            // not poisoned.
+            let again = proxy.request("TestCube", bs(0, 0), &m).unwrap();
+            assert_eq!(*again, *original, "{damage}");
+            assert!(proxy.is_cached("TestCube", bs(0, 0)), "{damage}: resident again");
+            let s = proxy.stats().snapshot();
+            assert_eq!((s.l2_hits, s.misses), (0, 3), "{damage}");
+            assert!(!files[0].exists(), "{damage}: the damaged file was deleted");
+            proxy.request("TestCube", bs(0, 0), &m).unwrap();
+            assert_eq!(proxy.stats().snapshot().l1_hits, 1, "{damage}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! such as file-server failures; the price is an extra coordination
 //! round-trip per load, which is charged to the requester.
 
-use crate::cache::TieredCache;
+use crate::cache::{BlockDataCodec, TieredCache};
 use crate::name::{ItemId, NameServer};
 use crate::prefetch::SequenceOrder;
 use std::collections::{BTreeSet, HashMap};
@@ -89,7 +89,7 @@ struct DatasetEntry {
 }
 
 /// Shared handle to a proxy's cache, registered for peer transfers.
-pub type SharedCache = Arc<Mutex<TieredCache<BlockData>>>;
+pub type SharedCache = Arc<Mutex<TieredCache<BlockData, BlockDataCodec>>>;
 
 /// The central data-manager server.
 pub struct DataServer {

@@ -18,6 +18,15 @@
 //! by keeping data and its manipulation methods separate (§4): the DMS
 //! treats items as opaque payloads and delegates to loader callbacks.
 //!
+//! A second layout, the *field-only* item, is the same header with
+//! version 2 followed by the velocity alone: what the DMS disk tier
+//! spills ([`write_block_field`], [`read_block_field`]). Version 2 is not
+//! a successor of version 1 — neither reader accepts the other's files.
+//! The spill keeps the item's geometry in memory, so the reader takes
+//! that geometry back and refuses a header naming another block, or
+//! other dims, than it has. A spilled item costs
+//! [`encoded_field_size`] bytes, about half of [`encoded_size`].
+//!
 //! [`write_block_data`] and [`read_block_data`] move a block in slabs:
 //! the 36-byte header in one call, then each field array in one
 //! `write_all` / `read_exact` of `n_points × 24` bytes, converted
@@ -25,11 +34,12 @@
 //! also splits the file's `(x, y, z)` triples into the velocity planes
 //! and interleaves them again. The
 //! reader or writer is therefore called three times per block whatever
-//! its size, and needs no buffering of its own (a `File` or a `&[u8]`
-//! does as well as a `BufReader`). The header is validated — magic,
-//! version, dims, in that order — before anything is allocated from it,
-//! and a stream that ends early, inside the header or after it, is a
-//! [`FormatError::Io`] (`UnexpectedEof`).
+//! its size (twice for a field-only item), and needs no buffering of its
+//! own (a `File` or a `&[u8]` does as well as a `BufReader`). The header
+//! of either layout is validated — magic, version, dims, in that order —
+//! before anything is allocated from it, and a stream that ends early,
+//! inside the header or after it, is a [`FormatError::Io`]
+//! (`UnexpectedEof`).
 //!
 //! Every item file repeats its block's points (the layout above is
 //! unchanged), but a read shares them: grids are static, so
@@ -56,6 +66,8 @@ use vira_obs::json::{self, Json};
 
 const MAGIC: [u8; 4] = *b"VIRA";
 const VERSION: u32 = 1;
+/// The field-only layout's version (see the module docs).
+const FIELD_VERSION: u32 = 2;
 
 /// Errors produced by the dataset reader/writer.
 #[derive(Debug)]
@@ -69,6 +81,9 @@ pub enum FormatError {
         nj: u32,
         nk: u32,
     },
+    /// A field-only item names another block, or other dims, than the
+    /// geometry it is read back onto.
+    OtherGeometry { block: BlockId, dims: BlockDims },
     /// Descriptor JSON was malformed.
     BadDescriptor(String),
     /// The requested item lies outside the dataset.
@@ -84,6 +99,11 @@ impl fmt::Display for FormatError {
             FormatError::BadDims { ni, nj, nk } => {
                 write!(f, "implausible block dims {ni}x{nj}x{nk}")
             }
+            FormatError::OtherGeometry { block, dims } => write!(
+                f,
+                "field of block {block} ({}x{}x{}) does not fit the geometry held for it",
+                dims.ni, dims.nj, dims.nk
+            ),
             FormatError::BadDescriptor(s) => write!(f, "bad dataset descriptor: {s}"),
             FormatError::OutOfRange(id) => {
                 write!(f, "item (block {}, step {}) out of range", id.block, id.step)
@@ -195,13 +215,19 @@ fn shared_geometry(block: BlockId, dims: BlockDims, slab: &[u8]) -> Arc<Curvilin
     }
 }
 
-/// Serializes one data item to a writer.
-pub fn write_block_data(w: &mut impl Write, item: &BlockData) -> Result<(), FormatError> {
+/// What an item header holds after its magic and version.
+struct Header {
+    id: BlockStepId,
+    dims: BlockDims,
+    time: f64,
+}
+
+fn write_header(w: &mut impl Write, version: u32, item: &BlockData) -> io::Result<()> {
     let d = item.dims();
     let mut header = [0u8; HEADER_LEN];
     header[..4].copy_from_slice(&MAGIC);
     let words = [
-        VERSION,
+        version,
         item.id.block,
         item.id.step,
         d.ni as u32,
@@ -212,19 +238,12 @@ pub fn write_block_data(w: &mut impl Write, item: &BlockData) -> Result<(), Form
         out.copy_from_slice(&word.to_le_bytes());
     }
     header[28..].copy_from_slice(&item.time.to_le_bytes());
-    w.write_all(&header)?;
-    let mut slab = Vec::new();
-    write_vec3s(w, item.grid.points.iter().copied(), &mut slab)?;
-    let u = &item.velocity;
-    let velocity = u.xs.iter().zip(&u.ys).zip(&u.zs);
-    write_vec3s(w, velocity.map(|((&x, &y), &z)| Vec3::new(x, y, z)), &mut slab)?;
-    Ok(())
+    w.write_all(&header)
 }
 
-/// Deserializes one data item from a reader. The item's geometry is the
-/// one earlier reads of the block share when the points match it bit for
-/// bit (see the module docs).
-pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
+/// Reads and validates a header of the layout `version`: magic, version,
+/// then dims, before anything is allocated from it.
+fn read_header(r: &mut impl Read, version: u32) -> Result<Header, FormatError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
@@ -232,11 +251,9 @@ pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
         return Err(FormatError::BadMagic(magic));
     }
     let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
-    let version = word(4);
-    if version != VERSION {
-        return Err(FormatError::BadVersion(version));
+    if word(4) != version {
+        return Err(FormatError::BadVersion(word(4)));
     }
-    let (block, step) = (word(8), word(12));
     let (ni, nj, nk) = (word(16), word(20), word(24));
     // 64M points (≈ 3 GB of f64 triplets) is far beyond any block we write;
     // treat larger headers as corruption rather than attempting the alloc.
@@ -244,28 +261,86 @@ pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
     if ni == 0 || nj == 0 || nk == 0 || n > (1 << 26) {
         return Err(FormatError::BadDims { ni, nj, nk });
     }
-    let time = f64::from_le_bytes(header[28..].try_into().expect("8 bytes"));
-    let dims = BlockDims::new(ni as usize, nj as usize, nk as usize);
-    let mut slab = Vec::new();
-    let n = dims.n_points();
-    read_slab(r, n, &mut slab)?;
-    let grid = shared_geometry(block, dims, &slab);
-    read_slab(r, n, &mut slab)?;
-    let (xs, (ys, zs)) = triples(&slab)
+    Ok(Header {
+        id: BlockStepId::new(word(8), word(12)),
+        dims: BlockDims::new(ni as usize, nj as usize, nk as usize),
+        time: f64::from_le_bytes(header[28..].try_into().expect("8 bytes")),
+    })
+}
+
+fn write_velocity(w: &mut impl Write, u: &VectorField, slab: &mut Vec<u8>) -> io::Result<()> {
+    let velocity = u.xs.iter().zip(&u.ys).zip(&u.zs);
+    write_vec3s(w, velocity.map(|((&x, &y), &z)| Vec3::new(x, y, z)), slab)
+}
+
+fn read_velocity(
+    r: &mut impl Read,
+    dims: BlockDims,
+    slab: &mut Vec<u8>,
+) -> io::Result<VectorField> {
+    read_slab(r, dims.n_points(), slab)?;
+    let (xs, (ys, zs)) = triples(slab)
         .map(|[x, y, z]| (f64::from_bits(x), (f64::from_bits(y), f64::from_bits(z))))
         .unzip();
-    Ok(BlockData::new(
-        BlockStepId::new(block, step),
-        grid,
-        VectorField::new(dims, xs, ys, zs),
-        time,
-    ))
+    Ok(VectorField::new(dims, xs, ys, zs))
+}
+
+/// Serializes one data item to a writer.
+pub fn write_block_data(w: &mut impl Write, item: &BlockData) -> Result<(), FormatError> {
+    write_header(w, VERSION, item)?;
+    let mut slab = Vec::new();
+    write_vec3s(w, item.grid.points.iter().copied(), &mut slab)?;
+    write_velocity(w, &item.velocity, &mut slab)?;
+    Ok(())
+}
+
+/// Deserializes one data item from a reader. The item's geometry is the
+/// one earlier reads of the block share when the points match it bit for
+/// bit (see the module docs).
+pub fn read_block_data(r: &mut impl Read) -> Result<BlockData, FormatError> {
+    let Header { id, dims, time } = read_header(r, VERSION)?;
+    let mut slab = Vec::new();
+    read_slab(r, dims.n_points(), &mut slab)?;
+    let grid = shared_geometry(id.block, dims, &slab);
+    let velocity = read_velocity(r, dims, &mut slab)?;
+    Ok(BlockData::new(id, grid, velocity, time))
+}
+
+/// Serializes one data item without its points: the field-only layout
+/// (see the module docs), which [`read_block_field`] reads back onto the
+/// item's geometry.
+pub fn write_block_field(w: &mut impl Write, item: &BlockData) -> Result<(), FormatError> {
+    write_header(w, FIELD_VERSION, item)?;
+    write_velocity(w, &item.velocity, &mut Vec::new())?;
+    Ok(())
+}
+
+/// Deserializes a field-only item onto `grid`, the geometry the item was
+/// written from. A header naming another block or other dims than `grid`
+/// is [`FormatError::OtherGeometry`]; a file of the v1 layout is
+/// [`FormatError::BadVersion`].
+pub fn read_block_field(
+    r: &mut impl Read,
+    grid: &Arc<CurvilinearBlock>,
+) -> Result<BlockData, FormatError> {
+    let Header { id, dims, time } = read_header(r, FIELD_VERSION)?;
+    if id.block != grid.id || dims != grid.dims {
+        return Err(FormatError::OtherGeometry { block: id.block, dims });
+    }
+    let velocity = read_velocity(r, dims, &mut Vec::new())?;
+    Ok(BlockData::new(id, Arc::clone(grid), velocity, time))
 }
 
 /// Serialized size in bytes of an item with the given dims: header,
 /// points and velocity (every file carries its block's points).
 pub fn encoded_size(dims: BlockDims) -> u64 {
     HEADER_LEN as u64 + dims.n_points() as u64 * VEC3_LEN as u64 * 2
+}
+
+/// Serialized size in bytes of a field-only item with the given dims:
+/// header and velocity.
+pub fn encoded_field_size(dims: BlockDims) -> u64 {
+    HEADER_LEN as u64 + dims.n_points() as u64 * VEC3_LEN as u64
 }
 
 /// JSON descriptor stored next to the item files.
@@ -434,6 +509,17 @@ mod tests {
         let item = ds.generate(BlockStepId::new(0, 0));
         let mut buf = Vec::new();
         write_block_data(&mut buf, &item).unwrap();
+        // Neither layout's reader takes the other's files.
+        assert!(matches!(
+            read_block_field(&mut buf.as_slice(), &item.grid),
+            Err(FormatError::BadVersion(VERSION))
+        ));
+        let mut field = Vec::new();
+        write_block_field(&mut field, &item).unwrap();
+        assert!(matches!(
+            read_block_data(&mut field.as_slice()),
+            Err(FormatError::BadVersion(FIELD_VERSION))
+        ));
         buf[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
             read_block_data(&mut buf.as_slice()),
@@ -527,20 +613,41 @@ mod tests {
             assert_eq!(slab, golden, "{ni}x{nj}x{nk}");
             assert_eq!(slab.len() as u64, encoded_size(item.dims()));
             assert_eq!(read_block_data(&mut golden.as_slice()).unwrap(), item);
+            // The field-only layout: the same header but its version,
+            // then the same velocity bytes.
+            let mut field = Vec::new();
+            write_block_field(&mut field, &item).unwrap();
+            assert_eq!(field.len() as u64, encoded_field_size(item.dims()));
+            let velocity_at = golden.len() - (field.len() - HEADER_LEN);
+            golden[4..8].copy_from_slice(&FIELD_VERSION.to_le_bytes());
+            golden.drain(HEADER_LEN..velocity_at);
+            assert_eq!(field, golden, "{ni}x{nj}x{nk}, field only");
+            let back = read_block_field(&mut field.as_slice(), &item.grid).unwrap();
+            assert_eq!(back, item);
+            assert!(Arc::ptr_eq(&back.grid, &item.grid));
         }
     }
 
     #[test]
     fn every_prefix_truncation_is_an_io_error() {
         for (ni, nj, nk) in [(1, 1, 1), (3, 1, 5)] {
-            let mut buf = Vec::new();
-            write_block_data(&mut buf, &odd_block(ni, nj, nk)).unwrap();
-            for cut in 0..buf.len() {
-                match read_block_data(&mut &buf[..cut]) {
-                    Err(FormatError::Io(e)) => {
-                        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}")
+            let item = odd_block(ni, nj, nk);
+            let (mut whole, mut field) = (Vec::new(), Vec::new());
+            write_block_data(&mut whole, &item).unwrap();
+            write_block_field(&mut field, &item).unwrap();
+            for (buf, field_only) in [(whole, false), (field, true)] {
+                for cut in 0..buf.len() {
+                    let read = if field_only {
+                        read_block_field(&mut &buf[..cut], &item.grid)
+                    } else {
+                        read_block_data(&mut &buf[..cut])
+                    };
+                    match read {
+                        Err(FormatError::Io(e)) => {
+                            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}")
+                        }
+                        other => panic!("cut {cut} of {}: expected Io, got {other:?}", buf.len()),
                     }
-                    other => panic!("cut {cut} of {}: expected Io, got {other:?}", buf.len()),
                 }
             }
         }
@@ -561,6 +668,28 @@ mod tests {
             read_block_data(&mut buf.as_slice()),
             Err(FormatError::BadDims { .. })
         ));
+    }
+
+    #[test]
+    fn a_field_of_another_block_or_other_dims_is_refused() {
+        let item = odd_block(3, 1, 5);
+        let mut field = Vec::new();
+        write_block_field(&mut field, &item).unwrap();
+        // Block id at offset 8; ni, nj, nk at 16, 20, 24. Dims are
+        // swapped, so the point count (and the slab length) stays.
+        for (at, word) in [(8, 4u32), (16, 5), (24, 3)] {
+            let mut other = field.clone();
+            other[at..at + 4].copy_from_slice(&word.to_le_bytes());
+            match read_block_field(&mut other.as_slice(), &item.grid) {
+                Err(FormatError::OtherGeometry { .. }) => {}
+                res => panic!("word at {at} = {word}: expected OtherGeometry, got {res:?}"),
+            }
+        }
+        // The step is the item's own business, not the geometry's.
+        let mut later = field.clone();
+        later[12..16].copy_from_slice(&10u32.to_le_bytes());
+        let back = read_block_field(&mut later.as_slice(), &item.grid).unwrap();
+        assert_eq!(back.id, BlockStepId::new(3, 10));
     }
 
     /// The file of step `step` of an `n`×1×1 block `block` with the
