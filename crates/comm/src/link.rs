@@ -7,9 +7,8 @@
 //! would have.
 
 use bytes::Bytes;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 use vira_obs as obs;
 
 use crate::transport::CommError;
@@ -64,22 +63,6 @@ pub fn client_server_link() -> (ClientSide, ServerSide) {
     )
 }
 
-fn map_try<TOk>(r: Result<TOk, TryRecvError>) -> Result<Option<TOk>, CommError> {
-    match r {
-        Ok(v) => Ok(Some(v)),
-        Err(TryRecvError::Empty) => Ok(None),
-        Err(TryRecvError::Disconnected) => Err(CommError::Disconnected),
-    }
-}
-
-fn map_timeout<TOk>(r: Result<TOk, RecvTimeoutError>) -> Result<TOk, CommError> {
-    match r {
-        Ok(v) => Ok(v),
-        Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
-        Err(RecvTimeoutError::Disconnected) => Err(CommError::Disconnected),
-    }
-}
-
 impl ClientSide {
     /// Sends a request frame to the back-end. Blocks if the link buffer is
     /// full (back-pressure).
@@ -94,16 +77,6 @@ impl ClientSide {
     pub fn next_event(&self) -> Result<Bytes, CommError> {
         self.from_server.recv().map_err(|_| CommError::Disconnected)
     }
-
-    /// Non-blocking event poll.
-    pub fn try_next_event(&self) -> Result<Option<Bytes>, CommError> {
-        map_try(self.from_server.try_recv())
-    }
-
-    /// Event receive with a deadline.
-    pub fn next_event_timeout(&self, t: Duration) -> Result<Bytes, CommError> {
-        map_timeout(self.from_server.recv_timeout(t))
-    }
 }
 
 impl ServerSide {
@@ -114,12 +87,11 @@ impl ServerSide {
 
     /// Non-blocking request poll.
     pub fn try_next_request(&self) -> Result<Option<Bytes>, CommError> {
-        map_try(self.from_client.try_recv())
-    }
-
-    /// Request receive with a deadline.
-    pub fn next_request_timeout(&self, t: Duration) -> Result<Bytes, CommError> {
-        map_timeout(self.from_client.recv_timeout(t))
+        match self.from_client.try_recv() {
+            Ok(v) => Ok(Some(v)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(CommError::Disconnected),
+        }
     }
 
     /// Emits an event frame to the client.
@@ -192,18 +164,13 @@ mod tests {
     fn try_and_timeout_variants() {
         let (client, server) = client_server_link();
         assert_eq!(server.try_next_request().unwrap(), None);
-        assert_eq!(client.try_next_event().unwrap(), None);
+        client.request(Bytes::from_static(b"poll")).unwrap();
+        assert_eq!(&server.try_next_request().unwrap().unwrap()[..], b"poll");
+        assert_eq!(server.try_next_request().unwrap(), None);
+        drop(client);
         assert_eq!(
-            client
-                .next_event_timeout(Duration::from_millis(10))
-                .unwrap_err(),
-            CommError::Timeout
-        );
-        assert_eq!(
-            server
-                .next_request_timeout(Duration::from_millis(10))
-                .unwrap_err(),
-            CommError::Timeout
+            server.try_next_request().unwrap_err(),
+            CommError::Disconnected
         );
     }
 

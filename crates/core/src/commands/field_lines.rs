@@ -9,41 +9,13 @@
 //! Both run through the DMS like `PathlinesDataMan` and report progress
 //! per seed (§9's progress-indicator suggestion).
 
-use super::seed_points;
+use super::{integrator_cfg, my_seeds, param_u32, time_span, topology};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
 use vira_extract::pathline::{
-    trace_pathline, trace_streakline, MultiBlockSampler, PathlineConfig, SteadySampler, TimeScheme,
+    trace_pathline, trace_streakline, MultiBlockSampler, SteadySampler, TimeScheme,
 };
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
-use vira_grid::math::Vec3;
-
-fn my_seeds(ctx: &JobCtx<'_>) -> Vec<Vec3> {
-    let n_seeds = ctx.params.get_usize("n_seeds").unwrap_or(16);
-    let rngseed = ctx
-        .params
-        .get("rngseed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
-    seed_points(ctx, n_seeds, rngseed)
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % ctx.group.len() == ctx.my_index())
-        .map(|(_, s)| s)
-        .collect()
-}
-
-fn integrator_cfg(ctx: &JobCtx<'_>, scheme: TimeScheme) -> PathlineConfig {
-    let dt = ctx.spec.dt;
-    PathlineConfig {
-        h_init: ctx.params.get_f64("h_init").unwrap_or(dt / 4.0),
-        h_min: dt * 1e-6,
-        h_max: dt,
-        tol: ctx.params.get_f64("tol").unwrap_or(1e-5),
-        max_steps: ctx.params.get_usize("max_steps").unwrap_or(20_000),
-        scheme,
-    }
-}
 
 /// Instantaneous streamlines of one time level.
 ///
@@ -57,7 +29,7 @@ impl Command for Streamlines {
     }
 
     fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
-        let step = ctx.params.get_usize("step").unwrap_or(0) as u32;
+        let step = param_u32(&ctx.params, "step").unwrap_or(0);
         if step >= ctx.spec.n_steps {
             return Err(CommandError::BadParams(format!(
                 "step {step} out of range (dataset has {})",
@@ -68,9 +40,7 @@ impl Command for Streamlines {
             .params
             .get_f64("t_span")
             .unwrap_or(2.0 * ctx.spec.n_steps as f64 * ctx.spec.dt);
-        let topo = ctx.server.topology(&ctx.dataset).ok_or_else(|| {
-            CommandError::BadParams(format!("dataset {} has no topology metadata", ctx.dataset))
-        })?;
+        let topo = topology(ctx)?;
         let cfg = integrator_cfg(ctx, TimeScheme::VelocityInterp);
         let cost_per_seed = ctx.costs.pathline_s_per_step * 20.0;
         let frozen_t = step as f64 * ctx.spec.dt;
@@ -110,20 +80,9 @@ impl Command for Streaklines {
     }
 
     fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
-        let t0 = ctx.params.get_f64("t0").unwrap_or(0.0);
-        let t1 = ctx
-            .params
-            .get_f64("t1")
-            .unwrap_or((ctx.spec.n_steps.saturating_sub(1)) as f64 * ctx.spec.dt);
+        let (t0, t1) = time_span(ctx)?;
         let releases = ctx.params.get_usize("releases").unwrap_or(20).max(1);
-        if t1 <= t0 {
-            return Err(CommandError::BadParams(format!(
-                "invalid time span [{t0}, {t1}]"
-            )));
-        }
-        let topo = ctx.server.topology(&ctx.dataset).ok_or_else(|| {
-            CommandError::BadParams(format!("dataset {} has no topology metadata", ctx.dataset))
-        })?;
+        let topo = topology(ctx)?;
         let cfg = integrator_cfg(ctx, TimeScheme::VelocityInterp);
         // A streakline costs roughly `releases` short pathlines.
         let cost_per_seed = ctx.costs.pathline_s_per_step * 10.0 * releases as f64;

@@ -40,12 +40,16 @@ pub use viewer::ViewerIso;
 pub use vortex::{SimpleVortex, StreamedVortex, VortexDataMan};
 
 use crate::command::{CommandError, CommandOutput, CommandRegistry, JobCtx};
+use std::ops::Range;
 use std::sync::Arc;
 use vira_extract::iso::IsoStats;
 use vira_extract::mesh::TriangleSoup;
+use vira_extract::pathline::{PathlineConfig, TimeScheme};
 use vira_extract::scoped_map;
 use vira_grid::block::{BlockId, BlockStepId};
 use vira_grid::math::Vec3;
+use vira_grid::topology::BlockTopology;
+use vira_vista::protocol::CommandParams;
 
 /// Registers every built-in command.
 pub fn default_registry() -> CommandRegistry {
@@ -78,17 +82,28 @@ pub(crate) fn batch_size(ctx: &JobCtx<'_>) -> usize {
     ctx.params.get_usize("batch").unwrap_or(2000).max(1)
 }
 
-/// This worker's share of the job, step-major: the steps `step0 ..`
-/// limited by `n_steps` (default: the whole unsteady dataset, as in the
-/// paper's evaluation), each with the blocks of `order` dealt
-/// round-robin over the group.
+/// A step-valued parameter, saturated at `u32::MAX` rather than
+/// truncated: a client's `2^32` must not read as step 0.
+pub(crate) fn param_u32(params: &CommandParams, key: &str) -> Option<u32> {
+    params
+        .get_usize(key)
+        .map(|v| u32::try_from(v).unwrap_or(u32::MAX))
+}
+
+/// The time steps a job covers: `step0 ..` limited by `n_steps`
+/// (default: the whole unsteady dataset, as in the paper's evaluation),
+/// clipped to the dataset's `n_steps`. The scheduler's placement scores
+/// the same window the workers walk.
+pub(crate) fn step_window(params: &CommandParams, n_steps: u32) -> Range<u32> {
+    let step0 = param_u32(params, "step0").unwrap_or(0);
+    let limit = param_u32(params, "n_steps").unwrap_or(n_steps);
+    step0..n_steps.min(step0.saturating_add(limit))
+}
+
+/// This worker's share of the job, step-major: the [`step_window`], each
+/// step with the blocks of `order` dealt round-robin over the group.
 pub(crate) fn share(ctx: &JobCtx<'_>, order: &[BlockId]) -> Vec<BlockStepId> {
-    let step0 = ctx.params.get_usize("step0").unwrap_or(0) as u32;
-    let limit = ctx
-        .params
-        .get_usize("n_steps")
-        .unwrap_or(ctx.spec.n_steps as usize) as u32;
-    (step0..ctx.spec.n_steps.min(step0 + limit))
+    step_window(&ctx.params, ctx.spec.n_steps)
         .flat_map(|s| ctx.my_blocks(s, order))
         .collect()
 }
@@ -232,6 +247,61 @@ pub(crate) fn seed_points(ctx: &JobCtx<'_>, n: usize, rngseed: u64) -> Vec<Vec3>
             )
         })
         .collect()
+}
+
+/// This worker's seeds for the particle-trace commands: the `n_seeds`
+/// (default 16) [`seed_points`] of `rngseed` (default 42), dealt
+/// round-robin over the group.
+pub(crate) fn my_seeds(ctx: &JobCtx<'_>) -> Vec<Vec3> {
+    let n_seeds = ctx.params.get_usize("n_seeds").unwrap_or(16);
+    let rngseed = ctx
+        .params
+        .get("rngseed")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42u64);
+    seed_points(ctx, n_seeds, rngseed)
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| i % ctx.group.len() == ctx.my_index())
+        .map(|(_, s)| s)
+        .collect()
+}
+
+/// The `[t0, t1]` interval of an unsteady trace: `t0` (default 0) to
+/// `t1` (default the last step's time); an empty interval is refused.
+pub(crate) fn time_span(ctx: &JobCtx<'_>) -> Result<(f64, f64), CommandError> {
+    let t0 = ctx.params.get_f64("t0").unwrap_or(0.0);
+    let t1 = ctx
+        .params
+        .get_f64("t1")
+        .unwrap_or((ctx.spec.n_steps.saturating_sub(1)) as f64 * ctx.spec.dt);
+    if t1 <= t0 {
+        return Err(CommandError::BadParams(format!(
+            "invalid time span [{t0}, {t1}]"
+        )));
+    }
+    Ok((t0, t1))
+}
+
+/// The block adjacency a particle trace walks across block faces.
+pub(crate) fn topology(ctx: &JobCtx<'_>) -> Result<Arc<BlockTopology>, CommandError> {
+    ctx.server.topology(&ctx.dataset).ok_or_else(|| {
+        CommandError::BadParams(format!("dataset {} has no topology metadata", ctx.dataset))
+    })
+}
+
+/// Adaptive RK4 settings of the particle-trace commands, in units of the
+/// dataset's step `dt`: `h_init` (default dt/4), `tol`, `max_steps`.
+pub(crate) fn integrator_cfg(ctx: &JobCtx<'_>, scheme: TimeScheme) -> PathlineConfig {
+    let dt = ctx.spec.dt;
+    PathlineConfig {
+        h_init: ctx.params.get_f64("h_init").unwrap_or(dt / 4.0),
+        h_min: dt * 1e-6,
+        h_max: dt,
+        tol: ctx.params.get_f64("tol").unwrap_or(1e-5),
+        max_steps: ctx.params.get_usize("max_steps").unwrap_or(20_000),
+        scheme,
+    }
 }
 
 #[cfg(test)]

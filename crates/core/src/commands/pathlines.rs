@@ -7,11 +7,9 @@
 //! DMS variant every block request goes through the proxy, so a learning
 //! pass followed by a traced pass reproduces the paper's Figure 14.
 
-use super::seed_points;
+use super::{integrator_cfg, my_seeds, time_span, topology};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
-use vira_extract::pathline::{
-    trace_pathline, FieldSampler, MultiBlockSampler, PathlineConfig, TimeScheme,
-};
+use vira_extract::pathline::{trace_pathline, FieldSampler, MultiBlockSampler, TimeScheme};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
 use vira_grid::math::Vec3;
@@ -41,86 +39,41 @@ impl<S: FieldSampler> FieldSampler for ChargedSampler<'_, '_, S> {
     }
 }
 
-fn pathline_cfg(ctx: &JobCtx<'_>) -> PathlineConfig {
-    let dt = ctx.spec.dt;
+fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, CommandError> {
+    let (t0, t1) = time_span(ctx)?;
+    let topo = topology(ctx)?;
     let scheme = match ctx.params.get("scheme") {
         Some("adjacent-levels") => TimeScheme::AdjacentLevels,
         _ => TimeScheme::VelocityInterp,
     };
-    PathlineConfig {
-        h_init: ctx.params.get_f64("h_init").unwrap_or(dt / 4.0),
-        h_min: dt * 1e-6,
-        h_max: dt,
-        tol: ctx.params.get_f64("tol").unwrap_or(1e-5),
-        max_steps: ctx.params.get_usize("max_steps").unwrap_or(20_000),
-        scheme,
-    }
-}
-
-fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, CommandError> {
-    let n_seeds = ctx.params.get_usize("n_seeds").unwrap_or(16);
-    let rngseed = ctx
-        .params
-        .get("rngseed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
-    let t0 = ctx.params.get_f64("t0").unwrap_or(0.0);
-    let t1 = ctx
-        .params
-        .get_f64("t1")
-        .unwrap_or((ctx.spec.n_steps.saturating_sub(1)) as f64 * ctx.spec.dt);
-    if t1 <= t0 {
-        return Err(CommandError::BadParams(format!(
-            "invalid time span [{t0}, {t1}]"
-        )));
-    }
-    let topo = ctx.server.topology(&ctx.dataset).ok_or_else(|| {
-        CommandError::BadParams(format!("dataset {} has no topology metadata", ctx.dataset))
-    })?;
-    let cfg = pathline_cfg(ctx);
+    let cfg = integrator_cfg(ctx, scheme);
     // 12 velocity evaluations per step-doubled RK4 triple.
     let cost_per_eval = ctx.costs.pathline_s_per_step / 12.0;
 
-    let seeds = seed_points(ctx, n_seeds, rngseed);
-    let mine: Vec<Vec3> = seeds
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| i % ctx.group.len() == ctx.my_index())
-        .map(|(_, s)| s)
-        .collect();
-
     let mut out = CommandOutput::default();
-    for seed in mine {
+    for seed in my_seeds(ctx) {
         if ctx.is_cancelled() {
             break;
         }
-        // Borrow-friendly fetcher: captures ctx immutably.
+        // Borrow-friendly fetcher: captures ctx immutably. Without data
+        // management every trace re-reads its items from the file server
+        // (the sampler holds an item only for the duration of one trace).
         let ctx_ref: &JobCtx<'_> = ctx;
-        let result = if use_dms {
-            let fetch = |id: BlockStepId| ctx_ref.load_block(id).ok();
-            let sampler =
-                MultiBlockSampler::new(fetch, topo.clone(), ctx_ref.spec.n_steps, ctx_ref.spec.dt);
-            let mut charged = ChargedSampler {
-                inner: sampler,
-                ctx: ctx_ref,
-                cost_per_eval,
-            };
-            trace_pathline(&mut charged, seed, t0, t1, &cfg)
-        } else {
-            // No data management at all: every trace re-reads its items
-            // from the file server (the sampler holds an item only for
-            // the duration of one trace).
-            let fetch =
-                |id: BlockStepId| -> Option<SharedBlockData> { ctx_ref.direct_read(id).ok() };
-            let sampler =
-                MultiBlockSampler::new(fetch, topo.clone(), ctx_ref.spec.n_steps, ctx_ref.spec.dt);
-            let mut charged = ChargedSampler {
-                inner: sampler,
-                ctx: ctx_ref,
-                cost_per_eval,
-            };
-            trace_pathline(&mut charged, seed, t0, t1, &cfg)
+        let fetch = |id: BlockStepId| -> Option<SharedBlockData> {
+            if use_dms {
+                ctx_ref.load_block(id).ok()
+            } else {
+                ctx_ref.direct_read(id).ok()
+            }
         };
+        let sampler =
+            MultiBlockSampler::new(fetch, topo.clone(), ctx_ref.spec.n_steps, ctx_ref.spec.dt);
+        let mut charged = ChargedSampler {
+            inner: sampler,
+            ctx: ctx_ref,
+            cost_per_eval,
+        };
+        let result = trace_pathline(&mut charged, seed, t0, t1, &cfg);
         if result.line.len() > 1 {
             out.polylines.push(result.line);
         }

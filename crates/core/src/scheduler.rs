@@ -36,9 +36,6 @@ use vira_vista::protocol::{
     decode_request, encode_event, ClientRequest, EventHeader, JobId, JobReport, PayloadKind,
 };
 
-/// Final/error event frames kept for client resume requests.
-const RECENT_FINALS_CAP: usize = 32;
-
 /// A submission waiting for enough free workers. Requeued jobs return
 /// here with `attempt` bumped and their retry accounting intact.
 struct QueuedJob {
@@ -106,7 +103,6 @@ static JOB_RUNTIME_NS: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
 static RETRIES: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static REQUEUES: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static DEAD_RANKS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-static RESENDS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static BACKFILLS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static LOCALITY_HITS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 static STARVATION_AGED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
@@ -159,8 +155,6 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
     // Ranks that failed a liveness probe: permanently excluded.
     let mut dead: HashSet<Rank> = HashSet::new();
     let mut probe_nonce: u64 = 0;
-    // Final/error frames of recent jobs, replayed on client resume.
-    let mut recent_finals: VecDeque<(JobId, Bytes)> = VecDeque::new();
     // Last known per-rank cache-residency digest, harvested from
     // JOB_DONE and PONG frames; drives locality-aware placement.
     let mut residency: HashMap<Rank, ResidencyDigest> = HashMap::new();
@@ -294,15 +288,13 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                                         "sched_jobs_cancelled_total",
                                     )
                                     .inc();
-                                    let frame = encode_event(
+                                    let _ = link.emit(encode_event(
                                         &EventHeader::Cancelled {
                                             job,
                                             report: JobReport::default(),
                                         },
                                         Bytes::new(),
-                                    );
-                                    remember_final(&mut recent_finals, job, frame.clone());
-                                    let _ = link.emit(frame);
+                                    ));
                                 }
                                 CancelDisposition::Running(group) => {
                                     // Trip the job's cancel flag everywhere:
@@ -324,31 +316,6 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                                     // terminal event.
                                 }
                             }
-                        }
-                        Ok(ClientRequest::Ack { .. }) => {
-                            // Streamed partials flow worker → client
-                            // directly ([`StreamSession`] covers the
-                            // session-managed path); the scheduler has
-                            // nothing buffered to trim.
-                        }
-                        Ok(ClientRequest::Resume { job }) => {
-                            if let Some((_, frame)) = recent_finals.iter().find(|(j, _)| *j == job)
-                            {
-                                obs::counter_cached(&RESENDS, "vista_resend_total").inc();
-                                let _ = link.emit(frame.clone());
-                            } else if !running.contains_key(&job)
-                                && !queue.iter().any(|q| q.job == job)
-                            {
-                                let _ = link.emit(encode_event(
-                                    &EventHeader::Error {
-                                        job,
-                                        message: "unknown job in resume".into(),
-                                    },
-                                    Bytes::new(),
-                                ));
-                            }
-                            // Running/queued jobs need no action: the
-                            // final event is still on its way.
                         }
                         Ok(ClientRequest::Shutdown) => {
                             shutting_down = true;
@@ -375,11 +342,9 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 Ok(None) => break,
                 Err(CommError::Disconnected) => {
                     // Client went away: treat as shutdown. The queued
-                    // jobs are *failed*, not silently dropped — the
-                    // failure counter and the recent-finals buffer must
-                    // account for them even though nobody is listening
-                    // for the error events right now (a resumed client
-                    // may still ask about them).
+                    // jobs are *failed*, not silently dropped: the
+                    // failure counter accounts for them even though
+                    // nobody is listening for the error events.
                     shutting_down = true;
                     for q in queue.drain(..) {
                         obs::counter_cached(&JOBS_FAILED, "sched_jobs_failed_total").inc();
@@ -387,15 +352,13 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                         // any cancel-set entry it still owns (e.g. from a
                         // conviction/requeue race) must not outlive it.
                         cancels.write().unwrap().remove(&q.job);
-                        let frame = encode_event(
+                        let _ = link.emit(encode_event(
                             &EventHeader::Error {
                                 job: q.job,
                                 message: "client disconnected before dispatch".into(),
                             },
                             Bytes::new(),
-                        );
-                        remember_final(&mut recent_finals, q.job, frame.clone());
-                        let _ = link.emit(frame);
+                        ));
                     }
                     note_queue_depth(queue.len(), &mut queue_high_watermark);
                     break;
@@ -417,7 +380,6 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                     &cancels,
                     &clock,
                     &link,
-                    &mut recent_finals,
                     &mut residency,
                     &mut tsdb,
                 ),
@@ -462,15 +424,13 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 let q = queue.pop_front().expect("non-empty just checked");
                 note_queue_depth(queue.len(), &mut queue_high_watermark);
                 obs::counter_cached(&JOBS_FAILED, "sched_jobs_failed_total").inc();
-                let frame = encode_event(
+                let _ = link.emit(encode_event(
                     &EventHeader::Error {
                         job: q.job,
                         message: "no live workers left".into(),
                     },
                     Bytes::new(),
-                );
-                remember_final(&mut recent_finals, q.job, frame.clone());
-                let _ = link.emit(frame);
+                ));
                 progressed = true;
                 continue;
             }
@@ -694,15 +654,13 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 // Cancelled final instead of requeueing work nobody
                 // wants.
                 obs::counter_cached(&JOBS_CANCELLED, "sched_jobs_cancelled_total").inc();
-                let frame = encode_event(
+                let _ = link.emit(encode_event(
                     &EventHeader::Cancelled {
                         job,
                         report: JobReport::default(),
                     },
                     Bytes::new(),
-                );
-                remember_final(&mut recent_finals, job, frame.clone());
-                let _ = link.emit(frame);
+                ));
                 continue;
             }
             let mut q = run.q;
@@ -714,7 +672,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
             let alive_total = (1..=n_workers).filter(|r| !dead.contains(r)).count();
             if q.attempt >= resilience.max_attempts || alive_total == 0 {
                 obs::counter_cached(&JOBS_FAILED, "sched_jobs_failed_total").inc();
-                let frame = encode_event(
+                let _ = link.emit(encode_event(
                     &EventHeader::Error {
                         job,
                         message: format!(
@@ -723,9 +681,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                         ),
                     },
                     Bytes::new(),
-                );
-                remember_final(&mut recent_finals, job, frame.clone());
-                let _ = link.emit(frame);
+                ));
             } else {
                 obs::counter_cached(&REQUEUES, "sched_requeues_total").inc();
                 q.workers = q.workers.min(alive_total);
@@ -808,7 +764,6 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                     &cancels,
                     &clock,
                     &link,
-                    &mut recent_finals,
                     &mut residency,
                     &mut tsdb,
                 ),
@@ -946,8 +901,8 @@ fn select_candidate(
 const PLACEMENT_ITEM_CAP: usize = 512;
 
 /// The raw `(block, step)` item ids a job will touch: every block of
-/// the dataset across the command's time-step window (mirroring the
-/// worker-side `share` parameter convention), capped at
+/// the dataset across the command's
+/// [`step_window`](crate::commands::step_window), capped at
 /// [`PLACEMENT_ITEM_CAP`].
 fn placement_items(
     resolver: &NameResolver,
@@ -958,11 +913,8 @@ fn placement_items(
     let Some(spec) = server.dataset_spec(dataset) else {
         return Vec::new();
     };
-    let step0 = params.get_usize("step0").unwrap_or(0) as u32;
-    let limit = params.get_usize("n_steps").unwrap_or(spec.n_steps as usize) as u32;
-    let end = spec.n_steps.min(step0.saturating_add(limit));
     let mut items = Vec::new();
-    'outer: for step in step0..end {
+    'outer: for step in crate::commands::step_window(params, spec.n_steps) {
         for block in 0..spec.n_blocks {
             if items.len() >= PLACEMENT_ITEM_CAP {
                 break 'outer;
@@ -1100,16 +1052,6 @@ fn note_queue_depth(depth: usize, high_watermark: &mut usize) {
     }
 }
 
-/// Remembers a job's final (or error) event frame for client resume
-/// requests, evicting the oldest entry past the cap.
-fn remember_final(recent: &mut VecDeque<(JobId, Bytes)>, job: JobId, frame: Bytes) {
-    recent.retain(|(j, _)| *j != job);
-    if recent.len() >= RECENT_FINALS_CAP {
-        recent.pop_front();
-    }
-    recent.push_back((job, frame));
-}
-
 /// Handles one `JOB_DONE` frame from a master worker: frees the group's
 /// ranks, clears cancellation state and forwards the merged result (or
 /// the error) to the visualization client. Completions from a
@@ -1123,7 +1065,6 @@ fn handle_job_done(
     cancels: &CancelSet,
     clock: &SimClock,
     link: &ServerSide,
-    recent_finals: &mut VecDeque<(JobId, Bytes)>,
     residency: &mut HashMap<Rank, ResidencyDigest>,
     tsdb: &mut obs::Tsdb,
 ) {
@@ -1196,28 +1137,24 @@ fn handle_job_done(
             degraded: run.q.degraded,
             ..JobReport::default()
         };
-        let frame = encode_event(
+        let _ = link.emit(encode_event(
             &EventHeader::Cancelled {
                 job: done.job,
                 report,
             },
             Bytes::new(),
-        );
-        remember_final(recent_finals, done.job, frame.clone());
-        let _ = link.emit(frame);
+        ));
         return;
     }
     if let Some(err) = done.error {
         obs::counter_cached(&JOBS_FAILED, "sched_jobs_failed_total").inc();
-        let frame = encode_event(
+        let _ = link.emit(encode_event(
             &EventHeader::Error {
                 job: done.job,
                 message: err,
             },
             Bytes::new(),
-        );
-        remember_final(recent_finals, done.job, frame.clone());
-        let _ = link.emit(frame);
+        ));
         return;
     }
     obs::counter_cached(&JOBS_DONE, "sched_jobs_done_total").inc();
@@ -1249,7 +1186,7 @@ fn handle_job_done(
         retries: run.q.retries,
         degraded: run.q.degraded,
     };
-    let frame = encode_event(
+    let _ = link.emit(encode_event(
         &EventHeader::Final {
             job: done.job,
             kind: done.kind,
@@ -1257,9 +1194,7 @@ fn handle_job_done(
             report,
         },
         payload,
-    );
-    remember_final(recent_finals, done.job, frame.clone());
-    let _ = link.emit(frame);
+    ));
 }
 
 #[cfg(test)]

@@ -37,6 +37,14 @@ fn finish(backend: Viracocha, mut client: VistaClient) {
     backend.join();
 }
 
+/// A client request frame: the JSON header of `vira_vista::protocol`'s
+/// framing and no payload.
+fn frame(json: &str) -> bytes::Bytes {
+    let mut buf = (json.len() as u32).to_le_bytes().to_vec();
+    buf.extend_from_slice(json.as_bytes());
+    bytes::Bytes::from(buf)
+}
+
 #[test]
 fn iso_dataman_returns_geometry() {
     let (backend, mut client) = launch(2, "none");
@@ -446,6 +454,44 @@ fn missing_parameter_fails_the_job() {
 }
 
 #[test]
+fn a_step_limit_past_u32_saturates_to_the_dataset_end() {
+    // TestCube here has 4 steps: a limit of u32::MAX from step 1 is
+    // steps 1..4, as is a limit of 3. The job must neither panic the
+    // worker (debug) nor wrap to an empty share (release).
+    let (backend, mut client) = launch(2, "none");
+    let run = |client: &mut VistaClient, n_steps: u64| {
+        client
+            .run(&SubmitSpec {
+                command: "IsoDataMan".into(),
+                dataset: "TestCube".into(),
+                params: CommandParams::new()
+                    .set("iso", 0.15)
+                    .set("step0", 1)
+                    .set("n_steps", n_steps),
+                workers: 2,
+            })
+            .unwrap()
+    };
+    let huge = run(&mut client, u32::MAX as u64);
+    let three = run(&mut client, 3);
+    assert!(huge.triangles.n_triangles() > 0);
+    assert_eq!(sorted_triangles(&huge.triangles), sorted_triangles(&three.triangles));
+    // A time level past u32 is refused, not read as step 0.
+    let err = client
+        .run(&SubmitSpec {
+            command: "Streamlines".into(),
+            dataset: "TestCube".into(),
+            params: CommandParams::new().set("step", 1u64 << 32),
+            workers: 2,
+        })
+        .unwrap_err();
+    assert!(matches!(err, ClientError::JobFailed(_)), "{err:?}");
+    // The workers are all still alive.
+    assert!(client.run(&iso_spec(2)).unwrap().triangles.n_triangles() > 0);
+    finish(backend, client);
+}
+
+#[test]
 fn worker_count_is_clamped() {
     let (backend, mut client) = launch(2, "none");
     let out = client.run(&iso_spec(64)).unwrap();
@@ -741,10 +787,32 @@ fn derived_field_cache_preserves_geometry_and_saves_compute() {
 fn scheduler_survives_malformed_frames() {
     let (backend, link) = Viracocha::launch(ViracochaConfig::for_tests(1));
     backend.register_dataset(Arc::new(SynthSource::new(Arc::new(test_cube(8, 2)))), false);
-    // Raw garbage straight onto the link: the scheduler must ignore it.
+    // Raw garbage straight onto the link: the scheduler must ignore it,
+    // and the retired `Ack`/`Resume` requests with it.
     link.request(bytes::Bytes::from_static(b"\xde\xad\xbe\xef garbage"))
         .unwrap();
     link.request(bytes::Bytes::new()).unwrap();
+    for retired in [r#"{"Ack":{"job":4,"up_to_seq":17}}"#, r#"{"Resume":{"job":4}}"#] {
+        link.request(frame(retired)).unwrap();
+    }
+    // Requests are served in order, so the first event answers this
+    // unknown-command submit: nothing was emitted for the frames above.
+    link.request(vira_vista::encode_request(&vira_vista::ClientRequest::Submit {
+        job: 9,
+        command: "NoSuchCommand".into(),
+        dataset: "TestCube".into(),
+        params: CommandParams::new(),
+        workers: 1,
+        session: 0,
+        trace_id: 0,
+        parent_span_id: 0,
+    }))
+    .unwrap();
+    let (first, _) = vira_vista::decode_event(link.next_event().unwrap()).unwrap();
+    assert!(
+        matches!(first, vira_vista::EventHeader::JobRejected { job: 9, .. }),
+        "{first:?}"
+    );
     let mut client = VistaClient::new(link);
     let out = client.run(&iso_spec(1)).unwrap();
     assert!(out.triangles.n_triangles() > 0, "backend still works");

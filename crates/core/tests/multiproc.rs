@@ -399,14 +399,22 @@ fn spawn_rejoin_worker(sock: &Path, claim_rank: usize) -> Child {
     child
 }
 
-/// In-process ProgressiveIso run — the uncancelled triangle count the
-/// cross-process cancel leg must stay strictly below.
+/// Cube resolution of the cancel leg. Workers check the cancel set
+/// between `(block, step)` items only, and the cube's 4 items spread
+/// over 3 ranks leave one rank a second item: at [`RES`] a whole item
+/// takes about a millisecond, so on a loaded host that rank often
+/// finished before the CANCEL frame reached it and nothing was
+/// truncated. At 32³ an item outlasts the cancel's round trip.
+const CANCEL_RES: usize = 32;
+
+/// In-process ProgressiveIso run at [`CANCEL_RES`] — the uncancelled
+/// triangle count the cross-process cancel leg must stay strictly below.
 fn in_process_progressive_triangles() -> u64 {
     let mut config = ViracochaConfig::for_tests(RANKS);
     config.proxy.prefetcher = "obl".into();
     let (backend, link) = Viracocha::launch(config);
     backend.register_dataset(
-        Arc::new(CachedSynthSource::new(Arc::new(test_cube(RES, 4)))),
+        Arc::new(CachedSynthSource::new(Arc::new(test_cube(CANCEL_RES, 4)))),
         false,
     );
     let mut client = VistaClient::new(link);
@@ -439,11 +447,15 @@ fn cross_process_cancel_truncates_the_job() {
     let _g = serial();
     let tmp = TempDir::new("cancel");
     let sock = tmp.path().join("hub.sock");
-    // ProgressiveIso with extra levels: a long, many-packet job, so
-    // the cancel lands while plenty of extraction is still ahead.
+    // ProgressiveIso with extra levels on the larger cube: a long,
+    // many-packet job, so the cancel lands while plenty of extraction
+    // is still ahead.
+    let cancel_res = CANCEL_RES.to_string();
     let serve = spawn_serve(
         &sock,
         &[
+            "--res",
+            &cancel_res,
             "--spawn-local",
             "--jobs",
             "1",

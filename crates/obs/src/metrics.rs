@@ -486,10 +486,6 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
         "Stream packets received by the client",
     ),
     (
-        "vista_resend_total",
-        "Stream packets resent from the session buffer",
-    ),
-    (
         "vista_stream_bytes_total",
         "Bytes of streamed geometry received",
     ),

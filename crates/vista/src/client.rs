@@ -253,29 +253,6 @@ impl VistaClient {
         self.collect(job)
     }
 
-    /// Like [`run`](Self::run), but honours admission-control
-    /// backpressure: a `Busy` rejection is resubmitted (as a fresh job)
-    /// after sleeping the scheduler's `retry_after_ms` hint, up to
-    /// `max_retries` resubmissions. Permanent refusals and every other
-    /// error return immediately; exhausting the budget returns the last
-    /// `Busy` rejection.
-    pub fn run_with_retry(
-        &mut self,
-        spec: &SubmitSpec,
-        max_retries: u32,
-    ) -> Result<JobOutcome, ClientError> {
-        let mut resubmits = 0;
-        loop {
-            match self.run(spec) {
-                Err(ClientError::Rejected(r)) if r.is_busy() && resubmits < max_retries => {
-                    resubmits += 1;
-                    std::thread::sleep(Duration::from_millis(r.retry_after_ms().unwrap_or(1)));
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// Sends the submit request; returns the job id for later
     /// collection.
     pub fn submit(&mut self, spec: &SubmitSpec) -> Result<JobId, ClientError> {
@@ -308,24 +285,6 @@ impl VistaClient {
     pub fn cancel(&mut self, job: JobId) -> Result<(), ClientError> {
         self.link
             .request(encode_request(&ClientRequest::Cancel { job }))?;
-        Ok(())
-    }
-
-    /// Acknowledges streamed partials up to `up_to_seq` so the
-    /// back-end can trim its resend buffer.
-    pub fn ack(&mut self, job: JobId, up_to_seq: u32) -> Result<(), ClientError> {
-        self.link
-            .request(encode_request(&ClientRequest::Ack { job, up_to_seq }))?;
-        Ok(())
-    }
-
-    /// Asks the back-end to resend every un-acked frame of `job`
-    /// (after a reconnect that may have lost streamed partials); then
-    /// collect the job again. Duplicate partials that did arrive the
-    /// first time are dropped by sequence number in [`collect`].
-    pub fn resume(&mut self, job: JobId) -> Result<(), ClientError> {
-        self.link
-            .request(encode_request(&ClientRequest::Resume { job }))?;
         Ok(())
     }
 
@@ -379,9 +338,10 @@ impl VistaClient {
         let mut progress = Vec::new();
         let mut first: Option<Duration> = None;
         let mut cumulative: u64 = 0;
-        // Resent frames after a lossy reconnect may duplicate packets
-        // that did make it through the first time; geometry must not
-        // be ingested twice.
+        // A requeued attempt restarts every rank's packet seq at 0 and
+        // re-streams packets that reached the client the first time
+        // (partials carry no attempt number); geometry must not be
+        // ingested twice.
         let mut seen: std::collections::HashSet<(usize, u32)> = std::collections::HashSet::new();
         // Threshold for the mid-stream cancel, disarmed once sent.
         let mut cancel_at = cancel_after;
@@ -755,76 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_retry_resubmits_after_a_busy_shed() {
-        // First submit is shed with a 1 ms hint; the resubmission (a
-        // fresh job id) is accepted and finishes.
-        let (client_side, server_side) = client_server_link();
-        let h = std::thread::spawn(move || {
-            let frame = server_side.next_request().unwrap();
-            let ClientRequest::Submit { job: first, .. } = decode_request(frame).unwrap() else {
-                panic!("expected submit");
-            };
-            server_side
-                .emit(encode_event(
-                    &EventHeader::JobRejected {
-                        job: first,
-                        reason: "busy: queue full".into(),
-                        retry_after_ms: Some(1),
-                        queue_depth: Some(8),
-                    },
-                    Bytes::new(),
-                ))
-                .unwrap();
-            let frame = server_side.next_request().unwrap();
-            let ClientRequest::Submit { job: second, .. } = decode_request(frame).unwrap() else {
-                panic!("expected resubmit");
-            };
-            assert_eq!(second, first + 1, "resubmission is a fresh job");
-            server_side
-                .emit(encode_event(
-                    &EventHeader::Final {
-                        job: second,
-                        kind: PayloadKind::None,
-                        n_items: 0,
-                        report: JobReport::default(),
-                    },
-                    Bytes::new(),
-                ))
-                .unwrap();
-        });
-        let mut client = VistaClient::new(client_side);
-        let out = client.run_with_retry(&spec(), 3).unwrap();
-        h.join().unwrap();
-        assert_eq!(out.job, 2);
-
-        // A permanent refusal is never retried, even with budget left.
-        let (client_side, server_side) = client_server_link();
-        let h = std::thread::spawn(move || {
-            let frame = server_side.next_request().unwrap();
-            let ClientRequest::Submit { job, .. } = decode_request(frame).unwrap() else {
-                panic!("expected submit");
-            };
-            server_side
-                .emit(encode_event(
-                    &EventHeader::JobRejected {
-                        job,
-                        reason: "unknown command".into(),
-                        retry_after_ms: None,
-                        queue_depth: None,
-                    },
-                    Bytes::new(),
-                ))
-                .unwrap();
-        });
-        let mut client = VistaClient::new(client_side);
-        match client.run_with_retry(&spec(), 3) {
-            Err(ClientError::Rejected(r)) => assert!(!r.is_busy()),
-            other => panic!("expected refusal, got {other:?}"),
-        }
-        h.join().unwrap();
-    }
-
-    #[test]
     fn backend_error_event_fails_the_job() {
         let (client_side, server_side) = client_server_link();
         let h = std::thread::spawn(move || {
@@ -893,8 +783,8 @@ mod tests {
 
     #[test]
     fn duplicate_partials_are_dropped() {
-        // A resend after a lossy reconnect delivers some packets
-        // twice; the client must ingest each (worker, seq) once.
+        // A requeued attempt re-streams some packets; the client must
+        // ingest each (worker, seq) once.
         let (client_side, server_side) = client_server_link();
         let h = std::thread::spawn(move || {
             let frame = server_side.next_request().unwrap();

@@ -18,7 +18,6 @@
 
 pub mod client;
 pub mod protocol;
-pub mod session;
 
 pub use client::{
     ClientError, JobOutcome, PacketRecord, ProgressRecord, RejectReason, SubmitSpec, VistaClient,
@@ -28,4 +27,3 @@ pub use protocol::{
     triangle_packet, ClientRequest, CommandParams, EventHeader, JobId, JobReport, PayloadKind,
     ProtocolError,
 };
-pub use session::StreamSession;

@@ -97,14 +97,6 @@ pub enum ClientRequest {
     /// Abort a running job ("meaningless extraction processes can be
     /// discarded immediately", §5).
     Cancel { job: JobId },
-    /// Client acknowledges streamed partials for a job up to (and
-    /// including) `up_to_seq`; the back-end may drop them from its
-    /// resend buffer.
-    Ack { job: JobId, up_to_seq: u32 },
-    /// Client reconnected mid-stream and asks for every un-acked
-    /// frame of the job (and its final event, if already produced)
-    /// to be sent again.
-    Resume { job: JobId },
     /// Orderly shutdown of the back-end.
     Shutdown,
 }
@@ -145,11 +137,6 @@ impl ClientRequest {
                 ]),
             ),
             ClientRequest::Cancel { job } => ("Cancel", Json::obj([("job", (*job).into())])),
-            ClientRequest::Ack { job, up_to_seq } => (
-                "Ack",
-                Json::obj([("job", (*job).into()), ("up_to_seq", (*up_to_seq).into())]),
-            ),
-            ClientRequest::Resume { job } => ("Resume", Json::obj([("job", (*job).into())])),
             ClientRequest::Shutdown => return "Shutdown".into(),
         };
         Json::obj([(name, body)])
@@ -173,11 +160,6 @@ impl ClientRequest {
                 parent_span_id: b.req("parent_span_id", json::u64)?,
             }),
             "Cancel" => Ok(ClientRequest::Cancel { job: job? }),
-            "Ack" => Ok(ClientRequest::Ack {
-                job: job?,
-                up_to_seq: b.req("up_to_seq", json::u32)?,
-            }),
-            "Resume" => Ok(ClientRequest::Resume { job: job? }),
             other => Err(format!("unknown request variant `{other}`")),
         }
     }
@@ -780,19 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn ack_and_resume_roundtrip() {
-        for req in [
-            ClientRequest::Ack {
-                job: 4,
-                up_to_seq: 17,
-            },
-            ClientRequest::Resume { job: 4 },
-        ] {
-            assert_eq!(decode_request(encode_request(&req)).unwrap(), req);
-        }
-    }
-
-    #[test]
     fn every_written_key_is_required() {
         // Deleting any one key of a submit or a report fails its decode.
         let submit = ClientRequest::Submit {
@@ -879,16 +848,9 @@ mod tests {
             },
         );
         assert_request_shape(r#"{"Cancel":{"job":4}}"#, ClientRequest::Cancel { job: 4 });
-        assert_request_shape(
-            r#"{"Ack":{"job":4,"up_to_seq":17}}"#,
-            ClientRequest::Ack {
-                job: 4,
-                up_to_seq: 17,
-            },
-        );
-        assert_request_shape(r#"{"Resume":{"job":4}}"#, ClientRequest::Resume { job: 4 });
         assert_request_shape(r#""Shutdown""#, ClientRequest::Shutdown);
-        // Unknown fields are skipped, unknown variants are not.
+        // Unknown fields are skipped, unknown variants are not: the
+        // retired `Ack`/`Resume` requests among them.
         let j = json::parse(r#"{"Cancel":{"job":4,"why":"bored"}}"#).unwrap();
         assert_eq!(
             ClientRequest::from_json(&j),
@@ -896,6 +858,8 @@ mod tests {
         );
         for bad in [
             r#"{"Pause":{"job":4}}"#,
+            r#"{"Ack":{"job":4,"up_to_seq":17}}"#,
+            r#"{"Resume":{"job":4}}"#,
             r#""Submit""#,
             r#"{"Cancel":{}}"#,
             "{}",
