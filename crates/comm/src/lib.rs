@@ -7,7 +7,6 @@
 //!
 //! * [`transport`] — the [`transport::Transport`] trait and the in-process
 //!   rank world [`transport::LocalWorld`] standing in for MPI.
-//! * [`endpoint`] — tag-selective receives with buffering.
 //! * [`collective`] — work groups ([`Group`]): the ranks of one job.
 //! * [`link`] — the framed client link standing in for TCP/IP between the
 //!   visualization host and the scheduler.
@@ -17,14 +16,12 @@
 //!   Unix-domain sockets in a star topology behind the same trait.
 
 pub mod collective;
-pub mod endpoint;
 pub mod fault;
 pub mod link;
 pub mod socket;
 pub mod transport;
 
 pub use collective::Group;
-pub use endpoint::Endpoint;
 pub use fault::{FaultPlan, FaultStats, FaultStatsSnapshot, FaultyTransport, LinkFaults};
 pub use link::{client_server_link, ClientSide, EventSender, ServerSide};
 pub use socket::{SocketAddrSpec, SocketHub, SocketListener, SocketSender, SocketWorker};

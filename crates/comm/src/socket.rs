@@ -703,9 +703,10 @@ impl HubShared {
 
 /// The scheduler-process endpoint (rank 0) of a socket world: accepts
 /// `n_workers` connections, then routes frames. Implements
-/// [`Transport`] so [`Endpoint`](crate::endpoint::Endpoint), the
-/// scheduler loop and [`FaultyTransport`](crate::fault::FaultyTransport)
-/// stack on top unchanged.
+/// [`Transport`] so the scheduler loop and
+/// [`FaultyTransport`](crate::fault::FaultyTransport) stack on top
+/// unchanged; frames from one peer are received in the order it sent
+/// them.
 pub struct SocketHub {
     shared: Arc<HubShared>,
     inbox_tx: Sender<Message>,
@@ -2074,8 +2075,7 @@ mod tests {
 
     #[test]
     #[cfg(unix)]
-    fn endpoint_and_faulty_transport_stack_on_sockets() {
-        use crate::endpoint::Endpoint;
+    fn faulty_transport_stacks_on_sockets() {
         use crate::fault::{FaultPlan, FaultStats, FaultyTransport};
 
         let (hub, mut workers) = socket_world(&tmp_sock("stack"), 1);
@@ -2083,15 +2083,14 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(3));
         let stats = Arc::new(FaultStats::default());
         let hub = FaultyTransport::new(hub, plan, stats);
-        let mut ep = Endpoint::new(hub);
         let w = workers.remove(0);
         w.send(0, 10, Bytes::from_static(b"a")).unwrap();
         w.send(0, 20, Bytes::from_static(b"b")).unwrap();
-        // Tag-selective receive buffers the other frame.
-        let m = ep.recv_tag_timeout(20, Duration::from_secs(5)).unwrap();
-        assert_eq!(&m.payload[..], b"b");
-        assert_eq!(ep.buffered_len(), 1);
-        assert_eq!(&ep.recv_tag(10).unwrap().payload[..], b"a");
+        // Frames arrive in send order, whatever their tags.
+        let m = hub.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((m.tag, &m.payload[..]), (10, &b"a"[..]));
+        let m = hub.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((m.tag, &m.payload[..]), (20, &b"b"[..]));
     }
 
     #[test]

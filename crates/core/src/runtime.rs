@@ -9,7 +9,6 @@ use crate::worker::{worker_main, WorkerSetup};
 use std::collections::HashSet;
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use vira_comm::endpoint::Endpoint;
 use vira_comm::fault::{FaultPlan, FaultStats, FaultyTransport};
 use vira_comm::link::{client_server_link, ClientSide, EventSender};
 use vira_comm::transport::{LocalWorld, Transport};
@@ -99,10 +98,10 @@ impl Viracocha {
 
         let mut workers = Vec::with_capacity(config.n_workers);
         // Spawn workers for ranks 1..=n; rank 0 stays with the scheduler.
-        for endpoint in endpoints.drain(1..) {
-            let rank = endpoint.rank();
+        for transport in endpoints.drain(1..) {
+            let rank = transport.rank();
             let setup = WorkerSetup {
-                endpoint: Endpoint::new(endpoint),
+                transport,
                 server: server.clone(),
                 clock: clock.clone(),
                 registry: registry.clone(),
@@ -118,9 +117,8 @@ impl Viracocha {
                     .expect("failed to spawn worker"),
             );
         }
-        let sched_endpoint = endpoints.pop().expect("rank 0 endpoint");
         let setup = SchedulerSetup {
-            endpoint: Endpoint::new(sched_endpoint),
+            transport: endpoints.pop().expect("rank 0 endpoint"),
             link: server_side,
             server: server.clone(),
             clock: clock.clone(),
@@ -177,7 +175,7 @@ impl Viracocha {
         let cancels: CancelSet = Arc::new(RwLock::new(HashSet::new()));
         let (client_side, server_side) = client_server_link();
         let setup = SchedulerSetup {
-            endpoint: Endpoint::new(transport),
+            transport,
             link: server_side,
             server: server.clone(),
             clock: clock.clone(),
@@ -307,7 +305,7 @@ pub fn run_remote_worker_with_cancels<T: Transport>(
     let server = DataServer::new(clock.clone(), config.server.clone());
     register(&server);
     let setup = WorkerSetup {
-        endpoint: Endpoint::new(transport),
+        transport,
         server,
         clock,
         registry: Arc::new(registry),

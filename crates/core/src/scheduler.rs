@@ -23,9 +23,8 @@ use bytes::Bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use vira_comm::endpoint::Endpoint;
 use vira_comm::link::ServerSide;
-use vira_comm::transport::{tags, CommError, LocalEndpoint, Rank, Transport};
+use vira_comm::transport::{tags, CommError, LocalEndpoint, Message, Rank, Transport};
 use vira_dms::cache::ResidencyDigest;
 use vira_dms::server::DataServer;
 use vira_dms::{ItemId, ItemName, NameResolver};
@@ -82,12 +81,32 @@ struct RunningJob {
     q: QueuedJob,
     /// The encoded command frame, retransmitted on timeout.
     frame: Bytes,
-    /// When the next retransmission (or probe) fires.
+    /// When the next retransmission, probe start, probe re-ping or
+    /// conviction fires.
     deadline: Instant,
     /// Current timeout, grown by the backoff factor per retransmit.
     cur_timeout: Duration,
     retransmits: u32,
+    /// Set while the group is being probed for dead ranks.
+    probe: Option<Probe>,
 }
+
+/// A liveness probe of one running job's group, spread over passes of
+/// the scheduler loop instead of blocking it: every rank must echo the
+/// nonce before `deadline`, and unanswered ranks are re-pinged every
+/// [`PROBE_ROUND`].
+struct Probe {
+    nonce: u64,
+    answered: HashSet<Rank>,
+    /// Send time of the latest ping round, in trace-epoch ns — the
+    /// clock-offset estimate needs it.
+    round_sent_ns: u64,
+    deadline: Instant,
+}
+
+/// Re-ping interval of a probe: on a lossy link a single ping would
+/// regularly convict live ranks.
+const PROBE_ROUND: Duration = Duration::from_millis(25);
 
 // Scheduler metrics (see DESIGN.md "Observability layer" for naming).
 static JOBS_SUBMITTED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
@@ -118,7 +137,7 @@ static QUEUE_HIGH_WATERMARK: OnceLock<Arc<obs::Counter>> = OnceLock::new();
 
 /// Everything the scheduler thread needs.
 pub struct SchedulerSetup<T: Transport = LocalEndpoint> {
-    pub endpoint: Endpoint<T>,
+    pub transport: T,
     pub link: ServerSide,
     pub server: Arc<DataServer>,
     pub clock: Arc<SimClock>,
@@ -135,7 +154,7 @@ pub struct SchedulerSetup<T: Transport = LocalEndpoint> {
 /// running jobs have drained.
 pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
     let SchedulerSetup {
-        mut endpoint,
+        transport,
         link,
         server,
         clock,
@@ -306,7 +325,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                                     cancels.write().unwrap().insert(job);
                                     let notice = wire::encode_cancel(job);
                                     for r in group {
-                                        let _ = endpoint.send(r, tags::CANCEL, notice.clone());
+                                        let _ = transport.send(r, tags::CANCEL, notice.clone());
                                     }
                                 }
                                 CancelDisposition::Unknown => {
@@ -367,47 +386,22 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
             }
         }
 
-        // 2. Worker completions, plus pongs (answers to the heartbeat
-        // pings of step 4b, or late answers to a finished probe);
-        // anything else is stale traffic and dropped.
-        while let Ok(Some(msg)) = endpoint.try_recv_any() {
+        // 2. Worker traffic, drained in arrival order: a streamed
+        // packet forwarded ahead of its job's DONE reaches the client
+        // ahead of the Final.
+        while let Ok(Some(msg)) = transport.try_recv() {
             progressed = true;
-            match msg.tag {
-                tags::JOB_DONE => handle_job_done(
-                    msg.payload,
-                    &mut running,
-                    &mut free,
-                    &cancels,
-                    &clock,
-                    &link,
-                    &mut residency,
-                    &mut tsdb,
-                ),
-                tags::PONG => {
-                    harvest_pong(&msg.payload, msg.from, &mut tsdb, &mut residency);
-                }
-                // A previously-convicted worker rank completed the hub's
-                // rejoin handshake: lift its dead-rank exclusion so it
-                // is eligible for placement again. Probe/placement state
-                // tied to the old process is discarded — the restarted
-                // process has a cold cache.
-                tags::REJOIN => {
-                    let r = msg.from;
-                    if r >= 1 && r <= n_workers && dead.remove(&r) {
-                        residency.remove(&r);
-                        free[r] = !running.values().any(|run| run.group.contains(&r));
-                        obs::counter_cached(&REJOINS, "sched_rejoins_total").inc();
-                    }
-                }
-                // A remote worker process streaming packets to the
-                // client: its EventSender cannot share the link, so the
-                // frame rode the transport here and is re-emitted on
-                // the real client link verbatim.
-                tags::CLIENT_EVENT => {
-                    let _ = link.emit(msg.payload);
-                }
-                _ => {}
-            }
+            on_worker_frame(
+                msg,
+                &mut running,
+                &mut free,
+                &mut dead,
+                &cancels,
+                &clock,
+                &link,
+                &mut residency,
+                &mut tsdb,
+            );
         }
 
         // 3. Dispatch: FIFO with bounded backfill. When the queue head
@@ -515,7 +509,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 };
                 frame = wire::encode_command(&msg);
                 for &r in &group {
-                    let _ = endpoint.send(r, tags::COMMAND, frame.clone());
+                    let _ = transport.send(r, tags::COMMAND, frame.clone());
                 }
             }
             if q.attempt == 0 {
@@ -540,16 +534,21 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                     deadline: dispatched_at + resilience.dispatch_timeout,
                     cur_timeout: resilience.dispatch_timeout,
                     retransmits: 0,
+                    probe: None,
                 },
             );
             progressed = true;
         }
 
-        // 4. Retransmit timed-out commands; once the retransmit budget
-        // is spent, probe the group for dead ranks. The master worker
-        // replays its cached response on a duplicate command, so a
-        // retransmission recovers lost commands, lost partials and lost
-        // completions uniformly.
+        // 4. Timers of running jobs. A timed-out command is
+        // retransmitted; once the retransmit budget is spent, the group
+        // is probed for dead ranks. Every rank replays its newest
+        // response on a duplicate command, so a retransmission
+        // recovers lost commands, lost partials and lost completions
+        // uniformly. A probe does not hold up the loop: its pongs come
+        // in through `on_worker_frame` like any other frame, which ends
+        // the probe once every rank answered. Here a probe only
+        // re-pings the silent ranks and, at its deadline, convicts them.
         let now = Instant::now();
         let expired: Vec<JobId> = running
             .iter()
@@ -559,89 +558,48 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
         for job in expired {
             progressed = true;
             let run = running.get_mut(&job).expect("collected above");
-            if run.retransmits < resilience.max_retransmits {
+            if run.probe.is_none() && run.retransmits < resilience.max_retransmits {
                 run.retransmits += 1;
                 run.q.retries += 1;
                 obs::counter_cached(&RETRIES, "sched_retries_total").inc();
                 run.cur_timeout = run.cur_timeout.mul_f64(resilience.backoff_factor);
-                run.deadline = Instant::now() + run.cur_timeout;
+                run.deadline = now + run.cur_timeout;
                 for &r in &run.group {
-                    let _ = endpoint.send(r, tags::COMMAND, run.frame.clone());
+                    let _ = transport.send(r, tags::COMMAND, run.frame.clone());
                 }
                 continue;
             }
-            // Probe: every rank of the group must echo the nonce within
-            // the probe timeout. The nonce filters stale pongs from
-            // earlier probes; unrelated frames arriving meanwhile are
-            // buffered by the endpoint and handled next iteration.
-            // Unanswered ranks are re-pinged every slice — on a lossy
-            // link a single ping would regularly convict live ranks.
-            probe_nonce += 1;
-            let ping = wire::encode_ping(&wire::Ping {
-                nonce: probe_nonce,
-                want_delta: false,
+            // The nonce filters stale pongs from earlier probes and
+            // heartbeats, which share the counter.
+            let probe = run.probe.get_or_insert_with(|| {
+                probe_nonce += 1;
+                Probe {
+                    nonce: probe_nonce,
+                    answered: HashSet::new(),
+                    round_sent_ns: 0,
+                    deadline: now + resilience.probe_timeout,
+                }
             });
-            let mut alive_ranks: HashSet<Rank> = HashSet::new();
-            let probe_deadline = Instant::now() + resilience.probe_timeout;
-            'probe: while alive_ranks.len() < run.group.len() {
-                let round_start = Instant::now();
-                if round_start >= probe_deadline {
-                    break;
-                }
-                // Ping send time for this round, in trace-epoch ns —
-                // the clock-offset estimate below needs it.
-                let sent_ns = obs::now_ns();
+            if now < probe.deadline {
+                let ping = wire::encode_ping(&wire::Ping {
+                    nonce: probe.nonce,
+                    want_delta: false,
+                });
+                probe.round_sent_ns = obs::now_ns();
                 for &r in &run.group {
-                    if !alive_ranks.contains(&r) {
-                        let _ = endpoint.send(r, tags::PING, ping.clone());
+                    if !probe.answered.contains(&r) {
+                        let _ = transport.send(r, tags::PING, ping.clone());
                     }
                 }
-                let slice_end = (round_start + Duration::from_millis(25)).min(probe_deadline);
-                loop {
-                    let left = slice_end.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    let Ok(m) = endpoint.recv_tag_timeout(tags::PONG, left) else {
-                        break;
-                    };
-                    // Every pong feeds placement and telemetry, a
-                    // heartbeat's drained mid-probe too; only this
-                    // probe's nonce from a group member proves a rank
-                    // alive (the shared nonce counter keeps heartbeat
-                    // and earlier probe nonces from aliasing it).
-                    let Some(pong) = harvest_pong(&m.payload, m.from, &mut tsdb, &mut residency)
-                    else {
-                        continue;
-                    };
-                    if pong.nonce != probe_nonce || !run.group.contains(&m.from) {
-                        continue;
-                    }
-                    // NTP-style estimate: the worker stamped its clock
-                    // mid-flight, so offset = t_remote - (t_send + rtt/2).
-                    // The probe doubles as the flight recorder's clock
-                    // probe; min-RTT samples win over there.
-                    let rtt = obs::now_ns().saturating_sub(sent_ns);
-                    let offset = pong.clock_ns as i64 - (sent_ns + rtt / 2) as i64;
-                    obs::flight::record_clock_offset(m.from as u64, offset, rtt);
-                    alive_ranks.insert(m.from);
-                    if alive_ranks.len() == run.group.len() {
-                        break 'probe;
-                    }
-                }
-            }
-            if alive_ranks.len() == run.group.len() {
-                // Everyone answered: the job is slow, not stuck. Reset
-                // the retransmit budget but keep the grown timeout.
-                run.retransmits = 0;
-                run.deadline = Instant::now() + run.cur_timeout;
+                run.deadline = (now + PROBE_ROUND).min(probe.deadline);
                 continue;
             }
             // Dead rank(s): exclude them permanently, free the
             // survivors and requeue the job at the queue front.
             let run = running.remove(&job).expect("present above");
+            let answered = run.probe.expect("probing").answered;
             for &r in &run.group {
-                if alive_ranks.contains(&r) {
+                if answered.contains(&r) {
                     free[r] = true;
                 } else if dead.insert(r) {
                     free[r] = false;
@@ -705,7 +663,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
             let mut sent = 0u64;
             for r in 1..=n_workers {
                 if !dead.contains(&r) {
-                    let _ = endpoint.send(r, tags::PING, ping.clone());
+                    let _ = transport.send(r, tags::PING, ping.clone());
                     sent += 1;
                 }
             }
@@ -742,25 +700,25 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 true,
             );
             for r in 1..=n_workers {
-                let _ = endpoint.send(r, tags::SHUTDOWN, Bytes::new());
+                let _ = transport.send(r, tags::SHUTDOWN, Bytes::new());
             }
             return;
         }
 
         // 6. Idle wait: block briefly on worker traffic so the loop does
-        // not spin. A completion arriving here is handled inline — the
-        // former re-send-to-self path copied the payload and cost an
-        // extra scheduler round-trip per result.
+        // not spin. Whatever arrives first is handled inline, as in
+        // step 2 — a DONE may not overtake packets queued before it.
         if !progressed {
             let wait_started = Instant::now();
-            let waited = endpoint.recv_tag_timeout(tags::JOB_DONE, Duration::from_micros(500));
+            let waited = transport.recv_timeout(Duration::from_micros(500));
             obs::counter_cached(&IDLE_WAIT_NS, "sched_idle_wait_ns_total")
                 .add(wait_started.elapsed().as_nanos() as u64);
             match waited {
-                Ok(m) => handle_job_done(
-                    m.payload,
+                Ok(msg) => on_worker_frame(
+                    msg,
                     &mut running,
                     &mut free,
+                    &mut dead,
                     &cancels,
                     &clock,
                     &link,
@@ -771,6 +729,85 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 Err(_) => return,
             }
         }
+    }
+}
+
+/// Handles one frame from a worker rank: a completion, a pong (a
+/// heartbeat's, or an answer to a running job's probe), a rejoin, or a
+/// streamed packet to forward. Anything else is stale traffic and
+/// dropped.
+#[allow(clippy::too_many_arguments)]
+fn on_worker_frame(
+    msg: Message,
+    running: &mut HashMap<JobId, RunningJob>,
+    free: &mut [bool],
+    dead: &mut HashSet<Rank>,
+    cancels: &CancelSet,
+    clock: &SimClock,
+    link: &ServerSide,
+    residency: &mut HashMap<Rank, ResidencyDigest>,
+    tsdb: &mut obs::Tsdb,
+) {
+    match msg.tag {
+        tags::JOB_DONE => handle_job_done(
+            msg.payload,
+            running,
+            free,
+            cancels,
+            clock,
+            link,
+            residency,
+            tsdb,
+        ),
+        tags::PONG => {
+            // Every pong feeds placement and telemetry; only a probing
+            // job's nonce from a member of its group proves a rank alive.
+            let Some(pong) = harvest_pong(&msg.payload, msg.from, tsdb, residency) else {
+                return;
+            };
+            let Some(run) = running.values_mut().find(|run| {
+                run.probe.as_ref().is_some_and(|p| p.nonce == pong.nonce)
+                    && run.group.contains(&msg.from)
+            }) else {
+                return;
+            };
+            let probe = run.probe.as_mut().expect("matched above");
+            // NTP-style estimate: the worker stamped its clock
+            // mid-flight, so offset = t_remote - (t_send + rtt/2). The
+            // probe doubles as the flight recorder's clock probe;
+            // min-RTT samples win over there.
+            let rtt = obs::now_ns().saturating_sub(probe.round_sent_ns);
+            let offset = pong.clock_ns as i64 - (probe.round_sent_ns + rtt / 2) as i64;
+            obs::flight::record_clock_offset(msg.from as u64, offset, rtt);
+            probe.answered.insert(msg.from);
+            if probe.answered.len() == run.group.len() {
+                // Everyone answered: the job is slow, not stuck. Reset
+                // the retransmit budget but keep the grown timeout.
+                run.probe = None;
+                run.retransmits = 0;
+                run.deadline = Instant::now() + run.cur_timeout;
+            }
+        }
+        // A previously-convicted worker rank completed the hub's rejoin
+        // handshake: lift its dead-rank exclusion so it is eligible for
+        // placement again. Placement state tied to the old process is
+        // discarded — the restarted process has a cold cache.
+        tags::REJOIN => {
+            let r = msg.from;
+            if r >= 1 && r < free.len() && dead.remove(&r) {
+                residency.remove(&r);
+                free[r] = !running.values().any(|run| run.group.contains(&r));
+                obs::counter_cached(&REJOINS, "sched_rejoins_total").inc();
+            }
+        }
+        // A remote worker process streaming packets to the client: its
+        // EventSender cannot share the link, so the frame rode the
+        // transport here and is re-emitted on the real client link
+        // verbatim.
+        tags::CLIENT_EVENT => {
+            let _ = link.emit(msg.payload);
+        }
+        _ => {}
     }
 }
 
@@ -1252,6 +1289,7 @@ mod tests {
             deadline: now + Duration::from_secs(1),
             cur_timeout: Duration::from_secs(1),
             retransmits: 0,
+            probe: None,
         }
     }
 

@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 use vira_comm::collective::Group;
-use vira_comm::endpoint::Endpoint;
 use vira_comm::link::EventSender;
 use vira_comm::transport::{tags, CommError, LocalEndpoint, Rank, Tag, Transport};
 use vira_dms::proxy::{DataProxy, ProxyConfig};
@@ -24,17 +23,19 @@ use vira_extract::mesh::payload_triangle_count;
 use vira_storage::costmodel::{CostCategory, Meter, SharedChannel, SimClock};
 use vira_vista::protocol::{JobId, PayloadKind};
 
-/// Completed (job, attempt) response frames kept for retransmission.
-/// When a duplicate `COMMAND` arrives — the scheduler's retry after a
-/// lost frame — the worker resends the cached response instead of
-/// recomputing the job.
-const FRAME_CACHE_CAP: usize = 16;
-/// One cached response: its (job, attempt) and where it was sent.
-type SentFrame = ((JobId, u32), (Rank, Tag, Bytes));
+/// How many answered (job, attempt) keys a worker remembers. Only the
+/// newest keeps its response frame: the scheduler retransmits a COMMAND
+/// only while its job runs, and a rank is freed only when its group's
+/// job ends, so the latest answer is the only one it can be asked for
+/// again. The older keys catch a retransmitted COMMAND that a lossy
+/// link delivered after the next job's: it is dropped, since re-running
+/// it would re-stream a finished job's packets and leave a re-run
+/// master waiting in gather.
+const ANSWERED_KEYS: usize = 16;
 
 /// Everything a worker thread needs at startup.
 pub struct WorkerSetup<T: Transport = LocalEndpoint> {
-    pub endpoint: Endpoint<T>,
+    pub transport: T,
     pub server: Arc<DataServer>,
     pub clock: Arc<SimClock>,
     pub registry: Arc<CommandRegistry>,
@@ -80,7 +81,7 @@ fn proxy_config_for(rank: usize, base: &ProxyConfig) -> ProxyConfig {
 /// The worker main loop. Returns when the scheduler sends `SHUTDOWN`.
 pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
     let WorkerSetup {
-        mut endpoint,
+        transport,
         server,
         clock,
         registry,
@@ -89,14 +90,16 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
         cancels,
         uplink,
     } = setup;
-    let rank = endpoint.rank();
+    let rank = transport.rank();
     let proxy = DataProxy::new(rank, server.clone(), proxy_config_for(rank, &config.proxy));
     // Derived-field memoization (λ₂ fields across threshold tweaks);
     // sized like the primary data cache.
     let derived = crate::derived::DerivedFieldCache::new(config.proxy.l1_capacity_bytes);
-    // Responses of recently completed (job, attempt) pairs, replayed
-    // when the scheduler retransmits a command whose answer was lost.
-    let mut frame_cache: VecDeque<SentFrame> = VecDeque::new();
+    // Recently answered (job, attempt) keys, oldest first, and the
+    // newest one's response, replayed when the scheduler retransmits a
+    // command whose answer was lost.
+    let mut answered: VecDeque<(JobId, u32)> = VecDeque::new();
+    let mut last_response: Option<(Rank, Tag, Bytes)> = None;
     // A command that superseded an abandoned gather, to run next.
     let mut pending: Option<Box<wire::CommandMsg>> = None;
 
@@ -104,7 +107,7 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
         let cmd_msg = match pending.take() {
             Some(c) => *c,
             None => {
-                let msg = match endpoint.recv_any() {
+                let msg = match transport.recv() {
                     Ok(m) => m,
                     Err(_) => return, // world torn down
                 };
@@ -112,7 +115,7 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
                     tags::SHUTDOWN => return,
                     tags::PING => {
                         if let Some(pong) = answer_ping(&msg.payload, &proxy, rank) {
-                            let _ = endpoint.send(msg.from, tags::PONG, pong);
+                            let _ = transport.send(msg.from, tags::PONG, pong);
                         }
                         continue;
                     }
@@ -142,13 +145,18 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
             }
         };
         let key = (cmd_msg.job, cmd_msg.attempt);
-        if let Some((_, (dest, tag, frame))) = frame_cache.iter().find(|(k, _)| *k == key) {
+        if answered.back() == Some(&key) {
             // Duplicate command: our response got lost, resend it.
-            let _ = endpoint.send(*dest, *tag, frame.clone());
+            if let Some((dest, tag, frame)) = &last_response {
+                let _ = transport.send(*dest, *tag, frame.clone());
+            }
             continue;
         }
+        if answered.contains(&key) {
+            continue; // a stale duplicate, overtaken by a newer command
+        }
         match run_job(
-            &mut endpoint,
+            &transport,
             &proxy,
             &derived,
             &server,
@@ -158,13 +166,15 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
             &events,
             &cancels,
             &uplink,
+            &answered,
             cmd_msg,
         ) {
             JobExit::Sent { dest, tag, frame } => {
-                if frame_cache.len() >= FRAME_CACHE_CAP {
-                    frame_cache.pop_front();
+                if answered.len() >= ANSWERED_KEYS {
+                    answered.pop_front();
                 }
-                frame_cache.push_back((key, (dest, tag, frame)));
+                answered.push_back(key);
+                last_response = Some((dest, tag, frame));
             }
             JobExit::Superseded(c) => pending = Some(c),
             JobExit::Shutdown => return,
@@ -174,7 +184,7 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
 
 #[allow(clippy::too_many_arguments)]
 fn run_job<T: Transport>(
-    endpoint: &mut Endpoint<T>,
+    transport: &T,
     proxy: &DataProxy,
     derived: &crate::derived::DerivedFieldCache,
     server: &Arc<DataServer>,
@@ -184,9 +194,10 @@ fn run_job<T: Transport>(
     events: &EventSender,
     cancels: &CancelSet,
     uplink: &Arc<SharedChannel>,
+    answered: &VecDeque<(JobId, u32)>,
     msg: wire::CommandMsg,
 ) -> JobExit {
-    let rank = endpoint.rank();
+    let rank = transport.rank();
     let group = Group::new(msg.group.clone());
     let meter = Meter::new();
     let dms_before = proxy.stats().snapshot();
@@ -279,7 +290,7 @@ fn run_job<T: Transport>(
             take_encoded_delta(rank),
             error,
         );
-        let _ = endpoint.send(group.root(), tags::PARTIAL_RESULT, frame.clone());
+        let _ = transport.send(group.root(), tags::PARTIAL_RESULT, frame.clone());
         test_abort_point("after-partial");
         return JobExit::Sent {
             dest: group.root(),
@@ -312,7 +323,7 @@ fn run_job<T: Transport>(
             });
             break;
         }
-        let m = match endpoint.recv_any_timeout(left) {
+        let m = match transport.recv_timeout(left) {
             Ok(m) => m,
             Err(CommError::Timeout) => continue, // deadline check above
             Err(_) => return JobExit::Shutdown,  // world torn down
@@ -331,15 +342,17 @@ fn run_job<T: Transport>(
             }
             tags::PING => {
                 if let Some(pong) = answer_ping(&m.payload, proxy, rank) {
-                    let _ = endpoint.send(m.from, tags::PONG, pong);
+                    let _ = transport.send(m.from, tags::PONG, pong);
                 }
             }
             tags::COMMAND => {
                 let Some(c) = wire::decode_command(m.payload) else {
                     continue;
                 };
-                if c.job == msg.job && c.attempt == msg.attempt {
-                    continue; // scheduler retransmit of this very job
+                if (c.job, c.attempt) == (msg.job, msg.attempt)
+                    || answered.contains(&(c.job, c.attempt))
+                {
+                    continue; // a retransmit of this job, or a stale one
                 }
                 // The scheduler moved on (requeue or new dispatch):
                 // abandon this gather and serve the new command.
@@ -473,7 +486,7 @@ fn run_job<T: Transport>(
     };
     let frame = wire::encode_done(&done, &payload);
     test_abort_point("before-done");
-    let _ = endpoint.send(0, tags::JOB_DONE, frame.clone());
+    let _ = transport.send(0, tags::JOB_DONE, frame.clone());
     JobExit::Sent {
         dest: 0,
         tag: tags::JOB_DONE,
@@ -592,6 +605,92 @@ mod tests {
         let mut damaged = ping.to_vec();
         damaged[0] ^= 1;
         assert!(answer_ping(&damaged, &proxy, 1).is_none());
+    }
+
+    #[test]
+    fn a_duplicate_command_replays_the_latest_answer_and_drops_a_stale_one() {
+        use std::time::Duration;
+        use vira_comm::transport::LocalWorld;
+
+        let mut world = LocalWorld::create(2);
+        let worker_end = world.pop().unwrap();
+        let sched = world.pop().unwrap();
+        let server = DataServer::new(SimClock::instant(), Default::default());
+        server.register_dataset(
+            Arc::new(vira_storage::source::SynthSource::new(Arc::new(
+                vira_grid::synth::test_cube(4, 2),
+            ))),
+            false,
+        );
+        let (_client, link) = vira_comm::link::client_server_link();
+        let setup = WorkerSetup {
+            transport: worker_end,
+            server,
+            clock: SimClock::instant(),
+            registry: Arc::new(crate::commands::default_registry()),
+            config: ViracochaConfig::for_tests(1),
+            events: link.event_sender(),
+            cancels: Default::default(),
+            uplink: SharedChannel::new(),
+        };
+        // Job ids no other test uses: the span count below reads the
+        // process-wide trace rings.
+        let (old_job, new_job) = (0x5EED_0001, 0x5EED_0002);
+        let command = |job| {
+            wire::encode_command(&wire::CommandMsg {
+                job,
+                command: "IsoDataMan".into(),
+                dataset: "TestCube".into(),
+                params: vira_vista::protocol::CommandParams::new()
+                    .set("iso", 0.15)
+                    .set("n_steps", 1),
+                group: vec![1],
+                attempt: 0,
+                trace_id: 0,
+                parent_span_id: 0,
+            })
+        };
+        let next = || sched.recv_timeout(Duration::from_secs(30)).unwrap();
+        vira_obs::set_enabled(true);
+        let worker = std::thread::spawn(move || worker_main(setup));
+
+        sched.send(1, tags::COMMAND, command(old_job)).unwrap();
+        assert_eq!(next().tag, tags::JOB_DONE);
+        sched.send(1, tags::COMMAND, command(new_job)).unwrap();
+        let done = next();
+        assert_eq!(done.tag, tags::JOB_DONE);
+        // A retransmit of the latest job is answered with its frame.
+        sched.send(1, tags::COMMAND, command(new_job)).unwrap();
+        let replay = next();
+        assert_eq!(replay.tag, tags::JOB_DONE);
+        assert_eq!(&replay.payload[..], &done.payload[..]);
+        // A retransmit of the older job, delivered late, gets no answer:
+        // the pong is the next frame back.
+        sched.send(1, tags::COMMAND, command(old_job)).unwrap();
+        let ping = wire::encode_ping(&wire::Ping {
+            nonce: 9,
+            want_delta: false,
+        });
+        sched.send(1, tags::PING, ping).unwrap();
+        assert_eq!(next().tag, tags::PONG);
+        sched.send(1, tags::SHUTDOWN, Bytes::new()).unwrap();
+        worker.join().unwrap();
+        vira_obs::set_enabled(false);
+
+        let dump = vira_obs::drain();
+        let runs = |job: JobId| {
+            dump.threads
+                .iter()
+                .flat_map(|t| t.spans.iter())
+                .filter(|s| s.name == "worker.job")
+                .filter(|s| {
+                    s.args()
+                        .any(|(k, v)| k == "job" && v == vira_obs::ArgValue::U64(job))
+                })
+                .count()
+        };
+        assert_eq!(runs(new_job), 1, "the replayed job ran once");
+        assert_eq!(runs(old_job), 1, "the stale duplicate was not re-run");
     }
 
     #[test]

@@ -111,10 +111,13 @@ fn run_jobs(
                 .unwrap_or_else(|e| panic!("job {i} did not survive the plan: {e:?}"))
         })
         .collect();
-    let stats = backend.fault_stats().map(|s| s.snapshot());
+    // Snapshot after the join: frames sent while the back-end winds
+    // down (the SHUTDOWN round, late pongs) also count in
+    // fault_injected_total, which the tests read afterwards.
+    let stats = backend.fault_stats().cloned();
     client.shutdown().expect("shutdown");
     backend.join();
-    (outs, stats)
+    (outs, stats.map(|s| s.snapshot()))
 }
 
 /// The scheduler/fault counters the matrix checks, read from the

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard};
 use vira_extract::mesh::TriangleSoup;
-use vira_grid::synth::test_cube;
+use vira_grid::synth::{self, test_cube};
 use vira_storage::source::CachedSynthSource;
 use vira_vista::{CommandParams, JobOutcome, SubmitSpec, VistaClient};
 use viracocha::{Viracocha, ViracochaConfig};
@@ -64,32 +64,81 @@ fn unix_addr(sock: &Path) -> String {
     format!("unix:{}", sock.display())
 }
 
-/// Spawns `vira serve` on `sock` with the standard cube/iso job spec
-/// plus `extra` flags. Stdout is piped for RESULT-line scraping.
+/// `--param key=value` pairs of one job.
+type Params = &'static [(&'static str, &'static str)];
+
+/// One job as `vira serve` runs it over sockets and as the in-process
+/// reference submits it.
+struct Job {
+    command: &'static str,
+    /// The `vira serve --dataset` name.
+    dataset: &'static str,
+    res: usize,
+    params: Params,
+}
+
+/// The batch job of the byte-identity and recovery legs; the workers
+/// [`spawn_worker_expect_rank`] starts serve its dataset.
+const ISO: Job = Job {
+    command: "IsoDataMan",
+    dataset: "cube",
+    res: RES,
+    params: &[("iso", "0.15"), ("n_steps", "2")],
+};
+
+impl Job {
+    /// `vira serve` of this job on `listen` with [`RANKS`] worker
+    /// ranks. Stdout is piped for RESULT-line scraping; later flags
+    /// override earlier ones.
+    fn serve(&self, listen: &str) -> Command {
+        let mut cmd = Command::new(VIRA);
+        cmd.args(["serve", "--listen", listen, "--ranks", &RANKS.to_string()]);
+        cmd.args(["--dataset", self.dataset, "--res", &self.res.to_string()]);
+        cmd.args(["--command", self.command, "--accept-timeout-ms", "60000"]);
+        for (k, v) in self.params {
+            cmd.args(["--param", &format!("{k}={v}")]);
+        }
+        cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
+        cmd
+    }
+
+    /// The same job through the in-process transport at [`RANKS`]
+    /// workers — the baseline every socket run must match.
+    fn in_process(&self) -> JobOutcome {
+        let mut config = ViracochaConfig::for_tests(RANKS);
+        config.proxy.prefetcher = "obl".into();
+        let (backend, link) = Viracocha::launch(config);
+        let ds = match self.dataset {
+            "engine" => synth::engine(self.res),
+            _ => test_cube(self.res, 4),
+        };
+        let dataset = ds.spec.name.clone();
+        backend.register_dataset(Arc::new(CachedSynthSource::new(Arc::new(ds))), false);
+        let mut client = VistaClient::new(link);
+        let params = self
+            .params
+            .iter()
+            .fold(CommandParams::new(), |p, &(k, v)| p.set(k, v));
+        let out = client
+            .run(&SubmitSpec {
+                command: self.command.into(),
+                dataset,
+                params,
+                workers: RANKS,
+            })
+            .expect("in-process job");
+        client.shutdown().expect("shutdown");
+        backend.join();
+        out
+    }
+}
+
+/// Spawns `vira serve` of [`ISO`] on `sock` plus `extra` flags.
 fn spawn_serve(sock: &Path, extra: &[&str]) -> Child {
-    let mut cmd = Command::new(VIRA);
-    cmd.args([
-        "serve",
-        "--listen",
-        &unix_addr(sock),
-        "--ranks",
-        &RANKS.to_string(),
-        "--dataset",
-        "cube",
-        "--res",
-        &RES.to_string(),
-        "--command",
-        "IsoDataMan",
-        "--param",
-        "iso=0.15",
-        "--param",
-        "n_steps=2",
-        "--accept-timeout-ms",
-        "60000",
-    ]);
-    cmd.args(extra);
-    cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
-    cmd.spawn().expect("spawn vira serve")
+    ISO.serve(&unix_addr(sock))
+        .args(extra)
+        .spawn()
+        .expect("spawn vira serve")
 }
 
 /// Spawns one `vira worker` and blocks until its handshake line
@@ -171,30 +220,6 @@ fn parse_result_field(stdout: &str, job: usize, key: &str) -> Option<String> {
         .find_map(|t| t.strip_prefix(&prefix).map(str::to_string))
 }
 
-/// The identical job through the historical in-process transport — the
-/// baseline every socket run must match byte for byte.
-fn in_process_outcome() -> JobOutcome {
-    let mut config = ViracochaConfig::for_tests(RANKS);
-    config.proxy.prefetcher = "obl".into();
-    let (backend, link) = Viracocha::launch(config);
-    backend.register_dataset(
-        Arc::new(CachedSynthSource::new(Arc::new(test_cube(RES, 4)))),
-        false,
-    );
-    let mut client = VistaClient::new(link);
-    let out = client
-        .run(&SubmitSpec {
-            command: "IsoDataMan".into(),
-            dataset: "TestCube".into(),
-            params: CommandParams::new().set("iso", 0.15).set("n_steps", 2),
-            workers: RANKS,
-        })
-        .expect("in-process job");
-    client.shutdown().expect("shutdown");
-    backend.join();
-    out
-}
-
 fn soup_from_file(path: &Path) -> TriangleSoup {
     let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     TriangleSoup::from_bytes(Bytes::from(bytes)).expect("parse saved soup")
@@ -238,7 +263,7 @@ fn socket_world_matches_in_process_byte_identically() {
         wait_ok(w, "vira worker"); // graceful SHUTDOWN reached them all
     }
 
-    let baseline = in_process_outcome();
+    let baseline = ISO.in_process();
     assert_eq!(baseline.triangles.n_triangles() as u64, tris);
     let socket_soup = soup_from_file(&tmp.path().join("soup.0"));
     // Same group, same rank order, same merge: raw bytes must match,
@@ -312,7 +337,7 @@ fn killed_worker_process_recovers_byte_identically() {
     wait_ok(w1, "worker 1");
     wait_ok(w2, "worker 2");
 
-    let base = sorted_bits(&in_process_outcome().triangles);
+    let base = sorted_bits(&ISO.in_process().triangles);
     for j in 0..2 {
         let got = sorted_bits(&soup_from_file(&tmp.path().join(format!("soup.{j}"))));
         assert_eq!(got, base, "job {j} geometry diverged under chaos");
@@ -356,9 +381,86 @@ fn master_death_between_partial_and_done_requeues_instead_of_hanging() {
     wait_ok(w2, "worker 2");
     wait_ok(w3, "worker 3");
 
-    let base = sorted_bits(&in_process_outcome().triangles);
+    let base = sorted_bits(&ISO.in_process().triangles);
     let got = sorted_bits(&soup_from_file(&tmp.path().join("soup.0")));
     assert_eq!(got, base, "requeued job geometry diverged");
+}
+
+/// A soup's triangles as vertex bits, sorted: equal for two soups that
+/// hold the same triangles in any order. Streamed packets from several
+/// worker processes interleave differently from run to run.
+fn sorted_triangles(soup: &TriangleSoup) -> Vec<[[u32; 3]; 3]> {
+    let mut tris: Vec<[[u32; 3]; 3]> = soup
+        .positions
+        .chunks_exact(3)
+        .map(|t| std::array::from_fn(|v| t[v].map(f32::to_bits)))
+        .collect();
+    tris.sort_unstable();
+    tris
+}
+
+/// The streamed commands of the identity legs, each on the dataset it
+/// is meant for.
+const STREAMED: [Job; 2] = [
+    Job {
+        command: "ProgressiveIso",
+        dataset: "cube",
+        res: RES,
+        params: &[("iso", "0.15"), ("n_steps", "4"), ("levels", "5")],
+    },
+    Job {
+        command: "StreamedVortex",
+        dataset: "engine",
+        res: 6,
+        params: &[("threshold", "-2e4"), ("n_steps", "2"), ("batch", "16")],
+    },
+];
+
+/// Streamed geometry crosses the process boundary whole: every packet
+/// a worker process streams rides to rank 0 as a `CLIENT_EVENT` frame
+/// and must reach the client before its job's Final. Each streamed
+/// command runs three jobs per `vira serve` over a Unix socket and over
+/// TCP, and every job's triangles must be the in-process run's, as a
+/// multiset, in as many packets.
+#[test]
+fn streamed_commands_over_sockets_match_in_process() {
+    let _g = serial();
+    const JOBS: usize = 3;
+    for job in &STREAMED {
+        let reference = job.in_process();
+        let want = sorted_triangles(&reference.triangles);
+        assert!(!want.is_empty(), "{}: the reference has geometry", job.command);
+        for transport in ["unix", "tcp"] {
+            let tmp = TempDir::new(&format!("stream-{}-{transport}", job.command));
+            let listen = match transport {
+                "unix" => unix_addr(&tmp.path().join("hub.sock")),
+                _ => "tcp:127.0.0.1:0".to_string(),
+            };
+            let soup = tmp.path().join("soup");
+            let serve = job
+                .serve(&listen)
+                .args(["--spawn-local", "--jobs", &JOBS.to_string()])
+                .args(["--save-soup", soup.to_str().unwrap()])
+                .spawn()
+                .expect("spawn vira serve");
+            let case = format!("{} over {transport}", job.command);
+            let stdout = wait_ok(serve, &case);
+            for j in 0..JOBS {
+                let (ok, tris, degraded, _) = parse_result(&stdout, j);
+                assert!(ok && !degraded, "{case}, job {j}:\n{stdout}");
+                let packets: usize = parse_result_field(&stdout, j, "packets")
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or(0);
+                assert_eq!(
+                    (tris, packets),
+                    (want.len() as u64, reference.packets.len()),
+                    "{case}, job {j}: (triangles, packets) against the in-process run:\n{stdout}"
+                );
+                let got = soup_from_file(&tmp.path().join(format!("soup.{j}")));
+                assert!(sorted_triangles(&got) == want, "{case}, job {j}: triangles differ");
+            }
+        }
+    }
 }
 
 /// Spawns a worker that *rejoins* a previously-convicted rank and
@@ -399,40 +501,20 @@ fn spawn_rejoin_worker(sock: &Path, claim_rank: usize) -> Child {
     child
 }
 
-/// Cube resolution of the cancel leg. Workers check the cancel set
+/// The job of the cancel leg: ProgressiveIso with extra levels on a
+/// larger cube, a long, many-packet job, so the cancel lands while
+/// plenty of extraction is still ahead. Workers check the cancel set
 /// between `(block, step)` items only, and the cube's 4 items spread
 /// over 3 ranks leave one rank a second item: at [`RES`] a whole item
 /// takes about a millisecond, so on a loaded host that rank often
 /// finished before the CANCEL frame reached it and nothing was
 /// truncated. At 32³ an item outlasts the cancel's round trip.
-const CANCEL_RES: usize = 32;
-
-/// In-process ProgressiveIso run at [`CANCEL_RES`] — the uncancelled
-/// triangle count the cross-process cancel leg must stay strictly below.
-fn in_process_progressive_triangles() -> u64 {
-    let mut config = ViracochaConfig::for_tests(RANKS);
-    config.proxy.prefetcher = "obl".into();
-    let (backend, link) = Viracocha::launch(config);
-    backend.register_dataset(
-        Arc::new(CachedSynthSource::new(Arc::new(test_cube(CANCEL_RES, 4)))),
-        false,
-    );
-    let mut client = VistaClient::new(link);
-    let out = client
-        .run(&SubmitSpec {
-            command: "ProgressiveIso".into(),
-            dataset: "TestCube".into(),
-            params: CommandParams::new()
-                .set("iso", 0.15)
-                .set("n_steps", 4)
-                .set("levels", 5),
-            workers: RANKS,
-        })
-        .expect("in-process progressive job");
-    client.shutdown().expect("shutdown");
-    backend.join();
-    out.triangles.n_triangles() as u64
-}
+const CANCEL: Job = Job {
+    command: "ProgressiveIso",
+    dataset: "cube",
+    res: 32,
+    params: &[("iso", "0.15"), ("n_steps", "4"), ("levels", "5")],
+};
 
 /// Tentpole acceptance: a client-initiated cancel mid-stream crosses
 /// the process boundary. `--cancel-after-packets 1` makes the serve
@@ -441,35 +523,29 @@ fn in_process_progressive_triangles() -> u64 {
 /// reader drops the job id into the rank-local cancel set so
 /// `ctx.is_cancelled()` trips mid-extraction. Exactly one Cancelled
 /// final comes back (`cancelled=1`, still `ok=1`) and the job's
-/// geometry is truncated relative to an uncancelled run.
+/// geometry is truncated relative to an uncancelled socket run, which
+/// itself streams the in-process run's whole geometry — a socket run
+/// that lost packets without any cancel must not pass for a cancel.
 #[test]
 fn cross_process_cancel_truncates_the_job() {
     let _g = serial();
     let tmp = TempDir::new("cancel");
-    let sock = tmp.path().join("hub.sock");
-    // ProgressiveIso with extra levels on the larger cube: a long,
-    // many-packet job, so the cancel lands while plenty of extraction
-    // is still ahead.
-    let cancel_res = CANCEL_RES.to_string();
-    let serve = spawn_serve(
-        &sock,
-        &[
-            "--res",
-            &cancel_res,
-            "--spawn-local",
-            "--jobs",
-            "1",
-            "--command",
-            "ProgressiveIso",
-            "--param",
-            "n_steps=4",
-            "--param",
-            "levels=5",
-            "--cancel-after-packets",
-            "1",
-        ],
-    );
-    let stdout = wait_ok(serve, "vira serve (cancel)");
+    let serve = |sock: &str, extra: &[&str]| {
+        let child = CANCEL
+            .serve(&unix_addr(&tmp.path().join(sock)))
+            .args(["--spawn-local", "--jobs", "1"])
+            .args(extra)
+            .spawn()
+            .expect("spawn vira serve");
+        wait_ok(child, "vira serve (cancel)")
+    };
+    let stdout = serve("uncancelled.sock", &[]);
+    let (ok, full, _, _) = parse_result(&stdout, 0);
+    assert!(ok, "the uncancelled socket run:\n{stdout}");
+    let in_process = CANCEL.in_process().triangles.n_triangles() as u64;
+    assert_eq!(full, in_process, "the uncancelled socket run streams it all");
+
+    let stdout = serve("hub.sock", &["--cancel-after-packets", "1"]);
     let (ok, tris, degraded, retries) = parse_result(&stdout, 0);
     assert!(ok, "a cancelled job still yields a final outcome:\n{stdout}");
     assert!(!degraded && retries == 0, "cancel is not a fault:\n{stdout}");
@@ -483,7 +559,6 @@ fn cross_process_cancel_truncates_the_job() {
         1,
         "exactly one final per cancelled job (no DONE after Cancelled):\n{stdout}"
     );
-    let full = in_process_progressive_triangles();
     assert!(
         tris < full,
         "cancel must truncate extraction ({tris} streamed vs {full} uncancelled):\n{stdout}"
@@ -589,32 +664,12 @@ fn killed_worker_process_rejoins_and_serves_again() {
 fn tcp_spawn_local_roundtrip() {
     let _g = serial();
     let tmp = TempDir::new("tcp");
-    let mut cmd = Command::new(VIRA);
-    cmd.args([
-        "serve",
-        "--listen",
-        "tcp:127.0.0.1:0",
-        "--ranks",
-        "2",
-        "--dataset",
-        "cube",
-        "--res",
-        &RES.to_string(),
-        "--command",
-        "IsoDataMan",
-        "--param",
-        "iso=0.15",
-        "--param",
-        "n_steps=2",
-        "--spawn-local",
-        "--jobs",
-        "1",
-        "--workers",
-        "2",
-    ]);
-    cmd.current_dir(tmp.path());
-    cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
-    let serve = cmd.spawn().expect("spawn vira serve");
+    let serve = ISO
+        .serve("tcp:127.0.0.1:0")
+        .args(["--ranks", "2", "--workers", "2", "--spawn-local", "--jobs", "1"])
+        .current_dir(tmp.path())
+        .spawn()
+        .expect("spawn vira serve");
     let stdout = wait_ok(serve, "vira serve (tcp)");
     let (ok, tris, degraded, _) = parse_result(&stdout, 0);
     assert!(ok && !degraded, "clean tcp run:\n{stdout}");

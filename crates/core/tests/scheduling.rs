@@ -351,3 +351,54 @@ fn client_disconnect_fails_queued_jobs_instead_of_dropping_them() {
          the running j1 drains normally"
     );
 }
+
+#[test]
+fn a_probe_does_not_stall_other_jobs() {
+    let _g = serial();
+    // Rank 2 is dead from the start, so the two-worker job on ranks 1
+    // and 2 spends its (zero) retransmit budget after 100 ms and its
+    // group is probed for a whole second. A one-worker job submitted
+    // during the probe runs on rank 3 and must not wait for the probe
+    // to end: the probe is a phase of the first job, not a blocking
+    // wait of the scheduler loop. The only wall-clock bound in this
+    // file, and a loose one: the probe window is twice the budget.
+    let probe_timeout = Duration::from_secs(1);
+    let mut cfg = ViracochaConfig::for_tests(3);
+    fifo(&mut cfg.sched);
+    cfg.resilience = ResilienceConfig {
+        dispatch_timeout: Duration::from_millis(100),
+        backoff_factor: 1.5,
+        max_retransmits: 0,
+        probe_timeout,
+        gather_timeout: Duration::from_secs(10),
+        max_attempts: 3,
+    };
+    let (backend, link) = Viracocha::launch_with_faults(cfg, FaultPlan::new(7).with_kill(2, 0));
+    backend.register_dataset(
+        Arc::new(SynthSource::new(Arc::new(test_cube(6, 2)))),
+        false,
+    );
+    let mut client = VistaClient::new(link);
+    // Rank 1's answer to the probe records its clock offset: from then
+    // on the probe waits for rank 2, which never answers.
+    vira_obs::flight::reset_clock_offsets();
+    let probed = client.submit(&tiny_spec(2)).unwrap();
+    let probing = || vira_obs::flight::clock_offsets().iter().any(|(r, _)| *r == 1);
+    let started = std::time::Instant::now();
+    while !probing() {
+        assert!(started.elapsed() < Duration::from_secs(10), "no probe began");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let quick = client.submit(&tiny_spec(1)).unwrap();
+    let quick_out = client.collect(quick).unwrap();
+    let probed_out = client.collect(probed).unwrap();
+    client.shutdown().unwrap();
+    backend.join();
+    assert!(probed_out.report.degraded, "the dead rank is convicted");
+    assert!(!quick_out.report.degraded, "the quick job never touched rank 2");
+    assert!(
+        quick_out.total_wall < probe_timeout / 2,
+        "the quick job waited {:?} behind a {probe_timeout:?} probe",
+        quick_out.total_wall
+    );
+}
