@@ -110,7 +110,10 @@ impl Harness {
 
     fn emit(&self) {
         let readings = self.results.iter().map(|(name, ns)| {
-            Json::obj([("name", name.as_str().into()), ("measured_ns", (*ns).into())])
+            Json::obj([
+                ("name", name.as_str().into()),
+                ("measured_ns", (*ns).into()),
+            ])
         });
         println!("{}", Json::Arr(readings.collect()).pretty());
     }
@@ -255,7 +258,9 @@ fn main() {
             };
             let mut sampler = MultiBlockSampler::new(fetch, topology.clone(), n_steps, dt);
             let t1 = f64::from(n_steps - 1) * dt;
-            points += trace_pathline(&mut sampler, black_box(seed), 0.0, t1, &cfg).line.len();
+            points += trace_pathline(&mut sampler, black_box(seed), 0.0, t1, &cfg)
+                .line
+                .len();
         }
         assert!(points > 40 * 12, "traces ended early: {points} points");
         points
@@ -425,8 +430,13 @@ fn main() {
     // promotion's read-back of the same item, then the entry's removal
     // that leaves the file for the next spill to overwrite.
     let spill = std::env::temp_dir().join(format!("vira_micro_l2_{}", std::process::id()));
-    let mut l2 = DiskCache::new(spill, 1 << 30, policy_by_name("lru").expect("lru"), BlockDataCodec)
-        .expect("spill dir must be creatable");
+    let mut l2 = DiskCache::new(
+        spill,
+        1 << 30,
+        policy_by_name("lru").expect("lru"),
+        BlockDataCodec,
+    )
+    .expect("spill dir must be creatable");
     h.bench("dms/l2_cycle_21c", || {
         l2.insert(ItemId(1), black_box(&data21)).expect("spill");
         let item = l2.get(ItemId(1)).expect("read back").expect("resident");

@@ -55,7 +55,9 @@ fn main() {
             _ => usage(),
         }
     }
-    let Some(fresh_path) = fresh_path else { usage() };
+    let Some(fresh_path) = fresh_path else {
+        usage()
+    };
 
     // Fall back to the manifest relative to the crate when invoked from
     // the crate directory rather than the workspace root.

@@ -38,7 +38,10 @@ pub struct BenchConfig {
 
 impl Default for BenchConfig {
     fn default() -> Self {
-        if std::env::var("VIRA_QUICK").map(|v| v == "1").unwrap_or(false) {
+        if std::env::var("VIRA_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false)
+        {
             BenchConfig::quick()
         } else {
             BenchConfig::full()

@@ -9,9 +9,9 @@ use std::sync::Arc;
 use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::{DataServer, ServerConfig};
 use vira_grid::block::BlockStepId;
+use vira_grid::synth;
 use vira_storage::costmodel::{CostCategory, Meter, SimClock};
 use vira_storage::source::CachedSynthSource;
-use vira_grid::synth;
 
 fn proxy_cfg() -> ProxyConfig {
     ProxyConfig {

@@ -30,7 +30,12 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
         h.finish();
         let x = format!("levels={levels}");
         e.push(Row::new("latency", x.clone(), rec.latency_s, "modeled s"));
-        e.push(Row::new("total runtime", x.clone(), rec.total_s, "modeled s"));
+        e.push(Row::new(
+            "total runtime",
+            x.clone(),
+            rec.total_s,
+            "modeled s",
+        ));
         e.push(Row::new(
             "compute",
             x.clone(),
@@ -76,7 +81,10 @@ mod tests {
         // (Absolute latencies sit near the measurement noise floor in the
         // quick config, so compare against the run's own total.)
         let (l3, t3) = (latency.last().unwrap().1, total.last().unwrap().1);
-        assert!(l3 < t3, "levels=3 must stream before completion: {l3} vs {t3}");
+        assert!(
+            l3 < t3,
+            "levels=3 must stream before completion: {l3} vs {t3}"
+        );
         // Total compute grows with the pyramid depth — the deterministic
         // meter-based signature of the progressive overhead (§5.3).
         assert!(

@@ -35,8 +35,18 @@ pub(crate) fn sweep_iso(
         let dataman = h.run_warm("IsoDataMan", cfg, w);
         h.finish();
         let x = format!("workers={w}");
-        e.push(Row::new("SimpleIso", x.clone(), simple.total_s, "modeled s"));
-        e.push(Row::new("ViewerIso", x.clone(), viewer.total_s, "modeled s"));
+        e.push(Row::new(
+            "SimpleIso",
+            x.clone(),
+            simple.total_s,
+            "modeled s",
+        ));
+        e.push(Row::new(
+            "ViewerIso",
+            x.clone(),
+            viewer.total_s,
+            "modeled s",
+        ));
         e.push(Row::new("IsoDataMan", x, dataman.total_s, "modeled s"));
     }
     e.note(format!(

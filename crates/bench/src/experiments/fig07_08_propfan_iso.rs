@@ -12,16 +12,9 @@ use crate::result::{ExperimentResult, Row};
 use crate::runner::{proxy_with_prefetcher, Dataset, Harness};
 
 pub fn run(cfg: &BenchConfig) -> Vec<ExperimentResult> {
-    let mut fig07 = ExperimentResult::new(
-        "fig07",
-        "Propfan, isosurface, total runtime",
-        "Figure 7",
-    );
-    let mut fig08 = ExperimentResult::new(
-        "fig08",
-        "Propfan, isosurface, latency time",
-        "Figure 8",
-    );
+    let mut fig07 =
+        ExperimentResult::new("fig07", "Propfan, isosurface, total runtime", "Figure 7");
+    let mut fig08 = ExperimentResult::new("fig08", "Propfan, isosurface, latency time", "Figure 8");
     for &w in &cfg.worker_sweep {
         let mut h = Harness::launch(Dataset::Propfan, cfg, w, proxy_with_prefetcher("obl"));
         let simple = h.run("SimpleIso", cfg, w);
@@ -29,10 +22,30 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExperimentResult> {
         let dataman = h.run_warm("IsoDataMan", cfg, w);
         h.finish();
         let x = format!("workers={w}");
-        fig07.push(Row::new("SimpleIso", x.clone(), simple.total_s, "modeled s"));
-        fig07.push(Row::new("ViewerIso", x.clone(), viewer.total_s, "modeled s"));
-        fig07.push(Row::new("IsoDataMan", x.clone(), dataman.total_s, "modeled s"));
-        fig08.push(Row::new("ViewerIso", x.clone(), viewer.latency_s, "modeled s"));
+        fig07.push(Row::new(
+            "SimpleIso",
+            x.clone(),
+            simple.total_s,
+            "modeled s",
+        ));
+        fig07.push(Row::new(
+            "ViewerIso",
+            x.clone(),
+            viewer.total_s,
+            "modeled s",
+        ));
+        fig07.push(Row::new(
+            "IsoDataMan",
+            x.clone(),
+            dataman.total_s,
+            "modeled s",
+        ));
+        fig08.push(Row::new(
+            "ViewerIso",
+            x.clone(),
+            viewer.latency_s,
+            "modeled s",
+        ));
         fig08.push(Row::new("IsoDataMan", x, dataman.latency_s, "modeled s"));
     }
     let note = format!(

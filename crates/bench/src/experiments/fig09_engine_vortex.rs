@@ -37,14 +37,24 @@ pub(crate) fn sweep_vortex(
         let dataman = h.run_warm("VortexDataMan", cfg, w);
         h.finish();
         let x = format!("workers={w}");
-        runtime.push(Row::new("SimpleVortex", x.clone(), simple.total_s, "modeled s"));
+        runtime.push(Row::new(
+            "SimpleVortex",
+            x.clone(),
+            simple.total_s,
+            "modeled s",
+        ));
         runtime.push(Row::new(
             "StreamedVortex",
             x.clone(),
             streamed.total_s,
             "modeled s",
         ));
-        runtime.push(Row::new("VortexDataMan", x.clone(), dataman.total_s, "modeled s"));
+        runtime.push(Row::new(
+            "VortexDataMan",
+            x.clone(),
+            dataman.total_s,
+            "modeled s",
+        ));
         latency.push(Row::new(
             "StreamedVortex",
             x.clone(),

@@ -33,7 +33,12 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
         let without = best_cold("none", w);
         let with = best_cold("obl", w);
         let x = format!("workers={w}");
-        e.push(Row::new("without prefetching", x.clone(), without, "modeled s"));
+        e.push(Row::new(
+            "without prefetching",
+            x.clone(),
+            without,
+            "modeled s",
+        ));
         e.push(Row::new("with prefetching", x, with, "modeled s"));
     }
     e.note(

@@ -21,8 +21,18 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
         let dataman = h.run_warm("PathlinesDataMan", cfg, w);
         h.finish();
         let x = format!("workers={w}");
-        e.push(Row::new("SimplePathlines", x.clone(), simple.total_s, "modeled s"));
-        e.push(Row::new("PathlinesDataMan", x, dataman.total_s, "modeled s"));
+        e.push(Row::new(
+            "SimplePathlines",
+            x.clone(),
+            simple.total_s,
+            "modeled s",
+        ));
+        e.push(Row::new(
+            "PathlinesDataMan",
+            x,
+            dataman.total_s,
+            "modeled s",
+        ));
     }
     e.note(format!(
         "{} seed points distributed round-robin; PathlinesDataMan measured \

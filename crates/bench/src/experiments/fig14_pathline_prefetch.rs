@@ -56,16 +56,23 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
         }
 
         let x = format!("workers={w}");
-        e.push(Row::new("without prefetching", x.clone(), without_best, "modeled s"));
+        e.push(Row::new(
+            "without prefetching",
+            x.clone(),
+            without_best,
+            "modeled s",
+        ));
         e.push(Row::new("with prefetching", x, with_best, "modeled s"));
         if without_misses > 0 {
             let eliminated = 1.0 - with_misses as f64 / without_misses as f64;
             miss_elimination.push(eliminated * 100.0);
         }
     }
-    if let Some(best) = miss_elimination.iter().cloned().fold(None::<f64>, |a, v| {
-        Some(a.map_or(v, |m| m.max(v)))
-    }) {
+    if let Some(best) = miss_elimination
+        .iter()
+        .cloned()
+        .fold(None::<f64>, |a, v| Some(a.map_or(v, |m| m.max(v))))
+    {
         e.note(format!(
             "Cache misses eliminated by the learned Markov prefetcher: up to \
              {best:.0} % (paper: up to 95 %)."

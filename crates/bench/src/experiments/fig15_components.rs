@@ -30,8 +30,18 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
             100.0 * rec.report.compute_s / total,
             "%",
         ));
-        e.push(Row::new(name, "Read", 100.0 * rec.report.read_s / total, "%"));
-        e.push(Row::new(name, "Send", 100.0 * rec.report.send_s / total, "%"));
+        e.push(Row::new(
+            name,
+            "Read",
+            100.0 * rec.report.read_s / total,
+            "%",
+        ));
+        e.push(Row::new(
+            name,
+            "Send",
+            100.0 * rec.report.send_s / total,
+            "%",
+        ));
         // Bricktree pruning effectiveness: how much of the contouring
         // scan the min/max bricks eliminated.
         e.push(Row::new(

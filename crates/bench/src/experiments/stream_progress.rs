@@ -56,14 +56,17 @@ pub fn run(cfg: &BenchConfig) -> Vec<ExperimentResult> {
     );
     for batch_size in [500usize, 2000, 8000] {
         let mut h = Harness::launch(Dataset::Engine, cfg, 2, proxy_with_prefetcher("obl"));
-        let params = h
-            .params_for("ViewerIso", cfg)
-            .set("batch", batch_size);
+        let params = h.params_for("ViewerIso", cfg).set("batch", batch_size);
         let rec = h.run_with("ViewerIso", params, 2);
         h.finish();
         let x = format!("batch={batch_size}");
         batch.push(Row::new("latency", x.clone(), rec.latency_s, "modeled s"));
-        batch.push(Row::new("total runtime", x.clone(), rec.total_s, "modeled s"));
+        batch.push(Row::new(
+            "total runtime",
+            x.clone(),
+            rec.total_s,
+            "modeled s",
+        ));
         batch.push(Row::new(
             "packets",
             x,

@@ -9,7 +9,12 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
     for d in [Dataset::Engine, Dataset::Propfan] {
         let ds = d.build(cfg);
         let spec = &ds.spec;
-        e.push(Row::new(d.name(), "# of time steps", spec.n_steps as f64, ""));
+        e.push(Row::new(
+            d.name(),
+            "# of time steps",
+            spec.n_steps as f64,
+            "",
+        ));
         e.push(Row::new(d.name(), "# of blocks", spec.n_blocks as f64, ""));
         e.push(Row::new(
             d.name(),

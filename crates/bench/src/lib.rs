@@ -48,7 +48,10 @@ pub fn run_ids_traced(
     trace_out: Option<&Path>,
 ) -> Vec<ExperimentResult> {
     let selected: Vec<String> = if ids.is_empty() {
-        experiments::all_ids().iter().map(|s| s.to_string()).collect()
+        experiments::all_ids()
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
     } else {
         ids.to_vec()
     };
@@ -98,18 +101,19 @@ pub fn run_ids_traced(
             ) {
                 Ok(s) => vira_obs::info(
                     "repro",
-                    &format!("trace artifacts for {id} written to {}", dir.join(id).display()),
+                    &format!(
+                        "trace artifacts for {id} written to {}",
+                        dir.join(id).display()
+                    ),
                     &[
                         ("spans", (s.spans as u64).into()),
                         ("events", (s.events as u64).into()),
                         ("dropped_spans", s.dropped_spans.into()),
                     ],
                 ),
-                Err(e) => vira_obs::error(
-                    "repro",
-                    &format!("trace export for {id} failed: {e}"),
-                    &[],
-                ),
+                Err(e) => {
+                    vira_obs::error("repro", &format!("trace export for {id} failed: {e}"), &[])
+                }
             }
         }
     }

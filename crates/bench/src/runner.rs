@@ -107,8 +107,20 @@ pub struct Harness {
 
 impl Harness {
     /// Launches a back-end serving `dataset` with `n_workers` workers.
-    pub fn launch(dataset: Dataset, cfg: &BenchConfig, n_workers: usize, proxy: ProxyConfig) -> Harness {
-        Harness::launch_custom(dataset, cfg, n_workers, proxy, ServerConfig::default(), ComputeCosts::default())
+    pub fn launch(
+        dataset: Dataset,
+        cfg: &BenchConfig,
+        n_workers: usize,
+        proxy: ProxyConfig,
+    ) -> Harness {
+        Harness::launch_custom(
+            dataset,
+            cfg,
+            n_workers,
+            proxy,
+            ServerConfig::default(),
+            ComputeCosts::default(),
+        )
     }
 
     pub fn launch_custom(
@@ -185,15 +197,13 @@ impl Harness {
             params,
             workers,
         };
-        let out = self.client.run(&spec).unwrap_or_else(|e| {
-            panic!("command {command} on {} failed: {e}", self.dataset.name())
-        });
+        let out = self
+            .client
+            .run(&spec)
+            .unwrap_or_else(|e| panic!("command {command} on {} failed: {e}", self.dataset.name()));
         let to_modeled = |w: std::time::Duration| w.as_secs_f64() / self.dilation;
         let total_s = out.report.total_runtime_s;
-        let latency_s = out
-            .first_result_wall
-            .map(to_modeled)
-            .unwrap_or(total_s);
+        let latency_s = out.first_result_wall.map(to_modeled).unwrap_or(total_s);
         let packet_series = out
             .packets
             .iter()

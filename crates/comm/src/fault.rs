@@ -131,10 +131,7 @@ impl FaultPlan {
 
     /// Kill threshold for `rank`, if any.
     pub fn kill_for(&self, rank: Rank) -> Option<u64> {
-        self.kills
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, n)| *n)
+        self.kills.iter().find(|(r, _)| *r == rank).map(|(_, n)| *n)
     }
 
     /// True when the plan injects nothing.
@@ -176,17 +173,18 @@ impl FaultPlan {
                     plan.seed = v.parse().map_err(|_| err("seed must be a u64"))?;
                 }
                 "all" => {
-                    plan.default = parse_link_faults(&toks[1..])
-                        .map_err(|e| err(&e))?;
+                    plan.default = parse_link_faults(&toks[1..]).map_err(|e| err(&e))?;
                 }
                 "link" => {
                     if toks.len() < 3 {
                         return Err(err("link needs <from> <to>"));
                     }
-                    let from: Rank =
-                        toks[1].parse().map_err(|_| err("link <from> must be a rank"))?;
-                    let to: Rank =
-                        toks[2].parse().map_err(|_| err("link <to> must be a rank"))?;
+                    let from: Rank = toks[1]
+                        .parse()
+                        .map_err(|_| err("link <from> must be a rank"))?;
+                    let to: Rank = toks[2]
+                        .parse()
+                        .map_err(|_| err("link <to> must be a rank"))?;
                     let lf = parse_link_faults(&toks[3..]).map_err(|e| err(&e))?;
                     plan.links.push((from, to, lf));
                 }
@@ -194,10 +192,10 @@ impl FaultPlan {
                     if toks.len() != 4 || toks[2] != "after" {
                         return Err(err("kill syntax: kill <rank> after <n>"));
                     }
-                    let rank: Rank =
-                        toks[1].parse().map_err(|_| err("kill <rank> must be a rank"))?;
-                    let after: u64 =
-                        toks[3].parse().map_err(|_| err("kill <n> must be a u64"))?;
+                    let rank: Rank = toks[1]
+                        .parse()
+                        .map_err(|_| err("kill <rank> must be a rank"))?;
+                    let after: u64 = toks[3].parse().map_err(|_| err("kill <n> must be a u64"))?;
                     plan.kills.push((rank, after));
                 }
                 other => return Err(err(&format!("unknown directive '{other}'"))),
@@ -211,9 +209,7 @@ fn parse_link_faults(toks: &[&str]) -> Result<LinkFaults, String> {
     let mut lf = LinkFaults::default();
     let mut it = toks.iter();
     while let Some(key) = it.next() {
-        let val = it
-            .next()
-            .ok_or_else(|| format!("'{key}' needs a value"))?;
+        let val = it.next().ok_or_else(|| format!("'{key}' needs a value"))?;
         let p = || -> Result<f64, String> {
             let v: f64 = val
                 .parse()
@@ -448,7 +444,10 @@ impl<T: Transport> FaultyTransport<T> {
     /// Takes any held-back message for `to` (to be flushed after the
     /// current one, completing the adjacent swap).
     fn take_held(&self, to: Rank) -> Option<(Tag, Bytes)> {
-        self.held.lock().expect("reorder buffer poisoned").remove(&to)
+        self.held
+            .lock()
+            .expect("reorder buffer poisoned")
+            .remove(&to)
     }
 }
 
@@ -568,7 +567,13 @@ mod tests {
     use super::*;
     use crate::transport::{LocalWorld, Transport};
 
-    fn world2(plan: FaultPlan) -> (FaultyTransport<crate::LocalEndpoint>, crate::LocalEndpoint, Arc<FaultStats>) {
+    fn world2(
+        plan: FaultPlan,
+    ) -> (
+        FaultyTransport<crate::LocalEndpoint>,
+        crate::LocalEndpoint,
+        Arc<FaultStats>,
+    ) {
         let mut world = LocalWorld::create(2);
         let b = world.pop().unwrap();
         let a = world.pop().unwrap();
@@ -715,7 +720,8 @@ mod tests {
     fn shutdown_frames_are_exempt() {
         let plan = FaultPlan::new(5).with_default(all(1.0)).with_kill(0, 0);
         let (a, b, _) = world2(plan);
-        a.send(1, tags::SHUTDOWN, Bytes::from_static(b"bye")).unwrap();
+        a.send(1, tags::SHUTDOWN, Bytes::from_static(b"bye"))
+            .unwrap();
         let m = b.recv().unwrap();
         assert_eq!(m.tag, tags::SHUTDOWN);
     }

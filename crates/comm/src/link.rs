@@ -196,6 +196,9 @@ mod tests {
         h2.join().unwrap();
         let mut got = vec![client.next_event().unwrap(), client.next_event().unwrap()];
         got.sort();
-        assert_eq!(got, vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")]);
+        assert_eq!(
+            got,
+            vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")]
+        );
     }
 }

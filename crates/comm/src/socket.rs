@@ -48,13 +48,13 @@
 use crate::fault::{apply_payload_faults, record_fault, FaultKind, FaultPlan, FaultStats};
 use crate::transport::{tags, CommError, Message, Rank, Tag, Transport};
 use bytes::Bytes;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -317,9 +317,7 @@ impl FrameDecoder {
         let b = &self.buf[self.pos..self.end];
         // Locate the next magic; discard anything in front of it, but
         // keep a possible magic prefix at the very end of the buffer.
-        let at = b
-            .windows(FRAME_MAGIC.len())
-            .position(|w| w == FRAME_MAGIC);
+        let at = b.windows(FRAME_MAGIC.len()).position(|w| w == FRAME_MAGIC);
         let Some(at) = at else {
             let skip = b.len() - longest_magic_suffix(b);
             if skip > 0 {
@@ -671,7 +669,9 @@ impl HubShared {
     /// stateless per frame and leaves adjacent swaps to the decorator.
     fn route_faulted(&self, rf: &RouteFaults, peer: &Peer, frame: &Frame) {
         let index = rf.next_index(frame.from, frame.to);
-        let d = rf.plan.decision(frame.from as Rank, frame.to as Rank, index);
+        let d = rf
+            .plan
+            .decision(frame.from as Rank, frame.to as Rank, index);
         if d.is_clean() {
             return self.write_to_peer(peer, &[], &frame.wire);
         }
@@ -801,11 +801,7 @@ impl SocketListener {
     /// reclaim its old rank via the [`TAG_REJOIN`] handshake. The
     /// acceptor (and with it the listener, whose drop unlinks a unix
     /// socket path) stops when the hub is dropped.
-    pub fn accept_world(
-        self,
-        n_workers: usize,
-        timeout: Duration,
-    ) -> std::io::Result<SocketHub> {
+    pub fn accept_world(self, n_workers: usize, timeout: Duration) -> std::io::Result<SocketHub> {
         assert!(n_workers >= 1, "world must have at least one worker");
         let deadline = Instant::now() + timeout;
         self.set_nonblocking(true)?;
@@ -1013,7 +1009,9 @@ fn handshake_rejoin(
         .flatten()
         .ok_or_else(|| protocol_err("REJOIN claimed an unknown rank"))?;
     if peer.alive.load(Ordering::Acquire) {
-        return Err(protocol_err("REJOIN claimed a rank that is still connected"));
+        return Err(protocol_err(
+            "REJOIN claimed a rank that is still connected",
+        ));
     }
     stream.set_read_timeout(None)?;
     let new_writer = stream.try_clone()?;
@@ -1172,9 +1170,7 @@ impl SocketHub {
     /// True while rank `r`'s connection is up (test/ops introspection;
     /// the scheduler itself only ever observes silence).
     pub fn peer_alive(&self, r: Rank) -> bool {
-        r >= 1
-            && r <= self.n_workers
-            && self.shared.peers[r - 1].alive.load(Ordering::Acquire)
+        r >= 1 && r <= self.n_workers && self.shared.peers[r - 1].alive.load(Ordering::Acquire)
     }
 
     /// Enables fault injection on the hub-internal worker↔worker
@@ -1332,9 +1328,12 @@ impl SocketWorker {
         };
         let mut w = stream.try_clone()?;
         match rejoin_as {
-            None => {
-                w.write_all(&encode_frame(0, 0, TAG_HELLO, &PROTOCOL_VERSION.to_le_bytes()))?
-            }
+            None => w.write_all(&encode_frame(
+                0,
+                0,
+                TAG_HELLO,
+                &PROTOCOL_VERSION.to_le_bytes(),
+            ))?,
             Some(r) => {
                 let mut hello = Vec::with_capacity(8);
                 hello.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
@@ -1348,8 +1347,7 @@ impl SocketWorker {
             return Err(protocol_err("expected WELCOME"));
         }
         let rank = u32::from_le_bytes(welcome.payload[..4].try_into().expect("4 bytes")) as Rank;
-        let world =
-            u32::from_le_bytes(welcome.payload[4..8].try_into().expect("4 bytes")) as usize;
+        let world = u32::from_le_bytes(welcome.payload[4..8].try_into().expect("4 bytes")) as usize;
         if rank == 0 || rank >= world {
             return Err(protocol_err("WELCOME carried an invalid rank"));
         }
@@ -1371,10 +1369,7 @@ impl SocketWorker {
                     }
                     // Clone the tap out of the lock so user code never
                     // runs under it.
-                    let t = reader_tap
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .clone();
+                    let t = reader_tap.lock().unwrap_or_else(|e| e.into_inner()).clone();
                     if let Some(t) = t {
                         t(&f);
                     }
@@ -1821,7 +1816,9 @@ mod tests {
         assert!(SocketAddrSpec::parse("unix:").is_err());
         assert!(SocketAddrSpec::parse("nocolon").is_err());
         assert_eq!(
-            SocketAddrSpec::parse("unix:/tmp/v.sock").unwrap().to_string(),
+            SocketAddrSpec::parse("unix:/tmp/v.sock")
+                .unwrap()
+                .to_string(),
             "unix:/tmp/v.sock"
         );
     }
@@ -1849,10 +1846,8 @@ mod tests {
     }
 
     fn tmp_sock(name: &str) -> SocketAddrSpec {
-        let p = std::env::temp_dir().join(format!(
-            "vira-sock-test-{}-{name}.sock",
-            std::process::id()
-        ));
+        let p =
+            std::env::temp_dir().join(format!("vira-sock-test-{}-{name}.sock", std::process::id()));
         SocketAddrSpec::Unix(p)
     }
 
@@ -1867,7 +1862,8 @@ mod tests {
         assert!(workers.iter().all(|w| w.world_size() == 3));
 
         // Hub → worker.
-        hub.send(1, tags::COMMAND, Bytes::from_static(b"cmd")).unwrap();
+        hub.send(1, tags::COMMAND, Bytes::from_static(b"cmd"))
+            .unwrap();
         let m = workers[0].recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((m.from, m.tag), (0, tags::COMMAND));
         assert_eq!(&m.payload[..], b"cmd");
@@ -1952,7 +1948,8 @@ mod tests {
             CommError::Timeout
         );
         // …and the surviving rank still works both ways.
-        hub.send(2, tags::COMMAND, Bytes::from_static(b"go")).unwrap();
+        hub.send(2, tags::COMMAND, Bytes::from_static(b"go"))
+            .unwrap();
         let m = workers[0].recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(m.tag, tags::COMMAND);
         workers[0].send(0, tags::PONG, Bytes::new()).unwrap();
@@ -2109,8 +2106,14 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
         let msg = err.to_string();
         assert!(msg.contains(&addr), "error should name the address: {msg}");
-        assert!(msg.contains("attempts"), "error should count attempts: {msg}");
-        assert!(msg.contains("last error"), "error should keep the cause: {msg}");
+        assert!(
+            msg.contains("attempts"),
+            "error should count attempts: {msg}"
+        );
+        assert!(
+            msg.contains("last error"),
+            "error should keep the cause: {msg}"
+        );
     }
 
     #[test]
@@ -2180,10 +2183,12 @@ mod tests {
         assert_eq!((m.from, m.tag), (1, tags::REJOIN));
 
         // …and the rank serves traffic again, both directions.
-        hub.send(1, tags::COMMAND, Bytes::from_static(b"again")).unwrap();
+        hub.send(1, tags::COMMAND, Bytes::from_static(b"again"))
+            .unwrap();
         let m = w1.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(&m.payload[..], b"again");
-        w1.send(0, tags::JOB_DONE, Bytes::from_static(b"ok")).unwrap();
+        w1.send(0, tags::JOB_DONE, Bytes::from_static(b"ok"))
+            .unwrap();
         assert_eq!(
             hub.recv_timeout(Duration::from_secs(5)).unwrap().tag,
             tags::JOB_DONE

@@ -11,8 +11,8 @@
 //! trait over sockets or MPI without touching layers 2 and 3.
 
 use bytes::Bytes;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
 
 /// Index of a process within a communication world (MPI rank).

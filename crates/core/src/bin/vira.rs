@@ -511,7 +511,9 @@ fn render_load_json(plan: &LoadPlan, admission: &AdmissionConfig, out: &LoadOutc
 
 /// `--rate`: open-loop arrivals per second, finite and above zero.
 fn parse_rate(text: &str) -> Option<f64> {
-    text.parse().ok().filter(|r: &f64| r.is_finite() && *r > 0.0)
+    text.parse()
+        .ok()
+        .filter(|r: &f64| r.is_finite() && *r > 0.0)
 }
 
 /// `vira load`: the load plane on the in-process transport —
@@ -1617,7 +1619,9 @@ mod tests {
     fn rate_must_be_finite_and_positive() {
         assert_eq!(parse_rate("2000"), Some(2000.0));
         assert_eq!(parse_rate("0.5"), Some(0.5));
-        for bad in ["0", "-0", "-3", "nan", "NaN", "inf", "-inf", "1e400", "fast", ""] {
+        for bad in [
+            "0", "-0", "-3", "nan", "NaN", "inf", "-inf", "1e400", "fast", "",
+        ] {
             assert_eq!(parse_rate(bad), None, "--rate {bad:?} must be refused");
         }
     }

@@ -166,7 +166,9 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
         }
         Ok(Lambda2Item::Memoized(data, field, tree))
     };
-    walk_share(ctx, false, load, |item| contour(item, threshold, usize::MAX))
+    walk_share(ctx, false, load, |item| {
+        contour(item, threshold, usize::MAX)
+    })
 }
 
 /// λ₂ extraction without data management: the Fig. 9/10 baseline.

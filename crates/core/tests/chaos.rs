@@ -239,7 +239,10 @@ fn killed_worker_degrades_the_job_but_completes_it() {
         sorted_bits(&clean[0]),
         "degraded group computes the same surface (different merge order)"
     );
-    assert!(first.report.degraded, "requeue must be visible to the client");
+    assert!(
+        first.report.degraded,
+        "requeue must be visible to the client"
+    );
     assert!(first.report.retries >= 1, "retransmits precede the probe");
 
     // The backend keeps serving after the death: the next job goes

@@ -20,10 +20,12 @@ use vira_vista::{CommandParams, SubmitSpec, VistaClient};
 use viracocha::{Viracocha, ViracochaConfig};
 
 fn job_of(rec: &SpanRecord) -> Option<u64> {
-    rec.args().find(|(k, _)| *k == "job").and_then(|(_, v)| match v {
-        ArgValue::U64(n) => Some(n),
-        _ => None,
-    })
+    rec.args()
+        .find(|(k, _)| *k == "job")
+        .and_then(|(_, v)| match v {
+            ArgValue::U64(n) => Some(n),
+            _ => None,
+        })
 }
 
 /// Runs each command once on a one-rank back-end with `threads`
@@ -69,7 +71,10 @@ fn wide_walks_extract_off_the_walking_thread() {
     let _ = vira_obs::drain();
     let jobs = [
         ("IsoDataMan", CommandParams::new().set("iso", 15.0)),
-        ("SimpleVortex", CommandParams::new().set("threshold", -2.0e4)),
+        (
+            "SimpleVortex",
+            CommandParams::new().set("threshold", -2.0e4),
+        ),
         (
             "VortexDataMan",
             CommandParams::new()

@@ -475,7 +475,10 @@ fn a_step_limit_past_u32_saturates_to_the_dataset_end() {
     let huge = run(&mut client, u32::MAX as u64);
     let three = run(&mut client, 3);
     assert!(huge.triangles.n_triangles() > 0);
-    assert_eq!(sorted_triangles(&huge.triangles), sorted_triangles(&three.triangles));
+    assert_eq!(
+        sorted_triangles(&huge.triangles),
+        sorted_triangles(&three.triangles)
+    );
     // A time level past u32 is refused, not read as step 0.
     let err = client
         .run(&SubmitSpec {
@@ -792,21 +795,26 @@ fn scheduler_survives_malformed_frames() {
     link.request(bytes::Bytes::from_static(b"\xde\xad\xbe\xef garbage"))
         .unwrap();
     link.request(bytes::Bytes::new()).unwrap();
-    for retired in [r#"{"Ack":{"job":4,"up_to_seq":17}}"#, r#"{"Resume":{"job":4}}"#] {
+    for retired in [
+        r#"{"Ack":{"job":4,"up_to_seq":17}}"#,
+        r#"{"Resume":{"job":4}}"#,
+    ] {
         link.request(frame(retired)).unwrap();
     }
     // Requests are served in order, so the first event answers this
     // unknown-command submit: nothing was emitted for the frames above.
-    link.request(vira_vista::encode_request(&vira_vista::ClientRequest::Submit {
-        job: 9,
-        command: "NoSuchCommand".into(),
-        dataset: "TestCube".into(),
-        params: CommandParams::new(),
-        workers: 1,
-        session: 0,
-        trace_id: 0,
-        parent_span_id: 0,
-    }))
+    link.request(vira_vista::encode_request(
+        &vira_vista::ClientRequest::Submit {
+            job: 9,
+            command: "NoSuchCommand".into(),
+            dataset: "TestCube".into(),
+            params: CommandParams::new(),
+            workers: 1,
+            session: 0,
+            trace_id: 0,
+            parent_span_id: 0,
+        },
+    ))
     .unwrap();
     let (first, _) = vira_vista::decode_event(link.next_event().unwrap()).unwrap();
     assert!(

@@ -257,7 +257,10 @@ fn socket_world_matches_in_process_byte_identically() {
         .collect();
     let stdout = wait_ok(serve, "vira serve");
     let (ok, tris, degraded, retries) = parse_result(&stdout, 0);
-    assert!(ok && !degraded && retries == 0, "clean socket run:\n{stdout}");
+    assert!(
+        ok && !degraded && retries == 0,
+        "clean socket run:\n{stdout}"
+    );
     assert!(tris > 0, "the job must produce geometry:\n{stdout}");
     for w in workers {
         wait_ok(w, "vira worker"); // graceful SHUTDOWN reached them all
@@ -287,7 +290,10 @@ fn spawn_local_runs_multiple_jobs() {
     let (ok0, tris0, deg0, _) = parse_result(&stdout, 0);
     let (ok1, tris1, deg1, _) = parse_result(&stdout, 1);
     assert!(ok0 && ok1, "both jobs complete:\n{stdout}");
-    assert!(!deg0 && !deg1, "no degradation on a healthy world:\n{stdout}");
+    assert!(
+        !deg0 && !deg1,
+        "no degradation on a healthy world:\n{stdout}"
+    );
     assert_eq!(tris0, tris1, "identical jobs, identical geometry");
     assert!(tris0 > 0);
 }
@@ -374,7 +380,10 @@ fn master_death_between_partial_and_done_requeues_instead_of_hanging() {
     let (ok, tris, degraded, retries) = parse_result(&stdout, 0);
     assert!(ok, "the job must still complete:\n{stdout}");
     assert!(degraded, "recovery must be a degraded requeue:\n{stdout}");
-    assert!(retries >= 1, "the dead master was retransmitted to first:\n{stdout}");
+    assert!(
+        retries >= 1,
+        "the dead master was retransmitted to first:\n{stdout}"
+    );
     assert!(tris > 0);
     let st1 = w1.wait_with_output().expect("wait for killed master");
     assert!(!st1.status.success(), "rank 1 must have died abnormally");
@@ -429,7 +438,11 @@ fn streamed_commands_over_sockets_match_in_process() {
     for job in &STREAMED {
         let reference = job.in_process();
         let want = sorted_triangles(&reference.triangles);
-        assert!(!want.is_empty(), "{}: the reference has geometry", job.command);
+        assert!(
+            !want.is_empty(),
+            "{}: the reference has geometry",
+            job.command
+        );
         for transport in ["unix", "tcp"] {
             let tmp = TempDir::new(&format!("stream-{}-{transport}", job.command));
             let listen = match transport {
@@ -457,7 +470,10 @@ fn streamed_commands_over_sockets_match_in_process() {
                     "{case}, job {j}: (triangles, packets) against the in-process run:\n{stdout}"
                 );
                 let got = soup_from_file(&tmp.path().join(format!("soup.{j}")));
-                assert!(sorted_triangles(&got) == want, "{case}, job {j}: triangles differ");
+                assert!(
+                    sorted_triangles(&got) == want,
+                    "{case}, job {j}: triangles differ"
+                );
             }
         }
     }
@@ -543,12 +559,21 @@ fn cross_process_cancel_truncates_the_job() {
     let (ok, full, _, _) = parse_result(&stdout, 0);
     assert!(ok, "the uncancelled socket run:\n{stdout}");
     let in_process = CANCEL.in_process().triangles.n_triangles() as u64;
-    assert_eq!(full, in_process, "the uncancelled socket run streams it all");
+    assert_eq!(
+        full, in_process,
+        "the uncancelled socket run streams it all"
+    );
 
     let stdout = serve("hub.sock", &["--cancel-after-packets", "1"]);
     let (ok, tris, degraded, retries) = parse_result(&stdout, 0);
-    assert!(ok, "a cancelled job still yields a final outcome:\n{stdout}");
-    assert!(!degraded && retries == 0, "cancel is not a fault:\n{stdout}");
+    assert!(
+        ok,
+        "a cancelled job still yields a final outcome:\n{stdout}"
+    );
+    assert!(
+        !degraded && retries == 0,
+        "cancel is not a fault:\n{stdout}"
+    );
     assert_eq!(
         parse_result_field(&stdout, 0, "cancelled").as_deref(),
         Some("1"),
@@ -644,14 +669,17 @@ fn killed_worker_process_rejoins_and_serves_again() {
     // only when the scheduler removes a rank from its dead set. (A
     // shrunken 2-worker world would also run job 1 clean — this is
     // what distinguishes an actual rejoin.)
-    let prom = std::fs::read_to_string(traces.join("metrics.prom"))
-        .expect("serve exported metrics.prom");
+    let prom =
+        std::fs::read_to_string(traces.join("metrics.prom")).expect("serve exported metrics.prom");
     let rejoins: u64 = prom
         .lines()
         .find_map(|l| l.strip_prefix("sched_rejoins_total "))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or_else(|| panic!("no sched_rejoins_total sample in:\n{prom}"));
-    assert!(rejoins >= 1, "scheduler never cleared the conviction:\n{prom}");
+    assert!(
+        rejoins >= 1,
+        "scheduler never cleared the conviction:\n{prom}"
+    );
     wait_ok(w2, "worker 2");
     wait_ok(w3, "worker 3");
     wait_ok(w1b, "rejoined worker 1");
@@ -666,7 +694,15 @@ fn tcp_spawn_local_roundtrip() {
     let tmp = TempDir::new("tcp");
     let serve = ISO
         .serve("tcp:127.0.0.1:0")
-        .args(["--ranks", "2", "--workers", "2", "--spawn-local", "--jobs", "1"])
+        .args([
+            "--ranks",
+            "2",
+            "--workers",
+            "2",
+            "--spawn-local",
+            "--jobs",
+            "1",
+        ])
         .current_dir(tmp.path())
         .spawn()
         .expect("spawn vira serve");

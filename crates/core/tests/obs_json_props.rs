@@ -40,10 +40,23 @@ fn value(g: &mut Gen) -> ((ArgValue, Json), (Field, Json)) {
     let (n, s, f) = (g.u64(), text(g), float(g));
     let (arg, field, back) = match g.usize_in(0..5) {
         0 => (ArgValue::U64(n), Field::U64(n), Json::UInt(n)),
-        1 => (ArgValue::I64(n as i64), Field::I64(n as i64), (n as i64).into()),
+        1 => (
+            ArgValue::I64(n as i64),
+            Field::I64(n as i64),
+            (n as i64).into(),
+        ),
         2 => (ArgValue::F64(f), Field::F64(f), read_back(f)),
-        3 => (ArgValue::Str(intern(&s)), Field::Str(s.clone()), s.as_str().into()),
-        _ => return ((ArgValue::None, Json::Null), (Field::Bool(n % 2 == 0), (n % 2 == 0).into())),
+        3 => (
+            ArgValue::Str(intern(&s)),
+            Field::Str(s.clone()),
+            s.as_str().into(),
+        ),
+        _ => {
+            return (
+                (ArgValue::None, Json::Null),
+                (Field::Bool(n % 2 == 0), (n % 2 == 0).into()),
+            )
+        }
     };
     ((arg, back.clone()), (field, back))
 }
@@ -74,9 +87,16 @@ fn hostile_text_round_trips_through_every_writer() {
             }
             want_args.push(want);
             let (name, spans, dropped) = (text(g), vec![rec], 0);
-            ThreadDump { tid, name, spans, dropped }
+            ThreadDump {
+                tid,
+                name,
+                spans,
+                dropped,
+            }
         });
-        let dump = TraceDump { threads: threads.into() };
+        let dump = TraceDump {
+            threads: threads.into(),
+        };
         let levels = [Level::Debug, Level::Info, Level::Warn, Level::Error];
         let mut want_fields = Vec::new();
         let events = g.vec(1..4, |g| {
@@ -117,15 +137,27 @@ fn hostile_text_round_trips_through_every_writer() {
             let cat = if s.cat.is_empty() { "span" } else { s.cat };
             assert_eq!(span.get("name"), Some(&s.name.into()));
             assert_eq!(span.get("cat"), Some(&cat.into()));
-            let ids = [("trace_id", 1), ("span_id", s.span_id), ("parent_span_id", i as u64)];
+            let ids = [
+                ("trace_id", 1),
+                ("span_id", s.span_id),
+                ("parent_span_id", i as u64),
+            ];
             let ids = ids.map(|(k, id)| (k, Json::UInt(id))).into_iter();
-            assert_eq!(span.get("args"), Some(&Json::map(ids.chain(want_args[i].clone()))));
+            assert_eq!(
+                span.get("args"),
+                Some(&Json::map(ids.chain(want_args[i].clone())))
+            );
             // flight-1.jsonl: the same span, found by its id.
-            let line = lines.iter().find(|l| l.get("span_id") == Some(&s.span_id.into()));
+            let line = lines
+                .iter()
+                .find(|l| l.get("span_id") == Some(&s.span_id.into()));
             let line = line.unwrap();
             assert_eq!(line.get("name"), Some(&s.name.into()));
             assert_eq!(line.get("cat"), Some(&s.cat.into()));
-            assert_eq!((line.get("thread"), line.get("args")), (Some(&thread), Some(&args)));
+            assert_eq!(
+                (line.get("thread"), line.get("args")),
+                (Some(&thread), Some(&args))
+            );
         }
 
         // events.jsonl, line by line; the flight file carries each event too.
@@ -150,8 +182,9 @@ fn hostile_text_round_trips_through_every_writer() {
         // folds equal names); values stay below 2^53 (it keeps gauge
         // points as f64).
         let name = |i: usize, g: &mut Gen| format!("{i}:{}", text(g));
-        let counters: BTreeMap<String, u64> =
-            (0..g.usize_in(1..4)).map(|i| (name(i, g), g.u64_in(1..1 << 40))).collect();
+        let counters: BTreeMap<String, u64> = (0..g.usize_in(1..4))
+            .map(|i| (name(i, g), g.u64_in(1..1 << 40)))
+            .collect();
         let gauges: BTreeMap<String, i64> = (0..g.usize_in(0..3))
             .map(|i| (name(i, g), g.u64_in(0..1 << 40) as i64 - (1 << 39)))
             .collect();
@@ -191,7 +224,10 @@ fn hostile_text_round_trips_through_every_writer() {
                 firing: g.bool(),
             }
         });
-        let ranks = [RankMeta { rank: 1, ..RankMeta::default() }];
+        let ranks = [RankMeta {
+            rank: 1,
+            ..RankMeta::default()
+        }];
         let doc = slo::render_telemetry_json(&db, &statuses, &ranks, 2_000, true).to_string();
         assert_eq!(slo::validate_telemetry_json(&doc), Ok((1, statuses.len())));
         let doc = parse(&doc).unwrap();

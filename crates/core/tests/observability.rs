@@ -15,10 +15,12 @@ use vira_vista::{CommandParams, SubmitSpec, VistaClient};
 use viracocha::{Viracocha, ViracochaConfig};
 
 fn span_arg_u64(rec: &SpanRecord, key: &str) -> Option<u64> {
-    rec.args().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        ArgValue::U64(n) => Some(n),
-        _ => None,
-    })
+    rec.args()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, v)| match v {
+            ArgValue::U64(n) => Some(n),
+            _ => None,
+        })
 }
 
 #[test]
@@ -112,8 +114,7 @@ fn traced_run_artifacts_are_valid_and_consistent() {
     // --- artifacts on disk ------------------------------------------------
     let dir = std::env::temp_dir().join(format!("vira_obs_it_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let summary =
-        export::write_artifacts(&dir, &dump, &events, dropped_events, &delta).unwrap();
+    let summary = export::write_artifacts(&dir, &dump, &events, dropped_events, &delta).unwrap();
     assert_eq!(summary.spans, spans.len());
     assert_eq!(summary.events, events.len());
     assert_eq!(summary.dropped_spans, 0);

@@ -13,9 +13,7 @@ use std::time::Duration;
 use vira_grid::synth::{self, test_cube};
 use vira_storage::source::SynthSource;
 use vira_vista::{CommandParams, SubmitSpec, VistaClient};
-use viracocha::{
-    FaultPlan, ResilienceConfig, SchedulerConfig, Viracocha, ViracochaConfig,
-};
+use viracocha::{FaultPlan, ResilienceConfig, SchedulerConfig, Viracocha, ViracochaConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -53,10 +51,7 @@ fn launch(n_workers: usize, tweak: impl FnOnce(&mut SchedulerConfig)) -> (Viraco
         Arc::new(SynthSource::new(Arc::new(synth::engine(4)))),
         false,
     );
-    backend.register_dataset(
-        Arc::new(SynthSource::new(Arc::new(test_cube(6, 2)))),
-        false,
-    );
+    backend.register_dataset(Arc::new(SynthSource::new(Arc::new(test_cube(6, 2)))), false);
     (backend, VistaClient::new(link))
 }
 
@@ -374,19 +369,23 @@ fn a_probe_does_not_stall_other_jobs() {
         max_attempts: 3,
     };
     let (backend, link) = Viracocha::launch_with_faults(cfg, FaultPlan::new(7).with_kill(2, 0));
-    backend.register_dataset(
-        Arc::new(SynthSource::new(Arc::new(test_cube(6, 2)))),
-        false,
-    );
+    backend.register_dataset(Arc::new(SynthSource::new(Arc::new(test_cube(6, 2)))), false);
     let mut client = VistaClient::new(link);
     // Rank 1's answer to the probe records its clock offset: from then
     // on the probe waits for rank 2, which never answers.
     vira_obs::flight::reset_clock_offsets();
     let probed = client.submit(&tiny_spec(2)).unwrap();
-    let probing = || vira_obs::flight::clock_offsets().iter().any(|(r, _)| *r == 1);
+    let probing = || {
+        vira_obs::flight::clock_offsets()
+            .iter()
+            .any(|(r, _)| *r == 1)
+    };
     let started = std::time::Instant::now();
     while !probing() {
-        assert!(started.elapsed() < Duration::from_secs(10), "no probe began");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "no probe began"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     let quick = client.submit(&tiny_spec(1)).unwrap();
@@ -395,7 +394,10 @@ fn a_probe_does_not_stall_other_jobs() {
     client.shutdown().unwrap();
     backend.join();
     assert!(probed_out.report.degraded, "the dead rank is convicted");
-    assert!(!quick_out.report.degraded, "the quick job never touched rank 2");
+    assert!(
+        !quick_out.report.degraded,
+        "the quick job never touched rank 2"
+    );
     assert!(
         quick_out.total_wall < probe_timeout / 2,
         "the quick job waited {:?} behind a {probe_timeout:?} probe",

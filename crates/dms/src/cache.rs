@@ -711,13 +711,8 @@ mod tests {
     #[test]
     fn disk_cache_roundtrip() {
         let dir = spill_dir("roundtrip");
-        let mut c = DiskCache::new(
-            dir.clone(),
-            1000,
-            Box::new(LruPolicy::new()),
-            BlobCodec,
-        )
-        .unwrap();
+        let mut c =
+            DiskCache::new(dir.clone(), 1000, Box::new(LruPolicy::new()), BlobCodec).unwrap();
         c.insert(ItemId(1), &Blob(vec![1, 2, 3])).unwrap();
         assert_eq!(c.get(ItemId(1)).unwrap().unwrap(), Blob(vec![1, 2, 3]));
         assert_eq!(c.get(ItemId(2)).unwrap(), None);
@@ -730,13 +725,7 @@ mod tests {
     #[test]
     fn disk_cache_evicts_files() {
         let dir = spill_dir("evict");
-        let mut c = DiskCache::new(
-            dir,
-            8,
-            Box::new(LruPolicy::new()),
-            BlobCodec,
-        )
-        .unwrap();
+        let mut c = DiskCache::new(dir, 8, Box::new(LruPolicy::new()), BlobCodec).unwrap();
         c.insert(ItemId(1), &Blob(vec![0; 4])).unwrap();
         c.insert(ItemId(2), &Blob(vec![0; 4])).unwrap();
         c.insert(ItemId(3), &Blob(vec![0; 4])).unwrap();
@@ -753,13 +742,8 @@ mod tests {
     #[test]
     fn vacated_spill_files_are_overwritten_not_recreated() {
         let dir = spill_dir("reuse");
-        let mut c = DiskCache::new(
-            dir.clone(),
-            1000,
-            Box::new(LruPolicy::new()),
-            BlobCodec,
-        )
-        .unwrap();
+        let mut c =
+            DiskCache::new(dir.clone(), 1000, Box::new(LruPolicy::new()), BlobCodec).unwrap();
         c.insert(ItemId(1), &Blob(vec![1; 40])).unwrap();
         c.insert(ItemId(2), &Blob(vec![2; 40])).unwrap();
         // Promote-then-demote churn, with payloads shorter and longer
@@ -806,13 +790,8 @@ mod tests {
     #[test]
     fn failed_spill_leaves_no_file_behind() {
         let dir = spill_dir("failed_spill");
-        let mut c = DiskCache::new(
-            dir.clone(),
-            1000,
-            Box::new(LruPolicy::new()),
-            FailingCodec,
-        )
-        .unwrap();
+        let mut c =
+            DiskCache::new(dir.clone(), 1000, Box::new(LruPolicy::new()), FailingCodec).unwrap();
         assert!(c.insert(ItemId(1), &Blob(vec![7; 10])).is_err());
         assert!(!c.contains(ItemId(1)));
         assert_eq!(c.used_bytes(), 0);
@@ -849,24 +828,39 @@ mod tests {
             ("other dims", &|f| patch_word(f, 16, 2)),
             ("a truncated velocity slab", &|f| {
                 let len = fs::metadata(f).unwrap().len();
-                OpenOptions::new().write(true).open(f).unwrap().set_len(len - 1).unwrap()
+                OpenOptions::new()
+                    .write(true)
+                    .open(f)
+                    .unwrap()
+                    .set_len(len - 1)
+                    .unwrap()
             }),
         ];
         for (n, (damage, apply)) in damages.into_iter().enumerate() {
             let dir = spill_dir(&format!("unreadable_{n}"));
             let l1 = MemoryCache::new(first.payload_bytes() + 1, Box::new(LruPolicy::new()));
-            let l2 =
-                DiskCache::new(dir.clone(), 1 << 20, Box::new(LruPolicy::new()), BlockDataCodec);
+            let l2 = DiskCache::new(
+                dir.clone(),
+                1 << 20,
+                Box::new(LruPolicy::new()),
+                BlockDataCodec,
+            );
             let mut c = TieredCache::new(l1, Some(l2.unwrap()));
             c.insert(ItemId(1), item(0)).unwrap();
             c.insert(ItemId(2), item(1)).unwrap(); // demotes 1 to disk
             assert_eq!(c.locate(ItemId(1)), Some(Tier::Disk));
             let file = dir.join("spill_1.vbk");
             apply(&file);
-            assert!(c.get(ItemId(1)).unwrap().is_none(), "{damage}: a miss, not an error");
+            assert!(
+                c.get(ItemId(1)).unwrap().is_none(),
+                "{damage}: a miss, not an error"
+            );
             assert_eq!(c.locate(ItemId(1)), None, "{damage}: the entry is gone");
             assert_eq!(c.l2().unwrap().used_bytes(), 0, "{damage}");
-            assert!(!file.exists(), "{damage}: the file is deleted, not kept for reuse");
+            assert!(
+                !file.exists(),
+                "{damage}: the file is deleted, not kept for reuse"
+            );
             // The item can be cached again like any other.
             c.insert(ItemId(1), item(0)).unwrap();
             assert_eq!(c.locate(ItemId(1)), Some(Tier::Memory), "{damage}");
@@ -883,7 +877,10 @@ mod tests {
         // Bit 63 makes the first word exceed what an f64 holds exactly.
         let text = format!(r#"{{"words":[9223372036854775809,1{zeros}]}}"#);
         assert_eq!(d.to_json().to_string(), text);
-        assert_eq!(ResidencyDigest::from_json(&json::parse(&text).unwrap()), Ok(d.clone()));
+        assert_eq!(
+            ResidencyDigest::from_json(&json::parse(&text).unwrap()),
+            Ok(d.clone())
+        );
         assert_eq!(ResidencyDigest::from_json(&d.to_json()), Ok(d));
         // The unknown digest is written as an empty list, never omitted.
         let unknown = ResidencyDigest::default();
@@ -897,13 +894,7 @@ mod tests {
     fn failed_spill_logs_every_victim_as_dropped() {
         let dir = spill_dir("spill_fails");
         let l1 = MemoryCache::new(100, Box::new(LruPolicy::new()));
-        let l2 = DiskCache::new(
-            dir.clone(),
-            1000,
-            Box::new(LruPolicy::new()),
-            BlobCodec,
-        )
-        .unwrap();
+        let l2 = DiskCache::new(dir.clone(), 1000, Box::new(LruPolicy::new()), BlobCodec).unwrap();
         let mut c = TieredCache::new(l1, Some(l2));
         c.insert(ItemId(1), blob(40)).unwrap();
         c.insert(ItemId(2), blob(40)).unwrap();
@@ -914,7 +905,11 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         let mut dropped = c.drain_dropped();
         dropped.sort();
-        assert_eq!(dropped, vec![ItemId(1), ItemId(2)], "both victims, not only the first");
+        assert_eq!(
+            dropped,
+            vec![ItemId(1), ItemId(2)],
+            "both victims, not only the first"
+        );
         for id in [1, 2, 3].map(ItemId) {
             assert_eq!(
                 c.locate(id).is_none(),
@@ -1091,14 +1086,25 @@ mod tests {
         d.insert(ItemId(77));
         assert!(!d.is_unknown());
         assert!(d.contains(ItemId(5)));
-        assert!(d.contains(ItemId(5 + DIGEST_BITS as u64)), "collision over-counts");
+        assert!(
+            d.contains(ItemId(5 + DIGEST_BITS as u64)),
+            "collision over-counts"
+        );
         assert!(!d.contains(ItemId(6)));
         assert_eq!(d.overlap(&[ItemId(5), ItemId(6), ItemId(77)]), 2);
         let bytes = d.to_bytes();
         assert_eq!(bytes.len(), DIGEST_BITS / 8);
         assert_eq!(ResidencyDigest::from_bytes(&bytes), Some(d));
-        assert_eq!(ResidencyDigest::from_bytes(&bytes[..7]), None, "torn payload");
-        assert_eq!(ResidencyDigest::from_bytes(&bytes[..8]), None, "one word short of 16");
+        assert_eq!(
+            ResidencyDigest::from_bytes(&bytes[..7]),
+            None,
+            "torn payload"
+        );
+        assert_eq!(
+            ResidencyDigest::from_bytes(&bytes[..8]),
+            None,
+            "one word short of 16"
+        );
         assert_eq!(
             ResidencyDigest::from_bytes(&[]),
             Some(ResidencyDigest::default()),

@@ -34,7 +34,7 @@ pub use cache::{CachePayload, DiskCodec, MemoryCache, ResidencyDigest, Tier, Tie
 pub use name::{ItemId, ItemName, NameResolver, NameServer};
 pub use policy::{policy_by_name, FbrPolicy, LfuPolicy, LruPolicy, ReplacementPolicy};
 pub use prefetch::{
-    prefetcher_by_name, MarkovPrefetch, NoPrefetch, OblPrefetch, Prefetcher, PrefetchOnMiss,
+    prefetcher_by_name, MarkovPrefetch, NoPrefetch, OblPrefetch, PrefetchOnMiss, Prefetcher,
     SequenceOrder,
 };
 pub use proxy::{DataProxy, L2Config, ProxyConfig};

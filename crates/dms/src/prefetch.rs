@@ -42,7 +42,11 @@ impl SequenceOrder {
 
     /// Custom within-step block permutation (e.g. topology BFS order).
     pub fn with_block_order(spec: &DatasetSpec, order: Vec<BlockId>) -> Self {
-        assert_eq!(order.len(), spec.n_blocks as usize, "order must be a permutation");
+        assert_eq!(
+            order.len(),
+            spec.n_blocks as usize,
+            "order must be a permutation"
+        );
         let mut pos_of = vec![u32::MAX; spec.n_blocks as usize];
         for (pos, &b) in order.iter().enumerate() {
             assert!(

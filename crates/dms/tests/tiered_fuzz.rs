@@ -148,7 +148,9 @@ fn disk_roundtrip_is_lossless() {
 #[test]
 fn an_l2_of_two_field_files_holds_exactly_two_items() {
     let ds = test_cube(5, 4);
-    let items: Vec<_> = (0..4).map(|s| ds.generate(BlockStepId::new(0, s))).collect();
+    let items: Vec<_> = (0..4)
+        .map(|s| ds.generate(BlockStepId::new(0, s)))
+        .collect();
     let spilled = field_file_bytes(&items[0]);
     assert_eq!(spilled, 36 + 5 * 5 * 5 * 24, "header and velocity");
     let dir = spill_dir(u64::MAX);
@@ -183,7 +185,11 @@ fn any_f64(g: &mut Gen) -> f64 {
 }
 
 fn field_bits(u: &VectorField) -> Vec<u64> {
-    u.xs.iter().chain(&u.ys).chain(&u.zs).map(|v| v.to_bits()).collect()
+    u.xs.iter()
+        .chain(&u.ys)
+        .chain(&u.zs)
+        .map(|v| v.to_bits())
+        .collect()
 }
 
 /// A promoted item is the demoted one: velocity and time bit for bit
@@ -200,8 +206,19 @@ fn promotion_returns_the_demoted_item_bit_for_bit() {
         let (xs, ys, zs) = (plane(), plane(), plane());
         let velocity = VectorField::new(base.dims(), xs, ys, zs);
         let time = any_f64(g);
-        let demoted = Arc::new(BlockData::new(base.id, Arc::clone(&base.grid), velocity, time));
-        let mut cache = build(demoted.memory_bytes(), field_file_bytes(&demoted), 1, 1, g.u64());
+        let demoted = Arc::new(BlockData::new(
+            base.id,
+            Arc::clone(&base.grid),
+            velocity,
+            time,
+        ));
+        let mut cache = build(
+            demoted.memory_bytes(),
+            field_file_bytes(&demoted),
+            1,
+            1,
+            g.u64(),
+        );
         let id = ItemId(u64::from(step));
         cache.insert(id, Arc::clone(&demoted)).unwrap();
         let other = ds.generate(BlockStepId::new(0, (step + 1) % 4));
@@ -212,8 +229,14 @@ fn promotion_returns_the_demoted_item_bit_for_bit() {
         assert_eq!(tier, Tier::Disk);
         assert_eq!(promoted.id, demoted.id);
         assert_eq!(promoted.time.to_bits(), demoted.time.to_bits());
-        assert_eq!(field_bits(&promoted.velocity), field_bits(&demoted.velocity));
-        assert!(Arc::ptr_eq(&promoted.grid, &demoted.grid), "geometry reattached, not decoded");
+        assert_eq!(
+            field_bits(&promoted.velocity),
+            field_bits(&demoted.velocity)
+        );
+        assert!(
+            Arc::ptr_eq(&promoted.grid, &demoted.grid),
+            "geometry reattached, not decoded"
+        );
         cache.clear().unwrap();
     });
 }

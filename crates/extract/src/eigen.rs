@@ -269,10 +269,7 @@ mod tests {
         for a in &cases {
             let full = symmetric_eigenvalues(a)[1];
             let mid = symmetric_middle_eigenvalue(a);
-            assert!(
-                close(mid, full, 1e-7),
-                "middle {mid} vs full solve {full}"
-            );
+            assert!(close(mid, full, 1e-7), "middle {mid} vs full solve {full}");
         }
         // Diagonal and scalar matrices take the exact select paths.
         let diag = Mat3::from_rows(

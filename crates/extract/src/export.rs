@@ -9,7 +9,12 @@ use std::io::{self, Write};
 
 /// Writes an indexed mesh as Wavefront OBJ (positions, normals, faces).
 pub fn write_obj(mesh: &IndexedMesh, w: &mut impl Write) -> io::Result<()> {
-    writeln!(w, "# viracocha export: {} vertices, {} triangles", mesh.n_vertices(), mesh.n_triangles())?;
+    writeln!(
+        w,
+        "# viracocha export: {} vertices, {} triangles",
+        mesh.n_vertices(),
+        mesh.n_triangles()
+    )?;
     for p in &mesh.positions {
         writeln!(w, "v {} {} {}", p[0], p[1], p[2])?;
     }
@@ -47,7 +52,12 @@ pub fn write_vtk_mesh(mesh: &IndexedMesh, title: &str, w: &mut impl Write) -> io
     for p in &mesh.positions {
         writeln!(w, "{} {} {}", p[0], p[1], p[2])?;
     }
-    writeln!(w, "POLYGONS {} {}", mesh.n_triangles(), mesh.n_triangles() * 4)?;
+    writeln!(
+        w,
+        "POLYGONS {} {}",
+        mesh.n_triangles(),
+        mesh.n_triangles() * 4
+    )?;
     for t in &mesh.triangles {
         writeln!(w, "3 {} {} {}", t[0], t[1], t[2])?;
     }
@@ -141,7 +151,10 @@ mod tests {
         let mut buf = Vec::new();
         write_obj(&mesh, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.matches("\nv ").count() + usize::from(text.starts_with("v ")), 4);
+        assert_eq!(
+            text.matches("\nv ").count() + usize::from(text.starts_with("v ")),
+            4
+        );
         assert_eq!(text.matches("\nf ").count(), 2);
         assert!(text.contains("vn "));
         // 1-based indices, never index 0.

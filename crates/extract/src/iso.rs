@@ -99,8 +99,8 @@ pub fn extract_streamed_with_tree(
     if let Some(t) = tree {
         assert!(t.matches(grid.dims), "bricktree dims mismatch");
     }
-    let mut kernel_span = vira_obs::span("extract.iso_kernel", "extract")
-        .arg("pruned", u64::from(tree.is_some()));
+    let mut kernel_span =
+        vira_obs::span("extract.iso_kernel", "extract").arg("pruned", u64::from(tree.is_some()));
     let mut stats = IsoStats::default();
     let mut pending = TriangleSoup::new();
     let (ci, _, _) = grid.dims.cell_dims();

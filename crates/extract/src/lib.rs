@@ -45,10 +45,8 @@ pub mod weld;
 
 pub use bricktree::{BrickTree, PruneCounters, BRICK};
 pub use bsp::BspTree;
-pub use weld::{compute_normals, weld, EdgeDefects, IndexedMesh};
 pub use eigen::{
-    chebyshev_middle_root, lambda2_of_gradient, symmetric_eigenvalues,
-    symmetric_middle_eigenvalue,
+    chebyshev_middle_root, lambda2_of_gradient, symmetric_eigenvalues, symmetric_middle_eigenvalue,
 };
 pub use export::{save_soup, write_obj, write_vtk_mesh, write_vtk_polylines};
 pub use halo::{GhostLayer, GhostedBlock};
@@ -59,10 +57,11 @@ pub use iso::{
 pub use lambda2::{lambda2_field, lambda2_field_oracle};
 pub use locate::{invert_trilinear, invert_trilinear_oracle, locate_cell, CellHit, TrilinearCell};
 pub use mesh::{payload_triangle_count, Polyline, TriangleSoup};
-pub use par::scoped_map;
-pub use stats::{suggest_iso_level, FieldSummary, Histogram};
 pub use multires::{coarsen, progressive_isosurface, pyramid, ProgressiveLevel};
+pub use par::scoped_map;
 pub use pathline::{
     trace_pathline, trace_streakline, AnalyticSampler, BlockFetcher, FieldSampler,
     MultiBlockSampler, PathlineConfig, PathlineResult, SteadySampler, TimeScheme, TraceStatus,
 };
+pub use stats::{suggest_iso_level, FieldSummary, Histogram};
+pub use weld::{compute_normals, weld, EdgeDefects, IndexedMesh};

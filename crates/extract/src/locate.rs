@@ -247,7 +247,11 @@ fn walk_from(grid: &CurvilinearBlock, p: Vec3, start: (usize, usize, usize)) -> 
     if ci == 0 || cj == 0 || ck == 0 {
         return None;
     }
-    let mut cell = (start.0.min(ci - 1), start.1.min(cj - 1), start.2.min(ck - 1));
+    let mut cell = (
+        start.0.min(ci - 1),
+        start.1.min(cj - 1),
+        start.2.min(ck - 1),
+    );
     for _ in 0..WALK_MAX_STEPS {
         let corners = grid.cell_corners(cell.0, cell.1, cell.2);
         let (u, v, w) = invert_trilinear(&corners, p)?;
@@ -255,11 +259,7 @@ fn walk_from(grid: &CurvilinearBlock, p: Vec3, start: (usize, usize, usize)) -> 
             return accept(grid, p, cell, &corners, (u, v, w));
         }
         // Step toward the most violated coordinate.
-        let viol = [
-            violation(u),
-            violation(v),
-            violation(w),
-        ];
+        let viol = [violation(u), violation(v), violation(w)];
         let axis = (0..3)
             .max_by(|&a, &b| {
                 viol[a]
@@ -423,7 +423,11 @@ mod tests {
         let b = uniform_block(5);
         let loc = BlockLocator::build(&b);
         // Exact block corner and a face point.
-        for p in [Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), Vec3::new(0.5, 0.0, 0.25)] {
+        for p in [
+            Vec3::ZERO,
+            Vec3::new(1.0, 1.0, 1.0),
+            Vec3::new(0.5, 0.0, 0.25),
+        ] {
             let hit = locate_cell(&loc, &b, p, None);
             assert!(hit.is_some(), "boundary point {p:?} not found");
         }

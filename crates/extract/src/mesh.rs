@@ -361,7 +361,10 @@ mod tests {
         let s = tri_soup();
         let b = s.to_bytes();
         assert_eq!(payload_triangle_count(&b), Some(2));
-        assert_eq!(payload_triangle_count(&TriangleSoup::new().to_bytes()), Some(0));
+        assert_eq!(
+            payload_triangle_count(&TriangleSoup::new().to_bytes()),
+            Some(0)
+        );
         assert_eq!(payload_triangle_count(b"xy"), None);
         assert_eq!(payload_triangle_count(&b[..b.len() - 1]), None);
         // Count prefix inconsistent with body length.

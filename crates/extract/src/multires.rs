@@ -64,10 +64,7 @@ pub fn coarsen_scalar(field: &ScalarField, stride: usize) -> ScalarField {
 /// original data.
 pub fn pyramid(data: &BlockData, levels: usize) -> Vec<BlockData> {
     assert!(levels >= 1);
-    (0..levels)
-        .rev()
-        .map(|l| coarsen(data, 1 << l))
-        .collect()
+    (0..levels).rev().map(|l| coarsen(data, 1 << l)).collect()
 }
 
 /// One level's output of a progressive extraction.
@@ -210,10 +207,7 @@ mod tests {
         let res = 17;
         let d = data(res);
         let grid = &d.grid;
-        let field = ScalarField::new(
-            grid.dims,
-            grid.points.iter().map(|p| p.norm()).collect(),
-        );
+        let field = ScalarField::new(grid.dims, grid.points.iter().map(|p| p.norm()).collect());
         let mut emitted = Vec::new();
         let levels = progressive_isosurface(grid, &field, 0.6, 3, |l| {
             emitted.push((l.level, l.stats.triangles));

@@ -90,7 +90,9 @@ impl<F: BlockFetcher> HeldItems<F> {
             Entry::Occupied(held) => Some(held.into_mut()),
             Entry::Vacant(slot) => {
                 let data = self.fetcher.fetch(id)?;
-                self.first_of_block.entry(id.block).or_insert_with(|| data.clone());
+                self.first_of_block
+                    .entry(id.block)
+                    .or_insert_with(|| data.clone());
                 Some(slot.insert(data))
             }
         }
@@ -150,7 +152,9 @@ impl<F: BlockFetcher> MultiBlockSampler<F> {
     /// trace holds nothing of yet.
     fn locate(&mut self, p: Vec3, step: u32) -> Option<(BlockId, CellHit)> {
         let near = self.hint.map(|(b, _)| self.topology.candidates_near(p, b));
-        let all = near.is_none().then(|| self.topology.candidates_for_point(p));
+        let all = near
+            .is_none()
+            .then(|| self.topology.candidates_for_point(p));
         for b in near.into_iter().flatten().chain(all.into_iter().flatten()) {
             let grid = &self.held.geometry(b, step)?.grid;
             let hint_cell = match self.hint {
@@ -341,8 +345,8 @@ pub fn trace_pathline<S: FieldSampler>(
         // Step doubling: one full step vs two half steps.
         let full = scheme_step(sampler, p, t, h_eff, cfg.scheme);
         let half1 = scheme_step(sampler, p, t, h_eff / 2.0, cfg.scheme);
-        let fine = half1
-            .and_then(|ph| scheme_step(sampler, ph, t + h_eff / 2.0, h_eff / 2.0, cfg.scheme));
+        let fine =
+            half1.and_then(|ph| scheme_step(sampler, ph, t + h_eff / 2.0, h_eff / 2.0, cfg.scheme));
         let (Some(full), Some(fine)) = (full, fine) else {
             return PathlineResult {
                 line,
@@ -414,10 +418,7 @@ pub fn trace_streakline<S: FieldSampler>(
         let r = trace_pathline(sampler, seed, t_r, t1, cfg);
         if r.status == TraceStatus::ReachedEndTime {
             if let Some(p) = r.line.points.last() {
-                line.push(
-                    Vec3::new(p[0] as f64, p[1] as f64, p[2] as f64),
-                    t_r,
-                );
+                line.push(Vec3::new(p[0] as f64, p[1] as f64, p[2] as f64), t_r);
             }
         }
     }
@@ -437,7 +438,13 @@ mod tests {
             f: |p: Vec3, _t| Vec3::new(-p.y, p.x, 0.0),
         };
         let seed = Vec3::new(1.0, 0.0, 0.0);
-        let r = trace_pathline(&mut s, seed, 0.0, 2.0 * std::f64::consts::PI, &PathlineConfig::default());
+        let r = trace_pathline(
+            &mut s,
+            seed,
+            0.0,
+            2.0 * std::f64::consts::PI,
+            &PathlineConfig::default(),
+        );
         assert_eq!(r.status, TraceStatus::ReachedEndTime);
         // Radius preserved along the whole path.
         for p in &r.line.points {
@@ -486,7 +493,13 @@ mod tests {
             f: |_p, _t| Vec3::new(1.0, 0.0, 0.0),
         });
         let _ = &mut s;
-        let r = trace_pathline(&mut bounded, Vec3::ZERO, 0.0, 10.0, &PathlineConfig::default());
+        let r = trace_pathline(
+            &mut bounded,
+            Vec3::ZERO,
+            0.0,
+            10.0,
+            &PathlineConfig::default(),
+        );
         assert_eq!(r.status, TraceStatus::LeftDomain);
         let last = r.line.points.last().unwrap();
         assert!(last[0] <= 0.6, "stopped near the boundary: {}", last[0]);
@@ -579,7 +592,12 @@ mod tests {
         let pa = a.line.points.last().unwrap();
         let pb = b.line.points.last().unwrap();
         for i in 0..3 {
-            assert!((pa[i] - pb[i]).abs() < 1e-4, "axis {i}: {} vs {}", pa[i], pb[i]);
+            assert!(
+                (pa[i] - pb[i]).abs() < 1e-4,
+                "axis {i}: {} vs {}",
+                pa[i],
+                pb[i]
+            );
         }
     }
 
@@ -606,7 +624,13 @@ mod tests {
             h_init: ds.spec.dt / 4.0,
             ..PathlineConfig::default()
         };
-        let _ = trace_pathline(&mut sampler, Vec3::new(0.2, 0.0, 0.0), 0.0, ds.spec.dt * 2.5, &cfg);
+        let _ = trace_pathline(
+            &mut sampler,
+            Vec3::new(0.2, 0.0, 0.0),
+            0.0,
+            ds.spec.dt * 2.5,
+            &cfg,
+        );
         let requests = log.lock().unwrap().clone();
         assert!(!requests.is_empty());
         // The trace walks forward through the time levels overall (the
@@ -615,7 +639,10 @@ mod tests {
         // must start at level 0 and reach past it).
         let steps: Vec<u32> = requests.iter().map(|r| r.step).collect();
         assert_eq!(*steps.first().unwrap(), 0);
-        assert!(*steps.iter().max().unwrap() >= 2, "reached later time levels");
+        assert!(
+            *steps.iter().max().unwrap() >= 2,
+            "reached later time levels"
+        );
     }
 
     /// Engine ring at a small resolution with every item generated up
@@ -635,7 +662,12 @@ mod tests {
                 .flat_map(|s| (0..ds.spec.n_blocks).map(move |b| BlockStepId::new(b, s)))
                 .map(|id| (id, Arc::new(ds.generate(id))))
                 .collect();
-            Ring { ds, topology, items, n_steps }
+            Ring {
+                ds,
+                topology,
+                items,
+                n_steps,
+            }
         }
 
         /// Traces from `seed` over all levels; `fetch` sees every request.
@@ -645,7 +677,8 @@ mod tests {
             fetch: impl FnMut(BlockStepId) -> Option<SharedBlockData>,
         ) -> PathlineResult {
             let dt = self.ds.spec.dt;
-            let mut sampler = MultiBlockSampler::new(fetch, self.topology.clone(), self.n_steps, dt);
+            let mut sampler =
+                MultiBlockSampler::new(fetch, self.topology.clone(), self.n_steps, dt);
             let cfg = PathlineConfig {
                 h_init: dt / 4.0,
                 h_min: dt * 1e-6,
@@ -654,7 +687,13 @@ mod tests {
                 max_steps: 20_000,
                 scheme: TimeScheme::VelocityInterp,
             };
-            trace_pathline(&mut sampler, seed, 0.0, f64::from(self.n_steps - 1) * dt, &cfg)
+            trace_pathline(
+                &mut sampler,
+                seed,
+                0.0,
+                f64::from(self.n_steps - 1) * dt,
+                &cfg,
+            )
         }
 
         fn seeds(&self) -> [Vec3; 4] {
@@ -683,7 +722,11 @@ mod tests {
                 // Any later item must have been sampled: with its
                 // velocities doubled the particle goes elsewhere.
                 let mut doubled = (*ring.items[id]).clone();
-                for plane in [&mut doubled.velocity.xs, &mut doubled.velocity.ys, &mut doubled.velocity.zs] {
+                for plane in [
+                    &mut doubled.velocity.xs,
+                    &mut doubled.velocity.ys,
+                    &mut doubled.velocity.zs,
+                ] {
                     plane.iter_mut().for_each(|v| *v *= 2.0);
                 }
                 let doubled = Arc::new(doubled);
@@ -709,12 +752,20 @@ mod tests {
         let trace_all = || -> Vec<Vec<u8>> {
             ring.seeds()
                 .iter()
-                .map(|&seed| ring.trace(seed, |id| ring.items.get(&id).cloned()).line.to_bytes().to_vec())
+                .map(|&seed| {
+                    ring.trace(seed, |id| ring.items.get(&id).cloned())
+                        .line
+                        .to_bytes()
+                        .to_vec()
+                })
                 .collect()
         };
         let first = trace_all();
         let built = ring.topology.locators_built();
-        assert!((2..=ring.ds.spec.n_blocks as usize).contains(&built), "{built} locators");
+        assert!(
+            (2..=ring.ds.spec.n_blocks as usize).contains(&built),
+            "{built} locators"
+        );
         let addresses = |topology: &BlockTopology| -> Vec<usize> {
             (0..ring.ds.spec.n_blocks)
                 .map(|b| topology.locator(b, ring.ds.block_geometry(b)) as *const _ as usize)
@@ -728,10 +779,17 @@ mod tests {
         });
         assert_eq!(a, first);
         assert_eq!(b, first);
-        assert_eq!(ring.topology.locators_built(), built, "a repeated trace built a locator");
+        assert_eq!(
+            ring.topology.locators_built(),
+            built,
+            "a repeated trace built a locator"
+        );
         // Asking for all of them builds the rest, each exactly where it stays.
         let all = addresses(&ring.topology);
-        assert_eq!(ring.topology.locators_built(), ring.ds.spec.n_blocks as usize);
+        assert_eq!(
+            ring.topology.locators_built(),
+            ring.ds.spec.n_blocks as usize
+        );
         assert_eq!(addresses(&ring.topology), all);
     }
 
@@ -772,14 +830,7 @@ mod tests {
         let mut s = AnalyticSampler {
             f: |_p, _t| Vec3::new(1.0, 0.0, 0.0),
         };
-        let line = trace_streakline(
-            &mut s,
-            Vec3::ZERO,
-            0.0,
-            1.0,
-            5,
-            &PathlineConfig::default(),
-        );
+        let line = trace_streakline(&mut s, Vec3::ZERO, 0.0, 1.0, 5, &PathlineConfig::default());
         assert_eq!(line.len(), 5);
         // Ordered latest-release first: x grows along the line.
         for (n, p) in line.points.iter().enumerate() {

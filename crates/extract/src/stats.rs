@@ -112,11 +112,7 @@ impl Histogram {
 
     /// The bin with the most samples: `(bin centre, count)`.
     pub fn mode(&self) -> Option<(f64, u64)> {
-        let (i, &c) = self
-            .bins
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)?;
+        let (i, &c) = self.bins.iter().enumerate().max_by_key(|&(_, &c)| c)?;
         if c == 0 {
             return None;
         }

@@ -342,8 +342,7 @@ mod tests {
     fn case_table_matches_reference_on_all_sixteen_masks() {
         let p = unit_tet();
         for mask in 0..16usize {
-            let s: [f64; 4] =
-                std::array::from_fn(|i| if mask & (1 << i) != 0 { 1.0 } else { 0.0 });
+            let s: [f64; 4] = std::array::from_fn(|i| if mask & (1 << i) != 0 { 1.0 } else { 0.0 });
             let mut fast = TriangleSoup::new();
             let mut slow = TriangleSoup::new();
             let nf = contour_tetra(&p, &s, 0.5, &mut fast);

@@ -127,7 +127,11 @@ pub fn compute_normals(mesh: &mut IndexedMesh) {
             if len < 1e-30 {
                 [0.0, 0.0, 0.0]
             } else {
-                [(n[0] / len) as f32, (n[1] / len) as f32, (n[2] / len) as f32]
+                [
+                    (n[0] / len) as f32,
+                    (n[1] / len) as f32,
+                    (n[2] / len) as f32,
+                ]
             }
         })
         .collect();
@@ -159,7 +163,10 @@ mod tests {
     fn welding_shrinks_vertex_count() {
         let soup = sphere_soup(16, 0.6);
         let mesh = weld(&soup, 1e-5);
-        assert_eq!(mesh.n_triangles() + degenerate_count(&soup), soup.n_triangles());
+        assert_eq!(
+            mesh.n_triangles() + degenerate_count(&soup),
+            soup.n_triangles()
+        );
         // Each welded vertex is shared by ~6 triangles on average.
         assert!(mesh.n_vertices() * 2 < soup.positions.len());
         assert_eq!(mesh.normals.len(), mesh.n_vertices());
@@ -189,8 +196,7 @@ mod tests {
         let mut aligned = 0;
         for (p, n) in mesh.positions.iter().zip(&mesh.normals) {
             let len_p = (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt();
-            let dot =
-                ((p[0] * n[0] + p[1] * n[1] + p[2] * n[2]) / len_p).abs();
+            let dot = ((p[0] * n[0] + p[1] * n[1] + p[2] * n[2]) / len_p).abs();
             if dot > 0.9 {
                 aligned += 1;
             }

@@ -24,9 +24,9 @@ use vira_grid::synth::{engine, test_cube};
 use vira_grid::topology::topology_of;
 
 fn fnv1a(digest: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(digest, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    bytes.iter().fold(digest, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -67,7 +67,9 @@ fn outputs_match_the_recorded_digests() {
     let mut held: HashMap<BlockStepId, SharedBlockData> = HashMap::new();
     let source = ds.clone();
     let fetch = move |id: BlockStepId| {
-        let item = held.entry(id).or_insert_with(|| Arc::new(source.generate(id)));
+        let item = held
+            .entry(id)
+            .or_insert_with(|| Arc::new(source.generate(id)));
         Some(item.clone())
     };
     let mut sampler = MultiBlockSampler::new(fetch, topology, ds.spec.n_steps, ds.spec.dt);
@@ -76,7 +78,13 @@ fn outputs_match_the_recorded_digests() {
         tol: 1e-7,
         ..PathlineConfig::default()
     };
-    let traced = trace_pathline(&mut sampler, Vec3::new(0.3, 0.1, -0.2), 0.0, ds.spec.dt, &cfg);
+    let traced = trace_pathline(
+        &mut sampler,
+        Vec3::new(0.3, 0.1, -0.2),
+        0.0,
+        ds.spec.dt,
+        &cfg,
+    );
     assert!(traced.line.len() > 3);
     got.push(("RK4 pathline", fnv1a(FNV_OFFSET, &traced.line.to_bytes())));
 
@@ -93,7 +101,10 @@ fn outputs_match_the_recorded_digests() {
         .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
     got.push(("ghosted λ₂ field", digest));
 
-    let got: Vec<String> = got.iter().map(|(what, d)| format!("{what}: {d:#018x}")).collect();
+    let got: Vec<String> = got
+        .iter()
+        .map(|(what, d)| format!("{what}: {d:#018x}"))
+        .collect();
     assert_eq!(got, RECORDED, "an output moved");
 }
 
@@ -103,7 +114,9 @@ const RECORDED_MULTI_BLOCK: &str = "16 Engine pathlines: 0xff8a16985d3ffca5";
 
 /// Sector of the Engine ring a polyline point lies in.
 fn engine_sector(p: &[f32; 3]) -> u32 {
-    let theta = f64::from(p[1]).atan2(f64::from(p[0])).rem_euclid(std::f64::consts::TAU);
+    let theta = f64::from(p[1])
+        .atan2(f64::from(p[0]))
+        .rem_euclid(std::f64::consts::TAU);
     (theta / std::f64::consts::TAU * 23.0) as u32
 }
 
@@ -149,7 +162,11 @@ fn multi_block_pathlines_match_the_recorded_digest() {
             h_max: dt,
             tol: 1e-5,
             max_steps: 20_000,
-            scheme: if n % 2 == 0 { TimeScheme::VelocityInterp } else { TimeScheme::AdjacentLevels },
+            scheme: if n % 2 == 0 {
+                TimeScheme::VelocityInterp
+            } else {
+                TimeScheme::AdjacentLevels
+            },
         };
         let traced = trace_pathline(&mut sampler, seed, 0.0, f64::from(n_steps - 1) * dt, &cfg);
         digest = fnv1a(digest, &traced.line.to_bytes());
@@ -158,6 +175,13 @@ fn multi_block_pathlines_match_the_recorded_digest() {
         let sectors: Vec<u32> = traced.line.points.iter().map(engine_sector).collect();
         crossed += usize::from(sectors.iter().any(|&s| s != sectors[0]));
     }
-    assert!(crossed >= 12, "only {crossed} of 16 traces cross a block boundary");
-    assert_eq!(format!("16 Engine pathlines: {digest:#018x}"), RECORDED_MULTI_BLOCK, "an output moved");
+    assert!(
+        crossed >= 12,
+        "only {crossed} of 16 traces cross a block boundary"
+    );
+    assert_eq!(
+        format!("16 Engine pathlines: {digest:#018x}"),
+        RECORDED_MULTI_BLOCK,
+        "an output moved"
+    );
 }

@@ -227,10 +227,7 @@ pub fn unmatched_interfaces(
 /// distinguishes genuine face-neighbours from diagonal AABB contacts.
 fn shares_an_edge(a: &CurvilinearBlock, b: &CurvilinearBlock, tol: f64) -> bool {
     let pa = face_points(a, Face::JMax);
-    let pb: Vec<Vec3> = Face::ALL
-        .iter()
-        .flat_map(|&f| face_points(b, f))
-        .collect();
+    let pb: Vec<Vec3> = Face::ALL.iter().flat_map(|&f| face_points(b, f)).collect();
     let mut matches = 0;
     for p in &pa {
         if pb.iter().any(|q| (*p - *q).norm() <= tol) {

@@ -303,9 +303,8 @@ mod tests {
 
     #[test]
     fn block_data_memory_accounting() {
-        let g = CurvilinearBlock::from_fn(7, dims(), |i, j, k| {
-            Vec3::new(i as f64, j as f64, k as f64)
-        });
+        let g =
+            CurvilinearBlock::from_fn(7, dims(), |i, j, k| Vec3::new(i as f64, j as f64, k as f64));
         let v = VectorField::from_fn(dims(), |_, _, _| Vec3::ZERO);
         let bd = BlockData::new(BlockStepId::new(7, 0), g, v, 0.0);
         // 27 velocity vectors, 24 bytes each; the shared geometry is not
@@ -348,7 +347,10 @@ mod tests {
                 .map(|n| Vec3::new(f.xs[n], f.ys[n], f.zs[n]));
             assert_eq!(f.cell_corners(i, j, k), gathered);
             for &(u, v, w) in &[(0.0, 0.0, 0.0), (0.3, 0.9, 0.55), (1.0, 1.0, 1.0)] {
-                let (a, b) = (f.sample((i, j, k), u, v, w), trilinear_vec3(&gathered, u, v, w));
+                let (a, b) = (
+                    f.sample((i, j, k), u, v, w),
+                    trilinear_vec3(&gathered, u, v, w),
+                );
                 assert_eq!(
                     [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
                     [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()]

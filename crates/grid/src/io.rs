@@ -83,7 +83,10 @@ pub enum FormatError {
     },
     /// A field-only item names another block, or other dims, than the
     /// geometry it is read back onto.
-    OtherGeometry { block: BlockId, dims: BlockDims },
+    OtherGeometry {
+        block: BlockId,
+        dims: BlockDims,
+    },
     /// Descriptor JSON was malformed.
     BadDescriptor(String),
     /// The requested item lies outside the dataset.
@@ -106,7 +109,11 @@ impl fmt::Display for FormatError {
             ),
             FormatError::BadDescriptor(s) => write!(f, "bad dataset descriptor: {s}"),
             FormatError::OutOfRange(id) => {
-                write!(f, "item (block {}, step {}) out of range", id.block, id.step)
+                write!(
+                    f,
+                    "item (block {}, step {}) out of range",
+                    id.block, id.step
+                )
             }
         }
     }
@@ -325,7 +332,10 @@ pub fn read_block_field(
 ) -> Result<BlockData, FormatError> {
     let Header { id, dims, time } = read_header(r, FIELD_VERSION)?;
     if id.block != grid.id || dims != grid.dims {
-        return Err(FormatError::OtherGeometry { block: id.block, dims });
+        return Err(FormatError::OtherGeometry {
+            block: id.block,
+            dims,
+        });
     }
     let velocity = read_velocity(r, dims, &mut Vec::new())?;
     Ok(BlockData::new(id, Arc::clone(grid), velocity, time))
@@ -365,7 +375,11 @@ impl DatasetDescriptor {
                     ("n_steps", spec.n_steps.into()),
                     (
                         "block_dims",
-                        Json::obj([("ni", dims.ni.into()), ("nj", dims.nj.into()), ("nk", dims.nk.into())]),
+                        Json::obj([
+                            ("ni", dims.ni.into()),
+                            ("nj", dims.nj.into()),
+                            ("nk", dims.nk.into()),
+                        ]),
                     ),
                     ("nominal_disk_bytes", spec.nominal_disk_bytes.into()),
                     ("dt", spec.dt.into()),
@@ -875,7 +889,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         for text in ["", "{\"spec\": 3}", "[[[["] {
             fs::write(dir.join("dataset.json"), text).unwrap();
-            assert!(matches!(DiskDataset::open(&dir), Err(FormatError::BadDescriptor(_))));
+            assert!(matches!(
+                DiskDataset::open(&dir),
+                Err(FormatError::BadDescriptor(_))
+            ));
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -16,7 +16,11 @@ pub struct Vec3 {
 }
 
 impl Vec3 {
-    pub const ZERO: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 0.0 };
+    pub const ZERO: Vec3 = Vec3 {
+        x: 0.0,
+        y: 0.0,
+        z: 0.0,
+    };
 
     #[inline]
     pub const fn new(x: f64, y: f64, z: f64) -> Self {
@@ -224,11 +228,7 @@ impl Mat3 {
     #[inline]
     pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3 {
         Mat3 {
-            m: [
-                [c0.x, c1.x, c2.x],
-                [c0.y, c1.y, c2.y],
-                [c0.z, c1.z, c2.z],
-            ],
+            m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
         }
     }
 
@@ -290,11 +290,7 @@ impl Mat3 {
     /// Matrix-vector product.
     #[inline]
     pub fn mul_vec(&self, v: Vec3) -> Vec3 {
-        Vec3::new(
-            self.row(0).dot(v),
-            self.row(1).dot(v),
-            self.row(2).dot(v),
-        )
+        Vec3::new(self.row(0).dot(v), self.row(1).dot(v), self.row(2).dot(v))
     }
 
     /// Matrix-matrix product.
@@ -570,7 +566,10 @@ mod tests {
             Vec3::new(0.0, 2.0, 0.0),
             Vec3::new(0.0, 0.0, 3.0),
         );
-        assert_eq!(a.mul_vec(Vec3::new(1.0, 1.0, 1.0)), Vec3::new(1.0, 2.0, 3.0));
+        assert_eq!(
+            a.mul_vec(Vec3::new(1.0, 1.0, 1.0)),
+            Vec3::new(1.0, 2.0, 3.0)
+        );
     }
 
     #[test]

@@ -199,8 +199,7 @@ impl AnalyticFlow for BladeVortexRing {
             // Tangent of rotation about the (z-parallel) vortex axis.
             v += Vec3::new(-dy / r, dx / r, 0.0) * (v_theta * decay);
             // Axial momentum deficit in the blade wake.
-            let wake =
-                (-r2 / (self.deficit_radius * self.deficit_radius)).exp() * decay;
+            let wake = (-r2 / (self.deficit_radius * self.deficit_radius)).exp() * decay;
             v.z -= self.axial_deficit * wake;
         }
         v
@@ -245,8 +244,7 @@ impl DatasetSpec {
     /// of step 0, then step 1, …) — the order data sets are stored in and
     /// the "next block" relation used by sequential prefetchers (§4.2).
     pub fn items_in_file_order(&self) -> impl Iterator<Item = BlockStepId> + '_ {
-        (0..self.n_steps)
-            .flat_map(move |s| (0..self.n_blocks).map(move |b| BlockStepId::new(b, s)))
+        (0..self.n_steps).flat_map(move |s| (0..self.n_blocks).map(move |b| BlockStepId::new(b, s)))
     }
 
     pub fn n_items(&self) -> u64 {
@@ -264,7 +262,11 @@ pub struct SyntheticDataset {
 }
 
 impl SyntheticDataset {
-    pub fn new(spec: DatasetSpec, blocks: Vec<CurvilinearBlock>, flow: Arc<dyn AnalyticFlow>) -> Self {
+    pub fn new(
+        spec: DatasetSpec,
+        blocks: Vec<CurvilinearBlock>,
+        flow: Arc<dyn AnalyticFlow>,
+    ) -> Self {
         assert_eq!(blocks.len(), spec.n_blocks as usize, "block count mismatch");
         let blocks = blocks.into_iter().map(Arc::new).collect();
         SyntheticDataset { spec, blocks, flow }
@@ -299,9 +301,8 @@ impl SyntheticDataset {
         let grid = Arc::clone(&self.blocks[id.block as usize]);
         let t = self.time_of_step(id.step);
         let flow = &self.flow;
-        let velocity = VectorField::from_fn(grid.dims, |i, j, k| {
-            flow.velocity(grid.point(i, j, k), t)
-        });
+        let velocity =
+            VectorField::from_fn(grid.dims, |i, j, k| flow.velocity(grid.point(i, j, k), t));
         BlockData::new(id, grid, velocity, t)
     }
 
@@ -376,11 +377,7 @@ pub fn engine(res: usize) -> SyntheticDataset {
         -0.5,
         0.010,
     );
-    let flow = Superposition::new(vec![
-        Box::new(intake),
-        Box::new(jet_a),
-        Box::new(jet_b),
-    ]);
+    let flow = Superposition::new(vec![Box::new(intake), Box::new(jet_a), Box::new(jet_b)]);
     let spec = DatasetSpec {
         name: "Engine".to_string(),
         n_blocks,
@@ -413,10 +410,13 @@ pub fn propfan(res: usize) -> SyntheticDataset {
             let theta1 = TAU * (s + 1) as f64 / n_sectors as f64;
             let z0 = length * a as f64 / n_axial as f64;
             let z1 = length * (a + 1) as f64 / n_axial as f64;
-            blocks.push(cylinder_sector_block(id, dims, hub, tip, theta0, theta1, z0, z1));
+            blocks.push(cylinder_sector_block(
+                id, dims, hub, tip, theta0, theta1, z0, z1,
+            ));
         }
     }
     let omega = 2.0 * PI * 40.0; // 40 rev/s
+
     // Core radii are sized to stay resolvable on the scaled-down bench
     // grids; circulations give tangential speeds of a few m/s against the
     // 30 m/s through-flow, and the wake deficits carve |u| structure the
@@ -499,7 +499,10 @@ mod tests {
         // the axis.
         assert!(vel.dot(Vec3::new(1.0, 0.0, 0.0)).abs() < 1e-12);
         assert!(vel.dot(Vec3::new(0.0, 0.0, 1.0)).abs() < 1e-12);
-        assert!(vel.y > 0.0, "positive circulation rotates counter-clockwise");
+        assert!(
+            vel.y > 0.0,
+            "positive circulation rotates counter-clockwise"
+        );
         // On the axis the velocity vanishes.
         assert_eq!(v.velocity(Vec3::new(0.0, 0.0, 1.0), 0.0), Vec3::ZERO);
     }

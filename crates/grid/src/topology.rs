@@ -186,7 +186,11 @@ mod tests {
     fn candidates_near_prefers_hint() {
         let topo = BlockTopology::from_bboxes(row_of_boxes(3), 1e-9);
         let near = |p, hint| topo.candidates_near(p, hint).collect::<Vec<_>>();
-        assert_eq!(near(Vec3::new(1.0, 0.5, 0.5), 1), vec![1, 0], "hint block first");
+        assert_eq!(
+            near(Vec3::new(1.0, 0.5, 0.5), 1),
+            vec![1, 0],
+            "hint block first"
+        );
         // Neither the hint nor its neighbour holds the point: global scan.
         assert_eq!(near(Vec3::new(2.5, 0.5, 0.5), 0), vec![2]);
         assert!(near(Vec3::new(10.0, 0.0, 0.0), 0).is_empty());
@@ -209,7 +213,10 @@ mod tests {
         assert_eq!(a, b, "both threads hold the same locator");
         assert_eq!(topo.locators_built(), 1);
         // A later step's item of the same block finds it built.
-        assert_eq!(topo.locator(3, &grid.clone()) as *const BlockLocator as usize, a);
+        assert_eq!(
+            topo.locator(3, &grid.clone()) as *const BlockLocator as usize,
+            a
+        );
         assert_eq!(topo.locators_built(), 1);
     }
 

@@ -122,8 +122,7 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
             .filter(|m| m.tid == wj.tid)
             .map(|m| m.dur_ns)
             .unwrap_or(0);
-        let in_job =
-            |s: &&FlightSpan| s.tid == wj.tid && s.ts_ns >= wj.ts_ns && end(s) <= end(wj);
+        let in_job = |s: &&FlightSpan| s.tid == wj.tid && s.ts_ns >= wj.ts_ns && end(s) <= end(wj);
         let stage: Vec<&FlightSpan> = spans
             .iter()
             .filter(|s| s.name == "extract.block" || s.name == "extract.round")
@@ -150,7 +149,10 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
                 "l2" => a.dms_l2_ns += d.dur_ns,
                 _ => a.dms_miss_ns += d.dur_ns,
             }
-            if blocks.iter().any(|b| d.ts_ns >= b.ts_ns && end(d) <= end(b)) {
+            if blocks
+                .iter()
+                .any(|b| d.ts_ns >= b.ts_ns && end(d) <= end(b))
+            {
                 // Nested inside an extract.block: reclassify that slice
                 // of extraction time as load time.
                 extract = extract.saturating_sub(d.dur_ns);
@@ -172,8 +174,7 @@ pub fn analyze_spans(spans: &[FlightSpan]) -> Option<JobAttribution> {
 /// Analyzes every `flight-<trace_id>.jsonl` in `dir` (the artifact
 /// directory written by [`crate::export_all`]), sorted by trace id.
 pub fn analyze_dir(dir: &Path) -> Result<Vec<JobAttribution>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut out = Vec::new();
     for ent in entries {
         let ent = ent.map_err(|e| e.to_string())?;
@@ -181,8 +182,7 @@ pub fn analyze_dir(dir: &Path) -> Result<Vec<JobAttribution>, String> {
         if !name.starts_with("flight-") || !name.ends_with(".jsonl") {
             continue;
         }
-        let text =
-            std::fs::read_to_string(ent.path()).map_err(|e| format!("{name}: {e}"))?;
+        let text = std::fs::read_to_string(ent.path()).map_err(|e| format!("{name}: {e}"))?;
         let spans = parse_flight_spans(&text).map_err(|e| format!("{name}: {e}"))?;
         if let Some(a) = analyze_spans(&spans) {
             out.push(a);
@@ -197,8 +197,20 @@ pub fn render_table(rows: &[JobAttribution]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:>6} {:>5} {:>10} {:>9} {:>8} {:>8} {:>8} {:>8} {:>10} {:>9} {:>8} {:>8} {:>9} {:>6}\n",
-        "trace", "job", "wall_ms", "queue", "disp", "dms_l1", "dms_l2", "dms_miss", "extract",
-        "gather", "merge", "final", "ttft_ms", "cov%"
+        "trace",
+        "job",
+        "wall_ms",
+        "queue",
+        "disp",
+        "dms_l1",
+        "dms_l2",
+        "dms_miss",
+        "extract",
+        "gather",
+        "merge",
+        "final",
+        "ttft_ms",
+        "cov%"
     ));
     let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
     for r in rows {
@@ -228,13 +240,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn fs(
-        name: &str,
-        ts: u64,
-        dur: u64,
-        tid: u64,
-        args: &[(&str, Json)],
-    ) -> FlightSpan {
+    fn fs(name: &str, ts: u64, dur: u64, tid: u64, args: &[(&str, Json)]) -> FlightSpan {
         FlightSpan {
             trace_id: 5,
             name: name.into(),
@@ -259,9 +265,21 @@ mod tests {
             fs("worker.job", 150, 800, 2, &[]),
             // Extraction with a nested cache miss.
             fs("extract.block", 200, 300, 2, &[]),
-            fs("dms.request", 250, 100, 2, &[("tier", Json::Str("miss".into()))]),
+            fs(
+                "dms.request",
+                250,
+                100,
+                2,
+                &[("tier", Json::Str("miss".into()))],
+            ),
             // A demand load outside any extract.block (e.g. a merge-side read).
-            fs("dms.request", 520, 30, 2, &[("tier", Json::Str("l1".into()))]),
+            fs(
+                "dms.request",
+                520,
+                30,
+                2,
+                &[("tier", Json::Str("l1".into()))],
+            ),
             fs("worker.merge", 900, 50, 2, &[]),
             // A sibling rank's work must not pollute the master's stages.
             fs("worker.job", 160, 400, 3, &[]),
@@ -283,8 +301,14 @@ mod tests {
         assert_eq!(a.dms_l2_ns, 0);
         assert_eq!(a.extract_ns, 200, "300 block minus 100 nested load");
         assert_eq!(a.merge_ns, 50);
-        assert_eq!(a.finalize_ns, 50, "worker.job end 950 -> sched.job end 1000");
-        assert_eq!(a.gather_ns, 420, "800 job - 300 blocks - 30 load - 50 merge");
+        assert_eq!(
+            a.finalize_ns, 50,
+            "worker.job end 950 -> sched.job end 1000"
+        );
+        assert_eq!(
+            a.gather_ns, 420,
+            "800 job - 300 blocks - 30 load - 50 merge"
+        );
         assert_eq!(a.ttft_ns, 640);
         assert_eq!(a.attributed_ns(), 1_000);
         assert!((a.coverage - 1.0).abs() < 1e-9);
@@ -297,7 +321,10 @@ mod tests {
         spans[2].dur_ns = 900;
         let a = analyze_spans(&spans).unwrap();
         assert_eq!(a.finalize_ns, 0);
-        assert_eq!(a.gather_ns, 470, "850 clipped job - 300 blocks - 30 load - 50 merge");
+        assert_eq!(
+            a.gather_ns, 470,
+            "850 clipped job - 300 blocks - 30 load - 50 merge"
+        );
         assert_eq!(a.attributed_ns(), 1_000);
     }
 

@@ -66,19 +66,19 @@ fn check_dir(
     for d in dirs {
         let jsonl = d.join("events.jsonl");
         if jsonl.is_file() {
-            let text = std::fs::read_to_string(&jsonl)
-                .map_err(|e| format!("{}: {e}", jsonl.display()))?;
-            let n = validate_events_jsonl(&text)
-                .map_err(|e| format!("{}: {e}", jsonl.display()))?;
+            let text =
+                std::fs::read_to_string(&jsonl).map_err(|e| format!("{}: {e}", jsonl.display()))?;
+            let n =
+                validate_events_jsonl(&text).map_err(|e| format!("{}: {e}", jsonl.display()))?;
             println!("ok {} ({n} events)", jsonl.display());
             found += 1;
         }
         let trace = d.join("trace.json");
         if trace.is_file() {
-            let text = std::fs::read_to_string(&trace)
-                .map_err(|e| format!("{}: {e}", trace.display()))?;
-            let n = validate_chrome_trace(&text)
-                .map_err(|e| format!("{}: {e}", trace.display()))?;
+            let text =
+                std::fs::read_to_string(&trace).map_err(|e| format!("{}: {e}", trace.display()))?;
+            let n =
+                validate_chrome_trace(&text).map_err(|e| format!("{}: {e}", trace.display()))?;
             let flows = validate_chrome_trace_flows(&text)
                 .map_err(|e| format!("{}: {e}", trace.display()))?;
             println!("ok {} ({n} spans, {flows} flow events)", trace.display());
@@ -86,17 +86,17 @@ fn check_dir(
         }
         let prom = d.join("metrics.prom");
         if prom.is_file() {
-            let text = std::fs::read_to_string(&prom)
-                .map_err(|e| format!("{}: {e}", prom.display()))?;
-            let n = validate_prometheus_text(&text)
-                .map_err(|e| format!("{}: {e}", prom.display()))?;
+            let text =
+                std::fs::read_to_string(&prom).map_err(|e| format!("{}: {e}", prom.display()))?;
+            let n =
+                validate_prometheus_text(&text).map_err(|e| format!("{}: {e}", prom.display()))?;
             println!("ok {} ({n} families)", prom.display());
             found += 1;
         }
         let mj = d.join("metrics.json");
         if mj.is_file() {
-            let text = std::fs::read_to_string(&mj)
-                .map_err(|e| format!("{}: {e}", mj.display()))?;
+            let text =
+                std::fs::read_to_string(&mj).map_err(|e| format!("{}: {e}", mj.display()))?;
             let j = json::parse(&text).map_err(|e| format!("{}: {e}", mj.display()))?;
             let (seen, drops) =
                 scan_metrics_json(&j).map_err(|e| format!("{}: {e}", mj.display()))?;
@@ -134,8 +134,8 @@ fn check_dir(
         }
         let tj = d.join("telemetry.json");
         if tj.is_file() {
-            let text = std::fs::read_to_string(&tj)
-                .map_err(|e| format!("{}: {e}", tj.display()))?;
+            let text =
+                std::fs::read_to_string(&tj).map_err(|e| format!("{}: {e}", tj.display()))?;
             let (ranks, slos) =
                 validate_telemetry_json(&text).map_err(|e| format!("{}: {e}", tj.display()))?;
             println!("ok {} ({ranks} ranks, {slos} SLOs)", tj.display());
@@ -148,10 +148,10 @@ fn check_dir(
                     continue;
                 }
                 let p = entry.path();
-                let text = std::fs::read_to_string(&p)
-                    .map_err(|e| format!("{}: {e}", p.display()))?;
-                let n = validate_flight_jsonl(&text)
-                    .map_err(|e| format!("{}: {e}", p.display()))?;
+                let text =
+                    std::fs::read_to_string(&p).map_err(|e| format!("{}: {e}", p.display()))?;
+                let n =
+                    validate_flight_jsonl(&text).map_err(|e| format!("{}: {e}", p.display()))?;
                 println!("ok {} ({n} records)", p.display());
                 found += 1;
             }

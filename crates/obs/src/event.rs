@@ -246,7 +246,10 @@ mod tests {
         assert_eq!(mine[0].level, Level::Info);
         assert_eq!(mine[0].message, "hello");
         assert_eq!(mine[0].fields[0], ("n".to_owned(), Field::U64(3)));
-        assert_eq!(mine[0].fields[1], ("who".to_owned(), Field::Str("world".into())));
+        assert_eq!(
+            mine[0].fields[1],
+            ("who".to_owned(), Field::Str("world".into()))
+        );
         assert_eq!(mine[1].level, Level::Warn);
         assert!(mine[0].ts_ns <= mine[1].ts_ns);
         set_stderr_echo(true);
@@ -271,6 +274,9 @@ mod tests {
         assert_eq!(evs.len(), EVENT_CAPACITY);
         assert_eq!(dropped, 5);
         assert_eq!(evs[0].message, "m5");
-        assert_eq!(evs.last().unwrap().message, format!("m{}", EVENT_CAPACITY + 4));
+        assert_eq!(
+            evs.last().unwrap().message,
+            format!("m{}", EVENT_CAPACITY + 4)
+        );
     }
 }

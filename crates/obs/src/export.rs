@@ -111,7 +111,10 @@ pub fn events_jsonl(events: &[EventRecord]) -> String {
             ("level", e.level.as_str().into()),
             ("target", e.target.as_str().into()),
             ("msg", e.message.as_str().into()),
-            ("fields", Json::map(e.fields.iter().map(|(k, v)| (k, Json::from(v))))),
+            (
+                "fields",
+                Json::map(e.fields.iter().map(|(k, v)| (k, Json::from(v)))),
+            ),
         ])
         .append(&mut out);
         out.push('\n');
@@ -211,8 +214,14 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
         (name, row)
     });
     Json::obj([
-        ("counters", Json::map(snap.counters.iter().map(|(n, v)| (n, *v)))),
-        ("gauges", Json::map(snap.gauges.iter().map(|(n, v)| (n, *v)))),
+        (
+            "counters",
+            Json::map(snap.counters.iter().map(|(n, v)| (n, *v))),
+        ),
+        (
+            "gauges",
+            Json::map(snap.gauges.iter().map(|(n, v)| (n, *v))),
+        ),
         ("histograms", Json::map(histograms)),
     ])
     .to_string()
@@ -404,10 +413,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
         if line.starts_with('#') {
             continue; // free-form comment
         }
-        let name_part = line
-            .split(['{', ' '])
-            .next()
-            .unwrap_or("");
+        let name_part = line.split(['{', ' ']).next().unwrap_or("");
         if !valid_name(name_part) {
             return Err(err(&format!("bad metric name '{name_part}'")));
         }
@@ -479,13 +485,15 @@ pub fn write_artifacts(
 ) -> io::Result<ExportSummary> {
     std::fs::create_dir_all(dir)?;
     let trace = chrome_trace_json(dump);
-    let spans = validate_chrome_trace(&trace)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("trace self-check: {e}")))?;
+    let spans = validate_chrome_trace(&trace).map_err(|e| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("trace self-check: {e}"))
+    })?;
     validate_chrome_trace_flows(&trace)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("flow self-check: {e}")))?;
     let jsonl = events_jsonl(events);
-    let n_events = validate_events_jsonl(&jsonl)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("jsonl self-check: {e}")))?;
+    let n_events = validate_events_jsonl(&jsonl).map_err(|e| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("jsonl self-check: {e}"))
+    })?;
     let prom = prometheus_text(snap);
     validate_prometheus_text(&prom)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("prom self-check: {e}")))?;
@@ -725,9 +733,7 @@ mod tests {
         let events = v.get("traceEvents").unwrap().as_arr().unwrap();
         let flows: Vec<_> = events
             .iter()
-            .filter(|e| {
-                matches!(e.get("ph").and_then(Json::as_str), Some("s") | Some("f"))
-            })
+            .filter(|e| matches!(e.get("ph").and_then(Json::as_str), Some("s") | Some("f")))
             .collect();
         assert_eq!(flows.len(), 2);
         for f in &flows {
@@ -763,10 +769,7 @@ mod tests {
         assert!(text.contains("weird_name_with_dots 1\n"), "name sanitized");
         // Samples without HELP/TYPE must be rejected.
         assert!(validate_prometheus_text("lonely_total 3\n").is_err());
-        assert!(validate_prometheus_text(
-            "# TYPE lonely_total counter\nlonely_total 3\n"
-        )
-        .is_err());
+        assert!(validate_prometheus_text("# TYPE lonely_total counter\nlonely_total 3\n").is_err());
         assert!(validate_prometheus_text(
             "# HELP lonely_total h\n# TYPE lonely_total counter\nlonely_total 3\n"
         )
@@ -794,7 +797,10 @@ mod tests {
         let bad = unregistered_metric_names(&snap);
         assert_eq!(
             bad,
-            vec!["sched_requeue_total".to_string(), "test_metrics_gauge".to_string()]
+            vec![
+                "sched_requeue_total".to_string(),
+                "test_metrics_gauge".to_string()
+            ]
         );
         assert!(crate::metrics::is_registered("sched_requeues_total"));
         assert!(crate::metrics::metric_help("vista_packets_total").is_some());
@@ -830,10 +836,7 @@ mod tests {
 
     #[test]
     fn write_artifacts_writes_all_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "vira-obs-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("vira-obs-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let summary = write_artifacts(
             &dir,

@@ -178,8 +178,12 @@ pub fn write_flight_files(
     let mut out = Vec::new();
     for id in trace_ids(dump) {
         let text = flight_jsonl(dump, events, id);
-        validate_flight_jsonl(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("flight self-check: {e}")))?;
+        validate_flight_jsonl(&text).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("flight self-check: {e}"),
+            )
+        })?;
         let path = dir.join(format!("flight-{id}.jsonl"));
         std::fs::write(&path, text)?;
         out.push((id, path));

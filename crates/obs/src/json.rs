@@ -63,7 +63,12 @@ impl Json {
 
     /// An object from dynamic `(key, value)` pairs, in iteration order.
     pub fn map<K: Into<String>, V: Into<Json>>(pairs: impl IntoIterator<Item = (K, V)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v.into())).collect())
+        Json::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
     }
 
     /// An array of whatever converts into a value.

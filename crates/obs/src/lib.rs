@@ -55,9 +55,7 @@ pub use metrics::{
     METRIC_REGISTRY,
 };
 pub use ship::{take_delta, MetricsDelta, SparseHist};
-pub use slo::{
-    default_specs, render_telemetry_json, RankMeta, SloEngine, SloSpec, SloStatus,
-};
+pub use slo::{default_specs, render_telemetry_json, RankMeta, SloEngine, SloSpec, SloStatus};
 pub use trace::{
     complete_span, complete_span_ctx, current_ctx, drain, enabled, epoch, install_ctx, instant_ns,
     intern, next_span_id, now_ns, set_enabled, span, ArgValue, CtxGuard, SpanGuard, SpanRecord,

@@ -217,7 +217,10 @@ mod tests {
             let r = r.clone();
             std::thread::spawn(move || {
                 for i in 0..200_000u64 {
-                    r.push(Pair { a: i, b: i ^ 0xdead_beef });
+                    r.push(Pair {
+                        a: i,
+                        b: i ^ 0xdead_beef,
+                    });
                 }
             })
         };
@@ -234,6 +237,10 @@ mod tests {
             total += 1;
         }
         assert!(total > 0);
-        assert_eq!(total + r.dropped(), 200_000, "every push drained or counted");
+        assert_eq!(
+            total + r.dropped(),
+            200_000,
+            "every push drained or counted"
+        );
     }
 }

@@ -153,12 +153,7 @@ pub fn take_delta(rank: u64) -> Option<MetricsDelta> {
     let now = metrics::snapshot();
     let mut st = state().lock().unwrap();
     let d = now.delta(&st.last);
-    let counters: Vec<(String, u64)> = d
-        .counters
-        .iter()
-        .filter(|(_, v)| *v > 0)
-        .cloned()
-        .collect();
+    let counters: Vec<(String, u64)> = d.counters.iter().filter(|(_, v)| *v > 0).cloned().collect();
     let histograms: Vec<(String, SparseHist)> = d
         .histograms
         .iter()
@@ -193,7 +188,9 @@ fn delta_is_interesting(
     histograms: &[(String, SparseHist)],
     gauges_changed: bool,
 ) -> bool {
-    counters.iter().any(|(n, _)| n != "obs_deltas_shipped_total")
+    counters
+        .iter()
+        .any(|(n, _)| n != "obs_deltas_shipped_total")
         || !histograms.is_empty()
         || gauges_changed
 }
@@ -428,7 +425,9 @@ mod tests {
         h.record(1000);
         let d1 = take_delta(0).expect("first cut ships");
         assert_eq!(
-            d1.counters.iter().find(|(n, _)| n == "test_ship_conserved_total"),
+            d1.counters
+                .iter()
+                .find(|(n, _)| n == "test_ship_conserved_total"),
             Some(&("test_ship_conserved_total".into(), 7))
         );
         assert_eq!(
@@ -449,7 +448,9 @@ mod tests {
         c.add(3);
         let d2 = take_delta(1).expect("second cut ships the increment");
         assert_eq!(
-            d2.counters.iter().find(|(n, _)| n == "test_ship_conserved_total"),
+            d2.counters
+                .iter()
+                .find(|(n, _)| n == "test_ship_conserved_total"),
             Some(&("test_ship_conserved_total".into(), 3))
         );
         assert!(d2.seq > d1.seq);

@@ -321,17 +321,29 @@ pub fn render_telemetry_json(
         ];
         if let Some(rs) = db.rank_state(meta.rank) {
             let age = now_ns.saturating_sub(rs.last_ingest_ns);
-            row.extend([("deltas", rs.deltas_accepted.into()), ("last_delta_age_ns", age.into())]);
+            row.extend([
+                ("deltas", rs.deltas_accepted.into()),
+                ("last_delta_age_ns", age.into()),
+            ]);
         }
         let counters = cnames.iter().flat_map(|n| {
-            let mine = db.counter_by_rank(n).into_iter().filter(|&(r, _)| r == meta.rank);
+            let mine = db
+                .counter_by_rank(n)
+                .into_iter()
+                .filter(|&(r, _)| r == meta.rank);
             mine.map(move |(_, v)| (n, exact(v)))
         });
         let gauges = gnames.iter().flat_map(|n| {
-            let mine = db.gauge_by_rank(n).into_iter().filter(|&(r, _)| r == meta.rank);
+            let mine = db
+                .gauge_by_rank(n)
+                .into_iter()
+                .filter(|&(r, _)| r == meta.rank);
             mine.map(move |(_, v)| (n, Json::from(v)))
         });
-        row.extend([("counters", Json::map(counters)), ("gauges", Json::map(gauges))]);
+        row.extend([
+            ("counters", Json::map(counters)),
+            ("gauges", Json::map(gauges)),
+        ]);
         Json::map(row)
     };
 
@@ -374,7 +386,9 @@ pub fn validate_telemetry_json(text: &str) -> Result<(usize, usize), String> {
     if j.get("v").and_then(|v| v.as_u64()) != Some(1) {
         return Err("telemetry.json: missing or unknown version 'v'".into());
     }
-    let cluster = j.get("cluster").ok_or("telemetry.json: missing 'cluster'")?;
+    let cluster = j
+        .get("cluster")
+        .ok_or("telemetry.json: missing 'cluster'")?;
     for section in ["counters", "gauges", "quantiles"] {
         if cluster.get(section).and_then(|v| v.as_obj()).is_none() {
             return Err(format!("telemetry.json: missing cluster.{section}"));

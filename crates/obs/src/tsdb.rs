@@ -406,10 +406,7 @@ mod tests {
             rank,
             seq,
             t_ns: seq * 1000,
-            counters: counters
-                .iter()
-                .map(|(n, v)| (n.to_string(), *v))
-                .collect(),
+            counters: counters.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
             ..Default::default()
         }
     }
@@ -462,8 +459,14 @@ mod tests {
         assert_eq!(db.rank_state(1).unwrap().last_seq, 5);
         // Far ahead: the window moves on and what falls out is refused.
         assert!(db.ingest(&delta(1, 100, &[("jobs_total", 1)]), 400));
-        assert!(!db.ingest(&delta(1, 36, &[("jobs_total", 1)]), 500), "64 behind");
-        assert!(db.ingest(&delta(1, 37, &[("jobs_total", 1)]), 500), "63 behind");
+        assert!(
+            !db.ingest(&delta(1, 36, &[("jobs_total", 1)]), 500),
+            "64 behind"
+        );
+        assert!(
+            db.ingest(&delta(1, 37, &[("jobs_total", 1)]), 500),
+            "63 behind"
+        );
         assert!(!db.ingest(&delta(1, 37, &[("jobs_total", 1)]), 600));
         assert_eq!(db.counter_total("jobs_total"), 14);
         assert_eq!(db.dup_dropped(), 4);
@@ -534,7 +537,10 @@ mod tests {
             ..TsdbConfig::default()
         };
         let mut db = Tsdb::new(cfg);
-        db.ingest(&delta(1, 1, &[("a_total", 1), ("b_total", 1), ("c_total", 1)]), 10);
+        db.ingest(
+            &delta(1, 1, &[("a_total", 1), ("b_total", 1), ("c_total", 1)]),
+            10,
+        );
         assert_eq!(db.series_dropped(), 1);
         assert_eq!(db.counter_total("a_total"), 1);
         assert_eq!(db.counter_total("b_total"), 1);

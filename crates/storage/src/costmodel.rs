@@ -41,8 +41,11 @@ pub enum CostCategory {
 }
 
 impl CostCategory {
-    pub const ALL: [CostCategory; 3] =
-        [CostCategory::Read, CostCategory::Compute, CostCategory::Send];
+    pub const ALL: [CostCategory; 3] = [
+        CostCategory::Read,
+        CostCategory::Compute,
+        CostCategory::Send,
+    ];
 
     pub fn name(self) -> &'static str {
         match self {

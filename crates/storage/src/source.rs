@@ -28,7 +28,11 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::OutOfRange(id) => {
-                write!(f, "item (block {}, step {}) out of range", id.block, id.step)
+                write!(
+                    f,
+                    "item (block {}, step {}) out of range",
+                    id.block, id.step
+                )
             }
             StorageError::Format(e) => write!(f, "format error: {e}"),
             StorageError::Unavailable(s) => write!(f, "storage unavailable: {s}"),

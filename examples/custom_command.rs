@@ -40,10 +40,8 @@ impl Command for CutPlane {
             let data = ctx.load_block(id)?;
             // Scalar field = z coordinate; its iso-contour at z0 is the
             // cut plane restricted to this block.
-            let field = ScalarField::new(
-                data.dims(),
-                data.grid.points.iter().map(|p| p.z).collect(),
-            );
+            let field =
+                ScalarField::new(data.dims(), data.grid.points.iter().map(|p| p.z).collect());
             let (soup, _) = extract_isosurface(&data.grid, &field, z0);
             out.triangles.extend_from(&soup);
         }
@@ -56,8 +54,7 @@ fn main() {
     let mut registry = default_registry();
     registry.register(Arc::new(CutPlane));
 
-    let (backend, link) =
-        Viracocha::launch_with_registry(ViracochaConfig::for_tests(2), registry);
+    let (backend, link) = Viracocha::launch_with_registry(ViracochaConfig::for_tests(2), registry);
     backend.register_dataset(
         Arc::new(SynthSource::new(Arc::new(vira_grid::synth::engine(6)))),
         false,
@@ -79,7 +76,8 @@ fn main() {
         "  plane bbox: z ∈ [{:.4}, {:.4}] (expect ≈ 0.05 on both ends)",
         bbox.min.z, bbox.max.z
     );
-    println!("  area      : {:.6} m² (full annulus ≈ {:.6})",
+    println!(
+        "  area      : {:.6} m² (full annulus ≈ {:.6})",
         out.triangles.area(),
         std::f64::consts::PI * (0.05f64.powi(2) - (0.15 * 0.05f64).powi(2))
     );

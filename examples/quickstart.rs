@@ -17,7 +17,9 @@ fn main() {
 
     // The test dataset: a single block around a Lamb–Oseen vortex.
     backend.register_dataset(
-        Arc::new(SynthSource::new(Arc::new(vira_grid::synth::test_cube(16, 4)))),
+        Arc::new(SynthSource::new(Arc::new(vira_grid::synth::test_cube(
+            16, 4,
+        )))),
         false,
     );
 
@@ -36,7 +38,10 @@ fn main() {
     println!("isosurface |u| = 0.15 of the test vortex:");
     println!("  triangles       : {}", outcome.triangles.n_triangles());
     println!("  bounding box    : {:?}", outcome.triangles.bbox());
-    println!("  modeled runtime : {:.3} s", outcome.report.total_runtime_s);
+    println!(
+        "  modeled runtime : {:.3} s",
+        outcome.report.total_runtime_s
+    );
     println!(
         "  cache           : {} hits / {} misses",
         outcome.report.cache_hits, outcome.report.cache_misses
@@ -54,10 +59,7 @@ fn main() {
         .expect("job failed");
     println!(
         "warm rerun      : {} hits / {} misses (read time {:.4} s vs {:.4} s)",
-        warm.report.cache_hits,
-        warm.report.cache_misses,
-        warm.report.read_s,
-        outcome.report.read_s
+        warm.report.cache_hits, warm.report.cache_misses, warm.report.read_s, outcome.report.read_s
     );
 
     client.shutdown().expect("shutdown");

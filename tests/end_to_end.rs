@@ -42,7 +42,10 @@ fn disk_backed_dataset_through_the_full_stack() {
     // The same extraction from the in-memory source gives identical
     // geometry: the file format is lossless.
     let (backend2, link2) = Viracocha::launch(ViracochaConfig::for_tests(2));
-    backend2.register_dataset(Arc::new(SynthSource::new(Arc::new(synth::test_cube(8, 2)))), false);
+    backend2.register_dataset(
+        Arc::new(SynthSource::new(Arc::new(synth::test_cube(8, 2)))),
+        false,
+    );
     let mut client2 = VistaClient::new(link2);
     let out2 = client2
         .run(&SubmitSpec {
@@ -67,7 +70,9 @@ fn disk_backed_dataset_through_the_full_stack() {
 #[test]
 fn two_tier_cache_under_pressure() {
     let ds = Arc::new(synth::test_cube(8, 4));
-    let item_bytes = ds.generate(vira_grid::BlockStepId::new(0, 0)).memory_bytes();
+    let item_bytes = ds
+        .generate(vira_grid::BlockStepId::new(0, 0))
+        .memory_bytes();
     let spill = tmp_dir("spill");
     let mut cfg = ViracochaConfig::for_tests(1);
     cfg.proxy = ProxyConfig {
@@ -147,7 +152,9 @@ fn engine_vortex_core_is_found() {
         .run(&SubmitSpec {
             command: "VortexDataMan".into(),
             dataset: "Engine".into(),
-            params: CommandParams::new().set("threshold", -2.0e4).set("n_steps", 1),
+            params: CommandParams::new()
+                .set("threshold", -2.0e4)
+                .set("n_steps", 1),
             workers: 2,
         })
         .expect("vortex");
