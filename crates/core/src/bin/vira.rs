@@ -41,8 +41,8 @@ use vira_storage::source::CachedSynthSource;
 use vira_vista::{CommandParams, SubmitSpec, VistaClient};
 use viracocha::loadgen::{self, Arrival, LoadOutcome, LoadPlan};
 use viracocha::{
-    default_registry, run_remote_worker_with_cancels, AdmissionConfig, CancelSet, FaultPlan,
-    TransportConfig, Viracocha, ViracochaConfig,
+    default_registry, run_remote_worker, AdmissionConfig, CancelSet, FaultPlan, Viracocha,
+    ViracochaConfig,
 };
 
 fn usage() -> ! {
@@ -51,7 +51,7 @@ fn usage() -> ! {
     // bypasses `events.jsonl` when tracing is on.
     vira_obs::error(
         "vira",
-        "usage:\n  vira commands\n  vira datasets\n  vira suggest --dataset <engine|propfan|cube> [--res N] [--exceed F]\n  vira run --dataset <engine|propfan|cube> --command <Name> [--workers N]\n           [--res N] [--dilation F] [--fault-plan <file>] [--param key=value]...\n           [--backfill on|off] [--max-skipped N] [--locality on|off]\n           [--fair-share on|off] [--trace-out <dir>]\n           [--slo-job-latency-ms N] [--slo-ttfg-ms N]\n           [--admission on|off] [--max-queue-depth N] [--max-session-queued N]\n           [--max-session-running N] [--retry-after-ms N]\n  vira load [--dataset <engine|propfan|cube>] [--res N] [--workers N]\n           [--sessions N] [--jobs N] [--seed N] [--arrival open|closed]\n           [--rate F] [--think-ms N] [--window N] [--retries N]\n           [--admission on|off] [--max-queue-depth N] [--max-session-queued N]\n           [--max-session-running N] [--retry-after-ms N]\n           [--json] [--trace-out <dir>]\n  vira load-report <dir> [--json] [--slo-job-latency-ms N] [--slo-ttfg-ms N]\n  vira serve --listen <tcp:host:port|unix:/path> --ranks N\n           --dataset <engine|propfan|cube> --command <Name> [--res N]\n           [--param key=value]... [--jobs N] [--workers N] [--spawn-local]\n           [--fast-resilience] [--save-soup <prefix>] [--fault-plan <file>]\n           [--fault-hub-forwards] [--cancel-after-packets N] [--pause-ms N]\n           [--accept-timeout-ms N] [--trace-out <dir>]\n  vira worker --connect <tcp:host:port|unix:/path>\n           --dataset <engine|propfan|cube> [--res N] [--connect-timeout-ms N]\n           [--rejoin <rank>]\n  vira top <dir> [--once] [--json] [--refresh <ms>]\n  vira slo-report <dir> [--json] [--slo-job-latency-ms N] [--slo-ttfg-ms N]\n  vira trace-analyze <dir> [--check <min-coverage>]",
+        "usage:\n  vira commands\n  vira datasets\n  vira suggest --dataset <engine|propfan|cube> [--res N] [--exceed F]\n  vira run --dataset <engine|propfan|cube> --command <Name> [--workers N]\n           [--res N] [--dilation F] [--fault-plan <file>] [--param key=value]...\n           [--trace-out <dir>] [--slo-job-latency-ms N] [--slo-ttfg-ms N]\n           [--admission on|off] [--max-queue-depth N] [--max-session-queued N]\n           [--max-session-running N] [--retry-after-ms N]\n  vira load [--dataset <engine|propfan|cube>] [--res N] [--workers N]\n           [--sessions N] [--jobs N] [--seed N] [--arrival open|closed]\n           [--rate F] [--think-ms N] [--window N] [--retries N]\n           [--admission on|off] [--max-queue-depth N] [--max-session-queued N]\n           [--max-session-running N] [--retry-after-ms N]\n           [--json] [--trace-out <dir>]\n  vira load-report <dir> [--json] [--slo-job-latency-ms N] [--slo-ttfg-ms N]\n  vira serve --listen <tcp:host:port|unix:/path> --ranks N\n           --dataset <engine|propfan|cube> --command <Name> [--res N]\n           [--param key=value]... [--jobs N] [--workers N] [--spawn-local]\n           [--fast-resilience] [--save-soup <prefix>] [--fault-plan <file>]\n           [--fault-hub-forwards] [--cancel-after-packets N] [--pause-ms N]\n           [--accept-timeout-ms N] [--trace-out <dir>]\n  vira worker --connect <tcp:host:port|unix:/path>\n           --dataset <engine|propfan|cube> [--res N] [--connect-timeout-ms N]\n           [--rejoin <rank>]\n  vira top <dir> [--once] [--json] [--refresh <ms>]\n  vira slo-report <dir> [--json] [--slo-job-latency-ms N] [--slo-ttfg-ms N]\n  vira trace-analyze <dir> [--check <min-coverage>]",
         &[],
     );
     std::process::exit(2);
@@ -232,18 +232,6 @@ fn cmd_run(args: Args) {
     let mut config = ViracochaConfig::for_tests(workers);
     config.dilation = dilation;
     config.proxy.prefetcher = "obl".into();
-    if let Some(v) = args.flags.get("backfill") {
-        config.sched.backfill = parse_switch("backfill", v);
-    }
-    if let Some(v) = args.flags.get("locality") {
-        config.sched.locality = parse_switch("locality", v);
-    }
-    if let Some(v) = args.flags.get("fair-share") {
-        config.sched.fair_share = parse_switch("fair-share", v);
-    }
-    if let Some(n) = flag_parse(&args, "max-skipped", "an integer") {
-        config.sched.max_skipped_dispatches = n;
-    }
     apply_admission_flags(&mut config, &args);
     if let Some(ms) = flag_parse::<u64>(&args, "slo-job-latency-ms", "milliseconds") {
         config.telemetry.job_latency_slo_ns = ms.saturating_mul(1_000_000);
@@ -715,9 +703,6 @@ fn cmd_serve(args: Args) {
 
     let mut config = ViracochaConfig::for_tests(ranks);
     config.proxy.prefetcher = "obl".into();
-    if let Ok(t) = TransportConfig::from_addr(&listen) {
-        config.transport = t;
-    }
     if args.flags.contains_key("fast-resilience") {
         fast_resilience(&mut config);
     }
@@ -738,13 +723,13 @@ fn cmd_serve(args: Args) {
                 hub.set_route_faults(plan.clone(), stats.clone());
             }
             let faulty = FaultyTransport::new(hub, plan, stats.clone());
-            Viracocha::launch_master_on_transport(config, default_registry(), faulty, Some(stats))
+            Viracocha::launch_on_transports(config, default_registry(), vec![faulty], Some(stats))
         }
         None => {
             if args.flags.contains_key("fault-hub-forwards") {
                 fail("--fault-hub-forwards needs --fault-plan");
             }
-            Viracocha::launch_master_on_transport(config, default_registry(), hub, None)
+            Viracocha::launch_on_transports(config, default_registry(), vec![hub], None)
         }
     };
     // The scheduler process registers the dataset too: it validates
@@ -861,17 +846,15 @@ fn cmd_worker(args: Args) {
     let res: usize = flag_parse(&args, "res", "an integer").unwrap_or(6);
     let rejoin: Option<usize> = flag_parse(&args, "rejoin", "a rank");
 
-    let mut tconf = TransportConfig::from_addr(&connect)
-        .unwrap_or_else(|e| fail(&format!("bad --connect address: {e}")));
-    if let Some(ms) = flag_parse::<u64>(&args, "connect-timeout-ms", "milliseconds") {
-        tconf.connect_timeout = Duration::from_millis(ms);
-    }
+    let connect_timeout = Duration::from_millis(
+        flag_parse(&args, "connect-timeout-ms", "milliseconds").unwrap_or(30_000),
+    );
 
     let spec = SocketAddrSpec::parse(&connect)
         .unwrap_or_else(|e| fail(&format!("bad --connect address: {e}")));
     let transport = match rejoin {
-        Some(rank) => SocketWorker::rejoin(&spec, rank, tconf.connect_timeout),
-        None => SocketWorker::connect(&spec, tconf.connect_timeout),
+        Some(rank) => SocketWorker::rejoin(&spec, rank, connect_timeout),
+        None => SocketWorker::connect(&spec, connect_timeout),
     }
     .unwrap_or_else(|e| fail(&format!("cannot join {spec}: {e}")));
     let (rank, world) = (transport.rank(), transport.world_size());
@@ -906,9 +889,8 @@ fn cmd_worker(args: Args) {
 
     let mut config = ViracochaConfig::for_tests(world - 1);
     config.proxy.prefetcher = "obl".into();
-    config.transport = tconf;
     let ds = build_dataset(&dataset, res);
-    run_remote_worker_with_cancels(
+    run_remote_worker(
         config,
         default_registry(),
         transport,
@@ -1240,7 +1222,7 @@ fn replay_flight(
             .histograms
             .push(("vista_first_result_ns".into(), sparse_hist(ttfg_ns)));
     }
-    let mut db = vira_obs::Tsdb::new(vira_obs::TsdbConfig::default());
+    let mut db = vira_obs::Tsdb::default();
     db.ingest(&delta, now);
     let mut engine = vira_obs::SloEngine::new(vira_obs::default_specs(job_slo_ns, ttfg_slo_ns));
     let statuses = engine.evaluate(&db, now);

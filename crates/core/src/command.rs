@@ -25,6 +25,34 @@ use vira_storage::costmodel::{ComputeCosts, CostCategory, Meter, SharedChannel, 
 use vira_storage::source::StorageError;
 use vira_vista::protocol::{CommandParams, EventHeader, JobId, PayloadKind};
 
+/// Actual triangle counts on the scaled-down grids stand for
+/// proportionally more paper-scale triangles; this ratio converts
+/// between the two for transmission-cost purposes.
+pub(crate) fn nominal_geometry_scale(spec: &DatasetSpec) -> f64 {
+    let actual = spec.block_dims.n_cells().max(1) as f64;
+    (spec.nominal_cells_per_item() as f64 / actual).max(1.0)
+}
+
+/// Charges a client-bound transmission of modeled duration `modeled`,
+/// serialized on the back-end's single client `uplink`: the charged
+/// (and slept) time includes queueing behind other workers' packets.
+/// Returns the modeled seconds booked as Send.
+pub(crate) fn charge_uplink(
+    meter: &Meter,
+    clock: &SimClock,
+    uplink: &SharedChannel,
+    modeled: f64,
+) -> f64 {
+    let dilation = clock.dilation();
+    let booked = if dilation > 0.0 {
+        uplink.reserve(modeled * dilation) / dilation
+    } else {
+        modeled
+    };
+    meter.charge(clock, CostCategory::Send, booked);
+    booked
+}
+
 // Worker-side streaming metrics; the client-side mirror lives in
 // vira-vista (`vista_*`), so a lossless link shows matching totals.
 static STREAM_PACKETS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
@@ -167,35 +195,12 @@ impl<'a> JobCtx<'a> {
             .charge(&self.clock, CostCategory::Compute, modeled_s);
     }
 
-    /// Actual triangle counts on the scaled-down grids stand for
-    /// proportionally more paper-scale triangles; this ratio converts
-    /// between the two for transmission-cost purposes.
-    pub fn nominal_geometry_scale(&self) -> f64 {
-        let actual = self.spec.block_dims.n_cells().max(1) as f64;
-        (self.nominal_cells() / actual).max(1.0)
-    }
-
-    /// Charges a client-bound transmission of modeled duration `t`,
-    /// serialized on the back-end's single client uplink: the charged
-    /// (and slept) time includes queueing behind other workers' packets.
-    fn charge_uplink(&self, modeled_t: f64) {
-        let dilation = self.clock.dilation();
-        if dilation > 0.0 {
-            let delay_wall = self.uplink.reserve(modeled_t * dilation);
-            self.meter
-                .charge(&self.clock, CostCategory::Send, delay_wall / dilation);
-        } else {
-            self.meter
-                .charge(&self.clock, CostCategory::Send, modeled_t);
-        }
-    }
-
     /// Charges the modeled transmission of `n_triangles` (latency + per
     /// nominal-equivalent triangle).
     fn charge_send(&self, n_triangles: usize) {
-        let scaled = n_triangles as f64 * self.nominal_geometry_scale();
+        let scaled = n_triangles as f64 * nominal_geometry_scale(&self.spec);
         let t = self.costs.send_latency_s + scaled * self.costs.send_s_per_triangle;
-        self.charge_uplink(t);
+        charge_uplink(&self.meter, &self.clock, &self.uplink, t);
     }
 
     /// Charges the transmission of `n` unscaled items (polyline points —
@@ -203,7 +208,7 @@ impl<'a> JobCtx<'a> {
     /// triangle counts do).
     fn charge_send_unscaled(&self, n: usize) {
         let t = self.costs.send_latency_s + n as f64 * self.costs.send_s_per_triangle;
-        self.charge_uplink(t);
+        charge_uplink(&self.meter, &self.clock, &self.uplink, t);
     }
 
     /// The items of `step` this worker owns, interleaved round-robin over

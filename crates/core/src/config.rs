@@ -44,39 +44,6 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Dispatch-policy tuning for the scheduler (backfill, locality-aware
-/// placement, per-session fair share). All features default to on;
-/// turning everything off recovers the strict-FIFO/lowest-rank
-/// dispatcher of earlier releases.
-#[derive(Debug, Clone)]
-pub struct SchedulerConfig {
-    /// Scan past a blocked queue head and dispatch any later job whose
-    /// worker demand fits the currently free ranks.
-    pub backfill: bool,
-    /// Aging bound: once a queued job has been jumped this many times,
-    /// nothing behind it may backfill until it dispatches. Keeps large
-    /// jobs from starving behind a stream of small ones.
-    pub max_skipped_dispatches: u32,
-    /// Score candidate ranks by expected cached blocks (from the
-    /// workers' piggybacked DMS residency digests) instead of always
-    /// taking the lowest free ranks.
-    pub locality: bool,
-    /// Round-robin dispatch credit across client sessions instead of
-    /// global FIFO.
-    pub fair_share: bool,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            backfill: true,
-            max_skipped_dispatches: 8,
-            locality: true,
-            fair_share: true,
-        }
-    }
-}
-
 /// Intra-worker extraction parallelism (paper §6.2's "loop level"
 /// below the block level).
 ///
@@ -181,74 +148,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Which layer-1 transport a deployment runs on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process channels: scheduler and workers are threads of one
-    /// process (the historical default, and still the test default).
-    Local,
-    /// TCP sockets: workers are separate processes, possibly on other
-    /// hosts, connecting to the scheduler's listen address.
-    Tcp,
-    /// Unix-domain sockets: separate processes on one host.
-    Unix,
-}
-
-/// Deployment transport selection — `local` in-process channels versus
-/// real sockets (`vira serve` / `vira worker`). Layers 2 and 3 never
-/// see the difference; this only steers which layer-1 implementation
-/// the launcher assembles.
-#[derive(Debug, Clone)]
-pub struct TransportConfig {
-    pub kind: TransportKind,
-    /// Listen/connect address for socket transports (`host:port` for
-    /// TCP, a filesystem path for Unix). Unused for `Local`.
-    pub addr: Option<String>,
-    /// How long `vira serve` waits for all worker ranks to join.
-    pub accept_timeout: Duration,
-    /// How long `vira worker` retries connecting before giving up.
-    pub connect_timeout: Duration,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            kind: TransportKind::Local,
-            addr: None,
-            accept_timeout: Duration::from_secs(30),
-            connect_timeout: Duration::from_secs(30),
-        }
-    }
-}
-
-impl TransportConfig {
-    /// A socket transport config from a `--listen` / `--connect` style
-    /// address: `tcp:host:port`, `unix:/path`, bare `host:port` (TCP)
-    /// or a bare path (Unix).
-    pub fn from_addr(addr: &str) -> Result<TransportConfig, String> {
-        let kind = match vira_comm::SocketAddrSpec::parse(addr)? {
-            vira_comm::SocketAddrSpec::Tcp(_) => TransportKind::Tcp,
-            vira_comm::SocketAddrSpec::Unix(_) => TransportKind::Unix,
-        };
-        Ok(TransportConfig {
-            kind,
-            addr: Some(addr.to_string()),
-            ..TransportConfig::default()
-        })
-    }
-
-    /// The parsed socket address, when this is a socket transport.
-    pub fn spec(&self) -> Option<vira_comm::SocketAddrSpec> {
-        match self.kind {
-            TransportKind::Local => None,
-            _ => self
-                .addr
-                .as_deref()
-                .and_then(|a| vira_comm::SocketAddrSpec::parse(a).ok()),
-        }
-    }
-}
-
 /// Configuration of one Viracocha back-end instance.
 #[derive(Debug, Clone)]
 pub struct ViracochaConfig {
@@ -265,16 +164,12 @@ pub struct ViracochaConfig {
     pub server: ServerConfig,
     /// Retry/requeue behaviour under message loss and dead ranks.
     pub resilience: ResilienceConfig,
-    /// Dispatch policy (backfill, locality placement, fair share).
-    pub sched: SchedulerConfig,
     /// Admission control / backpressure (bounded queue, session quotas).
     pub admission: AdmissionConfig,
     /// Intra-worker parallel block extraction.
     pub extract: ExtractConfig,
     /// Live telemetry plane (heartbeat deltas, tsdb, SLOs, `vira top`).
     pub telemetry: TelemetryConfig,
-    /// Deployment transport (in-process channels vs real sockets).
-    pub transport: TransportConfig,
 }
 
 impl Default for ViracochaConfig {
@@ -286,11 +181,9 @@ impl Default for ViracochaConfig {
             proxy: ProxyConfig::default(),
             server: ServerConfig::default(),
             resilience: ResilienceConfig::default(),
-            sched: SchedulerConfig::default(),
             admission: AdmissionConfig::default(),
             extract: ExtractConfig::default(),
             telemetry: TelemetryConfig::default(),
-            transport: TransportConfig::default(),
         }
     }
 }
@@ -328,16 +221,6 @@ mod tests {
         let c = ViracochaConfig::for_tests(2);
         assert_eq!(c.n_workers, 2);
         assert_eq!(c.proxy.prefetcher, "none");
-    }
-
-    #[test]
-    fn scheduler_defaults_enable_all_policies() {
-        let s = SchedulerConfig::default();
-        assert!(s.backfill && s.locality && s.fair_share);
-        assert!(
-            s.max_skipped_dispatches >= 1,
-            "aging bound must be finite and positive"
-        );
     }
 
     #[test]
@@ -388,19 +271,6 @@ mod tests {
         assert!(t.out_dir.is_none(), "no snapshot files unless a dir is set");
         assert!(t.heartbeat_interval <= t.write_interval);
         assert!(t.job_latency_slo_ns > 0 && t.ttfg_slo_ns > 0);
-    }
-
-    #[test]
-    fn transport_config_parses_socket_addrs() {
-        let t = TransportConfig::from_addr("unix:/tmp/v.sock").unwrap();
-        assert_eq!(t.kind, TransportKind::Unix);
-        assert!(t.spec().is_some());
-        let t = TransportConfig::from_addr("127.0.0.1:7700").unwrap();
-        assert_eq!(t.kind, TransportKind::Tcp);
-        assert!(TransportConfig::from_addr("unix:").is_err());
-        let local = TransportConfig::default();
-        assert_eq!(local.kind, TransportKind::Local);
-        assert!(local.spec().is_none(), "local transport has no address");
     }
 
     #[test]

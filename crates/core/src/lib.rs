@@ -58,11 +58,8 @@ pub mod worker;
 
 pub use command::{CancelSet, Command, CommandError, CommandOutput, CommandRegistry, JobCtx};
 pub use commands::default_registry;
-pub use config::{
-    AdmissionConfig, ResilienceConfig, SchedulerConfig, TelemetryConfig, TransportConfig,
-    TransportKind, ViracochaConfig,
-};
+pub use config::{AdmissionConfig, ResilienceConfig, TelemetryConfig, ViracochaConfig};
 pub use derived::DerivedFieldCache;
 pub use loadgen::{Arrival, LoadOutcome, LoadPlan};
-pub use runtime::{run_remote_worker, run_remote_worker_with_cancels, Viracocha};
+pub use runtime::{run_remote_worker, Viracocha};
 pub use vira_comm::fault::{FaultPlan, FaultStats, FaultStatsSnapshot, LinkFaults};

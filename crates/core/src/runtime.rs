@@ -56,37 +56,34 @@ impl Viracocha {
     /// entry point. An inert plan behaves exactly like
     /// [`Viracocha::launch`].
     pub fn launch_with_faults(config: ViracochaConfig, plan: FaultPlan) -> (Viracocha, ClientSide) {
-        Self::launch_faulty_with_registry(config, default_registry(), plan)
-    }
-
-    /// [`Viracocha::launch_with_faults`] with a custom command registry.
-    pub fn launch_faulty_with_registry(
-        config: ViracochaConfig,
-        registry: CommandRegistry,
-        plan: FaultPlan,
-    ) -> (Viracocha, ClientSide) {
         let plan = Arc::new(plan);
         let stats = Arc::new(FaultStats::default());
         let endpoints: Vec<_> = LocalWorld::create(config.n_workers + 1)
             .into_iter()
             .map(|e| FaultyTransport::new(e, plan.clone(), stats.clone()))
             .collect();
-        Self::launch_on_transports(config, registry, endpoints, Some(stats))
+        Self::launch_on_transports(config, default_registry(), endpoints, Some(stats))
     }
 
-    /// Launches the scheduler and worker threads on pre-built rank
-    /// transports (index = rank; rank 0 is the scheduler).
-    fn launch_on_transports<T: Transport + Send + 'static>(
+    /// Launches the scheduler on `endpoints[0]` (rank 0) and a worker
+    /// thread on each further endpoint. Worker ranks without an
+    /// endpoint here live in other OS processes behind a socket hub:
+    /// `vira serve` passes rank 0 alone. The returned handle joins the
+    /// threads it started; remote workers exit on the scheduler's
+    /// `SHUTDOWN` broadcast or when their hub connection drops.
+    /// `fault_stats` accompanies [`FaultyTransport`]-wrapped endpoints.
+    pub fn launch_on_transports<T: Transport + Send + 'static>(
         config: ViracochaConfig,
         registry: CommandRegistry,
         mut endpoints: Vec<T>,
         fault_stats: Option<Arc<FaultStats>>,
     ) -> (Viracocha, ClientSide) {
         assert!(config.n_workers >= 1, "need at least one worker");
+        assert_eq!(endpoints[0].rank(), 0, "the scheduler must hold rank 0");
         assert_eq!(
-            endpoints.len(),
+            endpoints[0].world_size(),
             config.n_workers + 1,
-            "need one transport per rank"
+            "transport world must match n_workers + scheduler"
         );
         let clock = SimClock::new(config.dilation);
         let server = DataServer::new(clock.clone(), config.server.clone());
@@ -126,7 +123,6 @@ impl Viracocha {
             cancels: cancels.clone(),
             n_workers: config.n_workers,
             resilience: config.resilience.clone(),
-            sched: config.sched.clone(),
             admission: config.admission.clone(),
             telemetry: config.telemetry.clone(),
         };
@@ -142,62 +138,6 @@ impl Viracocha {
                 registry,
                 scheduler: Some(scheduler),
                 workers,
-                fault_stats,
-                cancels,
-            },
-            client_side,
-        )
-    }
-
-    /// Launches only the scheduler (rank 0) of a multi-process
-    /// deployment on a pre-connected transport whose worker ranks live
-    /// in other OS processes (`vira serve`). The returned handle joins
-    /// the scheduler thread only; the worker processes exit on the
-    /// scheduler's `SHUTDOWN` broadcast or when their hub connection
-    /// drops. `fault_stats` accompanies a
-    /// [`FaultyTransport`]-wrapped hub (the socket chaos leg).
-    pub fn launch_master_on_transport<T: Transport + Send + 'static>(
-        config: ViracochaConfig,
-        registry: CommandRegistry,
-        transport: T,
-        fault_stats: Option<Arc<FaultStats>>,
-    ) -> (Viracocha, ClientSide) {
-        assert!(config.n_workers >= 1, "need at least one worker");
-        assert_eq!(transport.rank(), 0, "the master must hold rank 0");
-        assert_eq!(
-            transport.world_size(),
-            config.n_workers + 1,
-            "transport world must match n_workers + scheduler"
-        );
-        let clock = SimClock::new(config.dilation);
-        let server = DataServer::new(clock.clone(), config.server.clone());
-        let registry = Arc::new(registry);
-        let cancels: CancelSet = Arc::new(RwLock::new(HashSet::new()));
-        let (client_side, server_side) = client_server_link();
-        let setup = SchedulerSetup {
-            transport,
-            link: server_side,
-            server: server.clone(),
-            clock: clock.clone(),
-            registry: registry.clone(),
-            cancels: cancels.clone(),
-            n_workers: config.n_workers,
-            resilience: config.resilience.clone(),
-            sched: config.sched.clone(),
-            admission: config.admission.clone(),
-            telemetry: config.telemetry.clone(),
-        };
-        let scheduler = std::thread::Builder::new()
-            .name("vira-scheduler".into())
-            .spawn(move || scheduler_main(setup))
-            .expect("failed to spawn scheduler");
-        (
-            Viracocha {
-                server,
-                clock,
-                registry,
-                scheduler: Some(scheduler),
-                workers: Vec::new(),
                 fault_stats,
                 cancels,
             },
@@ -272,28 +212,12 @@ impl Viracocha {
 /// installs a socket-reader frame tap that inserts the job id into
 /// this process's cancel set the moment the frame arrives — even while
 /// the worker thread is deep inside an extraction — so
-/// `JobCtx::is_cancelled` trips mid-job exactly like in-process. Pass
-/// that tap-shared set via [`run_remote_worker_with_cancels`]; the
-/// plain [`run_remote_worker`] builds a private set and therefore only
-/// honors cancels between jobs. Remaining known scope limit: the DMS
-/// peer directory is process-local, so cross-process peer cache
+/// `JobCtx::is_cancelled` trips mid-job exactly like in-process;
+/// `cancels` is that tap-shared set. Remaining known scope limit: the
+/// DMS peer directory is process-local, so cross-process peer cache
 /// transfers are inert (jobs still complete correctly; locality
 /// scoring just sees fewer peers).
 pub fn run_remote_worker<T: Transport>(
-    config: ViracochaConfig,
-    registry: CommandRegistry,
-    transport: T,
-    events: EventSender,
-    register: impl FnOnce(&Arc<DataServer>),
-) {
-    let cancels: CancelSet = Arc::new(RwLock::new(HashSet::new()));
-    run_remote_worker_with_cancels(config, registry, transport, events, cancels, register);
-}
-
-/// [`run_remote_worker`] with a caller-owned cancel set — the handle a
-/// transport-level frame tap (see `SocketWorker::set_frame_tap`) uses
-/// to deliver cross-process cancellation into the running job.
-pub fn run_remote_worker_with_cancels<T: Transport>(
     config: ViracochaConfig,
     registry: CommandRegistry,
     transport: T,

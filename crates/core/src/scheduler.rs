@@ -6,18 +6,18 @@
 //! package back to the client. Multiple jobs run concurrently on
 //! disjoint work groups.
 //!
-//! Dispatch order is FIFO-with-backfill: when the queue head does not
-//! fit the free ranks, later jobs that do fit may overtake it, bounded
-//! by an aging limit so large jobs cannot starve. Placement is
-//! locality-aware — workers piggyback a compact DMS cache-residency
-//! digest on their `JOB_DONE` and `PONG` frames, and the scheduler
-//! scores candidate ranks by expected cached blocks instead of always
-//! taking the lowest free ranks. Dispatch credit is round-robined
-//! across client sessions (per-session fair share). All three policies
-//! are individually switchable via [`SchedulerConfig`].
+//! There is one dispatch policy. Its order is FIFO-with-backfill: when
+//! the queue head does not fit the free ranks, later jobs that do fit
+//! may overtake it, bounded by an aging limit so large jobs cannot
+//! starve. Dispatch credit is round-robined across client sessions
+//! (per-session fair share). Placement is locality-aware: workers
+//! piggyback a compact DMS cache-residency digest on their `JOB_DONE`
+//! and `PONG` frames, and the scheduler scores candidate ranks by
+//! expected cached blocks; with no digest to go on it takes the lowest
+//! free ranks.
 
 use crate::command::{CancelSet, CommandRegistry};
-use crate::config::{AdmissionConfig, ResilienceConfig, SchedulerConfig, TelemetryConfig};
+use crate::config::{AdmissionConfig, ResilienceConfig, TelemetryConfig};
 use crate::wire;
 use bytes::Bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -145,7 +145,6 @@ pub struct SchedulerSetup<T: Transport = LocalEndpoint> {
     pub cancels: CancelSet,
     pub n_workers: usize,
     pub resilience: ResilienceConfig,
-    pub sched: SchedulerConfig,
     pub admission: AdmissionConfig,
     pub telemetry: TelemetryConfig,
 }
@@ -162,7 +161,6 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
         cancels,
         n_workers,
         resilience,
-        sched,
         admission,
         telemetry,
     } = setup;
@@ -185,7 +183,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
     // Telemetry plane: central time-series store fed by the workers'
     // heartbeat-shipped metric deltas, and the SLO burn-rate engine
     // evaluated on every snapshot write.
-    let mut tsdb = obs::Tsdb::new(obs::TsdbConfig::default());
+    let mut tsdb = obs::Tsdb::default();
     let mut slo_engine = obs::SloEngine::new(obs::default_specs(
         telemetry.job_latency_slo_ns,
         telemetry.ttfg_slo_ns,
@@ -410,7 +408,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
         // 3. Dispatch: FIFO with bounded backfill. When the queue head
         // does not fit the free ranks, a later job that does fit may
         // overtake it — but never past a job that has already been
-        // jumped `max_skipped_dispatches` times. Requeued jobs shrink
+        // jumped `MAX_SKIPPED_DISPATCHES` times. Requeued jobs shrink
         // to the surviving worker count.
         loop {
             if queue.is_empty() {
@@ -434,8 +432,7 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
             let free_ranks: Vec<Rank> = (1..=n_workers)
                 .filter(|&r| free[r] && !dead.contains(&r))
                 .collect();
-            let Some(idx) = select_candidate(&queue, free_ranks.len(), alive, &sched, last_session)
-            else {
+            let Some(idx) = select_candidate(&queue, free_ranks.len(), alive, last_session) else {
                 break;
             };
             let mut q = queue.remove(idx).expect("selected index in bounds");
@@ -447,22 +444,17 @@ pub fn scheduler_main<T: Transport>(setup: SchedulerSetup<T>) {
                 // nothing behind it may overtake.
                 for jumped in queue.iter_mut().take(idx) {
                     jumped.skipped += 1;
-                    if jumped.skipped == sched.max_skipped_dispatches {
+                    if jumped.skipped == MAX_SKIPPED_DISPATCHES {
                         obs::counter_cached(&STARVATION_AGED, "sched_starvation_aged_total").inc();
                     }
                 }
             }
             let want = q.workers.min(alive);
-            let group: Vec<Rank> = if sched.locality {
-                let items = placement_items(&resolver, &server, &q.dataset, &q.params);
-                let (group, overlap) = place_group(&free_ranks, want, &items, &residency);
-                if overlap > 0 {
-                    obs::counter_cached(&LOCALITY_HITS, "sched_locality_hits_total").inc();
-                }
-                group
-            } else {
-                free_ranks.into_iter().take(want).collect()
-            };
+            let items = placement_items(&resolver, &server, &q.dataset, &q.params);
+            let (group, overlap) = place_group(&free_ranks, want, &items, &residency);
+            if overlap > 0 {
+                obs::counter_cached(&LOCALITY_HITS, "sched_locality_hits_total").inc();
+            }
             for &r in &group {
                 free[r] = false;
             }
@@ -886,38 +878,38 @@ fn telemetry_tick(
     }
 }
 
+/// Aging bound of backfill: once a queued job has been jumped this many
+/// times, nothing behind it may overtake it until it dispatches.
+/// Unbounded backfill starves a wide job under a steady stream of
+/// small ones; the bound lets a few of them use the idle ranks and then
+/// drains the queue until the wide job fits.
+const MAX_SKIPPED_DISPATCHES: u32 = 8;
+
 /// Picks the queue index to dispatch next, or `None` when nothing
 /// eligible fits the free ranks.
 ///
-/// * Plain FIFO (`backfill` off): only the head is ever considered.
 /// * Backfill: the scan may pass over jobs that do not fit, but never
 ///   past the first job that has already been jumped
-///   `max_skipped_dispatches` times (the aging barrier — that job may
+///   [`MAX_SKIPPED_DISPATCHES`] times (the aging barrier — that job may
 ///   still be picked itself).
 /// * Fair share: within the eligible window, candidate *sessions* are
 ///   tried round-robin — the first session id strictly greater than
-///   the last served one (wrapping), FIFO within each session.
+///   the last served one (wrapping), FIFO within each session. With
+///   one session this is the first job in the window that fits.
 fn select_candidate(
     queue: &VecDeque<QueuedJob>,
     n_free: usize,
     alive: usize,
-    sched: &SchedulerConfig,
     last_session: Option<u64>,
 ) -> Option<usize> {
     if queue.is_empty() || n_free == 0 || alive == 0 {
         return None;
     }
     let fits = |q: &QueuedJob| q.workers.min(alive) <= n_free;
-    if !sched.backfill {
-        return fits(&queue[0]).then_some(0);
-    }
     let limit = queue
         .iter()
-        .position(|q| q.skipped >= sched.max_skipped_dispatches)
+        .position(|q| q.skipped >= MAX_SKIPPED_DISPATCHES)
         .unwrap_or(queue.len() - 1);
-    if !sched.fair_share {
-        return (0..=limit).find(|&i| fits(&queue[i]));
-    }
     let mut sessions: Vec<u64> = queue.iter().take(limit + 1).map(|q| q.session).collect();
     sessions.sort_unstable();
     sessions.dedup();
@@ -1260,23 +1252,6 @@ mod tests {
         }
     }
 
-    fn plain_fifo() -> SchedulerConfig {
-        SchedulerConfig {
-            backfill: false,
-            locality: false,
-            fair_share: false,
-            ..SchedulerConfig::default()
-        }
-    }
-
-    fn backfill_only() -> SchedulerConfig {
-        SchedulerConfig {
-            fair_share: false,
-            locality: false,
-            ..SchedulerConfig::default()
-        }
-    }
-
     fn rj(job: JobId, group: Vec<Rank>) -> RunningJob {
         let now = Instant::now();
         RunningJob {
@@ -1320,59 +1295,40 @@ mod tests {
         let queue: VecDeque<QueuedJob> = vec![qj(1, 8, 0, 0), qj(2, 1, 0, 0)].into();
         // One free rank: the 8-worker head is blocked, the 1-worker job
         // behind it fits.
-        assert_eq!(
-            select_candidate(&queue, 1, 9, &backfill_only(), None),
-            Some(1)
-        );
-        // Plain FIFO never looks past the head.
-        assert_eq!(select_candidate(&queue, 1, 9, &plain_fifo(), None), None);
-        // With enough free ranks the head wins under either policy.
-        assert_eq!(
-            select_candidate(&queue, 8, 9, &backfill_only(), None),
-            Some(0)
-        );
-        assert_eq!(select_candidate(&queue, 8, 9, &plain_fifo(), None), Some(0));
+        assert_eq!(select_candidate(&queue, 1, 9, None), Some(1));
+        // With enough free ranks the head wins.
+        assert_eq!(select_candidate(&queue, 8, 9, None), Some(0));
     }
 
     #[test]
     fn aged_job_becomes_a_barrier() {
-        let bound = SchedulerConfig::default().max_skipped_dispatches;
+        let bound = MAX_SKIPPED_DISPATCHES;
         // The blocked head has been jumped `bound` times: the job
         // behind it may no longer overtake.
         let queue: VecDeque<QueuedJob> = vec![qj(1, 2, 0, bound), qj(2, 1, 0, 0)].into();
-        assert_eq!(select_candidate(&queue, 1, 2, &backfill_only(), None), None);
+        assert_eq!(select_candidate(&queue, 1, 2, None), None);
         // Before the bound is reached, the overtake is allowed.
         let queue: VecDeque<QueuedJob> = vec![qj(1, 2, 0, bound - 1), qj(2, 1, 0, 0)].into();
-        assert_eq!(
-            select_candidate(&queue, 1, 2, &backfill_only(), None),
-            Some(1)
-        );
+        assert_eq!(select_candidate(&queue, 1, 2, None), Some(1));
         // The aged job itself stays dispatchable the moment it fits.
         let queue: VecDeque<QueuedJob> = vec![qj(1, 2, 0, bound), qj(2, 1, 0, 0)].into();
-        assert_eq!(
-            select_candidate(&queue, 2, 2, &backfill_only(), None),
-            Some(0)
-        );
+        assert_eq!(select_candidate(&queue, 2, 2, None), Some(0));
     }
 
     #[test]
     fn fair_share_rotates_across_sessions() {
-        let sched = SchedulerConfig {
-            locality: false,
-            ..SchedulerConfig::default()
-        };
         let queue: VecDeque<QueuedJob> =
             vec![qj(1, 1, 0, 0), qj(2, 1, 0, 0), qj(3, 1, 7, 0)].into();
         // Session 0 was just served: session 7's job is next even
         // though two session-0 jobs sit ahead of it.
-        assert_eq!(select_candidate(&queue, 4, 4, &sched, Some(0)), Some(2));
+        assert_eq!(select_candidate(&queue, 4, 4, Some(0)), Some(2));
         // After session 7 the credit wraps back to session 0's oldest.
-        assert_eq!(select_candidate(&queue, 4, 4, &sched, Some(7)), Some(0));
+        assert_eq!(select_candidate(&queue, 4, 4, Some(7)), Some(0));
         // No history: FIFO order (smallest session first here).
-        assert_eq!(select_candidate(&queue, 4, 4, &sched, None), Some(0));
+        assert_eq!(select_candidate(&queue, 4, 4, None), Some(0));
         // Fair share never picks a job that does not fit.
         let queue: VecDeque<QueuedJob> = vec![qj(1, 1, 0, 0), qj(2, 3, 7, 0)].into();
-        assert_eq!(select_candidate(&queue, 1, 4, &sched, Some(0)), Some(0));
+        assert_eq!(select_candidate(&queue, 1, 4, Some(0)), Some(0));
     }
 
     fn strict_admission() -> AdmissionConfig {
@@ -1479,10 +1435,6 @@ mod tests {
         vira_testkit::check(vira_testkit::DEFAULT_CASES, |g| {
             let entries = g.vec(1..24, |g| g.u64_in(0..6));
             let last = g.bool().then(|| g.u64());
-            let sched = SchedulerConfig {
-                locality: false,
-                ..SchedulerConfig::default()
-            };
             let mut queue: VecDeque<QueuedJob> = entries
                 .iter()
                 .enumerate()
@@ -1499,7 +1451,7 @@ mod tests {
             while !queue.is_empty() {
                 // Every job fits (1 worker, 16 free): a starved session
                 // can only be the rotation's fault.
-                let idx = select_candidate(&queue, 16, 16, &sched, last_session)
+                let idx = select_candidate(&queue, 16, 16, last_session)
                     .expect("fitting jobs are always dispatchable");
                 let q = queue.remove(idx).unwrap();
                 waited.remove(&q.session);
@@ -1545,7 +1497,7 @@ mod tests {
 
     #[test]
     fn harvest_obs_pong_feeds_the_tsdb_and_residency_map() {
-        let mut tsdb = obs::Tsdb::new(obs::TsdbConfig::default());
+        let mut tsdb = obs::Tsdb::default();
         let mut residency: HashMap<Rank, ResidencyDigest> = HashMap::new();
         let digest = ResidencyDigest::from_items([ItemId(3)]);
         let pong = wire::encode_pong(&wire::Pong {

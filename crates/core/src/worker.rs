@@ -7,7 +7,10 @@
 //! partials, merge them into one package, and hand the merged result to
 //! the scheduler for delivery to the visualization client.
 
-use crate::command::{encode_output, CancelSet, CommandOutput, CommandRegistry, JobCtx};
+use crate::command::{
+    charge_uplink, encode_output, nominal_geometry_scale, CancelSet, CommandOutput,
+    CommandRegistry, JobCtx,
+};
 use crate::config::ViracochaConfig;
 use crate::wire;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -256,10 +259,7 @@ fn run_job<T: Transport>(
         match kind {
             PayloadKind::Triangles => server
                 .dataset_spec(&msg.dataset)
-                .map(|spec| {
-                    let actual = spec.block_dims.n_cells().max(1) as f64;
-                    (spec.nominal_cells_per_item() as f64 / actual).max(1.0)
-                })
+                .map(|spec| nominal_geometry_scale(&spec))
                 .unwrap_or(1.0),
             _ => 1.0,
         }
@@ -437,14 +437,7 @@ fn run_job<T: Transport>(
     // charge its send cost (including queueing behind streamed packets).
     let n = scaled_send_items(n_items as usize, send_scale(kind));
     let modeled = config.costs.send_latency_s + n as f64 * config.costs.send_s_per_triangle;
-    let booked = if clock.dilation() > 0.0 {
-        let delay_wall = uplink.reserve(modeled * clock.dilation());
-        delay_wall / clock.dilation()
-    } else {
-        modeled
-    };
-    meter.charge(clock, CostCategory::Send, booked);
-    total_send += booked;
+    total_send += charge_uplink(&meter, clock, uplink, modeled);
 
     let payload = match kind {
         PayloadKind::Triangles => {

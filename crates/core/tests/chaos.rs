@@ -45,23 +45,11 @@ fn chaos_seed() -> u64 {
 
 /// Aggressive timeouts so recovery happens within test time; the
 /// defaults in `ResilienceConfig` are tuned never to trip instead.
-///
-/// `CHAOS_SCHED=fifo` in the environment reruns the whole matrix under
-/// the legacy strict-FIFO/lowest-rank dispatcher (backfill, locality
-/// and fair share all off); anything else keeps the defaults (all on).
-/// Printed so a failing CI run can be replayed locally.
 fn chaos_config(n_workers: usize) -> ViracochaConfig {
     let mut cfg = ViracochaConfig::for_tests(n_workers);
-    let sched_mode = std::env::var("CHAOS_SCHED").unwrap_or_else(|_| "backfill".into());
-    eprintln!("chaos sched policy: {sched_mode}");
     // EXTRACT_THREADS (picked up by ExtractConfig::default) reruns the
     // matrix with intra-worker parallel extraction; printed for replay.
     eprintln!("chaos extract threads: {}", cfg.extract.threads);
-    if sched_mode == "fifo" {
-        cfg.sched.backfill = false;
-        cfg.sched.locality = false;
-        cfg.sched.fair_share = false;
-    }
     cfg.resilience = ResilienceConfig {
         dispatch_timeout: Duration::from_millis(150),
         backoff_factor: 1.5,

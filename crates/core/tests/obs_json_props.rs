@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use vira_obs::json::{parse, Json};
 use vira_obs::trace::{ThreadDump, MAX_ARGS};
 use vira_obs::{export, flight, intern, slo, ArgValue, EventRecord, Field, Level, SpanRecord};
-use vira_obs::{MetricsDelta, MetricsSnapshot, RankMeta, SloStatus, TraceDump, Tsdb, TsdbConfig};
+use vira_obs::{MetricsDelta, MetricsSnapshot, RankMeta, SloStatus, TraceDump, Tsdb};
 use vira_testkit::{check, Gen};
 
 /// Quotes, backslashes, every C0 control, DEL, the two JavaScript line
@@ -199,7 +199,7 @@ fn hostile_text_round_trips_through_every_writer() {
         assert_eq!(doc.get("counters"), Some(&want_counters));
         assert_eq!(doc.get("gauges"), Some(&want_gauges));
 
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let delta = MetricsDelta {
             rank: 1,
             seq: 1,

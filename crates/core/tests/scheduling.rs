@@ -13,7 +13,7 @@ use std::time::Duration;
 use vira_grid::synth::{self, test_cube};
 use vira_storage::source::SynthSource;
 use vira_vista::{CommandParams, SubmitSpec, VistaClient};
-use viracocha::{FaultPlan, ResilienceConfig, SchedulerConfig, Viracocha, ViracochaConfig};
+use viracocha::{FaultPlan, ResilienceConfig, Viracocha, ViracochaConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -42,10 +42,9 @@ fn counters() -> SchedCounters {
 /// A dilated backend with both a long-running dataset (Engine) and a
 /// tiny one (TestCube) registered, so one submission mix can contain
 /// blocked heads and backfillable small jobs.
-fn launch(n_workers: usize, tweak: impl FnOnce(&mut SchedulerConfig)) -> (Viracocha, VistaClient) {
+fn launch(n_workers: usize) -> (Viracocha, VistaClient) {
     let mut cfg = ViracochaConfig::for_tests(n_workers);
     cfg.dilation = 0.02;
-    tweak(&mut cfg.sched);
     let (backend, link) = Viracocha::launch(cfg);
     backend.register_dataset(
         Arc::new(SynthSource::new(Arc::new(synth::engine(4)))),
@@ -75,19 +74,13 @@ fn tiny_spec(workers: usize) -> SubmitSpec {
     }
 }
 
-fn fifo(s: &mut SchedulerConfig) {
-    s.backfill = false;
-    s.locality = false;
-    s.fair_share = false;
-}
-
 #[test]
 fn backfill_dispatches_a_small_job_past_a_blocked_head() {
     let _g = serial();
     // 3 workers: j1 takes 2 of them for a long time, j2 wants all 3 and
     // blocks the queue head, j3 needs only the one free rank.
     let before = counters();
-    let (backend, mut client) = launch(3, |_| {});
+    let (backend, mut client) = launch(3);
     let j1 = client.submit(&long_spec(2)).unwrap();
     let j2 = client.submit(&tiny_spec(3)).unwrap();
     let j3 = client.submit(&tiny_spec(1)).unwrap();
@@ -122,78 +115,62 @@ fn backfill_dispatches_a_small_job_past_a_blocked_head() {
 }
 
 #[test]
-fn fifo_mode_keeps_the_small_job_behind_the_blocked_head() {
-    let _g = serial();
-    let before = counters();
-    let (backend, mut client) = launch(3, fifo);
-    let j1 = client.submit(&long_spec(2)).unwrap();
-    let j2 = client.submit(&tiny_spec(3)).unwrap();
-    let j3 = client.submit(&tiny_spec(1)).unwrap();
-    let _o1 = client.collect(j1).unwrap();
-    let o2 = client.collect(j2).unwrap();
-    let o3 = client.collect(j3).unwrap();
-    // Strict FIFO: j3 dispatches only after j2 ran, so it waits longer.
-    assert!(
-        o3.report.queue_wait_s > o2.report.queue_wait_s,
-        "FIFO must hold j3 behind j2 (j3 waited {:.3}s, j2 waited {:.3}s)",
-        o3.report.queue_wait_s,
-        o2.report.queue_wait_s
-    );
-    client.shutdown().unwrap();
-    backend.join();
-    let after = counters();
-    assert_eq!(
-        after.backfills - before.backfills,
-        0,
-        "no overtakes in FIFO mode"
-    );
-}
-
-#[test]
 fn aged_head_blocks_further_backfill_and_then_runs() {
     let _g = serial();
     let before = counters();
-    // 2 workers, aging bound 2: j1 holds one rank for a long time; j2
-    // (2 workers) blocks the head; j3 and j4 backfill past it — the
-    // second overtake ages j2 to the bound — and j5 must then wait
-    // behind j2 even though it would fit the free rank.
-    let (backend, mut client) = launch(2, |s| {
-        s.max_skipped_dispatches = 2;
-        s.fair_share = false;
-        s.locality = false;
-    });
-    let j1 = client.submit(&long_spec(1)).unwrap();
-    let j2 = client.submit(&tiny_spec(2)).unwrap();
-    let j3 = client.submit(&tiny_spec(1)).unwrap();
-    let j4 = client.submit(&tiny_spec(1)).unwrap();
-    let j5 = client.submit(&tiny_spec(1)).unwrap();
+    // 2 workers, aging bound 8: j1 holds one rank for a long time; the
+    // head (2 workers) blocks; eight one-rank overtakers backfill past
+    // it on the free rank — the eighth ages the head to the bound — and
+    // the last job must then wait behind the head even though it would
+    // fit the free rank. j1 runs 16 steps so that the eight overtakers,
+    // one after another, finish well inside it.
+    let (backend, mut client) = launch(2);
+    let j1 = client
+        .submit(&SubmitSpec {
+            params: CommandParams::new().set("iso", 15.0).set("n_steps", 16),
+            ..long_spec(1)
+        })
+        .unwrap();
+    let head = client.submit(&tiny_spec(2)).unwrap();
+    let overtakers: Vec<_> = (0..8)
+        .map(|_| client.submit(&tiny_spec(1)).unwrap())
+        .collect();
+    let last = client.submit(&tiny_spec(1)).unwrap();
     let _o1 = client.collect(j1).unwrap();
-    let o2 = client.collect(j2).unwrap();
-    let o3 = client.collect(j3).unwrap();
-    let o4 = client.collect(j4).unwrap();
-    let o5 = client.collect(j5).unwrap();
+    let o_head = client.collect(head).unwrap();
+    let o_overtakers: Vec<_> = overtakers
+        .iter()
+        .map(|&j| client.collect(j).unwrap())
+        .collect();
+    let o_last = client.collect(last).unwrap();
     client.shutdown().unwrap();
     backend.join();
     let after = counters();
     assert_eq!(
         after.backfills - before.backfills,
-        2,
-        "exactly j3 and j4 may overtake before the bound trips"
+        8,
+        "exactly the eight overtakers may jump before the bound trips"
     );
     assert_eq!(
         after.aged - before.aged,
         1,
-        "j2 reaches the aging bound exactly once"
+        "the head reaches the aging bound exactly once"
     );
-    // The overtakers barely waited; j5 was held until after the aged j2
-    // finally dispatched and ran.
-    assert!(o3.report.queue_wait_s < o2.report.queue_wait_s);
-    assert!(o4.report.queue_wait_s < o2.report.queue_wait_s);
+    // The overtakers dispatched ahead of the head; the last job was held
+    // until after the aged head finally dispatched and ran.
+    for (i, o) in o_overtakers.iter().enumerate() {
+        assert!(
+            o.report.queue_wait_s < o_head.report.queue_wait_s,
+            "overtaker {i} waited {:.3}s, the head {:.3}s",
+            o.report.queue_wait_s,
+            o_head.report.queue_wait_s
+        );
+    }
     assert!(
-        o5.report.queue_wait_s > o2.report.queue_wait_s,
-        "j5 must not overtake the aged head (j5 waited {:.3}s, j2 waited {:.3}s)",
-        o5.report.queue_wait_s,
-        o2.report.queue_wait_s
+        o_last.report.queue_wait_s > o_head.report.queue_wait_s,
+        "the last job must not overtake the aged head (it waited {:.3}s, the head {:.3}s)",
+        o_last.report.queue_wait_s,
+        o_head.report.queue_wait_s
     );
 }
 
@@ -204,9 +181,7 @@ fn fair_share_round_robins_dispatch_across_sessions() {
     // session 7 submits three. Round-robin credit interleaves them —
     // b1 runs before a2, b2 before a3 — instead of draining session 0
     // first.
-    let (backend, mut client) = launch(1, |s| {
-        s.locality = false;
-    });
+    let (backend, mut client) = launch(1);
     client.set_session(0);
     let a1 = client.submit(&tiny_spec(1)).unwrap();
     let a2 = client.submit(&tiny_spec(1)).unwrap();
@@ -238,26 +213,6 @@ fn fair_share_round_robins_dispatch_across_sessions() {
         "b2 must run before a3 (b2 waited {:.3}s, a3 waited {:.3}s)",
         ob[1].report.queue_wait_s,
         oa[2].report.queue_wait_s
-    );
-}
-
-#[test]
-fn fifo_mode_drains_the_first_session_before_the_second() {
-    let _g = serial();
-    let (backend, mut client) = launch(1, fifo);
-    client.set_session(0);
-    let a1 = client.submit(&tiny_spec(1)).unwrap();
-    let a2 = client.submit(&tiny_spec(1)).unwrap();
-    client.set_session(7);
-    let b1 = client.submit(&tiny_spec(1)).unwrap();
-    let _oa1 = client.collect(a1).unwrap();
-    let oa2 = client.collect(a2).unwrap();
-    let ob1 = client.collect(b1).unwrap();
-    client.shutdown().unwrap();
-    backend.join();
-    assert!(
-        ob1.report.queue_wait_s > oa2.report.queue_wait_s,
-        "without fair share, session 7 waits out all of session 0"
     );
 }
 
@@ -320,7 +275,7 @@ fn requeued_job_reports_per_attempt_waits_not_recovery_time() {
 fn client_disconnect_fails_queued_jobs_instead_of_dropping_them() {
     let _g = serial();
     let before = counters();
-    let (backend, mut client) = launch(1, |_| {});
+    let (backend, mut client) = launch(1);
     // j1 must still be running when the client vanishes (~480 ms on a
     // fast host; `long_spec` takes ~135 ms) and must send the client
     // nothing before its final: a progress report or streamed packet to
@@ -359,7 +314,6 @@ fn a_probe_does_not_stall_other_jobs() {
     // file, and a loose one: the probe window is twice the budget.
     let probe_timeout = Duration::from_secs(1);
     let mut cfg = ViracochaConfig::for_tests(3);
-    fifo(&mut cfg.sched);
     cfg.resilience = ResilienceConfig {
         dispatch_timeout: Duration::from_millis(100),
         backoff_factor: 1.5,

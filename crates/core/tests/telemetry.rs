@@ -227,7 +227,7 @@ fn tsdb_merged_histogram_equals_direct_fold() {
     vira_testkit::check(vira_testkit::DEFAULT_CASES, |g| {
         let a = arb_samples(g, 0, 100);
         let b = arb_samples(g, 0, 100);
-        let mut db = vira_obs::Tsdb::new(vira_obs::TsdbConfig::default());
+        let mut db = vira_obs::Tsdb::default();
         for (rank, samples) in [(1u64, &a), (2u64, &b)] {
             let delta = MetricsDelta {
                 rank,

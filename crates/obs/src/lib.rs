@@ -61,4 +61,4 @@ pub use trace::{
     intern, next_span_id, now_ns, set_enabled, span, ArgValue, CtxGuard, SpanGuard, SpanRecord,
     TraceCtx, TraceDump,
 };
-pub use tsdb::{Tsdb, TsdbConfig};
+pub use tsdb::Tsdb;

@@ -423,7 +423,6 @@ mod tests {
     use crate::json;
     use crate::metrics::Histogram;
     use crate::ship::{MetricsDelta, SparseHist};
-    use crate::tsdb::TsdbConfig;
 
     fn hist_delta(rank: u64, seq: u64, name: &str, values: &[u64]) -> MetricsDelta {
         let mut snap = HistogramSnapshot::default();
@@ -446,7 +445,7 @@ mod tests {
     /// burn rate must be exactly 10× in both windows.
     #[test]
     fn burn_rate_matches_hand_computed_fixture() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         // Threshold 1 ms sits in bucket 19 ([2^19, 2^20)); good samples
         // at 1000 ns (bucket 9), bad at 4 Mns = 2^22 (bucket 22).
         let mut values = vec![1000u64; 90];
@@ -486,7 +485,7 @@ mod tests {
     fn alerts_are_edge_triggered() {
         // This test drains the global event log, as `event`'s own tests do.
         let _g = crate::event::TEST_LOCK.lock().unwrap();
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         db.ingest(&hist_delta(0, 1, "lat_ns", &[4_000_000; 10]), 1_000);
         crate::event::set_stderr_echo(false);
         let spec = SloSpec::latency("edge_test_slo", "lat_ns", 1_000_000, 0.99);
@@ -547,7 +546,7 @@ mod tests {
     /// Bad fraction 0.20 against a 0.01 budget burns at exactly 20×.
     #[test]
     fn shed_ratio_burns_when_quotas_shed() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let d = MetricsDelta {
             rank: 0,
             seq: 1,
@@ -575,7 +574,7 @@ mod tests {
 
     #[test]
     fn no_events_means_no_burn() {
-        let db = Tsdb::new(TsdbConfig::default());
+        let db = Tsdb::default();
         let spec = SloSpec::error_ratio("errors", "good_total", "bad_total", 0.999);
         let mut engine = SloEngine::new(vec![spec]);
         let statuses = engine.evaluate(&db, 1_000);
@@ -587,7 +586,7 @@ mod tests {
 
     #[test]
     fn error_ratio_counts_counters() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let d = MetricsDelta {
             rank: 0,
             seq: 1,
@@ -609,7 +608,7 @@ mod tests {
 
     #[test]
     fn telemetry_json_parses_back() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let mut d = hist_delta(1, 1, "sched_job_runtime_ns", &[1000, 2000, 3000]);
         d.counters = vec![("sched_jobs_done_total".into(), 3)];
         d.gauges = vec![("sched_queue_depth".into(), 2)];

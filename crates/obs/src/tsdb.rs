@@ -28,37 +28,27 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::metrics::HistogramSnapshot;
 use crate::ship::MetricsDelta;
 
-/// Sizing knobs. Defaults hold ~3 tiers × 128 points per scalar series
-/// and 64 histogram samples per (rank, metric) — a few MB at the
-/// `max_series` cap, independent of run length.
-#[derive(Clone, Debug)]
-pub struct TsdbConfig {
-    /// Ring capacity of every tier.
-    pub points_per_tier: usize,
-    /// Demotion factor between consecutive tiers; the number of tiers
-    /// is `tier_factors.len() + 1`.
-    pub tier_factors: Vec<u32>,
-    /// Cumulative histogram samples retained per (rank, metric).
-    pub hist_samples: usize,
-    /// Cap on the total number of series (scalar + histogram). New
-    /// series beyond the cap are dropped and counted.
-    pub max_series: usize,
-}
+// Sizing: 3 tiers × 128 points per scalar series and 64 histogram
+// samples per (rank, metric) — a few MB at the `MAX_SERIES` cap,
+// independent of run length.
 
-impl Default for TsdbConfig {
-    fn default() -> Self {
-        TsdbConfig {
-            points_per_tier: 128,
-            tier_factors: vec![8, 8],
-            hist_samples: 64,
-            max_series: 4096,
-        }
-    }
-}
+/// Ring capacity of every tier.
+const POINTS_PER_TIER: usize = 128;
+/// Demotion factor between consecutive tiers; there are
+/// `TIER_FACTORS.len() + 1` tiers.
+const TIER_FACTORS: [u32; 2] = [8, 8];
+/// Cumulative histogram samples retained per (rank, metric).
+const HIST_SAMPLES: usize = 64;
+/// Cap on the total number of series (scalar + histogram). New series
+/// beyond the cap are dropped and counted.
+const MAX_SERIES: usize = 4096;
 
+#[derive(Default)]
 struct Series {
-    tiers: Vec<VecDeque<(u64, f64)>>,
-    evicted: Vec<u32>,
+    tiers: [VecDeque<(u64, f64)>; TIER_FACTORS.len() + 1],
+    /// Points evicted from each tier but the last since its latest
+    /// demotion.
+    evicted: [u32; TIER_FACTORS.len()],
     /// Receiver clock of the very first push — never evicted, so a
     /// window query can tell "series born inside the window" (count
     /// everything) from "window exceeds retention" (clamp to the
@@ -67,29 +57,20 @@ struct Series {
 }
 
 impl Series {
-    fn new(cfg: &TsdbConfig) -> Series {
-        let n = cfg.tier_factors.len() + 1;
-        Series {
-            tiers: (0..n).map(|_| VecDeque::new()).collect(),
-            evicted: vec![0; n],
-            first_t: None,
-        }
-    }
-
-    fn push(&mut self, cfg: &TsdbConfig, t: u64, v: f64) {
+    fn push(&mut self, t: u64, v: f64) {
         self.first_t.get_or_insert(t);
-        self.push_tier(cfg, 0, t, v);
+        self.push_tier(0, t, v);
     }
 
-    fn push_tier(&mut self, cfg: &TsdbConfig, k: usize, t: u64, v: f64) {
+    fn push_tier(&mut self, k: usize, t: u64, v: f64) {
         self.tiers[k].push_back((t, v));
-        if self.tiers[k].len() > cfg.points_per_tier {
+        if self.tiers[k].len() > POINTS_PER_TIER {
             let (et, ev) = self.tiers[k].pop_front().unwrap();
-            if k + 1 < self.tiers.len() {
+            if k < TIER_FACTORS.len() {
                 self.evicted[k] += 1;
-                if self.evicted[k] >= cfg.tier_factors[k] {
+                if self.evicted[k] >= TIER_FACTORS[k] {
                     self.evicted[k] = 0;
-                    self.push_tier(cfg, k + 1, et, ev);
+                    self.push_tier(k + 1, et, ev);
                 }
             }
         }
@@ -147,8 +128,8 @@ pub struct RankState {
 }
 
 /// The store. Single-owner (the scheduler thread); queries take `&self`.
+#[derive(Default)]
 pub struct Tsdb {
-    cfg: TsdbConfig,
     counters: BTreeMap<(u64, String), (u64, Series)>,
     gauges: BTreeMap<(u64, String), Series>,
     hists: BTreeMap<(u64, String), HistSeries>,
@@ -158,18 +139,6 @@ pub struct Tsdb {
 }
 
 impl Tsdb {
-    pub fn new(cfg: TsdbConfig) -> Tsdb {
-        Tsdb {
-            cfg,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            ranks: BTreeMap::new(),
-            dup_dropped: 0,
-            series_dropped: 0,
-        }
-    }
-
     fn series_count(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.hists.len()
     }
@@ -203,34 +172,27 @@ impl Tsdb {
 
         for (name, inc) in &d.counters {
             let key = (d.rank, name.clone());
-            if !self.counters.contains_key(&key) && self.series_count() >= self.cfg.max_series {
+            if !self.counters.contains_key(&key) && self.series_count() >= MAX_SERIES {
                 self.series_dropped += 1;
                 continue;
             }
-            let entry = self
-                .counters
-                .entry(key)
-                .or_insert_with(|| (0, Series::new(&self.cfg)));
+            let entry = self.counters.entry(key).or_default();
             entry.0 += inc;
             let total = entry.0;
-            entry.1.push(&self.cfg, now_ns, total as f64);
+            entry.1.push(now_ns, total as f64);
         }
         let gauges: &[_] = if newest { &d.gauges } else { &[] };
         for (name, v) in gauges {
             let key = (d.rank, name.clone());
-            if !self.gauges.contains_key(&key) && self.series_count() >= self.cfg.max_series {
+            if !self.gauges.contains_key(&key) && self.series_count() >= MAX_SERIES {
                 self.series_dropped += 1;
                 continue;
             }
-            let cfg = self.cfg.clone();
-            self.gauges
-                .entry(key)
-                .or_insert_with(|| Series::new(&cfg))
-                .push(&cfg, now_ns, *v as f64);
+            self.gauges.entry(key).or_default().push(now_ns, *v as f64);
         }
         for (name, h) in &d.histograms {
             let key = (d.rank, name.clone());
-            if !self.hists.contains_key(&key) && self.series_count() >= self.cfg.max_series {
+            if !self.hists.contains_key(&key) && self.series_count() >= MAX_SERIES {
                 self.series_dropped += 1;
                 continue;
             }
@@ -240,7 +202,7 @@ impl Tsdb {
             });
             entry.cum.merge(&h.to_snapshot());
             entry.samples.push_back((now_ns, entry.cum));
-            if entry.samples.len() > self.cfg.hist_samples {
+            if entry.samples.len() > HIST_SAMPLES {
                 entry.samples.pop_front();
             }
         }
@@ -429,7 +391,7 @@ mod tests {
 
     #[test]
     fn dup_seq_is_idempotent() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let d = delta(1, 5, &[("jobs_total", 3)]);
         assert!(db.ingest(&d, 100));
         assert!(!db.ingest(&d, 200), "replayed frame must be dropped");
@@ -444,7 +406,7 @@ mod tests {
     fn overtaken_delta_is_applied_once_when_it_arrives() {
         // Seq 4 rode a DONE frame, seq 5 a heartbeat pong that got
         // there first: both increments count, neither twice.
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let mut late = delta(1, 4, &[("jobs_total", 9)]);
         late.gauges = vec![("queue_depth".into(), 7)];
         let mut early = delta(1, 5, &[("jobs_total", 3)]);
@@ -474,7 +436,7 @@ mod tests {
 
     #[test]
     fn cross_rank_histogram_merge_is_the_real_distribution() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         // Rank 1: 99 fast samples (~1µs). Rank 2: 1 slow sample (~1ms).
         db.ingest(&hist_delta(1, 1, "lat_ns", &vec![1000u64; 99]), 10);
         db.ingest(&hist_delta(2, 1, "lat_ns", &[1_000_000]), 20);
@@ -488,7 +450,7 @@ mod tests {
 
     #[test]
     fn window_queries_subtract_the_edge() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         db.ingest(&delta(1, 1, &[("jobs_total", 10)]), 1_000);
         db.ingest(&delta(1, 2, &[("jobs_total", 5)]), 2_000);
         db.ingest(&delta(1, 3, &[("jobs_total", 2)]), 3_000);
@@ -510,49 +472,40 @@ mod tests {
 
     #[test]
     fn tiers_bound_memory_but_keep_old_points() {
-        let cfg = TsdbConfig {
-            points_per_tier: 8,
-            tier_factors: vec![4, 4],
-            hist_samples: 4,
-            max_series: 64,
-        };
-        let mut db = Tsdb::new(cfg);
-        for seq in 1..=1000u64 {
+        let mut db = Tsdb::default();
+        // Enough ingests to fill all three tiers: 128 + 128 × 8 +
+        // 128 × 64 = 9 344.
+        for seq in 1..=20_000u64 {
             db.ingest(&delta(1, seq, &[("jobs_total", 1)]), seq * 1_000);
         }
-        // 3 tiers × 8 points each, tops.
-        assert!(db.scalar_points() <= 24, "points = {}", db.scalar_points());
-        assert_eq!(db.counter_total("jobs_total"), 1000);
+        // 3 tiers × 128 points each, tops.
+        assert!(db.scalar_points() <= 384, "points = {}", db.scalar_points());
+        assert_eq!(db.counter_total("jobs_total"), 20_000);
         // A window reaching into decimated history still subtracts a
-        // plausible edge: the increment over the last ~500 ingests must
-        // be well under the total and nonzero.
-        let w = db.counter_window("jobs_total", 500_000, 1_000_000);
-        assert!(w > 0 && w < 1000, "window delta = {}", w);
+        // plausible edge: the increment over the last ~10 000 ingests
+        // must be well under the total and nonzero.
+        let w = db.counter_window("jobs_total", 10_000_000, 20_000_000);
+        assert!(w > 0 && w < 20_000, "window delta = {}", w);
     }
 
     #[test]
     fn series_cap_drops_new_series_not_old() {
-        let cfg = TsdbConfig {
-            max_series: 2,
-            ..TsdbConfig::default()
-        };
-        let mut db = Tsdb::new(cfg);
-        db.ingest(
-            &delta(1, 1, &[("a_total", 1), ("b_total", 1), ("c_total", 1)]),
-            10,
-        );
+        let mut db = Tsdb::default();
+        let names: Vec<String> = (0..=MAX_SERIES).map(|i| format!("s{i}_total")).collect();
+        let counters: Vec<(&str, u64)> = names.iter().map(|n| (n.as_str(), 1)).collect();
+        db.ingest(&delta(1, 1, &counters), 10);
         assert_eq!(db.series_dropped(), 1);
-        assert_eq!(db.counter_total("a_total"), 1);
-        assert_eq!(db.counter_total("b_total"), 1);
-        assert_eq!(db.counter_total("c_total"), 0);
+        assert_eq!(db.counter_total("s0_total"), 1);
+        assert_eq!(db.counter_total(&names[MAX_SERIES - 1]), 1);
+        assert_eq!(db.counter_total(&names[MAX_SERIES]), 0);
         // Existing series keep accepting increments at the cap.
-        db.ingest(&delta(1, 2, &[("a_total", 5)]), 20);
-        assert_eq!(db.counter_total("a_total"), 6);
+        db.ingest(&delta(1, 2, &[("s0_total", 5)]), 20);
+        assert_eq!(db.counter_total("s0_total"), 6);
     }
 
     #[test]
     fn gauges_are_instantaneous() {
-        let mut db = Tsdb::new(TsdbConfig::default());
+        let mut db = Tsdb::default();
         let mut d = delta(1, 1, &[]);
         d.gauges = vec![("depth".into(), 7)];
         db.ingest(&d, 10);
