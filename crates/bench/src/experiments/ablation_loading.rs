@@ -91,13 +91,7 @@ pub fn run(cfg: &BenchConfig) -> ExperimentResult {
         ("collective (no parallel FS)", false),
         ("collective (parallel FS)", true),
     ] {
-        let server = DataServer::new(
-            SimClock::instant(),
-            ServerConfig {
-                parallel_fs,
-                ..ServerConfig::default()
-            },
-        );
+        let server = DataServer::new(SimClock::instant(), ServerConfig { parallel_fs });
         server.register_dataset(Arc::new(CachedSynthSource::new(ds.clone())), false);
         let m = Meter::new();
         for b in 0..n_items {

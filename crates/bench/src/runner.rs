@@ -10,9 +10,7 @@
 use crate::config::BenchConfig;
 use std::sync::Arc;
 use vira_dms::proxy::ProxyConfig;
-use vira_dms::server::ServerConfig;
 use vira_grid::synth::{self, SyntheticDataset};
-use vira_storage::costmodel::ComputeCosts;
 use vira_storage::source::CachedSynthSource;
 use vira_vista::{CommandParams, JobReport, PacketRecord, SubmitSpec, VistaClient};
 use viracocha::{Viracocha, ViracochaConfig};
@@ -113,31 +111,11 @@ impl Harness {
         n_workers: usize,
         proxy: ProxyConfig,
     ) -> Harness {
-        Harness::launch_custom(
-            dataset,
-            cfg,
-            n_workers,
-            proxy,
-            ServerConfig::default(),
-            ComputeCosts::default(),
-        )
-    }
-
-    pub fn launch_custom(
-        dataset: Dataset,
-        cfg: &BenchConfig,
-        n_workers: usize,
-        proxy: ProxyConfig,
-        server: ServerConfig,
-        costs: ComputeCosts,
-    ) -> Harness {
         let dilation = dataset.dilation(cfg);
         let vcfg = ViracochaConfig {
             n_workers,
             dilation,
-            costs,
             proxy,
-            server,
             ..ViracochaConfig::default()
         };
         let (backend, link) = Viracocha::launch(vcfg);

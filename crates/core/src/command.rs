@@ -21,7 +21,7 @@ use vira_grid::block::{BlockId, BlockStepId};
 use vira_grid::field::SharedBlockData;
 use vira_grid::synth::DatasetSpec;
 use vira_obs as obs;
-use vira_storage::costmodel::{ComputeCosts, CostCategory, Meter, SharedChannel, SimClock};
+use vira_storage::costmodel::{self, CostCategory, Meter, SharedChannel, SimClock};
 use vira_storage::source::StorageError;
 use vira_vista::protocol::{CommandParams, EventHeader, JobId, PayloadKind};
 
@@ -102,23 +102,25 @@ pub struct CommandOutput {
     pub bricks_skipped: u64,
 }
 
+/// The kind and item count of a package holding `polylines` and
+/// `triangles`: polylines win, a package with neither is empty.
+pub(crate) fn payload_of(polylines: usize, triangles: usize) -> (PayloadKind, u32) {
+    if polylines > 0 {
+        (PayloadKind::Polylines, polylines as u32)
+    } else if triangles > 0 {
+        (PayloadKind::Triangles, triangles as u32)
+    } else {
+        (PayloadKind::None, 0)
+    }
+}
+
 impl CommandOutput {
     pub fn kind(&self) -> PayloadKind {
-        if !self.polylines.is_empty() {
-            PayloadKind::Polylines
-        } else if !self.triangles.is_empty() {
-            PayloadKind::Triangles
-        } else {
-            PayloadKind::None
-        }
+        payload_of(self.polylines.len(), self.triangles.n_triangles()).0
     }
 
     pub fn n_items(&self) -> u32 {
-        if self.polylines.is_empty() {
-            self.triangles.n_triangles() as u32
-        } else {
-            self.polylines.len() as u32
-        }
+        payload_of(self.polylines.len(), self.triangles.n_triangles()).1
     }
 }
 
@@ -140,7 +142,6 @@ pub struct JobCtx<'a> {
     pub server: Arc<DataServer>,
     pub meter: Arc<Meter>,
     pub clock: Arc<SimClock>,
-    pub costs: ComputeCosts,
     /// Extraction threads available to this command (from
     /// [`crate::config::ExtractConfig`]): how many loaded items the
     /// isosurface and λ₂ commands extract side by side.
@@ -199,7 +200,7 @@ impl<'a> JobCtx<'a> {
     /// nominal-equivalent triangle).
     fn charge_send(&self, n_triangles: usize) {
         let scaled = n_triangles as f64 * nominal_geometry_scale(&self.spec);
-        let t = self.costs.send_latency_s + scaled * self.costs.send_s_per_triangle;
+        let t = costmodel::SEND_LATENCY_S + scaled * costmodel::SEND_S_PER_TRIANGLE;
         charge_uplink(&self.meter, &self.clock, &self.uplink, t);
     }
 
@@ -207,7 +208,7 @@ impl<'a> JobCtx<'a> {
     /// trace lengths do not grow with grid resolution the way surface
     /// triangle counts do).
     fn charge_send_unscaled(&self, n: usize) {
-        let t = self.costs.send_latency_s + n as f64 * self.costs.send_s_per_triangle;
+        let t = costmodel::SEND_LATENCY_S + n as f64 * costmodel::SEND_S_PER_TRIANGLE;
         charge_uplink(&self.meter, &self.clock, &self.uplink, t);
     }
 

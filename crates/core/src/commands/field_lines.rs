@@ -16,6 +16,7 @@ use vira_extract::pathline::{
 };
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
+use vira_storage::costmodel;
 
 /// Instantaneous streamlines of one time level.
 ///
@@ -42,7 +43,7 @@ impl Command for Streamlines {
             .unwrap_or(2.0 * ctx.spec.n_steps as f64 * ctx.spec.dt);
         let topo = topology(ctx)?;
         let cfg = integrator_cfg(ctx, TimeScheme::VelocityInterp);
-        let cost_per_seed = ctx.costs.pathline_s_per_step * 20.0;
+        let cost_per_seed = costmodel::PATHLINE_S_PER_STEP * 20.0;
         let frozen_t = step as f64 * ctx.spec.dt;
 
         let seeds = my_seeds(ctx);
@@ -85,7 +86,7 @@ impl Command for Streaklines {
         let topo = topology(ctx)?;
         let cfg = integrator_cfg(ctx, TimeScheme::VelocityInterp);
         // A streakline costs roughly `releases` short pathlines.
-        let cost_per_seed = ctx.costs.pathline_s_per_step * 10.0 * releases as f64;
+        let cost_per_seed = costmodel::PATHLINE_S_PER_STEP * 10.0 * releases as f64;
 
         let seeds = my_seeds(ctx);
         let total = seeds.len().max(1);

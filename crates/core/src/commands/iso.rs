@@ -8,6 +8,7 @@
 use super::{require_f64, walk_share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
 use vira_extract::iso::extract_isosurface;
+use vira_storage::costmodel;
 
 fn extract_items(
     ctx: &mut JobCtx<'_>,
@@ -15,7 +16,7 @@ fn extract_items(
     collective: bool,
 ) -> Result<CommandOutput, CommandError> {
     let iso = require_f64(ctx, "iso")?;
-    let compute_per_item = ctx.costs.iso_s_per_cell * ctx.nominal_cells();
+    let compute_per_item = costmodel::ISO_S_PER_CELL * ctx.nominal_cells();
     walk_share(
         ctx,
         false,

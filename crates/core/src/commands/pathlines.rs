@@ -13,6 +13,7 @@ use vira_extract::pathline::{trace_pathline, FieldSampler, MultiBlockSampler, Ti
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
 use vira_grid::math::Vec3;
+use vira_storage::costmodel;
 
 /// Wraps a sampler so every velocity evaluation charges a slice of the
 /// modeled integration cost — spreading compute over the trace so that
@@ -48,7 +49,7 @@ fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, C
     };
     let cfg = integrator_cfg(ctx, scheme);
     // 12 velocity evaluations per step-doubled RK4 triple.
-    let cost_per_eval = ctx.costs.pathline_s_per_step / 12.0;
+    let cost_per_eval = costmodel::PATHLINE_S_PER_STEP / 12.0;
 
     let mut out = CommandOutput::default();
     for seed in my_seeds(ctx) {

@@ -12,6 +12,7 @@
 use super::{batch_size, id_order, require_f64, share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
 use vira_extract::multires::progressive_isosurface;
+use vira_storage::costmodel;
 
 pub struct ProgressiveIso;
 
@@ -53,7 +54,7 @@ impl Command for ProgressiveIso {
                 // nominal cells; charge the level's share before its
                 // surface goes out.
                 let frac = 1.0 / (level.stride as f64).powi(3);
-                ctx.charge_compute(ctx.costs.iso_s_per_cell * nominal * frac);
+                ctx.charge_compute(costmodel::ISO_S_PER_CELL * nominal * frac);
                 let mut remaining = level.surface.clone();
                 while !remaining.is_empty() {
                     let chunk = remaining.drain_front(batch);

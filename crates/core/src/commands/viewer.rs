@@ -20,6 +20,7 @@ use vira_extract::bsp::BspTree;
 use vira_extract::mesh::TriangleSoup;
 use vira_extract::tetra::contour_cell;
 use vira_grid::math::Vec3;
+use vira_storage::costmodel;
 
 pub struct ViewerIso;
 
@@ -40,7 +41,7 @@ impl Command for ViewerIso {
         // BSP construction and traversal add to the plain per-cell cost —
         // the "true cost of streaming" the paper leaves in deliberately.
         let compute_per_item =
-            (ctx.costs.iso_s_per_cell + ctx.costs.bsp_overhead_s_per_cell) * ctx.nominal_cells();
+            (costmodel::ISO_S_PER_CELL + costmodel::BSP_OVERHEAD_S_PER_CELL) * ctx.nominal_cells();
 
         for id in share(ctx, &order) {
             if ctx.is_cancelled() {

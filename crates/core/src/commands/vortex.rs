@@ -5,14 +5,14 @@
 //!
 //! All three walk their share through [`walk_share`] and extract an item
 //! the same way: the complete λ₂ field of the block ([`lambda2_field`],
-//! or a memoized one with its bricktree), contoured at the threshold by
-//! [`contour`]. They differ in how an item is loaded and in where its
-//! batches go.
+//! or a memoized [`DerivedField`] with its bricktree), contoured at the
+//! threshold by [`contour`]. They differ in how an item is loaded and in
+//! where its batches go.
 
 use super::{require_f64, walk_share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::derived::DerivedField;
 use std::sync::Arc;
-use vira_extract::bricktree::BrickTree;
 use vira_extract::halo::GhostedBlock;
 use vira_extract::iso::{extract_streamed, extract_streamed_with_tree, IsoStats};
 use vira_extract::lambda2::lambda2_field;
@@ -21,14 +21,16 @@ use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
 use vira_grid::topology::BlockTopology;
 use vira_grid::{BlockData, ScalarField};
+use vira_storage::costmodel;
 
 /// One λ₂ item once its loads are done.
 enum Lambda2Item {
     /// The memoized range cannot straddle the threshold: this many cells
     /// are skipped without touching the field.
     Outside(usize),
-    /// Memoized field and bricktree: only the contouring is left.
-    Memoized(SharedBlockData, Arc<ScalarField>, Arc<BrickTree>),
+    /// Memoized field: only the contouring is left, on the bricktree the
+    /// first contour builds.
+    Memoized(SharedBlockData, Arc<DerivedField>),
     /// Derive λ₂ (across the face neighbours, when given), then contour.
     Fresh(SharedBlockData, Option<Vec<SharedBlockData>>),
 }
@@ -74,9 +76,14 @@ fn contour(item: &Lambda2Item, threshold: f64, batch: usize) -> (Vec<TriangleSou
             cells_skipped: *cells,
             ..IsoStats::default()
         },
-        Lambda2Item::Memoized(data, field, tree) => {
-            extract_streamed_with_tree(&data.grid, field, threshold, Some(tree), batch, sink)
-        }
+        Lambda2Item::Memoized(data, memo) => extract_streamed_with_tree(
+            &data.grid,
+            &memo.field,
+            threshold,
+            Some(memo.tree()),
+            batch,
+            sink,
+        ),
         Lambda2Item::Fresh(data, nbs) => {
             let field = derive(data, nbs.as_deref());
             extract_streamed(&data.grid, &field, threshold, batch, sink)
@@ -114,9 +121,9 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
         None
     };
     let topology = topology.as_deref();
-    let kind: &'static str = if ghosts { "lambda2-ghosted" } else { "lambda2" };
-    let lambda2_cost = ctx.costs.lambda2_s_per_cell * ctx.nominal_cells();
-    let iso_cost = ctx.costs.iso_s_per_cell * ctx.nominal_cells();
+    let kind = if ghosts { "lambda2-ghosted" } else { "lambda2" };
+    let lambda2_cost = costmodel::LAMBDA2_S_PER_CELL * ctx.nominal_cells();
+    let iso_cost = costmodel::ISO_S_PER_CELL * ctx.nominal_cells();
     let load = |ctx: &JobCtx<'_>, id: BlockStepId| {
         let data = if use_dms {
             ctx.load_block(id)?
@@ -127,44 +134,29 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
             ctx.charge_compute(lambda2_cost);
             return Ok(Lambda2Item::Fresh(data, neighbours(ctx, topology, id)?));
         }
-        // Block-level prune on the memoized range (harvested from the
-        // bricktree root, see `DerivedFieldCache::range_of`): when the
-        // whole block straddles nothing at this threshold, a sweep
-        // iteration skips it without touching the field or the tree.
-        // Mirrors the brick activity test (`hi > iso && lo <= iso`), so
-        // geometry is unchanged.
-        if let Some((lo, hi)) = ctx.derived.range_of(&ctx.dataset, kind, id) {
-            if !(hi > threshold && lo <= threshold) {
-                return Ok(Lambda2Item::Outside(data.dims().n_cells()));
-            }
-        }
-        let (hits_before, _) = ctx.derived.stats();
-        let mut derive_err = None;
-        // The bricktree is memoized alongside the field, so a threshold
-        // sweep builds it exactly once per block.
-        let (field, tree) = ctx
-            .derived
-            .get_or_compute_with_tree(&ctx.dataset, kind, id, || {
-                match neighbours(ctx, topology, id) {
-                    Ok(nbs) => derive(&data, nbs.as_deref()),
-                    Err(e) => {
-                        derive_err = Some(e);
-                        ScalarField::from_fn(data.dims(), |_, _, _| f64::INFINITY)
-                    }
+        if let Some(memo) = ctx.derived.get(&ctx.dataset, kind, id) {
+            // Block-level prune on the memoized range: when the whole
+            // block straddles nothing at this threshold, a sweep
+            // iteration skips it without touching the field or the tree.
+            // Mirrors the brick activity test (`hi > iso && lo <= iso`),
+            // so geometry is unchanged.
+            if let Some((lo, hi)) = memo.range() {
+                if !(hi > threshold && lo <= threshold) {
+                    return Ok(Lambda2Item::Outside(data.dims().n_cells()));
                 }
-            });
-        if let Some(e) = derive_err {
-            return Err(e);
-        }
-        let (hits_after, _) = ctx.derived.stats();
-        // Charge the full derivation only when it actually ran; a
-        // memoized field costs just the re-contouring.
-        if hits_after == hits_before {
-            ctx.charge_compute(lambda2_cost);
-        } else {
+            }
+            // A memoized field costs just the re-contouring.
             ctx.charge_compute(iso_cost);
+            return Ok(Lambda2Item::Memoized(data, memo));
         }
-        Ok(Lambda2Item::Memoized(data, field, tree))
+        // Every load precedes the derivation, so a failed one leaves
+        // nothing in the cache.
+        let nbs = neighbours(ctx, topology, id)?;
+        ctx.charge_compute(lambda2_cost);
+        let memo = ctx
+            .derived
+            .get_or_compute(&ctx.dataset, kind, id, || derive(&data, nbs.as_deref()));
+        Ok(Lambda2Item::Memoized(data, memo))
     };
     walk_share(ctx, false, load, |item| {
         contour(item, threshold, usize::MAX)
@@ -214,15 +206,15 @@ impl Command for StreamedVortex {
         // Streaming overhead: the paper's cell-wise pass costs slightly
         // more than its full-field pass (extra bookkeeping per cell).
         let compute_per_item =
-            (ctx.costs.lambda2_s_per_cell + 0.1 * ctx.costs.iso_s_per_cell) * ctx.nominal_cells();
+            (costmodel::LAMBDA2_S_PER_CELL + 0.1 * costmodel::ISO_S_PER_CELL) * ctx.nominal_cells();
         let load = |ctx: &JobCtx<'_>, id: BlockStepId| {
             let data = ctx.load_block(id)?;
             ctx.charge_compute(compute_per_item);
-            // Reuse the field and bricktree an earlier full-field pass
-            // (VortexDataMan with `cache_fields`) memoized; never fill
-            // the cache from here.
-            Ok(match ctx.derived.peek_tree(&ctx.dataset, "lambda2", id) {
-                Some((field, tree)) => Lambda2Item::Memoized(data, field, tree),
+            // Reuse the field an earlier full-field pass (VortexDataMan
+            // with `cache_fields`) memoized; never fill the cache from
+            // here.
+            Ok(match ctx.derived.get(&ctx.dataset, "lambda2", id) {
+                Some(memo) => Lambda2Item::Memoized(data, memo),
                 None => Lambda2Item::Fresh(data, None),
             })
         };

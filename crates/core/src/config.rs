@@ -3,7 +3,6 @@
 use std::time::Duration;
 use vira_dms::proxy::ProxyConfig;
 use vira_dms::server::ServerConfig;
-use vira_storage::costmodel::ComputeCosts;
 
 /// Retry/requeue tuning for the scheduler and the master workers.
 ///
@@ -156,11 +155,10 @@ pub struct ViracochaConfig {
     /// Time dilation: wall seconds slept per modeled second. `0.0`
     /// disables sleeping (pure accounting — the unit-test mode).
     pub dilation: f64,
-    /// Modeled per-cell / per-byte compute and transmission costs.
-    pub costs: ComputeCosts,
     /// Per-node data-proxy configuration (caches, prefetcher).
     pub proxy: ProxyConfig,
-    /// Data-server configuration (strategy selection, cooperative cache).
+    /// Data-server configuration: whether a parallel file system backs
+    /// collective I/O.
     pub server: ServerConfig,
     /// Retry/requeue behaviour under message loss and dead ranks.
     pub resilience: ResilienceConfig,
@@ -177,7 +175,6 @@ impl Default for ViracochaConfig {
         ViracochaConfig {
             n_workers: 4,
             dilation: 0.0,
-            costs: ComputeCosts::default(),
             proxy: ProxyConfig::default(),
             server: ServerConfig::default(),
             resilience: ResilienceConfig::default(),
@@ -213,7 +210,6 @@ mod tests {
         let c = ViracochaConfig::default();
         assert!(c.n_workers >= 1);
         assert_eq!(c.dilation, 0.0);
-        assert!(c.costs.iso_s_per_cell > 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the scheduler for delivery to the visualization client.
 
 use crate::command::{
-    charge_uplink, encode_output, nominal_geometry_scale, CancelSet, CommandOutput,
+    charge_uplink, encode_output, nominal_geometry_scale, payload_of, CancelSet, CommandOutput,
     CommandRegistry, JobCtx,
 };
 use crate::config::ViracochaConfig;
@@ -23,7 +23,7 @@ use vira_comm::transport::{tags, CommError, LocalEndpoint, Rank, Tag, Transport}
 use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::DataServer;
 use vira_extract::mesh::payload_triangle_count;
-use vira_storage::costmodel::{CostCategory, Meter, SharedChannel, SimClock};
+use vira_storage::costmodel::{self, CostCategory, Meter, SharedChannel, SimClock};
 use vira_vista::protocol::{JobId, PayloadKind};
 
 /// How many answered (job, attempt) keys a worker remembers. Only the
@@ -97,7 +97,10 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
     let proxy = DataProxy::new(rank, server.clone(), proxy_config_for(rank, &config.proxy));
     // Derived-field memoization (λ₂ fields across threshold tweaks);
     // sized like the primary data cache.
-    let derived = crate::derived::DerivedFieldCache::new(config.proxy.l1_capacity_bytes);
+    let derived = crate::derived::DerivedFieldCache::new(
+        server.names().clone(),
+        config.proxy.l1_capacity_bytes,
+    );
     // Recently answered (job, attempt) keys, oldest first, and the
     // newest one's response, replayed when the scheduler retransmits a
     // command whose answer was lost.
@@ -229,7 +232,6 @@ fn run_job<T: Transport>(
                 server: server.clone(),
                 meter: meter.clone(),
                 clock: clock.clone(),
-                costs: config.costs,
                 extract_threads: config.extract.threads,
                 events: events.clone(),
                 cancels: cancels.clone(),
@@ -268,7 +270,7 @@ fn run_job<T: Transport>(
         // Ship the partial to the master worker; modeled cost of the
         // transfer is part of the job's Send share.
         let n = scaled_send_items(output.n_items() as usize, send_scale(output.kind()));
-        charge_send(&meter, clock, config, n);
+        charge_send(&meter, clock, n);
         let frame = encode_output(
             msg.job,
             msg.attempt,
@@ -419,24 +421,12 @@ fn run_job<T: Transport>(
         }
     }
 
-    // Merged kind and item count mirror `CommandOutput::kind`/`n_items`
-    // (polylines win over triangles).
-    let kind = if !merged_polylines.is_empty() {
-        PayloadKind::Polylines
-    } else if tri_count > 0 {
-        PayloadKind::Triangles
-    } else {
-        PayloadKind::None
-    };
-    let n_items = match kind {
-        PayloadKind::Polylines => merged_polylines.len() as u32,
-        _ => tri_count as u32,
-    };
+    let (kind, n_items) = payload_of(merged_polylines.len(), tri_count);
 
     // The master transmits the merged package over the client uplink;
     // charge its send cost (including queueing behind streamed packets).
     let n = scaled_send_items(n_items as usize, send_scale(kind));
-    let modeled = config.costs.send_latency_s + n as f64 * config.costs.send_s_per_triangle;
+    let modeled = costmodel::SEND_LATENCY_S + n as f64 * costmodel::SEND_S_PER_TRIANGLE;
     total_send += charge_uplink(&meter, clock, uplink, modeled);
 
     let payload = match kind {
@@ -477,8 +467,8 @@ fn run_job<T: Transport>(
     }
 }
 
-fn charge_send(meter: &Meter, clock: &SimClock, config: &ViracochaConfig, n_items: usize) {
-    let t = config.costs.send_latency_s + n_items as f64 * config.costs.send_s_per_triangle;
+fn charge_send(meter: &Meter, clock: &SimClock, n_items: usize) {
+    let t = costmodel::SEND_LATENCY_S + n_items as f64 * costmodel::SEND_S_PER_TRIANGLE;
     meter.charge(clock, CostCategory::Send, t);
 }
 

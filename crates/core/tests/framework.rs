@@ -786,6 +786,81 @@ fn derived_field_cache_preserves_geometry_and_saves_compute() {
     finish(backend, client);
 }
 
+/// A synthetic back-end whose fetches of one block fail while `failing`
+/// is set.
+struct FlakySource {
+    inner: SynthSource,
+    block: u32,
+    failing: std::sync::atomic::AtomicBool,
+}
+
+impl vira_storage::DataSource for FlakySource {
+    fn spec(&self) -> &synth::DatasetSpec {
+        self.inner.spec()
+    }
+
+    fn fetch(
+        &self,
+        id: vira_grid::block::BlockStepId,
+    ) -> Result<Arc<vira_grid::BlockData>, vira_storage::StorageError> {
+        if id.block == self.block && self.failing.load(std::sync::atomic::Ordering::SeqCst) {
+            return Err(vira_storage::StorageError::Unavailable("injected".into()));
+        }
+        self.inner.fetch(id)
+    }
+
+    fn block_bboxes(&self) -> Option<Vec<vira_grid::math::Aabb>> {
+        self.inner.block_bboxes()
+    }
+}
+
+#[test]
+fn derived_field_cache_keeps_nothing_of_a_failed_derivation() {
+    // Block 0's first face neighbour cannot be loaded during the first
+    // job, so deriving block 0's ghosted λ₂ fails. Once the back-end is
+    // healthy again, the memoized run must match an unmemoized one: the
+    // failed derivation left no field behind that could prune block 0.
+    let ds = Arc::new(synth::engine(6));
+    let bboxes = ds.blocks().iter().map(|b| *b.bbox()).collect();
+    let topology = vira_grid::topology::BlockTopology::from_bboxes(bboxes, 1e-9);
+    let source = Arc::new(FlakySource {
+        inner: SynthSource::new(ds),
+        block: topology.neighbors(0)[0],
+        failing: true.into(),
+    });
+    let (backend, link) = Viracocha::launch(ViracochaConfig::for_tests(1));
+    backend.register_dataset(source.clone(), false);
+    let mut client = VistaClient::new(link);
+    let spec = |cache_fields: bool| SubmitSpec {
+        command: "VortexDataMan".into(),
+        dataset: "Engine".into(),
+        params: CommandParams::new()
+            .set("threshold", -2.0e4)
+            .set("n_steps", 1)
+            .set("ghosts", "true")
+            .set("cache_fields", if cache_fields { "true" } else { "false" }),
+        workers: 1,
+    };
+    let err = client.run(&spec(true)).unwrap_err();
+    assert!(matches!(err, ClientError::JobFailed(_)), "{err:?}");
+    source
+        .failing
+        .store(false, std::sync::atomic::Ordering::SeqCst);
+    let memoized = client.run(&spec(true)).unwrap();
+    let fresh = client.run(&spec(false)).unwrap();
+    assert!(fresh.triangles.n_triangles() > 0);
+    assert_eq!(
+        memoized.triangles.n_triangles(),
+        fresh.triangles.n_triangles()
+    );
+    assert_eq!(
+        &memoized.triangles.to_bytes()[..],
+        &fresh.triangles.to_bytes()[..]
+    );
+    assert_eq!(memoized.report.bricks_skipped, fresh.report.bricks_skipped);
+    finish(backend, client);
+}
+
 #[test]
 fn scheduler_survives_malformed_frames() {
     let (backend, link) = Viracocha::launch(ViracochaConfig::for_tests(1));

@@ -15,7 +15,7 @@ use crate::cache::{BlockDataCodec, DiskCache, MemoryCache, Tier, TieredCache};
 use crate::name::{ItemId, NameResolver};
 use crate::policy::policy_by_name;
 use crate::prefetch::{prefetcher_by_name, Prefetcher};
-use crate::server::{DataServer, LoadStrategy, NodeId, SharedCache};
+use crate::server::{DataServer, LoadStrategy, NodeId, SharedCache, MEMORY_BANDWIDTH_BPS};
 use crate::stats::{DmsStats, StrategyIndex};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -363,11 +363,10 @@ impl DataProxy {
                         obs::counter_cached(&L1_HITS, "dms_l1_hits_total").inc();
                         span.set_arg("tier", "l1");
                         if let Some(bytes) = core.server.nominal_item_bytes(dataset) {
-                            let bw = core.server.config().memory_bandwidth_bps;
                             meter.charge(
                                 core.server.clock(),
                                 CostCategory::Read,
-                                bytes as f64 / bw,
+                                bytes as f64 / MEMORY_BANDWIDTH_BPS,
                             );
                         }
                     }

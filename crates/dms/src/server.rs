@@ -49,32 +49,22 @@ pub struct LoadPlan {
     pub estimated_s: f64,
 }
 
+/// Coordination cost charged to the requester for every strategy
+/// decision ("additional communication for every load operation"),
+/// modeled seconds.
+pub const PLAN_LATENCY_S: f64 = 3e-4;
+
+/// Main-memory bandwidth used to charge primary-cache hits (moving a
+/// block out of the cache into the computation is not free at
+/// paper-scale block sizes), bytes per second.
+pub const MEMORY_BANDWIDTH_BPS: f64 = 2.0 * 1024.0 * 1024.0 * 1024.0;
+
 /// Server tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Coordination cost charged to the requester for every strategy
-    /// decision ("additional communication for every load operation").
-    pub plan_latency_s: f64,
-    /// Enables the cooperative cache (peer transfers).
-    pub peer_transfers: bool,
     /// Whether a parallel file system backs collective I/O. Without one,
     /// collective access serializes and is rarely worthwhile (§4.3).
     pub parallel_fs: bool,
-    /// Main-memory bandwidth used to charge primary-cache hits (moving a
-    /// block out of the cache into the computation is not free at
-    /// paper-scale block sizes).
-    pub memory_bandwidth_bps: f64,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            plan_latency_s: 3e-4,
-            peer_transfers: true,
-            parallel_fs: false,
-            memory_bandwidth_bps: 2.0 * 1024.0 * 1024.0 * 1024.0,
-        }
-    }
 }
 
 struct DatasetEntry {
@@ -156,10 +146,6 @@ impl DataServer {
 
     pub fn clock(&self) -> &Arc<SimClock> {
         &self.clock
-    }
-
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
     }
 
     pub fn local_disk_profile(&self) -> &DeviceProfile {
@@ -329,7 +315,7 @@ impl DataServer {
         requester: NodeId,
         meter: &Meter,
     ) -> Result<LoadPlan, StorageError> {
-        meter.charge(&self.clock, CostCategory::Read, self.config.plan_latency_s);
+        meter.charge(&self.clock, CostCategory::Read, PLAN_LATENCY_S);
         let entry = self.entry(dataset)?;
         let bytes = entry.spec.nominal_item_bytes();
 
@@ -352,19 +338,17 @@ impl DataServer {
                 estimated_s: self.local_disk.transfer_time(bytes),
             });
         }
-        if self.config.peer_transfers {
-            if let Some(&peer) = self
-                .directory
-                .read()
-                .unwrap()
-                .get(&item)
-                .and_then(|nodes| nodes.iter().find(|&&n| n != requester))
-            {
-                consider(LoadPlan {
-                    strategy: LoadStrategy::Peer(peer),
-                    estimated_s: self.interconnect.transfer_time(bytes),
-                });
-            }
+        if let Some(&peer) = self
+            .directory
+            .read()
+            .unwrap()
+            .get(&item)
+            .and_then(|nodes| nodes.iter().find(|&&n| n != requester))
+        {
+            consider(LoadPlan {
+                strategy: LoadStrategy::Peer(peer),
+                estimated_s: self.interconnect.transfer_time(bytes),
+            });
         }
         best.ok_or_else(|| {
             StorageError::Unavailable(format!(
@@ -466,7 +450,7 @@ impl DataServer {
         let entry = self.entry(dataset)?;
         let bytes = entry.spec.nominal_item_bytes();
         let single = entry.fileserver.profile().transfer_time(bytes);
-        let sync = 2.0 * self.config.plan_latency_s;
+        let sync = 2.0 * PLAN_LATENCY_S;
         if self.config.parallel_fs {
             Ok(single + sync)
         } else {
@@ -500,14 +484,8 @@ mod tests {
     use vira_grid::synth::test_cube;
     use vira_storage::source::SynthSource;
 
-    fn server(peer_transfers: bool) -> Arc<DataServer> {
-        let srv = DataServer::new(
-            SimClock::instant(),
-            ServerConfig {
-                peer_transfers,
-                ..ServerConfig::default()
-            },
-        );
+    fn server() -> Arc<DataServer> {
+        let srv = DataServer::new(SimClock::instant(), ServerConfig::default());
         let src = Arc::new(SynthSource::new(Arc::new(test_cube(4, 3))));
         srv.register_dataset(src, false);
         srv
@@ -520,7 +498,7 @@ mod tests {
 
     #[test]
     fn plan_defaults_to_fileserver() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let item = item_of(&srv, 0, 0);
         let plan = srv.choose_plan("TestCube", item, 0, &m).unwrap();
@@ -531,7 +509,7 @@ mod tests {
 
     #[test]
     fn plan_prefers_peer_when_available() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let item = item_of(&srv, 0, 0);
         srv.notify_cached(item, 3);
@@ -540,16 +518,6 @@ mod tests {
         // Requester's own copy never counts as a peer.
         let plan_self = srv.choose_plan("TestCube", item, 3, &m).unwrap();
         assert_eq!(plan_self.strategy, LoadStrategy::FileServer);
-    }
-
-    #[test]
-    fn peer_transfers_can_be_disabled() {
-        let srv = server(false);
-        let m = Meter::new();
-        let item = item_of(&srv, 0, 0);
-        srv.notify_cached(item, 3);
-        let plan = srv.choose_plan("TestCube", item, 0, &m).unwrap();
-        assert_eq!(plan.strategy, LoadStrategy::FileServer);
     }
 
     #[test]
@@ -565,7 +533,7 @@ mod tests {
 
     #[test]
     fn fileserver_failure_redirects_to_peer() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let item = item_of(&srv, 0, 0);
         srv.report_fileserver_failure();
@@ -580,7 +548,7 @@ mod tests {
 
     #[test]
     fn execute_fileserver_plan_returns_payload() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let id = BlockStepId::new(0, 1);
         let item = item_of(&srv, 0, 1);
@@ -592,7 +560,7 @@ mod tests {
 
     #[test]
     fn peer_fetch_through_registered_cache() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let id = BlockStepId::new(0, 0);
         let item = item_of(&srv, 0, 0);
@@ -614,7 +582,7 @@ mod tests {
 
     #[test]
     fn stale_peer_entry_fails_gracefully() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let id = BlockStepId::new(0, 0);
         let item = item_of(&srv, 0, 0);
@@ -628,7 +596,7 @@ mod tests {
 
     #[test]
     fn directory_updates_on_eviction_and_unregister() {
-        let srv = server(true);
+        let srv = server();
         let item = item_of(&srv, 0, 0);
         srv.notify_cached(item, 1);
         srv.notify_cached(item, 2);
@@ -641,15 +609,9 @@ mod tests {
 
     #[test]
     fn collective_cost_depends_on_parallel_fs() {
-        let slow = server(true);
+        let slow = server();
         let serial = slow.collective_cost("TestCube", 4).unwrap();
-        let fast_srv = DataServer::new(
-            SimClock::instant(),
-            ServerConfig {
-                parallel_fs: true,
-                ..ServerConfig::default()
-            },
-        );
+        let fast_srv = DataServer::new(SimClock::instant(), ServerConfig { parallel_fs: true });
         fast_srv.register_dataset(Arc::new(SynthSource::new(Arc::new(test_cube(4, 3)))), false);
         let striped = fast_srv.collective_cost("TestCube", 4).unwrap();
         assert!(
@@ -663,7 +625,7 @@ mod tests {
 
     #[test]
     fn collective_read_returns_payload_and_charges() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let data = srv
             .collective_read("TestCube", BlockStepId::new(0, 2), 4, &m)
@@ -675,7 +637,7 @@ mod tests {
 
     #[test]
     fn injected_peer_failure_budget_is_consumed_once() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let id = BlockStepId::new(0, 0);
         let item = item_of(&srv, 0, 0);
@@ -704,7 +666,7 @@ mod tests {
 
     #[test]
     fn injected_fileserver_failure_marks_it_down() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         let id = BlockStepId::new(0, 0);
         let item = item_of(&srv, 0, 0);
@@ -721,7 +683,7 @@ mod tests {
 
     #[test]
     fn unknown_dataset_is_an_error() {
-        let srv = server(true);
+        let srv = server();
         let m = Meter::new();
         assert!(srv.choose_plan("Nope", ItemId(0), 0, &m).is_err());
         assert!(srv.dataset_spec("Nope").is_none());

@@ -324,44 +324,29 @@ impl CostBreakdown {
     }
 }
 
-/// Modeled per-cell and per-byte cost constants for the extraction
-/// commands, expressed against the *nominal* (paper-scale) workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComputeCosts {
-    /// Isosurface extraction cost per nominal cell, seconds.
-    pub iso_s_per_cell: f64,
-    /// Extra cost of the view-dependent BSP build/traversal per nominal
-    /// cell, seconds (the "true cost of streaming" overhead of §7.1).
-    pub bsp_overhead_s_per_cell: f64,
-    /// λ₂ field evaluation + isosurfacing cost per nominal cell, seconds.
-    pub lambda2_s_per_cell: f64,
-    /// Cost per pathline integration step, seconds.
-    pub pathline_s_per_step: f64,
-    /// Result transmission cost per *nominal-equivalent* triangle,
-    /// seconds. Commands scale actual triangle counts by the dataset's
-    /// nominal/actual cell ratio, so transmission shares track the
-    /// paper-scale geometry volume, not the scaled-down grids.
-    pub send_s_per_triangle: f64,
-    /// Fixed per-message transmission latency, seconds.
-    pub send_latency_s: f64,
-}
+// Modeled per-cell and per-byte costs of the extraction commands,
+// expressed against the *nominal* (paper-scale) workload. Tuned so that
+// the modeled Engine/Propfan runtimes land in the paper's ranges
+// (Figures 6–14): Engine SimpleIso ≈ 35 s with a ~50/49 compute/read
+// split (Fig. 15), Engine λ₂ ≈ 65–90 s, Propfan λ₂ in the
+// several-hundred-seconds range at 1 worker.
 
-impl Default for ComputeCosts {
-    fn default() -> Self {
-        // Tuned so that the modeled Engine/Propfan runtimes land in the
-        // paper's ranges (Figures 6–14): Engine SimpleIso ≈ 35 s with a
-        // ~50/49 compute/read split (Fig. 15), Engine λ₂ ≈ 65–90 s,
-        // Propfan λ₂ in the several-hundred-seconds range at 1 worker.
-        ComputeCosts {
-            iso_s_per_cell: 0.75e-6,
-            bsp_overhead_s_per_cell: 0.45e-6,
-            lambda2_s_per_cell: 2.2e-6,
-            pathline_s_per_step: 2.0e-2,
-            send_s_per_triangle: 0.04e-6,
-            send_latency_s: 8.0e-3,
-        }
-    }
-}
+/// Isosurface extraction cost per nominal cell, seconds.
+pub const ISO_S_PER_CELL: f64 = 0.75e-6;
+/// Extra cost of the view-dependent BSP build/traversal per nominal
+/// cell, seconds (the "true cost of streaming" overhead of §7.1).
+pub const BSP_OVERHEAD_S_PER_CELL: f64 = 0.45e-6;
+/// λ₂ field evaluation + isosurfacing cost per nominal cell, seconds.
+pub const LAMBDA2_S_PER_CELL: f64 = 2.2e-6;
+/// Cost per pathline integration step, seconds.
+pub const PATHLINE_S_PER_STEP: f64 = 2.0e-2;
+/// Result transmission cost per *nominal-equivalent* triangle, seconds.
+/// Commands scale actual triangle counts by the dataset's nominal/actual
+/// cell ratio, so transmission shares track the paper-scale geometry
+/// volume, not the scaled-down grids.
+pub const SEND_S_PER_TRIANGLE: f64 = 0.04e-6;
+/// Fixed per-message transmission latency, seconds.
+pub const SEND_LATENCY_S: f64 = 8.0e-3;
 
 #[cfg(test)]
 mod tests {

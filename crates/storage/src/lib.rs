@@ -14,7 +14,7 @@
 //! scaled-down grids.
 //!
 //! * [`costmodel`] — [`costmodel::SimClock`], per-worker
-//!   [`costmodel::Meter`]s, [`costmodel::ComputeCosts`] constants.
+//!   [`costmodel::Meter`]s, the modeled compute and send cost constants.
 //! * [`source`] — where payloads come from (synthetic or on-disk).
 //! * [`device`] — storage tiers with latency/bandwidth profiles.
 
@@ -24,6 +24,6 @@ pub mod device;
 pub mod source;
 
 pub use compress::{probe_block_compression, rle_compress, rle_decompress, CompressionProbe};
-pub use costmodel::{ComputeCosts, CostBreakdown, CostCategory, Meter, SharedChannel, SimClock};
+pub use costmodel::{CostBreakdown, CostCategory, Meter, SharedChannel, SimClock};
 pub use device::{Device, DeviceProfile};
 pub use source::{DataSource, DiskSource, StorageError, SynthSource};
