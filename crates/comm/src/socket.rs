@@ -63,7 +63,7 @@ use vira_obs as obs;
 /// Wire protocol version carried in the `HELLO` and `REJOIN` frames.
 /// Bumped on any change to a frame format or to a layer-2 message
 /// layout; the hub refuses a peer of another version.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Frame preamble. A fixed magic keeps the decoder re-synchronizable:
 /// after losing framing it scans for the next occurrence. Bumped with

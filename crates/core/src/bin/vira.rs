@@ -30,9 +30,8 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 use vira_comm::fault::{FaultStats, FaultyTransport};
-use vira_comm::link::EventSender;
 use vira_comm::socket::{SocketAddrSpec, SocketListener, SocketWorker};
-use vira_comm::transport::{tags, Transport};
+use vira_comm::transport::Transport;
 use vira_extract::stats::suggest_iso_level;
 use vira_grid::block::BlockStepId;
 use vira_grid::synth::{self, SyntheticDataset};
@@ -41,8 +40,7 @@ use vira_storage::source::CachedSynthSource;
 use vira_vista::{CommandParams, SubmitSpec, VistaClient};
 use viracocha::loadgen::{self, Arrival, LoadOutcome, LoadPlan};
 use viracocha::{
-    default_registry, run_remote_worker, AdmissionConfig, CancelSet, FaultPlan, Viracocha,
-    ViracochaConfig,
+    default_registry, run_remote_worker, AdmissionConfig, FaultPlan, Viracocha, ViracochaConfig,
 };
 
 fn usage() -> ! {
@@ -865,41 +863,12 @@ fn cmd_worker(args: Args) {
     }
     let _ = std::io::stdout().flush();
 
-    // Mid-job cancellation: the worker loop only drains its inbox
-    // between jobs, so CANCEL frames are intercepted on the socket
-    // reader thread and dropped straight into the rank-local cancel
-    // set, where `ctx.is_cancelled()` sees them during extraction.
-    let cancels = CancelSet::default();
-    {
-        let cancels = cancels.clone();
-        transport.set_frame_tap(move |frame| {
-            if frame.tag == tags::CANCEL {
-                if let Some(job) = viracocha::wire::decode_cancel(&frame.payload) {
-                    cancels.write().unwrap().insert(job);
-                }
-            }
-        });
-    }
-
-    // Client-bound streamed packets ride the transport to the
-    // scheduler as CLIENT_EVENT frames; it re-emits them on the real
-    // client link.
-    let sender = transport.sender();
-    let events = EventSender::from_fn(move |frame| sender.send(0, tags::CLIENT_EVENT, &frame));
-
     let mut config = ViracochaConfig::for_tests(world - 1);
     config.proxy.prefetcher = "obl".into();
     let ds = build_dataset(&dataset, res);
-    run_remote_worker(
-        config,
-        default_registry(),
-        transport,
-        events,
-        cancels,
-        |server| {
-            server.register_dataset(Arc::new(CachedSynthSource::new(ds)), false);
-        },
-    );
+    run_remote_worker(config, transport, |server| {
+        server.register_dataset(Arc::new(CachedSynthSource::new(ds)), false);
+    });
     println!("worker rank {rank} exiting");
     let _ = std::io::stdout().flush();
 }

@@ -8,7 +8,6 @@
 //! ([`JobCtx::stream_triangles`]) or returns its share for the master
 //! worker to merge.
 
-use crate::wire;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock, RwLock};
 use vira_comm::collective::Group;
@@ -340,46 +339,6 @@ impl CommandRegistry {
     pub fn is_empty(&self) -> bool {
         self.commands.is_empty()
     }
-}
-
-/// Encodes a worker's partial for the master (geometry payload picked by
-/// kind).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_output(
-    job: JobId,
-    attempt: u32,
-    ctx: obs::TraceCtx,
-    out: &CommandOutput,
-    meter: &Meter,
-    dms: vira_dms::stats::DmsStatsSnapshot,
-    residency: vira_dms::cache::ResidencyDigest,
-    obs_delta: String,
-    error: Option<String>,
-) -> bytes::Bytes {
-    let kind = out.kind();
-    let payload = match kind {
-        PayloadKind::Triangles => out.triangles.to_bytes(),
-        PayloadKind::Polylines => vira_vista::protocol::encode_polylines(&out.polylines),
-        PayloadKind::None => bytes::Bytes::new(),
-    };
-    let header = wire::PartialHeader {
-        job,
-        kind,
-        n_items: out.n_items(),
-        read_s: meter.total(CostCategory::Read),
-        compute_s: meter.total(CostCategory::Compute),
-        send_s: meter.total(CostCategory::Send),
-        dms,
-        cells_skipped: out.cells_skipped,
-        bricks_skipped: out.bricks_skipped,
-        attempt,
-        residency,
-        obs_delta,
-        error,
-        trace_id: ctx.trace_id,
-        parent_span_id: ctx.parent_span_id,
-    };
-    wire::encode_partial(&header, &payload)
 }
 
 #[cfg(test)]

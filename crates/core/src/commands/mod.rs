@@ -12,7 +12,7 @@
 //! | `VortexDataMan` | DMS | no |
 //! | `StreamedVortex` | DMS | per-block λ₂ surface batches |
 //! | `SimplePathlines` | direct reads (job-local map) | no |
-//! | `PathlinesDataMan` | DMS (Markov-friendly) | per-trace packets |
+//! | `PathlinesDataMan` | DMS (Markov-friendly) | no |
 //! | `ProgressiveIso` | DMS | coarse-to-fine levels |
 //! | `Streamlines` | DMS (frozen level) | no |
 //! | `Streaklines` | DMS | no |

@@ -13,11 +13,12 @@ use super::{require_f64, walk_share};
 use crate::command::{Command, CommandError, CommandOutput, JobCtx};
 use crate::derived::DerivedField;
 use std::sync::Arc;
+use vira_extract::bricktree::brick_counts;
 use vira_extract::halo::GhostedBlock;
 use vira_extract::iso::{extract_streamed, extract_streamed_with_tree, IsoStats};
 use vira_extract::lambda2::lambda2_field;
 use vira_extract::mesh::TriangleSoup;
-use vira_grid::block::BlockStepId;
+use vira_grid::block::{BlockDims, BlockStepId};
 use vira_grid::field::SharedBlockData;
 use vira_grid::topology::BlockTopology;
 use vira_grid::{BlockData, ScalarField};
@@ -25,9 +26,10 @@ use vira_storage::costmodel;
 
 /// One λ₂ item once its loads are done.
 enum Lambda2Item {
-    /// The memoized range cannot straddle the threshold: this many cells
-    /// are skipped without touching the field.
-    Outside(usize),
+    /// The memoized range cannot straddle the threshold: the block's
+    /// cells and bricks are skipped without touching the field, and
+    /// counted as the bricktree walk would count them.
+    Outside(BlockDims),
     /// Memoized field: only the contouring is left, on the bricktree the
     /// first contour builds.
     Memoized(SharedBlockData, Arc<DerivedField>),
@@ -72,10 +74,14 @@ fn contour(item: &Lambda2Item, threshold: f64, batch: usize) -> (Vec<TriangleSou
     let mut batches = Vec::new();
     let sink = |soup| batches.push(soup);
     let stats = match item {
-        Lambda2Item::Outside(cells) => IsoStats {
-            cells_skipped: *cells,
-            ..IsoStats::default()
-        },
+        Lambda2Item::Outside(dims) => {
+            let (nx, ny, nz) = brick_counts(*dims);
+            IsoStats {
+                cells_skipped: dims.n_cells(),
+                bricks_skipped: nx * ny * nz,
+                ..IsoStats::default()
+            }
+        }
         Lambda2Item::Memoized(data, memo) => extract_streamed_with_tree(
             &data.grid,
             &memo.field,
@@ -142,7 +148,7 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
             // so geometry is unchanged.
             if let Some((lo, hi)) = memo.range() {
                 if !(hi > threshold && lo <= threshold) {
-                    return Ok(Lambda2Item::Outside(data.dims().n_cells()));
+                    return Ok(Lambda2Item::Outside(data.dims()));
                 }
             }
             // A memoized field costs just the re-contouring.

@@ -11,7 +11,8 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use vira_comm::fault::{FaultPlan, FaultStats, FaultyTransport};
 use vira_comm::link::{client_server_link, ClientSide, EventSender};
-use vira_comm::transport::{LocalWorld, Transport};
+use vira_comm::socket::SocketWorker;
+use vira_comm::transport::{tags, LocalWorld, Transport};
 use vira_dms::server::DataServer;
 use vira_storage::costmodel::{SharedChannel, SimClock};
 use vira_storage::source::DataSource;
@@ -196,35 +197,42 @@ impl Viracocha {
 /// Runs one worker rank of a multi-process deployment on the calling
 /// thread (`vira worker`): builds the rank-local service state a
 /// single-process back-end would share — clock, data server, cancel
-/// set, client uplink — and enters the worker loop. Returns when the
-/// scheduler sends `SHUTDOWN` or the hub connection is lost.
+/// set, client uplink — and enters the worker loop with the built-in
+/// command registry. Returns when the scheduler sends `SHUTDOWN` or the
+/// hub connection is lost.
 ///
-/// `register` populates this process's dataset registry before the
-/// first command arrives; every rank must register the same datasets
-/// the scheduler process did (synthetic sources are deterministic, so
-/// the specs agree). `events` is where streamed client packets go — a
-/// remote worker forwards them to the scheduler as `CLIENT_EVENT`
-/// frames via [`EventSender::from_fn`], and the scheduler re-emits
-/// them on the real client link.
+/// `register` populates this rank's dataset registry before the first
+/// command arrives; every rank must register the same datasets the
+/// scheduler did (synthetic sources are deterministic, so the specs
+/// agree). Streamed client packets ride `transport` to the scheduler as
+/// `CLIENT_EVENT` frames, and the scheduler re-emits them on the real
+/// client link.
 ///
 /// Cancellation across processes: the scheduler fans a `CANCEL` frame
-/// to every rank of a cancelled job's work group, and `vira worker`
-/// installs a socket-reader frame tap that inserts the job id into
-/// this process's cancel set the moment the frame arrives — even while
-/// the worker thread is deep inside an extraction — so
-/// `JobCtx::is_cancelled` trips mid-job exactly like in-process;
-/// `cancels` is that tap-shared set. Remaining known scope limit: the
-/// DMS peer directory is process-local, so cross-process peer cache
-/// transfers are inert (jobs still complete correctly; locality
-/// scoring just sees fewer peers).
-pub fn run_remote_worker<T: Transport>(
+/// to every rank of a cancelled job's work group, and a frame tap on
+/// the socket reader thread inserts the job id into this rank's cancel
+/// set the moment the frame arrives — even while the worker thread is
+/// deep inside an extraction — so `JobCtx::is_cancelled` trips mid-job
+/// exactly like in-process. Remaining known scope limit: the DMS peer
+/// directory is process-local, so cross-process peer cache transfers
+/// are inert (jobs still complete correctly; locality scoring just sees
+/// fewer peers).
+pub fn run_remote_worker(
     config: ViracochaConfig,
-    registry: CommandRegistry,
-    transport: T,
-    events: EventSender,
-    cancels: CancelSet,
+    transport: SocketWorker,
     register: impl FnOnce(&Arc<DataServer>),
 ) {
+    let cancels = CancelSet::default();
+    let tapped = cancels.clone();
+    transport.set_frame_tap(move |frame| {
+        if frame.tag == tags::CANCEL {
+            if let Some(job) = crate::wire::decode_cancel(&frame.payload) {
+                tapped.write().unwrap().insert(job);
+            }
+        }
+    });
+    let sender = transport.sender();
+    let events = EventSender::from_fn(move |frame| sender.send(0, tags::CLIENT_EVENT, &frame));
     let clock = SimClock::new(config.dilation);
     let server = DataServer::new(clock.clone(), config.server.clone());
     register(&server);
@@ -232,7 +240,7 @@ pub fn run_remote_worker<T: Transport>(
         transport,
         server,
         clock,
-        registry: Arc::new(registry),
+        registry: Arc::new(default_registry()),
         config,
         events,
         cancels,

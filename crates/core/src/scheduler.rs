@@ -32,7 +32,7 @@ use vira_grid::block::BlockStepId;
 use vira_obs as obs;
 use vira_storage::costmodel::SimClock;
 use vira_vista::protocol::{
-    decode_request, encode_event, ClientRequest, EventHeader, JobId, JobReport, PayloadKind,
+    decode_request, encode_event, ClientRequest, EventHeader, JobId, JobReport,
 };
 
 /// A submission waiting for enough free workers. Requeued jobs return
@@ -1097,7 +1097,7 @@ fn handle_job_done(
     residency: &mut HashMap<Rank, ResidencyDigest>,
     tsdb: &mut obs::Tsdb,
 ) {
-    let Some((done, payload)) = wire::decode_done(frame) else {
+    let Some((done, payload)) = wire::decode_result(tags::JOB_DONE, frame) else {
         return;
     };
     // Harvest the group's piggybacked residency digests and metric
@@ -1134,7 +1134,16 @@ fn handle_job_done(
     // DONE-after-CANCEL half of the race, handled idempotently.
     let was_cancelled = cancels.write().unwrap().remove(&done.job);
     let run_elapsed = run.accepted_at.elapsed();
-    let total_runtime_s = clock.wall_to_modeled(run_elapsed);
+    // The group's accounting came summed in the DONE; the scheduler
+    // adds what only it saw.
+    let report = JobReport {
+        total_runtime_s: clock.wall_to_modeled(run_elapsed),
+        queue_wait_s: run.queue_wait_s,
+        requeue_wait_s: run.requeue_wait_s,
+        retries: run.q.retries,
+        degraded: run.q.degraded,
+        ..done.report
+    };
     obs::complete_span_ctx(
         "sched.job",
         "sched",
@@ -1154,18 +1163,6 @@ fn handle_job_done(
         // one `Cancelled` terminal. Accounting is still reported so the
         // cost of the aborted work stays visible.
         obs::counter_cached(&JOBS_CANCELLED, "sched_jobs_cancelled_total").inc();
-        let report = JobReport {
-            total_runtime_s,
-            read_s: done.read_s,
-            compute_s: done.compute_s,
-            send_s: done.send_s,
-            queue_wait_s: run.queue_wait_s,
-            requeue_wait_s: run.requeue_wait_s,
-            merge_s: done.merge_s,
-            retries: run.q.retries,
-            degraded: run.q.degraded,
-            ..JobReport::default()
-        };
         let _ = link.emit(encode_event(
             &EventHeader::Cancelled {
                 job: done.job,
@@ -1187,34 +1184,6 @@ fn handle_job_done(
         return;
     }
     obs::counter_cached(&JOBS_DONE, "sched_jobs_done_total").inc();
-    let report = JobReport {
-        total_runtime_s,
-        read_s: done.read_s,
-        compute_s: done.compute_s,
-        send_s: done.send_s,
-        queue_wait_s: run.queue_wait_s,
-        requeue_wait_s: run.requeue_wait_s,
-        merge_s: done.merge_s,
-        demand_requests: done.dms.demand_requests,
-        cache_hits: done.dms.l1_hits + done.dms.l2_hits,
-        cache_misses: done.dms.misses,
-        prefetch_issued: done.dms.prefetch_issued,
-        prefetch_hits: done.dms.prefetch_hits,
-        triangles: if done.kind == PayloadKind::Triangles {
-            done.n_items as u64
-        } else {
-            0
-        },
-        polylines: if done.kind == PayloadKind::Polylines {
-            done.n_items as u64
-        } else {
-            0
-        },
-        cells_skipped: done.cells_skipped,
-        bricks_skipped: done.bricks_skipped,
-        retries: run.q.retries,
-        degraded: run.q.degraded,
-    };
     let _ = link.emit(encode_event(
         &EventHeader::Final {
             job: done.job,

@@ -9,6 +9,11 @@
 //! CANCEL                   job u64                                             | seal
 //! ```
 //!
+//! PARTIAL and DONE share one header, [`ResultHeader`]: a partial is one
+//! rank's share of a job's result, a done the whole group's, and the
+//! accounting in both is a [`JobReport`] that the master sums hop by
+//! hop and the scheduler hands on to the client.
+//!
 //! The seal is [`frame_crc`]`(0, 0, tag, body)` over every byte before
 //! it (8 bytes LE). It binds the message to its tag and detects every
 //! change confined to one 8-byte word, so a flipped bit anywhere —
@@ -24,9 +29,8 @@ use bytes::Bytes;
 use vira_comm::socket::frame_crc;
 use vira_comm::transport::{tags, Rank, Tag};
 use vira_dms::cache::ResidencyDigest;
-use vira_dms::stats::DmsStatsSnapshot;
 use vira_obs::json::{self, Json};
-use vira_vista::protocol::{decode_frame, CommandParams, JobId, PayloadKind};
+use vira_vista::protocol::{decode_frame, CommandParams, JobId, JobReport, PayloadKind};
 
 /// Scheduler → worker: run a command as part of a work group.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,118 +78,39 @@ impl CommandMsg {
     }
 }
 
-/// Worker → master: this worker's share of the result.
+/// Worker → master (PARTIAL) and master → scheduler (DONE): a share of
+/// a job's result. A PARTIAL carries one rank's share; the master folds
+/// the group's partials into its own and sends the sum as the DONE.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PartialHeader {
+pub struct ResultHeader {
     pub job: JobId,
+    /// Dispatch attempt this result answers (mirrors the command).
+    pub attempt: u32,
     pub kind: PayloadKind,
     pub n_items: u32,
-    /// Modeled seconds charged by this worker, per category.
-    pub read_s: f64,
-    pub compute_s: f64,
-    pub send_s: f64,
-    /// This worker's DMS counters for the job window.
-    pub dms: DmsStatsSnapshot,
-    /// Extraction cells skipped by bricktree pruning (E11/E15 reporting).
-    pub cells_skipped: u64,
-    /// Bricks skipped whole.
-    pub bricks_skipped: u64,
-    /// Dispatch attempt this partial answers (mirrors the command).
-    pub attempt: u32,
-    /// Fingerprint of this worker's DMS cache after the job, harvested
-    /// by the master into the DONE frame for locality-aware placement.
-    pub residency: ResidencyDigest,
+    /// The share's accounting: modeled seconds per category, DMS,
+    /// geometry and pruning counters. The scheduler's own fields ride as
+    /// zeros; it sets them before the report reaches the client.
+    pub report: JobReport,
+    /// DMS cache fingerprints after the job, per rank (the sender's in a
+    /// PARTIAL, the whole group's in a DONE), which the scheduler scores
+    /// future placements with.
+    pub residency: Vec<(Rank, ResidencyDigest)>,
+    /// Piggybacked telemetry: per-rank metric deltas in the `OBSD1` text
+    /// codec (`vira_obs::ship`); a rank with nothing new is left out.
+    pub obs_deltas: Vec<(Rank, String)>,
     /// Causal trace context propagated from the command: the trace id
-    /// and this worker's `worker.job` span, so the master (and the
-    /// flight recorder) can bind the partial to its producer (`0` = no
+    /// and the sender's `worker.job` span, so the receiver (and the
+    /// flight recorder) can bind the result to its producer (`0` = no
     /// trace).
     pub trace_id: u64,
     pub parent_span_id: u64,
-    /// Piggybacked telemetry: this worker's metric delta in the
-    /// `OBSD1` text codec (`vira_obs::ship`), harvested by the master
-    /// into the DONE frame. Empty when nothing changed.
-    pub obs_delta: String,
-    /// Set when the command failed on this worker.
+    /// Set when the command failed: on the sender, or in a DONE on the
+    /// first rank of the group that failed.
     pub error: Option<String>,
 }
 
-impl PartialHeader {
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("job", self.job.into()),
-            ("kind", self.kind.to_json()),
-            ("n_items", self.n_items.into()),
-            ("read_s", self.read_s.into()),
-            ("compute_s", self.compute_s.into()),
-            ("send_s", self.send_s.into()),
-            ("dms", self.dms.to_json()),
-            ("cells_skipped", self.cells_skipped.into()),
-            ("bricks_skipped", self.bricks_skipped.into()),
-            ("attempt", self.attempt.into()),
-            ("residency", self.residency.to_json()),
-            ("trace_id", self.trace_id.into()),
-            ("parent_span_id", self.parent_span_id.into()),
-            ("obs_delta", self.obs_delta.as_str().into()),
-            ("error", self.error.as_deref().into()),
-        ])
-    }
-
-    pub fn from_json(j: &Json) -> Result<PartialHeader, String> {
-        Ok(PartialHeader {
-            job: j.req("job", json::u64)?,
-            kind: j.req("kind", PayloadKind::from_json)?,
-            n_items: j.req("n_items", json::u32)?,
-            read_s: j.req("read_s", json::f64)?,
-            compute_s: j.req("compute_s", json::f64)?,
-            send_s: j.req("send_s", json::f64)?,
-            dms: j.req("dms", DmsStatsSnapshot::from_json)?,
-            cells_skipped: j.req("cells_skipped", json::u64)?,
-            bricks_skipped: j.req("bricks_skipped", json::u64)?,
-            attempt: j.req("attempt", json::u32)?,
-            residency: j.req("residency", ResidencyDigest::from_json)?,
-            trace_id: j.req("trace_id", json::u64)?,
-            parent_span_id: j.req("parent_span_id", json::u64)?,
-            obs_delta: j.req("obs_delta", json::string)?,
-            error: j.opt("error", json::string)?,
-        })
-    }
-}
-
-/// Master → scheduler: the merged job result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DoneHeader {
-    pub job: JobId,
-    pub kind: PayloadKind,
-    pub n_items: u32,
-    /// Aggregated worker accounting.
-    pub read_s: f64,
-    pub compute_s: f64,
-    pub send_s: f64,
-    /// Modeled seconds the master spent gathering and splicing the
-    /// group's partials.
-    pub merge_s: f64,
-    pub dms: DmsStatsSnapshot,
-    /// Summed bricktree pruning counters of the whole group.
-    pub cells_skipped: u64,
-    pub bricks_skipped: u64,
-    /// Dispatch attempt this result answers (mirrors the command).
-    pub attempt: u32,
-    /// Per-rank DMS cache fingerprints of the whole work group (the
-    /// master's own plus those piggybacked on the partials), used by the
-    /// scheduler to score future placements.
-    pub residency: Vec<(Rank, ResidencyDigest)>,
-    /// Causal trace context propagated from the command: the trace id
-    /// and the master's `worker.job` span (`0` = no trace).
-    pub trace_id: u64,
-    pub parent_span_id: u64,
-    /// Piggybacked telemetry: the group's metric deltas (`OBSD1` text
-    /// codec) — the master's own plus any harvested from the partials —
-    /// keyed by producing rank, mirroring how `residency` rides DONE.
-    pub obs_deltas: Vec<(Rank, String)>,
-    pub error: Option<String>,
-}
-
-impl DoneHeader {
+impl ResultHeader {
     pub fn to_json(&self) -> Json {
         let residency = |(rank, digest): &(Rank, ResidencyDigest)| {
             Json::Arr(vec![(*rank).into(), digest.to_json()])
@@ -194,49 +119,37 @@ impl DoneHeader {
             |(rank, delta): &(Rank, String)| Json::Arr(vec![(*rank).into(), delta.as_str().into()]);
         Json::obj([
             ("job", self.job.into()),
+            ("attempt", self.attempt.into()),
             ("kind", self.kind.to_json()),
             ("n_items", self.n_items.into()),
-            ("read_s", self.read_s.into()),
-            ("compute_s", self.compute_s.into()),
-            ("send_s", self.send_s.into()),
-            ("merge_s", self.merge_s.into()),
-            ("dms", self.dms.to_json()),
-            ("cells_skipped", self.cells_skipped.into()),
-            ("bricks_skipped", self.bricks_skipped.into()),
-            ("attempt", self.attempt.into()),
+            ("report", self.report.to_json()),
             (
                 "residency",
                 Json::Arr(self.residency.iter().map(residency).collect()),
             ),
-            ("trace_id", self.trace_id.into()),
-            ("parent_span_id", self.parent_span_id.into()),
             (
                 "obs_deltas",
                 Json::Arr(self.obs_deltas.iter().map(obs_delta).collect()),
             ),
+            ("trace_id", self.trace_id.into()),
+            ("parent_span_id", self.parent_span_id.into()),
             ("error", self.error.as_deref().into()),
         ])
     }
 
-    pub fn from_json(j: &Json) -> Result<DoneHeader, String> {
+    pub fn from_json(j: &Json) -> Result<ResultHeader, String> {
         let residency = |r: &Json| json::pair(r, json::usize, ResidencyDigest::from_json);
         let obs_delta = |d: &Json| json::pair(d, json::usize, json::string);
-        Ok(DoneHeader {
+        Ok(ResultHeader {
             job: j.req("job", json::u64)?,
+            attempt: j.req("attempt", json::u32)?,
             kind: j.req("kind", PayloadKind::from_json)?,
             n_items: j.req("n_items", json::u32)?,
-            read_s: j.req("read_s", json::f64)?,
-            compute_s: j.req("compute_s", json::f64)?,
-            send_s: j.req("send_s", json::f64)?,
-            merge_s: j.req("merge_s", json::f64)?,
-            dms: j.req("dms", DmsStatsSnapshot::from_json)?,
-            cells_skipped: j.req("cells_skipped", json::u64)?,
-            bricks_skipped: j.req("bricks_skipped", json::u64)?,
-            attempt: j.req("attempt", json::u32)?,
+            report: j.req("report", JobReport::from_json)?,
             residency: j.req("residency", |r| json::list(r, residency))?,
+            obs_deltas: j.req("obs_deltas", |d| json::list(d, obs_delta))?,
             trace_id: j.req("trace_id", json::u64)?,
             parent_span_id: j.req("parent_span_id", json::u64)?,
-            obs_deltas: j.req("obs_deltas", |d| json::list(d, obs_delta))?,
             error: j.opt("error", json::string)?,
         })
     }
@@ -323,20 +236,14 @@ pub fn decode_command(frame: Bytes) -> Option<CommandMsg> {
     payload.is_empty().then_some(msg)
 }
 
-pub fn encode_partial(header: &PartialHeader, payload: &[u8]) -> Bytes {
-    encode(tags::PARTIAL_RESULT, &header.to_json(), payload)
+/// A result under `tag`: [`tags::PARTIAL_RESULT`] or [`tags::JOB_DONE`].
+/// The seal binds the tag, so a PARTIAL never decodes as a DONE.
+pub fn encode_result(tag: Tag, header: &ResultHeader, payload: &[u8]) -> Bytes {
+    encode(tag, &header.to_json(), payload)
 }
 
-pub fn decode_partial(frame: Bytes) -> Option<(PartialHeader, Bytes)> {
-    decode(tags::PARTIAL_RESULT, frame, PartialHeader::from_json)
-}
-
-pub fn encode_done(header: &DoneHeader, payload: &[u8]) -> Bytes {
-    encode(tags::JOB_DONE, &header.to_json(), payload)
-}
-
-pub fn decode_done(frame: Bytes) -> Option<(DoneHeader, Bytes)> {
-    decode(tags::JOB_DONE, frame, DoneHeader::from_json)
+pub fn decode_result(tag: Tag, frame: Bytes) -> Option<(ResultHeader, Bytes)> {
+    decode(tag, frame, ResultHeader::from_json)
 }
 
 pub fn encode_ping(ping: &Ping) -> Bytes {
@@ -413,47 +320,53 @@ mod tests {
         }
     }
 
-    fn partial() -> PartialHeader {
-        PartialHeader {
+    /// One rank's share, as its PARTIAL carries it.
+    fn partial() -> ResultHeader {
+        ResultHeader {
             job: 1,
+            attempt: 1,
             kind: PayloadKind::Triangles,
             n_items: 2,
-            read_s: 1.0,
-            compute_s: 2.5,
-            send_s: 0.1,
-            dms: fixture_dms(),
-            cells_skipped: 120,
-            bricks_skipped: 3,
-            attempt: 1,
-            residency: ResidencyDigest::default(),
+            report: JobReport {
+                read_s: 1.0,
+                compute_s: 2.5,
+                send_s: 0.1,
+                demand_requests: 9,
+                cache_hits: 6,
+                cache_misses: 3,
+                prefetch_issued: 5,
+                prefetch_hits: 7,
+                triangles: 2,
+                cells_skipped: 120,
+                bricks_skipped: 3,
+                ..JobReport::default()
+            },
+            residency: vec![(2, ResidencyDigest::default())],
+            obs_deltas: vec![(2, "OBSD1 2 1 100\nc jobs 3\n".into())],
             trace_id: 7,
             parent_span_id: 8,
-            obs_delta: "OBSD1 2 1 100\nc jobs 3\n".into(),
             error: None,
         }
     }
 
-    fn done() -> DoneHeader {
-        DoneHeader {
+    /// A group's DONE with two ranks' digests and a failure.
+    fn done() -> ResultHeader {
+        ResultHeader {
             job: 9,
-            kind: PayloadKind::None,
-            n_items: 0,
-            read_s: 0.0,
-            compute_s: 0.0,
-            send_s: 0.0,
-            merge_s: 0.25,
-            dms: fixture_dms(),
-            cells_skipped: 0,
-            bricks_skipped: 0,
             attempt: 0,
+            report: JobReport {
+                merge_s: 0.25,
+                ..partial().report
+            },
             residency: vec![
                 (1, ResidencyDigest::from_items([ItemId(63)])),
-                (2, ResidencyDigest::default()),
+                (2, ResidencyDigest::from_items([ItemId(900)])),
             ],
+            obs_deltas: vec![(1, "OBSD1 1 4 200\n".into())],
             trace_id: 0,
             parent_span_id: 0,
-            obs_deltas: vec![(1, "OBSD1 1 4 200\n".into())],
             error: Some("worker 3 failed".into()),
+            ..partial()
         }
     }
 
@@ -486,60 +399,44 @@ mod tests {
 
     #[test]
     fn partial_roundtrip_with_payload() {
-        let (h, p) = decode_partial(encode_partial(&partial(), b"geometry")).unwrap();
+        let frame = encode_result(tags::PARTIAL_RESULT, &partial(), b"geometry");
+        let (h, p) = decode_result(tags::PARTIAL_RESULT, frame).unwrap();
         assert_eq!(h, partial());
         assert_eq!(&p[..], b"geometry");
     }
 
     #[test]
     fn corrupted_payload_fails_the_checksum() {
-        let mut bytes = encode_partial(&partial(), b"geometry").to_vec();
+        let mut bytes = encode_result(tags::PARTIAL_RESULT, &partial(), b"geometry").to_vec();
         let last_payload_byte = bytes.len() - SEAL_LEN - 1;
         bytes[last_payload_byte] ^= 0x10;
-        assert!(decode_partial(Bytes::from(bytes)).is_none());
+        assert!(decode_result(tags::PARTIAL_RESULT, Bytes::from(bytes)).is_none());
     }
 
     #[test]
     fn done_roundtrip_with_error() {
-        let (h, p) = decode_done(encode_done(&done(), &[])).unwrap();
+        // Every rank's digest and the group's first error come back.
+        let frame = encode_result(tags::JOB_DONE, &done(), &[]);
+        let (h, p) = decode_result(tags::JOB_DONE, frame).unwrap();
         assert_eq!(h, done());
         assert!(p.is_empty());
     }
 
     #[test]
-    fn done_header_residency_roundtrips() {
-        let d1 = ResidencyDigest::from_items([ItemId(17)]);
-        let d2 = ResidencyDigest::from_items([ItemId(900)]);
-        let h = DoneHeader {
-            residency: vec![(1, d1.clone()), (2, d2.clone())],
-            ..done()
-        };
-        let (h2, _) = decode_done(encode_done(&h, &[])).unwrap();
-        assert_eq!(h2.residency, vec![(1, d1), (2, d2)]);
-    }
-
-    #[test]
     fn obs_delta_fields_roundtrip_and_default_empty() {
-        // The piggybacked telemetry deltas ride the headers verbatim,
-        // and "nothing new" travels as an empty delta.
-        for delta in ["OBSD1 2 1 100\nc sched_jobs_done_total 3\n", ""] {
-            let h = PartialHeader {
-                obs_delta: delta.into(),
-                ..partial()
-            };
-            let (h2, _) = decode_partial(encode_partial(&h, &[])).unwrap();
-            assert_eq!(h2.obs_delta, delta);
-        }
+        // The piggybacked telemetry deltas ride the header verbatim, and
+        // "nothing new" travels as no entry.
         for deltas in [
             vec![(1, "OBSD1 1 4 200\ng dms_cache_blocks 9\n".into())],
             vec![],
         ] {
-            let d = DoneHeader {
+            let h = ResultHeader {
                 obs_deltas: deltas.clone(),
                 ..done()
             };
-            let (d2, _) = decode_done(encode_done(&d, &[])).unwrap();
-            assert_eq!(d2.obs_deltas, deltas);
+            let (h2, _) =
+                decode_result(tags::JOB_DONE, encode_result(tags::JOB_DONE, &h, &[])).unwrap();
+            assert_eq!(h2.obs_deltas, deltas);
         }
     }
 
@@ -562,14 +459,8 @@ mod tests {
         check(command().to_json(), &[], |j| {
             CommandMsg::from_json(j).is_ok()
         });
-        check(partial().to_json(), &["error"], |j| {
-            PartialHeader::from_json(j).is_ok()
-        });
         check(done().to_json(), &["error"], |j| {
-            DoneHeader::from_json(j).is_ok()
-        });
-        check(fixture_dms().to_json(), &[], |j| {
-            DmsStatsSnapshot::from_json(j).is_ok()
+            ResultHeader::from_json(j).is_ok()
         });
         check(ResidencyDigest::empty().to_json(), &[], |j| {
             ResidencyDigest::from_json(j).is_ok()
@@ -664,24 +555,7 @@ mod tests {
         assert!(decode_pong(&[0; 24]).is_none(), "unsealed nonce | clock");
     }
 
-    const DMS_TEXT: &str = r#"{"demand_requests":9,"l1_hits":4,"l2_hits":2,"misses":3,"prefetch_waits":1,"prefetch_issued":5,"prefetch_redundant":6,"prefetch_hits":7,"fallbacks":8,"loads_by_strategy":[1,2,3,4]}"#;
-
-    fn fixture_dms() -> DmsStatsSnapshot {
-        DmsStatsSnapshot {
-            demand_requests: 9,
-            l1_hits: 4,
-            l2_hits: 2,
-            misses: 3,
-            prefetch_waits: 1,
-            prefetch_issued: 5,
-            prefetch_redundant: 6,
-            prefetch_hits: 7,
-            fallbacks: 8,
-            loads_by_strategy: [1, 2, 3, 4],
-        }
-    }
-
-    // The three fixtures below pin what this build puts on the wire:
+    // The two fixtures below pin what this build puts on the wire:
     // each must decode to the value beside it, be what this build
     // sends, and round-trip through the sealed codec.
 
@@ -703,35 +577,24 @@ mod tests {
     }
 
     #[test]
-    fn partial_wire_shape_is_pinned() {
+    fn result_wire_shape_is_pinned() {
+        let report = r#"{"total_runtime_s":0.0,"read_s":1.0,"compute_s":2.5,"send_s":0.1,"queue_wait_s":0.0,"requeue_wait_s":0.0,"merge_s":0.25,"demand_requests":9,"cache_hits":6,"cache_misses":3,"prefetch_issued":5,"prefetch_hits":7,"triangles":2,"polylines":0,"cells_skipped":120,"bricks_skipped":3,"retries":0,"degraded":false}"#;
         let text = format!(
-            r#"{{"job":1,"kind":"Triangles","n_items":2,"read_s":1.0,"compute_s":2.5,"send_s":0.1,"dms":{DMS_TEXT},"cells_skipped":120,"bricks_skipped":3,"attempt":1,"residency":{{"words":[]}},"trace_id":7,"parent_span_id":8,"obs_delta":"OBSD1 2 1 100\nc jobs 3\n","error":null}}"#
-        );
-        let h = partial();
-        assert_eq!(
-            PartialHeader::from_json(&json::parse(&text).unwrap()).as_ref(),
-            Ok(&h)
-        );
-        assert_eq!(h.to_json().to_string(), text);
-        let (back, payload) = decode_partial(encode_partial(&h, b"xyz")).unwrap();
-        assert_eq!(&payload[..], b"xyz");
-        assert_eq!(back, h);
-    }
-
-    #[test]
-    fn done_wire_shape_is_pinned() {
-        let text = format!(
-            r#"{{"job":9,"kind":"None","n_items":0,"read_s":0.0,"compute_s":0.0,"send_s":0.0,"merge_s":0.25,"dms":{DMS_TEXT},"cells_skipped":0,"bricks_skipped":0,"attempt":0,"residency":[[1,{}],[2,{{"words":[]}}]],"trace_id":0,"parent_span_id":0,"obs_deltas":[[1,"OBSD1 1 4 200\n"]],"error":"worker 3 failed"}}"#,
-            ResidencyDigest::from_items([ItemId(63)]).to_json()
+            r#"{{"job":9,"attempt":0,"kind":"Triangles","n_items":2,"report":{report},"residency":[[1,{}],[2,{}]],"obs_deltas":[[1,"OBSD1 1 4 200\n"]],"trace_id":0,"parent_span_id":0,"error":"worker 3 failed"}}"#,
+            ResidencyDigest::from_items([ItemId(63)]).to_json(),
+            ResidencyDigest::from_items([ItemId(900)]).to_json(),
         );
         let h = done();
         assert_eq!(
-            DoneHeader::from_json(&json::parse(&text).unwrap()).as_ref(),
+            ResultHeader::from_json(&json::parse(&text).unwrap()).as_ref(),
             Ok(&h)
         );
         assert_eq!(h.to_json().to_string(), text);
-        let (back, _) = decode_done(encode_done(&h, &[])).unwrap();
-        assert_eq!(back, h);
+        for tag in [tags::PARTIAL_RESULT, tags::JOB_DONE] {
+            let (back, payload) = decode_result(tag, encode_result(tag, &h, b"xyz")).unwrap();
+            assert_eq!(&payload[..], b"xyz");
+            assert_eq!(back, h);
+        }
     }
 
     #[test]
@@ -754,8 +617,11 @@ mod tests {
     #[test]
     fn malformed_frames_yield_none() {
         assert!(decode_command(Bytes::from_static(b"x")).is_none());
-        assert!(decode_partial(Bytes::from_static(b"\x10\x00\x00\x00nope")).is_none());
-        // A well-formed frame sealed under another tag is refused too.
-        assert!(decode_done(encode_partial(&partial(), &[])).is_none());
+        let garbage = Bytes::from_static(b"\x10\x00\x00\x00nope");
+        assert!(decode_result(tags::PARTIAL_RESULT, garbage).is_none());
+        // A well-formed frame sealed under another tag is refused too:
+        // a PARTIAL never decodes as a DONE.
+        let partial = encode_result(tags::PARTIAL_RESULT, &partial(), &[]);
+        assert!(decode_result(tags::JOB_DONE, partial).is_none());
     }
 }

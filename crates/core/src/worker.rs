@@ -8,8 +8,8 @@
 //! the scheduler for delivery to the visualization client.
 
 use crate::command::{
-    charge_uplink, encode_output, nominal_geometry_scale, payload_of, CancelSet, CommandOutput,
-    CommandRegistry, JobCtx,
+    charge_uplink, nominal_geometry_scale, payload_of, CancelSet, CommandOutput, CommandRegistry,
+    JobCtx,
 };
 use crate::config::ViracochaConfig;
 use crate::wire;
@@ -22,9 +22,10 @@ use vira_comm::link::EventSender;
 use vira_comm::transport::{tags, CommError, LocalEndpoint, Rank, Tag, Transport};
 use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::DataServer;
+use vira_dms::stats::DmsStatsSnapshot;
 use vira_extract::mesh::payload_triangle_count;
 use vira_storage::costmodel::{self, CostCategory, Meter, SharedChannel, SimClock};
-use vira_vista::protocol::{JobId, PayloadKind};
+use vira_vista::protocol::{encode_polylines, JobId, JobReport, PayloadKind};
 
 /// How many answered (job, attempt) keys a worker remembers. Only the
 /// newest keeps its response frame: the scheduler retransmits a COMMAND
@@ -82,6 +83,10 @@ fn proxy_config_for(rank: usize, base: &ProxyConfig) -> ProxyConfig {
 }
 
 /// The worker main loop. Returns when the scheduler sends `SHUTDOWN`.
+///
+/// The response frame held for replay counts in the `worker_replay_bytes`
+/// gauge until the loop ends, so in one process the gauge is the sum over
+/// its worker threads.
 pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
     let WorkerSetup {
         transport,
@@ -106,6 +111,8 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
     // command whose answer was lost.
     let mut answered: VecDeque<(JobId, u32)> = VecDeque::new();
     let mut last_response: Option<(Rank, Tag, Bytes)> = None;
+    let held = |r: &Option<(Rank, Tag, Bytes)>| r.as_ref().map_or(0, |(_, _, f)| f.len() as i64);
+    let replay_bytes = vira_obs::gauge("worker_replay_bytes");
     // A command that superseded an abandoned gather, to run next.
     let mut pending: Option<Box<wire::CommandMsg>> = None;
 
@@ -115,10 +122,10 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
             None => {
                 let msg = match transport.recv() {
                     Ok(m) => m,
-                    Err(_) => return, // world torn down
+                    Err(_) => break, // world torn down
                 };
                 match msg.tag {
-                    tags::SHUTDOWN => return,
+                    tags::SHUTDOWN => break,
                     tags::PING => {
                         if let Some(pong) = answer_ping(&msg.payload, &proxy, rank) {
                             let _ = transport.send(msg.from, tags::PONG, pong);
@@ -170,12 +177,14 @@ pub fn worker_main<T: Transport>(setup: WorkerSetup<T>) {
                     answered.pop_front();
                 }
                 answered.push_back(key);
+                replay_bytes.add(frame.len() as i64 - held(&last_response));
                 last_response = Some((dest, tag, frame));
             }
             JobExit::Superseded(c) => pending = Some(c),
-            JobExit::Shutdown => return,
+            JobExit::Shutdown => break,
         }
     }
+    replay_bytes.add(-held(&last_response));
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -271,17 +280,13 @@ fn run_job<T: Transport>(
         // transfer is part of the job's Send share.
         let n = scaled_send_items(output.n_items() as usize, send_scale(output.kind()));
         charge_send(&meter, clock, n);
-        let frame = encode_output(
-            msg.job,
-            msg.attempt,
-            reply_ctx,
-            &output,
-            &meter,
-            dms,
-            proxy.residency_digest(),
-            take_encoded_delta(rank),
-            error,
-        );
+        let share = own_result(&msg, reply_ctx, &output, &meter, dms, proxy, error);
+        let payload = match share.kind {
+            PayloadKind::Triangles => output.triangles.to_bytes(),
+            PayloadKind::Polylines => encode_polylines(&output.polylines),
+            PayloadKind::None => Bytes::new(),
+        };
+        let frame = wire::encode_result(tags::PARTIAL_RESULT, &share, &payload);
         let _ = transport.send(group.root(), tags::PARTIAL_RESULT, frame.clone());
         test_abort_point("after-partial");
         return JobExit::Sent {
@@ -300,7 +305,7 @@ fn run_job<T: Transport>(
     // sender rank so retransmitted duplicates collapse, then merge in
     // canonical rank order (root's own share first) — the merged
     // payload is byte-identical no matter how lossy the transport was.
-    let mut partials: BTreeMap<Rank, (wire::PartialHeader, Bytes)> = BTreeMap::new();
+    let mut partials: BTreeMap<Rank, (wire::ResultHeader, Bytes)> = BTreeMap::new();
     let expected = group.len() - 1;
     let deadline = merge_started + config.resilience.gather_timeout;
     let mut first_error = error;
@@ -322,14 +327,15 @@ fn run_job<T: Transport>(
         };
         match m.tag {
             tags::PARTIAL_RESULT => {
-                let Some((header, payload)) = wire::decode_partial(m.payload) else {
+                let Some((share, payload)) = wire::decode_result(tags::PARTIAL_RESULT, m.payload)
+                else {
                     continue; // corrupt frame; retransmission recovers
                 };
-                if header.job != msg.job || header.attempt != msg.attempt {
+                if share.job != msg.job || share.attempt != msg.attempt {
                     continue; // stale partial from an abandoned attempt
                 }
                 if group.contains(m.from) && m.from != rank {
-                    partials.entry(m.from).or_insert((header, payload));
+                    partials.entry(m.from).or_insert((share, payload));
                 }
             }
             tags::PING => {
@@ -362,48 +368,26 @@ fn run_job<T: Transport>(
         }
     }
 
-    // Triangle partials carry the same wire layout the merged package
-    // uses, so the master splices their raw vertex blocks into one
-    // growing buffer (count prefix patched at the end) instead of a
+    // The group's result starts as the master's own share and absorbs
+    // each partial's accounting, residency and metric delta in rank
+    // order. Triangle partials carry the same wire layout the merged
+    // package uses, so the master splices their raw vertex blocks into
+    // one growing buffer (count prefix patched at the end) instead of a
     // decode → copy → re-encode round-trip per partial.
+    let mut done = own_result(&msg, reply_ctx, &output, &meter, dms, proxy, first_error);
     let mut tri_buf = BytesMut::with_capacity(4 + output.triangles.positions.len() * 12);
     tri_buf.put_u32_le(0); // triangle count, patched below
     output.triangles.append_payload(&mut tri_buf);
     let mut tri_count = output.triangles.n_triangles();
     let mut merged_polylines = output.polylines;
-    let mut cells_skipped = output.cells_skipped;
-    let mut bricks_skipped = output.bricks_skipped;
-    let mut total_read = meter.total(CostCategory::Read);
-    let mut total_compute = meter.total(CostCategory::Compute);
-    let mut total_send = meter.total(CostCategory::Send);
-    let mut total_dms = dms;
-    // Per-rank residency digests riding the JOB_DONE back to the
-    // scheduler: the master's own cache plus each partial's snapshot.
-    let mut residency: Vec<(Rank, vira_dms::cache::ResidencyDigest)> =
-        vec![(rank, proxy.residency_digest())];
-    // Metric deltas riding the partials home: the master forwards them
-    // (plus its own cut) in the JOB_DONE so the scheduler's time-series
-    // store hears from every rank even between heartbeats.
-    let mut obs_deltas: Vec<(Rank, String)> = Vec::new();
-    let own_delta = take_encoded_delta(rank);
-    if !own_delta.is_empty() {
-        obs_deltas.push((rank, own_delta));
-    }
-    for (from, (header, payload)) in partials {
-        residency.push((from, header.residency));
-        if !header.obs_delta.is_empty() {
-            obs_deltas.push((from, header.obs_delta.clone()));
+    for (share, payload) in partials.into_values() {
+        done.report.absorb(&share.report);
+        done.residency.extend(share.residency);
+        done.obs_deltas.extend(share.obs_deltas);
+        if let Some(e) = share.error {
+            done.error.get_or_insert(e);
         }
-        total_read += header.read_s;
-        total_compute += header.compute_s;
-        total_send += header.send_s;
-        total_dms = total_dms.merge(&header.dms);
-        cells_skipped += header.cells_skipped;
-        bricks_skipped += header.bricks_skipped;
-        if let Some(e) = header.error {
-            first_error.get_or_insert(e);
-        }
-        match header.kind {
+        match share.kind {
             PayloadKind::Triangles => {
                 // Validate the frame, then splice its vertex block
                 // verbatim (everything past the count prefix).
@@ -420,50 +404,81 @@ fn run_job<T: Transport>(
             PayloadKind::None => {}
         }
     }
-
-    let (kind, n_items) = payload_of(merged_polylines.len(), tri_count);
+    (done.kind, done.n_items) = payload_of(merged_polylines.len(), tri_count);
 
     // The master transmits the merged package over the client uplink;
     // charge its send cost (including queueing behind streamed packets).
-    let n = scaled_send_items(n_items as usize, send_scale(kind));
+    let n = scaled_send_items(done.n_items as usize, send_scale(done.kind));
     let modeled = costmodel::SEND_LATENCY_S + n as f64 * costmodel::SEND_S_PER_TRIANGLE;
-    total_send += charge_uplink(&meter, clock, uplink, modeled);
+    done.report.send_s += charge_uplink(&meter, clock, uplink, modeled);
 
-    let payload = match kind {
+    let payload = match done.kind {
         PayloadKind::Triangles => {
             tri_buf[..4].copy_from_slice(&(tri_count as u32).to_le_bytes());
             tri_buf.freeze()
         }
-        PayloadKind::Polylines => vira_vista::protocol::encode_polylines(&merged_polylines),
+        PayloadKind::Polylines => encode_polylines(&merged_polylines),
         PayloadKind::None => Bytes::new(),
     };
     drop(merge_span);
-    let merge_s = clock.wall_to_modeled(merge_started.elapsed());
-    let done = wire::DoneHeader {
-        job: msg.job,
-        kind,
-        n_items,
-        read_s: total_read,
-        compute_s: total_compute,
-        send_s: total_send,
-        merge_s,
-        dms: total_dms,
-        cells_skipped,
-        bricks_skipped,
-        attempt: msg.attempt,
-        residency,
-        obs_deltas,
-        error: first_error,
-        trace_id: reply_ctx.trace_id,
-        parent_span_id: reply_ctx.parent_span_id,
-    };
-    let frame = wire::encode_done(&done, &payload);
+    done.report.merge_s = clock.wall_to_modeled(merge_started.elapsed());
+    let frame = wire::encode_result(tags::JOB_DONE, &done, &payload);
     test_abort_point("before-done");
     let _ = transport.send(0, tags::JOB_DONE, frame.clone());
     JobExit::Sent {
         dest: 0,
         tag: tags::JOB_DONE,
         frame,
+    }
+}
+
+/// This rank's share of a job's result: a non-master sends it as its
+/// PARTIAL, the master folds the others' partials into it. The report
+/// holds the seconds `meter` has charged so far and the job's `dms`
+/// window; the scheduler's fields stay zero. The residency digest and
+/// the pending metric delta are this rank's own.
+fn own_result(
+    msg: &wire::CommandMsg,
+    ctx: vira_obs::TraceCtx,
+    output: &CommandOutput,
+    meter: &Meter,
+    dms: DmsStatsSnapshot,
+    proxy: &DataProxy,
+    error: Option<String>,
+) -> wire::ResultHeader {
+    let rank = proxy.node();
+    let (kind, n_items) = (output.kind(), output.n_items());
+    let count_of = |k: PayloadKind| if kind == k { n_items as u64 } else { 0 };
+    let delta = take_encoded_delta(rank);
+    wire::ResultHeader {
+        job: msg.job,
+        attempt: msg.attempt,
+        kind,
+        n_items,
+        report: JobReport {
+            read_s: meter.total(CostCategory::Read),
+            compute_s: meter.total(CostCategory::Compute),
+            send_s: meter.total(CostCategory::Send),
+            demand_requests: dms.demand_requests,
+            cache_hits: dms.l1_hits + dms.l2_hits,
+            cache_misses: dms.misses,
+            prefetch_issued: dms.prefetch_issued,
+            prefetch_hits: dms.prefetch_hits,
+            triangles: count_of(PayloadKind::Triangles),
+            polylines: count_of(PayloadKind::Polylines),
+            cells_skipped: output.cells_skipped,
+            bricks_skipped: output.bricks_skipped,
+            ..JobReport::default()
+        },
+        residency: vec![(rank, proxy.residency_digest())],
+        obs_deltas: if delta.is_empty() {
+            Vec::new()
+        } else {
+            vec![(rank, delta)]
+        },
+        trace_id: ctx.trace_id,
+        parent_span_id: ctx.parent_span_id,
+        error,
     }
 }
 
@@ -637,6 +652,10 @@ mod tests {
         let replay = next();
         assert_eq!(replay.tag, tags::JOB_DONE);
         assert_eq!(&replay.payload[..], &done.payload[..]);
+        // The held DONE counts in the replay gauge (which other tests'
+        // workers in this process add to as well).
+        let held = vira_obs::gauge("worker_replay_bytes").get();
+        assert!(held >= done.payload.len() as i64, "{held} bytes held");
         // A retransmit of the older job, delivered late, gets no answer:
         // the pong is the next frame back.
         sched.send(1, tags::COMMAND, command(old_job)).unwrap();

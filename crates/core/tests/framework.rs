@@ -735,6 +735,14 @@ fn cancel_of_running_job_returns_early() {
         out.triangles.n_triangles(),
         full.triangles.n_triangles()
     );
+    // The Cancelled terminal carries the group's accounting: the DMS
+    // requests of the aborted work as well as its seconds.
+    assert!(out.cancelled);
+    assert!(
+        out.report.demand_requests > 0 && out.report.cache_misses > 0,
+        "{:?}",
+        out.report
+    );
     finish(backend, client);
 }
 
@@ -783,6 +791,16 @@ fn derived_field_cache_preserves_geometry_and_saves_compute() {
     let out_of_range = client.run(&spec(1e9, true)).unwrap();
     assert_eq!(out_of_range.triangles.n_triangles(), 0);
     assert!(out_of_range.report.cells_skipped > 0);
+    // The pruning counters do not depend on memoization: a block the
+    // memoized range skips counts its bricks as the bricktree walk does.
+    let walked = client.run(&spec(1e9, false)).unwrap();
+    assert_eq!(
+        (
+            out_of_range.report.cells_skipped,
+            out_of_range.report.bricks_skipped
+        ),
+        (walked.report.cells_skipped, walked.report.bricks_skipped)
+    );
     finish(backend, client);
 }
 

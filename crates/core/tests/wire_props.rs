@@ -4,14 +4,13 @@
 //! a message with a changed bit.
 
 use bytes::Bytes;
+use vira_comm::transport::tags::{JOB_DONE, PARTIAL_RESULT};
 use vira_dms::cache::ResidencyDigest;
-use vira_dms::stats::DmsStatsSnapshot;
 use vira_testkit::{check, Gen, DEFAULT_CASES};
-use vira_vista::protocol::{CommandParams, PayloadKind};
+use vira_vista::protocol::{CommandParams, JobReport, PayloadKind};
 use viracocha::wire::{
-    decode_cancel, decode_command, decode_done, decode_partial, decode_ping, decode_pong,
-    encode_cancel, encode_command, encode_done, encode_partial, encode_ping, encode_pong,
-    CommandMsg, DoneHeader, PartialHeader, Ping, Pong,
+    decode_cancel, decode_command, decode_ping, decode_pong, decode_result, encode_cancel,
+    encode_command, encode_ping, encode_pong, encode_result, CommandMsg, Ping, Pong, ResultHeader,
 };
 
 fn sample_command(job: u64, attempt: u32) -> CommandMsg {
@@ -27,47 +26,30 @@ fn sample_command(job: u64, attempt: u32) -> CommandMsg {
     }
 }
 
-fn sample_partial(job: u64, payload_len: usize) -> (PartialHeader, Bytes) {
-    let h = PartialHeader {
+fn sample_result(job: u64, payload_len: usize) -> (ResultHeader, Bytes) {
+    let h = ResultHeader {
         job,
+        attempt: 1,
         kind: PayloadKind::Triangles,
         n_items: 3,
-        read_s: 0.5,
-        compute_s: 1.5,
-        send_s: 0.25,
-        dms: DmsStatsSnapshot::default(),
-        cells_skipped: 11,
-        bricks_skipped: 2,
-        attempt: 1,
-        residency: Default::default(),
-        error: None,
-        obs_delta: String::new(),
+        report: JobReport {
+            read_s: 0.5,
+            compute_s: 1.5,
+            send_s: 0.25,
+            merge_s: 0.125,
+            triangles: 3,
+            cells_skipped: 11,
+            bricks_skipped: 2,
+            ..JobReport::default()
+        },
+        residency: vec![(1, ResidencyDigest::default())],
+        obs_deltas: Vec::new(),
         trace_id: job | 1,
         parent_span_id: job >> 1,
+        error: None,
     };
     let payload: Vec<u8> = (0..payload_len).map(|i| (i * 7 + 13) as u8).collect();
     (h, Bytes::from(payload))
-}
-
-fn done_from_partial(p: &PartialHeader) -> DoneHeader {
-    DoneHeader {
-        job: p.job,
-        kind: p.kind,
-        n_items: p.n_items,
-        read_s: p.read_s,
-        compute_s: p.compute_s,
-        send_s: p.send_s,
-        merge_s: 0.125,
-        dms: p.dms,
-        cells_skipped: p.cells_skipped,
-        bricks_skipped: p.bricks_skipped,
-        attempt: p.attempt,
-        residency: Vec::new(),
-        error: None,
-        trace_id: p.trace_id,
-        parent_span_id: p.parent_span_id,
-        obs_deltas: Vec::new(),
-    }
 }
 
 /// Truncating an encoded frame anywhere must be detected: the seal
@@ -76,20 +58,20 @@ fn done_from_partial(p: &PartialHeader) -> DoneHeader {
 #[test]
 fn truncated_partial_frames_are_rejected() {
     check(DEFAULT_CASES, |g| {
-        let (h, payload) = sample_partial(g.u64_in(0..1000), g.usize_in(1..128));
-        let frame = encode_partial(&h, &payload);
+        let (h, payload) = sample_result(g.u64_in(0..1000), g.usize_in(1..128));
+        let frame = encode_result(PARTIAL_RESULT, &h, &payload);
         let cut = g.usize_in(0..frame.len());
-        assert!(decode_partial(frame.slice(0..cut)).is_none());
+        assert!(decode_result(PARTIAL_RESULT, frame.slice(0..cut)).is_none());
     });
 }
 
 #[test]
 fn truncated_done_frames_are_rejected() {
     check(DEFAULT_CASES, |g| {
-        let (p, payload) = sample_partial(g.u64_in(0..1000), g.usize_in(1..128));
-        let frame = encode_done(&done_from_partial(&p), &payload);
+        let (h, payload) = sample_result(g.u64_in(0..1000), g.usize_in(1..128));
+        let frame = encode_result(JOB_DONE, &h, &payload);
         let cut = g.usize_in(0..frame.len());
-        assert!(decode_done(frame.slice(0..cut)).is_none());
+        assert!(decode_result(JOB_DONE, frame.slice(0..cut)).is_none());
     });
 }
 
@@ -116,14 +98,13 @@ fn trace_context_roundtrips_on_all_frame_types() {
         let got = decode_command(encode_command(&cmd)).unwrap();
         assert_eq!((got.trace_id, got.parent_span_id), (trace_id, parent));
 
-        let (mut ph, payload) = sample_partial(job, 16);
-        ph.trace_id = trace_id;
-        ph.parent_span_id = parent;
-        let (got, _) = decode_partial(encode_partial(&ph, &payload)).unwrap();
-        assert_eq!((got.trace_id, got.parent_span_id), (trace_id, parent));
-
-        let (got, _) = decode_done(encode_done(&done_from_partial(&ph), &payload)).unwrap();
-        assert_eq!((got.trace_id, got.parent_span_id), (trace_id, parent));
+        let (mut h, payload) = sample_result(job, 16);
+        h.trace_id = trace_id;
+        h.parent_span_id = parent;
+        for tag in [PARTIAL_RESULT, JOB_DONE] {
+            let (got, _) = decode_result(tag, encode_result(tag, &h, &payload)).unwrap();
+            assert_eq!((got.trace_id, got.parent_span_id), (trace_id, parent));
+        }
     });
 }
 
@@ -152,9 +133,9 @@ fn bitflipped_command_frames_never_misdecode() {
 #[test]
 fn bitflipped_partial_frames_never_misdecode() {
     check(DEFAULT_CASES, |g| {
-        let (h, payload) = sample_partial(g.u64_in(0..1000), g.usize_in(0..128));
-        let frame = encode_partial(&h, &payload);
-        assert_a_flipped_bit_is_refused(g, frame, |f| decode_partial(f).is_some());
+        let (h, payload) = sample_result(g.u64_in(0..1000), g.usize_in(0..128));
+        let frame = encode_result(PARTIAL_RESULT, &h, &payload);
+        assert_a_flipped_bit_is_refused(g, frame, |f| decode_result(PARTIAL_RESULT, f).is_some());
     });
 }
 
@@ -164,7 +145,7 @@ fn bitflipped_partial_frames_never_misdecode() {
 fn every_single_bit_flip_is_refused() {
     check(DEFAULT_CASES, |g| {
         let job = g.u64_in(0..1000);
-        let (h, payload) = sample_partial(job, g.usize_in(0..128));
+        let (h, payload) = sample_result(job, g.usize_in(0..128));
         let pong = Pong {
             nonce: g.u64(),
             clock_ns: g.u64(),
@@ -172,8 +153,8 @@ fn every_single_bit_flip_is_refused() {
             delta: "OBSD1 1 1 100\nc jobs 2\n".into(),
         };
         let messages: [(Bytes, Decodes); 4] = [
-            (encode_done(&done_from_partial(&h), &payload), |f| {
-                decode_done(f).is_some()
+            (encode_result(JOB_DONE, &h, &payload), |f| {
+                decode_result(JOB_DONE, f).is_some()
             }),
             (
                 encode_ping(&Ping {

@@ -4,7 +4,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vira_obs::json::{self, Json};
 
 /// Thread-safe counters maintained by a data proxy.
 #[derive(Debug, Default)]
@@ -108,42 +107,6 @@ pub struct DmsStatsSnapshot {
 }
 
 impl DmsStatsSnapshot {
-    /// The snapshot inside a JSON wire header.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("demand_requests", self.demand_requests.into()),
-            ("l1_hits", self.l1_hits.into()),
-            ("l2_hits", self.l2_hits.into()),
-            ("misses", self.misses.into()),
-            ("prefetch_waits", self.prefetch_waits.into()),
-            ("prefetch_issued", self.prefetch_issued.into()),
-            ("prefetch_redundant", self.prefetch_redundant.into()),
-            ("prefetch_hits", self.prefetch_hits.into()),
-            ("fallbacks", self.fallbacks.into()),
-            ("loads_by_strategy", Json::arr(self.loads_by_strategy)),
-        ])
-    }
-
-    /// Inverse of [`Self::to_json`].
-    pub fn from_json(j: &Json) -> Result<DmsStatsSnapshot, String> {
-        Ok(DmsStatsSnapshot {
-            demand_requests: j.req("demand_requests", json::u64)?,
-            l1_hits: j.req("l1_hits", json::u64)?,
-            l2_hits: j.req("l2_hits", json::u64)?,
-            misses: j.req("misses", json::u64)?,
-            prefetch_waits: j.req("prefetch_waits", json::u64)?,
-            prefetch_issued: j.req("prefetch_issued", json::u64)?,
-            prefetch_redundant: j.req("prefetch_redundant", json::u64)?,
-            prefetch_hits: j.req("prefetch_hits", json::u64)?,
-            fallbacks: j.req("fallbacks", json::u64)?,
-            loads_by_strategy: j.req("loads_by_strategy", |l| {
-                json::list(l, json::u64)?
-                    .try_into()
-                    .map_err(|_| "expected four counters".to_owned())
-            })?,
-        })
-    }
-
     /// Fraction of demand requests served from either cache tier; 0 when
     /// there were no requests. A demand that waited for an in-flight
     /// prefetch ends up as an L1 hit once the load lands, so waits are
@@ -245,41 +208,6 @@ mod tests {
         assert_eq!(snap.loads_by_strategy, [0, 0, 1, 0]);
         assert!((snap.hit_rate() - 0.5).abs() < 1e-12);
         assert!((snap.miss_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_wire_shape_is_pinned() {
-        // The object this build sends.
-        let text = r#"{"demand_requests":9,"l1_hits":4,"l2_hits":2,"misses":3,"prefetch_waits":1,"prefetch_issued":5,"prefetch_redundant":6,"prefetch_hits":7,"fallbacks":8,"loads_by_strategy":[1,2,18446744073709551615,4]}"#;
-        let snap = DmsStatsSnapshot {
-            demand_requests: 9,
-            l1_hits: 4,
-            l2_hits: 2,
-            misses: 3,
-            prefetch_waits: 1,
-            prefetch_issued: 5,
-            prefetch_redundant: 6,
-            prefetch_hits: 7,
-            fallbacks: 8,
-            loads_by_strategy: [1, 2, u64::MAX, 4],
-        };
-        assert_eq!(snap.to_json().to_string(), text);
-        let mut j = json::parse(text).unwrap();
-        // An unknown counter is skipped; a missing one is an error.
-        j.set("l3_hits", 1u64.into());
-        assert_eq!(DmsStatsSnapshot::from_json(&j), Ok(snap));
-        let mut without = j.clone();
-        without.remove("fallbacks");
-        assert!(DmsStatsSnapshot::from_json(&without).is_err());
-        j.set("loads_by_strategy", Json::arr([1u64, 2, 3]));
-        assert!(
-            DmsStatsSnapshot::from_json(&j).is_err(),
-            "three counters are not four"
-        );
-        j.remove("misses");
-        assert!(DmsStatsSnapshot::from_json(&j)
-            .unwrap_err()
-            .contains("misses"));
     }
 
     #[test]

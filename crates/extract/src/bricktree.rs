@@ -44,6 +44,14 @@ fn bricks_along(cells: usize) -> usize {
     cells.div_ceil(BRICK).max(1)
 }
 
+/// Bricks along `i`, `j` and `k` of the tree of a block of `dims`: the
+/// brick layout, for callers that count a block's bricks without
+/// building its tree.
+pub fn brick_counts(dims: BlockDims) -> (usize, usize, usize) {
+    let (ci, cj, ck) = dims.cell_dims();
+    (bricks_along(ci), bricks_along(cj), bricks_along(ck))
+}
+
 /// Cells of brick `b` along an axis of `cells` cells.
 #[inline]
 fn brick_cells(b: usize, cells: usize) -> Range<usize> {
@@ -109,8 +117,7 @@ impl BrickTree {
     /// five-point i-windows → leaf ranges.
     pub fn build(field: &ScalarField) -> BrickTree {
         let dims = field.dims;
-        let (ci, cj, ck) = dims.cell_dims();
-        let (nx, ny, nz) = (bricks_along(ci), bricks_along(cj), bricks_along(ck));
+        let (nx, ny, nz) = brick_counts(dims);
         let plane = dims.ni * dims.nj;
         let (mut plane_lo, mut plane_hi) = (vec![0.0; plane], vec![0.0; plane]);
         let (mut row_lo, mut row_hi) = (vec![0.0; dims.ni], vec![0.0; dims.ni]);
@@ -143,7 +150,7 @@ impl BrickTree {
         }
         let root = leaves.iter().copied().fold(EMPTY, widen);
         BrickTree {
-            cell_dims: (ci, cj, ck),
+            cell_dims: dims.cell_dims(),
             nx,
             ny,
             leaves,

@@ -495,6 +495,10 @@ pub const METRIC_REGISTRY: &[(&str, &str)] = &[
     ),
     // workers
     (
+        "worker_replay_bytes",
+        "Bytes of the response frames workers hold for replay",
+    ),
+    (
         "worker_stream_items_total",
         "Geometry items streamed by workers",
     ),

@@ -197,6 +197,13 @@ impl PayloadKind {
 
 /// Modeled-time job accounting shipped with the final event. Flat struct
 /// so the client library stays decoupled from the back-end crates.
+///
+/// The same report rides layer 2 inside the back-end: each worker's
+/// PARTIAL carries its share, the master folds the shares with
+/// [`JobReport::absorb`] into the DONE, and the scheduler fills in its
+/// own fields (runtime, both waits, retries, degraded) for the client.
+/// A `Cancelled` terminal carries the group's accounting as well, so
+/// the cost of aborted work stays visible.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobReport {
     /// Modeled wall-clock runtime of the job (submission → final merge).
@@ -238,6 +245,25 @@ pub struct JobReport {
 }
 
 impl JobReport {
+    /// Adds another share of the same job to this one: the modeled
+    /// seconds, the DMS counters, the geometry and the pruning counters.
+    /// The scheduler's fields are left as they are.
+    pub fn absorb(&mut self, share: &JobReport) {
+        self.read_s += share.read_s;
+        self.compute_s += share.compute_s;
+        self.send_s += share.send_s;
+        self.merge_s += share.merge_s;
+        self.demand_requests += share.demand_requests;
+        self.cache_hits += share.cache_hits;
+        self.cache_misses += share.cache_misses;
+        self.prefetch_issued += share.prefetch_issued;
+        self.prefetch_hits += share.prefetch_hits;
+        self.triangles += share.triangles;
+        self.polylines += share.polylines;
+        self.cells_skipped += share.cells_skipped;
+        self.bricks_skipped += share.bricks_skipped;
+    }
+
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("total_runtime_s", self.total_runtime_s.into()),
@@ -759,6 +785,29 @@ mod tests {
             }
             other => panic!("wrong header {other:?}"),
         }
+    }
+
+    #[test]
+    fn absorb_sums_the_group_fields_and_keeps_the_scheduler_fields() {
+        let mut own = fixture_report();
+        own.absorb(&fixture_report());
+        let twice = JobReport {
+            read_s: 6.0,
+            compute_s: 18.0,
+            send_s: 1.0,
+            merge_s: 0.25,
+            demand_requests: 18,
+            cache_hits: 12,
+            cache_misses: 6,
+            prefetch_issued: 8,
+            prefetch_hits: 4,
+            triangles: 2468,
+            polylines: 0,
+            cells_skipped: 2000,
+            bricks_skipped: 24,
+            ..fixture_report()
+        };
+        assert_eq!(own, twice);
     }
 
     #[test]

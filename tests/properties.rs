@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use std::sync::Arc;
+use vira_comm::transport::tags;
 use vira_dms::cache::{CachePayload, MemoryCache};
 use vira_dms::name::ItemId;
 use vira_dms::policy::policy_by_name;
@@ -299,8 +300,8 @@ fn decoders_tolerate_garbage() {
         let _ = wire::decode_ping(&b);
         let _ = wire::decode_pong(&b);
         let _ = wire::decode_command(b.clone());
-        let _ = wire::decode_partial(b.clone());
-        let _ = wire::decode_done(b);
+        let _ = wire::decode_result(tags::PARTIAL_RESULT, b.clone());
+        let _ = wire::decode_result(tags::JOB_DONE, b);
     });
 }
 
