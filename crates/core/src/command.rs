@@ -3,11 +3,12 @@
 //! Actual post-processing algorithms live on the uppermost layer of the
 //! design (paper §3) and are registered as [`Command`]s. A command is
 //! executed by every member of a work group; each member processes its
-//! share of the work (see [`JobCtx::my_blocks`]) and either streams
-//! partial geometry directly to the visualization client
-//! ([`JobCtx::stream_triangles`]) or returns its share for the master
-//! worker to merge.
+//! share of the work (see [`JobCtx::my_blocks`]) and hands its geometry
+//! to [`JobCtx::emit_triangles`] / [`JobCtx::emit_polylines`], which send
+//! it to the client as partial packets (§5) or into the share the
+//! group's master merges (§3), as the command's [`Command::streams`] says.
 
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock, RwLock};
 use vira_comm::collective::Group;
@@ -22,7 +23,9 @@ use vira_grid::synth::DatasetSpec;
 use vira_obs as obs;
 use vira_storage::costmodel::{self, CostCategory, Meter, SharedChannel, SimClock};
 use vira_storage::source::StorageError;
-use vira_vista::protocol::{CommandParams, EventHeader, JobId, PayloadKind};
+use vira_vista::protocol::{
+    append_polylines, encode_event, CommandParams, EventHeader, JobId, JobReport, PayloadKind,
+};
 
 /// Actual triangle counts on the scaled-down grids stand for
 /// proportionally more paper-scale triangles; this ratio converts
@@ -63,6 +66,9 @@ pub enum CommandError {
     Storage(StorageError),
     Comm(CommError),
     BadParams(String),
+    /// A batch of another kind than the merged payload's (the payload's
+    /// kind, the batch's): a merged payload holds one kind.
+    MixedPayload(PayloadKind, PayloadKind),
 }
 
 impl std::fmt::Display for CommandError {
@@ -71,6 +77,7 @@ impl std::fmt::Display for CommandError {
             CommandError::Storage(e) => write!(f, "storage: {e}"),
             CommandError::Comm(e) => write!(f, "comm: {e}"),
             CommandError::BadParams(s) => write!(f, "bad parameters: {s}"),
+            CommandError::MixedPayload(a, b) => write!(f, "a {b:?} batch in a {a:?} payload"),
         }
     }
 }
@@ -89,37 +96,51 @@ impl From<CommError> for CommandError {
     }
 }
 
-/// The non-streamed share of a command's result on one worker.
+/// One worker's geometry sink for one job. Streamed batches only advance
+/// its packet `seq`; merged ones are appended to `payload`, laid out as
+/// `TriangleSoup::to_bytes` or `encode_polylines` lay out one batch: a
+/// `u32` item count, then the items. The master appends the other ranks'
+/// payload bodies to its own.
 #[derive(Debug, Default)]
-pub struct CommandOutput {
-    pub triangles: TriangleSoup,
-    pub polylines: Vec<Polyline>,
-    /// Extraction cells this worker never examined thanks to bricktree
-    /// pruning (summed over all items it processed).
-    pub cells_skipped: u64,
-    /// Bricks skipped whole.
-    pub bricks_skipped: u64,
+pub(crate) struct GeometrySink {
+    seq: u32,
+    /// Kind and item count of `payload`, set only by `append`: one kind,
+    /// and no bytes at all (not even the count) until the first item.
+    pub(crate) kind: PayloadKind,
+    pub(crate) n_items: u32,
+    payload: BytesMut,
+    /// The report's geometry counters: every item emitted, streamed or
+    /// merged, and the cells and bricks pruning skipped.
+    pub(crate) counts: JobReport,
 }
 
-/// The kind and item count of a package holding `polylines` and
-/// `triangles`: polylines win, a package with neither is empty.
-pub(crate) fn payload_of(polylines: usize, triangles: usize) -> (PayloadKind, u32) {
-    if polylines > 0 {
-        (PayloadKind::Polylines, polylines as u32)
-    } else if triangles > 0 {
-        (PayloadKind::Triangles, triangles as u32)
-    } else {
-        (PayloadKind::None, 0)
+impl GeometrySink {
+    /// Appends `n` items of `kind` (triangles or polylines), whose
+    /// encoded bodies `body` writes, to the payload. A kind other than
+    /// the payload's is refused before anything is written.
+    pub(crate) fn append(
+        &mut self,
+        kind: PayloadKind,
+        n: usize,
+        body: impl FnOnce(&mut BytesMut),
+    ) -> Result<(), CommandError> {
+        if n == 0 {
+            return Ok(());
+        }
+        if self.kind == PayloadKind::None {
+            self.kind = kind;
+            self.payload.put_u32_le(0);
+        } else if self.kind != kind {
+            return Err(CommandError::MixedPayload(self.kind, kind));
+        }
+        self.n_items += n as u32;
+        self.payload[..4].copy_from_slice(&self.n_items.to_le_bytes());
+        body(&mut self.payload);
+        Ok(())
     }
-}
 
-impl CommandOutput {
-    pub fn kind(&self) -> PayloadKind {
-        payload_of(self.polylines.len(), self.triangles.n_triangles()).0
-    }
-
-    pub fn n_items(&self) -> u32 {
-        payload_of(self.polylines.len(), self.triangles.n_triangles()).1
+    pub(crate) fn into_payload(self) -> Bytes {
+        self.payload.freeze()
     }
 }
 
@@ -152,7 +173,8 @@ pub struct JobCtx<'a> {
     /// other (§5.2: many work nodes "literally firing data at the
     /// visualization system" can overload it).
     pub(crate) uplink: Arc<SharedChannel>,
-    pub(crate) seq: u32,
+    pub(crate) streams: bool,
+    pub(crate) sink: GeometrySink,
 }
 
 impl<'a> JobCtx<'a> {
@@ -195,22 +217,6 @@ impl<'a> JobCtx<'a> {
             .charge(&self.clock, CostCategory::Compute, modeled_s);
     }
 
-    /// Charges the modeled transmission of `n_triangles` (latency + per
-    /// nominal-equivalent triangle).
-    fn charge_send(&self, n_triangles: usize) {
-        let scaled = n_triangles as f64 * nominal_geometry_scale(&self.spec);
-        let t = costmodel::SEND_LATENCY_S + scaled * costmodel::SEND_S_PER_TRIANGLE;
-        charge_uplink(&self.meter, &self.clock, &self.uplink, t);
-    }
-
-    /// Charges the transmission of `n` unscaled items (polyline points —
-    /// trace lengths do not grow with grid resolution the way surface
-    /// triangle counts do).
-    fn charge_send_unscaled(&self, n: usize) {
-        let t = costmodel::SEND_LATENCY_S + n as f64 * costmodel::SEND_S_PER_TRIANGLE;
-        charge_uplink(&self.meter, &self.clock, &self.uplink, t);
-    }
-
     /// The items of `step` this worker owns, interleaved round-robin over
     /// the group (so every worker gets near-front blocks early when the
     /// order is sorted front-to-back).
@@ -225,54 +231,67 @@ impl<'a> JobCtx<'a> {
             .collect()
     }
 
-    /// Streams a partial triangle packet straight to the visualization
-    /// client (paper §5.2), charging the modeled send cost.
-    pub fn stream_triangles(&mut self, soup: &TriangleSoup) -> Result<(), CommandError> {
-        if soup.is_empty() {
-            return Ok(());
-        }
-        self.charge_send(soup.n_triangles());
-        obs::counter_cached(&STREAM_PACKETS, "worker_stream_packets_total").inc();
-        obs::counter_cached(&STREAM_ITEMS, "worker_stream_items_total")
-            .add(soup.n_triangles() as u64);
-        let seq = self.seq;
-        self.seq += 1;
-        self.events
-            .emit(vira_vista::protocol::encode_event(
-                &EventHeader::Partial {
-                    job: self.job,
-                    seq,
-                    kind: PayloadKind::Triangles,
-                    n_items: soup.n_triangles() as u32,
-                    from_worker: self.rank,
-                },
-                soup.to_bytes(),
-            ))
-            .map_err(CommandError::from)
+    /// Hands on a batch of triangles, as [`Command::streams`] decides.
+    /// A streamed batch is charged per nominal-equivalent triangle.
+    pub fn emit_triangles(&mut self, soup: &TriangleSoup) -> Result<(), CommandError> {
+        let n = soup.n_triangles();
+        self.sink.counts.triangles += n as u64;
+        let send_units = n as f64 * nominal_geometry_scale(&self.spec);
+        self.emit(PayloadKind::Triangles, n, send_units, |buf| {
+            soup.append_payload(buf)
+        })
     }
 
-    /// Streams finished polylines to the client.
-    pub fn stream_polylines(&mut self, lines: &[Polyline]) -> Result<(), CommandError> {
-        if lines.is_empty() {
+    /// Hands on a batch of finished polylines, as [`Command::streams`]
+    /// decides. A streamed batch is charged per point: trace lengths do
+    /// not grow with grid resolution the way surface triangle counts do.
+    pub fn emit_polylines(&mut self, lines: &[Polyline]) -> Result<(), CommandError> {
+        let points: usize = lines.iter().map(|l| l.len()).sum();
+        self.sink.counts.polylines += lines.len() as u64;
+        self.emit(PayloadKind::Polylines, lines.len(), points as f64, |buf| {
+            append_polylines(buf, lines)
+        })
+    }
+
+    /// Counts the cells and whole bricks that bricktree pruning skipped.
+    pub fn count_skipped(&mut self, cells: u64, bricks: u64) {
+        self.sink.counts.cells_skipped += cells;
+        self.sink.counts.bricks_skipped += bricks;
+    }
+
+    /// Hands on `n` items of `kind` whose encoded bodies `body` writes.
+    /// Streamed, they go to the client as one PARTIAL packet whose
+    /// modeled send costs the latency plus `send_units` items (paper
+    /// §5.2); merged, they are appended to this rank's payload.
+    fn emit(
+        &mut self,
+        kind: PayloadKind,
+        n: usize,
+        send_units: f64,
+        body: impl FnOnce(&mut BytesMut),
+    ) -> Result<(), CommandError> {
+        if n == 0 {
             return Ok(());
         }
-        self.charge_send_unscaled(lines.iter().map(|l| l.len()).sum());
+        if !self.streams {
+            return self.sink.append(kind, n, body);
+        }
+        let t = costmodel::SEND_LATENCY_S + send_units * costmodel::SEND_S_PER_TRIANGLE;
+        charge_uplink(&self.meter, &self.clock, &self.uplink, t);
         obs::counter_cached(&STREAM_PACKETS, "worker_stream_packets_total").inc();
-        obs::counter_cached(&STREAM_ITEMS, "worker_stream_items_total").add(lines.len() as u64);
-        let seq = self.seq;
-        self.seq += 1;
-        self.events
-            .emit(vira_vista::protocol::encode_event(
-                &EventHeader::Partial {
-                    job: self.job,
-                    seq,
-                    kind: PayloadKind::Polylines,
-                    n_items: lines.len() as u32,
-                    from_worker: self.rank,
-                },
-                vira_vista::protocol::encode_polylines(lines),
-            ))
-            .map_err(CommandError::from)
+        obs::counter_cached(&STREAM_ITEMS, "worker_stream_items_total").add(n as u64);
+        let mut packet = GeometrySink::default();
+        packet.append(kind, n, body)?;
+        let header = EventHeader::Partial {
+            job: self.job,
+            seq: self.sink.seq,
+            kind,
+            n_items: n as u32,
+            from_worker: self.rank,
+        };
+        self.sink.seq += 1;
+        let frame = encode_event(&header, packet.into_payload());
+        self.events.emit(frame).map_err(CommandError::from)
     }
 
     /// True once the client cancelled this job; commands should check
@@ -285,13 +304,13 @@ impl<'a> JobCtx<'a> {
     /// client (§9: a progress indicator in the virtual environment).
     pub fn report_progress(&mut self, fraction: f32) -> Result<(), CommandError> {
         self.events
-            .emit(vira_vista::protocol::encode_event(
+            .emit(encode_event(
                 &EventHeader::Progress {
                     job: self.job,
                     from_worker: self.rank,
                     fraction: fraction.clamp(0.0, 1.0),
                 },
-                bytes::Bytes::new(),
+                Bytes::new(),
             ))
             .map_err(CommandError::from)
     }
@@ -302,8 +321,17 @@ pub trait Command: Send + Sync {
     /// Registry name (what the client submits).
     fn name(&self) -> &'static str;
 
-    /// Runs this worker's share of the job.
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError>;
+    /// Where every geometry batch of this command goes, for every job:
+    /// `true` sends each one to the client as a partial packet the
+    /// moment it is emitted (§5); `false` appends it to this worker's
+    /// share of the package the group's master merges (§3).
+    fn streams(&self) -> bool {
+        false
+    }
+
+    /// Runs this worker's share of the job, handing its geometry to
+    /// [`JobCtx::emit_triangles`] and [`JobCtx::emit_polylines`].
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError>;
 }
 
 /// The command registry of one back-end instance (layer 3 contents).
@@ -350,8 +378,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "Dummy"
         }
-        fn execute(&self, _ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
-            Ok(CommandOutput::default())
+        fn execute(&self, _ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
+            Ok(())
         }
     }
 
@@ -366,18 +394,83 @@ mod tests {
         assert_eq!(r.names(), vec!["Dummy"]);
     }
 
+    fn soup(n: usize, offset: f64) -> TriangleSoup {
+        use vira_grid::math::Vec3;
+        let mut soup = TriangleSoup::new();
+        for i in 0..n {
+            let x = offset + i as f64;
+            let (a, b, c) = (Vec3::new(x, 0.0, 0.0), Vec3::new(x, 1.0, 0.0), Vec3::ZERO);
+            soup.push_tri(a, b, c);
+        }
+        soup
+    }
+
+    fn line(points: usize) -> Polyline {
+        let mut line = Polyline::default();
+        for i in 0..points {
+            line.push(vira_grid::math::Vec3::splat(i as f64), i as f64);
+        }
+        line
+    }
+
     #[test]
-    fn output_kind_selection() {
-        let mut out = CommandOutput::default();
-        assert_eq!(out.kind(), PayloadKind::None);
-        out.triangles.push_tri(
-            vira_grid::math::Vec3::ZERO,
-            vira_grid::math::Vec3::new(1.0, 0.0, 0.0),
-            vira_grid::math::Vec3::new(0.0, 1.0, 0.0),
-        );
-        assert_eq!(out.kind(), PayloadKind::Triangles);
-        assert_eq!(out.n_items(), 1);
-        out.polylines.push(Polyline::default());
-        assert_eq!(out.kind(), PayloadKind::Polylines, "polylines win");
+    fn merged_triangle_batches_are_the_soup_of_their_concatenation() {
+        let batches = [soup(3, 0.0), soup(1, 10.0), soup(0, 0.0), soup(5, 20.0)];
+        let mut sink = GeometrySink::default();
+        let mut all = TriangleSoup::new();
+        for b in &batches {
+            sink.append(PayloadKind::Triangles, b.n_triangles(), |buf| {
+                b.append_payload(buf)
+            })
+            .unwrap();
+            all.extend_from(b);
+        }
+        assert_eq!((sink.kind, sink.n_items), (PayloadKind::Triangles, 9));
+        assert_eq!(&sink.payload[..], &all.to_bytes()[..]);
+    }
+
+    #[test]
+    fn merged_polyline_batches_are_the_encoding_of_every_line() {
+        let batches = [vec![line(2), line(0)], vec![], vec![line(5)]];
+        let mut sink = GeometrySink::default();
+        for b in &batches {
+            sink.append(PayloadKind::Polylines, b.len(), |buf| {
+                append_polylines(buf, b)
+            })
+            .unwrap();
+        }
+        let all: Vec<Polyline> = batches.concat();
+        assert_eq!((sink.kind, sink.n_items), (PayloadKind::Polylines, 3));
+        let want = vira_vista::protocol::encode_polylines(&all);
+        assert_eq!(&sink.payload[..], &want[..]);
+    }
+
+    #[test]
+    fn a_sink_with_no_items_has_no_payload() {
+        let mut sink = GeometrySink::default();
+        sink.append(PayloadKind::Triangles, 0, |_| {}).unwrap();
+        assert_eq!((sink.kind, sink.n_items), (PayloadKind::None, 0));
+        assert!(sink.payload.is_empty());
+    }
+
+    #[test]
+    fn a_merged_payload_refuses_a_second_kind() {
+        let tris = soup(2, 0.0);
+        let mut sink = GeometrySink::default();
+        sink.append(PayloadKind::Triangles, 2, |buf| tris.append_payload(buf))
+            .unwrap();
+        let lines = [line(3)];
+        let refused = sink.append(PayloadKind::Polylines, 1, |buf| {
+            append_polylines(buf, &lines)
+        });
+        assert!(matches!(
+            refused,
+            Err(CommandError::MixedPayload(
+                PayloadKind::Triangles,
+                PayloadKind::Polylines
+            ))
+        ));
+        assert_eq!((sink.kind, sink.n_items), (PayloadKind::Triangles, 2));
+        assert_eq!(&sink.payload[..], &tris.to_bytes()[..]);
     }
 }

@@ -1,6 +1,6 @@
 //! Administrative commands used by the experiment harness.
 
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
 
 /// Empties every group member's proxy caches (and optionally resets
 /// learned prefetcher state). Submit with `workers` = the full pool so
@@ -15,7 +15,7 @@ impl Command for ClearCache {
         "ClearCache"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let reset = ctx
             .params
             .get("reset_prefetcher")
@@ -24,6 +24,6 @@ impl Command for ClearCache {
         ctx.proxy.quiesce();
         ctx.proxy.clear_cache(reset);
         ctx.derived.clear();
-        Ok(CommandOutput::default())
+        Ok(())
     }
 }

@@ -10,7 +10,7 @@
 //! per seed (§9's progress-indicator suggestion).
 
 use super::{integrator_cfg, my_seeds, param_u32, time_span, topology};
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
 use vira_extract::pathline::{
     trace_pathline, trace_streakline, MultiBlockSampler, SteadySampler, TimeScheme,
 };
@@ -29,7 +29,7 @@ impl Command for Streamlines {
         "Streamlines"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let step = param_u32(&ctx.params, "step").unwrap_or(0);
         if step >= ctx.spec.n_steps {
             return Err(CommandError::BadParams(format!(
@@ -48,7 +48,6 @@ impl Command for Streamlines {
 
         let seeds = my_seeds(ctx);
         let total = seeds.len().max(1);
-        let mut out = CommandOutput::default();
         for (n, seed) in seeds.into_iter().enumerate() {
             if ctx.is_cancelled() {
                 break;
@@ -64,11 +63,11 @@ impl Command for Streamlines {
             ctx.charge_compute(cost_per_seed);
             let r = trace_pathline(&mut sampler, seed, 0.0, t_span, &cfg);
             if r.line.len() > 1 {
-                out.polylines.push(r.line);
+                ctx.emit_polylines(std::slice::from_ref(&r.line))?;
             }
             ctx.report_progress((n + 1) as f32 / total as f32)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -80,7 +79,7 @@ impl Command for Streaklines {
         "Streaklines"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let (t0, t1) = time_span(ctx)?;
         let releases = ctx.params.get_usize("releases").unwrap_or(20).max(1);
         let topo = topology(ctx)?;
@@ -90,7 +89,6 @@ impl Command for Streaklines {
 
         let seeds = my_seeds(ctx);
         let total = seeds.len().max(1);
-        let mut out = CommandOutput::default();
         for (n, seed) in seeds.into_iter().enumerate() {
             if ctx.is_cancelled() {
                 break;
@@ -102,10 +100,10 @@ impl Command for Streaklines {
             ctx.charge_compute(cost_per_seed);
             let line = trace_streakline(&mut sampler, seed, t0, t1, releases, &cfg);
             if line.len() > 1 {
-                out.polylines.push(line);
+                ctx.emit_polylines(std::slice::from_ref(&line))?;
             }
             ctx.report_progress((n + 1) as f32 / total as f32)?;
         }
-        Ok(out)
+        Ok(())
     }
 }

@@ -6,7 +6,7 @@
 //! in how an item is loaded.
 
 use super::{require_f64, walk_share};
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
 use vira_extract::iso::extract_isosurface;
 use vira_storage::costmodel;
 
@@ -14,12 +14,11 @@ fn extract_items(
     ctx: &mut JobCtx<'_>,
     use_dms: bool,
     collective: bool,
-) -> Result<CommandOutput, CommandError> {
+) -> Result<(), CommandError> {
     let iso = require_f64(ctx, "iso")?;
     let compute_per_item = costmodel::ISO_S_PER_CELL * ctx.nominal_cells();
     walk_share(
         ctx,
-        false,
         |ctx, id| {
             let data = if collective && !ctx.proxy.is_cached(&ctx.dataset, id) {
                 // Cold item: all group members fetch their items in one
@@ -50,7 +49,7 @@ impl Command for SimpleIso {
         "SimpleIso"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         extract_items(ctx, false, false)
     }
 }
@@ -64,7 +63,7 @@ impl Command for IsoDataMan {
         "IsoDataMan"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         extract_items(ctx, true, false)
     }
 }
@@ -79,7 +78,7 @@ impl Command for CollectiveIso {
         "CollectiveIso"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         extract_items(ctx, true, true)
     }
 }

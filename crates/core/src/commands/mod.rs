@@ -2,7 +2,7 @@
 //! workloads (§6.3) plus the progressive extension (§5.3) and a
 //! collective-I/O variant (§4.3).
 //!
-//! | Command | Data path | Streaming |
+//! | Command | Data path | Streaming ([`Command::streams`](crate::Command::streams)) |
 //! |---|---|---|
 //! | `SimpleIso` | direct file-server reads | no |
 //! | `IsoDataMan` | DMS | no |
@@ -39,7 +39,7 @@ pub use progressive::ProgressiveIso;
 pub use viewer::ViewerIso;
 pub use vortex::{SimpleVortex, StreamedVortex, VortexDataMan};
 
-use crate::command::{CommandError, CommandOutput, CommandRegistry, JobCtx};
+use crate::command::{CommandError, CommandRegistry, JobCtx};
 use std::ops::Range;
 use std::sync::Arc;
 use vira_extract::iso::IsoStats;
@@ -129,20 +129,19 @@ const ITEMS_PER_THREAD: usize = 4;
 /// derived-field memoization. `extract` is pure and hands back the
 /// item's surface as batches. Each round loads its items, extracts them
 /// side by side on [`scoped_map`] with `ctx.extract_threads` threads and
-/// takes the results in item order: with `stream`, every batch goes to
-/// the client as a PARTIAL packet; without, it is merged into the
-/// returned final package. Either way the payload is byte-identical at
-/// any width, and a worker holds at most one round of loaded items. At
-/// one thread a round is one item and `scoped_map` runs it inline: load,
-/// extraction and sends alternate as in a plain loop, which is what
-/// gives a prefetch time to land. Progress goes to the client every
-/// ~5 % of the share; a cancel returns what is merged so far.
+/// takes the results in item order, handing every batch to
+/// [`JobCtx::emit_triangles`]. Either way the command streams or merges
+/// them, the geometry is byte-identical at any width, and a worker holds
+/// at most one round of loaded items. At one thread a round is one item
+/// and `scoped_map` runs it inline: load, extraction and sends alternate
+/// as in a plain loop, which is what gives a prefetch time to land.
+/// Progress goes to the client every ~5 % of the share; a cancel keeps
+/// what was emitted so far.
 pub(crate) fn walk_share<W: Sync>(
     ctx: &mut JobCtx<'_>,
-    stream: bool,
     mut load: impl FnMut(&JobCtx<'_>, BlockStepId) -> Result<W, CommandError>,
     extract: impl Fn(&W) -> (Vec<TriangleSoup>, IsoStats) + Sync,
-) -> Result<CommandOutput, CommandError> {
+) -> Result<(), CommandError> {
     let items = share(ctx, &id_order(ctx));
     let total = items.len();
     let width = ctx.extract_threads.clamp(1, total.max(1));
@@ -152,7 +151,6 @@ pub(crate) fn walk_share<W: Sync>(
         width * ITEMS_PER_THREAD
     };
     let job = ctx.job;
-    let mut out = CommandOutput::default();
     let mut done = 0usize;
     for round in items.chunks(round_len) {
         // The walking thread's part of the round: its loads, and the
@@ -163,7 +161,7 @@ pub(crate) fn walk_share<W: Sync>(
         let mut loaded = Vec::with_capacity(round.len());
         for &id in round {
             if ctx.is_cancelled() {
-                return Ok(out);
+                return Ok(());
             }
             loaded.push((id, load(ctx, id)?));
         }
@@ -181,21 +179,16 @@ pub(crate) fn walk_share<W: Sync>(
         drop(round_span);
         for (batches, stats) in results {
             for batch in &batches {
-                if stream {
-                    ctx.stream_triangles(batch)?;
-                } else {
-                    out.triangles.extend_from(batch);
-                }
+                ctx.emit_triangles(batch)?;
             }
-            out.cells_skipped += stats.cells_skipped as u64;
-            out.bricks_skipped += stats.bricks_skipped as u64;
+            ctx.count_skipped(stats.cells_skipped as u64, stats.bricks_skipped as u64);
             done += 1;
             if done.is_multiple_of((total / 20).max(1)) || done == total {
                 ctx.report_progress(done as f32 / total as f32)?;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Block ids sorted front-to-back with respect to a viewpoint (by

@@ -8,7 +8,7 @@
 //! pass followed by a traced pass reproduces the paper's Figure 14.
 
 use super::{integrator_cfg, my_seeds, time_span, topology};
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
 use vira_extract::pathline::{trace_pathline, FieldSampler, MultiBlockSampler, TimeScheme};
 use vira_grid::block::BlockStepId;
 use vira_grid::field::SharedBlockData;
@@ -40,7 +40,7 @@ impl<S: FieldSampler> FieldSampler for ChargedSampler<'_, '_, S> {
     }
 }
 
-fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, CommandError> {
+fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<(), CommandError> {
     let (t0, t1) = time_span(ctx)?;
     let topo = topology(ctx)?;
     let scheme = match ctx.params.get("scheme") {
@@ -51,7 +51,6 @@ fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, C
     // 12 velocity evaluations per step-doubled RK4 triple.
     let cost_per_eval = costmodel::PATHLINE_S_PER_STEP / 12.0;
 
-    let mut out = CommandOutput::default();
     for seed in my_seeds(ctx) {
         if ctx.is_cancelled() {
             break;
@@ -76,10 +75,10 @@ fn run_pathlines(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, C
         };
         let result = trace_pathline(&mut charged, seed, t0, t1, &cfg);
         if result.line.len() > 1 {
-            out.polylines.push(result.line);
+            ctx.emit_polylines(std::slice::from_ref(&result.line))?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Pathline integration without data management: every trace loads its
@@ -92,7 +91,7 @@ impl Command for SimplePathlines {
         "SimplePathlines"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         run_pathlines(ctx, false)
     }
 }
@@ -107,7 +106,7 @@ impl Command for PathlinesDataMan {
         "PathlinesDataMan"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         run_pathlines(ctx, true)
     }
 }

@@ -10,7 +10,8 @@
 //! the `ablation_progressive` experiment.
 
 use super::{batch_size, id_order, require_f64, share};
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
+use vira_extract::mesh::TriangleSoup;
 use vira_extract::multires::progressive_isosurface;
 use vira_storage::costmodel;
 
@@ -21,16 +22,21 @@ impl Command for ProgressiveIso {
         "ProgressiveIso"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn streams(&self) -> bool {
+        true
+    }
+
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let iso = require_f64(ctx, "iso")?;
         let levels = ctx.params.get_usize("levels").unwrap_or(3).max(1);
         let batch = batch_size(ctx);
         let nominal = ctx.nominal_cells();
-        let mut out = CommandOutput::default();
+        // Each `batch` triangles of a level in turn, as one packet.
+        let mut packet = TriangleSoup::with_capacity(batch);
 
         for id in share(ctx, &id_order(ctx)) {
             if ctx.is_cancelled() {
-                return Ok(out);
+                return Ok(());
             }
             let mut block_span = vira_obs::span("extract.block", "extract")
                 .arg("job", ctx.job)
@@ -38,7 +44,7 @@ impl Command for ProgressiveIso {
                 .arg("step", id.step);
             let data = ctx.load_block(id)?;
             let field = data.velocity.magnitude();
-            let mut stream_err: Option<CommandError> = None;
+            let mut emit_err: Option<CommandError> = None;
             let mut cells_skipped = 0u64;
             let mut bricks_skipped = 0u64;
             progressive_isosurface(&data.grid, &field, iso, levels, |level| {
@@ -47,7 +53,7 @@ impl Command for ProgressiveIso {
                     .arg("triangles", level.surface.n_triangles());
                 cells_skipped += level.stats.cells_skipped as u64;
                 bricks_skipped += level.stats.bricks_skipped as u64;
-                if stream_err.is_some() {
+                if emit_err.is_some() {
                     return;
                 }
                 // A level subsampled by stride s has ~1/s³ of the
@@ -55,11 +61,11 @@ impl Command for ProgressiveIso {
                 // surface goes out.
                 let frac = 1.0 / (level.stride as f64).powi(3);
                 ctx.charge_compute(costmodel::ISO_S_PER_CELL * nominal * frac);
-                let mut remaining = level.surface.clone();
-                while !remaining.is_empty() {
-                    let chunk = remaining.drain_front(batch);
-                    if let Err(e) = ctx.stream_triangles(&chunk) {
-                        stream_err = Some(e);
+                for tris in level.surface.positions.chunks(3 * batch) {
+                    packet.positions.clear();
+                    packet.positions.extend_from_slice(tris);
+                    if let Err(e) = ctx.emit_triangles(&packet) {
+                        emit_err = Some(e);
                         return;
                     }
                 }
@@ -67,12 +73,11 @@ impl Command for ProgressiveIso {
             block_span.set_arg("cells_skipped", cells_skipped);
             block_span.set_arg("bricks_skipped", bricks_skipped);
             drop(block_span);
-            if let Some(e) = stream_err {
+            if let Some(e) = emit_err {
                 return Err(e);
             }
-            out.cells_skipped += cells_skipped;
-            out.bricks_skipped += bricks_skipped;
+            ctx.count_skipped(cells_skipped, bricks_skipped);
         }
-        Ok(out)
+        Ok(())
     }
 }

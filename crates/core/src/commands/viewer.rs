@@ -15,7 +15,7 @@
 //! controls the *order* of delivery.
 
 use super::{batch_size, front_to_back_order, require_f64, share};
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
 use vira_extract::bsp::BspTree;
 use vira_extract::mesh::TriangleSoup;
 use vira_extract::tetra::contour_cell;
@@ -29,7 +29,11 @@ impl Command for ViewerIso {
         "ViewerIso"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn streams(&self) -> bool {
+        true
+    }
+
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let iso = require_f64(ctx, "iso")?;
         let vp = ctx
             .params
@@ -45,7 +49,7 @@ impl Command for ViewerIso {
 
         for id in share(ctx, &order) {
             if ctx.is_cancelled() {
-                return Ok(CommandOutput::default());
+                return Ok(());
             }
             // The data manager assists file loading with simple OBL
             // prefetching (configured at the proxy); the request
@@ -64,7 +68,7 @@ impl Command for ViewerIso {
                 let scalars = field.cell_corners(i, j, k);
                 contour_cell(&corners, &scalars, iso, &mut pending);
                 if pending.n_triangles() >= batch {
-                    if let Err(e) = ctx.stream_triangles(&std::mem::take(&mut pending)) {
+                    if let Err(e) = ctx.emit_triangles(&std::mem::take(&mut pending)) {
                         stream_err = Some(e);
                     }
                 }
@@ -72,8 +76,8 @@ impl Command for ViewerIso {
             if let Some(e) = stream_err {
                 return Err(e);
             }
-            ctx.stream_triangles(&pending)?;
+            ctx.emit_triangles(&pending)?;
         }
-        Ok(CommandOutput::default())
+        Ok(())
     }
 }

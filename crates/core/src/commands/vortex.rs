@@ -10,7 +10,7 @@
 //! where its batches go.
 
 use super::{require_f64, walk_share};
-use crate::command::{Command, CommandError, CommandOutput, JobCtx};
+use crate::command::{Command, CommandError, JobCtx};
 use crate::derived::DerivedField;
 use std::sync::Arc;
 use vira_extract::bricktree::brick_counts;
@@ -98,7 +98,7 @@ fn contour(item: &Lambda2Item, threshold: f64, batch: usize) -> (Vec<TriangleSou
     (batches, stats)
 }
 
-fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, CommandError> {
+fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<(), CommandError> {
     let threshold = require_f64(ctx, "threshold")?;
     // With `cache_fields`, the derived λ₂ field is memoized per node —
     // the explorative threshold-tweaking loop (§1.1) then only pays the
@@ -164,9 +164,7 @@ fn vortex_items(ctx: &mut JobCtx<'_>, use_dms: bool) -> Result<CommandOutput, Co
             .get_or_compute(&ctx.dataset, kind, id, || derive(&data, nbs.as_deref()));
         Ok(Lambda2Item::Memoized(data, memo))
     };
-    walk_share(ctx, false, load, |item| {
-        contour(item, threshold, usize::MAX)
-    })
+    walk_share(ctx, load, |item| contour(item, threshold, usize::MAX))
 }
 
 /// λ₂ extraction without data management: the Fig. 9/10 baseline.
@@ -177,7 +175,7 @@ impl Command for SimpleVortex {
         "SimpleVortex"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         vortex_items(ctx, false)
     }
 }
@@ -190,7 +188,7 @@ impl Command for VortexDataMan {
         "VortexDataMan"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         vortex_items(ctx, true)
     }
 }
@@ -206,7 +204,11 @@ impl Command for StreamedVortex {
         "StreamedVortex"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn streams(&self) -> bool {
+        true
+    }
+
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let threshold = require_f64(ctx, "threshold")?;
         let batch = super::batch_size(ctx);
         // Streaming overhead: the paper's cell-wise pass costs slightly
@@ -224,6 +226,6 @@ impl Command for StreamedVortex {
                 None => Lambda2Item::Fresh(data, None),
             })
         };
-        walk_share(ctx, true, load, |item| contour(item, threshold, batch))
+        walk_share(ctx, load, |item| contour(item, threshold, batch))
     }
 }

@@ -56,7 +56,7 @@ pub mod scheduler;
 pub mod wire;
 pub mod worker;
 
-pub use command::{CancelSet, Command, CommandError, CommandOutput, CommandRegistry, JobCtx};
+pub use command::{CancelSet, Command, CommandError, CommandRegistry, JobCtx};
 pub use commands::default_registry;
 pub use config::{AdmissionConfig, ResilienceConfig, TelemetryConfig, ViracochaConfig};
 pub use derived::DerivedFieldCache;

@@ -8,12 +8,11 @@
 //! the scheduler for delivery to the visualization client.
 
 use crate::command::{
-    charge_uplink, nominal_geometry_scale, payload_of, CancelSet, CommandOutput, CommandRegistry,
-    JobCtx,
+    charge_uplink, nominal_geometry_scale, CancelSet, CommandRegistry, GeometrySink, JobCtx,
 };
 use crate::config::ViracochaConfig;
 use crate::wire;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,7 +24,7 @@ use vira_dms::server::DataServer;
 use vira_dms::stats::DmsStatsSnapshot;
 use vira_extract::mesh::payload_triangle_count;
 use vira_storage::costmodel::{self, CostCategory, Meter, SharedChannel, SimClock};
-use vira_vista::protocol::{encode_polylines, JobId, JobReport, PayloadKind};
+use vira_vista::protocol::{decode_polylines, JobId, JobReport, PayloadKind};
 
 /// How many answered (job, attempt) keys a worker remembers. Only the
 /// newest keeps its response frame: the scheduler retransmits a COMMAND
@@ -224,7 +223,7 @@ fn run_job<T: Transport>(
     let reply_ctx = job_span.ctx_for_children();
 
     // Per-job context and execution.
-    let (output, error) = match (
+    let (mut sink, error) = match (
         registry.get(&msg.command),
         server.dataset_spec(&msg.dataset),
     ) {
@@ -245,48 +244,43 @@ fn run_job<T: Transport>(
                 events: events.clone(),
                 cancels: cancels.clone(),
                 uplink: uplink.clone(),
-                seq: 0,
+                streams: cmd.streams(),
+                sink: GeometrySink::default(),
             };
             match cmd.execute(&mut ctx) {
-                Ok(out) => (out, None),
-                Err(e) => (CommandOutput::default(), Some(e.to_string())),
+                Ok(()) => (ctx.sink, None),
+                Err(e) => (GeometrySink::default(), Some(e.to_string())),
             }
         }
         (None, _) => (
-            CommandOutput::default(),
+            GeometrySink::default(),
             Some(format!("unknown command '{}'", msg.command)),
         ),
         (_, None) => (
-            CommandOutput::default(),
+            GeometrySink::default(),
             Some(format!("dataset '{}' not registered", msg.dataset)),
         ),
     };
 
     // DMS counters attributable to this job on this node.
     let dms = proxy.stats().snapshot().delta(&dms_before);
-    job_span.set_arg("items", output.n_items());
+    job_span.set_arg("items", sink.n_items);
 
-    let send_scale = |kind: PayloadKind| -> f64 {
-        match kind {
-            PayloadKind::Triangles => server
-                .dataset_spec(&msg.dataset)
-                .map(|spec| nominal_geometry_scale(&spec))
-                .unwrap_or(1.0),
+    // The modeled seconds to send the payload `sink` holds.
+    let send_s = |sink: &GeometrySink| {
+        let scale = match (sink.kind, server.dataset_spec(&msg.dataset)) {
+            (PayloadKind::Triangles, Some(spec)) => nominal_geometry_scale(&spec),
             _ => 1.0,
-        }
+        };
+        let n = scaled_send_items(sink.n_items as usize, scale);
+        costmodel::SEND_LATENCY_S + n as f64 * costmodel::SEND_S_PER_TRIANGLE
     };
     if rank != group.root() {
         // Ship the partial to the master worker; modeled cost of the
         // transfer is part of the job's Send share.
-        let n = scaled_send_items(output.n_items() as usize, send_scale(output.kind()));
-        charge_send(&meter, clock, n);
-        let share = own_result(&msg, reply_ctx, &output, &meter, dms, proxy, error);
-        let payload = match share.kind {
-            PayloadKind::Triangles => output.triangles.to_bytes(),
-            PayloadKind::Polylines => encode_polylines(&output.polylines),
-            PayloadKind::None => Bytes::new(),
-        };
-        let frame = wire::encode_result(tags::PARTIAL_RESULT, &share, &payload);
+        meter.charge(clock, CostCategory::Send, send_s(&sink));
+        let share = own_result(&msg, reply_ctx, &sink, &meter, dms, proxy, error);
+        let frame = wire::encode_result(tags::PARTIAL_RESULT, &share, &sink.into_payload());
         let _ = transport.send(group.root(), tags::PARTIAL_RESULT, frame.clone());
         test_abort_point("after-partial");
         return JobExit::Sent {
@@ -370,16 +364,11 @@ fn run_job<T: Transport>(
 
     // The group's result starts as the master's own share and absorbs
     // each partial's accounting, residency and metric delta in rank
-    // order. Triangle partials carry the same wire layout the merged
-    // package uses, so the master splices their raw vertex blocks into
-    // one growing buffer (count prefix patched at the end) instead of a
-    // decode → copy → re-encode round-trip per partial.
-    let mut done = own_result(&msg, reply_ctx, &output, &meter, dms, proxy, first_error);
-    let mut tri_buf = BytesMut::with_capacity(4 + output.triangles.positions.len() * 12);
-    tri_buf.put_u32_le(0); // triangle count, patched below
-    output.triangles.append_payload(&mut tri_buf);
-    let mut tri_count = output.triangles.n_triangles();
-    let mut merged_polylines = output.polylines;
+    // order. A partial's payload has the merged package's layout, so
+    // once its count is checked against its body, the body is appended
+    // to the master's own payload verbatim (everything past the count
+    // prefix), with no decode → re-encode round-trip.
+    let mut done = own_result(&msg, reply_ctx, &sink, &meter, dms, proxy, first_error);
     for (share, payload) in partials.into_values() {
         done.report.absorb(&share.report);
         done.residency.extend(share.residency);
@@ -387,42 +376,26 @@ fn run_job<T: Transport>(
         if let Some(e) = share.error {
             done.error.get_or_insert(e);
         }
-        match share.kind {
-            PayloadKind::Triangles => {
-                // Validate the frame, then splice its vertex block
-                // verbatim (everything past the count prefix).
-                if let Some(n) = payload_triangle_count(&payload) {
-                    tri_count += n;
-                    tri_buf.extend_from_slice(&payload[4..]);
-                }
+        let checked = match share.kind {
+            PayloadKind::Triangles => payload_triangle_count(&payload),
+            PayloadKind::Polylines => decode_polylines(payload.clone()).ok().map(|l| l.len()),
+            PayloadKind::None => None,
+        };
+        if let Some(n) = checked {
+            if let Err(e) = sink.append(share.kind, n, |buf| buf.extend_from_slice(&payload[4..])) {
+                done.error.get_or_insert(e.to_string());
             }
-            PayloadKind::Polylines => {
-                if let Ok(lines) = vira_vista::protocol::decode_polylines(payload) {
-                    merged_polylines.extend(lines);
-                }
-            }
-            PayloadKind::None => {}
         }
     }
-    (done.kind, done.n_items) = payload_of(merged_polylines.len(), tri_count);
+    (done.kind, done.n_items) = (sink.kind, sink.n_items);
 
     // The master transmits the merged package over the client uplink;
     // charge its send cost (including queueing behind streamed packets).
-    let n = scaled_send_items(done.n_items as usize, send_scale(done.kind));
-    let modeled = costmodel::SEND_LATENCY_S + n as f64 * costmodel::SEND_S_PER_TRIANGLE;
-    done.report.send_s += charge_uplink(&meter, clock, uplink, modeled);
+    done.report.send_s += charge_uplink(&meter, clock, uplink, send_s(&sink));
 
-    let payload = match done.kind {
-        PayloadKind::Triangles => {
-            tri_buf[..4].copy_from_slice(&(tri_count as u32).to_le_bytes());
-            tri_buf.freeze()
-        }
-        PayloadKind::Polylines => encode_polylines(&merged_polylines),
-        PayloadKind::None => Bytes::new(),
-    };
     drop(merge_span);
     done.report.merge_s = clock.wall_to_modeled(merge_started.elapsed());
-    let frame = wire::encode_result(tags::JOB_DONE, &done, &payload);
+    let frame = wire::encode_result(tags::JOB_DONE, &done, &sink.into_payload());
     test_abort_point("before-done");
     let _ = transport.send(0, tags::JOB_DONE, frame.clone());
     JobExit::Sent {
@@ -433,28 +406,27 @@ fn run_job<T: Transport>(
 }
 
 /// This rank's share of a job's result: a non-master sends it as its
-/// PARTIAL, the master folds the others' partials into it. The report
-/// holds the seconds `meter` has charged so far and the job's `dms`
+/// PARTIAL, the master folds the others' partials into it. The header
+/// describes `sink`'s payload, and the report holds what the sink
+/// counted, the seconds `meter` has charged so far and the job's `dms`
 /// window; the scheduler's fields stay zero. The residency digest and
 /// the pending metric delta are this rank's own.
 fn own_result(
     msg: &wire::CommandMsg,
     ctx: vira_obs::TraceCtx,
-    output: &CommandOutput,
+    sink: &GeometrySink,
     meter: &Meter,
     dms: DmsStatsSnapshot,
     proxy: &DataProxy,
     error: Option<String>,
 ) -> wire::ResultHeader {
     let rank = proxy.node();
-    let (kind, n_items) = (output.kind(), output.n_items());
-    let count_of = |k: PayloadKind| if kind == k { n_items as u64 } else { 0 };
     let delta = take_encoded_delta(rank);
     wire::ResultHeader {
         job: msg.job,
         attempt: msg.attempt,
-        kind,
-        n_items,
+        kind: sink.kind,
+        n_items: sink.n_items,
         report: JobReport {
             read_s: meter.total(CostCategory::Read),
             compute_s: meter.total(CostCategory::Compute),
@@ -464,11 +436,7 @@ fn own_result(
             cache_misses: dms.misses,
             prefetch_issued: dms.prefetch_issued,
             prefetch_hits: dms.prefetch_hits,
-            triangles: count_of(PayloadKind::Triangles),
-            polylines: count_of(PayloadKind::Polylines),
-            cells_skipped: output.cells_skipped,
-            bricks_skipped: output.bricks_skipped,
-            ..JobReport::default()
+            ..sink.counts
         },
         residency: vec![(rank, proxy.residency_digest())],
         obs_deltas: if delta.is_empty() {
@@ -480,11 +448,6 @@ fn own_result(
         parent_span_id: ctx.parent_span_id,
         error,
     }
-}
-
-fn charge_send(meter: &Meter, clock: &SimClock, n_items: usize) {
-    let t = costmodel::SEND_LATENCY_S + n_items as f64 * costmodel::SEND_S_PER_TRIANGLE;
-    meter.charge(clock, CostCategory::Send, t);
 }
 
 /// Applies the nominal-size send scale to an item count without the

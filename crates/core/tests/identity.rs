@@ -174,6 +174,12 @@ fn check_row(transport: &str) {
                 );
                 assert_eq!(got.polylines, want.polylines, "{cell}");
             }
+            let counted = (got.report.triangles, got.report.polylines);
+            let assembled = (
+                got.triangles.n_triangles() as u64,
+                got.polylines.len() as u64,
+            );
+            assert_eq!(counted, assembled, "{cell}: every item emitted is counted");
             let counters = |o: &JobOutcome| {
                 let r = &o.report;
                 (r.triangles, r.polylines, r.cells_skipped, r.bricks_skipped)

@@ -166,11 +166,12 @@ impl ClientRequest {
 }
 
 /// What a result payload contains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PayloadKind {
     Triangles,
     Polylines,
     /// No geometry (empty result or control-only event).
+    #[default]
     None,
 }
 
@@ -228,7 +229,8 @@ pub struct JobReport {
     pub cache_misses: u64,
     pub prefetch_issued: u64,
     pub prefetch_hits: u64,
-    /// Geometry totals.
+    /// Geometry totals: every item the group's workers emitted, whether
+    /// streamed in partial packets or merged into the final package.
     pub triangles: u64,
     pub polylines: u64,
     /// Extraction cells skipped by bricktree pruning, summed across the
@@ -589,12 +591,18 @@ pub fn decode_event(frame: Bytes) -> Result<(EventHeader, Bytes), ProtocolError>
 pub fn encode_polylines(lines: &[Polyline]) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32_le(lines.len() as u32);
+    append_polylines(&mut buf, lines);
+    buf.freeze()
+}
+
+/// Appends the body of [`encode_polylines`] (everything past the count)
+/// to `buf`.
+pub fn append_polylines(buf: &mut BytesMut, lines: &[Polyline]) {
     for l in lines {
         let b = l.to_bytes();
         buf.put_u32_le(b.len() as u32);
         buf.put_slice(&b);
     }
-    buf.freeze()
 }
 
 /// Inverse of [`encode_polylines`].
@@ -618,6 +626,9 @@ pub fn decode_polylines(mut b: Bytes) -> Result<Vec<Polyline>, ProtocolError> {
             .ok_or_else(|| ProtocolError::Malformed("bad polyline body".into()))?;
         b.advance(len);
         out.push(line);
+    }
+    if !b.is_empty() {
+        return Err(ProtocolError::Malformed("trailing bytes".into()));
     }
     Ok(out)
 }

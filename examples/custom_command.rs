@@ -15,7 +15,7 @@ use vira_extract::iso::extract_isosurface;
 use vira_grid::field::ScalarField;
 use vira_storage::source::SynthSource;
 use vira_vista::{CommandParams, SubmitSpec, VistaClient};
-use viracocha::command::{Command, CommandError, CommandOutput, JobCtx};
+use viracocha::command::{Command, CommandError, JobCtx};
 use viracocha::{default_registry, Viracocha, ViracochaConfig};
 
 /// Extracts the cut plane `z = z0` through every block of one time step:
@@ -28,14 +28,13 @@ impl Command for CutPlane {
         "CutPlane"
     }
 
-    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<CommandOutput, CommandError> {
+    fn execute(&self, ctx: &mut JobCtx<'_>) -> Result<(), CommandError> {
         let z0 = ctx
             .params
             .get_f64("z")
             .ok_or_else(|| CommandError::BadParams("missing parameter 'z'".into()))?;
         let step = ctx.params.get_usize("step").unwrap_or(0) as u32;
         let order: Vec<_> = (0..ctx.spec.n_blocks).collect();
-        let mut out = CommandOutput::default();
         for id in ctx.my_blocks(step, &order) {
             let data = ctx.load_block(id)?;
             // Scalar field = z coordinate; its iso-contour at z0 is the
@@ -43,9 +42,10 @@ impl Command for CutPlane {
             let field =
                 ScalarField::new(data.dims(), data.grid.points.iter().map(|p| p.z).collect());
             let (soup, _) = extract_isosurface(&data.grid, &field, z0);
-            out.triangles.extend_from(&soup);
+            // Merged into the group's one result: `streams()` is false.
+            ctx.emit_triangles(&soup)?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 

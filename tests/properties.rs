@@ -229,6 +229,28 @@ fn soup_bytes_roundtrip() {
     });
 }
 
+/// A polyline list decodes only when its declared records fill the
+/// frame, as a soup does: a valid encoding followed by any non-empty
+/// tail is refused.
+#[test]
+fn polyline_list_refuses_trailing_bytes() {
+    check(DEFAULT_CASES, |g| {
+        let lines = g.vec(0..4, |g| {
+            let mut line = Polyline::default();
+            for _ in 0..g.usize_in(0..5) {
+                let [x, y, z] = [(); 3].map(|_| g.f64_in(-1e3, 1e3));
+                line.push(Vec3::new(x, y, z), g.f64_in(0.0, 1.0));
+            }
+            line
+        });
+        let mut frame = protocol::encode_polylines(&lines).to_vec();
+        let back = protocol::decode_polylines(Bytes::from(frame.clone()));
+        assert_eq!(back.expect("roundtrip"), lines);
+        frame.extend(g.bytes(1..64));
+        assert!(protocol::decode_polylines(Bytes::from(frame)).is_err());
+    });
+}
+
 /// Coordinates whose bit patterns `f64 ==` confuses: both zeros and two
 /// NaN payloads, plus a plain value.
 const TRICKY_COORDS: [u64; 5] = [
