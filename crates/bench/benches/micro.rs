@@ -30,7 +30,9 @@ use vira_dms::proxy::{DataProxy, ProxyConfig};
 use vira_dms::server::{DataServer, ServerConfig};
 use vira_extract::bricktree::BrickTree;
 use vira_extract::halo::GhostedBlock;
-use vira_extract::iso::{extract_isosurface, extract_isosurface_with_tree, extract_streamed};
+use vira_extract::iso::{
+    active_cells, extract_isosurface, extract_isosurface_with_tree, extract_streamed,
+};
 use vira_extract::lambda2::lambda2_field;
 use vira_extract::locate::invert_trilinear;
 use vira_extract::mesh::TriangleSoup;
@@ -351,6 +353,31 @@ fn main() {
     h.bench("iso/extract_propfan_21c", || {
         extract_isosurface(fan_grid, black_box(fan_speed), iso_fan)
     });
+    // The triangulation alone, over the active cells of all 144 blocks
+    // gathered beforehand: the real mix of sign masks, where
+    // `tetra/contour_cell_active` repeats one mask and so predicts every
+    // branch ----
+    let mut fan_cells = Vec::new();
+    for (b, speed) in speeds.iter().enumerate() {
+        let grid = fan.block_geometry(b as u32);
+        for (i, j, k) in active_cells(speed, iso_fan) {
+            fan_cells.push((grid.cell_corners(i, j, k), speed.cell_corners(i, j, k)));
+        }
+    }
+    assert_eq!(
+        fan_cells.len(),
+        49_236,
+        "active cells of Propfan(21) at 27.0"
+    );
+    let mut fan_soup = TriangleSoup::with_capacity(325_344);
+    h.bench("tetra/contour_propfan_active_cells", || {
+        fan_soup.positions.clear();
+        for (corners, scalars) in black_box(&fan_cells) {
+            contour_cell(corners, scalars, iso_fan, &mut fan_soup);
+        }
+        assert_eq!(fan_soup.n_triangles(), 325_344);
+    });
+    drop(fan_cells);
     // ---- StreamedVortex's work on one Propfan 21-cubed block, from the
     // loaded data to its last batch: the λ₂ field, a throwaway bricktree
     // and the contour at the figures' threshold -120 in batches of 2000

@@ -13,7 +13,7 @@
 
 use crate::bricktree::BrickTree;
 use crate::mesh::TriangleSoup;
-use crate::tetra::contour_cell;
+use crate::tetra::{contour_cell, contour_cell_oracle};
 use vira_grid::block::CurvilinearBlock;
 use vira_grid::field::ScalarField;
 use vira_grid::lanes;
@@ -84,7 +84,7 @@ pub fn extract_streamed(
 /// the corner ranges of every cell come from one adjacent-pair
 /// min/max pass over the four contiguous point rows bounding the run
 /// ([`lanes::cell_ranges_along_i`]) instead of a per-cell eight-corner
-/// gather; only straddling cells fall through to the scalar case-table
+/// gather; only straddling cells fall through to the scalar cell-table
 /// triangulation, in exactly the storage order of the classic pass —
 /// the output stays byte-identical to [`extract_isosurface_oracle`].
 pub fn extract_streamed_with_tree(
@@ -164,7 +164,9 @@ pub fn extract_streamed_with_tree(
 
 /// The cell-at-a-time extractor, retained verbatim as the test oracle
 /// for the vectorized scan: per cell, an eight-corner gather feeds a
-/// scalar min/max fold and then the same case-table triangulation.
+/// scalar min/max fold and then the per-tetrahedron triangulation
+/// [`contour_cell_oracle`], so the scan and the cell table are both
+/// checked against kernels of their own.
 pub fn extract_isosurface_oracle(
     grid: &CurvilinearBlock,
     field: &ScalarField,
@@ -186,7 +188,7 @@ pub fn extract_isosurface_oracle(
         stats.active_cells += 1;
         let corners = grid.cell_corners(i, j, k);
         let scalars = field.cell_corners(i, j, k);
-        stats.triangles += contour_cell(&corners, &scalars, iso, &mut soup);
+        stats.triangles += contour_cell_oracle(&corners, &scalars, iso, &mut soup);
     };
     let pruned = match tree {
         Some(t) => t.scan_candidates(iso, &mut visit_cell),

@@ -378,14 +378,14 @@ fn patch_ghost_rows(
 // its output as one scratch group each: two slice arguments the
 // compiler knows to be disjoint, which it only knows across a call, so
 // every stage stays out of line (`#[inline(never)]`, which
-// `lane_dispatched!` adds to the four it compiles). Given one slice per plane instead — 28 for stage
+// `lane_dispatched!` adds to the passes it compiles). Given one slice per plane instead — 28 for stage
 // 1 — or inlined, the planes could overlap as far as the compiler can
 // tell, and a loop that needs that many run-time overlap checks is left
 // scalar.
 //
-// The stages are bound by arithmetic, not by memory, so the first four
-// are compiled at two lane widths and pick the wider one where the CPU
-// has it; the fifth vectorizes at neither (see `select_stage`).
+// The stages are bound by arithmetic, not by memory, so all five are
+// compiled at two lane widths and pick the wider one where the CPU has
+// it.
 //
 // Bit-identity contract: every expression below is transcribed
 // operation for operation (same literals, same association) from the
@@ -558,30 +558,29 @@ lane_dispatched! {
     }
 }
 
-/// Stage 5: assemble the eigenvalue and fold the degenerate cases in as
-/// value selects — same order as `symmetric_middle_eigenvalue` and the
-/// `Mat3::inverse` early return. Compiled at the baseline width only: the
-/// compiler leaves its selects scalar at either width, so an AVX2 build
-/// would run the same code.
-#[inline(never)]
-fn select_stage(n: usize, invariants: &[f64], u: &[f64], det: &[f64], out: &mut [f64]) {
-    let [p1r, qr, pr, _, dmr] = planes(invariants, n);
-    let (u, det, out) = (&u[..n], &det[..n], &mut out[..n]);
-    for i in 0..n {
-        let mid = qr[i] + 2.0 * pr[i] * u[i];
-        let l2 = if p1r[i] == 0.0 {
-            dmr[i]
-        } else if pr[i] < 1e-300 {
-            qr[i]
-        } else {
-            mid
-        };
-        out[i] = if det[i].abs() < 1e-300 {
-            f64::INFINITY
-        } else {
-            l2
-        };
+lane_dispatched! {
+    /// Stage 5: assemble the eigenvalue and fold the degenerate cases in as
+    /// value selects — same order as `symmetric_middle_eigenvalue` and the
+    /// `Mat3::inverse` early return. The selects are bit arithmetic
+    /// ([`select`]): written as `if`/`else` they compiled to branches at
+    /// either width.
+    fn select_stage(n: usize, invariants: &[f64], u: &[f64], det: &[f64], out: &mut [f64]) {
+        let [p1r, qr, pr, _, dmr] = planes(invariants, n);
+        let (u, det, out) = (&u[..n], &det[..n], &mut out[..n]);
+        for i in 0..n {
+            let mid = qr[i] + 2.0 * pr[i] * u[i];
+            let l2 = select(p1r[i] == 0.0, dmr[i], select(pr[i] < 1e-300, qr[i], mid));
+            out[i] = select(det[i].abs() < 1e-300, f64::INFINITY, l2);
+        }
     }
+}
+
+/// `if cond { a } else { b }`, bit for bit, without a branch: the mask is
+/// all ones when `cond` holds, so a vector build blends lanes.
+#[inline(always)]
+fn select(cond: bool, a: f64, b: f64) -> f64 {
+    let take_a = u64::from(cond).wrapping_neg();
+    f64::from_bits((a.to_bits() & take_a) | (b.to_bits() & !take_a))
 }
 
 #[cfg(test)]
@@ -697,8 +696,7 @@ mod tests {
 
     /// Every output of the dispatched passes over a whole block, each
     /// pass run through the build `$build` of its module: the stencil
-    /// differences of `src`, then the first four stages chained over
-    /// `deriv`.
+    /// differences of `src`, then the five stages chained over `deriv`.
     macro_rules! passes_through {
         ($build:ident, $deriv:expr, $src:expr) => {{
             let (deriv, src): (&[f64], &[f64]) = ($deriv, $src);
@@ -715,13 +713,15 @@ mod tests {
             invariant_stage::$build(n, &tensor, &mut invariants);
             let mut root = vec![0.0; n];
             root_stage::$build(n, &invariants[3 * n..4 * n], &mut root);
-            [one_sided, central, grad, tensor, invariants, root]
+            let mut field = vec![0.0; n];
+            select_stage::$build(n, &invariants, &root, &grad[9 * n..], &mut field);
+            [one_sided, central, grad, tensor, invariants, root, field]
         }};
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn passes_avx2(deriv: &[f64], src: &[f64]) -> [Vec<f64>; 6] {
+    fn passes_avx2(deriv: &[f64], src: &[f64]) -> [Vec<f64>; 7] {
         passes_through!(avx2, deriv, src)
     }
 
@@ -758,11 +758,9 @@ mod tests {
             let deriv = block_derivatives(data);
             let n = data.dims().n_points();
             let narrow = passes_through!(baseline, &deriv, &data.velocity.xs);
-            let (grad, invariants) = (&narrow[2], &narrow[4]);
-            let mut field = vec![0.0; n];
-            select_stage(n, invariants, &narrow[5], &grad[9 * n..], &mut field);
+            let (grad, invariants, field) = (&narrow[2], &narrow[4], &narrow[6]);
             let oracle = lambda2_field_oracle(data);
-            assert_eq!(bits(&field), bits(&oracle.values), "baseline vs oracle");
+            assert_eq!(bits(field), bits(&oracle.values), "baseline vs oracle");
             assert_eq!(bits(&lambda2_field(data).values), bits(&oracle.values));
             singular |= oracle.values.contains(&f64::INFINITY);
             diagonal |= (0..n).any(|p| invariants[p] == 0.0 && grad[9 * n + p].abs() >= 1e-300);
@@ -779,6 +777,7 @@ mod tests {
                     "tensor_stage",
                     "invariant_stage",
                     "root_stage",
+                    "select_stage",
                 ];
                 for ((pass, a), b) in passes.iter().zip(&narrow).zip(&wide) {
                     assert_eq!(bits(a), bits(b), "{pass}: baseline and AVX2 differ");

@@ -98,12 +98,12 @@ impl TriangleSoup {
         self.positions.is_empty()
     }
 
-    /// Appends one triangle given `f64` vertices.
+    /// Appends one triangle given `f64` vertices, with one capacity check
+    /// for its three.
     #[inline]
     pub fn push_tri(&mut self, a: Vec3, b: Vec3, c: Vec3) {
-        for v in [a, b, c] {
-            self.positions.push([v.x as f32, v.y as f32, v.z as f32]);
-        }
+        let tri = [a, b, c].map(|v| [v.x as f32, v.y as f32, v.z as f32]);
+        self.positions.extend_from_slice(&tri);
     }
 
     /// Appends all triangles of another soup.
