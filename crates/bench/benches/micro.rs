@@ -17,6 +17,7 @@
 //! scheduling noise. Set `MICROBENCH_QUICK=1` for a fast smoke run (CI):
 //! fewer repetitions and a smaller time budget, same output shape.
 
+use bytes::Bytes;
 use std::hint::black_box;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -395,10 +396,30 @@ fn main() {
     let package = merged.to_bytes();
     drop(merged);
     eprintln!("merged iso package: {} bytes", package.len());
+    // Kept in place where its vertex block starts aligned, as a frame
+    // buffer's does; copied out of the same bytes one offset further on.
+    let kept = TriangleSoup::from_bytes(package.clone()).expect("well-formed");
+    let kept_at = |soup: &TriangleSoup, package: &Bytes| {
+        soup.positions.as_ptr().cast::<u8>() == package[4..].as_ptr()
+    };
+    assert!(kept_at(&kept, &package), "the package is kept");
+    drop(kept);
     h.bench("mesh/soup_from_bytes_12mb", || {
         TriangleSoup::from_bytes(black_box(package.clone())).expect("well-formed")
     });
+    let misaligned = {
+        let mut buf = vec![0; 1];
+        buf.extend_from_slice(&package);
+        Bytes::from(buf).slice(1..1 + package.len())
+    };
     drop(package);
+    let copied = TriangleSoup::from_bytes(misaligned.clone()).expect("well-formed");
+    assert!(!kept_at(&copied, &misaligned), "the package is copied");
+    drop(copied);
+    h.bench("mesh/soup_from_bytes_12mb_copy", || {
+        TriangleSoup::from_bytes(black_box(misaligned.clone())).expect("well-formed")
+    });
+    drop(misaligned);
 
     // ---- two threads building the |u| bricktrees of 32 Propfan 21-cubed
     // blocks at once, as two workers of one process do: any write to

@@ -75,8 +75,19 @@ pub const FRAME_HEADER_LEN: usize = 28;
 
 /// Upper bound on a frame payload. Anything larger is treated as a
 /// corrupted length (false magic) rather than an allocation request,
-/// and refused by the sender (the largest frame sent today is ~17 MB).
+/// and refused by the sender with [`CommError::TooLarge`].
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
+
+/// Refuses a payload no frame carries, before anything is written.
+fn fits_a_frame(payload: &[u8]) -> Result<(), CommError> {
+    match payload.len() {
+        bytes if bytes > MAX_FRAME_PAYLOAD => Err(CommError::TooLarge {
+            bytes,
+            limit: MAX_FRAME_PAYLOAD,
+        }),
+        _ => Ok(()),
+    }
+}
 
 /// The most a decoder reserves beyond the bytes it already holds: a
 /// header alone cannot claim [`MAX_FRAME_PAYLOAD`] of memory.
@@ -1139,6 +1150,7 @@ impl Transport for SocketHub {
         if to > self.n_workers {
             return Err(CommError::UnknownRank(to));
         }
+        fits_a_frame(&payload)?;
         if let Some(peer) = self.shared.live_peer(to as u32) {
             self.shared.send_to_peer(peer, to as u32, 0, tag, &payload);
         }
@@ -1225,6 +1237,7 @@ pub struct SocketSender {
 impl SocketSender {
     /// Sends `payload` to `to` with `tag` over the worker's stream.
     pub fn send(&self, to: Rank, tag: Tag, payload: &[u8]) -> Result<(), CommError> {
+        fits_a_frame(payload)?;
         if write_frame(&self.writer, to as u32, self.rank, tag, payload) {
             Ok(())
         } else {
@@ -1432,6 +1445,7 @@ impl Transport for SocketWorker {
         if to >= self.world {
             return Err(CommError::UnknownRank(to));
         }
+        fits_a_frame(&payload)?;
         if write_frame(&self.writer, to as u32, self.rank as u32, tag, &payload) {
             Ok(())
         } else {
@@ -2068,6 +2082,27 @@ mod tests {
         assert_eq!((m.from, m.tag), (1, 2000));
         assert_eq!(&m.payload[..], b"event");
         h.join().unwrap();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn every_sender_refuses_an_oversized_payload_and_the_link_stays_up() {
+        let (hub, workers) = socket_world(&tmp_sock("too-large"), 1);
+        let too_big = Bytes::from(vec![0u8; MAX_FRAME_PAYLOAD + 1]);
+        let refused = Err(CommError::TooLarge {
+            bytes: MAX_FRAME_PAYLOAD + 1,
+            limit: MAX_FRAME_PAYLOAD,
+        });
+        assert_eq!(workers[0].send(0, 30, too_big.clone()), refused);
+        assert_eq!(workers[0].sender().send(0, 31, &too_big), refused);
+        assert_eq!(hub.send(1, 32, too_big), refused);
+        // Nothing was written: the next frames arrive intact.
+        workers[0].send(0, 33, Bytes::from_static(b"up")).unwrap();
+        let m = hub.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((m.tag, &m.payload[..]), (33, &b"up"[..]));
+        hub.send(1, 34, Bytes::from_static(b"down")).unwrap();
+        let m = workers[0].recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((m.tag, &m.payload[..]), (34, &b"down"[..]));
     }
 
     #[test]

@@ -75,6 +75,9 @@ pub enum CommError {
     Disconnected,
     /// A timed receive expired.
     Timeout,
+    /// The payload of `bytes` is larger than the `limit` any frame of this
+    /// link carries; it was not sent.
+    TooLarge { bytes: usize, limit: usize },
 }
 
 impl fmt::Display for CommError {
@@ -83,6 +86,12 @@ impl fmt::Display for CommError {
             CommError::UnknownRank(r) => write!(f, "unknown rank {r}"),
             CommError::Disconnected => write!(f, "peer disconnected"),
             CommError::Timeout => write!(f, "receive timed out"),
+            CommError::TooLarge { bytes, limit } => {
+                write!(
+                    f,
+                    "payload of {bytes} bytes exceeds the {limit}-byte frame bound"
+                )
+            }
         }
     }
 }

@@ -280,8 +280,13 @@ fn run_job<T: Transport>(
         // transfer is part of the job's Send share.
         meter.charge(clock, CostCategory::Send, send_s(&sink));
         let share = own_result(&msg, reply_ctx, &sink, &meter, dms, proxy, error);
-        let frame = wire::encode_result(tags::PARTIAL_RESULT, &share, &sink.into_payload());
-        let _ = transport.send(group.root(), tags::PARTIAL_RESULT, frame.clone());
+        let frame = send_result(
+            transport,
+            group.root(),
+            tags::PARTIAL_RESULT,
+            share,
+            &sink.into_payload(),
+        );
         test_abort_point("after-partial");
         return JobExit::Sent {
             dest: group.root(),
@@ -395,14 +400,43 @@ fn run_job<T: Transport>(
 
     drop(merge_span);
     done.report.merge_s = clock.wall_to_modeled(merge_started.elapsed());
-    let frame = wire::encode_result(tags::JOB_DONE, &done, &sink.into_payload());
     test_abort_point("before-done");
-    let _ = transport.send(0, tags::JOB_DONE, frame.clone());
+    let frame = send_result(transport, 0, tags::JOB_DONE, done, &sink.into_payload());
     JobExit::Sent {
         dest: 0,
         tag: tags::JOB_DONE,
         frame,
     }
+}
+
+/// Sends a PARTIAL or DONE of `header` and `payload` to `dest` and
+/// returns the frame to hold for replay. A result no frame can carry is
+/// answered with the same header, the error and no payload instead, so
+/// the job still ends: failed, with the reason.
+fn send_result<T: Transport>(
+    transport: &T,
+    dest: Rank,
+    tag: Tag,
+    mut header: wire::ResultHeader,
+    payload: &[u8],
+) -> Bytes {
+    let frame = wire::encode_result(tag, &header, payload);
+    let Err(CommError::TooLarge { limit, .. }) = transport.send(dest, tag, frame.clone()) else {
+        return frame;
+    };
+    header.error.get_or_insert_with(|| {
+        let bound = match limit {
+            l if l.is_multiple_of(1 << 20) => format!("{} MiB", l >> 20),
+            l => format!("{l}-byte"),
+        };
+        format!(
+            "result of {} bytes exceeds the {bound} frame bound",
+            payload.len()
+        )
+    });
+    let frame = wire::encode_result(tag, &header, &[]);
+    let _ = transport.send(dest, tag, frame.clone());
+    frame
 }
 
 /// This rank's share of a job's result: a non-master sends it as its
@@ -646,6 +680,108 @@ mod tests {
         };
         assert_eq!(runs(new_job), 1, "the replayed job ran once");
         assert_eq!(runs(old_job), 1, "the stale duplicate was not re-run");
+    }
+
+    /// A worker's endpoint on a link that refuses payloads above 4 KiB,
+    /// as a socket refuses those above its 64 MiB frame bound.
+    struct SmallFrames(vira_comm::transport::LocalEndpoint);
+
+    const SMALL_FRAME: usize = 4 << 10;
+
+    impl Transport for SmallFrames {
+        fn rank(&self) -> Rank {
+            self.0.rank()
+        }
+
+        fn world_size(&self) -> usize {
+            self.0.world_size()
+        }
+
+        fn send(&self, to: Rank, tag: Tag, payload: Bytes) -> Result<(), CommError> {
+            if payload.len() > SMALL_FRAME {
+                return Err(CommError::TooLarge {
+                    bytes: payload.len(),
+                    limit: SMALL_FRAME,
+                });
+            }
+            self.0.send(to, tag, payload)
+        }
+
+        fn recv(&self) -> Result<vira_comm::transport::Message, CommError> {
+            self.0.recv()
+        }
+
+        fn try_recv(&self) -> Result<Option<vira_comm::transport::Message>, CommError> {
+            self.0.try_recv()
+        }
+
+        fn recv_timeout(
+            &self,
+            timeout: std::time::Duration,
+        ) -> Result<vira_comm::transport::Message, CommError> {
+            self.0.recv_timeout(timeout)
+        }
+    }
+
+    #[test]
+    fn a_result_no_frame_carries_ends_its_job_with_the_reason() {
+        use std::time::Duration;
+        use vira_comm::transport::LocalWorld;
+
+        let mut world = LocalWorld::create(2);
+        let worker_end = SmallFrames(world.pop().unwrap());
+        let sched = world.pop().unwrap();
+        let server = DataServer::new(SimClock::instant(), Default::default());
+        server.register_dataset(
+            Arc::new(vira_storage::source::SynthSource::new(Arc::new(
+                vira_grid::synth::test_cube(12, 1),
+            ))),
+            false,
+        );
+        let (_client, link) = vira_comm::link::client_server_link();
+        let setup = WorkerSetup {
+            transport: worker_end,
+            server,
+            clock: SimClock::instant(),
+            registry: Arc::new(crate::commands::default_registry()),
+            config: ViracochaConfig::for_tests(1),
+            events: link.event_sender(),
+            cancels: Default::default(),
+            uplink: SharedChannel::new(),
+        };
+        let command = wire::encode_command(&wire::CommandMsg {
+            job: 0x5EED_0003,
+            command: "IsoDataMan".into(),
+            dataset: "TestCube".into(),
+            params: vira_vista::protocol::CommandParams::new()
+                .set("iso", 0.15)
+                .set("n_steps", 1),
+            group: vec![1],
+            attempt: 0,
+            trace_id: 0,
+            parent_span_id: 0,
+        });
+        let next = || sched.recv_timeout(Duration::from_secs(30)).unwrap();
+        let worker = std::thread::spawn(move || worker_main(setup));
+
+        sched.send(1, tags::COMMAND, command.clone()).unwrap();
+        let done = next();
+        assert_eq!(done.tag, tags::JOB_DONE);
+        let (header, payload) = wire::decode_result(tags::JOB_DONE, done.payload.clone()).unwrap();
+        let error = header.error.expect("the DONE carries the reason");
+        let bytes: usize = error
+            .strip_prefix("result of ")
+            .and_then(|e| e.strip_suffix(" bytes exceeds the 4096-byte frame bound"))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected error {error:?}"));
+        assert!(bytes > SMALL_FRAME, "{bytes} bytes");
+        assert!(payload.is_empty());
+        assert!(header.n_items > 0, "the header still counts the result");
+        // The answer is held for replay like any other.
+        sched.send(1, tags::COMMAND, command).unwrap();
+        assert_eq!(&next().payload[..], &done.payload[..]);
+        sched.send(1, tags::SHUTDOWN, Bytes::new()).unwrap();
+        worker.join().unwrap();
     }
 
     #[test]

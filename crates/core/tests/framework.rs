@@ -71,8 +71,8 @@ fn simple_iso_matches_dataman_geometry() {
     );
     // Triangle sets are equal up to merge order; compare sorted vertex
     // bags.
-    let mut a = with_dms.triangles.positions.clone();
-    let mut b = without.triangles.positions.clone();
+    let mut a = with_dms.triangles.positions.to_vec();
+    let mut b = without.triangles.positions.to_vec();
     let key = |p: &[f32; 3]| (p[0].to_bits(), p[1].to_bits(), p[2].to_bits());
     a.sort_by_key(key);
     b.sort_by_key(key);
@@ -86,8 +86,8 @@ fn result_is_independent_of_worker_count() {
     let one = client.run(&iso_spec(1)).unwrap();
     let four = client.run(&iso_spec(4)).unwrap();
     assert_eq!(one.triangles.n_triangles(), four.triangles.n_triangles());
-    let mut a = one.triangles.positions.clone();
-    let mut b = four.triangles.positions.clone();
+    let mut a = one.triangles.positions.to_vec();
+    let mut b = four.triangles.positions.to_vec();
     let key = |p: &[f32; 3]| (p[0].to_bits(), p[1].to_bits(), p[2].to_bits());
     a.sort_by_key(key);
     b.sort_by_key(key);

@@ -6,18 +6,197 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::cell::RefCell;
+use std::fmt;
+use std::ops::Deref;
 use vira_grid::math::{Aabb, Vec3};
 
 /// A bag of triangles: 9 `f32` per triangle (three vertices), no
 /// connectivity. The visualization client concatenates soups from many
 /// partial packets.
 ///
-/// Vertex buffers are recycled per thread (see [`spare`]): a dropped
-/// soup leaves its buffer for the next one made on the same thread.
-#[derive(Debug, PartialEq, Default)]
+/// A soup built here owns its vertices; one decoded by
+/// [`from_bytes`](Self::from_bytes) may view the bytes it was received
+/// in instead (see [`Vertices`]).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TriangleSoup {
     /// Vertex positions, three consecutive entries per triangle.
-    pub positions: Vec<[f32; 3]>,
+    pub positions: Vertices,
+}
+
+/// The vertex store of a [`TriangleSoup`]: a buffer of its own, or the
+/// received wire bytes viewed in place. Either way it reads as
+/// `[[f32; 3]]`. Every mutator first turns a received store into an
+/// owned copy, so the received bytes never change.
+///
+/// Owned buffers are recycled per thread (see [`spare`]): a dropped
+/// store leaves its buffer for the next one made on the same thread. A
+/// received store's bytes belong to their `Bytes`: dropping it recycles
+/// nothing, and cloning it clones the handle.
+pub struct Vertices {
+    /// The vertices, unless `received` holds them: then it is empty and
+    /// unallocated, so an append finds no room and goes through
+    /// [`grow`](Self::grow), which copies the received vertices out. The
+    /// kernels' per-triangle push thus pays only `Vec`'s own capacity
+    /// test.
+    buf: Vec<[f32; 3]>,
+    /// A vertex block that [`as_vertices`] accepts, viewed instead of
+    /// `buf`.
+    received: Option<Bytes>,
+}
+
+/// `block` viewed as vertices, if it starts 4-aligned and holds whole
+/// vertices: on a little-endian target the wire format is the in-memory
+/// layout of `[[f32; 3]]`.
+#[cfg(target_endian = "little")]
+fn as_vertices(block: &[u8]) -> Option<&[[f32; 3]]> {
+    const VERTEX: usize = std::mem::size_of::<[f32; 3]>();
+    let aligned = (block.as_ptr() as usize).is_multiple_of(std::mem::align_of::<[f32; 3]>());
+    if !aligned || !block.len().is_multiple_of(VERTEX) {
+        return None;
+    }
+    // SAFETY: `[f32; 3]` is 12 bytes, 4-aligned, with no padding. The
+    // pointer is 4-aligned and the length a multiple of 12 (both checked
+    // above), so the view is `len / 12` whole vertices inside `block`.
+    // Every 32-bit pattern is a valid `f32` (NaNs included), so any bytes
+    // read as vertices. The view borrows `block`, and a received store
+    // keeps the immutable `Bytes` behind it alive, unchanged, for as long
+    // as the store lives.
+    Some(unsafe { std::slice::from_raw_parts(block.as_ptr().cast(), block.len() / VERTEX) })
+}
+
+/// On a big-endian target the wire bytes are not the vertices; every
+/// block is decoded into a buffer.
+#[cfg(not(target_endian = "little"))]
+fn as_vertices(_: &[u8]) -> Option<&[[f32; 3]]> {
+    None
+}
+
+impl Vertices {
+    fn owned(buf: Vec<[f32; 3]>) -> Self {
+        Vertices {
+            buf,
+            received: None,
+        }
+    }
+
+    /// Whether this store views received bytes instead of owning its
+    /// vertices.
+    #[inline]
+    pub(crate) fn is_received(&self) -> bool {
+        self.received.is_some()
+    }
+
+    /// Removes every vertex. A received store becomes an empty owned one.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.received = None;
+        self.buf.clear();
+    }
+
+    /// Appends `vertices`.
+    #[inline]
+    pub fn extend_from_slice(&mut self, vertices: &[[f32; 3]]) {
+        if self.buf.capacity() - self.buf.len() < vertices.len() {
+            self.grow(vertices.len());
+        }
+        self.buf.extend_from_slice(vertices);
+    }
+
+    /// The owned buffer, copied out of the received bytes first if the
+    /// store holds those.
+    fn to_mut(&mut self) -> &mut Vec<[f32; 3]> {
+        if self.is_received() {
+            self.grow(0);
+        }
+        &mut self.buf
+    }
+
+    /// Makes room for `additional` more vertices in `buf`, first copying
+    /// the received vertices into it if the store holds those.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, additional: usize) {
+        if self.is_received() {
+            let mut buf = spare(self.len() + additional);
+            buf.extend_from_slice(self);
+            self.buf = buf;
+            self.received = None;
+        }
+        self.buf.reserve(additional);
+    }
+}
+
+impl Deref for Vertices {
+    type Target = [[f32; 3]];
+
+    #[inline]
+    fn deref(&self) -> &[[f32; 3]] {
+        match &self.received {
+            None => &self.buf,
+            Some(b) => as_vertices(b).expect("a received block is a vertex view"),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Vertices {
+    type Item = &'a [f32; 3];
+    type IntoIter = std::slice::Iter<'a, [f32; 3]>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl Default for Vertices {
+    fn default() -> Self {
+        Vertices::owned(Vec::new())
+    }
+}
+
+impl PartialEq for Vertices {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Vertices {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Clone for Vertices {
+    fn clone(&self) -> Self {
+        match &self.received {
+            None => {
+                let mut copy = spare(self.buf.len());
+                copy.extend_from_slice(&self.buf);
+                Vertices::owned(copy)
+            }
+            Some(b) => Vertices {
+                buf: Vec::new(),
+                received: Some(b.clone()),
+            },
+        }
+    }
+}
+
+impl Drop for Vertices {
+    fn drop(&mut self) {
+        // A received store's empty `buf` is outside the range too.
+        if !SPARE_VERTICES.contains(&self.buf.capacity()) {
+            return;
+        }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        // Not during thread teardown; beyond the limit it is just freed.
+        let _ = SPARE.try_with(|s| {
+            let mut s = s.borrow_mut();
+            if s.len() < SPARE_BUFFERS {
+                s.push(buf);
+            }
+        });
+    }
 }
 
 /// Buffers a thread keeps, and the capacities (in vertices) worth
@@ -51,42 +230,19 @@ fn spare(len: usize) -> Vec<[f32; 3]> {
     recycled.ok().flatten().unwrap_or_default()
 }
 
-impl Drop for TriangleSoup {
-    fn drop(&mut self) {
-        if !SPARE_VERTICES.contains(&self.positions.capacity()) {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.positions);
-        buf.clear();
-        // Not during thread teardown; beyond the limit it is just freed.
-        let _ = SPARE.try_with(|s| {
-            let mut s = s.borrow_mut();
-            if s.len() < SPARE_BUFFERS {
-                s.push(buf);
-            }
-        });
-    }
-}
-
-impl Clone for TriangleSoup {
-    fn clone(&self) -> Self {
-        let mut positions = spare(self.positions.len());
-        positions.extend_from_slice(&self.positions);
-        TriangleSoup { positions }
-    }
-}
-
 impl TriangleSoup {
     pub fn new() -> Self {
         TriangleSoup {
-            positions: spare(0),
+            positions: Vertices::owned(spare(0)),
         }
     }
 
     pub fn with_capacity(n_triangles: usize) -> Self {
         let mut positions = spare(3 * n_triangles);
         positions.reserve(3 * n_triangles);
-        TriangleSoup { positions }
+        TriangleSoup {
+            positions: Vertices::owned(positions),
+        }
     }
 
     #[inline]
@@ -106,18 +262,26 @@ impl TriangleSoup {
         self.positions.extend_from_slice(&tri);
     }
 
-    /// Appends all triangles of another soup.
+    /// Appends all triangles of another soup. An empty soup takes over a
+    /// received one by cloning its handle, not its bytes.
     pub fn extend_from(&mut self, other: &TriangleSoup) {
-        self.positions.extend_from_slice(&other.positions);
+        if self.is_empty() && other.positions.is_received() {
+            self.positions = other.positions.clone();
+        } else {
+            self.positions.extend_from_slice(&other.positions);
+        }
     }
 
     /// Splits off the first `n` triangles into a new soup (fewer if not
     /// that many are available).
     pub fn drain_front(&mut self, n: usize) -> TriangleSoup {
-        let take = (3 * n).min(self.positions.len());
+        let rest = self.positions.to_mut();
+        let take = (3 * n).min(rest.len());
         let mut positions = spare(take);
-        positions.extend(self.positions.drain(..take));
-        TriangleSoup { positions }
+        positions.extend(rest.drain(..take));
+        TriangleSoup {
+            positions: Vertices::owned(positions),
+        }
     }
 
     /// Bounding box of all vertices.
@@ -187,6 +351,10 @@ impl TriangleSoup {
 
     /// Inverse of [`to_bytes`](Self::to_bytes). `None` on malformed input
     /// (short prefix, or body length inconsistent with the count).
+    ///
+    /// A vertex block that starts 4-aligned is kept, not copied (on a
+    /// little-endian target): the soup views `b` until a mutator makes
+    /// it owned. Any other block is decoded into a buffer of its own.
     pub fn from_bytes(mut b: Bytes) -> Option<TriangleSoup> {
         if b.remaining() < 4 {
             return None;
@@ -194,6 +362,14 @@ impl TriangleSoup {
         let n = b.get_u32_le() as usize;
         if b.remaining() != n.checked_mul(36)? {
             return None;
+        }
+        if as_vertices(&b).is_some() {
+            return Some(TriangleSoup {
+                positions: Vertices {
+                    buf: Vec::new(),
+                    received: Some(b),
+                },
+            });
         }
         // One exact-size extend over 12-byte vertex chunks: the iterator
         // knows its length, so the buffer is sized once and the loop
@@ -206,7 +382,9 @@ impl TriangleSoup {
                 f32::from_le_bytes([v[8], v[9], v[10], v[11]]),
             ]
         }));
-        Some(TriangleSoup { positions })
+        Some(TriangleSoup {
+            positions: Vertices::owned(positions),
+        })
     }
 }
 
@@ -420,21 +598,23 @@ mod tests {
         s
     }
 
+    /// The capacity of an owned store; a received one has none.
+    fn capacity(s: &TriangleSoup) -> usize {
+        s.positions.buf.capacity()
+    }
+
     // Each test runs on a thread of its own, so each starts with no
     // spare buffers.
     #[test]
     fn dropped_buffer_serves_the_next_soup() {
         let s = soup_of(1000);
-        let (ptr, cap) = (s.positions.as_ptr(), s.positions.capacity());
+        let (ptr, cap) = (s.positions.as_ptr(), capacity(&s));
         drop(s);
         let next = TriangleSoup::new();
         assert!(next.is_empty(), "recycled empty");
-        assert_eq!(
-            (next.positions.as_ptr(), next.positions.capacity()),
-            (ptr, cap)
-        );
+        assert_eq!((next.positions.as_ptr(), capacity(&next)), (ptr, cap));
         // While it is in use a second soup gets a buffer of its own.
-        assert_eq!(TriangleSoup::new().positions.capacity(), 0);
+        assert_eq!(capacity(&TriangleSoup::new()), 0);
     }
 
     #[test]
@@ -446,10 +626,7 @@ mod tests {
         let copy = s.clone();
         assert_eq!(copy, s);
         assert_ne!(copy.positions.as_ptr(), s.positions.as_ptr());
-        assert!(
-            copy.positions.capacity() >= 6000,
-            "the first buffer that fits"
-        );
+        assert!(capacity(&copy) >= 6000, "the first buffer that fits");
         let front = s.drain_front(200);
         assert_eq!((front.n_triangles(), s.n_triangles()), (200, 300));
         assert_eq!(front.positions[..], copy.positions[..600]);
@@ -462,13 +639,13 @@ mod tests {
     #[test]
     fn only_block_sized_buffers_are_kept_and_only_a_few() {
         drop(soup_of(1 << 14)); // 49 152 vertices: past the limit
-        assert_eq!(TriangleSoup::new().positions.capacity(), 0);
+        assert_eq!(capacity(&TriangleSoup::new()), 0);
         drop(soup_of(10)); // too small to matter
-        assert_eq!(TriangleSoup::new().positions.capacity(), 0);
+        assert_eq!(capacity(&TriangleSoup::new()), 0);
         let many: Vec<TriangleSoup> = (0..SPARE_BUFFERS + 3).map(|_| soup_of(200)).collect();
         let many: Vec<()> = many.into_iter().map(drop).collect();
         let again: Vec<TriangleSoup> = many.iter().map(|_| TriangleSoup::new()).collect();
-        let kept = again.iter().filter(|s| s.positions.capacity() > 0);
+        let kept = again.iter().filter(|s| capacity(s) > 0);
         assert_eq!(kept.count(), SPARE_BUFFERS);
     }
 
@@ -482,7 +659,130 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(TriangleSoup::new().positions.capacity(), 0);
+        assert_eq!(capacity(&TriangleSoup::new()), 0);
+    }
+
+    /// `bytes` copied into a buffer of their own at offset `off`.
+    fn at_offset(bytes: &[u8], off: usize) -> Bytes {
+        let mut buf = vec![0xA5; off];
+        buf.extend_from_slice(bytes);
+        Bytes::from(buf).slice(off..off + bytes.len())
+    }
+
+    /// `soup`'s encoding placed where its vertex block, past the count
+    /// prefix, does or does not start 4-aligned.
+    fn placed(soup: &TriangleSoup, aligned: bool) -> Bytes {
+        let encoding = soup.to_bytes();
+        (0..4)
+            .map(|off| at_offset(&encoding, off))
+            .find(|b| (b.as_ptr() as usize + 4).is_multiple_of(4) == aligned)
+            .expect("one of four offsets")
+    }
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn an_aligned_block_is_kept_and_a_misaligned_one_copied() {
+        let s = soup_of(300);
+        let kept = TriangleSoup::from_bytes(placed(&s, true)).unwrap();
+        let copied = TriangleSoup::from_bytes(placed(&s, false)).unwrap();
+        assert_eq!((&kept, &copied), (&s, &s));
+        assert!(kept.positions.is_received());
+        assert!(!copied.positions.is_received());
+        assert_eq!(kept.to_bytes()[..], s.to_bytes()[..]);
+        // A clone of a received soup shares its bytes.
+        assert_eq!(kept.clone().positions.as_ptr(), kept.positions.as_ptr());
+    }
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn every_mutator_leaves_the_received_bytes_and_owns_its_result() {
+        type Mutator = fn(&mut TriangleSoup) -> Option<TriangleSoup>;
+        let mutators: [(&str, Mutator); 6] = [
+            ("push_tri", |s| {
+                s.push_tri(
+                    Vec3::ZERO,
+                    Vec3::new(5.0, 0.0, 0.0),
+                    Vec3::new(0.0, 5.0, 0.0),
+                );
+                None
+            }),
+            ("extend_from", |s| {
+                s.extend_from(&tri_soup());
+                None
+            }),
+            ("drain_front", |s| Some(s.drain_front(1))),
+            ("drain_front all", |s| Some(s.drain_front(2))),
+            ("clear", |s| {
+                s.positions.clear();
+                None
+            }),
+            ("extend_from_slice", |s| {
+                s.positions.extend_from_slice(&[[7.0; 3]; 3]);
+                None
+            }),
+        ];
+        for (name, mutate) in mutators {
+            let bytes = placed(&tri_soup(), true);
+            let before = bytes.to_vec();
+            let mut received = TriangleSoup::from_bytes(bytes.clone()).unwrap();
+            assert!(received.positions.is_received());
+            let mut owned = tri_soup();
+            assert_eq!(mutate(&mut received), mutate(&mut owned), "{name}");
+            assert_eq!(received, owned, "{name}");
+            assert!(!received.positions.is_received(), "{name}");
+            assert_eq!(bytes[..], before[..], "{name} changed the received bytes");
+        }
+    }
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn an_empty_soup_takes_over_a_received_one_by_its_handle() {
+        let received = TriangleSoup::from_bytes(placed(&tri_soup(), true)).unwrap();
+        let mut all = TriangleSoup::new();
+        all.extend_from(&received);
+        assert_eq!(all.positions.as_ptr(), received.positions.as_ptr());
+        // The next one makes it owned, and leaves the first as it was.
+        all.extend_from(&received);
+        assert_eq!(all.n_triangles(), 4);
+        assert!(!all.positions.is_received());
+        assert_eq!(received, tri_soup());
+    }
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn a_dropped_received_soup_leaves_no_spare_buffer() {
+        // Encoded on another thread, so this one has no spare buffers.
+        let bytes = std::thread::spawn(|| placed(&soup_of(1000), true))
+            .join()
+            .unwrap();
+        let received = TriangleSoup::from_bytes(bytes).unwrap();
+        assert!(received.positions.is_received());
+        assert!(SPARE_VERTICES.contains(&received.positions.len()));
+        drop(received.clone());
+        drop(received);
+        assert_eq!(capacity(&TriangleSoup::new()), 0);
+    }
+
+    #[test]
+    fn malformed_inputs_are_refused_at_every_offset() {
+        let good = tri_soup().to_bytes().to_vec();
+        let with_count = |n: u32, body: &[u8]| [&n.to_le_bytes()[..], body].concat();
+        let cases = [
+            Vec::new(),
+            good[..3].to_vec(),
+            good[..good.len() - 1].to_vec(),
+            good[..good.len() - 12].to_vec(),
+            with_count(3, &good[4..]),
+            with_count(1, &good[4..]),
+            [&good[..], &[0; 36]].concat(),
+            with_count(u32::MAX, &good[4..]),
+        ];
+        for case in &cases {
+            for off in 0..4 {
+                let b = at_offset(case, off);
+                assert!(TriangleSoup::from_bytes(b).is_none(), "{case:?} at {off}");
+            }
+        }
     }
 
     #[test]

@@ -152,7 +152,11 @@ fn edge_point(pa: Vec3, pb: Vec3, sa: f64, sb: f64, iso: f64) -> Vec3 {
 /// Pushes `a b c` with a winding such that the triangle normal points
 /// along `toward` (from the above-iso region into the at/below-iso
 /// region) — consistent orientation across the whole surface.
-#[inline]
+///
+/// Always inlined: with its two pushes LLVM otherwise keeps it a call
+/// per triangle, and pushing once after selecting the winding reads
+/// ≈ 2 % slower than branching to either push.
+#[inline(always)]
 fn push_oriented(out: &mut TriangleSoup, a: Vec3, b: Vec3, c: Vec3, toward: Vec3) {
     let n = (b - a).cross(c - a);
     if n.dot(toward) < 0.0 {
@@ -641,8 +645,8 @@ mod tests {
         assert_eq!(a.n_triangles(), 1);
         assert_eq!(b.n_triangles(), 1);
         // Same cut plane: identical vertex sets (up to order).
-        let mut av: Vec<_> = a.positions.clone();
-        let mut bv: Vec<_> = b.positions.clone();
+        let mut av: Vec<_> = a.positions.to_vec();
+        let mut bv: Vec<_> = b.positions.to_vec();
         let key = |p: &[f32; 3]| (p[0].to_bits(), p[1].to_bits(), p[2].to_bits());
         av.sort_by_key(key);
         bv.sort_by_key(key);

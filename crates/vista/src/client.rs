@@ -907,6 +907,89 @@ mod tests {
         assert_ne!(client.trace_ctx(job2).unwrap().trace_id, ctx.trace_id);
     }
 
+    /// `n` triangles, each its own, offset by `z`.
+    fn tris(n: usize, z: f64) -> TriangleSoup {
+        let mut s = TriangleSoup::new();
+        for i in 0..n {
+            let x = i as f64;
+            s.push_tri(
+                Vec3::new(x, 0.0, z),
+                Vec3::new(x + 1.0, 0.0, z),
+                Vec3::new(x, 1.0, z),
+            );
+        }
+        s
+    }
+
+    /// A back-end that accepts one job and answers it with the frames
+    /// `answer` makes for its id; joining it returns those frames.
+    fn answer_one_job(
+        answer: impl FnOnce(JobId) -> Vec<Bytes> + Send + 'static,
+    ) -> (VistaClient, std::thread::JoinHandle<Vec<Bytes>>) {
+        let (client_side, server_side) = client_server_link();
+        let handle = std::thread::spawn(move || {
+            let frame = server_side.next_request().unwrap();
+            let ClientRequest::Submit { job, .. } = decode_request(frame).unwrap() else {
+                panic!("expected submit");
+            };
+            let frames = answer(job);
+            for f in &frames {
+                server_side.emit(f.clone()).unwrap();
+            }
+            frames
+        });
+        (VistaClient::new(client_side), handle)
+    }
+
+    #[test]
+    fn a_batch_outcome_keeps_the_bytes_of_its_final_frame() {
+        let soup = tris(40, 0.0);
+        let payload = soup.to_bytes();
+        let (mut client, h) = answer_one_job(move |job| {
+            let last = EventHeader::Final {
+                job,
+                kind: PayloadKind::Triangles,
+                n_items: 40,
+                report: JobReport::default(),
+            };
+            vec![
+                encode_event(&EventHeader::JobAccepted { job, workers: 1 }, Bytes::new()),
+                encode_event(&last, payload),
+            ]
+        });
+        let out = client.run(&spec()).unwrap();
+        let frames = h.join().unwrap();
+        assert_eq!(out.triangles, soup);
+        // The outcome's vertices are the frame's last bytes, not a copy.
+        let vertices = out.triangles.positions.as_ptr().cast::<u8>();
+        let frame = frames.last().unwrap();
+        let block = &frame[frame.len() - 12 * out.triangles.positions.len()..];
+        assert_eq!(vertices, block.as_ptr(), "kept, not copied");
+    }
+
+    #[test]
+    fn a_streamed_outcome_is_its_packets_in_order() {
+        let parts = [tris(3, 0.0), tris(5, 1.0), tris(2, 2.0)];
+        let expected: Vec<[f32; 3]> = parts.iter().flat_map(|p| p.positions.to_vec()).collect();
+        let (mut client, h) = answer_one_job(move |job| {
+            let last = EventHeader::Final {
+                job,
+                kind: PayloadKind::None,
+                n_items: 0,
+                report: JobReport::default(),
+            };
+            let packets = parts
+                .iter()
+                .enumerate()
+                .map(|(seq, p)| triangle_packet(job, seq as u32, 0, p));
+            packets.chain([encode_event(&last, Bytes::new())]).collect()
+        });
+        let out = client.run(&spec()).unwrap();
+        h.join().unwrap();
+        assert_eq!(out.packets.len(), 3);
+        assert_eq!(out.triangles.positions[..], expected[..]);
+    }
+
     #[test]
     fn dropped_backend_is_a_comm_error() {
         let (client_side, server_side) = client_server_link();

@@ -8,6 +8,9 @@
 //! ```text
 //! u32 header_len (LE) | header JSON | payload bytes
 //! ```
+//!
+//! The header is space-padded to a multiple of four bytes, so the
+//! payload starts 4-aligned in the frame.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vira_extract::mesh::{Polyline, TriangleSoup};
@@ -529,8 +532,15 @@ impl std::error::Error for ProtocolError {}
 /// the compact JSON header, the binary payload. Layer 2
 /// (`viracocha::wire`) builds the same framing with a seal behind it and
 /// reads it back with [`decode_frame`].
+///
+/// The header is padded with spaces, which the JSON parser skips, to a
+/// multiple of four bytes: the payload then starts 4-aligned in the
+/// frame, and so does a triangle block behind its count prefix, which
+/// [`TriangleSoup::from_bytes`] keeps instead of copying.
 fn encode_frame(header: &Json, payload: &Bytes) -> Bytes {
-    let json = header.to_string();
+    let mut json = header.to_string();
+    let padded = json.len().next_multiple_of(4);
+    json.extend(std::iter::repeat_n(' ', padded - json.len()));
     let mut buf = BytesMut::with_capacity(4 + json.len() + payload.len());
     buf.put_u32_le(json.len() as u32);
     buf.put_slice(json.as_bytes());
@@ -724,7 +734,32 @@ mod tests {
             }
             other => panic!("wrong header {other:?}"),
         }
-        assert_eq!(TriangleSoup::from_bytes(payload).unwrap(), soup);
+        let block = payload[4..].as_ptr();
+        let back = TriangleSoup::from_bytes(payload).unwrap();
+        assert_eq!(back, soup);
+        assert_eq!(
+            back.positions.as_ptr().cast::<u8>(),
+            block,
+            "the padded header leaves the vertex block aligned, so it is kept"
+        );
+    }
+
+    #[test]
+    fn headers_are_padded_to_four_bytes_and_still_parse() {
+        for job in [0, 7, 77, 777, 7777, u64::MAX] {
+            for seq in [0, 1, 22, 333] {
+                let frame = triangle_packet(job, seq, 1, &TriangleSoup::new());
+                let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+                assert_eq!(len % 4, 0, "header of {len} bytes");
+                assert!(
+                    !frame[4..4 + len].ends_with(b"    "),
+                    "at most three spaces"
+                );
+                let (header, payload) = decode_event(frame).unwrap();
+                assert_eq!(header.job(), job);
+                assert_eq!(&payload[..], &0u32.to_le_bytes());
+            }
+        }
     }
 
     #[test]

@@ -229,6 +229,39 @@ fn soup_bytes_roundtrip() {
     });
 }
 
+/// A soup's encoding placed at offset 0–3 inside a larger buffer decodes
+/// to the same vertex bits wherever it lies, and the decoded soup keeps
+/// the received bytes exactly when its vertex block starts 4-aligned.
+#[test]
+fn soup_from_bytes_keeps_exactly_the_aligned_blocks() {
+    let bits = |s: &TriangleSoup| -> Vec<[u32; 3]> {
+        s.positions.iter().map(|v| v.map(f32::to_bits)).collect()
+    };
+    check(DEFAULT_CASES, |g| {
+        let n = g.usize_in(0..40);
+        let soup = arb_soup(g, n, 1e6);
+        let encoding = soup.to_bytes();
+        let mut kept = 0;
+        for off in 0..4 {
+            let mut buf = g.bytes(off..off + 1);
+            buf.extend_from_slice(&encoding);
+            buf.extend(g.bytes(0..8));
+            let b = Bytes::from(buf).slice(off..off + encoding.len());
+            let block = b.as_ptr().wrapping_add(4);
+            let aligned = cfg!(target_endian = "little") && (block as usize).is_multiple_of(4);
+            let back = TriangleSoup::from_bytes(b).expect("well-formed");
+            assert_eq!(bits(&back), bits(&soup), "offset {off}");
+            // Received means a view of the block itself, not a copy.
+            let received = back.positions.as_ptr().cast::<u8>() == block;
+            assert_eq!(received, aligned, "offset {off}");
+            kept += usize::from(received);
+        }
+        if cfg!(target_endian = "little") {
+            assert!(kept > 0, "no offset of four was aligned");
+        }
+    });
+}
+
 /// A polyline list decodes only when its declared records fill the
 /// frame, as a soup does: a valid encoding followed by any non-empty
 /// tail is refused.
